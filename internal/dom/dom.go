@@ -113,14 +113,12 @@ type Tree struct {
 	// stay alive through the per-node sub-slices that reference them.
 	attrArena []Attr
 
-	// fp caches Fingerprint; valid while fpValid.
-	fp      uint64
-	fpValid bool
-
 	// subHash holds the per-node subtree fingerprints (SubtreeHash) in
-	// one packed allocation, like the pre/post/size index; valid while
+	// one packed allocation, like the pre/post/size index, and fp the
+	// whole-tree Fingerprint derived from them; both valid while
 	// subHashValid.
 	subHash      []uint64
+	fp           uint64
 	subHashValid bool
 
 	// warmMu serializes Warm, so concurrent warmers (crawl-frontier
@@ -191,30 +189,43 @@ func (t *Tree) AddRoot(label string) NodeID {
 	if len(t.kind) != 0 {
 		panic("dom: AddRoot on non-empty tree")
 	}
-	return t.addNode(Element, label, "", Nil)
+	return t.addNode(Element, t.intern(label), "", Nil)
 }
 
 // AppendChild adds a new element node labeled label as the rightmost
 // child of parent and returns its id.
 func (t *Tree) AppendChild(parent NodeID, label string) NodeID {
-	return t.addNode(Element, label, "", parent)
+	return t.addNode(Element, t.intern(label), "", parent)
 }
 
 // AppendText adds a new text node holding data as the rightmost child of
 // parent and returns its id.
 func (t *Tree) AppendText(parent NodeID, data string) NodeID {
-	return t.addNode(Text, TextLabel, data, parent)
+	return t.addNode(Text, t.intern(TextLabel), data, parent)
 }
 
 // AppendComment adds a new comment node as the rightmost child of parent.
 func (t *Tree) AppendComment(parent NodeID, data string) NodeID {
-	return t.addNode(Comment, CommentLabel, data, parent)
+	return t.addNode(Comment, t.intern(CommentLabel), data, parent)
 }
 
-func (t *Tree) addNode(k Kind, label, text string, parent NodeID) NodeID {
+// AppendInterned is AppendChild/AppendText/AppendComment for a label the
+// caller has already interned: it adds a node of kind k carrying symbol
+// label (read back with LabelID from an earlier node of this tree) and
+// payload data ("" for elements) as the rightmost child of parent,
+// without the label-map lookup. Builders that see the same few labels
+// thousands of times (the HTML parser) memoise the symbol per tag. The
+// caller keeps kind and label consistent: Text with #text, Comment with
+// #comment.
+func (t *Tree) AppendInterned(parent NodeID, k Kind, label LabelID, data string) NodeID {
+	_ = t.labelNames[label] // a symbol of another tree is a bug: fail here, not in a reader
+	return t.addNode(k, label, data, parent)
+}
+
+func (t *Tree) addNode(k Kind, label LabelID, text string, parent NodeID) NodeID {
 	id := NodeID(len(t.kind))
 	t.kind = append(t.kind, k)
-	t.labelID = append(t.labelID, t.intern(label))
+	t.labelID = append(t.labelID, label)
 	t.text = append(t.text, text)
 	t.attrs = append(t.attrs, nil)
 	t.parent = append(t.parent, parent)
@@ -224,7 +235,6 @@ func (t *Tree) addNode(k Kind, label, text string, parent NodeID) NodeID {
 	t.prevSibling = append(t.prevSibling, Nil)
 	t.indexed = false
 	t.bitsValid = false
-	t.fpValid = false
 	t.subHashValid = false
 	if parent != Nil {
 		last := t.lastChild[parent]
@@ -318,55 +328,26 @@ func (t *Tree) KindBits(k Kind) []uint64 {
 	return t.kindBits[k]
 }
 
-// Fingerprint returns a cheap content hash of the tree covering
-// structure, kinds, labels, text, and attributes (FNV-1a over a
-// canonical byte walk). It is cached and invalidated on mutation, so
-// unchanged trees fingerprint in O(1); evaluation caches key on it.
-// Equal trees always agree; distinct trees collide with probability
-// ~2^-64.
+// Fingerprint returns a content hash of the whole tree covering
+// structure, kinds, labels, text, and attributes. It is not a second
+// walk over the content: it mixes the root's SubtreeHash (content and
+// shape) with the node count and a fold of the parent ids (which node
+// id sits where — evaluation caches keyed on it hold NodeIDs), all
+// produced by the one pass that fills the subtree-hash table. It is
+// cached with that table and invalidated on mutation, so unchanged
+// trees fingerprint in O(1). Equal trees built in the same order
+// always agree; distinct trees collide with probability ~2^-64.
 func (t *Tree) Fingerprint() uint64 {
-	if t.fpValid {
-		return t.fp
-	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	byte1 := func(b byte) {
-		h = (h ^ uint64(b)) * prime64
-	}
-	str := func(s string) {
-		for i := 0; i < len(s); i++ {
-			h = (h ^ uint64(s[i])) * prime64
-		}
-		byte1(0)
-	}
-	num := func(v int32) {
-		h = (h ^ uint64(uint32(v))) * prime64
-	}
-	num(int32(len(t.kind)))
-	for n := range t.kind {
-		byte1(byte(t.kind[n]))
-		num(int32(t.parent[n]))
-		str(t.labelNames[t.labelID[n]])
-		str(t.text[n])
-		num(int32(len(t.attrs[n])))
-		for _, a := range t.attrs[n] {
-			str(a.Name)
-			str(a.Value)
-		}
-	}
-	t.fp = h
-	t.fpValid = true
-	return h
+	t.ensureSubHash()
+	return t.fp
 }
 
 // ensureSubHash fills subHash with the merkle-style subtree
-// fingerprints in a single bottom-up pass. Nodes are only ever created
-// by addNode, which requires the parent to exist first, so every
-// parent id is smaller than its children's ids and one reverse-id
-// sweep visits children before parents.
+// fingerprints, and fp with the Fingerprint folded from them, in a
+// single bottom-up pass. Nodes are only ever created by addNode, which
+// requires the parent to exist first, so every parent id is smaller
+// than its children's ids and one reverse-id sweep visits children
+// before parents.
 func (t *Tree) ensureSubHash() {
 	if t.subHashValid {
 		return
@@ -381,8 +362,19 @@ func (t *Tree) ensureSubHash() {
 		offset64 = 14695981039346656037
 		prime64  = 1099511628211
 	)
+	shape := uint64(offset64) // fold of (node count, parent ids)
+	shape = (shape ^ uint64(n)) * prime64
+	// heads caches the hash state after a node's kind and label: a few
+	// (kind, label) pairs head thousands of nodes. Direct-mapped; a
+	// colliding pair is hashed again. key is the pair plus one, so the
+	// zero value is empty.
+	var heads [32]struct {
+		key uint32
+		h   uint64
+	}
 	for i := n - 1; i >= 0; i-- {
-		h := uint64(offset64)
+		shape = (shape ^ uint64(uint32(t.parent[i]))) * prime64
+		var h uint64
 		byte1 := func(b byte) {
 			h = (h ^ uint64(b)) * prime64
 		}
@@ -397,8 +389,15 @@ func (t *Tree) ensureSubHash() {
 				byte1(byte(v >> s))
 			}
 		}
-		byte1(byte(t.kind[i]))
-		str(t.labelNames[t.labelID[i]])
+		key := (uint32(t.labelID[i])<<2 | uint32(t.kind[i])) + 1
+		if head := &heads[key%uint32(len(heads))]; head.key == key {
+			h = head.h
+		} else {
+			h = offset64
+			byte1(byte(t.kind[i]))
+			str(t.labelNames[t.labelID[i]])
+			head.key, head.h = key, h
+		}
 		str(t.text[i])
 		byte1(byte(len(t.attrs[i])))
 		for _, a := range t.attrs[i] {
@@ -409,6 +408,10 @@ func (t *Tree) ensureSubHash() {
 			num(t.subHash[c])
 		}
 		t.subHash[i] = h
+	}
+	t.fp = shape
+	if n > 0 {
+		t.fp = (shape ^ t.subHash[0]) * prime64
 	}
 	t.subHashValid = true
 }
@@ -442,7 +445,6 @@ func (t *Tree) Warm() {
 	defer t.warmMu.Unlock()
 	t.ensureIndex()
 	t.ensureBits()
-	t.Fingerprint()
 	t.ensureSubHash()
 }
 
@@ -455,19 +457,27 @@ func (t *Tree) WarmIndex() {
 	t.ensureIndex()
 }
 
+// WarmFingerprint builds only the subtree hashes, under the same lock
+// as Warm, and returns the Fingerprint — all a change check needs. The
+// index and the bitsets are left to whoever goes on to evaluate.
+func (t *Tree) WarmFingerprint() uint64 {
+	t.warmMu.Lock()
+	defer t.warmMu.Unlock()
+	t.ensureSubHash()
+	return t.fp
+}
+
 // SetAttr sets attribute name to value on element node n, replacing any
 // existing attribute of the same name.
 func (t *Tree) SetAttr(n NodeID, name, value string) {
 	for i := range t.attrs[n] {
 		if t.attrs[n][i].Name == name {
 			t.attrs[n][i].Value = value
-			t.fpValid = false
 			t.subHashValid = false
 			return
 		}
 	}
 	t.attrs[n] = append(t.attrs[n], Attr{Name: name, Value: value})
-	t.fpValid = false
 	t.subHashValid = false
 }
 
@@ -482,7 +492,6 @@ const attrChunk = 64
 func (t *Tree) SetAttrs(n NodeID, attrs []Attr) {
 	if len(attrs) == 0 {
 		t.attrs[n] = nil
-		t.fpValid = false
 		t.subHashValid = false
 		return
 	}
@@ -509,7 +518,6 @@ func (t *Tree) SetAttrs(n NodeID, attrs []Attr) {
 	}
 	end := len(t.attrArena)
 	t.attrs[n] = t.attrArena[start:end:end]
-	t.fpValid = false
 	t.subHashValid = false
 }
 
@@ -547,7 +555,6 @@ func (t *Tree) Text(n NodeID) string { return t.text[n] }
 // SetText replaces the character data of a text or comment node.
 func (t *Tree) SetText(n NodeID, data string) {
 	t.text[n] = data
-	t.fpValid = false
 	t.subHashValid = false
 }
 

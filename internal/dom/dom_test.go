@@ -458,6 +458,47 @@ func TestFingerprint(t *testing.T) {
 	if t3.Fingerprint() == fp {
 		t.Fatal("AppendChild did not change the fingerprint")
 	}
+
+	// The fingerprint is folded from the subtree hashes, which see
+	// content and shape: the same nodes arranged differently differ ...
+	nested, flat := New(0), New(0)
+	nested.AppendChild(nested.AppendChild(nested.AddRoot("a"), "b"), "c")
+	r := flat.AddRoot("a")
+	flat.AppendChild(r, "b")
+	flat.AppendChild(r, "c")
+	if nested.Fingerprint() == flat.Fingerprint() {
+		t.Fatal("a(b(c)) and a(b,c) fingerprint alike")
+	}
+	// ... and so does the same tree under another id assignment, which
+	// the subtree hashes do not see but caches of NodeIDs depend on.
+	depth, breadth := New(0), New(0)
+	r = depth.AddRoot("r")
+	depth.AppendChild(depth.AppendChild(r, "a"), "g")
+	depth.AppendChild(r, "b")
+	r = breadth.AddRoot("r")
+	a := breadth.AppendChild(r, "a")
+	breadth.AppendChild(r, "b")
+	breadth.AppendChild(a, "g")
+	if !Equal(depth, breadth) || depth.SubtreeHash(0) != breadth.SubtreeHash(0) {
+		t.Fatal("depth-first and breadth-first builds of r(a(g),b) are not the same tree")
+	}
+	if depth.Fingerprint() == breadth.Fingerprint() {
+		t.Fatal("trees with different node ids fingerprint alike")
+	}
+
+	// Valid on an empty tree, and on an un-warmed one by either entry
+	// point, before and after a full Warm.
+	if New(0).Fingerprint() != New(8).Fingerprint() || New(0).Fingerprint() == fp {
+		t.Fatal("empty-tree fingerprint is not a constant of its own")
+	}
+	cold := build()
+	if got := cold.WarmFingerprint(); got != fp {
+		t.Fatalf("WarmFingerprint on an un-warmed tree = %#x, want %#x", got, fp)
+	}
+	cold.Warm()
+	if cold.Fingerprint() != fp || cold.WarmFingerprint() != fp {
+		t.Fatal("Warm changed the fingerprint")
+	}
 }
 
 func TestDocOrdered(t *testing.T) {

@@ -1,6 +1,7 @@
 package htmlparse
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/dom"
@@ -30,6 +31,12 @@ func FuzzParse(f *testing.F) {
 		"&amp;&lt;&unknown;&#65;&#x41;",
 		"<p attr=>empty</p><p =broken>",
 		"<!DOCTYPE html><html><head><title>t</title></head></html>",
+		// Raw text whose lower-case form has another UTF-8 length: these
+		// panicked or mis-sliced while the end tag was searched in a
+		// lower-cased copy (TestRawTextEndTagInPlace).
+		"<script>" + strings.Repeat("\u023a", 12) + "</script>",
+		"<script>\u023a\u023a</script><p>x</p>",
+		"<title>\u0130\u212a</TITLE><p>x</p>",
 	}
 	for _, s := range seeds {
 		f.Add(s)
@@ -74,12 +81,11 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzParseArena is the differential fuzz target for the zero-copy
-// arena builder: on any input, the arena path behind Parse must produce
-// a tree byte-identical to the frozen seed parser ParseLegacy —
-// isomorphic structure, equal fingerprints, and identical in-order
-// attribute lists (dom.Equal compares attributes by name, so order is
-// checked separately).
+// FuzzParseArena is the differential fuzz target for the fused
+// builder: on any input, Parse must produce a tree byte-identical to
+// the frozen seed parser ParseLegacy — isomorphic structure, equal
+// fingerprints, and node by node the same kind, label, text, parent
+// and in-order attribute list (assertSameTree).
 func FuzzParseArena(f *testing.F) {
 	seeds := []string{
 		"",
@@ -90,30 +96,15 @@ func FuzzParseArena(f *testing.F) {
 		"<a href='x' class=\"y\" checked>link</a>",
 		"<!DOCTYPE html><html><head><title>t</title></head></html>",
 		"<<<>>><tag<<",
+		"<script>" + strings.Repeat("\u023a", 12) + "</script>",
+		"<script>\u023a\u023a</script><p>x</p>",
+		"<title>\u0130\u212a</TITLE><p>x</p>",
+		"<Books><BOOK Id=1>x</book><li>a<li>b</BOOKS></body>z",
 	}
 	for _, s := range seeds {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
-		arena := Parse(src)
-		legacy := ParseLegacy(src)
-		if !dom.Equal(arena, legacy) {
-			t.Fatalf("arena tree differs from legacy:\narena:  %s\nlegacy: %s", arena, legacy)
-		}
-		if af, lf := arena.Fingerprint(), legacy.Fingerprint(); af != lf {
-			t.Fatalf("fingerprint mismatch: arena %#x, legacy %#x", af, lf)
-		}
-		for i := 0; i < arena.Size(); i++ {
-			n := dom.NodeID(i)
-			aa, la := arena.Attrs(n), legacy.Attrs(n)
-			if len(aa) != len(la) {
-				t.Fatalf("node %d: attr count %d != %d", i, len(aa), len(la))
-			}
-			for j := range aa {
-				if aa[j] != la[j] {
-					t.Fatalf("node %d attr %d: %v != %v", i, j, aa[j], la[j])
-				}
-			}
-		}
+		assertSameTree(t, Parse(src), ParseLegacy(src))
 	})
 }

@@ -42,25 +42,11 @@ var headElements = map[string]bool{
 	"title": true, "meta": true, "link": true, "base": true, "style": true,
 }
 
-// Parse parses HTML source into a dom.Tree. The returned tree always has
-// an "html" root with a "body" child (synthesized when missing), because
-// the Elog programs of the paper navigate from the body node (Figure 5).
-// Parse never fails; arbitrarily broken input yields a best-effort tree.
-//
-// Parse is a thin shim over the streaming arena builder (see arena.go):
-// tokens flow directly into one pre-sized allocation region per
-// document, with no intermediate token slices and no per-node
-// allocations. The token-at-a-time seed implementation is kept as
-// ParseLegacy; the two are pinned tree-identical by differential and
-// fuzz tests.
-func Parse(src string) *dom.Tree {
-	return parseArena(src)
-}
-
 // ParseLegacy is the seed token-based parser, retained verbatim as the
 // reference implementation: FuzzParseArena and the differential tests
-// assert that the arena builder produces byte-identical trees. New
-// parsing behaviour must change both implementations.
+// assert that the fused builder behind Parse (builder.go) produces
+// byte-identical trees. New parsing behaviour must change both
+// implementations.
 func ParseLegacy(src string) *dom.Tree {
 	t := dom.New(len(src) / 16)
 	z := NewTokenizer(src)

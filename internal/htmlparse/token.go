@@ -13,6 +13,8 @@ package htmlparse
 
 import (
 	"strings"
+
+	"repro/internal/dom"
 )
 
 // TokenType enumerates the lexical token classes of HTML.
@@ -52,10 +54,7 @@ func (t TokenType) String() string {
 }
 
 // Attr is a lexical attribute of a start tag.
-type Attr struct {
-	Name  string
-	Value string
-}
+type Attr = dom.Attr
 
 // Token is one lexical token. For tag tokens, Data is the lower-cased tag
 // name; for text and comments it is the (entity-decoded) character data.
@@ -77,10 +76,6 @@ type Tokenizer struct {
 	// title, textarea); set by XML consumers, where those names are
 	// ordinary elements.
 	NoRawText bool
-	// scratch backs the attribute lists of NextStream tokens, reused
-	// across calls; reuse selects it over a fresh allocation.
-	scratch []Attr
-	reuse   bool
 }
 
 // NewTokenizer returns a tokenizer over src.
@@ -92,21 +87,6 @@ func NewTokenizer(src string) *Tokenizer {
 // The token's attribute slice is freshly allocated and owned by the
 // caller.
 func (z *Tokenizer) Next() (Token, bool) {
-	z.reuse = false
-	return z.next()
-}
-
-// NextStream is Next with zero-copy attribute handling: the returned
-// token's Attrs alias an internal scratch buffer that the following
-// NextStream call overwrites. Streaming consumers that process each
-// token before asking for the next one (the arena tree builder) avoid
-// one slice allocation per tag this way.
-func (z *Tokenizer) NextStream() (Token, bool) {
-	z.reuse = true
-	return z.next()
-}
-
-func (z *Tokenizer) next() (Token, bool) {
 	if z.pos >= len(z.src) {
 		return Token{}, false
 	}
@@ -123,9 +103,7 @@ func (z *Tokenizer) next() (Token, bool) {
 }
 
 func (z *Tokenizer) rawText() Token {
-	end := "</" + z.rawUntil
-	low := strings.ToLower(z.src[z.pos:])
-	idx := strings.Index(low, end)
+	idx := indexEndTag(z.src[z.pos:], z.rawUntil)
 	var data string
 	if idx < 0 {
 		data = z.src[z.pos:]
@@ -208,7 +186,7 @@ func (z *Tokenizer) tag() (Token, bool) {
 			j++
 		}
 		name := strings.ToLower(s[i:j])
-		attrs, selfClose, newPos := z.attrs(j)
+		attrs, selfClose, newPos := lexAttrs(s, j, nil)
 		z.pos = newPos
 		typ := StartTagToken
 		if selfClose {
@@ -222,24 +200,42 @@ func (z *Tokenizer) tag() (Token, bool) {
 	return Token{}, false
 }
 
-// attrs lexes the attribute list starting at position j, returning the
-// attributes, whether the tag is self-closing, and the position just
-// past the closing '>'. In reuse mode the list is built in the scratch
-// buffer, whose grown capacity is kept for the next tag.
-func (z *Tokenizer) attrs(j int) ([]Attr, bool, int) {
-	attrs, selfClose, pos := z.lexAttrs(j)
-	if z.reuse {
-		z.scratch = attrs
+// indexEndTag returns the offset in s of the first "</name" (name in
+// lower case), compared ASCII case-insensitively in place, or -1. It
+// ends the content of the raw-text elements.
+func indexEndTag(s, name string) int {
+	for i := 0; ; i += 2 {
+		j := strings.Index(s[i:], "</")
+		if j < 0 {
+			return -1
+		}
+		i += j
+		if rest := s[i+2:]; len(rest) >= len(name) && equalFoldASCII(rest[:len(name)], name) {
+			return i
+		}
 	}
-	return attrs, selfClose, pos
 }
 
-func (z *Tokenizer) lexAttrs(j int) ([]Attr, bool, int) {
-	s := z.src
-	var attrs []Attr
-	if z.reuse {
-		attrs = z.scratch[:0]
+// equalFoldASCII reports whether s, with A-Z folded to a-z, equals the
+// lower-case string lower of the same length.
+func equalFoldASCII(s, lower string) bool {
+	for i := 0; i < len(lower); i++ {
+		c := s[i]
+		if c >= 'A' && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		if c != lower[i] {
+			return false
+		}
 	}
+	return true
+}
+
+// lexAttrs lexes the attribute list of a start tag of s starting at
+// position j, appending to attrs (which a streaming caller reuses
+// across tags). It returns the list, whether the tag is self-closing,
+// and the position just past the closing '>'.
+func lexAttrs(s string, j int, attrs []Attr) ([]Attr, bool, int) {
 	selfClose := false
 	for j < len(s) {
 		// Skip whitespace.
@@ -258,11 +254,8 @@ func (z *Tokenizer) lexAttrs(j int) ([]Attr, bool, int) {
 			continue
 		}
 		// Attribute name.
-		start := j
-		for j < len(s) && s[j] != '=' && s[j] != '>' && s[j] != '/' && !isSpace(s[j]) {
-			j++
-		}
-		name := strings.ToLower(s[start:j])
+		var name string
+		name, j = scanName(s, j, cAttrName)
 		if name == "" {
 			j++
 			continue
@@ -275,13 +268,16 @@ func (z *Tokenizer) lexAttrs(j int) ([]Attr, bool, int) {
 			for j < len(s) && isSpace(s[j]) {
 				j++
 			}
+			// amp notes a '&' in the value: most have none, and then the
+			// value is the source bytes with no decoder call.
 			var val string
+			amp := false
 			if j < len(s) && (s[j] == '"' || s[j] == '\'') {
 				q := s[j]
 				j++
 				vs := j
-				for j < len(s) && s[j] != q {
-					j++
+				for ; j < len(s) && s[j] != q; j++ {
+					amp = amp || s[j] == '&'
 				}
 				val = s[vs:j]
 				if j < len(s) {
@@ -289,12 +285,15 @@ func (z *Tokenizer) lexAttrs(j int) ([]Attr, bool, int) {
 				}
 			} else {
 				vs := j
-				for j < len(s) && !isSpace(s[j]) && s[j] != '>' {
-					j++
+				for ; j < len(s) && !isSpace(s[j]) && s[j] != '>'; j++ {
+					amp = amp || s[j] == '&'
 				}
 				val = s[vs:j]
 			}
-			attrs = append(attrs, Attr{Name: name, Value: DecodeEntities(val)})
+			if amp {
+				val = DecodeEntities(val)
+			}
+			attrs = append(attrs, Attr{Name: name, Value: val})
 		} else {
 			attrs = append(attrs, Attr{Name: name, Value: ""})
 		}

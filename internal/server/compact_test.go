@@ -61,6 +61,27 @@ func TestDrainCompaction(t *testing.T) {
 	if err := s2.Register(p2, time.Hour); err != nil {
 		t.Fatal(err)
 	}
+	// Appended and checkpoint records alike carry the FNV-1a of their
+	// XML, which the publish path takes once and shares with the ETag.
+	var lastSum uint64
+	log2, err := store2.Log("x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := log2.Replay(func(rec resultlog.Record) error {
+		if rec.Kind == resultlog.KindSnapshot || rec.Kind == resultlog.KindCheckpoint {
+			if want := fnv64a(rec.XML); rec.Fingerprint != want {
+				t.Errorf("record v%d kind %d: fingerprint %#x, want FNV-1a of its XML %#x", rec.Version, rec.Kind, rec.Fingerprint, want)
+			}
+			lastSum = rec.Fingerprint
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if want := etagOf(lastSum, 'x'); hdr1.Get("ETag") != want {
+		t.Errorf("ETag %q is not the last logged fingerprint %q", hdr1.Get("ETag"), want)
+	}
 	if _, err := s2.Restore(); err != nil {
 		t.Fatal(err)
 	}

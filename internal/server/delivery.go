@@ -50,6 +50,7 @@ type snapshot struct {
 	version atomic.Uint64
 
 	xml    []byte // eager: encoded at publish, reused by every reader
+	xmlSum uint64 // FNV-1a of xml: the ETag's digits and the WAL record's fingerprint
 	xmlTag string
 
 	jsonOnce sync.Once
@@ -80,21 +81,32 @@ func newSnapshotEnc(enc *xmlenc.Encoder, doc *xmlenc.Node, version, seq uint64) 
 	sn := &snapshot{doc: doc, seq: seq, ver: version}
 	sn.version.Store(version)
 	if enc != nil {
-		sn.xml = enc.MarshalIndentBytes(doc)
+		sn.setXML(enc.MarshalIndentBytes(doc))
 	} else {
-		sn.xml = xmlenc.MarshalIndentBytes(doc)
+		sn.setXML(xmlenc.MarshalIndentBytes(doc))
 	}
-	sn.xmlTag = etagFor(sn.xml, 'x')
 	return sn
 }
 
-// etagFor derives a strong ETag from the encoded bytes: an FNV-1a
-// fingerprint plus a representation marker (XML and JSON variants of
-// one document must never share an ETag).
-func etagFor(b []byte, kind byte) string {
+// setXML installs the encoded XML with its hash, taken once here and
+// reused for the ETag and for the result log's record fingerprint.
+func (sn *snapshot) setXML(xml []byte) {
+	sn.xml = xml
+	sn.xmlSum = fnv64a(xml)
+	sn.xmlTag = etagOf(sn.xmlSum, 'x')
+}
+
+func fnv64a(b []byte) uint64 {
 	h := fnv.New64a()
 	h.Write(b)
-	return fmt.Sprintf("\"%016x-%c\"", h.Sum64(), kind)
+	return h.Sum64()
+}
+
+// etagOf derives a strong ETag from the FNV-1a fingerprint of the
+// encoded bytes plus a representation marker (XML and JSON variants of
+// one document must never share an ETag).
+func etagOf(sum uint64, kind byte) string {
+	return fmt.Sprintf("\"%016x-%c\"", sum, kind)
 }
 
 // variantJSON returns the JSON encoding, built on first use.
@@ -106,7 +118,7 @@ func (sn *snapshot) variantJSON() ([]byte, string, error) {
 			return
 		}
 		sn.json = data
-		sn.jsonTag = etagFor(data, 'j')
+		sn.jsonTag = etagOf(fnv64a(data), 'j')
 	})
 	return sn.json, sn.jsonTag, sn.jsonErr
 }

@@ -3,7 +3,6 @@ package server
 import (
 	"bytes"
 	"fmt"
-	"hash/fnv"
 	"os"
 	"sort"
 	"sync"
@@ -52,10 +51,12 @@ type pipePersist struct {
 	// Drain-side state, touched only under the delivery's pubMu:
 	// nextVer is the next contiguous version to append; lastDoc and
 	// lastXML identify the previous logged content so unchanged
-	// re-deliveries become version-only no-op records.
+	// re-deliveries become version-only no-op records. lastSum is the
+	// fingerprint lastXML was logged under, kept for the checkpoint.
 	nextVer uint64
 	lastDoc *xmlenc.Node
 	lastXML []byte
+	lastSum uint64
 }
 
 // enqueue is the Collector.Journal callback.
@@ -94,8 +95,9 @@ func (pp *pipePersist) drain(sn *snapshot) {
 		if e.doc == pp.lastDoc {
 			rec.Kind = resultlog.KindNoop
 		} else {
+			published := sn != nil && e.doc == sn.doc
 			var xml []byte
-			if sn != nil && e.doc == sn.doc {
+			if published {
 				xml = sn.xml
 			} else {
 				xml = xmlenc.MarshalIndentBytes(e.doc)
@@ -103,12 +105,14 @@ func (pp *pipePersist) drain(sn *snapshot) {
 			if bytes.Equal(xml, pp.lastXML) {
 				rec.Kind = resultlog.KindNoop
 			} else {
-				h := fnv.New64a()
-				h.Write(xml)
 				rec.Kind = resultlog.KindSnapshot
-				rec.Fingerprint = h.Sum64()
+				if published {
+					rec.Fingerprint = sn.xmlSum // hashed once, for the ETag
+				} else {
+					rec.Fingerprint = fnv64a(xml)
+				}
 				rec.XML = xml
-				pp.lastXML = xml
+				pp.lastXML, pp.lastSum = xml, rec.Fingerprint
 			}
 			pp.lastDoc = e.doc
 		}
@@ -125,11 +129,9 @@ func (pp *pipePersist) drain(sn *snapshot) {
 		// segment and drop the older ones, so restore cost tracks the live
 		// state rather than the wrapper's lifetime. Still under pubMu, so
 		// no append races the rewrite.
-		h := fnv.New64a()
-		h.Write(pp.lastXML)
 		pp.log.Compact(resultlog.Record{
 			Version:     pp.nextVer - 1,
-			Fingerprint: h.Sum64(),
+			Fingerprint: pp.lastSum,
 			XML:         pp.lastXML,
 		})
 	}
@@ -215,13 +217,11 @@ func (ps *pipeState) rehydrate(retain int) error {
 	}
 	ps.p.Output().Preload(docs, lastVer)
 	pp.nextVer = lastVer + 1
-	pp.lastDoc = lastDoc
-	pp.lastXML = lastXML
-
 	sn := &snapshot{doc: lastDoc, seq: 1, ver: lastSnapVer}
 	sn.version.Store(lastVer)
-	sn.xml = lastXML
-	sn.xmlTag = etagFor(lastXML, 'x')
+	sn.setXML(lastXML)
+	pp.lastDoc = lastDoc
+	pp.lastXML, pp.lastSum = lastXML, sn.xmlSum
 	ps.deliver.seq.Store(1)
 	ps.deliver.cur.Store(sn)
 	return nil

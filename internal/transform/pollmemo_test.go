@@ -1,0 +1,142 @@
+package transform
+
+import (
+	"fmt"
+	"strings"
+	"sync"
+	"sync/atomic"
+	"testing"
+
+	"repro/internal/dom"
+	"repro/internal/elog"
+	"repro/internal/htmlparse"
+	"repro/internal/xmlenc"
+)
+
+const memoURL = "shop.example.com/list"
+
+const memoProg = `page(S, X) <- document("shop.example.com/list", S), subelem(S, .body, X)
+item(S, X) <- page(_, S), subelem(S, (?.td, [(class, name, exact)]), X)`
+
+// memoPage renders a table of rows rows; mark varies one cell.
+func memoPage(rows int, mark string) string {
+	var b strings.Builder
+	b.WriteString("<html><body><table>")
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&b, `<tr><td class="name">item %d%s</td><td class="price">$ %d</td></tr>`, i, mark, 10+i)
+	}
+	b.WriteString("</table></body></html>")
+	return b.String()
+}
+
+// freshFetcher hands out whatever tree was installed last: a tree no
+// one has warmed, like a fetch cache's or a site fetcher's result.
+type freshFetcher struct{ tree atomic.Pointer[dom.Tree] }
+
+func (f *freshFetcher) Fetch(string) (*dom.Tree, error) { return f.tree.Load(), nil }
+
+func memoSource(f elog.Fetcher) *WrapperSource {
+	return &WrapperSource{CompName: "w", Fetcher: f, Program: elog.MustParse(memoProg)}
+}
+
+// TestPollMemoSharedUnwarmedTree hands one un-warmed tree to many
+// wrapper sources polling at once, as a shared fetch layer does: the
+// memo check hashes it under the tree's warm lock while sources that
+// miss go on to warm and evaluate it. Run under -race.
+func TestPollMemoSharedUnwarmedTree(t *testing.T) {
+	const n = 8
+	f := &freshFetcher{}
+	srcs := make([]*WrapperSource, n)
+	for i := range srcs {
+		srcs[i] = memoSource(f)
+	}
+	round := func(page string, wantHits int) string {
+		t.Helper()
+		f.tree.Store(htmlparse.Parse(page))
+		out := make([]string, n)
+		var wg sync.WaitGroup
+		for i, s := range srcs {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				docs, err := s.Poll()
+				if err != nil || len(docs) != 1 {
+					t.Errorf("source %d: %d docs, err %v", i, len(docs), err)
+					return
+				}
+				out[i] = xmlenc.MarshalIndent(docs[0])
+			}()
+		}
+		wg.Wait()
+		for i, s := range srcs {
+			if out[i] != out[0] {
+				t.Fatalf("source %d extracted a different document:\n%s\nvs\n%s", i, out[i], out[0])
+			}
+			if s.CacheHits != wantHits {
+				t.Fatalf("source %d: %d memo hits, want %d", i, s.CacheHits, wantHits)
+			}
+		}
+		return out[0]
+	}
+	first := round(memoPage(50, ""), 0)    // cold: every source warms and evaluates the one tree
+	same := round(memoPage(50, ""), 1)     // a fresh, equal tree: every source only hashes it
+	changed := round(memoPage(50, "!"), 1) // a fresh, changed tree: hash, miss, warm, evaluate
+	if same != first || changed == first {
+		t.Fatalf("memo served the wrong document: same==first %v, changed==first %v", same == first, changed == first)
+	}
+}
+
+// TestPollMemoHitIsHashOnly bounds what a steady-state poll allocates
+// on a tree nobody has warmed: the subtree-hash table and the poll's
+// own bookkeeping, but no pre/post/size index and no label bitsets —
+// those belong to the miss path. It also pins parse_ns: the fetch of a
+// memo hit is timed like any other.
+func TestPollMemoHitIsHashOnly(t *testing.T) {
+	const runs = 20
+	page := htmlparse.Parse(memoPage(400, ""))
+	fresh := make([]*dom.Tree, runs+4) // first poll, warm-up run, runs, two more
+	for i := range fresh {
+		fresh[i] = page.Clone()
+	}
+	f := &freshFetcher{}
+	next := func() { f.tree.Store(fresh[0]); fresh = fresh[1:] }
+	src := memoSource(f)
+	next()
+	if _, err := src.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	before := src.ExtractionStats().ParseNS
+	if before == 0 {
+		t.Fatal("parse_ns is 0 after the first poll")
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		next()
+		if docs, err := src.Poll(); err != nil || len(docs) != 1 {
+			t.Fatalf("poll: %d docs, err %v", len(docs), err)
+		}
+	})
+	if src.CacheHits != runs+1 {
+		t.Fatalf("%d memo hits in %d steady-state polls", src.CacheHits, runs+1)
+	}
+	// The hash table, the prefetched map with its one entry, and the
+	// emitted one-document slice. A full Warm adds three more (index,
+	// bitset backing, bitset headers).
+	t.Logf("steady-state poll: %.0f allocs", allocs)
+	if allocs > 4 {
+		t.Errorf("steady-state poll allocates %.0f objects, want <= 4 (hash only)", allocs)
+	}
+	if after := src.ExtractionStats().ParseNS; after <= before {
+		t.Errorf("parse_ns did not grow over %d memo hits: %d -> %d", runs+1, before, after)
+	}
+	// Every hit adds to it, not just the batch as a whole.
+	for i := 0; i < 2; i++ {
+		prev := src.ExtractionStats().ParseNS
+		next()
+		if _, err := src.Poll(); err != nil {
+			t.Fatal(err)
+		}
+		if now := src.ExtractionStats().ParseNS; now <= prev {
+			t.Errorf("parse_ns did not grow across a memo hit: %d -> %d", prev, now)
+		}
+	}
+}

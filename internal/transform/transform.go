@@ -317,7 +317,8 @@ type WrapperSource struct {
 	outStats pib.OutputStats
 	// Cumulative extraction timings (nanoseconds), written under
 	// statsMu: parseNS is time spent in the fetch+parse layer (the
-	// fetcher calls, including tree warming), evalNS the wall time of
+	// poll-memo recheck and the evaluator's fetcher calls, including
+	// tree hashing and warming), evalNS the wall time of
 	// whole wrapper evaluations, transformNS the wall time of the
 	// instance-base → XML transform.
 	parseNS     int64
@@ -499,7 +500,10 @@ func (r *recordingFetcher) Fetch(url string) (*dom.Tree, error) {
 // prefetched either way, so on a miss the evaluator reuses them. The
 // re-fetch is the steady-state server tick, so the pages are retrieved
 // in parallel, mirroring the evaluator's crawl frontier; a fetch error
-// counts as changed (the evaluator will surface it).
+// counts as changed (the evaluator will surface it). Only the content
+// hash of each tree is built here (WarmFingerprint, which serializes
+// with other pollers handed the same tree): the index and the bitsets
+// are read on the miss path alone, whose fetcher warms the tree fully.
 func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
 	if s.lastDoc == nil {
 		return false
@@ -527,7 +531,6 @@ func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
 		if err != nil {
 			return false
 		}
-		t.Warm()
 		prefetched[missing[0]] = t
 	} else if len(missing) > 1 {
 		type fetched struct {
@@ -543,7 +546,7 @@ func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
 				defer func() { <-sem }()
 				t, err := fetcher.Fetch(url)
 				if err == nil {
-					t.Warm()
+					t.WarmFingerprint() // hashed here, in parallel with the other pages
 				}
 				results <- fetched{url, t, err}
 			}(url)
@@ -563,7 +566,7 @@ func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
 	}
 	same := true
 	for i, url := range s.lastURLs {
-		if prefetched[url].Fingerprint() != s.lastFPs[i] {
+		if prefetched[url].WarmFingerprint() != s.lastFPs[i] {
 			same = false
 		}
 	}
@@ -611,10 +614,17 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 	}
 	prefetched := map[string]*dom.Tree{}
 	if !s.NoCache {
-		if s.unchanged(prefetched) {
-			s.statsMu.Lock()
+		// The recheck is nothing but fetch, parse and hash, and on a hit
+		// it is all of the poll: it counts as parse time either way.
+		start := time.Now()
+		hit := s.unchanged(prefetched)
+		s.statsMu.Lock()
+		s.parseNS += time.Since(start).Nanoseconds()
+		if hit {
 			s.CacheHits++
-			s.statsMu.Unlock()
+		}
+		s.statsMu.Unlock()
+		if hit {
 			return []*xmlenc.Node{s.lastDoc}, nil
 		}
 	} else {
