@@ -88,9 +88,11 @@ func NewMatchCacheSize(maxEntries int) *MatchCache {
 	}
 }
 
-// Stats returns the cumulative shared-cache counters: hits are matches
-// some evaluator answered from another program's (or an earlier run's)
-// work; misses are lookups that fell through to computation.
+// Stats returns the cumulative shared-cache counters: hits are match
+// calls some evaluator answered from another program's (or an earlier
+// run's) work; misses are lookups that fell through to computation.
+// Like CompiledProgram.Stats they count rule applications, not parent
+// instances: a wrapper probes about once per rule and document.
 func (mc *MatchCache) Stats() (hits, misses uint64) {
 	return mc.hits.Load(), mc.misses.Load()
 }

@@ -1,7 +1,7 @@
 package elog
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -39,6 +39,10 @@ type CompiledProgram struct {
 	// reusedNodes/dirtyNodes the document nodes those roots covered.
 	subHits, subMisses      atomic.Uint64
 	reusedNodes, dirtyNodes atomic.Uint64
+
+	// instances is the last successful evaluation's instance count: the
+	// size hint of the next one's instance base.
+	instances atomic.Int64
 }
 
 // Compile stratifies the program and lowers its element path
@@ -88,8 +92,11 @@ func MustCompile(p *Program) *CompiledProgram {
 }
 
 // Stats returns the cumulative fingerprint-cache counters across all
-// compiled paths: hits are pattern matches answered without touching
-// the document tree.
+// compiled paths: hits are match calls answered without touching the
+// document tree. A call is one rule application — a subelem rule makes
+// one for the whole set of its parents in a document (see
+// ruleCandidates), a context condition one per candidate — so the
+// counters do not scale with the number of parent instances.
 func (cp *CompiledProgram) Stats() (hits, misses uint64) {
 	return cp.hits.Load(), cp.misses.Load()
 }
@@ -118,9 +125,10 @@ func (cp *CompiledProgram) Incremental() IncrementalStats {
 }
 
 // maxEPDCache bounds each compiled path's memo table. Entries are keyed
-// per (document fingerprint, context node set), so a parent pattern
-// with many instances produces many keys; when the table fills it is
-// reset wholesale, like the xpath compiled-query cache.
+// per (document fingerprint, context node set): an extraction path adds
+// one per document version (its context is the whole parent set), a
+// context condition one per candidate. When the table fills it is reset
+// wholesale, like the xpath compiled-query cache.
 const maxEPDCache = 4096
 
 // epdCacheKey identifies one memoized match: the document content
@@ -249,31 +257,28 @@ func (ce *compiledEPD) matchIncremental(cp *CompiledProgram, shared *MatchCache,
 	if len(roots) == 0 || !t.DocOrdered() {
 		return nil, false
 	}
-	sorted := roots
-	if len(roots) > 1 {
-		sorted = append(make([]dom.NodeID, 0, len(roots)), roots...)
-		sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-		w := 0
-		for i, r := range sorted {
-			if i == 0 || sorted[w-1] != r {
-				sorted[w] = r
-				w++
+	disjoint := func(rs []dom.NodeID) bool {
+		for i := 1; i < len(rs); i++ {
+			if int(rs[i]) < int(rs[i-1])+t.SubtreeSize(rs[i-1]) {
+				return false
 			}
 		}
-		sorted = sorted[:w]
-		for i := 1; i < len(sorted); i++ {
-			if int(sorted[i]) < int(sorted[i-1])+t.SubtreeSize(sorted[i-1]) {
-				return nil, false
-			}
+		return true
+	}
+	// The parents of a rule are committed in document order, so the
+	// roots usually ascend already; sort a copy only when they do not.
+	sorted := roots
+	if !disjoint(sorted) {
+		sorted = slices.Compact(slices.Sorted(slices.Values(roots)))
+		if !disjoint(sorted) {
+			return nil, false
 		}
 	}
-	perRoot := make([][]epdMatch, len(sorted))
-	keys := make([]subKey, len(sorted))
+	rels := make([][]relMatch, len(sorted))
 	var dirty []dom.NodeID
-	var dirtyIdx []int
+	var total, reused, dirtied int
 	for i, r := range sorted {
 		k := subKey{sub: t.SubtreeHash(r), asChildren: asChildren, deep: deep}
-		keys[i] = k
 		rel, ok := ce.subGet(k)
 		if !ok && shared != nil {
 			if rel, ok = shared.subGet(sharedSubKey{sig: ce.sig, subKey: k}); ok {
@@ -281,63 +286,57 @@ func (ce *compiledEPD) matchIncremental(cp *CompiledProgram, shared *MatchCache,
 			}
 		}
 		if ok {
-			cp.subHits.Add(1)
-			cp.reusedNodes.Add(uint64(t.SubtreeSize(r)))
-			if len(rel) > 0 {
-				out := make([]epdMatch, len(rel))
-				for j, m := range rel {
-					out[j] = epdMatch{node: r + m.off, binds: m.binds}
-				}
-				perRoot[i] = out
-			}
+			rels[i] = rel
+			total += len(rel)
+			reused += t.SubtreeSize(r)
 		} else {
-			cp.subMisses.Add(1)
-			cp.dirtyNodes.Add(uint64(t.SubtreeSize(r)))
 			dirty = append(dirty, r)
-			dirtyIdx = append(dirtyIdx, i)
+			dirtied += t.SubtreeSize(r)
 		}
 	}
+	cp.subHits.Add(uint64(len(sorted) - len(dirty)))
+	cp.subMisses.Add(uint64(len(dirty)))
+	cp.reusedNodes.Add(uint64(reused))
+	cp.dirtyNodes.Add(uint64(dirtied))
+	var all []epdMatch
 	if len(dirty) > 0 {
 		e := ce.epd
 		if deep {
 			e = ce.deep
 		}
-		all := bitsetMatch(e, t, dirty, asChildren)
-		j := 0
-		for k, r := range dirty {
-			end := dom.NodeID(int(r) + t.SubtreeSize(r))
-			start := j
-			for j < len(all) && all[j].node < end {
-				j++
+		all = bitsetMatch(e, t, dirty, asChildren)
+	}
+	// One pass in root order fills the flat document-ordered result: a
+	// clean root translates its cached offsets, a dirty root takes its
+	// id range of the batched match and publishes it for next time.
+	out := make([]epdMatch, 0, total+len(all))
+	fresh := make([]relMatch, len(all))
+	j := 0
+	for i, r := range sorted {
+		if len(dirty) == 0 || dirty[0] != r {
+			for _, m := range rels[i] {
+				out = append(out, epdMatch{node: r + m.off, binds: m.binds})
 			}
-			seg := all[start:j:j]
-			perRoot[dirtyIdx[k]] = seg
-			var rel []relMatch
-			if len(seg) > 0 {
-				rel = make([]relMatch, len(seg))
-				for x, m := range seg {
-					rel[x] = relMatch{off: m.node - r, binds: m.binds}
-				}
-			}
-			ce.subStore(keys[dirtyIdx[k]], rel)
-			if shared != nil {
-				shared.subPut(sharedSubKey{sig: ce.sig, subKey: keys[dirtyIdx[k]]}, rel)
-			}
+			continue
+		}
+		dirty = dirty[1:]
+		lo, end := j, r+dom.NodeID(t.SubtreeSize(r))
+		for ; j < len(all) && all[j].node < end; j++ {
+			fresh[j] = relMatch{off: all[j].node - r, binds: all[j].binds}
+		}
+		out = append(out, all[lo:j]...)
+		var rel []relMatch
+		if j > lo {
+			rel = fresh[lo:j:j]
+		}
+		k := subKey{sub: t.SubtreeHash(r), asChildren: asChildren, deep: deep}
+		ce.subStore(k, rel)
+		if shared != nil {
+			shared.subPut(sharedSubKey{sig: ce.sig, subKey: k}, rel)
 		}
 	}
-	total := 0
-	for _, m := range perRoot {
-		total += len(m)
-	}
-	if total == 0 {
+	if len(out) == 0 {
 		return nil, true
-	}
-	if len(perRoot) == 1 {
-		return perRoot[0], true
-	}
-	out := make([]epdMatch, 0, total)
-	for _, m := range perRoot {
-		out = append(out, m...)
 	}
 	return out, true
 }
@@ -396,10 +395,14 @@ func bitsetMatch(e *EPD, t *dom.Tree, roots []dom.NodeID, rootsAsChildren bool) 
 		switch step.Kind {
 		case "tag":
 			sel := nodeset.New(t)
-			for _, tag := range append([]string{step.Tag}, step.Alts...) {
+			orTag := func(tag string) {
 				if id := t.LabelIDFor(tag); id != dom.NoLabel {
 					sel.OrWords(t.LabelBits(id))
 				}
+			}
+			orTag(step.Tag)
+			for _, alt := range step.Alts {
+				orTag(alt)
 			}
 			ctx = cand.And(sel).AndWords(t.KindBits(dom.Element))
 		case "star":

@@ -436,8 +436,11 @@ func (e *EPD) Match(t *dom.Tree, roots []dom.NodeID, rootsAsChildren bool) []epd
 // home.
 func (e *EPD) applyConds(t *dom.Tree, nodes []dom.NodeID) []epdMatch {
 	var out []epdMatch
+	if len(e.Conds) == 0 {
+		out = make([]epdMatch, 0, len(nodes)) // every node survives
+	}
 	for _, n := range nodes {
-		binds := map[string]string{}
+		var binds map[string]string // allocated by the first regvar capture
 		ok := true
 		for i := range e.Conds {
 			b, match := e.Conds[i].match(t, n)
@@ -445,14 +448,15 @@ func (e *EPD) applyConds(t *dom.Tree, nodes []dom.NodeID) []epdMatch {
 				ok = false
 				break
 			}
+			if len(b) > 0 && binds == nil {
+				binds = b
+				continue
+			}
 			for k, v := range b {
 				binds[k] = v
 			}
 		}
 		if ok {
-			if len(binds) == 0 {
-				binds = nil
-			}
 			out = append(out, epdMatch{node: n, binds: binds})
 		}
 	}

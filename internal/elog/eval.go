@@ -128,16 +128,22 @@ type runner struct {
 	jobs []waveJob
 }
 
-// waveJob is one (rule, parent) candidate-generation unit of a wave.
+// waveJob is one rule's candidate-generation unit of a wave: accepted[i]
+// holds the candidates of parents[i]. When generation fails, accepted
+// covers exactly the parents before the failing one.
 type waveJob struct {
 	rule     *Rule
-	parent   *pib.Instance
-	accepted []candidate
+	parents  []*pib.Instance
+	accepted [][]candidate
 	err      error
 }
 
 func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
-	r := &runner{ev: ev, cp: cp, base: pib.NewBase(),
+	hint := 0
+	if cp != nil {
+		hint = int(cp.instances.Load())
+	}
+	r := &runner{ev: ev, cp: cp, base: pib.NewBaseSize(hint),
 		docs: map[string]*pib.Instance{}, announced: map[*pib.Instance]bool{}}
 	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil)
 	defer r.fr.drain()
@@ -177,6 +183,9 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
 		if err := r.runStratum(waves); err != nil {
 			return r.base, err
 		}
+	}
+	if cp != nil {
+		cp.instances.Store(int64(r.base.Count()))
 	}
 	return r.base, nil
 }
@@ -293,113 +302,112 @@ func (r *runner) runStratum(waves []wave) error {
 	return nil
 }
 
-// runWave evaluates one wave: candidate generation runs concurrently
-// over every (rule, parent) job, then instances are committed on the
-// evaluation goroutine in job order. Because no job's generation reads
-// a pattern the wave writes, every job sees the same base it would have
-// seen serially, and the ordered commit assigns the same instance ids —
-// the resulting base is bit-identical to serial evaluation.
+// runWave evaluates one wave. The unit of work is the rule, applied to
+// the whole set of its parent instances at once (ruleCandidates): the
+// rules of a wave generate concurrently, then instances are committed on
+// the evaluation goroutine in (rule, parent) order. Because no rule's
+// generation reads a pattern the wave writes, every rule sees the base
+// it would have seen serially, and the ordered commit assigns the same
+// instance ids — the base is bit-identical at any concurrency level.
 func (r *runner) runWave(w wave, conc int) (bool, error) {
-	if w.sequential || conc <= 1 {
-		return r.runSerial(w.rules)
+	if w.sequential {
+		return r.runSerial(w.rules[0])
 	}
 	jobs := r.jobs[:0]
 	for _, rule := range w.rules {
-		for _, s := range r.base.Instances(rule.Parent) {
-			jobs = append(jobs, waveJob{rule: rule, parent: s})
+		if parents := r.base.Instances(rule.Parent); len(parents) > 0 {
+			jobs = append(jobs, waveJob{rule: rule, parents: parents})
 		}
 	}
 	r.jobs = jobs
-	switch {
-	case len(jobs) == 0:
-		return false, nil
-	case len(jobs) == 1:
-		return r.runSerial(w.rules)
-	}
-	if conc > len(jobs) {
-		conc = len(jobs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for i := 0; i < conc; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
-					return
+	if conc = min(conc, len(jobs)); conc > 1 {
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for i := 0; i < conc; i++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for {
+					j := int(next.Add(1)) - 1
+					if j >= len(jobs) {
+						return
+					}
+					jb := &jobs[j]
+					jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents)
 				}
-				jb := &jobs[j]
-				jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parent)
-			}
-		}()
+			}()
+		}
+		wg.Wait()
+	} else {
+		for j := range jobs {
+			jb := &jobs[j]
+			jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents)
+		}
 	}
-	wg.Wait()
 	changed := false
 	for j := range jobs {
 		jb := &jobs[j]
-		if jb.err != nil {
-			// Generation has no side effects, so discarding the later
-			// jobs' candidates leaves the base exactly as the serial
-			// evaluator would have: committed up to the failing job.
-			return changed, jb.err
-		}
-		if r.commit(jb.rule, jb.parent, jb.accepted) {
-			changed = true
-		}
-		if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
-			return changed, fmt.Errorf("elog: instance limit exceeded (recursive wrapper runaway?)")
-		}
-	}
-	return changed, nil
-}
-
-// runSerial is the seed evaluator's interleaved loop: one rule at a
-// time, one parent at a time, committing before the next generation.
-// Crawl-driving and self-recursive rules require it; it is also the
-// whole story at MaxConcurrency 1.
-func (r *runner) runSerial(rules []*Rule) (bool, error) {
-	changed := false
-	for _, rule := range rules {
-		var parents []*pib.Instance
-		if rule.DocURL != "" {
-			in, err := r.fetchDoc(rule.DocURL)
-			if err != nil {
-				return changed, fmt.Errorf("elog: rule for %s: %w", rule.Head, err)
-			}
-			parents = []*pib.Instance{in}
-		} else {
-			parents = r.base.Instances(rule.Parent)
-		}
-		if rule.Extract != nil && rule.Extract.Kind == GetDocument {
-			// Open the crawl frontier: every URL this rule is
-			// about to request is known before the first fetch,
-			// so the pages download in parallel while rule
-			// application consumes them sequentially in stable
-			// order. Each parent is announced once; fixpoint
-			// re-iterations skip the text walk.
-			for _, s := range parents {
-				if r.announced[s] {
-					continue
-				}
-				r.announced[s] = true
-				if url, ok := crawlURL(s); ok {
-					r.fr.prefetch(url)
-				}
-			}
-		}
-		for _, s := range parents {
-			added, err := r.applyRule(rule, s)
-			if err != nil {
-				return changed, err
-			}
-			if added {
+		for i, accepted := range jb.accepted {
+			if r.commit(jb.rule, jb.parents[i], accepted) {
 				changed = true
 			}
 			if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
 				return changed, fmt.Errorf("elog: instance limit exceeded (recursive wrapper runaway?)")
 			}
+		}
+		if jb.err != nil {
+			// Generation has no side effects, so dropping the later
+			// parents' and rules' candidates leaves the base committed
+			// up to the failing parent, exactly as one-parent-at-a-time
+			// evaluation would.
+			return changed, jb.err
+		}
+	}
+	return changed, nil
+}
+
+// runSerial is the seed evaluator's interleaved loop for the rules that
+// need it (ruleSequential): one parent at a time, committing before the
+// next parent's generation.
+func (r *runner) runSerial(rule *Rule) (bool, error) {
+	changed := false
+	var parents []*pib.Instance
+	if rule.DocURL != "" {
+		in, err := r.fetchDoc(rule.DocURL)
+		if err != nil {
+			return changed, fmt.Errorf("elog: rule for %s: %w", rule.Head, err)
+		}
+		parents = []*pib.Instance{in}
+	} else {
+		parents = r.base.Instances(rule.Parent)
+	}
+	if rule.Extract != nil && rule.Extract.Kind == GetDocument {
+		// Open the crawl frontier: every URL this rule is
+		// about to request is known before the first fetch,
+		// so the pages download in parallel while rule
+		// application consumes them sequentially in stable
+		// order. Each parent is announced once; fixpoint
+		// re-iterations skip the text walk.
+		for _, s := range parents {
+			if r.announced[s] {
+				continue
+			}
+			r.announced[s] = true
+			if url, ok := crawlURL(s); ok {
+				r.fr.prefetch(url)
+			}
+		}
+	}
+	for _, s := range parents {
+		accepted, err := r.parentCandidates(rule, s)
+		if err != nil {
+			return changed, err
+		}
+		if r.commit(rule, s, accepted) {
+			changed = true
+		}
+		if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
+			return changed, fmt.Errorf("elog: instance limit exceeded (recursive wrapper runaway?)")
 		}
 	}
 	return changed, nil
@@ -578,30 +586,109 @@ type candidate struct {
 	binds map[string]string
 }
 
-// applyRule evaluates one rule for one parent instance; it returns
-// whether any new instance was added.
-func (r *runner) applyRule(rule *Rule, s *pib.Instance) (bool, error) {
-	accepted, err := r.ruleCandidates(rule, s)
-	if err != nil {
-		return false, err
+// ruleCandidates is the generation phase of one rule over the whole set
+// of its parents; out[i] holds the accepted candidates of parents[i]. A
+// compiled subelem rule is applied set-at-a-time: each run of parents
+// splitRun accepts costs one match over all of its roots (extractRun).
+// Everything else — other extraction kinds, specialization, the
+// interpreter, and parents splitRun refuses — goes one parent at a
+// time through extract. Generation only reads evaluation state (the
+// instance base, the concept base, warmed document trees, memoized
+// match caches), never writes it, so the rules of a wave run
+// concurrently — runWave relies on this. Crawl-driving rules are the
+// exception and never reach here: ruleSequential pins them to runSerial
+// because their extraction fetches documents.
+func (r *runner) ruleCandidates(rule *Rule, parents []*pib.Instance) ([][]candidate, error) {
+	var ce *compiledEPD
+	if r.cp != nil && !rule.Specialize && rule.Extract.Kind == Subelem {
+		ce = r.cp.epds[rule.Extract.EPD]
 	}
-	return r.commit(rule, s, accepted), nil
+	out := make([][]candidate, len(parents))
+	for lo := 0; lo < len(parents); {
+		hi := lo + 1
+		if ce != nil {
+			hi = lo + splitRun(parents[lo:])
+		}
+		if hi-lo > 1 {
+			r.extractRun(ce, parents[lo:hi], out[lo:hi])
+		} else {
+			cands, err := r.extract(rule, parents[lo])
+			if err != nil {
+				return out[:lo], err
+			}
+			out[lo] = cands
+		}
+		for ; lo < hi; lo++ {
+			accepted, err := r.filter(rule, parents[lo], out[lo])
+			if err != nil {
+				return out[:lo], err
+			}
+			out[lo] = accepted
+		}
+	}
+	return out, nil
 }
 
-// ruleCandidates is the generation phase of one (rule, parent) job:
-// extraction, condition filtering, and the subsq/firstsubtree
-// post-filters. It only reads evaluation state (the instance base, the
-// concept base, warmed document trees, memoized match caches), never
-// writes it, so independent jobs run concurrently — runWave relies on
-// this. Crawl-driving rules (getDocument, document entry) are the
-// exception and never reach here concurrently: ruleSequential pins them
-// to the serial path because their extraction fetches documents.
-func (r *runner) ruleCandidates(rule *Rule, s *pib.Instance) ([]candidate, error) {
+// splitRun returns how many leading parents can share one match call
+// whose result splits back to them by id range: single-node instances
+// of one document-ordered tree whose subtrees ascend without overlap
+// (so no nested or repeated roots). 1 means parents[0] goes alone.
+func splitRun(parents []*pib.Instance) int {
+	t := parents[0].Doc
+	n, end := 0, 0
+	for _, p := range parents {
+		if p.Doc != t || len(p.Nodes) != 1 || p.Kind == pib.SequenceInstance || int(p.Nodes[0]) < end {
+			break
+		}
+		n, end = n+1, int(p.Nodes[0])+t.SubtreeSize(p.Nodes[0])
+	}
+	if n < 2 || !t.DocOrdered() {
+		return 1
+	}
+	return n
+}
+
+// extractRun is extract for a run of subelem parents accepted by
+// splitRun: one match over all of their roots, whose document-ordered
+// result falls to parent i as the ids in [root, root+SubtreeSize). The
+// candidates and their one-node slices are cut from two slabs.
+func (r *runner) extractRun(ce *compiledEPD, run []*pib.Instance, out [][]candidate) {
+	t := run[0].Doc
+	roots := make([]dom.NodeID, len(run))
+	for i, s := range run {
+		roots[i] = s.Nodes[0]
+	}
+	ms := ce.match(r.cp, r.ev.Shared, t, roots, false, false, r.ev.Incremental)
+	cands := make([]candidate, len(ms))
+	nodes := make([]dom.NodeID, len(ms))
+	j := 0
+	for i, s := range run {
+		lo, end := j, roots[i]+dom.NodeID(t.SubtreeSize(roots[i]))
+		for ; j < len(ms) && ms[j].node < end; j++ {
+			nodes[j] = ms[j].node
+			cands[j] = candidate{kind: pib.NodeInstance, nodes: nodes[j : j+1 : j+1], doc: t, url: s.URL, binds: ms[j].binds}
+		}
+		out[i] = cands[lo:j:j]
+	}
+}
+
+// parentCandidates is the generation phase for a single parent.
+func (r *runner) parentCandidates(rule *Rule, s *pib.Instance) ([]candidate, error) {
 	cands, err := r.extract(rule, s)
 	if err != nil {
 		return nil, err
 	}
-	var accepted []candidate
+	return r.filter(rule, s, cands)
+}
+
+// filter keeps, in place, the candidates of parent s that satisfy the
+// rule's conditions, then applies the subsq/firstsubtree post-filters.
+func (r *runner) filter(rule *Rule, s *pib.Instance, cands []candidate) ([]candidate, error) {
+	subsq := rule.Extract != nil && rule.Extract.Kind == Subsq
+	if len(rule.Conds) == 0 && !subsq {
+		return cands, nil // nothing to bind variables for
+	}
+	accepted := cands[:0]
 	for _, c := range cands {
 		var b binding
 		b.nodes = make([]nodeBind, 0, 2)
@@ -622,7 +709,7 @@ func (r *runner) ruleCandidates(rule *Rule, s *pib.Instance) ([]candidate, error
 			accepted = append(accepted, c)
 		}
 	}
-	if rule.Extract != nil && rule.Extract.Kind == Subsq {
+	if subsq {
 		accepted = maximalOnly(accepted)
 	}
 	for _, c := range rule.Conds {
@@ -634,17 +721,17 @@ func (r *runner) ruleCandidates(rule *Rule, s *pib.Instance) ([]candidate, error
 	return accepted, nil
 }
 
-// commit adds the accepted candidates of one (rule, parent) job to the
-// instance base. It runs on the evaluation goroutine only, in job
-// order, so instance ids and dedup decisions are deterministic.
+// commit adds the accepted candidates of one (rule, parent) pair to the
+// instance base. It runs on the evaluation goroutine only, in (rule,
+// parent) order, so instance ids and dedup decisions are deterministic.
 func (r *runner) commit(rule *Rule, s *pib.Instance, accepted []candidate) bool {
 	changed := false
 	for _, c := range accepted {
-		inst := &pib.Instance{
+		in := pib.Instance{
 			Pattern: rule.Head, Kind: c.kind, Doc: c.doc, URL: c.url,
 			Nodes: c.nodes, Text: c.text, Parent: s,
 		}
-		if _, added := r.base.Add(inst); added {
+		if _, added := r.base.AddCopy(&in); added {
 			changed = true
 		}
 	}

@@ -1,12 +1,16 @@
 package elog
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/dom"
 	"repro/internal/htmlparse"
+	"repro/internal/pib"
 )
 
 // churnVersions returns nVersions snapshots of the fixture's documents:
@@ -149,47 +153,91 @@ func TestMatchCacheLRUBound(t *testing.T) {
 	}
 }
 
+// fuzzIncrementalPrograms are the wrappers FuzzIncremental runs over
+// every input: the first has one level of subelem under nested parents
+// (every element is a cell), the second two levels under a repeated,
+// mostly disjoint parent — the shape whose matches are computed for all
+// parents at once and split back by id range.
+var fuzzIncrementalPrograms = []string{`
+cell(S, X) <- document("d", S), subelem(S, ?.*, X)
+inner(S, X) <- cell(_, S), subelem(S, *, X)
+texty(S, X) <- cell(S, X), contains(X, (?.*, [(elementtext, .+, regexp)]), _)
+`, `
+item(S, X) <- document("d", S), subelem(S, ?.li|tr|div, X)
+part(S, X) <- item(_, S), subelem(S, *, X)
+leaf(S, X) <- part(_, S), subelem(S, ?.*, X)
+word(S, X) <- part(_, S), subelem(S, (?.*, [(elementtext, \var[Y].*, regvar)]), X)
+`}
+
+// instanceSet renders a base order-insensitively: one sorted line per
+// instance naming its pattern, nodes, text and its parent's pattern and
+// nodes. The interpreter discovers nested matches in a different order
+// than the bitset matcher (see bitsetMatch), so ids differ, but which
+// instance hangs under which parent must not.
+func instanceSet(b *pib.Base) string {
+	var lines []string
+	for _, p := range b.Patterns() {
+		for _, in := range b.Instances(p) {
+			line := fmt.Sprintf("%s %v %q", in.Pattern, in.Nodes, in.Text)
+			if in.Parent != nil {
+				line += fmt.Sprintf(" <- %s %v", in.Parent.Pattern, in.Parent.Nodes)
+			}
+			lines = append(lines, line)
+		}
+	}
+	sort.Strings(lines)
+	return strings.Join(lines, "\n")
+}
+
 // FuzzIncremental mutates a document between evaluations and checks
-// that subtree-level reuse never changes the instance base: for every
-// (document, seed) the incremental evaluator's base must be
-// bit-identical to a cold evaluation of each version.
+// that neither subtree-level reuse nor set-at-a-time rule application
+// changes the instance base: for every (document, seed) and program the
+// incremental evaluator's base must be bit-identical to a cold
+// evaluation of each version, and hold the interpreter's instances.
 func FuzzIncremental(f *testing.F) {
 	f.Add("<body><ul><li>alpha</li><li>beta</li></ul><p>tail</p></body>", int64(1))
 	f.Add(`<table><tr><td><b class="cur">$</b> 5</td><td>x</td></tr></table>`, int64(7))
 	f.Add(`<div a="1"><span>x</span><div><i>y</i></div></div>`, int64(3))
+	f.Add(`<table><tr><td><b>1</b> a</td><td>2</td></tr><tr><td><i>3</i></td></tr><tr><td>4</td><td><u>5</u> b</td></tr></table>`, int64(11))
+	f.Add(`<ul><li><b>x</b><ul><li><b>y</b></li><li>z</li></ul></li><li><div><i>w</i></div></li></ul><div><p>v</p></div>`, int64(5))
 	f.Fuzz(func(t *testing.T, src string, seed int64) {
 		if len(src) > 4096 {
 			return
 		}
-		prog := MustParse(`
-cell(S, X) <- document("d", S), subelem(S, ?.*, X)
-inner(S, X) <- cell(_, S), subelem(S, *, X)
-texty(S, X) <- cell(S, X), contains(X, (?.*, [(elementtext, .+, regexp)]), _)
-`)
-		rng := rand.New(rand.NewSource(seed))
-		cur := htmlparse.Parse(src)
-		cp := MustCompile(prog)
-		shared := NewMatchCache()
-		for v := 0; v < 3; v++ {
-			fetch := MapFetcher{"d": cur}
-			cold := NewEvaluator(fetch)
-			wantBase, err := cold.RunCompiled(MustCompile(prog))
-			if err != nil {
-				t.Fatalf("cold v%d: %v", v, err)
+		for pi, progSrc := range fuzzIncrementalPrograms {
+			prog := MustParse(progSrc)
+			rng := rand.New(rand.NewSource(seed))
+			cur := htmlparse.Parse(src)
+			cp := MustCompile(prog)
+			shared := NewMatchCache()
+			for v := 0; v < 3; v++ {
+				fetch := MapFetcher{"d": cur}
+				cold := NewEvaluator(fetch)
+				wantBase, err := cold.RunCompiled(MustCompile(prog))
+				if err != nil {
+					t.Fatalf("program %d cold v%d: %v", pi, v, err)
+				}
+				inc := NewEvaluator(fetch)
+				inc.Incremental = true
+				inc.Shared = shared
+				gotBase, err := inc.RunCompiled(cp)
+				if err != nil {
+					t.Fatalf("program %d incremental v%d: %v", pi, v, err)
+				}
+				if want, got := wantBase.Dump(), gotBase.Dump(); got != want {
+					t.Fatalf("program %d v%d: incremental base diverges from cold evaluation:\n--- cold ---\n%s--- incremental ---\n%s", pi, v, want, got)
+				}
+				refBase, err := NewEvaluator(fetch).Run(prog)
+				if err != nil {
+					t.Fatalf("program %d interpreted v%d: %v", pi, v, err)
+				}
+				if want, got := instanceSet(refBase), instanceSet(gotBase); got != want {
+					t.Fatalf("program %d v%d: compiled instances differ from the interpreter's:\n--- interpreted ---\n%s\n--- compiled ---\n%s", pi, v, want, got)
+				}
+				next := cur.Clone()
+				dom.Mutate(next, rng, 3)
+				cur = next
 			}
-			inc := NewEvaluator(fetch)
-			inc.Incremental = true
-			inc.Shared = shared
-			gotBase, err := inc.RunCompiled(cp)
-			if err != nil {
-				t.Fatalf("incremental v%d: %v", v, err)
-			}
-			if want, got := wantBase.Dump(), gotBase.Dump(); got != want {
-				t.Fatalf("v%d: incremental base diverges from cold evaluation:\n--- cold ---\n%s--- incremental ---\n%s", v, want, got)
-			}
-			next := cur.Clone()
-			dom.Mutate(next, rng, 3)
-			cur = next
 		}
 	})
 }

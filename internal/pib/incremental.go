@@ -9,10 +9,10 @@
 // unchanged — splicing frozen subtrees into the fresh document instead
 // of rebuilding them.
 //
-// Identity is content-addressed, not ID-based: Instance.key() embeds
-// the parent's sequential ID and raw NodeIDs, both of which shift
-// between ticks even for untouched regions, so cross-tick matching
-// hangs off dom.SubtreeHash instead (fnv64; the collision risk is the
+// Identity is content-addressed, not ID-based: the dedup key of Add
+// (instKey) holds the parent's sequential ID and raw NodeIDs, both of
+// which shift between ticks even for untouched regions, so cross-tick
+// matching hangs off dom.SubtreeHash instead (fnv64; the collision risk is the
 // same one PR 8 accepted for match reuse, and the differential tests
 // and FuzzIncrementalTransform pin byte-identical output).
 

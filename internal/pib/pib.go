@@ -13,9 +13,9 @@
 package pib
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/dom"
@@ -81,50 +81,63 @@ func (in *Instance) TextContent() string {
 	return b.String()
 }
 
-// key returns the identity of an instance for deduplication. Built by
-// hand rather than with fmt: Add runs once per candidate derivation, so
-// key construction is on the evaluator's hottest path.
-func (in *Instance) key() string {
-	n := len(in.Pattern) + len(in.URL) + 4 + 12*len(in.Nodes)
+// instKey is the identity of an instance for deduplication: pattern,
+// document URL, parent id, every node and, for string instances, the
+// text. It is a comparable struct so that Add, which runs once per
+// candidate derivation on the evaluator's hottest path, hashes the
+// fields in place instead of building a string; only multi-node
+// (sequence) instances allocate, for the nodes after the first.
+type instKey struct {
+	pattern, url string
+	text         string // string instances only
+	rest         string // Nodes[1:], four bytes each
+	parent       int    // Parent.ID+1; 0 for a parentless instance
+	nodes        int    // len(Nodes)
+	first        dom.NodeID
+	isString     bool
+}
+
+func (in *Instance) key() instKey {
+	k := instKey{pattern: in.Pattern, url: in.URL, nodes: len(in.Nodes), isString: in.Kind == StringInstance}
 	if in.Parent != nil {
-		n += 14
+		k.parent = in.Parent.ID + 1
 	}
-	if in.Kind == StringInstance {
-		n += 2 + len(in.Text)
+	if k.isString {
+		k.text = in.Text
 	}
-	b := make([]byte, 0, n)
-	b = append(b, in.Pattern...)
-	b = append(b, '|')
-	b = append(b, in.URL...)
-	b = append(b, '|')
-	if in.Parent != nil {
-		b = append(b, 'p')
-		b = strconv.AppendInt(b, int64(in.Parent.ID), 10)
-		b = append(b, '|')
+	if len(in.Nodes) > 0 {
+		k.first = in.Nodes[0]
 	}
-	for _, nd := range in.Nodes {
-		b = strconv.AppendInt(b, int64(nd), 10)
-		b = append(b, ',')
+	if len(in.Nodes) > 1 {
+		b := make([]byte, 0, 4*(len(in.Nodes)-1))
+		for _, nd := range in.Nodes[1:] {
+			b = binary.LittleEndian.AppendUint32(b, uint32(nd))
+		}
+		k.rest = string(b)
 	}
-	if in.Kind == StringInstance {
-		b = append(b, 't', ':')
-		b = append(b, in.Text...)
-	}
-	return string(b)
+	return k
 }
 
 // Base is the pattern instance base.
 type Base struct {
 	// Roots are the document instances, in wrapping order.
 	Roots []*Instance
-	all   map[string]*Instance
+	all   map[instKey]*Instance
 	byPat map[string][]*Instance
 	next  int
+	// slab backs the instances AddCopy admits; hint sizes its first chunk.
+	slab []Instance
+	hint int
 }
 
 // NewBase returns an empty instance base.
-func NewBase() *Base {
-	return &Base{all: map[string]*Instance{}, byPat: map[string][]*Instance{}}
+func NewBase() *Base { return NewBaseSize(0) }
+
+// NewBaseSize returns an empty base sized for about hint instances (an
+// earlier evaluation's Count, say): the dedup table does not rehash and
+// AddCopy's slab does not regrow while that many arrive.
+func NewBaseSize(hint int) *Base {
+	return &Base{all: make(map[instKey]*Instance, hint), byPat: map[string][]*Instance{}, hint: hint}
 }
 
 // Add inserts an instance (deduplicating) and returns the canonical
@@ -135,6 +148,30 @@ func (b *Base) Add(in *Instance) (*Instance, bool) {
 	if prev, ok := b.all[k]; ok {
 		return prev, false
 	}
+	b.link(k, in)
+	return in, true
+}
+
+// AddCopy is Add for a scratch instance the caller keeps: a duplicate
+// costs no allocation at all, and a new instance is copied into the
+// base's own slab rather than into an allocation of its own, so the
+// canonical instance returned is never the caller's.
+func (b *Base) AddCopy(in *Instance) (*Instance, bool) {
+	k := in.key()
+	if prev, ok := b.all[k]; ok {
+		return prev, false
+	}
+	if len(b.slab) == cap(b.slab) {
+		b.slab = make([]Instance, 0, max(64, b.hint-len(b.all)))
+	}
+	b.slab = append(b.slab, *in)
+	p := &b.slab[len(b.slab)-1]
+	b.link(k, p)
+	return p, true
+}
+
+// link admits a new instance under its key.
+func (b *Base) link(k instKey, in *Instance) {
 	in.ID = b.next
 	b.next++
 	b.all[k] = in
@@ -144,7 +181,6 @@ func (b *Base) Add(in *Instance) (*Instance, bool) {
 	} else {
 		b.Roots = append(b.Roots, in)
 	}
-	return in, true
 }
 
 // Instances returns the instances of a pattern, in insertion order.

@@ -333,9 +333,9 @@ type WrapperSource struct {
 
 // ExtractionStats aggregates a wrapper's memoization counters:
 // PollCacheHits counts whole polls answered from the page-fingerprint
-// cache; MatchCacheHits/Misses count individual compiled pattern
-// matches answered from (or inserted into) the per-document match
-// caches.
+// cache; MatchCacheHits/Misses count compiled match calls (one per rule
+// and document for extraction paths, see elog.CompiledProgram.Stats)
+// answered from (or inserted into) the per-document match caches.
 type ExtractionStats struct {
 	PollCacheHits    uint64 `json:"poll_cache_hits"`
 	MatchCacheHits   uint64 `json:"match_cache_hits"`
