@@ -112,7 +112,7 @@ func main() {
 	cacheTTL := flag.Duration("cache-ttl", time.Second, "shared fetch cache freshness window (0 = never stale)")
 	batch := flag.Bool("batch", true, "share one match cache across dynamic wrappers (batched fleet extraction)")
 	matchCacheEntries := flag.Int("match-cache-entries", 0,
-		"shared match cache capacity in entries, LRU-evicted (0 = default 65536)")
+		"shared match cache capacity in entries, LRU-evicted (0 = default 16384)")
 	watchQueue := flag.Int("watch-queue", 0, "pending events buffered per watch subscriber (0 = default 8)")
 	watchHeartbeat := flag.Duration("watch-heartbeat", 0, "SSE heartbeat period for watch streams (0 = default 15s)")
 	dataDir := flag.String("data-dir", "",

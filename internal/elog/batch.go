@@ -3,6 +3,7 @@ package elog
 import (
 	"sync"
 	"sync/atomic"
+	"unsafe"
 )
 
 // MatchCache is a shared, cross-program match memo for batched fleet
@@ -34,6 +35,7 @@ type MatchCache struct {
 	sub        map[sharedSubKey]*mcEntry
 	head, tail *mcEntry // LRU list; head is most recently used
 	capEntries int
+	bytes      int // approximate heap held by live entries (mcEntry.size)
 
 	hits, misses atomic.Uint64
 	evictions    atomic.Uint64
@@ -41,14 +43,36 @@ type MatchCache struct {
 }
 
 // mcEntry is one cache entry on the intrusive LRU list; exactly one of
-// the two key/value pairs is live, selected by isSub.
+// the two values is live, selected by isSub. key is the map key the
+// entry sits under; a subtree entry stores its sharedSubKey widened
+// (subKey.sub in epdCacheKey.fp) rather than a second key field.
 type mcEntry struct {
 	prev, next *mcEntry
 	isSub      bool
-	docKey     sharedMatchKey
-	subK       sharedSubKey
+	key        sharedMatchKey
 	matches    []epdMatch
 	rel        []relMatch
+}
+
+// widen and subKeyOf convert between a subtree entry's map key and the
+// form mcEntry.key keeps it in.
+func (k sharedSubKey) widen() sharedMatchKey {
+	return sharedMatchKey{k.sig, epdCacheKey{fp: k.sub, asChildren: k.asChildren, deep: k.deep}}
+}
+
+func (e *mcEntry) subKeyOf() sharedSubKey {
+	return sharedSubKey{e.key.sig, subKey{e.key.fp, e.key.asChildren, e.key.deep}}
+}
+
+// size approximates the heap an entry holds: the entry itself, its map
+// slot, and 16 bytes per cached match (a node id or offset plus the
+// binds pointer; shared binds maps are not counted).
+func (e *mcEntry) size() int {
+	key := unsafe.Sizeof(sharedMatchKey{})
+	if e.isSub {
+		key = unsafe.Sizeof(sharedSubKey{})
+	}
+	return int(unsafe.Sizeof(*e)+key+8) + 16*(len(e.matches)+len(e.rel))
 }
 
 // sharedMatchKey is a per-program memo key qualified by the path
@@ -67,8 +91,12 @@ type sharedSubKey struct {
 
 // DefaultMatchCacheEntries is the entry cap of NewMatchCache. It is
 // larger than the per-program memo bound because one table serves a
-// whole fleet.
-const DefaultMatchCacheEntries = 65536
+// whole fleet; set-at-a-time rule application writes a handful of
+// entries per evaluation, so it is several times the largest live
+// working set measured (about 6.5 k entries for four 800-row pages at
+// 5 % churn) and is reached — the cache stops growing — within seconds
+// under churn.
+const DefaultMatchCacheEntries = 16384
 
 // NewMatchCache returns an empty shared match cache with the default
 // entry cap.
@@ -117,12 +145,15 @@ type BatchStats struct {
 	// subtree-keyed); Evictions counts entries dropped at the LRU cap.
 	Entries   int    `json:"entries"`
 	Evictions uint64 `json:"evictions"`
+	// Bytes approximates the heap the live entries hold: entry, key and
+	// 16 bytes per cached match.
+	Bytes int `json:"bytes"`
 }
 
 // Report returns the cache's current counters and size.
 func (mc *MatchCache) Report() BatchStats {
 	mc.mu.Lock()
-	entries := len(mc.doc) + len(mc.sub)
+	entries, bytes := len(mc.doc)+len(mc.sub), mc.bytes
 	mc.mu.Unlock()
 	return BatchStats{
 		Hits:      mc.hits.Load(),
@@ -130,6 +161,7 @@ func (mc *MatchCache) Report() BatchStats {
 		Attached:  mc.Attached(),
 		Entries:   entries,
 		Evictions: mc.evictions.Load(),
+		Bytes:     bytes,
 	}
 }
 
@@ -171,10 +203,11 @@ func (mc *MatchCache) evict() {
 			mc.head = nil
 		}
 		if e.isSub {
-			delete(mc.sub, e.subK)
+			delete(mc.sub, e.subKeyOf())
 		} else {
-			delete(mc.doc, e.docKey)
+			delete(mc.doc, e.key)
 		}
+		mc.bytes -= e.size()
 		mc.evictions.Add(1)
 	}
 }
@@ -202,10 +235,13 @@ func (mc *MatchCache) put(k sharedMatchKey, m []epdMatch) {
 	mc.mu.Lock()
 	e, ok := mc.doc[k]
 	if !ok {
-		e = &mcEntry{docKey: k}
+		e = &mcEntry{key: k}
 		mc.doc[k] = e
+	} else {
+		mc.bytes -= e.size()
 	}
 	e.matches = m
+	mc.bytes += e.size()
 	mc.moveFront(e)
 	mc.evict()
 	mc.mu.Unlock()
@@ -231,10 +267,13 @@ func (mc *MatchCache) subPut(k sharedSubKey, m []relMatch) {
 	mc.mu.Lock()
 	e, ok := mc.sub[k]
 	if !ok {
-		e = &mcEntry{isSub: true, subK: k}
+		e = &mcEntry{isSub: true, key: k.widen()}
 		mc.sub[k] = e
+	} else {
+		mc.bytes -= e.size()
 	}
 	e.rel = m
+	mc.bytes += e.size()
 	mc.moveFront(e)
 	mc.evict()
 	mc.mu.Unlock()

@@ -200,6 +200,9 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
 type wave struct {
 	rules      []*Rule
 	sequential bool
+	// reads lists, for a non-sequential wave, the patterns its rules'
+	// candidate generation consults (ruleReads of every member).
+	reads []string
 }
 
 // ruleReads returns the patterns whose instance sets candidate
@@ -247,11 +250,12 @@ func ruleSequential(rule *Rule) bool {
 func planWaves(rules []*Rule) []wave {
 	var out []wave
 	var cur []*Rule
+	var reads []string
 	heads := map[string]bool{}
 	flush := func() {
 		if len(cur) > 0 {
-			out = append(out, wave{rules: cur})
-			cur = nil
+			out = append(out, wave{rules: cur, reads: reads})
+			cur, reads = nil, nil
 			heads = map[string]bool{}
 		}
 	}
@@ -261,13 +265,15 @@ func planWaves(rules []*Rule) []wave {
 			out = append(out, wave{rules: []*Rule{rule}, sequential: true})
 			continue
 		}
-		for _, p := range ruleReads(rule) {
+		rr := ruleReads(rule)
+		for _, p := range rr {
 			if heads[p] {
 				flush()
 				break
 			}
 		}
 		cur = append(cur, rule)
+		reads = append(reads, rr...)
 		heads[rule.Head] = true
 	}
 	flush()
@@ -279,14 +285,32 @@ func planWaves(rules []*Rule) []wave {
 // fixpoint pass walks the waves in rule order, so at MaxConcurrency 1 —
 // or whenever every wave is a singleton — the evaluation order is
 // exactly the serial one.
+//
+// The fixpoint is semi-naive at wave granularity: what a non-sequential
+// wave generates is a function of the instance sets it reads, and those
+// only grow, so a wave whose read sets are the size they were when it
+// last ran could only commit duplicates and is skipped. Sequential
+// waves run on every pass: they fetch, and a later pass is what retries
+// a fetch that failed.
 func (r *runner) runStratum(waves []wave) error {
 	conc := r.ev.MaxConcurrency
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)
 	}
+	seen := make([]int, len(waves)) // read-set size at each wave's last run, +1
 	for {
 		changed := false
-		for _, w := range waves {
+		for i, w := range waves {
+			if !w.sequential {
+				size := 1
+				for _, p := range w.reads {
+					size += len(r.base.Instances(p))
+				}
+				if size == seen[i] {
+					continue
+				}
+				seen[i] = size
+			}
 			wc, err := r.runWave(w, conc)
 			if wc {
 				changed = true

@@ -141,8 +141,27 @@ func TestMatchCacheLRUBound(t *testing.T) {
 		if _, err := ev.RunCompiled(cp); err != nil {
 			t.Fatal(err)
 		}
-		if st := shared.Report(); st.Entries > cap {
+		st := shared.Report()
+		if st.Entries > cap {
 			t.Fatalf("round %d: %d entries exceeds cap %d", i, st.Entries, cap)
+		}
+		// bytes is kept on put and evict: it must equal a recount of the
+		// live entries, each under the key its entry remembers.
+		held := 0
+		for k, e := range shared.doc {
+			if e.isSub || e.key != k {
+				t.Fatalf("round %d: doc entry under %+v remembers %+v", i, k, e.key)
+			}
+			held += e.size()
+		}
+		for k, e := range shared.sub {
+			if !e.isSub || e.subKeyOf() != k {
+				t.Fatalf("round %d: sub entry under %+v remembers %+v", i, k, e.subKeyOf())
+			}
+			held += e.size()
+		}
+		if st.Bytes != held || held < 64*st.Entries {
+			t.Fatalf("round %d: bytes = %d, live entries hold %d (%d entries)", i, st.Bytes, held, st.Entries)
 		}
 		next := cur.Clone()
 		dom.Mutate(next, rng, 2)

@@ -411,13 +411,45 @@ func decodeRef(ref string) (rune, bool) {
 
 // EscapeText escapes character data for inclusion in HTML/XML text
 // content.
-func EscapeText(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
-}
+func EscapeText(s string) string { return escape(s, false) }
 
 // EscapeAttr escapes an attribute value for double-quoted inclusion.
-func EscapeAttr(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;", `"`, "&quot;")
-	return r.Replace(s)
+func EscapeAttr(s string) string { return escape(s, true) }
+
+// escape replaces & < > (and " when quot is set) by their entities. The
+// serializers call it on every text node and almost none needs
+// escaping, so the input itself is returned when a scan finds nothing
+// to replace; otherwise the output is built once.
+func escape(s string, quot bool) string {
+	var b strings.Builder
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var ent string
+		switch s[i] {
+		case '&':
+			ent = "&amp;"
+		case '<':
+			ent = "&lt;"
+		case '>':
+			ent = "&gt;"
+		case '"':
+			if !quot {
+				continue
+			}
+			ent = "&quot;"
+		default:
+			continue
+		}
+		if b.Len() == 0 {
+			b.Grow(len(s) + 16)
+		}
+		b.WriteString(s[last:i])
+		b.WriteString(ent)
+		last = i + 1
+	}
+	if b.Len() == 0 {
+		return s
+	}
+	b.WriteString(s[last:])
+	return b.String()
 }

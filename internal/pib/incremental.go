@@ -19,6 +19,7 @@
 package pib
 
 import (
+	"slices"
 	"strings"
 
 	"repro/internal/xmlenc"
@@ -136,6 +137,40 @@ func Diff(prev, cur *Base) Delta {
 	return d
 }
 
+// contentHashes returns the ContentHash of every instance, sorted. It
+// is memoized: the base is final when the transform asks, and the next
+// tick asks again for the same base as its predecessor.
+func (b *Base) contentHashes() []uint64 {
+	if b.hashes == nil {
+		b.hashes = make([]uint64, 0, len(b.all))
+		for _, list := range b.byPat {
+			for _, in := range list {
+				b.hashes = append(b.hashes, in.ContentHash())
+			}
+		}
+		slices.Sort(b.hashes)
+	}
+	return b.hashes
+}
+
+// commonHashes returns the size of the multiset intersection of two
+// sorted hash lists — len(Diff(prev, cur).Unchanged) without the
+// instance lists: Added and Removed are what is left of either side.
+func commonHashes(prev, cur []uint64) int {
+	n := 0
+	for i, j := 0, 0; i < len(prev) && j < len(cur); {
+		switch {
+		case prev[i] < cur[j]:
+			i++
+		case prev[i] > cur[j]:
+			j++
+		default:
+			n, i, j = n+1, i+1, j+1
+		}
+	}
+	return n
+}
+
 // cachedSub is one reusable emitted subtree: the frozen element and
 // its node count (for the reuse stats, so splicing does not re-walk).
 type cachedSub struct {
@@ -166,7 +201,9 @@ type OutputStats struct {
 	// previous tick vs constructed fresh.
 	ReusedNodes, BuiltNodes uint64
 	// InstancesAdded / InstancesRemoved / InstancesUnchanged accumulate
-	// the per-tick base deltas (Diff against the retained base).
+	// the per-tick base deltas against the retained base: the sizes of
+	// Diff's three lists, counted by a merge of the two bases' sorted
+	// content hashes.
 	InstancesAdded, InstancesRemoved, InstancesUnchanged uint64
 }
 
@@ -214,10 +251,10 @@ func (oc *OutputCache) putNext(key uint64, sub cachedSub) {
 // byte-identical to Transform on the same base.
 func (d *Design) TransformIncremental(b *Base, oc *OutputCache) *xmlenc.Node {
 	if oc.prevBase != nil {
-		delta := Diff(oc.prevBase, b)
-		oc.added += uint64(len(delta.Added))
-		oc.removed += uint64(len(delta.Removed))
-		oc.unchangedCnt += uint64(len(delta.Unchanged))
+		unchanged := commonHashes(oc.prevBase.contentHashes(), b.contentHashes())
+		oc.added += uint64(b.Count() - unchanged)
+		oc.removed += uint64(oc.prevBase.Count() - unchanged)
+		oc.unchangedCnt += uint64(unchanged)
 	}
 	oc.next = make(map[uint64][]cachedSub, len(oc.prev)+8)
 

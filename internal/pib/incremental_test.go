@@ -2,6 +2,7 @@ package pib
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"repro/internal/dom"
@@ -190,5 +191,123 @@ func TestTransformIncrementalGrowShrink(t *testing.T) {
 		if got := xmlenc.MarshalIndent(d.TransformIncremental(b, oc)); got != want {
 			t.Fatalf("size %d: incremental output diverges", n)
 		}
+	}
+}
+
+// randomBase builds a base over a fresh list document of n items whose
+// names are drawn from a small pool, so identical instances repeat
+// within a base and recur across bases; n == 0 yields an empty base
+// (no document at all).
+func randomBase(rng *rand.Rand, n int) *Base {
+	b := NewBase()
+	if n == 0 {
+		return b
+	}
+	term := "html(body(ul("
+	for i := 0; i < n; i++ {
+		if i > 0 {
+			term += ","
+		}
+		term += fmt.Sprintf(`li(span("Item%d"),em("$%d"))`, rng.Intn(5), rng.Intn(3))
+	}
+	doc := dom.MustParseTerm(term + ")))")
+	doc.Reindex()
+	root, _ := b.Add(&Instance{Pattern: "document", Kind: DocumentInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{doc.Root()}})
+	doc.Walk(func(nd dom.NodeID) {
+		if doc.Label(nd) != "li" {
+			return
+		}
+		entry, _ := b.AddCopy(&Instance{Pattern: "entry", Kind: NodeInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{nd}, Parent: root})
+		doc.WalkSubtree(nd, func(c dom.NodeID) {
+			if doc.Label(c) == "em" {
+				b.Add(&Instance{Pattern: "price", Kind: StringInstance, Doc: doc, URL: "u", Text: doc.ElementText(c), Parent: entry})
+			}
+		})
+	})
+	return b
+}
+
+// TestDeltaCountsMatchDiff: TransformIncremental counts the per-tick
+// delta by merging the two bases' sorted content hashes instead of
+// calling Diff; the counters must advance by exactly the lengths of
+// Diff's three lists, over random sequences with duplicate instances,
+// growing and shrinking bases, and empty ones.
+func TestDeltaCountsMatchDiff(t *testing.T) {
+	d := &Design{Auxiliary: map[string]bool{"document": true}}
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		oc := NewOutputCache()
+		var prev *Base
+		var want OutputStats
+		for tick := 0; tick < 12; tick++ {
+			n := rng.Intn(14)
+			if rng.Intn(4) == 0 {
+				n = 0
+			}
+			cur := randomBase(rng, n)
+			if prev != nil {
+				delta := Diff(prev, cur)
+				if len(delta.Added)+len(delta.Unchanged) != cur.Count() || len(delta.Removed)+len(delta.Unchanged) != prev.Count() {
+					t.Fatalf("seed %d tick %d: Diff does not partition the bases", seed, tick)
+				}
+				want.InstancesAdded += uint64(len(delta.Added))
+				want.InstancesRemoved += uint64(len(delta.Removed))
+				want.InstancesUnchanged += uint64(len(delta.Unchanged))
+			}
+			if got, plain := xmlenc.MarshalIndent(d.TransformIncremental(cur, oc)), xmlenc.MarshalIndent(d.Transform(cur)); got != plain {
+				t.Fatalf("seed %d tick %d: incremental output diverges:\n%s\nvs\n%s", seed, tick, got, plain)
+			}
+			got := oc.Stats()
+			if got.InstancesAdded != want.InstancesAdded || got.InstancesRemoved != want.InstancesRemoved || got.InstancesUnchanged != want.InstancesUnchanged {
+				t.Fatalf("seed %d tick %d (%d → %d instances): counters added/removed/unchanged = %d/%d/%d, Diff says %d/%d/%d",
+					seed, tick, prev.Count(), cur.Count(), got.InstancesAdded, got.InstancesRemoved, got.InstancesUnchanged,
+					want.InstancesAdded, want.InstancesRemoved, want.InstancesUnchanged)
+			}
+			prev = cur
+		}
+		if want.InstancesUnchanged == 0 || want.InstancesAdded == 0 || want.InstancesRemoved == 0 {
+			t.Fatalf("seed %d: degenerate sequence %+v", seed, want)
+		}
+	}
+}
+
+// orderedChildren hands back the Children slice itself when it is
+// already in document order (evaluation commits it so) and a sorted
+// copy otherwise, string instances holding their parent's position.
+func TestOrderedChildren(t *testing.T) {
+	doc := dom.MustParseTerm(`html(body(ul(li("a"),li("b"),li("c"))))`)
+	doc.Reindex()
+	var lis []dom.NodeID
+	doc.Walk(func(nd dom.NodeID) {
+		if doc.Label(nd) == "li" {
+			lis = append(lis, nd)
+		}
+	})
+	build := func(order ...int) (*Instance, []*Instance) {
+		b := NewBase()
+		root, _ := b.Add(&Instance{Pattern: "document", Kind: DocumentInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{doc.Root()}})
+		for _, i := range order {
+			if i < 0 {
+				b.Add(&Instance{Pattern: "s", Kind: StringInstance, Doc: doc, URL: "u", Text: fmt.Sprint(i), Parent: root})
+			} else {
+				b.Add(&Instance{Pattern: "entry", Kind: NodeInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{lis[i]}, Parent: root})
+			}
+		}
+		return root, root.Children
+	}
+	root, kids := build(-1, 0, 1, 2) // the string sits at the root's own position, first
+	if got := orderedChildren(root); &got[0] != &kids[0] || len(got) != 4 {
+		t.Error("ordered children were copied")
+	}
+	root, kids = build(2, 0, -1, 1)
+	got := orderedChildren(root)
+	if &got[0] == &kids[0] {
+		t.Fatal("out-of-order children sorted in place")
+	}
+	if got[0] != kids[2] || got[1] != kids[1] || got[2] != kids[3] || got[3] != kids[0] {
+		t.Errorf("sorted order wrong: %v", got)
+	}
+	if kids[0].Nodes[0] != lis[2] {
+		t.Error("Children reordered by the sort")
 	}
 }

@@ -128,6 +128,8 @@ type Base struct {
 	// slab backs the instances AddCopy admits; hint sizes its first chunk.
 	slab []Instance
 	hint int
+	// hashes memoizes contentHashes (incremental.go).
+	hashes []uint64
 }
 
 // NewBase returns an empty instance base.
@@ -303,15 +305,16 @@ func (d *Design) emitChildren(in *Instance, out *xmlenc.Node) {
 
 // orderedChildren returns the children sorted by document order of their
 // first node (string instances keep their relative insertion order,
-// anchored at their parent's position). The sorted list is memoized:
-// it is only requested at transform time, when the base is final, and
-// the incremental path needs it twice per instance (once for the
-// output hash, once for emission).
+// anchored at their parent's position). Evaluation commits children in
+// document order, so the usual answer is in.Children itself; only a list
+// found out of order is copied and sorted. The result is memoized: it is
+// only requested at transform time, when the base is final, and the
+// incremental path needs it twice per instance (once for the output
+// hash, once for emission).
 func orderedChildren(in *Instance) []*Instance {
 	if in.ordOK {
 		return in.ordKids
 	}
-	out := append([]*Instance(nil), in.Children...)
 	pos := func(c *Instance) int {
 		if len(c.Nodes) > 0 && c.Doc != nil {
 			return c.Doc.Pre(c.Nodes[0])
@@ -321,7 +324,16 @@ func orderedChildren(in *Instance) []*Instance {
 		}
 		return 0
 	}
-	sort.SliceStable(out, func(i, j int) bool { return pos(out[i]) < pos(out[j]) })
+	out := in.Children
+	for i, prev := 0, 0; i < len(out); i++ {
+		p := pos(out[i])
+		if p < prev {
+			out = append([]*Instance(nil), in.Children...)
+			sort.SliceStable(out, func(i, j int) bool { return pos(out[i]) < pos(out[j]) })
+			break
+		}
+		prev = p
+	}
 	in.ordKids, in.ordOK = out, true
 	return out
 }

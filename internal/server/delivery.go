@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
-	"fmt"
-	"hash/fnv"
 	"net/http"
 	"strconv"
 	"strings"
@@ -96,17 +94,30 @@ func (sn *snapshot) setXML(xml []byte) {
 	sn.xmlTag = etagOf(sn.xmlSum, 'x')
 }
 
+// fnv64a is FNV-1a, 64 bits, as hash/fnv computes it, without the
+// hash.Hash64 allocation.
 func fnv64a(b []byte) uint64 {
-	h := fnv.New64a()
-	h.Write(b)
-	return h.Sum64()
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	h := uint64(offset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
 }
 
 // etagOf derives a strong ETag from the FNV-1a fingerprint of the
 // encoded bytes plus a representation marker (XML and JSON variants of
-// one document must never share an ETag).
+// one document must never share an ETag): "<16 hex digits>-<kind>",
+// quoted.
 func etagOf(sum uint64, kind byte) string {
-	return fmt.Sprintf("\"%016x-%c\"", sum, kind)
+	const hex = "0123456789abcdef"
+	var tag [20]byte
+	tag[0], tag[17], tag[18], tag[19] = '"', '-', kind, '"'
+	for i := 16; i >= 1; i-- {
+		tag[i] = hex[sum&0xf]
+		sum >>= 4
+	}
+	return string(tag[:])
 }
 
 // variantJSON returns the JSON encoding, built on first use.
@@ -122,6 +133,14 @@ func (sn *snapshot) variantJSON() ([]byte, string, error) {
 	})
 	return sn.json, sn.jsonTag, sn.jsonErr
 }
+
+// gzipWriters recycles compressors across snapshots: a fresh BestSpeed
+// writer allocates ~1.2 MB of flate state, Reset reuses it and produces
+// the same bytes.
+var gzipWriters = sync.Pool{New: func() any {
+	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is valid
+	return zw
+}}
 
 // gzipped returns the precompressed variant, or nil when compression
 // does not pay (small or incompressible bodies are served identity).
@@ -141,10 +160,9 @@ func (sn *snapshot) gzipped(asJSON bool) []byte {
 			return
 		}
 		var buf bytes.Buffer
-		zw, err := gzip.NewWriterLevel(&buf, gzip.BestSpeed)
-		if err != nil {
-			return
-		}
+		zw := gzipWriters.Get().(*gzip.Writer)
+		defer gzipWriters.Put(zw)
+		zw.Reset(&buf)
 		if _, err := zw.Write(body); err != nil {
 			return
 		}
@@ -186,15 +204,22 @@ func (sn *snapshot) sseFrame(asJSON bool) []byte {
 // with the delivery version as the id. Shared by the cached snapshot
 // frames and the ad-hoc frames built during Last-Event-ID replay.
 func sseFrameFor(payload []byte, ver uint64) []byte {
-	var b bytes.Buffer
-	fmt.Fprintf(&b, "event: result\nid: %d\n", ver)
-	for _, line := range strings.Split(strings.TrimRight(string(payload), "\n"), "\n") {
-		b.WriteString("data: ")
-		b.WriteString(line)
-		b.WriteByte('\n')
+	payload = bytes.TrimRight(payload, "\n")
+	b := make([]byte, 0, len(payload)+6*(bytes.Count(payload, []byte{'\n'})+1)+48)
+	b = append(b, "event: result\nid: "...)
+	b = strconv.AppendUint(b, ver, 10)
+	b = append(b, '\n')
+	for {
+		i := bytes.IndexByte(payload, '\n')
+		b = append(b, "data: "...)
+		if i < 0 {
+			b = append(b, payload...)
+			break
+		}
+		b = append(b, payload[:i+1]...)
+		payload = payload[i+1:]
 	}
-	b.WriteByte('\n')
-	return b.Bytes()
+	return append(b, "\n\n"...)
 }
 
 // ---------------------------------------------------------------------

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"compress/gzip"
 	"fmt"
+	"hash/fnv"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -324,5 +326,110 @@ func TestHistoryCache(t *testing.T) {
 	_, b3, _ := get(t, ts.URL+"/hist/history?n=3")
 	if b3 == b1 || !strings.Contains(b3, `n="5"`) {
 		t.Fatalf("history cache served stale list: %q", b3)
+	}
+}
+
+// sseFrameForOld is sseFrameFor as it was before it stopped copying the
+// payload to a string and splitting it: the reference the rewrite must
+// match byte for byte.
+func sseFrameForOld(payload []byte, ver uint64) []byte {
+	var b bytes.Buffer
+	fmt.Fprintf(&b, "event: result\nid: %d\n", ver)
+	for _, line := range strings.Split(strings.TrimRight(string(payload), "\n"), "\n") {
+		b.WriteString("data: ")
+		b.WriteString(line)
+		b.WriteByte('\n')
+	}
+	b.WriteByte('\n')
+	return b.Bytes()
+}
+
+func TestSSEFrameBytes(t *testing.T) {
+	big := xmlenc.NewElement("doc")
+	for i := 0; len(xmlenc.MarshalIndentBytes(big)) < 65<<10; i++ {
+		for j := 0; j < 100; j++ {
+			big.AppendTextElement("row", fmt.Sprintf("row %d.%d with enough text to compress", i, j))
+		}
+	}
+	bigXML := xmlenc.MarshalIndentBytes(big)
+	for name, payload := range map[string][]byte{
+		"empty":            nil,
+		"only-newlines":    []byte("\n\n"),
+		"one-line":         []byte("<doc/>"),
+		"one-line-nl":      []byte("<doc/>\n"),
+		"trailing-nl-run":  []byte("<doc>\n  <a/>\n</doc>\n\n\n\n"),
+		"blank-lines":      []byte("a\n\n\nb\n"),
+		"leading-newline":  []byte("\na"),
+		"carriage-returns": []byte("a\r\nb\r\n"),
+		"65KB":             bigXML,
+	} {
+		for _, ver := range []uint64{0, 7, 1<<64 - 1} {
+			got, want := sseFrameFor(payload, ver), sseFrameForOld(payload, ver)
+			if !bytes.Equal(got, want) {
+				t.Errorf("%s ver %d: frame differs:\n got %q\nwant %q", name, ver, trunc(got), trunc(want))
+			}
+			if cap(got) > len(got)+64 {
+				t.Errorf("%s ver %d: frame of %d bytes holds %d", name, ver, len(got), cap(got))
+			}
+		}
+	}
+	if n := testing.AllocsPerRun(20, func() { sseFrameFor(bigXML, 12345) }); n != 1 {
+		t.Errorf("sseFrameFor: %.0f allocs for a 65 KB payload, want 1 (the frame)", n)
+	}
+
+	// The gzip variants go through recycled writers: two snapshots of
+	// one document built back to back must compress to identical bytes
+	// (the second reuses the first's writer), equal to what a fresh
+	// writer produces, and decompress to the body.
+	for _, asJSON := range []bool{false, true} {
+		a, b := newSnapshot(big, 1, 1), newSnapshot(big, 2, 2)
+		gzA, gzB := a.gzipped(asJSON), b.gzipped(asJSON)
+		body := a.xml
+		if asJSON {
+			body, _, _ = a.variantJSON()
+		}
+		var fresh bytes.Buffer
+		zw, _ := gzip.NewWriterLevel(&fresh, gzip.BestSpeed)
+		zw.Write(body)
+		zw.Close()
+		if gzA == nil || !bytes.Equal(gzA, gzB) || !bytes.Equal(gzA, fresh.Bytes()) {
+			t.Fatalf("json=%v: gzip variants differ: %d, %d, fresh writer %d bytes", asJSON, len(gzA), len(gzB), fresh.Len())
+		}
+		zr, err := gzip.NewReader(bytes.NewReader(gzB))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if plain, err := io.ReadAll(zr); err != nil || !bytes.Equal(plain, body) {
+			t.Fatalf("json=%v: gzip variant does not decompress to the body (%v)", asJSON, err)
+		}
+	}
+	if newSnapshot(xmlenc.NewElement("tiny"), 1, 1).gzipped(false) != nil {
+		t.Error("a body under gzipMinSize was compressed")
+	}
+}
+
+func trunc(b []byte) []byte {
+	if len(b) > 200 {
+		return b[:200]
+	}
+	return b
+}
+
+// etagOf formats by hand; it must spell what fmt did, and fnv64a must
+// be FNV-1a.
+func TestETagFormat(t *testing.T) {
+	for _, sum := range []uint64{0, 1, 0xabc, 0x0123456789abcdef, 1<<64 - 1} {
+		for _, kind := range []byte{'x', 'j'} {
+			if got, want := etagOf(sum, kind), fmt.Sprintf("\"%016x-%c\"", sum, kind); got != want {
+				t.Errorf("etagOf(%#x, %c) = %s, want %s", sum, kind, got, want)
+			}
+		}
+	}
+	for _, s := range []string{"", "a", "<doc/>\n", strings.Repeat("lixto", 1000)} {
+		h := fnv.New64a()
+		h.Write([]byte(s))
+		if got := fnv64a([]byte(s)); got != h.Sum64() {
+			t.Errorf("fnv64a(%q...) = %#x, want %#x", s[:min(len(s), 8)], got, h.Sum64())
+		}
 	}
 }

@@ -581,10 +581,11 @@ func TestV1BatchedFleet(t *testing.T) {
 	if err := json.Unmarshal([]byte(body), &listing); err != nil {
 		t.Fatal(err)
 	}
-	if listing.MatchCache == nil || listing.MatchCache.Attached != fleet || listing.MatchCache.Hits == 0 {
+	if listing.MatchCache == nil || listing.MatchCache.Attached != fleet || listing.MatchCache.Hits == 0 ||
+		listing.MatchCache.Entries == 0 || listing.MatchCache.Bytes < 64*listing.MatchCache.Entries {
 		t.Fatalf("listing match_cache = %+v", listing.MatchCache)
 	}
-	for _, field := range []string{`"evictions"`, `"subtree_hits"`, `"reused_nodes"`} {
+	for _, field := range []string{`"evictions"`, `"bytes"`, `"subtree_hits"`, `"reused_nodes"`} {
 		if !strings.Contains(body, field) {
 			t.Errorf("listing lacks %s:\n%s", field, body)
 		}

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+
+	"repro/internal/htmlparse"
 )
 
 // ---------------------------------------------------------------------
@@ -80,7 +82,7 @@ func (s *AuctionSite) renderPage(host string, page, pages int) string {
 	}
 	for _, it := range s.Items[lo:hi] {
 		b.WriteString(`<table class="item"><tr>`)
-		fmt.Fprintf(&b, `<td><a href="item.html">%s</a></td>`, htmlEscape(it.Description))
+		fmt.Fprintf(&b, `<td><a href="item.html">%s</a></td>`, htmlparse.EscapeText(it.Description))
 		fmt.Fprintf(&b, `<td>%s</td>`, it.Price)
 		fmt.Fprintf(&b, `<td>%d bids</td>`, it.Bids)
 		b.WriteString(`</tr></table>`)
@@ -154,7 +156,7 @@ func (s *BookSite) Render() string {
 	b.WriteString(`<tr><th>rank</th><th>title</th><th>author</th><th>price</th></tr>`)
 	for _, bk := range s.Books {
 		fmt.Fprintf(&b, `<tr class="book"><td>%d</td><td class="title"><a href="book%d.html">%s</a></td><td class="author">%s</td><td class="price">%s</td></tr>`,
-			bk.Rank, bk.Rank, htmlEscape(bk.Title), htmlEscape(bk.Author), bk.Price)
+			bk.Rank, bk.Rank, htmlparse.EscapeText(bk.Title), htmlparse.EscapeText(bk.Author), bk.Price)
 	}
 	b.WriteString(`</table><hr><p>updated daily</p></body></html>`)
 	return b.String()
@@ -225,11 +227,11 @@ func (s *RadioSite) Render() string {
 	fmt.Fprintf(&b, `<html><head><title>%s</title></head><body>`, s.Name)
 	fmt.Fprintf(&b, `<h1>%s</h1>`, s.Name)
 	fmt.Fprintf(&b, `<div class="nowplaying">Now playing: <span class="title">%s</span> by <span class="artist">%s</span></div>`,
-		htmlEscape(cur.Title), htmlEscape(cur.Artist))
+		htmlparse.EscapeText(cur.Title), htmlparse.EscapeText(cur.Artist))
 	b.WriteString(`<h2>Recently played</h2><ul class="recent">`)
 	for i := 1; i <= 5; i++ {
 		sg := s.Songs[(s.step+len(s.Songs)*8-i)%len(s.Songs)]
-		fmt.Fprintf(&b, `<li><span class="title">%s</span> - <span class="artist">%s</span></li>`, htmlEscape(sg.Title), htmlEscape(sg.Artist))
+		fmt.Fprintf(&b, `<li><span class="title">%s</span> - <span class="artist">%s</span></li>`, htmlparse.EscapeText(sg.Title), htmlparse.EscapeText(sg.Artist))
 	}
 	b.WriteString(`</ul><p><a href="stream.html">live stream</a></p></body></html>`)
 	return b.String()
@@ -267,7 +269,7 @@ func (s *ChartSite) Render() string {
 	fmt.Fprintf(&b, `<html><head><title>%s</title></head><body><h1>%s</h1><table class="chart">`, s.Name, s.Name)
 	b.WriteString(`<tr><th>rank</th><th>song</th><th>artist</th></tr>`)
 	for i, e := range s.Entries {
-		fmt.Fprintf(&b, `<tr><td class="rank">%d</td><td class="song">%s</td><td class="artist">%s</td></tr>`, i+1, htmlEscape(e.Title), htmlEscape(e.Artist))
+		fmt.Fprintf(&b, `<tr><td class="rank">%d</td><td class="song">%s</td><td class="artist">%s</td></tr>`, i+1, htmlparse.EscapeText(e.Title), htmlparse.EscapeText(e.Artist))
 	}
 	b.WriteString(`</table></body></html>`)
 	return b.String()
@@ -286,10 +288,10 @@ func (s *LyricsSite) Register(w *Web, host string) {
 		w.SetPage(url, func() string {
 			var b strings.Builder
 			fmt.Fprintf(&b, `<html><body><h1 class="song">%s</h1><h2 class="artist">%s</h2><pre class="lyrics">La la la %s, oh %s...</pre></body></html>`,
-				htmlEscape(sg.Title), htmlEscape(sg.Artist), htmlEscape(sg.Title), htmlEscape(sg.Artist))
+				htmlparse.EscapeText(sg.Title), htmlparse.EscapeText(sg.Artist), htmlparse.EscapeText(sg.Title), htmlparse.EscapeText(sg.Artist))
 			return b.String()
 		})
-		fmt.Fprintf(&idx, `<li><a href="lyrics%d.html">%s</a></li>`, i, htmlEscape(sg.Title))
+		fmt.Fprintf(&idx, `<li><a href="lyrics%d.html">%s</a></li>`, i, htmlparse.EscapeText(sg.Title))
 	}
 	idx.WriteString(`</ul></body></html>`)
 	w.SetStatic(host+"/index.html", idx.String())
@@ -443,10 +445,10 @@ func (s *NewsSite) Render() string {
 	fmt.Fprintf(&b, `<html><head><title>%s</title></head><body><h1>%s</h1>`, s.Name, s.Name)
 	for _, a := range s.Articles {
 		b.WriteString(`<div class="article">`)
-		fmt.Fprintf(&b, `<h2 class="headline">%s</h2>`, htmlEscape(a.Headline))
+		fmt.Fprintf(&b, `<h2 class="headline">%s</h2>`, htmlparse.EscapeText(a.Headline))
 		fmt.Fprintf(&b, `<span class="date">%s</span>`, a.Date)
 		fmt.Fprintf(&b, `<span class="ticker">%s</span>`, a.Ticker)
-		fmt.Fprintf(&b, `<p class="body">%s</p>`, htmlEscape(a.Body))
+		fmt.Fprintf(&b, `<p class="body">%s</p>`, htmlparse.EscapeText(a.Body))
 		b.WriteString(`</div>`)
 	}
 	b.WriteString(`</body></html>`)
@@ -622,16 +624,11 @@ func (p *PortalSite) Register(w *Web, host string) {
 		var b strings.Builder
 		b.WriteString(`<html><body><h1>Open RFQs</h1><ol class="rfqs">`)
 		for _, r := range p.RFQs {
-			fmt.Fprintf(&b, `<li class="rfq">%s</li>`, htmlEscape(r))
+			fmt.Fprintf(&b, `<li class="rfq">%s</li>`, htmlparse.EscapeText(r))
 		}
 		b.WriteString(`</ol></body></html>`)
 		return b.String()
 	})
-}
-
-func htmlEscape(s string) string {
-	r := strings.NewReplacer("&", "&amp;", "<", "&lt;", ">", "&gt;")
-	return r.Replace(s)
 }
 
 func sortStrings(xs []string) {

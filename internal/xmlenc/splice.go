@@ -2,7 +2,6 @@ package xmlenc
 
 import (
 	"bytes"
-	"fmt"
 
 	"repro/internal/htmlparse"
 )
@@ -31,6 +30,7 @@ import (
 type Encoder struct {
 	cache   map[*Node]*encEntry
 	gen     uint64
+	last    int // length of the previous encode: the next buffer's size
 	spliced uint64
 	encoded uint64
 }
@@ -57,8 +57,10 @@ func NewEncoder() *Encoder {
 func (e *Encoder) MarshalIndentBytes(n *Node) []byte {
 	e.gen++
 	var b bytes.Buffer
+	b.Grow(e.last + e.last/16)
 	e.write(&b, n, 0)
 	b.WriteByte('\n')
+	e.last = b.Len()
 	for k, ent := range e.cache {
 		if ent.gen != e.gen {
 			delete(e.cache, k)
@@ -80,14 +82,14 @@ func (e *Encoder) EncodedBytes() uint64 { return e.encoded }
 // cached.
 func (e *Encoder) CachedSubtrees() int { return len(e.cache) }
 
-// write mirrors the package-level write for *bytes.Buffer, detouring
-// through the cache at frozen nodes. Cache-miss frozen subtrees are
-// encoded into place and the produced range is copied into the cache,
-// recursing through e.write so nested frozen nodes (a reused child
-// under a freshly rebuilt parent) still splice and are cached at their
-// own depth for future ticks.
+// write detours through the cache at frozen nodes. Cache-miss frozen
+// subtrees are encoded into place and the produced range is copied into
+// the cache, recursing through e.write so nested frozen nodes (a reused
+// child under a freshly rebuilt parent) still splice and are cached at
+// their own depth for future ticks. A nil encoder (the stateless
+// Marshal functions) caches nothing.
 func (e *Encoder) write(b *bytes.Buffer, n *Node, depth int) {
-	if n.frozen && depth >= 1 {
+	if e != nil && n.frozen && depth >= 1 {
 		if ent, ok := e.cache[n]; ok && ent.depth == depth {
 			ent.gen = e.gen
 			b.Write(ent.bytes)
@@ -104,28 +106,34 @@ func (e *Encoder) write(b *bytes.Buffer, n *Node, depth int) {
 	e.writeNode(b, n, depth)
 }
 
-// writeNode is the body of the package-level write, with child
-// recursion routed back through e.write. TestEncoderMatchesMarshal and
-// FuzzIncrementalTransform pin it byte-identical to the plain path.
+// writeNode is the package's one serializer body: the stateless Marshal
+// functions run it with a nil encoder, and depth -1 means no
+// indentation at any level (Marshal).
 func (e *Encoder) writeNode(b *bytes.Buffer, n *Node, depth int) {
-	indent := func(d int) {
+	indent := func() {
+		if depth < 0 {
+			return
+		}
 		if b.Len() > 0 {
 			b.WriteByte('\n')
 		}
-		for i := 0; i < d; i++ {
+		for i := 0; i < depth; i++ {
 			b.WriteString("  ")
 		}
 	}
+	indent()
 	if n.Name == "" {
-		indent(depth)
 		b.WriteString(htmlparse.EscapeText(n.Text))
 		return
 	}
-	indent(depth)
 	b.WriteByte('<')
 	b.WriteString(n.Name)
 	for _, a := range n.Attrs {
-		fmt.Fprintf(b, ` %s="%s"`, a.Name, htmlparse.EscapeAttr(a.Value))
+		b.WriteByte(' ')
+		b.WriteString(a.Name)
+		b.WriteString(`="`)
+		b.WriteString(htmlparse.EscapeAttr(a.Value))
+		b.WriteByte('"')
 	}
 	if len(n.Children) == 0 && n.Text == "" {
 		b.WriteString("/>")
@@ -133,11 +141,15 @@ func (e *Encoder) writeNode(b *bytes.Buffer, n *Node, depth int) {
 	}
 	b.WriteByte('>')
 	b.WriteString(htmlparse.EscapeText(n.Text))
+	child := depth
+	if depth >= 0 {
+		child = depth + 1
+	}
 	for _, c := range n.Children {
-		e.write(b, c, depth+1)
+		e.write(b, c, child)
 	}
 	if len(n.Children) > 0 {
-		indent(depth)
+		indent()
 	}
 	b.WriteString("</")
 	b.WriteString(n.Name)

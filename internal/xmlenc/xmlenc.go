@@ -14,8 +14,6 @@ import (
 	"fmt"
 	"io"
 	"strings"
-
-	"repro/internal/htmlparse"
 )
 
 // Node is an XML element.
@@ -148,80 +146,23 @@ func (n *Node) TextContent() string {
 
 // Marshal serializes the document without extra whitespace.
 func Marshal(n *Node) string {
-	var b strings.Builder
-	write(&b, n, -1)
+	var b bytes.Buffer
+	(*Encoder)(nil).writeNode(&b, n, -1)
 	return b.String()
 }
 
 // MarshalIndent serializes the document with two-space indentation.
-func MarshalIndent(n *Node) string {
-	var b strings.Builder
-	write(&b, n, 0)
-	b.WriteByte('\n')
-	return b.String()
-}
+func MarshalIndent(n *Node) string { return string(MarshalIndentBytes(n)) }
 
 // MarshalIndentBytes is MarshalIndent returning the encoded bytes
-// directly, without the string→[]byte copy. The server's delivery
+// directly, without the []byte→string copy. The server's delivery
 // plane encodes every published snapshot exactly once and serves the
 // bytes to every reader, so the copy would be pure overhead.
 func MarshalIndentBytes(n *Node) []byte {
 	var b bytes.Buffer
-	write(&b, n, 0)
+	(*Encoder)(nil).writeNode(&b, n, 0)
 	b.WriteByte('\n')
 	return b.Bytes()
-}
-
-// encBuf is the common surface of strings.Builder and bytes.Buffer the
-// serializer writes through.
-type encBuf interface {
-	io.Writer
-	WriteByte(byte) error
-	WriteString(string) (int, error)
-	Len() int
-}
-
-func write(b encBuf, n *Node, depth int) {
-	indent := func(d int) {
-		if d >= 0 {
-			if b.Len() > 0 {
-				b.WriteByte('\n')
-			}
-			for i := 0; i < d; i++ {
-				b.WriteString("  ")
-			}
-		}
-	}
-	if n.Name == "" {
-		indent(depth)
-		b.WriteString(htmlparse.EscapeText(n.Text))
-		return
-	}
-	indent(depth)
-	b.WriteByte('<')
-	b.WriteString(n.Name)
-	for _, a := range n.Attrs {
-		fmt.Fprintf(b, ` %s="%s"`, a.Name, htmlparse.EscapeAttr(a.Value))
-	}
-	if len(n.Children) == 0 && n.Text == "" {
-		b.WriteString("/>")
-		return
-	}
-	b.WriteByte('>')
-	b.WriteString(htmlparse.EscapeText(n.Text))
-	child := depth
-	if depth >= 0 {
-		child = depth + 1
-	}
-	for _, c := range n.Children {
-		write(b, c, child)
-	}
-	if depth >= 0 && len(n.Children) > 0 {
-		indent(depth)
-	}
-	b.WriteString("</")
-	b.WriteString(n.Name)
-	b.WriteByte('>')
 }
 
 // Unmarshal parses an XML document produced by this package (or any

@@ -42,6 +42,37 @@ func TestUnmarshalRoundTrip(t *testing.T) {
 	}
 }
 
+// Every character the serializer escapes must come back from Unmarshal
+// as itself, in text and in attribute values, through all three
+// encoders (they share one serializer body).
+func TestEscapedRoundTrip(t *testing.T) {
+	const text, attr = `R&D <dept> said "a > b" & left`, `x?y=1&z="<2>"`
+	doc := NewElement("doc").SetAttr("href", attr)
+	doc.AppendTextElement("plain", "nothing to escape")
+	doc.AppendTextElement("t", text).AppendElement("only").SetAttr("k", attr)
+	enc := NewEncoder()
+	for name, src := range map[string]string{
+		"Marshal": Marshal(doc), "MarshalIndent": MarshalIndent(doc), "Encoder": string(enc.MarshalIndentBytes(doc)),
+	} {
+		n, err := Unmarshal(src)
+		if err != nil {
+			t.Fatalf("%s: %v\n%s", name, err, src)
+		}
+		if got := n.FirstChild("t").Text; got != text {
+			t.Errorf("%s: text = %q, want %q", name, got, text)
+		}
+		if got, _ := n.Attr("href"); got != attr {
+			t.Errorf("%s: root attribute = %q, want %q", name, got, attr)
+		}
+		if got, _ := n.FirstChild("only").Attr("k"); got != attr {
+			t.Errorf("%s: child attribute = %q, want %q", name, got, attr)
+		}
+		if Marshal(n) != Marshal(doc) {
+			t.Errorf("%s: round trip differs:\n%s\n%s", name, Marshal(doc), Marshal(n))
+		}
+	}
+}
+
 func TestUnmarshalIndentedRoundTrip(t *testing.T) {
 	s := MarshalIndent(sample())
 	n, err := Unmarshal(s)
