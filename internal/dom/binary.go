@@ -52,7 +52,7 @@ func (t *Tree) EncodeBinary() ([]NodeInfo, []Edge) {
 	nodes := make([]NodeInfo, t.Size())
 	for n := 0; n < t.Size(); n++ {
 		id := NodeID(n)
-		nodes[n] = NodeInfo{ID: id, Kind: t.kind[id], Label: t.Label(id), Text: t.text[id], Attrs: t.attrs[id]}
+		nodes[n] = NodeInfo{ID: id, Kind: t.kind[id], Label: t.Label(id), Text: t.Text(id), Attrs: t.Attrs(id)}
 	}
 	return nodes, t.BinaryEncoding()
 }

@@ -19,10 +19,18 @@
 // subtrees over a character alphabet; we keep them as node payloads, which
 // is equivalent for every algorithm in this repository and is what the
 // actual Lixto system did.
+//
+// Character data is stored as 8-byte spans of the source the tree was
+// parsed from, not as string headers, so the per-node arenas hold no
+// pointers for the collector to trace. Strings that are not source bytes
+// (decoded entities, anything added through the string API) live in a
+// side table that a sentinel span addresses.
 package dom
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -77,15 +85,23 @@ const NoLabel LabelID = -1
 // Tree is an unranked ordered labeled tree. The zero value is an empty
 // tree to which a root must be added with AddRoot before use.
 type Tree struct {
-	kind        []Kind
-	labelID     []LabelID
-	text        []string // text/comment payload; "" for elements
-	attrs       [][]Attr
+	src     string // the parsed source, which spans address; "" without one
+	kind    []Kind
+	labelID []LabelID
+	// payload is a text or comment node's data, or an element's run
+	// (off, n) of attribute entries in attrTab.
+	payload     []span
 	parent      []NodeID
 	firstChild  []NodeID
 	lastChild   []NodeID
 	nextSibling []NodeID
 	prevSibling []NodeID
+
+	// attrTab is the flat attribute table: a node's attributes are one
+	// contiguous run of it. A run that must grow is first moved to the
+	// tail; its old entries stay behind unused.
+	attrTab []attrEntry
+	side    []string // the strings that are not bytes of src
 
 	// Label interning: labelNames[id] is the string of symbol id;
 	// labelIndex is the inverse map.
@@ -106,13 +122,6 @@ type Tree struct {
 	kindBits  [3][]uint64
 	bitsValid bool
 
-	// attrArena is the chunked backing store SetAttrs copies into: each
-	// node's attribute list is a sub-slice of the current chunk, so a
-	// document with hundreds of attributed nodes costs a handful of
-	// chunk allocations instead of one slice per node. Retired chunks
-	// stay alive through the per-node sub-slices that reference them.
-	attrArena []Attr
-
 	// subHash holds the per-node subtree fingerprints (SubtreeHash) in
 	// one packed allocation, like the pre/post/size index, and fp the
 	// whole-tree Fingerprint derived from them; both valid while
@@ -127,10 +136,30 @@ type Tree struct {
 	warmMu sync.Mutex
 }
 
+// span is n bytes of character data at src[off:]; with n == sideLen it
+// is the string side[off] instead.
+type span struct{ off, n uint32 }
+
+const sideLen = ^uint32(0)
+
+// attrEntry is one attribute of the flat table.
+type attrEntry struct{ name, val span }
+
 // New returns an empty tree with capacity hint n.
 func New(n int) *Tree {
 	t := &Tree{}
 	t.grow(n)
+	return t
+}
+
+// NewFromSource returns an empty tree for a builder that hands it
+// character data as offsets into src (AppendSourceLeaf,
+// AppendSourceElement), which it keeps alive; nodes and attrs are
+// capacity hints.
+func NewFromSource(src string, nodes, attrs int) *Tree {
+	t := New(nodes)
+	t.src = src
+	t.attrTab = make([]attrEntry, 0, attrs)
 	return t
 }
 
@@ -143,18 +172,9 @@ func (t *Tree) grow(n int) {
 	if n <= 0 || cap(t.kind) >= n {
 		return
 	}
-	k := make([]Kind, len(t.kind), n)
-	copy(k, t.kind)
-	t.kind = k
-	l := make([]LabelID, len(t.labelID), n)
-	copy(l, t.labelID)
-	t.labelID = l
-	tx := make([]string, len(t.text), n)
-	copy(tx, t.text)
-	t.text = tx
-	at := make([][]Attr, len(t.attrs), n)
-	copy(at, t.attrs)
-	t.attrs = at
+	t.kind = append(make([]Kind, 0, n), t.kind...)
+	t.labelID = append(make([]LabelID, 0, n), t.labelID...)
+	t.payload = append(make([]span, 0, n), t.payload...)
 	// The five structural id slices share one backing allocation,
 	// partitioned with full slice expressions so growth past the hint
 	// reallocates the overflowing slice privately instead of clobbering
@@ -189,45 +209,60 @@ func (t *Tree) AddRoot(label string) NodeID {
 	if len(t.kind) != 0 {
 		panic("dom: AddRoot on non-empty tree")
 	}
-	return t.addNode(Element, t.intern(label), "", Nil)
+	return t.addNode(Element, t.Intern(label), span{}, Nil)
 }
 
 // AppendChild adds a new element node labeled label as the rightmost
 // child of parent and returns its id.
 func (t *Tree) AppendChild(parent NodeID, label string) NodeID {
-	return t.addNode(Element, t.intern(label), "", parent)
+	return t.addNode(Element, t.Intern(label), span{}, parent)
 }
 
 // AppendText adds a new text node holding data as the rightmost child of
 // parent and returns its id.
 func (t *Tree) AppendText(parent NodeID, data string) NodeID {
-	return t.addNode(Text, t.intern(TextLabel), data, parent)
+	return t.addNode(Text, t.Intern(TextLabel), t.spanOf(data, -1), parent)
 }
 
 // AppendComment adds a new comment node as the rightmost child of parent.
 func (t *Tree) AppendComment(parent NodeID, data string) NodeID {
-	return t.addNode(Comment, t.intern(CommentLabel), data, parent)
+	return t.addNode(Comment, t.Intern(CommentLabel), t.spanOf(data, -1), parent)
 }
 
-// AppendInterned is AppendChild/AppendText/AppendComment for a label the
-// caller has already interned: it adds a node of kind k carrying symbol
-// label (read back with LabelID from an earlier node of this tree) and
-// payload data ("" for elements) as the rightmost child of parent,
-// without the label-map lookup. Builders that see the same few labels
-// thousands of times (the HTML parser) memoise the symbol per tag. The
-// caller keeps kind and label consistent: Text with #text, Comment with
-// #comment.
-func (t *Tree) AppendInterned(parent NodeID, k Kind, label LabelID, data string) NodeID {
+// AppendSourceLeaf is AppendText/AppendComment (kind k) for data that is
+// src[off:end] and a label the caller has interned. The caller keeps
+// kind and label consistent: Text with #text, Comment with #comment.
+func (t *Tree) AppendSourceLeaf(parent NodeID, k Kind, label LabelID, off, end int) NodeID {
+	return t.addNode(k, label, t.spanOf(t.src[off:end], off), parent)
+}
+
+// SourceAttr is an attribute as a source-backed builder lexed it: name
+// and value, and where each lies in src — or a negative offset for a
+// string that is not source bytes (a lower-cased name, decoded entities).
+type SourceAttr struct {
+	Name, Value     string
+	NameOff, ValOff int
+}
+
+// AppendSourceElement adds an element node carrying symbol label and the
+// given attributes as the rightmost child of parent. Duplicate names
+// follow SetAttr semantics: the first occurrence keeps its position,
+// later occurrences overwrite its value. attrs is not retained, so
+// builders reuse one scratch slice across calls.
+func (t *Tree) AppendSourceElement(parent NodeID, label LabelID, attrs []SourceAttr) NodeID {
+	n := t.addNode(Element, label, span{off: uint32(len(t.attrTab))}, parent)
+	for _, a := range attrs {
+		t.setAttr(n, a.Name, a.NameOff, t.spanOf(a.Value, a.ValOff))
+	}
+	return n
+}
+
+func (t *Tree) addNode(k Kind, label LabelID, payload span, parent NodeID) NodeID {
 	_ = t.labelNames[label] // a symbol of another tree is a bug: fail here, not in a reader
-	return t.addNode(k, label, data, parent)
-}
-
-func (t *Tree) addNode(k Kind, label LabelID, text string, parent NodeID) NodeID {
 	id := NodeID(len(t.kind))
 	t.kind = append(t.kind, k)
 	t.labelID = append(t.labelID, label)
-	t.text = append(t.text, text)
-	t.attrs = append(t.attrs, nil)
+	t.payload = append(t.payload, payload)
 	t.parent = append(t.parent, parent)
 	t.firstChild = append(t.firstChild, Nil)
 	t.lastChild = append(t.lastChild, Nil)
@@ -249,9 +284,32 @@ func (t *Tree) addNode(k Kind, label LabelID, text string, parent NodeID) NodeID
 	return id
 }
 
-// intern maps a label string to its dense symbol, allocating a fresh id
-// on first occurrence.
-func (t *Tree) intern(label string) LabelID {
+// spanOf addresses s, which is src[off:off+len(s)] unless off is
+// negative. What is not source bytes, or lies past what a span can hold
+// (a source of 4 GiB), goes to the side table.
+func (t *Tree) spanOf(s string, off int) span {
+	switch {
+	case s == "":
+		return span{}
+	case off < 0 || uint64(off+len(s)) >= uint64(sideLen):
+		t.side = append(t.side, s)
+		return span{uint32(len(t.side) - 1), sideLen}
+	}
+	return span{uint32(off), uint32(len(s))}
+}
+
+// str resolves a span.
+func (t *Tree) str(p span) string {
+	if p.n == sideLen {
+		return t.side[p.off]
+	}
+	return t.src[p.off : p.off+p.n]
+}
+
+// Intern maps a label string to its dense symbol, allocating a fresh id
+// on first occurrence. Builders that see the same few labels thousands
+// of times (the HTML parser) intern each once and append by symbol.
+func (t *Tree) Intern(label string) LabelID {
 	if id, ok := t.labelIndex[label]; ok {
 		return id
 	}
@@ -358,66 +416,66 @@ func (t *Tree) ensureSubHash() {
 	} else {
 		t.subHash = t.subHash[:n]
 	}
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	shape := uint64(offset64) // fold of (node count, parent ids)
-	shape = (shape ^ uint64(n)) * prime64
-	// heads caches the hash state after a node's kind and label: a few
-	// (kind, label) pairs head thousands of nodes. Direct-mapped; a
-	// colliding pair is hashed again. key is the pair plus one, so the
-	// zero value is empty.
-	var heads [32]struct {
-		key uint32
-		h   uint64
+	// Labels are hashed once per symbol, not once per node.
+	var buf [32]uint64
+	labelHash := buf[:0]
+	for _, name := range t.labelNames {
+		labelHash = append(labelHash, hashString(hashSeed, name))
 	}
+	shape := hashMix(hashSeed, uint64(n)) // fold of (node count, parent ids)
 	for i := n - 1; i >= 0; i-- {
-		shape = (shape ^ uint64(uint32(t.parent[i]))) * prime64
-		var h uint64
-		byte1 := func(b byte) {
-			h = (h ^ uint64(b)) * prime64
-		}
-		str := func(s string) {
-			for j := 0; j < len(s); j++ {
-				h = (h ^ uint64(s[j])) * prime64
-			}
-			byte1(0)
-		}
-		num := func(v uint64) {
-			for s := 0; s < 64; s += 8 {
-				byte1(byte(v >> s))
-			}
-		}
-		key := (uint32(t.labelID[i])<<2 | uint32(t.kind[i])) + 1
-		if head := &heads[key%uint32(len(heads))]; head.key == key {
-			h = head.h
+		shape = hashMix(shape, uint64(uint32(t.parent[i])))
+		h := hashMix(labelHash[t.labelID[i]], uint64(t.kind[i]))
+		if p := t.payload[i]; t.kind[i] != Element {
+			h = hashString(h, t.str(p))
 		} else {
-			h = offset64
-			byte1(byte(t.kind[i]))
-			str(t.labelNames[t.labelID[i]])
-			head.key, head.h = key, h
-		}
-		str(t.text[i])
-		byte1(byte(len(t.attrs[i])))
-		for _, a := range t.attrs[i] {
-			str(a.Name)
-			str(a.Value)
+			h = hashMix(h, uint64(p.n))
+			for _, a := range t.attrTab[p.off : p.off+p.n] {
+				h = hashString(hashString(h, t.str(a.name)), t.str(a.val))
+			}
 		}
 		for c := t.firstChild[i]; c != Nil; c = t.nextSibling[c] {
-			num(t.subHash[c])
+			h = hashMix(h, t.subHash[c])
 		}
 		t.subHash[i] = h
 	}
 	t.fp = shape
 	if n > 0 {
-		t.fp = (shape ^ t.subHash[0]) * prime64
+		t.fp = hashMix(shape, t.subHash[0])
 	}
 	t.subHashValid = true
 }
 
+const hashSeed, hashPrime = 14695981039346656037, 1099511628211 // FNV-1a's
+
+// hashMix folds the word w into the hash state h: FNV-1a's xor and
+// multiply on 8 bytes at a time, plus a shift that carries the high
+// bits the multiply produces back down.
+func hashMix(h, w uint64) uint64 {
+	h = (h ^ w) * hashPrime
+	return h ^ h>>32
+}
+
+// hashString folds s into h: its length, then its bytes as
+// little-endian 8-byte words, the last one zero-padded.
+func hashString(h uint64, s string) uint64 {
+	h = hashMix(h, uint64(len(s)))
+	for ; len(s) >= 8; s = s[8:] {
+		h = hashMix(h, uint64(s[0])|uint64(s[1])<<8|uint64(s[2])<<16|uint64(s[3])<<24|
+			uint64(s[4])<<32|uint64(s[5])<<40|uint64(s[6])<<48|uint64(s[7])<<56)
+	}
+	if len(s) > 0 {
+		var w uint64
+		for j := len(s) - 1; j >= 0; j-- {
+			w = w<<8 | uint64(s[j])
+		}
+		h = hashMix(h, w)
+	}
+	return h
+}
+
 // SubtreeHash returns the content fingerprint of the subtree rooted at
-// n: an FNV-1a hash over n's kind, label, text and attributes mixed
+// n: a hash (hashMix) over n's kind, label, text and attributes mixed
 // with the subtree hashes of its children in sibling order. It depends
 // only on subtree content — never on n's position — so equal subtrees
 // hash equal across independently parsed documents, and any mutation
@@ -467,72 +525,78 @@ func (t *Tree) WarmFingerprint() uint64 {
 	return t.fp
 }
 
-// SetAttr sets attribute name to value on element node n, replacing any
-// existing attribute of the same name.
-func (t *Tree) SetAttr(n NodeID, name, value string) {
-	for i := range t.attrs[n] {
-		if t.attrs[n][i].Name == name {
-			t.attrs[n][i].Value = value
-			t.subHashValid = false
+// attrRun returns the attribute entries of node n (none for text and
+// comment nodes, whose payload is their data).
+func (t *Tree) attrRun(n NodeID) []attrEntry {
+	if t.kind[n] != Element {
+		return nil
+	}
+	p := t.payload[n]
+	return t.attrTab[p.off : p.off+p.n]
+}
+
+// setAttr sets attribute name of element n to val: an entry of that
+// name is overwritten, else one is appended to n's run.
+func (t *Tree) setAttr(n NodeID, name string, nameOff int, val span) {
+	if t.kind[n] != Element {
+		panic("dom: attribute set on a text or comment node")
+	}
+	t.subHashValid = false
+	p := t.payload[n]
+	run := t.attrTab[p.off : p.off+p.n]
+	for i := range run {
+		if t.str(run[i].name) == name {
+			run[i].val = val
 			return
 		}
 	}
-	t.attrs[n] = append(t.attrs[n], Attr{Name: name, Value: value})
-	t.subHashValid = false
+	if int(p.off+p.n) != len(t.attrTab) {
+		// A run grows at the table's tail only: move it there first.
+		p.off = uint32(len(t.attrTab))
+		t.attrTab = append(t.attrTab, run...)
+	}
+	t.attrTab = append(t.attrTab, attrEntry{t.spanOf(name, nameOff), val})
+	t.payload[n] = span{p.off, p.n + 1}
 }
 
-// attrChunk is the allocation unit of the attribute arena.
-const attrChunk = 64
+// SetAttr sets attribute name to value on element node n, replacing any
+// existing attribute of the same name.
+func (t *Tree) SetAttr(n NodeID, name, value string) {
+	t.setAttr(n, name, -1, t.spanOf(value, -1))
+}
 
-// SetAttrs replaces node n's whole attribute list in one call, copying
-// the values into the tree's attribute arena. Duplicate names follow
-// SetAttr semantics: the first occurrence keeps its position, later
-// occurrences overwrite its value. The input slice is not retained, so
-// builders may reuse a scratch buffer across calls.
+// SetAttrs replaces node n's whole attribute list in one call.
+// Duplicate names follow SetAttr semantics: the first occurrence keeps
+// its position, later occurrences overwrite its value. The input slice
+// is not retained.
 func (t *Tree) SetAttrs(n NodeID, attrs []Attr) {
-	if len(attrs) == 0 {
-		t.attrs[n] = nil
+	if t.kind[n] == Element { // a text node's payload is its data
+		t.payload[n].n = 0
 		t.subHashValid = false
-		return
 	}
-	if cap(t.attrArena)-len(t.attrArena) < len(attrs) {
-		size := attrChunk
-		if len(attrs) > size {
-			size = len(attrs)
-		}
-		t.attrArena = make([]Attr, 0, size)
-	}
-	start := len(t.attrArena)
 	for _, a := range attrs {
-		dup := false
-		for i := start; i < len(t.attrArena); i++ {
-			if t.attrArena[i].Name == a.Name {
-				t.attrArena[i].Value = a.Value
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			t.attrArena = append(t.attrArena, a)
-		}
+		t.SetAttr(n, a.Name, a.Value)
 	}
-	end := len(t.attrArena)
-	t.attrs[n] = t.attrArena[start:end:end]
-	t.subHashValid = false
 }
 
 // Attr returns the value of attribute name on node n and whether it is set.
 func (t *Tree) Attr(n NodeID, name string) (string, bool) {
-	for _, a := range t.attrs[n] {
-		if a.Name == name {
-			return a.Value, true
+	for _, e := range t.attrRun(n) {
+		if t.str(e.name) == name {
+			return t.str(e.val), true
 		}
 	}
 	return "", false
 }
 
-// Attrs returns the attribute list of node n (shared slice; do not mutate).
-func (t *Tree) Attrs(n NodeID) []Attr { return t.attrs[n] }
+// Attrs returns the attribute list of node n as a fresh slice (nil when
+// n has none): the tree stores no []Attr. Hot paths use Attr.
+func (t *Tree) Attrs(n NodeID) (out []Attr) {
+	for _, e := range t.attrRun(n) {
+		out = append(out, Attr{Name: t.str(e.name), Value: t.str(e.val)})
+	}
+	return out
+}
 
 // Kind returns the node kind of n.
 func (t *Tree) Kind(n NodeID) Kind { return t.kind[n] }
@@ -550,11 +614,19 @@ func (t *Tree) HasLabel(n NodeID, a string) bool {
 
 // Text returns the character data of a text or comment node ("" for
 // element nodes).
-func (t *Tree) Text(n NodeID) string { return t.text[n] }
+func (t *Tree) Text(n NodeID) string {
+	if t.kind[n] == Element {
+		return ""
+	}
+	return t.str(t.payload[n])
+}
 
 // SetText replaces the character data of a text or comment node.
 func (t *Tree) SetText(n NodeID, data string) {
-	t.text[n] = data
+	if t.kind[n] == Element {
+		panic("dom: SetText on an element node")
+	}
+	t.payload[n] = t.spanOf(data, -1)
 	t.subHashValid = false
 }
 
@@ -832,13 +904,14 @@ func (t *Tree) Walk(visit func(NodeID)) {
 }
 
 // ElementText returns the concatenation of all text-node data in the
-// subtree rooted at n, in document order. This is the "elementtext"
-// notion used by Elog attribute conditions (Figure 5).
+// subtree rooted at n, in document order, as a string of its own. This
+// is the "elementtext" notion used by Elog attribute conditions
+// (Figure 5).
 func (t *Tree) ElementText(n NodeID) string {
 	var b strings.Builder
 	t.WalkSubtree(n, func(m NodeID) {
 		if t.kind[m] == Text {
-			b.WriteString(t.text[m])
+			b.WriteString(t.str(t.payload[m]))
 		}
 	})
 	return b.String()
@@ -883,30 +956,24 @@ func (t *Tree) PathLabels(x, y NodeID) ([]string, bool) {
 	return out, true
 }
 
-// Clone returns a deep copy of the tree.
+// Clone returns a deep copy of the tree; the two share the (immutable)
+// source string.
 func (t *Tree) Clone() *Tree {
-	c := &Tree{
-		kind:        append([]Kind(nil), t.kind...),
-		labelID:     append([]LabelID(nil), t.labelID...),
-		labelNames:  append([]string(nil), t.labelNames...),
-		text:        append([]string(nil), t.text...),
-		parent:      append([]NodeID(nil), t.parent...),
-		firstChild:  append([]NodeID(nil), t.firstChild...),
-		lastChild:   append([]NodeID(nil), t.lastChild...),
-		nextSibling: append([]NodeID(nil), t.nextSibling...),
-		prevSibling: append([]NodeID(nil), t.prevSibling...),
+	return &Tree{
+		src:         t.src,
+		kind:        slices.Clone(t.kind),
+		labelID:     slices.Clone(t.labelID),
+		payload:     slices.Clone(t.payload),
+		parent:      slices.Clone(t.parent),
+		firstChild:  slices.Clone(t.firstChild),
+		lastChild:   slices.Clone(t.lastChild),
+		nextSibling: slices.Clone(t.nextSibling),
+		prevSibling: slices.Clone(t.prevSibling),
+		attrTab:     slices.Clone(t.attrTab),
+		side:        slices.Clone(t.side),
+		labelNames:  slices.Clone(t.labelNames),
+		labelIndex:  maps.Clone(t.labelIndex),
 	}
-	c.labelIndex = make(map[string]LabelID, len(t.labelIndex))
-	for s, id := range t.labelIndex {
-		c.labelIndex[s] = id
-	}
-	c.attrs = make([][]Attr, len(t.attrs))
-	for i, as := range t.attrs {
-		if as != nil {
-			c.attrs[i] = append([]Attr(nil), as...)
-		}
-	}
-	return c
 }
 
 // Equal reports whether two trees are isomorphic including labels, text,
@@ -920,15 +987,16 @@ func Equal(a, b *Tree) bool {
 	}
 	var eq func(x, y NodeID) bool
 	eq = func(x, y NodeID) bool {
-		if a.kind[x] != b.kind[y] || a.Label(x) != b.Label(y) || a.text[x] != b.text[y] {
+		if a.kind[x] != b.kind[y] || a.Label(x) != b.Label(y) || a.Text(x) != b.Text(y) {
 			return false
 		}
-		if len(a.attrs[x]) != len(b.attrs[y]) {
+		run := a.attrRun(x)
+		if len(run) != len(b.attrRun(y)) {
 			return false
 		}
-		for _, at := range a.attrs[x] {
-			v, ok := b.Attr(y, at.Name)
-			if !ok || v != at.Value {
+		for _, e := range run {
+			v, ok := b.Attr(y, a.str(e.name))
+			if !ok || v != a.str(e.val) {
 				return false
 			}
 		}
@@ -955,10 +1023,10 @@ func (t *Tree) String() string {
 	rec = func(n NodeID) {
 		switch t.kind[n] {
 		case Text:
-			fmt.Fprintf(&b, "%q", t.text[n])
+			fmt.Fprintf(&b, "%q", t.Text(n))
 			return
 		case Comment:
-			fmt.Fprintf(&b, "comment(%q)", t.text[n])
+			fmt.Fprintf(&b, "comment(%q)", t.Text(n))
 			return
 		}
 		b.WriteString(t.Label(n))

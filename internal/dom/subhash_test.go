@@ -1,6 +1,7 @@
 package dom_test
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"testing"
 
@@ -9,38 +10,44 @@ import (
 )
 
 // naiveSubtreeHash is the reference implementation of SubtreeHash: a
-// direct recursive FNV-1a over the subtree, sharing no code with the
-// packed single-pass version in dom.
+// direct recursion over the subtree through the public accessors, which
+// first lays the hashed words out in a slice and then folds them,
+// sharing no code with the packed single-pass version in dom. A string
+// is its length followed by its bytes as little-endian 8-byte words,
+// the last one zero-padded.
 func naiveSubtreeHash(t *dom.Tree, n dom.NodeID) uint64 {
 	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
+		seed  = 14695981039346656037
+		prime = 1099511628211
 	)
-	h := uint64(offset64)
-	byte1 := func(b byte) {
-		h = (h ^ uint64(b)) * prime64
-	}
-	str := func(s string) {
-		for i := 0; i < len(s); i++ {
-			byte1(s[i])
+	fold := func(h uint64, words []uint64) uint64 {
+		for _, w := range words {
+			h = (h ^ w) * prime
+			h ^= h >> 32
 		}
-		byte1(0)
+		return h
 	}
-	byte1(byte(t.Kind(n)))
-	str(t.Label(n))
-	str(t.Text(n))
-	byte1(byte(len(t.Attrs(n))))
-	for _, a := range t.Attrs(n) {
-		str(a.Name)
-		str(a.Value)
+	str := func(s string) []uint64 {
+		padded := append([]byte(s), make([]byte, 7)...)
+		words := []uint64{uint64(len(s))}
+		for i := 0; i < len(s); i += 8 {
+			words = append(words, binary.LittleEndian.Uint64(padded[i:]))
+		}
+		return words
+	}
+	words := []uint64{uint64(t.Kind(n))}
+	if t.Kind(n) == dom.Element {
+		words = append(words, uint64(len(t.Attrs(n))))
+		for _, a := range t.Attrs(n) {
+			words = append(append(words, str(a.Name)...), str(a.Value)...)
+		}
+	} else {
+		words = append(words, str(t.Text(n))...)
 	}
 	for c := t.FirstChild(n); c != dom.Nil; c = t.NextSibling(c) {
-		ch := naiveSubtreeHash(t, c)
-		for s := 0; s < 64; s += 8 {
-			byte1(byte(ch >> s))
-		}
+		words = append(words, naiveSubtreeHash(t, c))
 	}
-	return h
+	return fold(fold(seed, str(t.Label(n))), words)
 }
 
 // findByAttr returns the first node (in id order) carrying attr=value.

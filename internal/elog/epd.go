@@ -1,9 +1,14 @@
 package elog
 
 import (
+	"bytes"
 	"fmt"
 	"regexp"
+	"regexp/syntax"
+	"slices"
+	"strconv"
 	"strings"
+	"unicode/utf8"
 
 	"repro/internal/dom"
 )
@@ -65,6 +70,11 @@ type AttrCond struct {
 	Mode  string // exact | substr | regexp | regvar
 	Vars  []string
 	re    *regexp.Regexp
+	// groups[i] is the capture group of re that binds Vars[i].
+	groups []int
+	// lit decides a substr condition, and a regexp condition whose
+	// pattern comes down to one literal (see analyseLiteral).
+	lit literalTest
 }
 
 func (e *EPD) String() string {
@@ -288,74 +298,180 @@ func splitTop(s string, sep byte) []string {
 var varRef = regexp.MustCompile(`\\var\[([A-Za-z]\w*)\]`)
 
 // compileVarPattern converts a Lixto pattern with \var[Y] references into
-// a Go regular expression with capture groups, returning the variable
-// names in group order. Bare \var[Y] captures a non-empty token.
-func compileVarPattern(pattern string) (*regexp.Regexp, []string, error) {
+// a Go regular expression, returning the variable names in order of
+// appearance and the capture group of each. Bare \var[Y] captures a
+// non-empty token. The groups are named and looked up by name, so the
+// pattern's own groups do not shift the bindings.
+func compileVarPattern(pattern string) (*regexp.Regexp, []string, []int, error) {
 	var vars []string
+	group := func(i int) string { return "lixto_var_" + strconv.Itoa(i) }
 	expanded := varRef.ReplaceAllStringFunc(pattern, func(m string) string {
-		name := varRef.FindStringSubmatch(m)[1]
-		vars = append(vars, name)
-		return `(\S+)`
+		vars = append(vars, varRef.FindStringSubmatch(m)[1])
+		return "(?P<" + group(len(vars)-1) + `>\S+)`
 	})
 	re, err := regexp.Compile(expanded)
 	if err != nil {
-		return nil, nil, fmt.Errorf("elog: bad pattern %q: %w", pattern, err)
+		return nil, nil, nil, fmt.Errorf("elog: bad pattern %q: %w", pattern, err)
 	}
-	return re, vars, nil
+	groups := make([]int, len(vars))
+	for i := range vars {
+		groups[i] = re.SubexpIndex(group(i))
+	}
+	return re, vars, groups, nil
+}
+
+// literalTest is a condition that one bytes call with a case-sensitive
+// literal decides: a substr value, or a regexp value whose unanchored,
+// boolean match needs no regexp machine. The zero value means "run the
+// regexp".
+type literalTest struct {
+	op  uint8
+	lit []byte
+}
+
+func (l literalTest) test(val []byte) bool {
+	switch l.op {
+	case litPrefix:
+		return bytes.HasPrefix(val, l.lit)
+	case litSuffix:
+		return bytes.HasSuffix(val, l.lit)
+	case litEqual:
+		return bytes.Equal(val, l.lit)
+	}
+	return bytes.Contains(val, l.lit)
+}
+
+const (
+	litNone     uint8 = iota
+	litContains       // lit
+	litPrefix         // ^lit
+	litSuffix         // lit$
+	litEqual          // ^lit$
+)
+
+// analyseLiteral finds the literalTest of a pattern, if it has one. At
+// either end of an unanchored pattern .* changes nothing (it may match
+// empty), and neither does ^(?s).* or (?s).*$, which reach from the
+// anchor to anywhere; what is left must be one literal, optionally
+// between the text anchors ^ and $ (under (?m) they are line anchors,
+// and the regexp stays).
+func analyseLiteral(pattern string) literalTest {
+	re, err := syntax.Parse(pattern, syntax.Perl)
+	if err != nil {
+		return literalTest{}
+	}
+	subs := []*syntax.Regexp{re}
+	switch re.Op {
+	case syntax.OpConcat:
+		subs = re.Sub
+	case syntax.OpEmptyMatch:
+		subs = nil
+	}
+	// dotStar: r is .*, and (?s).* when it has to cross newlines.
+	dotStar := func(r *syntax.Regexp, newlines bool) bool {
+		return r.Op == syntax.OpStar &&
+			(r.Sub[0].Op == syntax.OpAnyChar || !newlines && r.Sub[0].Op == syntax.OpAnyCharNotNL)
+	}
+	var begin, end bool // anchors stripped so far and still in force
+	for progress := true; progress && len(subs) > 0; {
+		first, last := subs[0], subs[len(subs)-1]
+		switch {
+		case dotStar(first, begin):
+			begin, subs = false, subs[1:]
+		case dotStar(last, end):
+			end, subs = false, subs[:len(subs)-1]
+		case !begin && first.Op == syntax.OpBeginText:
+			begin, subs = true, subs[1:]
+		case !end && last.Op == syntax.OpEndText:
+			end, subs = true, subs[:len(subs)-1]
+		default:
+			progress = false
+		}
+	}
+	t := literalTest{op: litContains}
+	switch {
+	case begin && end:
+		t.op = litEqual
+	case begin:
+		t.op = litPrefix
+	case end:
+		t.op = litSuffix
+	}
+	if len(subs) == 1 && subs[0].Op == syntax.OpLiteral && subs[0].Flags&syntax.FoldCase == 0 &&
+		!slices.Contains(subs[0].Rune, utf8.RuneError) { // U+FFFD also matches invalid bytes
+		t.lit = []byte(string(subs[0].Rune))
+	} else if len(subs) != 0 {
+		return literalTest{}
+	}
+	return t
 }
 
 func (c *AttrCond) compile() error {
 	switch c.Mode {
-	case "exact", "substr":
+	case "exact":
+		return nil
+	case "substr":
+		c.lit = literalTest{litContains, []byte(c.Value)}
 		return nil
 	case "regexp":
 		re, err := regexp.Compile(c.Value)
 		if err != nil {
 			return fmt.Errorf("elog: bad regexp in attribute condition: %w", err)
 		}
-		c.re = re
+		c.re, c.lit = re, analyseLiteral(c.Value)
 		return nil
 	case "regvar":
-		re, vars, err := compileVarPattern(c.Value)
+		re, vars, groups, err := compileVarPattern(c.Value)
 		if err != nil {
 			return err
 		}
-		c.re = re
-		c.Vars = vars
+		c.re, c.Vars, c.groups = re, vars, groups
 		return nil
 	}
 	return fmt.Errorf("elog: unknown attribute-condition mode %q", c.Mode)
 }
 
 // match checks the condition on node n, returning variable bindings for
-// regvar conditions.
-func (c *AttrCond) match(t *dom.Tree, n dom.NodeID) (map[string]string, bool) {
-	var val string
+// regvar conditions. The value is read into *buf, a scratch buffer the
+// caller reuses across candidates; nothing returned refers to it.
+func (c *AttrCond) match(t *dom.Tree, n dom.NodeID, buf *[]byte) (map[string]string, bool) {
+	var val []byte
 	if c.Attr == "elementtext" {
-		val = strings.TrimSpace(t.ElementText(n))
+		// dom.Tree.ElementText, without the string.
+		text := (*buf)[:0]
+		t.WalkSubtree(n, func(m dom.NodeID) {
+			if t.Kind(m) == dom.Text {
+				text = append(text, t.Text(m)...)
+			}
+		})
+		*buf, val = text, bytes.TrimSpace(text)
 	} else {
 		v, ok := t.Attr(n, c.Attr)
 		if !ok {
 			return nil, false
 		}
-		val = v
+		*buf = append((*buf)[:0], v...)
+		val = *buf
 	}
 	switch c.Mode {
 	case "exact":
-		return nil, val == c.Value
-	case "substr":
-		return nil, strings.Contains(val, c.Value)
-	case "regexp":
-		return nil, c.re.MatchString(val)
+		return nil, string(val) == c.Value
+	case "substr", "regexp":
+		if c.lit.op != litNone {
+			return nil, c.lit.test(val)
+		}
+		return nil, c.re.Match(val)
 	case "regvar":
-		m := c.re.FindStringSubmatch(val)
+		m := c.re.FindSubmatchIndex(val)
 		if m == nil {
 			return nil, false
 		}
 		binds := map[string]string{}
 		for i, v := range c.Vars {
-			if i+1 < len(m) {
-				binds[v] = m[i+1]
+			if g := c.groups[i]; m[2*g] >= 0 {
+				binds[v] = string(val[m[2*g]:m[2*g+1]])
+			} else {
+				binds[v] = ""
 			}
 		}
 		return binds, true
@@ -439,11 +555,12 @@ func (e *EPD) applyConds(t *dom.Tree, nodes []dom.NodeID) []epdMatch {
 	if len(e.Conds) == 0 {
 		out = make([]epdMatch, 0, len(nodes)) // every node survives
 	}
+	var buf []byte // condition values, reused across candidates
 	for _, n := range nodes {
 		var binds map[string]string // allocated by the first regvar capture
 		ok := true
 		for i := range e.Conds {
-			b, match := e.Conds[i].match(t, n)
+			b, match := e.Conds[i].match(t, n, &buf)
 			if !match {
 				ok = false
 				break
@@ -491,8 +608,9 @@ func (e *EPD) SelfMatch(t *dom.Tree, n dom.NodeID) bool {
 			return false
 		}
 	}
+	var buf []byte
 	for i := range e.Conds {
-		if _, ok := e.Conds[i].match(t, n); !ok {
+		if _, ok := e.Conds[i].match(t, n, &buf); !ok {
 			return false
 		}
 	}
@@ -505,6 +623,7 @@ type SPD struct {
 	Pattern string
 	Vars    []string
 	re      *regexp.Regexp
+	groups  []int // groups[i] is the capture group of re that binds Vars[i]
 }
 
 // ParseSPD compiles a string path definition.
@@ -513,11 +632,11 @@ func ParseSPD(pattern string) (*SPD, error) {
 	if strings.HasPrefix(p, `"`) && strings.HasSuffix(p, `"`) && len(p) >= 2 {
 		p = p[1 : len(p)-1]
 	}
-	re, vars, err := compileVarPattern(p)
+	re, vars, groups, err := compileVarPattern(p)
 	if err != nil {
 		return nil, err
 	}
-	return &SPD{Pattern: p, Vars: vars, re: re}, nil
+	return &SPD{Pattern: p, Vars: vars, re: re, groups: groups}, nil
 }
 
 func (s *SPD) String() string { return s.Pattern }
@@ -534,9 +653,7 @@ func (s *SPD) Match(text string) []spdMatch {
 	for _, m := range s.re.FindAllStringSubmatch(text, -1) {
 		binds := map[string]string{}
 		for i, v := range s.Vars {
-			if i+1 < len(m) {
-				binds[v] = m[i+1]
-			}
+			binds[v] = m[s.groups[i]]
 		}
 		if len(binds) == 0 {
 			binds = nil

@@ -151,9 +151,9 @@ type tagRule struct {
 	closes, closedBy uint16
 }
 
-// tagRules is derived from the rule maps ParseLegacy reads, so the
-// builder and its oracle cannot drift apart: a name added to a map
-// without a code of its own stops the package from initializing.
+// tagRules is derived from the rule maps the oracle (ParseLegacy, in
+// oracle_test.go) reads, so the two cannot drift apart: a name added to
+// a map without a code of its own stops the package from initializing.
 var tagRules = func() (rules [numTags]tagRule) {
 	code := func(name string) tagCode {
 		c := tagCodeOf(name)
@@ -205,35 +205,34 @@ type openElem struct {
 
 // builder is the fused scanner and tree builder behind Parse: it reads
 // tags straight out of the source and appends nodes to an arena-sized
-// dom.Tree, with no token values in between. The repair rules and the
-// resulting tree are ParseLegacy's; the differential tests and
-// FuzzParseArena pin that.
+// dom.Tree as offsets into that source, with no token values and no
+// substrings in between. The repair rules and the resulting tree are
+// the oracle's; the differential tests and FuzzParseOracle pin that.
 type builder struct {
 	t                *dom.Tree
 	root, head, body dom.NodeID
 	stack            []openElem
-	// elemLabel and leafLabel memoise the tree's symbol per tag code and
-	// per leaf kind, so only the first node of each goes through the
-	// tree's label map.
+	// elemLabel and leafLabel memoise the tree's symbol (plus one: zero
+	// is "not interned yet") per tag code and per leaf kind, so only the
+	// first node of each goes through the tree's label map.
 	elemLabel [numTags]dom.LabelID
 	leafLabel [dom.Comment + 1]dom.LabelID
 	// attrs is the attribute list of the tag being read, reused across
-	// tags; dom.Tree.SetAttrs copies it into the tree's own arena.
-	attrs []Attr
+	// tags; the tree copies it into its own attribute table.
+	attrs []dom.SourceAttr
 }
 
 // Parse parses HTML source into a dom.Tree. The returned tree always has
 // an "html" root with a "body" child (synthesized when missing), because
 // the Elog programs of the paper navigate from the body node (Figure 5).
 // Parse never fails; arbitrarily broken input yields a best-effort tree,
-// identical to the one ParseLegacy builds token by token.
+// identical to the one the test oracle builds token by token. The tree
+// refers to src instead of copying out of it, and so keeps it alive.
 func Parse(src string) *dom.Tree {
-	b := builder{t: dom.New(nodeHint(src)), root: dom.Nil, head: dom.Nil, body: dom.Nil, stack: make([]openElem, 0, 16)}
-	for i := range b.elemLabel {
-		b.elemLabel[i] = dom.NoLabel
-	}
-	for i := range b.leafLabel {
-		b.leafLabel[i] = dom.NoLabel
+	b := builder{
+		t:    dom.NewFromSource(src, nodeHint(src), strings.Count(src, "=")), // an attribute with a value per '=', at most
+		root: dom.Nil, head: dom.Nil, body: dom.Nil,
+		stack: make([]openElem, 0, 16), attrs: make([]dom.SourceAttr, 0, 8),
 	}
 	for pos := 0; pos < len(src); {
 		if src[pos] == '<' {
@@ -250,11 +249,7 @@ func Parse(src string) *dom.Tree {
 		for ; end < len(src) && src[end] != '<'; end++ {
 			amp = amp || src[end] == '&'
 		}
-		data := src[pos:end]
-		if amp {
-			data = DecodeEntities(data)
-		}
-		b.text(data)
+		b.text(src, pos, end, amp)
 		pos = end
 	}
 	// Empty and head-only documents still get their body.
@@ -317,7 +312,7 @@ func (b *builder) markup(s string, pos int) int {
 			if k := indexEndTag(s[j:], name); k >= 0 {
 				end = j + k
 			}
-			b.text(s[j:end])
+			b.text(s, j, end, false)
 			j = end
 		}
 		return j
@@ -325,10 +320,10 @@ func (b *builder) markup(s string, pos int) int {
 		i += 3
 		end := strings.Index(s[i:], "-->")
 		if end < 0 {
-			b.leaf(dom.Comment, s[i:])
+			b.leaf(dom.Comment, i, len(s))
 			return len(s)
 		}
-		b.leaf(dom.Comment, s[i:i+end])
+		b.leaf(dom.Comment, i, i+end)
 		return i + end + 3
 	case c == '!' || c == '?':
 		// Doctype or processing instruction, ignored: the parse tree of
@@ -423,49 +418,48 @@ func (b *builder) ensureBody() dom.NodeID {
 	return b.body
 }
 
-func (b *builder) setAttrs(n dom.NodeID) {
-	if len(b.attrs) > 0 {
-		b.t.SetAttrs(n, b.attrs)
+// text appends the text node s[off:end], with its character references
+// decoded when amp is set, unless it is blank: inter-tag whitespace is
+// not meaningful for wrapping and would bloat every pattern path, so it
+// is dropped like the Lixto preprocessor does.
+func (b *builder) text(s string, off, end int, amp bool) {
+	data := s[off:end]
+	if amp {
+		data = DecodeEntities(data)
+	}
+	switch {
+	case blank(data):
+	case amp:
+		b.t.AppendText(b.leafParent(), data) // a string of its own; rare enough for the label lookup
+	default:
+		b.leaf(dom.Text, off, end)
 	}
 }
 
-// text appends a text node unless data is blank: inter-tag whitespace
-// is not meaningful for wrapping and would bloat every pattern path, so
-// it is dropped like the Lixto preprocessor does.
-func (b *builder) text(data string) {
-	if !blank(data) {
-		b.leaf(dom.Text, data)
-	}
-}
-
-// leaf appends a text or comment node to the innermost open element;
-// directly under html it belongs in body.
-func (b *builder) leaf(k dom.Kind, data string) {
-	var parent dom.NodeID
+// leafParent is where a text or comment node goes: the innermost open
+// element; directly under html it belongs in body.
+func (b *builder) leafParent() dom.NodeID {
 	if n := len(b.stack); n > 0 && b.stack[n-1].code != tagHTML {
-		parent = b.stack[n-1].node
-	} else {
-		parent = b.ensureBody()
+		return b.stack[n-1].node
 	}
-	if id := b.leafLabel[k]; id != dom.NoLabel {
-		b.t.AppendInterned(parent, k, id, data)
-		return
+	return b.ensureBody()
+}
+
+// leaf appends the source bytes [off, end) as a text or comment node.
+func (b *builder) leaf(k dom.Kind, off, end int) {
+	parent := b.leafParent()
+	if b.leafLabel[k] == 0 {
+		b.leafLabel[k] = 1 + b.t.Intern([...]string{dom.Text: dom.TextLabel, dom.Comment: dom.CommentLabel}[k])
 	}
-	var n dom.NodeID
-	if k == dom.Text {
-		n = b.t.AppendText(parent, data)
-	} else {
-		n = b.t.AppendComment(parent, data)
-	}
-	b.leafLabel[k] = b.t.LabelID(n)
+	b.t.AppendSourceLeaf(parent, k, b.leafLabel[k]-1, off, end)
 }
 
 func (b *builder) startTag(code tagCode, name string, selfClose bool) {
 	switch code {
 	case tagHTML:
 		if b.root == dom.Nil {
-			b.ensureRoot()
-			b.setAttrs(b.root)
+			b.root = b.t.AppendSourceElement(dom.Nil, b.t.Intern("html"), b.attrs)
+			b.push(b.root, tagHTML, "")
 		}
 		return
 	case tagHead:
@@ -478,7 +472,8 @@ func (b *builder) startTag(code tagCode, name string, selfClose bool) {
 			for n := len(b.stack); n > 0 && b.stack[n-1].code != tagHTML; n-- {
 				b.stack = b.stack[:n-1]
 			}
-			b.setAttrs(b.ensureBody())
+			b.body = b.t.AppendSourceElement(b.root, b.t.Intern("body"), b.attrs)
+			b.push(b.body, tagBody, "")
 		}
 		return
 	}
@@ -496,16 +491,14 @@ func (b *builder) startTag(code tagCode, name string, selfClose bool) {
 	} else {
 		parent = b.ensureBody()
 	}
-	var node dom.NodeID
-	if id := b.elemLabel[code]; id != dom.NoLabel {
-		node = b.t.AppendInterned(parent, dom.Element, id, "")
-	} else {
-		node = b.t.AppendChild(parent, name)
+	id := b.elemLabel[code] - 1
+	if id < 0 {
+		id = b.t.Intern(name)
 		if code != tagOther {
-			b.elemLabel[code] = b.t.LabelID(node)
+			b.elemLabel[code] = id + 1
 		}
 	}
-	b.setAttrs(node)
+	node := b.t.AppendSourceElement(parent, id, b.attrs)
 	if !selfClose && !rule.void {
 		b.push(node, code, name)
 	}

@@ -2,6 +2,7 @@ package htmlparse
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -270,6 +271,25 @@ func TestParseAllocs(t *testing.T) {
 	const maxAllocs = 400
 	if arena > maxAllocs {
 		t.Errorf("arena parse allocates %.0f/op, want <= %d", arena, maxAllocs)
+	}
+}
+
+// TestParseAllocBudget pins the tree layout on the benchmark's 60x40
+// page (12 122 nodes, 4 860 attributes): a handful of arenas sized up
+// front — about 33 bytes a node and 12 an attribute, where string
+// headers and per-node attribute slices took 78 and 89 allocations —
+// so the layout cannot erode unnoticed.
+func TestParseAllocBudget(t *testing.T) {
+	src := cataloguePage(60, 40, false)
+	var tree *dom.Tree
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	allocs := testing.AllocsPerRun(10, func() { tree = Parse(src) })
+	runtime.ReadMemStats(&after)
+	bytes := (after.TotalAlloc - before.TotalAlloc) / 11 // AllocsPerRun warms up with one extra run
+	t.Logf("%d nodes from %d source bytes: %.0f allocations, %d bytes", tree.Size(), len(src), allocs, bytes)
+	if allocs > 16 || bytes > 560<<10 {
+		t.Errorf("Parse of the catalogue page: %.0f allocations, %d bytes; budget 16 allocations, %d bytes", allocs, bytes, 560<<10)
 	}
 }
 

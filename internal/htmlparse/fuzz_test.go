@@ -81,12 +81,13 @@ func FuzzParse(f *testing.F) {
 	})
 }
 
-// FuzzParseArena is the differential fuzz target for the fused
-// builder: on any input, Parse must produce a tree byte-identical to
-// the frozen seed parser ParseLegacy — isomorphic structure, equal
-// fingerprints, and node by node the same kind, label, text, parent
-// and in-order attribute list (assertSameTree).
-func FuzzParseArena(f *testing.F) {
+// FuzzParseOracle is the differential fuzz target for the fused
+// builder: on any input, Parse must produce a tree identical to the one
+// the frozen seed parser ParseLegacy (oracle_test.go) builds through
+// the string API — isomorphic structure, equal fingerprints, and node
+// by node the same kind, label, text, parent and in-order attribute
+// list (assertSameTree).
+func FuzzParseOracle(f *testing.F) {
 	seeds := []string{
 		"",
 		"<html><body><p>hi</p></body></html>",

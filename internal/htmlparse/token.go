@@ -1,5 +1,5 @@
-// Package htmlparse implements a self-contained, forgiving HTML tokenizer
-// and parser producing dom.Tree parse trees.
+// Package htmlparse implements a self-contained, forgiving HTML parser
+// producing dom.Tree parse trees.
 //
 // Web wrappers operate on parse trees of real-world HTML, which is rarely
 // well-formed; like the parser embedded in the Lixto Visual Wrapper, this
@@ -16,189 +16,6 @@ import (
 
 	"repro/internal/dom"
 )
-
-// TokenType enumerates the lexical token classes of HTML.
-type TokenType int
-
-const (
-	// TextToken is character data between tags.
-	TextToken TokenType = iota
-	// StartTagToken is <name attr=...>.
-	StartTagToken
-	// EndTagToken is </name>.
-	EndTagToken
-	// SelfClosingToken is <name .../>.
-	SelfClosingToken
-	// CommentToken is <!-- ... -->.
-	CommentToken
-	// DoctypeToken is <!DOCTYPE ...>.
-	DoctypeToken
-)
-
-func (t TokenType) String() string {
-	switch t {
-	case TextToken:
-		return "text"
-	case StartTagToken:
-		return "start"
-	case EndTagToken:
-		return "end"
-	case SelfClosingToken:
-		return "selfclosing"
-	case CommentToken:
-		return "comment"
-	case DoctypeToken:
-		return "doctype"
-	}
-	return "unknown"
-}
-
-// Attr is a lexical attribute of a start tag.
-type Attr = dom.Attr
-
-// Token is one lexical token. For tag tokens, Data is the lower-cased tag
-// name; for text and comments it is the (entity-decoded) character data.
-type Token struct {
-	Type  TokenType
-	Data  string
-	Attrs []Attr
-}
-
-// Tokenizer splits HTML source into tokens. It never fails: malformed
-// input degrades to text tokens.
-type Tokenizer struct {
-	src string
-	pos int
-	// rawUntil, when non-empty, makes the tokenizer treat everything up
-	// to the matching end tag as raw text (script/style contents).
-	rawUntil string
-	// NoRawText disables the HTML raw-text elements (script, style,
-	// title, textarea); set by XML consumers, where those names are
-	// ordinary elements.
-	NoRawText bool
-}
-
-// NewTokenizer returns a tokenizer over src.
-func NewTokenizer(src string) *Tokenizer {
-	return &Tokenizer{src: src}
-}
-
-// Next returns the next token and false when the input is exhausted.
-// The token's attribute slice is freshly allocated and owned by the
-// caller.
-func (z *Tokenizer) Next() (Token, bool) {
-	if z.pos >= len(z.src) {
-		return Token{}, false
-	}
-	if z.rawUntil != "" {
-		return z.rawText(), true
-	}
-	if z.src[z.pos] == '<' {
-		if tok, ok := z.tag(); ok {
-			return tok, true
-		}
-		// A lone '<' that does not begin a tag: emit it as text.
-	}
-	return z.text(), true
-}
-
-func (z *Tokenizer) rawText() Token {
-	idx := indexEndTag(z.src[z.pos:], z.rawUntil)
-	var data string
-	if idx < 0 {
-		data = z.src[z.pos:]
-		z.pos = len(z.src)
-	} else {
-		data = z.src[z.pos : z.pos+idx]
-		z.pos += idx
-	}
-	z.rawUntil = ""
-	return Token{Type: TextToken, Data: data}
-}
-
-func (z *Tokenizer) text() Token {
-	start := z.pos
-	for z.pos < len(z.src) {
-		if z.src[z.pos] == '<' && z.pos > start {
-			break
-		}
-		if z.src[z.pos] == '<' && z.pos == start {
-			// Starts with '<' but tag() declined: consume the character.
-			z.pos++
-			continue
-		}
-		z.pos++
-	}
-	return Token{Type: TextToken, Data: DecodeEntities(z.src[start:z.pos])}
-}
-
-// tag attempts to lex a tag at z.pos (which is '<'). It returns ok=false
-// if the input cannot be a tag, leaving pos unchanged.
-func (z *Tokenizer) tag() (Token, bool) {
-	s := z.src
-	i := z.pos + 1
-	if i >= len(s) {
-		return Token{}, false
-	}
-	switch {
-	case strings.HasPrefix(s[i:], "!--"):
-		end := strings.Index(s[i+3:], "-->")
-		var data string
-		if end < 0 {
-			data = s[i+3:]
-			z.pos = len(s)
-		} else {
-			data = s[i+3 : i+3+end]
-			z.pos = i + 3 + end + 3
-		}
-		return Token{Type: CommentToken, Data: data}, true
-	case s[i] == '!' || s[i] == '?':
-		// Doctype or processing instruction.
-		end := strings.IndexByte(s[i:], '>')
-		if end < 0 {
-			z.pos = len(s)
-			return Token{Type: DoctypeToken, Data: s[i:]}, true
-		}
-		z.pos = i + end + 1
-		return Token{Type: DoctypeToken, Data: s[i : i+end]}, true
-	case s[i] == '/':
-		j := i + 1
-		start := j
-		for j < len(s) && isNameChar(s[j]) {
-			j++
-		}
-		if j == start {
-			return Token{}, false
-		}
-		name := strings.ToLower(s[start:j])
-		// Skip to '>'.
-		for j < len(s) && s[j] != '>' {
-			j++
-		}
-		if j < len(s) {
-			j++
-		}
-		z.pos = j
-		return Token{Type: EndTagToken, Data: name}, true
-	case isNameStart(s[i]):
-		j := i
-		for j < len(s) && isNameChar(s[j]) {
-			j++
-		}
-		name := strings.ToLower(s[i:j])
-		attrs, selfClose, newPos := lexAttrs(s, j, nil)
-		z.pos = newPos
-		typ := StartTagToken
-		if selfClose {
-			typ = SelfClosingToken
-		}
-		if typ == StartTagToken && !z.NoRawText && isRawText(name) {
-			z.rawUntil = name
-		}
-		return Token{Type: typ, Data: name, Attrs: attrs}, true
-	}
-	return Token{}, false
-}
 
 // indexEndTag returns the offset in s of the first "</name" (name in
 // lower case), compared ASCII case-insensitively in place, or -1. It
@@ -232,10 +49,12 @@ func equalFoldASCII(s, lower string) bool {
 }
 
 // lexAttrs lexes the attribute list of a start tag of s starting at
-// position j, appending to attrs (which a streaming caller reuses
-// across tags). It returns the list, whether the tag is self-closing,
-// and the position just past the closing '>'.
-func lexAttrs(s string, j int, attrs []Attr) ([]Attr, bool, int) {
+// position j, appending to attrs (which the builder reuses across
+// tags). Names and values are substrings of s at recorded offsets; only
+// a lower-cased name or a value with a character reference to decode is
+// a string of its own. It returns the list, whether the
+// tag is self-closing, and the position just past the closing '>'.
+func lexAttrs(s string, j int, attrs []dom.SourceAttr) ([]dom.SourceAttr, bool, int) {
 	selfClose := false
 	for j < len(s) {
 		// Skip whitespace.
@@ -253,12 +72,15 @@ func lexAttrs(s string, j int, attrs []Attr) ([]Attr, bool, int) {
 			j++
 			continue
 		}
-		// Attribute name.
-		var name string
-		name, j = scanName(s, j, cAttrName)
-		if name == "" {
+		// Attribute name; with no '=' after it, the empty value.
+		a := dom.SourceAttr{NameOff: j, ValOff: -1}
+		a.Name, j = scanName(s, j, cAttrName)
+		if a.Name == "" {
 			j++
 			continue
+		}
+		if a.Name != s[a.NameOff:j] {
+			a.NameOff = -1 // lower-cased
 		}
 		for j < len(s) && isSpace(s[j]) {
 			j++
@@ -270,33 +92,30 @@ func lexAttrs(s string, j int, attrs []Attr) ([]Attr, bool, int) {
 			}
 			// amp notes a '&' in the value: most have none, and then the
 			// value is the source bytes with no decoder call.
-			var val string
 			amp := false
 			if j < len(s) && (s[j] == '"' || s[j] == '\'') {
 				q := s[j]
 				j++
-				vs := j
+				a.ValOff = j
 				for ; j < len(s) && s[j] != q; j++ {
 					amp = amp || s[j] == '&'
 				}
-				val = s[vs:j]
+				a.Value = s[a.ValOff:j]
 				if j < len(s) {
 					j++
 				}
 			} else {
-				vs := j
+				a.ValOff = j
 				for ; j < len(s) && !isSpace(s[j]) && s[j] != '>'; j++ {
 					amp = amp || s[j] == '&'
 				}
-				val = s[vs:j]
+				a.Value = s[a.ValOff:j]
 			}
 			if amp {
-				val = DecodeEntities(val)
+				a.Value, a.ValOff = DecodeEntities(a.Value), -1
 			}
-			attrs = append(attrs, Attr{Name: name, Value: val})
-		} else {
-			attrs = append(attrs, Attr{Name: name, Value: ""})
 		}
+		attrs = append(attrs, a)
 	}
 	return attrs, selfClose, len(s)
 }
