@@ -94,9 +94,10 @@ func NewEvaluator(f Fetcher) *Evaluator {
 // Run evaluates the program: document(url, S) entry rules fetch their
 // pages through the Fetcher, patterns are computed to fixpoint
 // (supporting recursive wrapping and crawling), and the resulting
-// pattern instance base is returned. Documents are fetched through a
-// concurrent crawl frontier (see MaxConcurrency), but the instance
-// base is built in the same deterministic order as a serial crawl.
+// pattern instance base is returned, sealed (pib.Base.Seal). Documents
+// are fetched through a concurrent crawl frontier (see MaxConcurrency),
+// but the instance base is built in the same deterministic order as a
+// serial crawl.
 //
 // A single Elog program "can be used for continuous wrapping of changing
 // pages or to wrap several HTML pages of similar structure"
@@ -187,6 +188,7 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
 	if cp != nil {
 		cp.instances.Store(int64(r.base.Count()))
 	}
+	r.base.Seal()
 	return r.base, nil
 }
 
@@ -602,12 +604,13 @@ func (b *binding) str(name string) (string, bool) {
 
 // candidate is a prospective instance produced by the extraction atom.
 type candidate struct {
-	kind  pib.Kind
 	nodes []dom.NodeID
 	text  string
-	doc   *dom.Tree
-	url   string
+	// src is the instance whose document (Doc, URL) the candidate lies
+	// in: the parent, or the fetched document's own for getDocument.
+	src   *pib.Instance
 	binds map[string]string
+	kind  pib.Kind
 }
 
 // ruleCandidates is the generation phase of one rule over the whole set
@@ -690,7 +693,7 @@ func (r *runner) extractRun(ce *compiledEPD, run []*pib.Instance, out [][]candid
 		lo, end := j, roots[i]+dom.NodeID(t.SubtreeSize(roots[i]))
 		for ; j < len(ms) && ms[j].node < end; j++ {
 			nodes[j] = ms[j].node
-			cands[j] = candidate{kind: pib.NodeInstance, nodes: nodes[j : j+1 : j+1], doc: t, url: s.URL, binds: ms[j].binds}
+			cands[j] = candidate{kind: pib.NodeInstance, nodes: nodes[j : j+1 : j+1], src: s, binds: ms[j].binds}
 		}
 		out[i] = cands[lo:j:j]
 	}
@@ -752,7 +755,7 @@ func (r *runner) commit(rule *Rule, s *pib.Instance, accepted []candidate) bool 
 	changed := false
 	for _, c := range accepted {
 		in := pib.Instance{
-			Pattern: rule.Head, Kind: c.kind, Doc: c.doc, URL: c.url,
+			Pattern: rule.Head, Kind: c.kind, Doc: c.src.Doc, URL: c.src.URL,
 			Nodes: c.nodes, Text: c.text, Parent: s,
 		}
 		if _, added := r.base.AddCopy(&in); added {
@@ -771,7 +774,7 @@ func firstOnly(cands []candidate) []candidate {
 		if len(c.nodes) == 0 {
 			continue
 		}
-		if p := c.doc.Pre(c.nodes[0]); p < bestPre {
+		if p := c.src.Doc.Pre(c.nodes[0]); p < bestPre {
 			best, bestPre = i, p
 		}
 	}
@@ -812,7 +815,7 @@ func maximalOnly(cands []candidate) []candidate {
 func (r *runner) extract(rule *Rule, s *pib.Instance) ([]candidate, error) {
 	if rule.Specialize {
 		// The candidate is the parent instance itself.
-		return []candidate{{kind: s.Kind, nodes: s.Nodes, text: s.Text, doc: s.Doc, url: s.URL}}, nil
+		return []candidate{{kind: s.Kind, nodes: s.Nodes, text: s.Text, src: s}}, nil
 	}
 	e := rule.Extract
 	switch e.Kind {
@@ -822,7 +825,7 @@ func (r *runner) extract(rule *Rule, s *pib.Instance) ([]candidate, error) {
 		}
 		var out []candidate
 		for _, m := range r.match(e.EPD, s.Doc, s.Nodes, s.Kind == pib.SequenceInstance) {
-			out = append(out, candidate{kind: pib.NodeInstance, nodes: []dom.NodeID{m.node}, doc: s.Doc, url: s.URL, binds: m.binds})
+			out = append(out, candidate{kind: pib.NodeInstance, nodes: []dom.NodeID{m.node}, src: s, binds: m.binds})
 		}
 		return out, nil
 	case Subsq:
@@ -833,7 +836,7 @@ func (r *runner) extract(rule *Rule, s *pib.Instance) ([]candidate, error) {
 		for _, fm := range r.match(e.From, s.Doc, s.Nodes, s.Kind == pib.SequenceInstance) {
 			seqs := candidateSequences(s.Doc, fm.node, e.Start, e.End)
 			for _, seq := range seqs {
-				out = append(out, candidate{kind: pib.SequenceInstance, nodes: seq, doc: s.Doc, url: s.URL, binds: fm.binds})
+				out = append(out, candidate{kind: pib.SequenceInstance, nodes: seq, src: s, binds: fm.binds})
 			}
 		}
 		return out, nil
@@ -841,7 +844,7 @@ func (r *runner) extract(rule *Rule, s *pib.Instance) ([]candidate, error) {
 		text := s.TextContent()
 		var out []candidate
 		for _, m := range e.SPD.Match(text) {
-			out = append(out, candidate{kind: pib.StringInstance, text: m.text, doc: s.Doc, url: s.URL, binds: m.binds})
+			out = append(out, candidate{kind: pib.StringInstance, text: m.text, src: s, binds: m.binds})
 		}
 		return out, nil
 	case Subatt:
@@ -851,7 +854,7 @@ func (r *runner) extract(rule *Rule, s *pib.Instance) ([]candidate, error) {
 		var out []candidate
 		for _, n := range s.Nodes {
 			if v, ok := s.Doc.Attr(n, e.Attr); ok {
-				out = append(out, candidate{kind: pib.StringInstance, text: v, doc: s.Doc, url: s.URL})
+				out = append(out, candidate{kind: pib.StringInstance, text: v, src: s})
 			}
 		}
 		return out, nil
@@ -871,7 +874,7 @@ func (r *runner) extract(rule *Rule, s *pib.Instance) ([]candidate, error) {
 			// A dangling link is not a wrapper failure; crawling skips it.
 			return nil, nil
 		}
-		return []candidate{{kind: pib.NodeInstance, nodes: in.Nodes, doc: in.Doc, url: in.URL}}, nil
+		return []candidate{{kind: pib.NodeInstance, nodes: in.Nodes, src: in}}, nil
 	}
 	return nil, fmt.Errorf("elog: unknown extraction kind")
 }
@@ -970,7 +973,7 @@ func (r *runner) conditions(rule *Rule, s *pib.Instance, c candidate, b binding,
 			nb := b.branch()
 			if cc.Var != "" {
 				nb.setNode(cc.Var, m.node)
-				nb.setStr(cc.Var, strings.TrimSpace(c.doc.ElementText(m.node)))
+				nb.setStr(cc.Var, strings.TrimSpace(c.src.Doc.ElementText(m.node)))
 			}
 			if cc.DistVar != "" {
 				nb.setStr(cc.DistVar, fmt.Sprintf("%d", m.dist))
@@ -991,7 +994,7 @@ func (r *runner) conditions(rule *Rule, s *pib.Instance, c candidate, b binding,
 			}
 			return false, nil
 		}
-		ms := r.matchDeep(cc.EPD, c.doc, c.nodes, c.kind == pib.SequenceInstance)
+		ms := r.matchDeep(cc.EPD, c.src.Doc, c.nodes, c.kind == pib.SequenceInstance)
 		if cc.Negated {
 			if len(ms) > 0 {
 				return false, nil
@@ -1002,7 +1005,7 @@ func (r *runner) conditions(rule *Rule, s *pib.Instance, c candidate, b binding,
 			nb := b.branch()
 			if cc.Var != "" {
 				nb.setNode(cc.Var, m.node)
-				nb.setStr(cc.Var, strings.TrimSpace(c.doc.ElementText(m.node)))
+				nb.setStr(cc.Var, strings.TrimSpace(c.src.Doc.ElementText(m.node)))
 			}
 			for k, v := range m.binds {
 				nb.setStr(k, v)
@@ -1048,7 +1051,7 @@ func (r *runner) conditions(rule *Rule, s *pib.Instance, c candidate, b binding,
 		}
 		found := false
 		for _, in := range r.base.Instances(cc.Pattern) {
-			if in.Doc == c.doc && len(in.Nodes) == 1 && in.Nodes[0] == n {
+			if in.Doc == c.src.Doc && len(in.Nodes) == 1 && in.Nodes[0] == n {
 				found = true
 				break
 			}
@@ -1068,7 +1071,7 @@ func (r *runner) varText(b *binding, c candidate, v string) (string, bool) {
 		return s, true
 	}
 	if n, ok := b.node(v); ok {
-		return strings.TrimSpace(c.doc.ElementText(n)), true
+		return strings.TrimSpace(c.src.Doc.ElementText(n)), true
 	}
 	if v == "X" {
 		if c.kind == pib.StringInstance {
@@ -1076,7 +1079,7 @@ func (r *runner) varText(b *binding, c candidate, v string) (string, bool) {
 		}
 		var sb strings.Builder
 		for _, n := range c.nodes {
-			sb.WriteString(c.doc.ElementText(n))
+			sb.WriteString(c.src.Doc.ElementText(n))
 		}
 		return strings.TrimSpace(sb.String()), true
 	}

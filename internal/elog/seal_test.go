@@ -1,0 +1,139 @@
+package elog_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/elog"
+	"repro/internal/pib"
+	"repro/internal/xmlenc"
+)
+
+// TestSealedBaseBudget measures what a retained instance base holds on
+// the benchmark's 60×40 page (242 instances, fleet100's wrapper): the
+// heap growth around 64 held bases over one shared tree. (The output
+// cache that retains a base keeps 8 more bytes per instance beside it,
+// the sorted content hashes.) The figure was ~435 B/instance while the
+// base kept its dedup table and its instances their memo fields.
+// Base.Bytes, the estimate /statusz reports, must land near the
+// measurement. (internal/pib's test of the same name holds the sizes of
+// an instance and its dedup key.)
+func TestSealedBaseBudget(t *testing.T) {
+	fetch := newCatalogue(60, 40, 3, false).next()
+	cp := elog.MustCompile(elog.MustParse(catalogueProgram))
+	eval := func() *pib.Base {
+		base, err := elog.NewEvaluator(fetch).RunCompiled(cp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return base
+	}
+	eval() // fills the match caches and the slab hint
+	held := make([]*pib.Base, 64)
+	heap := func() uint64 {
+		runtime.GC()
+		runtime.GC()
+		var ms runtime.MemStats
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	before := heap()
+	for i := range held {
+		held[i] = eval()
+	}
+	grown := float64(heap()-before) / float64(len(held))
+	n := held[0].Count()
+	per := grown / float64(n)
+	t.Logf("%d instances: %.0f bytes retained per base, %.1f per instance; Bytes() = %d", n, grown, per, held[0].Bytes())
+	if n != 242 {
+		t.Fatalf("%d instances, want 242", n)
+	}
+	if per > 170 {
+		t.Errorf("%.1f bytes retained per instance, budget 170", per)
+	}
+	if est := float64(held[0].Bytes()); est < 0.8*grown || est > 1.2*grown {
+		t.Errorf("Bytes() = %.0f, measured %.0f: the estimate is off by more than 20%%", est, grown)
+	}
+	runtime.KeepAlive(held)
+	runtime.KeepAlive(fetch)
+}
+
+// TestSealEquivalence holds the sealed base Run and RunCompiled return
+// to the unsealed one the reference evaluator (RunNaive, export_test.go)
+// builds, on every examples/ wrapper, every Section 6 application
+// wrapper and the benchmark's two catalogue pages, over ten ticks (the
+// catalogue pages churn between them): the same Dump; Transform of the
+// reference and TransformIncremental of the sealed base through one
+// output cache byte for byte; and Add on the sealed base deduplicating
+// exactly as on the unsealed one.
+func TestSealEquivalence(t *testing.T) {
+	var cases []fixpointCase
+	for _, ex := range exampleWrappers {
+		cases = append(cases, fixpointCase{name: "examples/" + ex.name, prog: elog.MustParse(ex.prog),
+			fetcher: func() elog.Fetcher { return ex.site() }})
+	}
+	cases = append(cases, appWrappers(t)...)
+	for _, c := range []struct {
+		name                   string
+		sections, rows, window int
+		allSale                bool
+	}{{"catalogue/60x40", 60, 40, 3, false}, {"catalogue/20x40-all-sale", 20, 40, 1, true}} {
+		cat := newCatalogue(c.sections, c.rows, c.window, c.allSale)
+		cases = append(cases, fixpointCase{name: c.name, prog: elog.MustParse(catalogueProgram),
+			fetcher: func() elog.Fetcher { return cat.next() }})
+	}
+	d := &pib.Design{Auxiliary: map[string]bool{"document": true}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			cp := elog.MustCompile(tc.prog)
+			oc := pib.NewOutputCache()
+			for tick := 0; tick < 10; tick++ {
+				f := tc.fetcher()
+				want, err := elog.NewEvaluator(f).RunNaive(tc.prog, nil)
+				if err != nil {
+					t.Fatalf("tick %d reference: %v", tick, err)
+				}
+				ev := elog.NewEvaluator(f)
+				ev.Incremental = true
+				got, err := ev.RunCompiled(cp)
+				if err != nil {
+					t.Fatalf("tick %d: %v", tick, err)
+				}
+				if got.Dump() != want.Dump() || got.Count() != want.Count() || got.Count() < 2 {
+					t.Fatalf("tick %d: sealed base diverges from the unsealed reference:\n--- reference ---\n%s--- got ---\n%s", tick, want.Dump(), got.Dump())
+				}
+				addAll(t, want)
+				addAll(t, got)
+				if got.Dump() != want.Dump() {
+					t.Fatalf("tick %d: bases diverge after Add:\n--- reference ---\n%s--- got ---\n%s", tick, want.Dump(), got.Dump())
+				}
+				if inc, plain := xmlenc.MarshalIndent(d.TransformIncremental(got, oc)), xmlenc.MarshalIndent(d.Transform(want)); inc != plain {
+					t.Fatalf("tick %d: incremental transform of the sealed base diverges:\n%s\nvs\n%s", tick, inc, plain)
+				}
+			}
+		})
+	}
+}
+
+// addAll re-adds a copy of every instance of b, which must all be
+// refused in favour of the canonical instance, and then one new string
+// instance under the first root twice, admitted once.
+func addAll(t *testing.T, b *pib.Base) {
+	t.Helper()
+	n := b.Count()
+	for _, p := range b.Patterns() {
+		for _, in := range b.Instances(p) {
+			dup := *in
+			dup.Children = nil
+			if got, added := b.AddCopy(&dup); added || got != in {
+				t.Fatalf("%s#%d admitted a second time", in.Pattern, in.ID)
+			}
+		}
+	}
+	root := b.Roots[0]
+	extra := pib.Instance{Pattern: "extra", Kind: pib.StringInstance, Doc: root.Doc, URL: root.URL, Text: "x", Parent: root}
+	first, added := b.AddCopy(&extra)
+	if again, dup := b.AddCopy(&extra); !added || dup || again != first || b.Count() != n+1 || int(first.ID) != n {
+		t.Fatalf("a new instance after Seal: added=%v, then added=%v, count %d → %d", added, dup, n, b.Count())
+	}
+}

@@ -57,12 +57,10 @@ func mix64(h, v uint64) uint64 {
 // the merkle subtree fingerprints of its nodes otherwise; the URL for
 // document instances). It deliberately excludes IDs, parent linkage,
 // and raw node numbers, all of which are unstable across ticks, so an
-// untouched region of a re-fetched page hashes identically. Memoized;
-// instances are built fresh per evaluation run.
+// untouched region of a re-fetched page hashes identically. Not
+// memoized: it is a few dozen multiplications over memoized subtree
+// fingerprints, and a tick asks once per instance.
 func (in *Instance) ContentHash() uint64 {
-	if in.cHashOK {
-		return in.cHash
-	}
 	h := uint64(fnvOffset64)
 	h = mixString(h, in.Pattern)
 	h = mix64(h, uint64(in.Kind))
@@ -78,7 +76,6 @@ func (in *Instance) ContentHash() uint64 {
 			}
 		}
 	}
-	in.cHash, in.cHashOK = h, true
 	return h
 }
 
@@ -87,17 +84,18 @@ func (in *Instance) ContentHash() uint64 {
 // two instances with equal output hashes emit byte-identical XML under
 // any fixed Design (element names, text emission, and tree-minor
 // promotion are all functions of the pattern names and child hashes
-// the fold covers). This is the cache key for emitted subtrees.
-func (in *Instance) outputHash() uint64 {
-	if in.oHashOK {
-		return in.oHash
+// the fold covers). This is the cache key for emitted subtrees. It is
+// memoized by instance id for the length of one TransformIncremental (a
+// parent's fold and the child's own emission both ask); 0 is "not yet".
+func (oc *OutputCache) outputHash(in *Instance) uint64 {
+	if h := oc.oHash[in.ID]; h != 0 {
+		return h
 	}
-	kids := orderedChildren(in)
-	h := mix64(in.ContentHash(), uint64(len(kids)))
-	for _, c := range kids {
-		h = mix64(h, c.outputHash())
+	h := mix64(oc.cHash[in.ID], uint64(len(in.Children)))
+	for _, c := range in.Children {
+		h = mix64(h, oc.outputHash(c))
 	}
-	in.oHash, in.oHashOK = h, true
+	oc.oHash[in.ID] = h
 	return h
 }
 
@@ -113,14 +111,14 @@ type Delta struct {
 // Cost is linear in the two bases' sizes.
 func Diff(prev, cur *Base) Delta {
 	var d Delta
-	remain := make(map[uint64]int, len(prev.all))
-	prevBy := make(map[uint64][]*Instance, len(prev.all))
-	for _, in := range prev.all {
+	remain := make(map[uint64]int, prev.Count())
+	prevBy := make(map[uint64][]*Instance, prev.Count())
+	for in := range prev.each {
 		h := in.ContentHash()
 		remain[h]++
 		prevBy[h] = append(prevBy[h], in)
 	}
-	for _, in := range cur.all {
+	for in := range cur.each {
 		h := in.ContentHash()
 		if remain[h] > 0 {
 			remain[h]--
@@ -135,22 +133,6 @@ func Diff(prev, cur *Base) Delta {
 		}
 	}
 	return d
-}
-
-// contentHashes returns the ContentHash of every instance, sorted. It
-// is memoized: the base is final when the transform asks, and the next
-// tick asks again for the same base as its predecessor.
-func (b *Base) contentHashes() []uint64 {
-	if b.hashes == nil {
-		b.hashes = make([]uint64, 0, len(b.all))
-		for _, list := range b.byPat {
-			for _, in := range list {
-				b.hashes = append(b.hashes, in.ContentHash())
-			}
-		}
-		slices.Sort(b.hashes)
-	}
-	return b.hashes
 }
 
 // commonHashes returns the size of the multiset intersection of two
@@ -184,7 +166,14 @@ type cachedSub struct {
 // at a time.
 type OutputCache struct {
 	prev, next map[uint64][]cachedSub
+	// prevBase is the base last transformed and prevHashes the sorted
+	// ContentHash of its instances, which the next tick's delta is
+	// counted against.
 	prevBase   *Base
+	prevHashes []uint64
+	// cHash and oHash are ContentHash and outputHash by instance id, for
+	// the length of one transform.
+	cHash, oHash []uint64
 
 	reused, built                uint64
 	added, removed, unchangedCnt uint64
@@ -205,11 +194,21 @@ type OutputStats struct {
 	// Diff's three lists, counted by a merge of the two bases' sorted
 	// content hashes.
 	InstancesAdded, InstancesRemoved, InstancesUnchanged uint64
+	// BaseInstances / BaseBytes are the size of the retained base: its
+	// Count, and its Bytes (the estimate Seal made) plus the sorted
+	// content hashes kept beside it.
+	BaseInstances, BaseBytes uint64
 }
 
 // Stats returns the cache's cumulative counters.
 func (oc *OutputCache) Stats() OutputStats {
+	var n, bytes int
+	if oc.prevBase != nil {
+		n, bytes = oc.prevBase.Count(), oc.prevBase.Bytes()+8*len(oc.prevHashes)
+	}
 	return OutputStats{
+		BaseInstances:      uint64(n),
+		BaseBytes:          uint64(bytes),
 		ReusedNodes:        oc.reused,
 		BuiltNodes:         oc.built,
 		InstancesAdded:     oc.added,
@@ -250,10 +249,19 @@ func (oc *OutputCache) putNext(key uint64, sub cachedSub) {
 // (xmlenc's lixtodebug guard enforces this in debug builds). Output is
 // byte-identical to Transform on the same base.
 func (d *Design) TransformIncremental(b *Base, oc *OutputCache) *xmlenc.Node {
+	b.Seal()
+	n := b.Count()
+	scratch := make([]uint64, 2*n)
+	oc.cHash, oc.oHash = scratch[:n], scratch[n:]
+	for in := range b.each {
+		oc.cHash[in.ID] = in.ContentHash()
+	}
+	hashes := slices.Clone(oc.cHash)
+	slices.Sort(hashes)
 	if oc.prevBase != nil {
-		unchanged := commonHashes(oc.prevBase.contentHashes(), b.contentHashes())
-		oc.added += uint64(b.Count() - unchanged)
-		oc.removed += uint64(oc.prevBase.Count() - unchanged)
+		unchanged := commonHashes(oc.prevHashes, hashes)
+		oc.added += uint64(n - unchanged)
+		oc.removed += uint64(len(oc.prevHashes) - unchanged)
 		oc.unchangedCnt += uint64(unchanged)
 	}
 	oc.next = make(map[uint64][]cachedSub, len(oc.prev)+8)
@@ -278,8 +286,8 @@ func (d *Design) TransformIncremental(b *Base, oc *OutputCache) *xmlenc.Node {
 		d.emitChildrenCached(docInst, target, oc)
 	}
 
-	oc.prev, oc.next = oc.next, nil
-	oc.prevBase = b
+	oc.prev, oc.next, oc.cHash, oc.oHash = oc.next, nil, nil, nil
+	oc.prevBase, oc.prevHashes = b, hashes
 	return root
 }
 
@@ -287,13 +295,13 @@ func (d *Design) TransformIncremental(b *Base, oc *OutputCache) *xmlenc.Node {
 // the path, returning the number of output nodes placed under out.
 func (d *Design) emitChildrenCached(in *Instance, out *xmlenc.Node, oc *OutputCache) uint64 {
 	var total uint64
-	for _, c := range orderedChildren(in) {
+	for _, c := range in.Children {
 		if d.Auxiliary[c.Pattern] {
 			// Tree minor: skip the node, promote its children.
 			total += d.emitChildrenCached(c, out, oc)
 			continue
 		}
-		key := c.outputHash()
+		key := oc.outputHash(c)
 		if sub, ok := oc.takePrev(key); ok {
 			out.Append(sub.el)
 			oc.putNext(key, sub)

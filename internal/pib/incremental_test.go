@@ -3,6 +3,7 @@ package pib
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dom"
@@ -271,9 +272,11 @@ func TestDeltaCountsMatchDiff(t *testing.T) {
 	}
 }
 
-// orderedChildren hands back the Children slice itself when it is
-// already in document order (evaluation commits it so) and a sorted
-// copy otherwise, string instances holding their parent's position.
+// Seal puts every Children list in document order in place: a list
+// already in order (evaluation commits one rule's children so) keeps
+// its backing array and order, an out-of-order one is sorted stably,
+// string instances holding their parent's position. Add after Seal
+// appends in insertion order again and the next Seal restores the order.
 func TestOrderedChildren(t *testing.T) {
 	doc := dom.MustParseTerm(`html(body(ul(li("a"),li("b"),li("c"))))`)
 	doc.Reindex()
@@ -283,31 +286,43 @@ func TestOrderedChildren(t *testing.T) {
 			lis = append(lis, nd)
 		}
 	})
+	var b *Base
+	add := func(root *Instance, i int) *Instance {
+		in := &Instance{Pattern: "entry", Kind: NodeInstance, Doc: doc, URL: "u", Parent: root}
+		if i < 0 {
+			in.Pattern, in.Kind, in.Text = "s", StringInstance, fmt.Sprint(i)
+		} else {
+			in.Nodes = []dom.NodeID{lis[i]}
+		}
+		in, _ = b.Add(in)
+		return in
+	}
 	build := func(order ...int) (*Instance, []*Instance) {
-		b := NewBase()
+		b = NewBase()
 		root, _ := b.Add(&Instance{Pattern: "document", Kind: DocumentInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{doc.Root()}})
 		for _, i := range order {
-			if i < 0 {
-				b.Add(&Instance{Pattern: "s", Kind: StringInstance, Doc: doc, URL: "u", Text: fmt.Sprint(i), Parent: root})
-			} else {
-				b.Add(&Instance{Pattern: "entry", Kind: NodeInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{lis[i]}, Parent: root})
-			}
+			add(root, i)
 		}
-		return root, root.Children
+		return root, slices.Clone(root.Children)
 	}
 	root, kids := build(-1, 0, 1, 2) // the string sits at the root's own position, first
-	if got := orderedChildren(root); &got[0] != &kids[0] || len(got) != 4 {
-		t.Error("ordered children were copied")
+	b.Seal()
+	if !slices.Equal(root.Children, kids) {
+		t.Error("ordered children were reordered")
 	}
-	root, kids = build(2, 0, -1, 1)
-	got := orderedChildren(root)
-	if &got[0] == &kids[0] {
-		t.Fatal("out-of-order children sorted in place")
+	root, kids = build(2, 0, -1, -2, 1)
+	b.Seal()
+	if want := []*Instance{kids[2], kids[3], kids[1], kids[4], kids[0]}; !slices.Equal(root.Children, want) {
+		t.Errorf("sorted order wrong: %v", root.Children)
 	}
-	if got[0] != kids[2] || got[1] != kids[1] || got[2] != kids[3] || got[3] != kids[0] {
-		t.Errorf("sorted order wrong: %v", got)
+	root, kids = build(2, -1)
+	b.Seal()
+	first, str := add(root, 0), add(root, -2)
+	if dup := add(root, 2); dup != kids[0] || b.Count() != 5 {
+		t.Errorf("Add after Seal: duplicate admitted (count %d)", b.Count())
 	}
-	if kids[0].Nodes[0] != lis[2] {
-		t.Error("Children reordered by the sort")
+	b.Seal()
+	if want := []*Instance{kids[1], str, first, kids[0]}; !slices.Equal(root.Children, want) {
+		t.Errorf("order after Add and a second Seal wrong: %v", root.Children)
 	}
 }

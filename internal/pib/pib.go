@@ -17,13 +17,14 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/dom"
 	"repro/internal/xmlenc"
 )
 
 // Kind distinguishes the instance flavours of Lixto extraction.
-type Kind int
+type Kind uint8
 
 const (
 	// NodeInstance is a single tree node (subelem extraction).
@@ -36,36 +37,32 @@ const (
 	DocumentInstance
 )
 
-// Instance is one pattern instance.
+// Instance is one pattern instance. It carries no memoized state (the
+// incremental transform keeps the hashes it derives in its own scratch),
+// so a retained base costs its instances' fields and nothing more.
 type Instance struct {
-	ID      int
 	Pattern string
-	Kind    Kind
-	// Doc is the document tree the instance lives in (nil only for
-	// detached string instances, which keep a pointer anyway for
-	// provenance).
-	Doc *dom.Tree
 	// URL identifies the document (provenance; also the crawl address).
 	URL string
+	// Text is the string value of a StringInstance.
+	Text string
 	// Nodes are the instance's nodes: one for NodeInstance and
 	// DocumentInstance, one or more consecutive siblings for
 	// SequenceInstance, empty for StringInstance.
 	Nodes []dom.NodeID
-	// Text is the string value of a StringInstance.
-	Text string
+	// Doc is the document tree the instance lives in (nil only for
+	// detached string instances, which keep a pointer anyway for
+	// provenance).
+	Doc *dom.Tree
 	// Parent is the instance this one was extracted from (nil for
 	// document instances).
-	Parent   *Instance
+	Parent *Instance
+	// Children are the instances extracted from this one: in insertion
+	// order while the base is being built, in document order once it is
+	// sealed (see Base.Seal).
 	Children []*Instance
-
-	// Memoized transform-time state (computed after evaluation has
-	// finished, when the instance's children and document are final):
-	// the content-addressed identity hashes of incremental.go and the
-	// document-ordered child list.
-	cHash, oHash     uint64
-	cHashOK, oHashOK bool
-	ordKids          []*Instance
-	ordOK            bool
+	ID       int32
+	Kind     Kind
 }
 
 // TextContent returns the instance's text: the stored string for string
@@ -83,53 +80,68 @@ func (in *Instance) TextContent() string {
 
 // instKey is the identity of an instance for deduplication: pattern,
 // document URL, parent id, every node and, for string instances, the
-// text. It is a comparable struct so that Add, which runs once per
-// candidate derivation on the evaluator's hottest path, hashes the
-// fields in place instead of building a string; only multi-node
-// (sequence) instances allocate, for the nodes after the first.
+// text. It is exact, not a hash: pattern and URL are the ids the base
+// interned the strings under (Base.intern), and aux holds whatever does
+// not fit the fixed fields. It is a comparable struct so that Add, which
+// runs once per candidate derivation on the evaluator's hottest path,
+// hashes the fields in place instead of building a string; only
+// multi-node (sequence) instances allocate, for the nodes after the
+// first.
 type instKey struct {
-	pattern, url string
-	text         string // string instances only
-	rest         string // Nodes[1:], four bytes each
-	parent       int    // Parent.ID+1; 0 for a parentless instance
-	nodes        int    // len(Nodes)
+	aux          string // Nodes[1:], four bytes each, then Text (string instances only)
+	pattern, url uint32
+	parent       int32 // Parent.ID+1; 0 for a parentless instance
+	nodes        int32 // len(Nodes), which also delimits the two parts of aux
 	first        dom.NodeID
 	isString     bool
 }
 
-func (in *Instance) key() instKey {
-	k := instKey{pattern: in.Pattern, url: in.URL, nodes: len(in.Nodes), isString: in.Kind == StringInstance}
+func (b *Base) key(in *Instance) instKey {
+	k := instKey{pattern: b.intern(in.Pattern), url: b.intern(in.URL), nodes: int32(len(in.Nodes)), isString: in.Kind == StringInstance}
 	if in.Parent != nil {
 		k.parent = in.Parent.ID + 1
 	}
 	if k.isString {
-		k.text = in.Text
+		k.aux = in.Text
 	}
 	if len(in.Nodes) > 0 {
 		k.first = in.Nodes[0]
 	}
 	if len(in.Nodes) > 1 {
-		b := make([]byte, 0, 4*(len(in.Nodes)-1))
+		rest := make([]byte, 0, 4*(len(in.Nodes)-1)+len(k.aux))
 		for _, nd := range in.Nodes[1:] {
-			b = binary.LittleEndian.AppendUint32(b, uint32(nd))
+			rest = binary.LittleEndian.AppendUint32(rest, uint32(nd))
 		}
-		k.rest = string(b)
+		k.aux = string(append(rest, k.aux...))
 	}
 	return k
+}
+
+// intern returns the id of a pattern name or URL in this base's keys.
+func (b *Base) intern(s string) uint32 {
+	id, ok := b.ids[s]
+	if !ok {
+		id = uint32(len(b.ids))
+		b.ids[s] = id
+	}
+	return id
 }
 
 // Base is the pattern instance base.
 type Base struct {
 	// Roots are the document instances, in wrapping order.
 	Roots []*Instance
+	// all is the dedup table and ids the string ids its keys use; both
+	// exist only while the base is being built (nil once sealed).
 	all   map[instKey]*Instance
+	ids   map[string]uint32
 	byPat map[string][]*Instance
-	next  int
+	next  int32
 	// slab backs the instances AddCopy admits; hint sizes its first chunk.
 	slab []Instance
 	hint int
-	// hashes memoizes contentHashes (incremental.go).
-	hashes []uint64
+	// bytes is the approximate heap footprint, computed by Seal.
+	bytes int
 }
 
 // NewBase returns an empty instance base.
@@ -139,15 +151,70 @@ func NewBase() *Base { return NewBaseSize(0) }
 // earlier evaluation's Count, say): the dedup table does not rehash and
 // AddCopy's slab does not regrow while that many arrive.
 func NewBaseSize(hint int) *Base {
-	return &Base{all: make(map[instKey]*Instance, hint), byPat: map[string][]*Instance{}, hint: hint}
+	return &Base{all: make(map[instKey]*Instance, hint), ids: map[string]uint32{},
+		byPat: map[string][]*Instance{}, hint: hint}
+}
+
+// each ranges over every instance, pattern by pattern (in no particular
+// pattern order), instances of a pattern in insertion order.
+func (b *Base) each(yield func(*Instance) bool) {
+	for _, list := range b.byPat {
+		for _, in := range list {
+			if !yield(in) {
+				return
+			}
+		}
+	}
+}
+
+// Seal declares the base final, which is what an evaluation that ran to
+// completion returns and what the transforms require: the dedup table,
+// which nothing reads once the last instance is in, is dropped (Count
+// and the per-pattern lists remain), and every Children list is put in
+// document order in place. Sealing a sealed base does nothing; Add and
+// AddCopy unseal, rebuilding the table from the instances.
+func (b *Base) Seal() {
+	if b.all == nil {
+		return
+	}
+	b.all, b.ids = nil, nil
+	b.bytes = int(unsafe.Sizeof(*b))
+	for _, list := range b.byPat {
+		b.bytes += 48 + 8*cap(list) // a map slot and the list
+	}
+	for in := range b.each {
+		orderChildren(in)
+		// The instance, its nodes, its child list and, for a string
+		// instance, the value.
+		b.bytes += int(unsafe.Sizeof(*in)) + 4*cap(in.Nodes) + 8*cap(in.Children) + len(in.Text)
+	}
+}
+
+// Bytes returns the approximate heap footprint of a sealed base (0
+// before Seal). The document trees the instances point into are not
+// counted: the fetch layer owns and shares them.
+func (b *Base) Bytes() int { return b.bytes }
+
+// table returns the dedup table, rebuilding it when the base was sealed.
+// Keys are only comparable with the ids of the table they are in, so
+// callers fetch the table before they build a key.
+func (b *Base) table() map[instKey]*Instance {
+	if b.all == nil {
+		b.all, b.ids = make(map[instKey]*Instance, b.next), map[string]uint32{}
+		for in := range b.each {
+			b.all[b.key(in)] = in
+		}
+	}
+	return b.all
 }
 
 // Add inserts an instance (deduplicating) and returns the canonical
 // instance plus whether it was new. Parent links are fixed at insert;
 // the instance is appended to its parent's children in insertion order.
 func (b *Base) Add(in *Instance) (*Instance, bool) {
-	k := in.key()
-	if prev, ok := b.all[k]; ok {
+	all := b.table()
+	k := b.key(in)
+	if prev, ok := all[k]; ok {
 		return prev, false
 	}
 	b.link(k, in)
@@ -159,12 +226,13 @@ func (b *Base) Add(in *Instance) (*Instance, bool) {
 // base's own slab rather than into an allocation of its own, so the
 // canonical instance returned is never the caller's.
 func (b *Base) AddCopy(in *Instance) (*Instance, bool) {
-	k := in.key()
-	if prev, ok := b.all[k]; ok {
+	all := b.table()
+	k := b.key(in)
+	if prev, ok := all[k]; ok {
 		return prev, false
 	}
 	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]Instance, 0, max(64, b.hint-len(b.all)))
+		b.slab = make([]Instance, 0, max(64, b.hint-int(b.next)))
 	}
 	b.slab = append(b.slab, *in)
 	p := &b.slab[len(b.slab)-1]
@@ -199,7 +267,7 @@ func (b *Base) Patterns() []string {
 }
 
 // Count returns the total number of instances.
-func (b *Base) Count() int { return len(b.all) }
+func (b *Base) Count() int { return int(b.next) }
 
 // Dump returns a canonical textual serialization of the whole base: one
 // line per instance, patterns in sorted order, instances in insertion
@@ -261,8 +329,9 @@ func (d *Design) elementName(pattern string) string {
 // Transform runs the XML Transformer: it maps the instance base to an
 // XML document following the parent multigraph, omitting auxiliary
 // patterns tree-minor style and preserving document order among
-// siblings.
+// siblings. It seals the base.
 func (d *Design) Transform(b *Base) *xmlenc.Node {
+	b.Seal()
 	rootName := d.RootName
 	if rootName == "" {
 		rootName = "lixto"
@@ -287,8 +356,7 @@ func (d *Design) Transform(b *Base) *xmlenc.Node {
 
 // emitChildren emits the child instances of in into the XML element out.
 func (d *Design) emitChildren(in *Instance, out *xmlenc.Node) {
-	children := orderedChildren(in)
-	for _, c := range children {
+	for _, c := range in.Children {
 		if d.Auxiliary[c.Pattern] {
 			// Tree minor: skip the node, promote its children.
 			d.emitChildren(c, out)
@@ -303,18 +371,12 @@ func (d *Design) emitChildren(in *Instance, out *xmlenc.Node) {
 	}
 }
 
-// orderedChildren returns the children sorted by document order of their
-// first node (string instances keep their relative insertion order,
-// anchored at their parent's position). Evaluation commits children in
-// document order, so the usual answer is in.Children itself; only a list
-// found out of order is copied and sorted. The result is memoized: it is
-// only requested at transform time, when the base is final, and the
-// incremental path needs it twice per instance (once for the output
-// hash, once for emission).
-func orderedChildren(in *Instance) []*Instance {
-	if in.ordOK {
-		return in.ordKids
-	}
+// orderChildren sorts the children, in place and stably, by document
+// order of their first node (string instances keep their relative
+// insertion order, anchored at their parent's position). Evaluation
+// commits one rule's children in document order, so a list is checked
+// first and usually left alone.
+func orderChildren(in *Instance) {
 	pos := func(c *Instance) int {
 		if len(c.Nodes) > 0 && c.Doc != nil {
 			return c.Doc.Pre(c.Nodes[0])
@@ -324,18 +386,15 @@ func orderedChildren(in *Instance) []*Instance {
 		}
 		return 0
 	}
-	out := in.Children
-	for i, prev := 0, 0; i < len(out); i++ {
-		p := pos(out[i])
+	kids := in.Children
+	for i, prev := 0, 0; i < len(kids); i++ {
+		p := pos(kids[i])
 		if p < prev {
-			out = append([]*Instance(nil), in.Children...)
-			sort.SliceStable(out, func(i, j int) bool { return pos(out[i]) < pos(out[j]) })
-			break
+			sort.SliceStable(kids, func(i, j int) bool { return pos(kids[i]) < pos(kids[j]) })
+			return
 		}
 		prev = p
 	}
-	in.ordKids, in.ordOK = out, true
-	return out
 }
 
 // TransformString is Transform followed by indented serialization.

@@ -74,5 +74,7 @@ func (d *dynPipeline) ExtractionStats() transform.ExtractionStats {
 	st.InstancesAdded += o.InstancesAdded
 	st.InstancesRemoved += o.InstancesRemoved
 	st.InstancesUnchanged += o.InstancesUnchanged
+	st.BaseInstances += o.BaseInstances
+	st.BaseBytes += o.BaseBytes
 	return st
 }

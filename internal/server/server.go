@@ -557,7 +557,10 @@ func (s *Server) Ready() <-chan struct{} { return s.ready }
 // HTTP until ctx is cancelled. On cancellation it stops the scheduler
 // (including dynamically registered pipelines), waits for queued and
 // in-flight ticks to finish, and drains the HTTP server; it returns
-// nil on a clean shutdown.
+// nil on a clean shutdown. A client connection that was opened but never
+// carried a request (a racing speculative dial leaves one) counts as idle
+// for net/http only once it is 5 s old, so it can hold the drain that
+// long, bounded by Config.ShutdownGrace.
 func (s *Server) Run(ctx context.Context) error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {

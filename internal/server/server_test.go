@@ -227,7 +227,11 @@ func TestConcurrentPipelinesUnderLoad(t *testing.T) {
 	}
 	base := "http://" + s.Addr()
 
-	// While the pipelines tick, hammer every endpoint in parallel.
+	// While the pipelines tick, hammer every endpoint in parallel, through
+	// a transport of the test's own: racing dials leave connections that
+	// never carry a request, and those must be closed before shutdown.
+	tr := &http.Transport{}
+	client := &http.Client{Transport: tr}
 	var wg sync.WaitGroup
 	var health200 atomic.Int64
 	stop := make(chan struct{})
@@ -249,7 +253,7 @@ func TestConcurrentPipelinesUnderLoad(t *testing.T) {
 				if j%2 == 0 {
 					req.Header.Set("Accept", "application/json")
 				}
-				resp, err := http.DefaultClient.Do(req)
+				resp, err := client.Do(req)
 				if err != nil {
 					continue // transient during shutdown races
 				}
@@ -278,6 +282,10 @@ func TestConcurrentPipelinesUnderLoad(t *testing.T) {
 		}
 	}
 
+	// A connection the server has accepted but never read a request from
+	// is in StateNew, which http.Server.Shutdown treats as idle only once
+	// it is 5 s old: as long as this test waits for Run.
+	tr.CloseIdleConnections()
 	cancel()
 	select {
 	case err := <-done:

@@ -116,6 +116,8 @@ func TestDeliverySpliceEncoding(t *testing.T) {
 				OutputReused   uint64 `json:"output_reused_nodes"`
 				InstancesSame  uint64 `json:"instances_unchanged"`
 				InstancesAdded uint64 `json:"instances_added"`
+				BaseInstances  uint64 `json:"base_instances"`
+				BaseBytes      uint64 `json:"base_bytes"`
 			} `json:"extraction"`
 		} `json:"wrappers"`
 	}
@@ -134,6 +136,10 @@ func TestDeliverySpliceEncoding(t *testing.T) {
 		}
 		if w.Extraction.OutputReused == 0 || w.Extraction.InstancesSame == 0 {
 			t.Errorf("listing output reuse counters empty: %s", body)
+		}
+		// The retained base: a gauge, and never less than the instances.
+		if n, b := w.Extraction.BaseInstances, w.Extraction.BaseBytes; n == 0 || b < 100*n || b > 400*n {
+			t.Errorf("listing base_instances = %d, base_bytes = %d: %s", n, b, body)
 		}
 	}
 	if !found {

@@ -359,6 +359,12 @@ type ExtractionStats struct {
 	InstancesAdded     uint64 `json:"instances_added"`
 	InstancesRemoved   uint64 `json:"instances_removed"`
 	InstancesUnchanged uint64 `json:"instances_unchanged"`
+	// BaseInstances/BaseBytes are gauges, not counters: the instance
+	// count and approximate heap bytes (pib.Base.Bytes, computed once
+	// when the base is sealed) of the instance base the source retains
+	// for the next tick's delta; document trees are not included.
+	BaseInstances uint64 `json:"base_instances"`
+	BaseBytes     uint64 `json:"base_bytes"`
 	// ParseNS is cumulative time (ns) spent in the fetch+parse layer;
 	// EvalNS cumulative wall time (ns) of wrapper evaluations (which
 	// includes the fetches its crawl frontier issues); TransformNS
@@ -391,6 +397,8 @@ func (s *ExtractionStats) add(o ExtractionStats) {
 	s.InstancesAdded += o.InstancesAdded
 	s.InstancesRemoved += o.InstancesRemoved
 	s.InstancesUnchanged += o.InstancesUnchanged
+	s.BaseInstances += o.BaseInstances
+	s.BaseBytes += o.BaseBytes
 	s.ParseNS += o.ParseNS
 	s.EvalNS += o.EvalNS
 	s.TransformNS += o.TransformNS
@@ -415,6 +423,8 @@ func (s *WrapperSource) ExtractionStats() ExtractionStats {
 	out.InstancesAdded = s.outStats.InstancesAdded
 	out.InstancesRemoved = s.outStats.InstancesRemoved
 	out.InstancesUnchanged = s.outStats.InstancesUnchanged
+	out.BaseInstances = s.outStats.BaseInstances
+	out.BaseBytes = s.outStats.BaseBytes
 	compiled := s.compiled
 	s.statsMu.Unlock()
 	if compiled != nil {

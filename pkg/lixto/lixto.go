@@ -77,10 +77,11 @@ func MustCompile(src string, opts ...Option) *Wrapper {
 }
 
 // OutputStats reports the wrapper's incremental-output cache counters
-// — output nodes reused and built across extractions, plus the
-// instance delta of the latest one. All zero unless the wrapper was
-// compiled with WithIncrementalOutput(true) and has extracted at
-// least twice. Safe to call concurrently with Extract.
+// — output nodes reused and built across extractions, the instance
+// deltas between consecutive ones, and the size of the instance base
+// the cache retains. All zero unless the wrapper was compiled with
+// WithIncrementalOutput(true) and has rendered a result; the deltas
+// need two. Safe to call concurrently with Extract.
 func (w *Wrapper) OutputStats() pib.OutputStats {
 	w.outMu.Lock()
 	defer w.outMu.Unlock()
