@@ -37,6 +37,7 @@ import (
 	"repro/internal/web"
 	"repro/internal/xmlenc"
 	"repro/internal/xpath"
+	"repro/pkg/lixto"
 )
 
 // BenchmarkE01_Figure1_TreeEncoding: unranked tree <-> binary
@@ -439,18 +440,18 @@ func BenchmarkE20_SharedFetchLayer(b *testing.B) {
 	}
 	run := func(b *testing.B, cache *fetchcache.Cache) {
 		sim := newSim()
+		design := &pib.Design{Auxiliary: map[string]bool{"document": true}}
 		srcs := make([]*transform.WrapperSource, nWrappers)
 		for i := range srcs {
 			srcs[i] = &transform.WrapperSource{
 				CompName: fmt.Sprintf("w%d", i),
 				Fetcher:  sim,
-				Program: elog.MustParse(fmt.Sprintf(
-					`it(S, X) <- document("fleet.example.com/p%d", S), subelem(S, (?.td, [(class, t, exact)]), X)`, i%nPages)),
-				Design: &pib.Design{Auxiliary: map[string]bool{"document": true}},
+				Wrapper: lixto.MustCompile(fmt.Sprintf(
+					`it(S, X) <- document("fleet.example.com/p%d", S), subelem(S, (?.td, [(class, t, exact)]), X)`, i%nPages), lixto.WithDesign(design)),
 				Shared: cache,
 			}
 		}
-		// Warm round: compile every program, populate the caches.
+		// Warm round: populate the caches.
 		for _, s := range srcs {
 			if _, err := s.Poll(); err != nil {
 				b.Fatal(err)
@@ -519,9 +520,7 @@ price(S, X) <- row(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 			srcs[i] = &transform.WrapperSource{
 				CompName: fmt.Sprintf("w%d", i),
 				Fetcher:  sim,
-				Program:  elog.MustParse(prog),
-				Design:   design,
-				NoCache:  true, // content churns every round anyway
+				Wrapper:  lixto.MustCompile(prog, lixto.WithDesign(design)),
 				Shared:   cache,
 				Batch:    mc,
 			}
@@ -538,7 +537,7 @@ price(S, X) <- row(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 				}
 			}
 		}
-		pollRound() // warm round: compile every program
+		pollRound() // warm round: populate the match caches
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			round++
@@ -807,82 +806,6 @@ name(S, X)    <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
 			ev.Incremental = incremental
 			if _, err := ev.RunCompiled(prog); err != nil {
 				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("full", func(b *testing.B) { run(b, false) })
-	b.Run("incremental", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkE26_ChurnEndToEnd: the whole tick — evaluate, transform,
-// encode — for one long-lived wrapper over a churning catalogue, with
-// the page bump and parse off the clock. "full" rebuilds everything
-// from scratch; "incremental" carries reuse through every layer:
-// subtree-fingerprint match reuse in the evaluator, content-hash
-// output-subtree splicing in the transformer, and frozen-subtree byte
-// splicing in the encoder.
-func BenchmarkE26_ChurnEndToEnd(b *testing.B) {
-	const sections, rowsPer, window = 40, 20, 2
-	const url = "churn.example.com/catalogue"
-	progText := fmt.Sprintf(`
-page(S, X)    <- document(%q, S), subelem(S, .body, X)
-section(S, X) <- page(_, S), subelem(S, (.div, [(class, section, exact)]), X)
-row(S, X)     <- section(_, S), subelem(S, (?.tr, [(elementtext, .*SALE.*, regexp)]), X)
-name(S, X)    <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
-`, url)
-	run := func(b *testing.B, incremental bool) {
-		version := make([]int, sections)
-		round := 0
-		page := func() string {
-			var sb strings.Builder
-			sb.WriteString("<html><body>")
-			for s := 0; s < sections; s++ {
-				v := version[s]
-				sb.WriteString(`<div class="section"><table>`)
-				for r := 0; r < rowsPer; r++ {
-					tag := ""
-					if r == v%rowsPer {
-						tag = "SALE "
-					}
-					fmt.Fprintf(&sb, `<tr><td class="name">%sitem %d.%d v%d</td></tr>`, tag, s, r, v)
-				}
-				sb.WriteString("</table></div>")
-			}
-			sb.WriteString("</body></html>")
-			return sb.String()
-		}
-		bump := func() {
-			start := (round * window) % sections
-			for i := 0; i < window; i++ {
-				version[(start+i)%sections]++
-			}
-			round++
-		}
-		src := &transform.WrapperSource{
-			CompName:            "e26",
-			Program:             elog.MustParse(progText),
-			Design:              &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "section": true}},
-			NoCache:             true,
-			NoIncremental:       !incremental,
-			NoIncrementalOutput: !incremental,
-		}
-		enc := xmlenc.NewEncoder()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			bump()
-			tr := htmlparse.Parse(page())
-			tr.Warm()
-			src.Fetcher = elog.MapFetcher{url: tr}
-			b.StartTimer()
-			docs, err := src.Poll()
-			if err != nil {
-				b.Fatal(err)
-			}
-			if incremental {
-				enc.MarshalIndentBytes(docs[0])
-			} else {
-				xmlenc.MarshalIndentBytes(docs[0])
 			}
 		}
 	}

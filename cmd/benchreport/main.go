@@ -49,6 +49,7 @@ import (
 	"repro/internal/web"
 	"repro/internal/xmlenc"
 	"repro/internal/xpath"
+	"repro/pkg/lixto"
 )
 
 var (
@@ -74,7 +75,6 @@ func main() {
 	e23LockFreeReads()
 	e24ChurnIncremental()
 	e25DurableDelivery()
-	e26ChurnEndToEnd()
 	if *jsonPath != "" {
 		if err := writeBenchJSON(*jsonPath); err != nil {
 			fmt.Fprintln(os.Stderr, "benchreport:", err)
@@ -286,25 +286,10 @@ func writeBenchJSON(path string) error {
 
 	// Incremental extraction under churn (E24): each round rewrites a
 	// contiguous ~5% window of the page; full re-evaluation vs
-	// subtree-fingerprint reuse. The -eval pair measures pure evaluation
-	// (page generation, parse and warm off the clock); the fleet pair is
-	// a whole 100-wrapper poll round over one shared page.
+	// subtree-fingerprint reuse, measuring pure evaluation (page
+	// generation, parse and warm off the clock).
 	add("E24_ChurnIncremental/full-eval", e24Eval(false))
 	add("E24_ChurnIncremental/incremental-eval", e24Eval(true))
-	e24full := e24Round(100, false)
-	add("E24_ChurnIncremental/fleet-full-100x1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e24full()
-		}
-	})
-	e24inc := e24Round(100, true)
-	add("E24_ChurnIncremental/fleet-incremental-100x1", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			e24inc()
-		}
-	})
 
 	// Durable delivery (E25): the acknowledged publish path — one
 	// changed tick plus the read that publishes it — in-memory vs
@@ -331,32 +316,6 @@ func writeBenchJSON(path string) error {
 		})
 		cleanup()
 	}
-	// End-to-end incremental tick (E26): one long-lived wrapper over
-	// the E24 churn workload; each iteration is one Poll plus the
-	// encode of its document, with the page bump and parse off the
-	// clock. full-tick re-evaluates, rebuilds the output tree and
-	// re-encodes from scratch; incremental-tick diffs the instance
-	// base, splices reused frozen output subtrees and re-encodes only
-	// dirty byte ranges.
-	for _, m := range []struct {
-		key string
-		inc bool
-	}{
-		{"full-tick", false},
-		{"incremental-tick", true},
-	} {
-		adv, tick := e26Tick(m.inc)
-		add("E26_ChurnEndToEnd/"+m.key, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				adv()
-				b.StartTimer()
-				tick()
-			}
-		})
-	}
-
 	e25fan, e25fanClean := e25Fanout(8)
 	add("E25_DurableDelivery/webhook-fanout-8", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -829,14 +788,14 @@ func e20Fleet(nWrappers, nPages int, cache *fetchcache.Cache) ([]*transform.Wrap
 		sim.SetStatic(fmt.Sprintf("fleet.example.com/p%d", p),
 			fmt.Sprintf(`<html><body><table><tr><td class="t">item %d</td></tr><tr><td class="t">more %d</td></tr></table></body></html>`, p, p))
 	}
+	design := &pib.Design{Auxiliary: map[string]bool{"document": true}}
 	srcs := make([]*transform.WrapperSource, nWrappers)
 	for i := range srcs {
 		srcs[i] = &transform.WrapperSource{
 			CompName: fmt.Sprintf("w%d", i),
 			Fetcher:  sim,
-			Program: elog.MustParse(fmt.Sprintf(
-				`it(S, X) <- document("fleet.example.com/p%d", S), subelem(S, (?.td, [(class, t, exact)]), X)`, i%nPages)),
-			Design: &pib.Design{Auxiliary: map[string]bool{"document": true}},
+			Wrapper: lixto.MustCompile(fmt.Sprintf(
+				`it(S, X) <- document("fleet.example.com/p%d", S), subelem(S, (?.td, [(class, t, exact)]), X)`, i%nPages), lixto.WithDesign(design)),
 			Shared: cache,
 		}
 	}
@@ -868,7 +827,7 @@ func e20SharedFetch() {
 		return total
 	}
 	priv, privSim := e20Fleet(nWrappers, nPages, nil)
-	pollFleet(priv) // warm: compile + first poll
+	pollFleet(priv) // warm: first poll
 	before := fetches(privSim)
 	dPriv, rounds := timeItN(func() { pollFleet(priv) })
 	privPerRound := (fetches(privSim) - before) / rounds
@@ -927,9 +886,7 @@ price(S, X) <- row(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 		srcs[i] = &transform.WrapperSource{
 			CompName: fmt.Sprintf("w%d", i),
 			Fetcher:  sim,
-			Program:  elog.MustParse(prog),
-			Design:   design,
-			NoCache:  true,
+			Wrapper:  lixto.MustCompile(prog, lixto.WithDesign(design)),
 			Shared:   cache,
 			Batch:    mc,
 		}
@@ -941,7 +898,7 @@ price(S, X) <- row(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 		}
 		pollFleet(srcs)
 	}
-	pollRound() // warm: compile every program
+	pollRound() // warm: populate the match caches
 	return pollRound
 }
 
@@ -1034,132 +991,16 @@ func e24Eval(incremental bool) func(b *testing.B) {
 	}
 }
 
-// e24Round builds the E24 fleet — nWrappers wrappers over one shared
-// churning page, fetched and parsed once per round through a shared
-// fetch cache — and returns one full poll round as a closure. Each
-// wrapper keeps its own compiled program across rounds; incremental
-// toggles subtree-fingerprint reuse, everything else is identical.
-func e24Round(nWrappers int, incremental bool) func() {
-	page, bump, prog, url := e24Setup()
-	sim := web.New()
-	sim.SetPage(url, page)
-	cache := fetchcache.New(4, time.Hour)
-	design := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "section": true}}
-	srcs := make([]*transform.WrapperSource, nWrappers)
-	for i := range srcs {
-		srcs[i] = &transform.WrapperSource{
-			CompName:      fmt.Sprintf("w%d", i),
-			Fetcher:       sim,
-			Program:       elog.MustParse(prog),
-			Design:        design,
-			NoCache:       true,
-			Shared:        cache,
-			NoIncremental: !incremental,
-		}
-	}
-	pollRound := func() {
-		bump()
-		cache.Flush() // one freshness window per round
-		pollFleet(srcs)
-	}
-	pollRound() // warm: compile every program, seed the subtree caches
-	return pollRound
-}
-
 func e24ChurnIncremental() {
 	header("E24", "incremental extraction under churn (PR 8)",
-		"100 wrappers, one shared page, ~5% of nodes mutate per round: only dirty regions re-match")
-	const nWrappers = 100
-	full := e24Round(nWrappers, false)
-	dFull := timeIt(full)
-	incr := e24Round(nWrappers, true)
-	dIncr := timeIt(incr)
-	fmt.Printf("   fleet poll round (%d wrappers / 1 churning page, ~5%% dirty):\n", nWrappers)
-	fmt.Printf("   %-28s %12s\n", "", "median")
-	fmt.Printf("   %-28s %12s\n", "full re-evaluation", dFull.Round(time.Microsecond))
-	fmt.Printf("   %-28s %12s\n", "incremental", dIncr.Round(time.Microsecond))
-	fmt.Printf("   full/incremental: %.1fx\n", float64(dFull)/float64(dIncr))
-}
-
-// e26Tick builds one long-lived wrapper over the E24 churn workload
-// and returns (advance, tick): advance rewrites the page and re-parses
-// it off the clock; tick runs one Poll and encodes the resulting
-// document to bytes — the full evaluate→transform→encode cost a
-// scheduler tick pays per wrapper. With incremental on, all three
-// reuse layers engage: subtree-fingerprint match reuse in the
-// evaluator, content-hash output-subtree splicing in the transformer,
-// and frozen-subtree byte splicing in the encoder. With it off, every
-// tick re-evaluates, rebuilds the output tree and re-encodes from
-// scratch.
-func e26Tick(incremental bool) (advance func(), tick func() []byte) {
-	page, bump, prog, url := e24Setup()
-	src := &transform.WrapperSource{
-		CompName:            "e26",
-		Program:             elog.MustParse(prog),
-		Design:              &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "section": true}},
-		NoCache:             true,
-		NoIncremental:       !incremental,
-		NoIncrementalOutput: !incremental,
-	}
-	enc := xmlenc.NewEncoder()
-	advance = func() {
-		bump()
-		tr := htmlparse.Parse(page())
-		tr.Warm()
-		src.Fetcher = elog.MapFetcher{url: tr}
-	}
-	tick = func() []byte {
-		docs, err := src.Poll()
-		check(err)
-		if incremental {
-			return enc.MarshalIndentBytes(docs[0])
-		}
-		return xmlenc.MarshalIndentBytes(docs[0])
-	}
-	advance()
-	tick() // warm: compile, seed the match/output/encoder caches
-	return advance, tick
-}
-
-// e26Median measures the median on-clock tick over several churn
-// rounds, advancing the page off the clock before each one.
-func e26Median(advance func(), tick func() []byte) time.Duration {
-	runs := 7
-	if *quick {
-		runs = 3
-	}
-	var ds []time.Duration
-	for i := 0; i < runs; i++ {
-		advance()
-		t0 := time.Now()
-		tick()
-		ds = append(ds, time.Since(t0))
-	}
-	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2]
-}
-
-func e26ChurnEndToEnd() {
-	header("E26", "end-to-end incremental tick (PR 10)",
-		"instance diffing + output-subtree reuse + splice encoding: tick cost tracks the dirty region, bytes identical")
-	fullAdv, fullTick := e26Tick(false)
-	incAdv, incTick := e26Tick(true)
-	// Both paths must render every churned version byte-identically —
-	// the reused bytes are indistinguishable from a full rebuild.
-	for i := 0; i < 3; i++ {
-		fullAdv()
-		incAdv()
-		if !bytes.Equal(fullTick(), incTick()) {
-			panic("E26: incremental tick diverges from full rebuild")
-		}
-	}
-	dFull := e26Median(fullAdv, fullTick)
-	dIncr := e26Median(incAdv, incTick)
-	fmt.Printf("   one wrapper, ~5%% of the page dirty per tick (poll + encode, parse off-clock):\n")
-	fmt.Printf("   %-28s %12s\n", "", "median")
-	fmt.Printf("   %-28s %12s\n", "full rebuild tick", dFull.Round(time.Microsecond))
-	fmt.Printf("   %-28s %12s\n", "incremental tick", dIncr.Round(time.Microsecond))
-	fmt.Printf("   full/incremental: %.1fx\n", float64(dFull)/float64(dIncr))
+		"one wrapper, ~5% of nodes mutate per round: only dirty regions re-match")
+	full := testing.Benchmark(e24Eval(false))
+	incr := testing.Benchmark(e24Eval(true))
+	fmt.Printf("   evaluation per churn round (parse off-clock, ~5%% dirty):\n")
+	fmt.Printf("   %-28s %12s\n", "", "ns/op")
+	fmt.Printf("   %-28s %12d\n", "full re-evaluation", full.NsPerOp())
+	fmt.Printf("   %-28s %12d\n", "incremental", incr.NsPerOp())
+	fmt.Printf("   full/incremental: %.1fx\n", float64(full.NsPerOp())/float64(incr.NsPerOp()))
 }
 
 func e12TranslationSizes() {

@@ -13,7 +13,7 @@ import (
 // wrapper over a churning auction site and requires the incremental
 // wrapper (one compiled program held across versions, with incremental
 // output on) to produce an instance base — and rendered XML —
-// byte-identical to a cold, non-incremental extraction of each version,
+// byte-identical to a freshly compiled wrapper's extraction of each version,
 // including versions whose structural mutations knock pages out of
 // document order and force the full-matching fallback.
 func TestFigure5IncrementalDifferential(t *testing.T) {
@@ -36,7 +36,7 @@ func TestFigure5IncrementalDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, err := cold.Extract(context.Background(), lixto.Origin(), lixto.WithIncremental(false))
+		wantRes, err := cold.Extract(context.Background(), lixto.Origin())
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}

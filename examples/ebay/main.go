@@ -6,12 +6,13 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // figure5 is the Elog program of Figure 5 (pattern names normalized; the
@@ -45,18 +46,19 @@ func main() {
 	site := web.NewAuctionSite(2004, 40) // two pages of 25 + 15
 	site.Register(sim, "www.ebay.com")
 
-	w, err := core.CompileWrapper(figure5)
+	w, err := lixto.Compile(figure5,
+		lixto.WithAuxiliary("tableseq", "tableseq2", "nextlink", "nexturl", "nextpage"),
+		lixto.WithRoot("auctions"),
+		lixto.WithFetcher(sim))
 	if err != nil {
 		log.Fatal(err)
 	}
-	w.SetAuxiliary("tableseq", "tableseq2", "nextlink", "nexturl", "nextpage")
-	w.Design.RootName = "auctions"
 
-	xml, err := w.Wrap(sim)
+	res, err := w.Extract(context.Background(), lixto.Origin())
 	if err != nil {
 		log.Fatal(err)
 	}
-	records := xml.Find("record")
+	records := res.XML().Find("record")
 	fmt.Printf("extracted %d records from %d items across %d page fetches\n\n",
 		len(records), len(site.Items), sim.FetchCount("www.ebay.com/")+sim.FetchCount("www.ebay.com/page1.html"))
 	for i, r := range records {

@@ -11,10 +11,11 @@ import (
 )
 
 // TestQuickstartIncrementalDifferential pins the SDK contract that
-// WithIncremental changes work, never output: re-extracting mutated
+// cross-call reuse changes work, never output: re-extracting mutated
 // versions of the quickstart page through one long-lived wrapper (whose
 // subtree caches persist across calls) yields instance bases
-// byte-identical to cold, non-incremental extraction of each version.
+// byte-identical to a freshly compiled wrapper's extraction of each
+// version.
 func TestQuickstartIncrementalDifferential(t *testing.T) {
 	opts := []lixto.Option{lixto.WithAuxiliary("page"), lixto.WithRoot("books")}
 	w, err := lixto.Compile(wrapper, opts...)
@@ -28,7 +29,7 @@ func TestQuickstartIncrementalDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, err := cold.Extract(context.Background(), lixto.Tree(cur), lixto.WithIncremental(false))
+		wantRes, err := cold.Extract(context.Background(), lixto.Tree(cur))
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}

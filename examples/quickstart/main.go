@@ -10,8 +10,11 @@ import (
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/datalog"
+	"repro/internal/htmlparse"
+	"repro/internal/mdatalog"
 	"repro/internal/xmlenc"
+	"repro/internal/xpath"
 	"repro/pkg/lixto"
 )
 
@@ -36,6 +39,20 @@ title(S, X) <- book(_, S), subelem(S, (?.td, [(class, title, exact)]), X)
 price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 `
 
+// titleCells is an XPath query (with the positional and count()
+// extensions beyond Core XPath) for the first cell of every two-cell
+// row that has a price.
+const titleCells = "//tr[td[@class='price'] and count(td)=2]/td[1]"
+
+// tableCells is a monadic datalog program over the τ_ur signature
+// selecting every td below a table, evaluated by the O(|P|·|dom|)
+// engine of Theorem 2.4.
+const tableCells = `
+intable(X) :- label_table(X0), child(X0, X).
+intable(X) :- intable(X0), child(X0, X).
+cell(X) :- intable(X), label_td(X).
+`
+
 func main() {
 	// page is an auxiliary pattern: it structures the wrapper but should
 	// not appear in the output XML.
@@ -53,20 +70,24 @@ func main() {
 	fmt.Print(xmlenc.MarshalIndent(res.XML()))
 
 	// The same document is queryable with XPath and monadic datalog.
-	doc := core.ParseHTML(page)
-	cheap, err := core.XPath(doc, "//tr[td[@class='price'] and count(td)=2]/td[1]")
+	doc := htmlparse.Parse(page)
+	q, err := xpath.Parse(titleCells)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nXPath found %d title cells\n", len(cheap))
+	cells, err := xpath.EvalFull(q, doc, nil)
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("\nXPath found %d title cells\n", len(cells))
 
-	titles, err := core.MonadicDatalog(doc, `
-intable(X) :- label_table(X0), child(X0, X).
-intable(X) :- intable(X0), child(X0, X).
-cell(X) :- intable(X), label_td(X).
-`, "cell")
+	prog, err := datalog.Parse(tableCells)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("monadic datalog found %d table cells\n", len(titles))
+	tds, err := mdatalog.Query(prog, doc, "cell")
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("monadic datalog found %d table cells\n", len(tds))
 }

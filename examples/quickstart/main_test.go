@@ -5,7 +5,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/datalog"
+	"repro/internal/htmlparse"
+	"repro/internal/mdatalog"
 	"repro/internal/xmlenc"
+	"repro/internal/xpath"
 	"repro/pkg/lixto"
 )
 
@@ -30,5 +34,33 @@ func TestQuickstartWrapper(t *testing.T) {
 		if got := len(res.Instances(pat)); got != 3 {
 			t.Fatalf("%s: got %d, want 3", pat, got)
 		}
+	}
+}
+
+// The quickstart's XPath query and monadic datalog program select the
+// title cells and all table cells of the page.
+func TestQuickstartQueries(t *testing.T) {
+	doc := htmlparse.Parse(page)
+	q, err := xpath.Parse(titleCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cells, err := xpath.EvalFull(q, doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(cells) != 3 {
+		t.Fatalf("XPath title cells: %d, want 3", len(cells))
+	}
+	prog, err := datalog.Parse(tableCells)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tds, err := mdatalog.Query(prog, doc, "cell")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tds) != 6 {
+		t.Fatalf("monadic datalog table cells: %d, want 6", len(tds))
 	}
 }

@@ -13,8 +13,8 @@ import (
 // TestGeneratedWrapperIncrementalDifferential runs a visually generated
 // wrapper against a churning held-out site and requires incremental
 // extraction (one wrapper held across versions, with incremental output
-// on) to match cold, non-incremental extraction of every version byte
-// for byte — the instance base and the rendered XML both.
+// on) to match a freshly compiled wrapper's extraction of every
+// version byte for byte — the instance base and the rendered XML both.
 func TestGeneratedWrapperIncrementalDifferential(t *testing.T) {
 	sim := web.New()
 	site := web.NewBookSite(2004, 8)
@@ -56,7 +56,7 @@ func TestGeneratedWrapperIncrementalDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		wantRes, err := cold.Extract(context.Background(), lixto.Origin(), lixto.WithIncremental(false))
+		wantRes, err := cold.Extract(context.Background(), lixto.Origin())
 		if err != nil {
 			t.Fatalf("step %d cold: %v", step, err)
 		}

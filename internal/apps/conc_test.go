@@ -51,9 +51,9 @@ func TestAppWrappersConcurrencyDeterminism(t *testing.T) {
 					var base *pib.Base
 					var err error
 					if compiled {
-						base, err = ev.RunCompiled(elog.MustCompile(src.Program))
+						base, err = ev.RunCompiled(elog.MustCompile(src.Wrapper.Program()))
 					} else {
-						base, err = ev.Run(src.Program)
+						base, err = ev.Run(src.Wrapper.Program())
 					}
 					if err != nil {
 						t.Fatalf("%s/%s compiled=%v conc=%d: %v", appName, src.CompName, compiled, conc, err)

@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/elog"
 	"repro/internal/pib"
 	"repro/internal/transform"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // FlightInfo is the travel-information service of Section 6.2: the user
@@ -40,7 +40,7 @@ func NewFlightInfo(seed int64, subs []Subscription) (*FlightInfo, error) {
 	src := &transform.WrapperSource{
 		CompName: "wrap-flights",
 		Fetcher:  sim,
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("airport.example.com/departures.html", S), subelem(S, .body, X)
 flight(S, X) <- page(_, S), subelem(S, (?.tr, [(class, flight, exact)]), X)
 number(S, X) <- flight(_, S), subelem(S, (?.td, [(class, no, exact)]), X)
@@ -48,8 +48,7 @@ from(S, X) <- flight(_, S), subelem(S, (?.td, [(class, from, exact)]), X)
 to(S, X) <- flight(_, S), subelem(S, (?.td, [(class, to, exact)]), X)
 time(S, X) <- flight(_, S), subelem(S, (?.td, [(class, time, exact)]), X)
 status(S, X) <- flight(_, S), subelem(S, (?.td, [(class, status, exact)]), X)
-`),
-		Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "departures"},
+`, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "departures"})),
 	}
 	if err := app.Engine.Add(src); err != nil {
 		return nil, err

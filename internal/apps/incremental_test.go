@@ -59,11 +59,11 @@ func TestAppWrappersIncrementalDifferential(t *testing.T) {
 			}
 			for _, grow := range []bool{false, true} {
 				churn := &web.ChurnFetcher{Inner: src.Fetcher, Seed: 31, PerStep: 3, Grow: grow}
-				cp := elog.MustCompile(src.Program)
+				cp := elog.MustCompile(src.Wrapper.Program())
 				shared := elog.NewMatchCache()
 				for step := 0; step < 4; step++ {
 					cold := elog.NewEvaluator(churn)
-					coldBase, err := cold.RunCompiled(elog.MustCompile(src.Program))
+					coldBase, err := cold.RunCompiled(elog.MustCompile(src.Wrapper.Program()))
 					if err != nil {
 						t.Fatalf("%s/%s grow=%v step %d cold: %v", appName, src.CompName, grow, step, err)
 					}

@@ -5,11 +5,11 @@ import (
 	"strings"
 
 	"repro/internal/concepts"
-	"repro/internal/elog"
 	"repro/internal/pib"
 	"repro/internal/transform"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // PowerTrading is the application of Section 6.7: spot market prices for
@@ -32,24 +32,22 @@ func NewPowerTrading(seed int64) (*PowerTrading, error) {
 	spot := &transform.WrapperSource{
 		CompName: "wrap-spot",
 		Fetcher:  sim,
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("exchange.example.com/spot.html", S), subelem(S, .body, X)
 hour(S, X) <- page(_, S), subelem(S, (?.tr, [(class, hour, exact)]), X)
 h(S, X) <- hour(_, S), subelem(S, (?.td, [(class, h, exact)]), X)
 eur(S, X) <- hour(_, S), subelem(S, (?.td, [(class, eur, exact)]), X)
-`),
-		Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "spot"},
+`, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "spot"})),
 	}
 	weather := &transform.WrapperSource{
 		CompName: "wrap-weather",
 		Fetcher:  sim,
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("exchange.example.com/weather.html", S), subelem(S, .body, X)
 cond(S, X) <- page(_, S), subelem(S, (?.span, [(class, cond, exact)]), X)
 temp(S, X) <- page(_, S), subelem(S, (?.span, [(class, temp, exact)]), X)
 level(S, X) <- page(_, S), subelem(S, (?.span, [(class, level, exact)]), X)
-`),
-		Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "weather"},
+`, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "weather"})),
 	}
 	integ := &transform.Integrator{CompName: "merge", Expect: []string{"wrap-spot", "wrap-weather"}}
 	report := &transform.Transformer{CompName: "report", Fn: powerReport}
@@ -129,13 +127,12 @@ func NewViticulture(regions []string) (*Viticulture, error) {
 		src := &transform.WrapperSource{
 			CompName: name,
 			Fetcher:  sim,
-			Program: elog.MustParse(fmt.Sprintf(`
+			Wrapper: lixto.MustCompile(fmt.Sprintf(`
 page(S, X) <- document("wine.example.com/%s.html", S), subelem(S, .body, X)
 region(S, X) <- page(_, S), subelem(S, ?.h1, X)
 pest(S, X) <- page(_, S), subelem(S, (?.li, [(class, pest, exact)]), X)
 news(S, X) <- page(_, S), subelem(S, (?.p, [(class, item, exact)]), X)
-`, strings.ToLower(region))),
-			Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "regionreport"},
+`, strings.ToLower(region)), lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "regionreport"})),
 		}
 		if err := app.Engine.Add(src); err != nil {
 			return nil, err
@@ -185,22 +182,20 @@ func NewAutomotiveMonitor(seed int64) (*AutomotiveMonitor, error) {
 	rfqSrc := &transform.WrapperSource{
 		CompName: "wrap-rfq",
 		Fetcher:  sim,
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("oem.example.com/rfq.html", S), subelem(S, .body, X)
 rfq(S, X) <- page(_, S), subelem(S, (?.li, [(class, rfq, exact)]), X)
-`),
-		Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "rfqs"},
+`, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "rfqs"})),
 	}
 	priceSrc := &transform.WrapperSource{
 		CompName: "wrap-prices",
 		Fetcher:  sim,
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("competitor.example.com/", S), subelem(S, .body, X)
 item(S, X) <- page(_, S), subelem(S, (?.table, [(class, item, exact)]), X)
 des(S, X) <- item(_, S), subelem(S, ?.a, X)
 price(S, X) <- item(_, S), subelem(S, (?.td, [(elementtext, \var[Y].*, regvar)]), X), isCurrency(Y)
-`),
-		Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "competitor"},
+`, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "competitor"})),
 	}
 	rfqChange := &transform.ChangeFilter{CompName: "rfq-change"}
 	priceChange := &transform.ChangeFilter{CompName: "price-change"}

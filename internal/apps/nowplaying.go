@@ -12,11 +12,11 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/elog"
 	"repro/internal/pib"
 	"repro/internal/transform"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // NowPlaying is the mobile-entertainment application of Section 6.1:
@@ -52,8 +52,7 @@ func NewNowPlaying(seed int64) (*NowPlaying, error) {
 		src := &transform.WrapperSource{
 			CompName: "wrap-" + name,
 			Fetcher:  sim,
-			Program:  radioWrapper(name + ".example.com"),
-			Design:   &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "station"},
+			Wrapper:  lixto.MustCompile(radioWrapper(name+".example.com"), lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "station"})),
 			Every:    1, // radio channels refresh every tick ("a few seconds")
 		}
 		if err := app.Engine.Add(src); err != nil {
@@ -69,8 +68,7 @@ func NewNowPlaying(seed int64) (*NowPlaying, error) {
 		src := &transform.WrapperSource{
 			CompName: "wrap-" + name,
 			Fetcher:  sim,
-			Program:  chartWrapper(name + ".example.com"),
-			Design:   &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "chart"},
+			Wrapper:  lixto.MustCompile(chartWrapper(name+".example.com"), lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "chart"})),
 			Every:    5, // charts refresh on a slower schedule ("hours or days")
 		}
 		if err := app.Engine.Add(src); err != nil {
@@ -83,8 +81,7 @@ func NewNowPlaying(seed int64) (*NowPlaying, error) {
 	lyrSrc := &transform.WrapperSource{
 		CompName: "wrap-lyrics",
 		Fetcher:  sim,
-		Program:  lyricsWrapper("lyrics.example.com", len(pool)),
-		Design:   &pib.Design{Auxiliary: map[string]bool{"document": true}, RootName: "lyricsdb"},
+		Wrapper:  lixto.MustCompile(lyricsWrapper("lyrics.example.com", len(pool)), lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true}, RootName: "lyricsdb"})),
 		Every:    5,
 	}
 	if err := app.Engine.Add(lyrSrc); err != nil {
@@ -130,36 +127,36 @@ func (a *NowPlaying) Step() {
 	a.Engine.Tick()
 }
 
-func radioWrapper(host string) *elog.Program {
-	return elog.MustParse(fmt.Sprintf(`
+func radioWrapper(host string) string {
+	return fmt.Sprintf(`
 page(S, X) <- document("%s/playlist.html", S), subelem(S, .body, X)
 now(S, X) <- page(_, S), subelem(S, (?.div, [(class, nowplaying, exact)]), X)
 title(S, X) <- now(_, S), subelem(S, (?.span, [(class, title, exact)]), X)
 artist(S, X) <- now(_, S), subelem(S, (?.span, [(class, artist, exact)]), X)
-`, host))
+`, host)
 }
 
-func chartWrapper(host string) *elog.Program {
-	return elog.MustParse(fmt.Sprintf(`
+func chartWrapper(host string) string {
+	return fmt.Sprintf(`
 page(S, X) <- document("%s/top.html", S), subelem(S, .body, X)
 entry(S, X) <- page(_, S), subelem(S, ?.tr, X), contains(X, (?.td, [(class, rank, exact)]), _)
 rank(S, X) <- entry(_, S), subelem(S, (?.td, [(class, rank, exact)]), X)
 song(S, X) <- entry(_, S), subelem(S, (?.td, [(class, song, exact)]), X)
 artist(S, X) <- entry(_, S), subelem(S, (?.td, [(class, artist, exact)]), X)
-`, host))
+`, host)
 }
 
-func lyricsWrapper(host string, n int) *elog.Program {
+func lyricsWrapper(host string, n int) string {
 	// The lyrics group wraps the index and follows each link — the
 	// crawling feature.
-	return elog.MustParse(fmt.Sprintf(`
+	return fmt.Sprintf(`
 index(S, X) <- document("%s/index.html", S), subelem(S, .body, X)
 link(S, X) <- index(_, S), subelem(S, ?.a, X)
 url(S, X) <- link(_, S), subatt(S, href, X)
 songpage(S, X) <- url(_, S), getDocument(S, X)
 song(S, X) <- songpage(_, S), subelem(S, (?.h1, [(class, song, exact)]), X)
 lyrics(S, X) <- songpage(_, S), subelem(S, (?.pre, [(class, lyrics, exact)]), X)
-`, host))
+`, host)
 }
 
 // buildPortal joins the merged sources into the PDA portal document:

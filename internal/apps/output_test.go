@@ -7,6 +7,7 @@ import (
 	"repro/internal/transform"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // TestAppWrappersOutputDifferential extends the incremental
@@ -58,21 +59,20 @@ func TestAppWrappersOutputDifferential(t *testing.T) {
 			for _, grow := range []bool{false, true} {
 				churnInc := &web.ChurnFetcher{Inner: src.Fetcher, Seed: 31, PerStep: 3, Grow: grow}
 				churnCold := &web.ChurnFetcher{Inner: src.Fetcher, Seed: 31, PerStep: 3, Grow: grow}
-				inc := &transform.WrapperSource{
-					CompName: src.CompName, Fetcher: churnInc,
-					Program: src.Program, Design: src.Design,
+				// Both sides compile the app's program afresh: inc holds its
+				// wrapper across the steps, cold starts from nothing each step.
+				fresh := func(f *web.ChurnFetcher) *transform.WrapperSource {
+					return &transform.WrapperSource{CompName: src.CompName, Fetcher: f,
+						Wrapper: lixto.MustCompile(src.Wrapper.String(), lixto.WithDesign(src.Wrapper.Design()))}
 				}
+				inc := fresh(churnInc)
 				enc := xmlenc.NewEncoder()
 				for step := 0; step < 4; step++ {
 					got, err := inc.Poll()
 					if err != nil {
 						t.Fatalf("%s/%s grow=%v step %d incremental: %v", appName, src.CompName, grow, step, err)
 					}
-					cold := &transform.WrapperSource{
-						CompName: src.CompName, Fetcher: churnCold,
-						Program: src.Program, Design: src.Design,
-						NoIncremental: true, NoIncrementalOutput: true, NoCache: true,
-					}
+					cold := fresh(churnCold)
 					want, err := cold.Poll()
 					if err != nil {
 						t.Fatalf("%s/%s grow=%v step %d cold: %v", appName, src.CompName, grow, step, err)

@@ -3,11 +3,11 @@ package apps
 import (
 	"strings"
 
-	"repro/internal/elog"
 	"repro/internal/pib"
 	"repro/internal/transform"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // PressClipping is the financial-news application of Section 6.3: news
@@ -34,26 +34,24 @@ func NewPressClipping(seed int64) (*PressClipping, error) {
 	newsSrc := &transform.WrapperSource{
 		CompName: "wrap-news",
 		Fetcher:  sim,
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("press.example.com/news.html", S), subelem(S, .body, X)
 article(S, X) <- page(_, S), subelem(S, (?.div, [(class, article, exact)]), X)
 headline(S, X) <- article(_, S), subelem(S, (?.h2, [(class, headline, exact)]), X)
 date(S, X) <- article(_, S), subelem(S, (?.span, [(class, date, exact)]), X)
 ticker(S, X) <- article(_, S), subelem(S, (?.span, [(class, ticker, exact)]), X)
 body(S, X) <- article(_, S), subelem(S, (?.p, [(class, body, exact)]), X)
-`),
-		Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "news"},
+`, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "news"})),
 	}
 	quoteSrc := &transform.WrapperSource{
 		CompName: "wrap-quotes",
 		Fetcher:  sim,
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("quotes.example.com/quotes.html", S), subelem(S, .body, X)
 quote(S, X) <- page(_, S), subelem(S, (?.tr, [(class, quote, exact)]), X)
 ticker(S, X) <- quote(_, S), subelem(S, (?.td, [(class, ticker, exact)]), X)
 value(S, X) <- quote(_, S), subelem(S, (?.td, [(class, value, exact)]), X)
-`),
-		Design: &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "quotes"},
+`, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "quotes"})),
 	}
 	integrator := &transform.Integrator{CompName: "merge", Expect: []string{"wrap-news", "wrap-quotes"}}
 	nitf := &transform.Transformer{CompName: "nitf", Fn: toNITF}

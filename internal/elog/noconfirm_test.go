@@ -30,7 +30,7 @@ func appWrappers(t *testing.T) []fixpointCase {
 	add := func(app string, eng *transform.Engine) {
 		for _, comp := range eng.Components() {
 			if src, ok := comp.(*transform.WrapperSource); ok {
-				out = append(out, fixpointCase{name: "apps/" + app + "/" + src.CompName, prog: src.Program,
+				out = append(out, fixpointCase{name: "apps/" + app + "/" + src.CompName, prog: src.Wrapper.Program(),
 					fetcher: func() elog.Fetcher { return src.Fetcher }})
 			}
 		}

@@ -9,8 +9,9 @@ import (
 // dynPipeline is a wrapper compiled and registered at runtime through
 // POST /v1/wrappers: a single-wrapper transform engine (source →
 // collector) driving the scheduled path, plus the SDK wrapper itself
-// for synchronous one-shot extractions. Both paths share the compiled
-// program and its match caches.
+// for synchronous one-shot extractions. The engine's source polls
+// through that same wrapper, so both paths share one compiled program,
+// its match caches and one output cache.
 type dynPipeline struct {
 	name string
 	w    *lixto.Wrapper
@@ -22,20 +23,11 @@ type dynPipeline struct {
 // wrapper into a schedulable pipeline, optionally attached to the
 // server's fleet-shared match cache (nil batch disables batching).
 // Scheduling (interval vs on-demand) lives in the server's pipeState
-// and may change over the pipeline's lifetime via PATCH. noIncOutput
-// pins the wrapper source to full per-tick XML rebuilds
-// (Config.NoIncrementalOutput).
-func newDynPipeline(name string, w *lixto.Wrapper, f elog.Fetcher, batch *elog.MatchCache, noIncOutput bool) (*dynPipeline, error) {
+// and may change over the pipeline's lifetime via PATCH.
+func newDynPipeline(name string, w *lixto.Wrapper, f elog.Fetcher, batch *elog.MatchCache) (*dynPipeline, error) {
 	eng, out, err := transform.NewWrapperEngineBatched(name, w, f, nil, batch)
 	if err != nil {
 		return nil, err
-	}
-	if noIncOutput {
-		for _, c := range eng.Components() {
-			if src, ok := c.(*transform.WrapperSource); ok {
-				src.NoIncrementalOutput = true
-			}
-		}
 	}
 	return &dynPipeline{name: name, w: w, eng: eng, out: out}, nil
 }
@@ -61,20 +53,7 @@ func (d *dynPipeline) Output() *transform.Collector { return d.out }
 // match cache, so batch_size stops counting retired wrappers.
 func (d *dynPipeline) Close() { d.eng.Close() }
 
-// ExtractionStats implements ExtractionStatser, folding in the SDK
-// wrapper's output-cache counters: one-shot extractions (POST
-// .../extract) reuse output subtrees through the wrapper itself, not
-// the scheduled wrapper source, and their reuse must surface in
-// /statusz and the /v1 listing all the same.
-func (d *dynPipeline) ExtractionStats() transform.ExtractionStats {
-	st := d.eng.ExtractionStats()
-	o := d.w.OutputStats()
-	st.OutputReusedNodes += o.ReusedNodes
-	st.OutputBuiltNodes += o.BuiltNodes
-	st.InstancesAdded += o.InstancesAdded
-	st.InstancesRemoved += o.InstancesRemoved
-	st.InstancesUnchanged += o.InstancesUnchanged
-	st.BaseInstances += o.BaseInstances
-	st.BaseBytes += o.BaseBytes
-	return st
-}
+// ExtractionStats implements ExtractionStatser. The wrapper source
+// reports the SDK wrapper's output cache, which one-shot extractions
+// render through as well.
+func (d *dynPipeline) ExtractionStats() transform.ExtractionStats { return d.eng.ExtractionStats() }

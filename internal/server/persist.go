@@ -294,7 +294,7 @@ func (s *Server) restoreDynamic(spec wrapperSpec) error {
 	if err != nil {
 		return err
 	}
-	d, err := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache, s.cfg.NoIncrementalOutput)
+	d, err := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache)
 	if err != nil {
 		return err
 	}

@@ -152,13 +152,6 @@ type Config struct {
 	// MaxWebhooksPerWrapper caps endpoint registrations per wrapper
 	// (default 16).
 	MaxWebhooksPerWrapper int
-	// NoIncrementalOutput disables the incremental output path: dynamic
-	// wrappers rebuild their full XML document every tick
-	// (transform.WrapperSource.NoIncrementalOutput) and snapshots are
-	// encoded statelessly instead of splicing cached byte ranges of
-	// unchanged frozen subtrees. Published bytes are identical either
-	// way; set this only to measure or to pin the full-rebuild path.
-	NoIncrementalOutput bool
 	// Logf, when set, receives server lifecycle messages.
 	Logf func(format string, args ...any)
 }
@@ -288,7 +281,6 @@ func validName(name string) bool {
 func (s *Server) initPipe(ps *pipeState) error {
 	ps.hooks.init(s, ps)
 	ps.deliver.hooks = &ps.hooks
-	ps.deliver.noSplice = s.cfg.NoIncrementalOutput
 	return s.attachPersist(ps)
 }
 

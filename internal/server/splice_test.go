@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/web"
+	"repro/internal/xmlenc"
 	"repro/pkg/lixto"
 )
 
@@ -17,21 +18,21 @@ name(S, X) <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
 `
 
 // newSplicePipe builds a scheduled dynamic pipeline over a churning
-// catalogue page: each bump rewrites exactly one row, leaving the rest
-// byte-identical — the shape where incremental output reuses frozen
-// row subtrees and the delivery encoder can splice their bytes.
-func newSplicePipe(t *testing.T, name string, noIncOutput bool) (d *dynPipeline, bump func()) {
+// catalogue page at *version: each version bump rewrites exactly one
+// row, leaving the rest byte-identical — the shape where incremental
+// output reuses frozen row subtrees and the delivery encoder can splice
+// their bytes.
+func newSplicePipe(t *testing.T, name string, version *int) *dynPipeline {
 	t.Helper()
 	const rows = 16
-	version := 0
 	sim := web.New()
 	sim.SetPage("churn.test/cat", func() string {
 		var sb strings.Builder
 		sb.WriteString("<html><body><table>")
 		for r := 0; r < rows; r++ {
 			v := 0
-			if r == version%rows {
-				v = version
+			if r == *version%rows {
+				v = *version
 			}
 			fmt.Fprintf(&sb, `<tr><td class="name">catalogue item %d revision %d</td></tr>`, r, v)
 		}
@@ -39,72 +40,59 @@ func newSplicePipe(t *testing.T, name string, noIncOutput bool) (d *dynPipeline,
 		return sb.String()
 	})
 	w, err := lixto.Compile(spliceProg, lixto.WithAuxiliary("page"), lixto.WithFetcher(sim),
-		lixto.WithIncrementalOutput(!noIncOutput))
+		lixto.WithIncrementalOutput(true))
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err = newDynPipeline(name, w, sim, nil, noIncOutput)
+	d, err := newDynPipeline(name, w, sim, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return d, func() { version++ }
+	return d
 }
 
 // TestDeliverySpliceEncoding pins the splice path end to end through
-// the real scheduled route: a churning wrapper on a default server
-// (incremental output on) serves bodies and ETags byte-identical to
-// the same wrapper on a NoIncrementalOutput server, while only the
-// former's delivery encoder splices reused byte ranges — and the
-// counter is visible in the GET /v1/wrappers listing.
+// the real scheduled route: a churning wrapper serves bodies and ETags
+// byte-identical to a stateless encode of a freshly built pipeline's
+// delivery of the same page version, while its delivery encoder
+// splices reused byte ranges — and the counter is visible in the
+// GET /v1/wrappers listing.
 func TestDeliverySpliceEncoding(t *testing.T) {
 	sInc := New(Config{})
-	sFull := New(Config{NoIncrementalOutput: true})
-	pInc, bumpInc := newSplicePipe(t, "cat", false)
-	pFull, bumpFull := newSplicePipe(t, "cat", true)
+	version := 0
+	pInc := newSplicePipe(t, "cat", &version)
 	if err := sInc.RegisterDynamic(pInc, 0, true); err != nil {
-		t.Fatal(err)
-	}
-	if err := sFull.RegisterDynamic(pFull, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	tsInc := httptest.NewServer(sInc.Handler())
 	defer tsInc.Close()
-	tsFull := httptest.NewServer(sFull.Handler())
-	defer tsFull.Close()
 
-	tick := func(s *Server, d *dynPipeline) {
-		t.Helper()
-		if err := d.Tick(); err != nil {
+	for i := 0; i < 6; i++ {
+		if err := pInc.Tick(); err != nil {
 			t.Fatal(err)
 		}
-		if ps := s.readPipe(d.name); ps != nil {
-			ps.deliver.snapshot(d.out)
-		}
-	}
-	for i := 0; i < 6; i++ {
-		tick(sInc, pInc)
-		tick(sFull, pFull)
+		sInc.readPipe("cat").deliver.snapshot(pInc.out)
 		_, bodyInc, hdrInc := do(t, "GET", tsInc.URL+"/cat", nil)
-		_, bodyFull, hdrFull := do(t, "GET", tsFull.URL+"/cat", nil)
 		if !strings.Contains(bodyInc, "<row>") || !strings.Contains(bodyInc, "catalogue item") {
 			t.Fatalf("round %d: extraction produced no rows (vacuous differential):\n%s", i, bodyInc)
 		}
-		if bodyInc != bodyFull {
+		cold := newSplicePipe(t, "cat", &version)
+		if err := cold.Tick(); err != nil {
+			t.Fatal(err)
+		}
+		full := xmlenc.MarshalIndentBytes(cold.out.Latest())
+		if bodyInc != string(full) {
 			t.Fatalf("round %d: spliced body diverges from full re-encode:\n--- spliced ---\n%s--- full ---\n%s",
-				i, bodyInc, bodyFull)
+				i, bodyInc, full)
 		}
-		if hdrInc.Get("ETag") != hdrFull.Get("ETag") {
-			t.Fatalf("round %d: ETag %q vs %q", i, hdrInc.Get("ETag"), hdrFull.Get("ETag"))
+		if want := etagOf(fnv64a(full), 'x'); hdrInc.Get("ETag") != want {
+			t.Fatalf("round %d: ETag %q vs %q", i, hdrInc.Get("ETag"), want)
 		}
-		bumpInc()
-		bumpFull()
+		version++
 	}
 
 	if got := sInc.readPipe("cat").deliver.splicedBytes(); got == 0 {
 		t.Error("incremental server spliced no bytes over 6 one-row-churn rounds")
-	}
-	if got := sFull.readPipe("cat").deliver.splicedBytes(); got != 0 {
-		t.Errorf("NoIncrementalOutput server spliced %d bytes; want 0", got)
 	}
 
 	// The counter surfaces through the public listing.
@@ -146,13 +134,13 @@ func TestDeliverySpliceEncoding(t *testing.T) {
 		t.Fatalf("wrapper cat missing from listing: %s", body)
 	}
 
-	// One-shot extractions reuse through the SDK wrapper itself (not
-	// the scheduled source): the delivery encoder keeps splicing and
-	// the wrapper's own output-cache counters surface in the stats.
+	// One-shot extractions render through the same SDK wrapper as the
+	// scheduled source: the delivery encoder keeps splicing and the
+	// shared output cache's counters keep moving.
 	spliceBefore := sInc.readPipe("cat").deliver.splicedBytes()
 	reusedBefore := pInc.ExtractionStats().OutputReusedNodes
 	for i := 0; i < 3; i++ {
-		bumpInc()
+		version++
 		if code, body, _ := do(t, "POST", tsInc.URL+"/v1/wrappers/cat/extract",
 			map[string]any{}); code != 200 {
 			t.Fatalf("one-shot extract %d: %d %s", i, code, body)

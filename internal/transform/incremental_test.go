@@ -9,6 +9,7 @@ import (
 	"repro/internal/pib"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // churnPage is a catalogue page wide enough that per-row contexts give
@@ -32,9 +33,7 @@ func newChurnSource(fetch elog.Fetcher) *WrapperSource {
 	return &WrapperSource{
 		CompName: "churn",
 		Fetcher:  fetch,
-		Program:  elog.MustParse(churnProg),
-		Design:   &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "row": true}},
-		NoCache:  true,
+		Wrapper:  lixto.MustCompile(churnProg, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true, "row": true}})),
 	}
 }
 
@@ -63,7 +62,6 @@ func TestWrapperSourceIncrementalDifferential(t *testing.T) {
 					t.Fatalf("step %d incremental: %v", step, err)
 				}
 				cold := newChurnSource(churnCold)
-				cold.NoIncremental = true
 				want, err := cold.Poll()
 				if err != nil {
 					t.Fatalf("step %d cold: %v", step, err)

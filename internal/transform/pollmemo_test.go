@@ -11,6 +11,7 @@ import (
 	"repro/internal/elog"
 	"repro/internal/htmlparse"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 const memoURL = "shop.example.com/list"
@@ -36,7 +37,7 @@ type freshFetcher struct{ tree atomic.Pointer[dom.Tree] }
 func (f *freshFetcher) Fetch(string) (*dom.Tree, error) { return f.tree.Load(), nil }
 
 func memoSource(f elog.Fetcher) *WrapperSource {
-	return &WrapperSource{CompName: "w", Fetcher: f, Program: elog.MustParse(memoProg)}
+	return &WrapperSource{CompName: "w", Fetcher: f, Wrapper: lixto.MustCompile(memoProg)}
 }
 
 // TestPollMemoSharedUnwarmedTree hands one un-warmed tree to many

@@ -5,11 +5,11 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/elog"
 	"repro/internal/fetchcache"
 	"repro/internal/pib"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 const sharedPage = `<html><body><table>
@@ -24,8 +24,7 @@ func newSharedSource(name string, sim *web.Web, cache *fetchcache.Cache) *Wrappe
 	return &WrapperSource{
 		CompName: name,
 		Fetcher:  sim,
-		Program:  elog.MustParse(sharedProg),
-		Design:   &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}},
+		Wrapper:  lixto.MustCompile(sharedProg, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}})),
 		Shared:   cache,
 	}
 }

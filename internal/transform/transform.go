@@ -32,8 +32,8 @@ import (
 	"repro/internal/dom"
 	"repro/internal/elog"
 	"repro/internal/fetchcache"
-	"repro/internal/pib"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // Component is one stage of an information pipe. Process receives a
@@ -229,30 +229,28 @@ func (e *Engine) Run(ctx context.Context, interval time.Duration) {
 // the XML transformer — "this component resembles the Lixto Visual
 // Wrapper".
 //
-// The Elog program is compiled once on the first poll (elog.Compile)
-// and the compiled form is held across ticks, so its fingerprint-keyed
-// match caches persist: pages whose content is unchanged skip the
-// pattern-matching tree walks even when some other page of the wrapper
-// changed. Program must therefore not be swapped after the first poll.
+// Extraction goes through the SDK wrapper (Wrapper), which owns every
+// piece of reuse state across ticks: the compiled program with its
+// fingerprint-keyed and subtree match caches, and the output cache
+// that splices unchanged XML subtrees from the previous rendering. A
+// one-shot extraction through the same *lixto.Wrapper shares them.
 //
 // Polls are additionally memoized on page content: every run records
 // the fetched pages' fingerprints (dom.Tree.Fingerprint), and the next
 // poll first re-fetches only those pages. If every fingerprint is
 // unchanged, the wrapper evaluation is deterministic on the same
 // inputs, so the previous output document is re-emitted without
-// re-running the Elog program or the XML transformation. Set NoCache to
-// disable.
+// re-running the Elog program or the XML transformation.
 type WrapperSource struct {
 	CompName string
 	Fetcher  elog.Fetcher
-	Program  *elog.Program
-	Design   *pib.Design
+	// Wrapper is the compiled wrapper the source runs, XML design
+	// included (lixto.MustCompile(src, lixto.WithDesign(d))).
+	Wrapper *lixto.Wrapper
 	// Every counts ticks between polls (1 = every tick); sources with
 	// slower upgrade intervals (charts vs radio, Section 6.1) poll less
 	// often.
 	Every int
-	// NoCache disables the fingerprint-keyed result cache.
-	NoCache bool
 	// NoSourceAttr suppresses the source="name" attribute on emitted
 	// documents, so the output is byte-identical to running the same
 	// program through the SDK or cmd/elogc (the /v1 dynamic wrappers
@@ -272,49 +270,18 @@ type WrapperSource struct {
 	// one shared page costs about one parse plus one warmed match cache.
 	// Output is unchanged; pair with Shared to also share the fetches.
 	Batch *elog.MatchCache
-	// NoIncremental disables subtree-fingerprint match reuse
-	// (elog.Evaluator.Incremental). By default a changed-fingerprint
-	// tick re-evaluates incrementally: the compiled program's
-	// content-addressed subtree caches persist across polls, so the
-	// regions of the new document version that are byte-identical to
-	// the previous one resolve their matches from cache and only the
-	// dirty regions run the bitset matcher. Output is bit-identical
-	// either way; set this only to measure or to pin the full
-	// re-evaluation behaviour.
-	NoIncremental bool
-	// NoIncrementalOutput disables cross-tick output reuse (the
-	// pib.OutputCache). By default the source retains the previous
-	// tick's instance base and emitted subtrees: the XML transform
-	// splices frozen, already-built xmlenc subtrees for every instance
-	// whose content-addressed output hash is unchanged and rebuilds
-	// only the dirty ones. Output is byte-identical either way; set
-	// this only to measure or to pin the full-rebuild behaviour.
-	NoIncrementalOutput bool
-	tick                int
+	tick  int
 	// shared is the cache-wrapped form of Fetcher, built on first use.
 	shared elog.Fetcher
 	// batchAttached records that this source has counted itself into
 	// Batch's fleet size.
 	batchAttached bool
 
-	// Compiled form of Program, built lazily on the first poll and
-	// reused across ticks.
-	compiled   *elog.CompiledProgram
-	compileErr error
-
 	// Last successful run: the URLs fetched (in order), their tree
 	// fingerprints, and the emitted document.
 	lastURLs []string
 	lastFPs  []uint64
 	lastDoc  *xmlenc.Node
-	// outCache is the cross-tick emitted-subtree cache of the
-	// incremental output path; it also retains the previous tick's
-	// instance base for the added/removed/unchanged delta. Touched only
-	// from Poll (one tick at a time); outStats is its counter snapshot,
-	// copied under statsMu after each transform so status reads never
-	// race a transform in flight.
-	outCache *pib.OutputCache
-	outStats pib.OutputStats
 	// Cumulative extraction timings (nanoseconds), written under
 	// statsMu: parseNS is time spent in the fetch+parse layer (the
 	// poll-memo recheck and the evaluator's fetcher calls, including
@@ -418,23 +385,22 @@ func (s *WrapperSource) ExtractionStats() ExtractionStats {
 		EvalNS:        uint64(s.evalNS),
 		TransformNS:   uint64(s.transformNS),
 	}
-	out.OutputReusedNodes = s.outStats.ReusedNodes
-	out.OutputBuiltNodes = s.outStats.BuiltNodes
-	out.InstancesAdded = s.outStats.InstancesAdded
-	out.InstancesRemoved = s.outStats.InstancesRemoved
-	out.InstancesUnchanged = s.outStats.InstancesUnchanged
-	out.BaseInstances = s.outStats.BaseInstances
-	out.BaseBytes = s.outStats.BaseBytes
-	compiled := s.compiled
 	s.statsMu.Unlock()
-	if compiled != nil {
-		out.MatchCacheHits, out.MatchCacheMisses = compiled.Stats()
-		inc := compiled.Incremental()
-		out.SubtreeHits = inc.SubtreeHits
-		out.SubtreeMisses = inc.SubtreeMisses
-		out.DirtyNodes = inc.DirtyNodes
-		out.ReusedNodes = inc.ReusedNodes
-	}
+	o := s.Wrapper.OutputStats()
+	out.OutputReusedNodes = o.ReusedNodes
+	out.OutputBuiltNodes = o.BuiltNodes
+	out.InstancesAdded = o.InstancesAdded
+	out.InstancesRemoved = o.InstancesRemoved
+	out.InstancesUnchanged = o.InstancesUnchanged
+	out.BaseInstances = o.BaseInstances
+	out.BaseBytes = o.BaseBytes
+	cp := s.Wrapper.Compiled()
+	out.MatchCacheHits, out.MatchCacheMisses = cp.Stats()
+	inc := cp.Incremental()
+	out.SubtreeHits = inc.SubtreeHits
+	out.SubtreeMisses = inc.SubtreeMisses
+	out.DirtyNodes = inc.DirtyNodes
+	out.ReusedNodes = inc.ReusedNodes
 	if s.Batch != nil {
 		out.BatchSize = s.Batch.Attached()
 	}
@@ -614,72 +580,37 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 	if (s.tick-1)%every != 0 {
 		return nil, nil
 	}
-	if s.compiled == nil && s.compileErr == nil {
-		s.statsMu.Lock()
-		s.compiled, s.compileErr = elog.Compile(s.Program)
-		s.statsMu.Unlock()
-	}
-	if s.compileErr != nil {
-		return nil, s.compileErr
-	}
 	prefetched := map[string]*dom.Tree{}
-	if !s.NoCache {
-		// The recheck is nothing but fetch, parse and hash, and on a hit
-		// it is all of the poll: it counts as parse time either way.
-		start := time.Now()
-		hit := s.unchanged(prefetched)
-		s.statsMu.Lock()
-		s.parseNS += time.Since(start).Nanoseconds()
-		if hit {
-			s.CacheHits++
-		}
-		s.statsMu.Unlock()
-		if hit {
-			return []*xmlenc.Node{s.lastDoc}, nil
-		}
-	} else {
-		prefetched = nil
+	// The recheck is nothing but fetch, parse and hash, and on a hit it
+	// is all of the poll: it counts as parse time either way.
+	start := time.Now()
+	hit := s.unchanged(prefetched)
+	s.statsMu.Lock()
+	s.parseNS += time.Since(start).Nanoseconds()
+	if hit {
+		s.CacheHits++
+	}
+	if s.Batch != nil && !s.batchAttached {
+		s.batchAttached = true
+		s.Batch.Attach()
+	}
+	s.statsMu.Unlock()
+	if hit {
+		return []*xmlenc.Node{s.lastDoc}, nil
 	}
 	rec := &recordingFetcher{inner: s.fetchClient(), prefetched: prefetched}
-	ev := elog.NewEvaluator(rec)
-	ev.Incremental = !s.NoIncremental
-	if s.Batch != nil {
-		ev.Shared = s.Batch
-		s.statsMu.Lock()
-		if !s.batchAttached {
-			s.batchAttached = true
-			s.Batch.Attach()
-		}
-		s.statsMu.Unlock()
-	}
-	start := time.Now()
-	base, err := ev.RunCompiled(s.compiled)
+	start = time.Now()
+	res, err := s.Wrapper.Extract(context.Background(), lixto.Origin(), lixto.WithFetcher(rec),
+		lixto.WithIncrementalOutput(true), lixto.WithBatching(s.Batch))
 	if err != nil {
 		return nil, err
 	}
+	tstart := time.Now()
+	doc := res.XML()
 	s.statsMu.Lock()
 	s.parseNS += rec.fetchNS
-	s.evalNS += time.Since(start).Nanoseconds()
-	s.statsMu.Unlock()
-	design := s.Design
-	if design == nil {
-		design = &pib.Design{Auxiliary: map[string]bool{"document": true}}
-	}
-	tstart := time.Now()
-	var doc *xmlenc.Node
-	if s.NoIncrementalOutput {
-		doc = design.Transform(base)
-	} else {
-		if s.outCache == nil {
-			s.outCache = pib.NewOutputCache()
-		}
-		doc = design.TransformIncremental(base, s.outCache)
-	}
-	s.statsMu.Lock()
+	s.evalNS += tstart.Sub(start).Nanoseconds()
 	s.transformNS += time.Since(tstart).Nanoseconds()
-	if s.outCache != nil {
-		s.outStats = s.outCache.Stats()
-	}
 	s.statsMu.Unlock()
 	if !s.NoSourceAttr {
 		doc.SetAttr("source", s.CompName)

@@ -18,6 +18,7 @@ import (
 	"repro/internal/pib"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // bookPipeline wires the small information pipe of Figure 7: two
@@ -31,20 +32,20 @@ func bookPipeline(t *testing.T) (*Engine, *web.BookSite, *web.BookSite, *Collect
 	shopB := web.NewBookSite(2, 5)
 	shopB.Register(w, "shop-b.example.com")
 
-	mkProgram := func(host string) *elog.Program {
-		return elog.MustParse(fmt.Sprintf(`
+	design := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "shop"}
+	mkWrapper := func(host string) *lixto.Wrapper {
+		return lixto.MustCompile(fmt.Sprintf(`
 page(S, X) <- document("%s/bestsellers.html", S), subelem(S, .body, X)
 book(S, X) <- page(_, S), subelem(S, (?.tr, [(class, book, exact)]), X)
 title(S, X) <- book(_, S), subelem(S, (?.td, [(class, title, exact)]), X)
 price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
-`, host))
+`, host), lixto.WithDesign(design))
 	}
-	design := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "shop"}
 
 	eng := NewEngine()
 	for _, c := range []Component{
-		&WrapperSource{CompName: "wrapA", Fetcher: w, Program: mkProgram("shop-a.example.com"), Design: design},
-		&WrapperSource{CompName: "wrapB", Fetcher: w, Program: mkProgram("shop-b.example.com"), Design: design},
+		&WrapperSource{CompName: "wrapA", Fetcher: w, Wrapper: mkWrapper("shop-a.example.com")},
+		&WrapperSource{CompName: "wrapB", Fetcher: w, Wrapper: mkWrapper("shop-b.example.com")},
 		&Integrator{CompName: "merge", Expect: []string{"wrapA", "wrapB"}, RootName: "offers"},
 		&Transformer{CompName: "best", Fn: cheapest},
 		&ChangeFilter{CompName: "changed"},
@@ -179,7 +180,7 @@ func TestSourceErrorLoggedNotFatal(t *testing.T) {
 	eng := NewEngine()
 	bad := &WrapperSource{CompName: "bad",
 		Fetcher: elog.MapFetcher{},
-		Program: elog.MustParse(`p(S, X) <- document("missing", S), subelem(S, .body, X)`)}
+		Wrapper: lixto.MustCompile(`p(S, X) <- document("missing", S), subelem(S, .body, X)`)}
 	sink := &Collector{CompName: "out"}
 	if err := eng.Add(bad); err != nil {
 		t.Fatal(err)
@@ -203,7 +204,7 @@ func TestWrapperSourcePollInterval(t *testing.T) {
 	w := web.New()
 	web.NewBookSite(1, 2).Register(w, "s.example.com")
 	src := &WrapperSource{CompName: "s", Fetcher: w, Every: 3,
-		Program: elog.MustParse(`page(S, X) <- document("s.example.com/bestsellers.html", S), subelem(S, .body, X)`)}
+		Wrapper: lixto.MustCompile(`page(S, X) <- document("s.example.com/bestsellers.html", S), subelem(S, .body, X)`)}
 	polls := 0
 	for i := 0; i < 9; i++ {
 		docs, err := src.Poll()
@@ -265,16 +266,16 @@ func BenchmarkE13_PipelineThroughput(b *testing.B) {
 	web.NewBookSite(2, 50).Register(w, "shop-b.example.com")
 	eng := NewEngine()
 	design := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "shop"}
-	mk := func(host string) *elog.Program {
-		return elog.MustParse(fmt.Sprintf(`
+	mk := func(host string) *lixto.Wrapper {
+		return lixto.MustCompile(fmt.Sprintf(`
 page(S, X) <- document("%s/bestsellers.html", S), subelem(S, .body, X)
 book(S, X) <- page(_, S), subelem(S, (?.tr, [(class, book, exact)]), X)
 title(S, X) <- book(_, S), subelem(S, (?.td, [(class, title, exact)]), X)
 price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
-`, host))
+`, host), lixto.WithDesign(design))
 	}
-	_ = eng.Add(&WrapperSource{CompName: "wrapA", Fetcher: w, Program: mk("shop-a.example.com"), Design: design})
-	_ = eng.Add(&WrapperSource{CompName: "wrapB", Fetcher: w, Program: mk("shop-b.example.com"), Design: design})
+	_ = eng.Add(&WrapperSource{CompName: "wrapA", Fetcher: w, Wrapper: mk("shop-a.example.com")})
+	_ = eng.Add(&WrapperSource{CompName: "wrapB", Fetcher: w, Wrapper: mk("shop-b.example.com")})
 	_ = eng.Add(&Integrator{CompName: "merge", Expect: []string{"wrapA", "wrapB"}})
 	sink := &Collector{CompName: "out"}
 	_ = eng.Add(sink)
@@ -326,7 +327,7 @@ func TestWrapperSourceFingerprintCache(t *testing.T) {
 	src := &WrapperSource{
 		CompName: "w",
 		Fetcher:  elog.MapFetcher{"site/page.html": page},
-		Program: elog.MustParse(`
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 `),
 	}
@@ -355,10 +356,10 @@ page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 	if d4 := poll(); d4 != d3 || src.CacheHits != 2 {
 		t.Fatalf("re-poll after change should hit cache again (hits=%d)", src.CacheHits)
 	}
-	// NoCache disables memoization entirely.
-	src.NoCache = true
+	// Every further change misses again.
+	page.AppendText(page.Root(), "more")
 	if d5 := poll(); d5 == d3 || src.CacheHits != 2 {
-		t.Fatalf("NoCache poll must re-evaluate (hits=%d)", src.CacheHits)
+		t.Fatalf("second change: poll reused stale document (hits=%d)", src.CacheHits)
 	}
 }
 
@@ -367,11 +368,13 @@ page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 // plus the compiled program's per-document match cache, aggregated
 // over the engine.
 func TestExtractionStats(t *testing.T) {
-	page := htmlparse.Parse(`<html><body><p class="x">one</p><p class="x">two</p></body></html>`)
+	const pageHTML = `<html><body><p class="x">one</p><p class="x">two</p></body></html>`
+	const changedHTML = `<html><body><p class="x">one</p><p class="x">three</p></body></html>`
+	fetch := elog.MapFetcher{"site/page.html": htmlparse.Parse(pageHTML)}
 	src := &WrapperSource{
 		CompName: "w",
-		Fetcher:  elog.MapFetcher{"site/page.html": page},
-		Program: elog.MustParse(`
+		Fetcher:  fetch,
+		Wrapper: lixto.MustCompile(`
 page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 para(S, X) <- page(_, S), subelem(S, (?.p, [(class, x, exact)]), X)
 `),
@@ -404,13 +407,18 @@ para(S, X) <- page(_, S), subelem(S, (?.p, [(class, x, exact)]), X)
 	if st.MatchCacheMisses != prev.MatchCacheMisses {
 		t.Fatalf("poll cache hit still re-matched: %+v vs %+v", st, prev)
 	}
-	// Invalidate only the poll cache (NoCache): the compiled match
-	// cache still answers the unchanged page without new misses.
-	src.NoCache = true
+	// Change the page, then serve a fresh parse of the original: the
+	// poll cache misses (the last poll saw the changed page), while the
+	// compiled match cache still answers the original content without
+	// new misses.
+	fetch["site/page.html"] = htmlparse.Parse(changedHTML)
+	eng.Tick()
+	st = src.ExtractionStats()
+	fetch["site/page.html"] = htmlparse.Parse(pageHTML)
 	eng.Tick()
 	prev = st
 	st = src.ExtractionStats()
-	if st.MatchCacheHits <= prev.MatchCacheHits || st.MatchCacheMisses != prev.MatchCacheMisses {
+	if st.PollCacheHits != 1 || st.MatchCacheHits <= prev.MatchCacheHits || st.MatchCacheMisses != prev.MatchCacheMisses {
 		t.Fatalf("re-extraction of an unchanged page missed the match cache: %+v vs %+v", st, prev)
 	}
 	if got := eng.ExtractionStats(); got != st {
@@ -428,7 +436,7 @@ func TestWrapperSourceAliasedTree(t *testing.T) {
 		src := &WrapperSource{
 			CompName: "w",
 			Fetcher:  elog.MapFetcher{"u1": page, "u2": page},
-			Program: elog.MustParse(`
+			Wrapper: lixto.MustCompile(`
 a(S, X) <- document("u1", S), subelem(S, .body, X)
 b(S, X) <- document("u2", S), subelem(S, .body, X)
 `),

@@ -13,11 +13,15 @@
 // position. A compiled Wrapper is immutable and safe for concurrent
 // use: its bitset-compiled form and fingerprint-keyed match caches are
 // shared across goroutines, so repeated extraction of unchanged pages
-// skips the pattern-matching tree walks.
+// skips the pattern-matching tree walks, and a changed version of a
+// page re-matches only the regions whose subtrees changed (the
+// instance base is identical to a fresh wrapper's either way).
 //
 // The HTTP face of the same lifecycle is the /v1 API of
-// internal/server; internal/core and cmd/elogc are thin shims over
-// this package.
+// internal/server, and the transformation server's wrapper sources
+// poll through a Wrapper too, so scheduled ticks and one-shot
+// extractions share one compiled program and one output cache;
+// cmd/elogc is a thin shim over this package.
 package lixto
 
 import (
@@ -222,7 +226,7 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 	}
 	ev.MaxConcurrency = cfg.concurrency
 	ev.Shared = cfg.batch
-	ev.Incremental = cfg.incremental
+	ev.Incremental = true
 	var base *pib.Base
 	if cfg.cache {
 		base, err = ev.RunCompiled(w.compiled)

@@ -117,6 +117,28 @@ func TestFetchErrorKind(t *testing.T) {
 	}
 }
 
+func TestNoEntryPointIsEvalError(t *testing.T) {
+	// The program compiles but mentions no document: an inline page has
+	// nowhere to go.
+	w := MustCompile(`p(S, X) <- p(_, S), subelem(S, .a, X)
+q(S, X) <- p(_, S), subelem(S, .b, X)`)
+	if _, err := w.Extract(context.Background(), HTML("<body></body>")); AsError(err).Kind != KindEval {
+		t.Fatalf("inline page without entry point: %v", err)
+	}
+}
+
+func TestWithRename(t *testing.T) {
+	w := MustCompile(bookWrapper, WithAuxiliary("page"), WithRename("book", "item"))
+	res, err := w.Extract(context.Background(), HTML(bookPage))
+	if err != nil {
+		t.Fatal(err)
+	}
+	xml := res.XML()
+	if got := len(xml.Find("item")); got != 2 || len(xml.Find("book")) != 0 {
+		t.Fatalf("renamed elements: %d items\n%s", got, xmlenc.MarshalIndent(xml))
+	}
+}
+
 func TestContextCancellation(t *testing.T) {
 	w := MustCompile(bookWrapper, WithFetcher(elog.MapFetcher{"shop": htmlparse.Parse(bookPage)}))
 	ctx, cancel := context.WithCancel(context.Background())

@@ -13,7 +13,6 @@ import (
 type config struct {
 	concurrency       int
 	cache             bool
-	incremental       bool
 	incrementalOutput bool
 	maxDocuments      int
 	maxInstances      int
@@ -30,7 +29,6 @@ type config struct {
 func defaultConfig() config {
 	return config{
 		cache:       true,
-		incremental: true,
 		design:      &pib.Design{Auxiliary: map[string]bool{"document": true}},
 		designOwned: true,
 	}
@@ -100,26 +98,14 @@ func WithCache(enabled bool) Option {
 	return func(c *config) { c.cache = enabled }
 }
 
-// WithIncremental toggles subtree-fingerprint match reuse across
-// extractions (default on). With it on, the compiled wrapper's
-// content-addressed subtree caches persist across Extract calls, so
-// re-extracting a changed version of a document resolves the matches
-// of its unchanged regions from cache and runs the pattern matcher
-// only over the dirty regions. The instance base is bit-identical
-// either way; turn it off only to measure or to pin the full
-// re-evaluation behaviour. WithCache(false) disables the compiled path
-// and with it incremental reuse.
-func WithIncremental(enabled bool) Option {
-	return func(c *config) { c.incremental = enabled }
-}
-
 // WithIncrementalOutput toggles cross-extraction output reuse (default
 // off). With it on, the wrapper retains the previous extraction's
 // instance base and emitted XML subtrees: Result.XML splices frozen,
 // already-built subtrees for every instance whose content-addressed
 // output hash is unchanged and rebuilds only the dirty ones — the
-// output-side counterpart of WithIncremental, and the same machinery
-// the transformation server runs per tick. The rendered document is
+// output-side counterpart of the compiled program's subtree match
+// reuse, and the same cache the transformation server's ticks render
+// through. The rendered document is
 // byte-identical to a full rebuild, but its subtrees are shared across
 // successive Results and MUST be treated as read-only (amend via
 // xmlenc's Mutable copy-on-write if needed). Extractions whose per-call
