@@ -64,3 +64,61 @@ func TestQuickstartQueries(t *testing.T) {
 		t.Fatalf("monadic datalog table cells: %d, want 6", len(tds))
 	}
 }
+
+// Core XPath queries go to the Core evaluator, extended ones (positional
+// predicates) to the full one; a malformed query is refused.
+func TestXPathFacade(t *testing.T) {
+	doc := htmlparse.Parse(`<body><table><tr><td>a</td><td><a href="#">l</a></td></tr></table></body>`)
+	p, err := xpath.Parse("//td[not(a)]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !p.IsCore() {
+		t.Fatalf("//td[not(a)] is not Core XPath")
+	}
+	core, err := xpath.EvalCore(p, doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(core) != 1 {
+		t.Errorf("core query: %v", core)
+	}
+	p, err = xpath.Parse("//td[1]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	ext, err := xpath.EvalFull(p, doc, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ext) != 1 {
+		t.Errorf("extended query: %v", ext)
+	}
+	if _, err := xpath.Parse("///"); err == nil {
+		t.Error("bad query accepted")
+	}
+}
+
+// A recursive monadic datalog program over τ_ur selects the italic
+// subtree; a malformed program is refused.
+func TestMonadicDatalogFacade(t *testing.T) {
+	doc := htmlparse.Parse(`<body><p>x</p><i><b>y</b></i></body>`)
+	prog, err := datalog.Parse(`
+italic(X) :- label_i(X).
+italic(X) :- italic(X0), firstchild(X0, X).
+italic(X) :- italic(X0), nextsibling(X0, X).
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := mdatalog.Query(prog, doc, "italic")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) == 0 {
+		t.Error("no italic nodes")
+	}
+	if _, err := datalog.Parse("bad("); err == nil {
+		t.Error("bad program accepted")
+	}
+}

@@ -3,6 +3,7 @@ package lixto
 import (
 	"context"
 	"errors"
+	"strings"
 	"sync"
 	"testing"
 
@@ -296,5 +297,42 @@ itemdes(S, X) <- record(_, S), subelem(S, (?.td.?.a, []), X)
 	}
 	if got := len(res.XML().Find("itemdes")); got != 25 {
 		t.Fatalf("itemdes in XML: %d, want 25", got)
+	}
+}
+
+const listWrapper = `
+page(S, X) <- document("site/list.html", S), subelem(S, .body, X)
+entry(S, X) <- page(_, S), subelem(S, ?.li, X)
+`
+
+// Inline HTML is extracted through the wrapper's entry document, and the
+// auxiliary pattern stays out of the XML.
+func TestWrapHTML(t *testing.T) {
+	w := MustCompile(listWrapper, WithAuxiliary("page"))
+	res, err := w.Extract(context.Background(), HTML(`<body><ul><li>alpha</li><li>beta</li></ul></body>`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := xmlenc.MarshalIndent(res.XML())
+	if strings.Count(s, "<entry>") != 2 || !strings.Contains(s, "alpha") {
+		t.Errorf("xml:\n%s", s)
+	}
+}
+
+// Origin() fetches the wrapper's own document URL from the fetcher.
+func TestWrapAgainstSimulatedWeb(t *testing.T) {
+	sim := web.New()
+	web.NewBookSite(3, 4).Register(sim, "books.example.com")
+	w := MustCompile(`
+page(S, X) <- document("books.example.com/bestsellers.html", S), subelem(S, .body, X)
+book(S, X) <- page(_, S), subelem(S, (?.tr, [(class, book, exact)]), X)
+title(S, X) <- book(_, S), subelem(S, (?.td, [(class, title, exact)]), X)
+`, WithAuxiliary("page"), WithFetcher(sim))
+	res, err := w.Extract(context.Background(), Origin())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := strings.Count(xmlenc.Marshal(res.XML()), "<title>"); got != 4 {
+		t.Errorf("titles = %d\n%s", got, xmlenc.MarshalIndent(res.XML()))
 	}
 }
