@@ -5,8 +5,9 @@
 //	lixtoserver [-addr :8080] [-interval 2s] [-steps N] [-history N] [-pprof] [-allow-dynamic]
 //	            [-shards N] [-workers N] [-jitter F] [-cache-entries N] [-cache-ttl D]
 //	            [-watch-queue N] [-watch-heartbeat D]
-//	            [-data-dir DIR] [-wal-fsync batch|always|off] [-wal-segment-bytes N]
-//	            [-wal-max-segments N] [-wal-max-age D] [-wal-compact-segments N]
+//	            [-data-dir DIR] [-wal-fsync batch|always|off] [-wal-fsync-interval D]
+//	            [-wal-segment-bytes N] [-wal-max-segments N] [-wal-max-age D]
+//	            [-wal-compact-segments N]
 //	            [-webhook-timeout D] [-webhook-max-attempts N] [-webhook-cooldown D]
 //
 //	GET /nowplaying           the Now Playing portal feed (Section 6.1)
@@ -39,11 +40,10 @@
 // interval so a large fleet does not fire in lockstep. -cache-entries
 // sizes the shared fetch/document layer deduplicating fetch+parse
 // across dynamic wrappers that monitor the same URLs (0 disables);
-// -cache-ttl bounds how stale a shared page may be served. -batch
-// (default on) additionally shares one match cache across dynamic
-// wrappers, so fleets stamped from one template reuse each other's
-// compiled pattern matches on shared pages (batched fleet extraction;
-// /statusz reports the match_cache block).
+// -cache-ttl bounds how stale a shared page may be served. One match
+// cache is shared across dynamic wrappers, so fleets stamped from one
+// template reuse each other's compiled pattern matches on shared pages
+// (batched fleet extraction; /statusz reports the match_cache block).
 // Content-addressed reuse runs through the whole tick: wrapper sources
 // retain the previous tick's instance base and emitted XML subtrees,
 // rebuild only the subtrees whose instances changed, and the delivery
@@ -108,9 +108,6 @@ func main() {
 	jitter := flag.Float64("jitter", 0, "deadline jitter as a fraction of the interval (0..0.5)")
 	cacheEntries := flag.Int("cache-entries", 1024, "shared fetch cache capacity in pages (0 disables)")
 	cacheTTL := flag.Duration("cache-ttl", time.Second, "shared fetch cache freshness window (0 = never stale)")
-	batch := flag.Bool("batch", true, "share one match cache across dynamic wrappers (batched fleet extraction)")
-	matchCacheEntries := flag.Int("match-cache-entries", 0,
-		"shared match cache capacity in entries, LRU-evicted (0 = default 16384)")
 	watchQueue := flag.Int("watch-queue", 0, "pending events buffered per watch subscriber (0 = default 8)")
 	watchHeartbeat := flag.Duration("watch-heartbeat", 0, "SSE heartbeat period for watch streams (0 = default 15s)")
 	dataDir := flag.String("data-dir", "",
@@ -174,6 +171,7 @@ func main() {
 
 	cfg := server.Config{
 		Addr:             *addr,
+		MatchCache:       elog.NewMatchCache(),
 		DefaultInterval:  *interval,
 		EnablePprof:      *pprofFlag,
 		SchedulerShards:  *shards,
@@ -209,9 +207,6 @@ func main() {
 	}
 	if *cacheEntries > 0 {
 		cfg.SharedCache = fetchcache.New(*cacheEntries, *cacheTTL)
-	}
-	if *batch {
-		cfg.MatchCache = elog.NewMatchCacheSize(*matchCacheEntries)
 	}
 	if *allowDynamic {
 		// Dynamic wrappers without an inline page extract from the

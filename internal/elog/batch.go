@@ -6,23 +6,27 @@ import (
 	"unsafe"
 )
 
-// MatchCache is a shared, cross-program match memo for batched fleet
-// extraction: when a fleet of wrappers monitors the same pages (one
-// fetch+parse shared through fetchcache), attaching one MatchCache to
-// all of their evaluators also shares the pattern-matching work. Keys
-// extend the per-program memo key with a signature of the element path
+// MatchCache is the match memo of compiled evaluation. Every evaluation
+// consults exactly one: the evaluator's Shared cache when it is set,
+// otherwise the compiled program's own (see CompiledProgram.memo).
+//
+// Shared, it batches fleet extraction: when a fleet of wrappers
+// monitors the same pages (one fetch+parse shared through fetchcache),
+// attaching one MatchCache to all of their evaluators also shares the
+// pattern-matching work. Keys carry a signature of the element path
 // definition itself, so two independently compiled wrappers containing
 // the same path — the common case in a fleet stamped from one template
 // — reuse each other's match results on the same document. A
 // 100-wrapper fleet over one shared page then costs roughly one parse
 // plus one warmed match cache instead of 100 of each.
 //
-// The cache holds two entry kinds behind one LRU bound: whole-call
-// results keyed by document fingerprint and context set, and per-root
-// relative results keyed by subtree fingerprint (the incremental layer
-// — see Evaluator.Incremental), which survive document churn because
-// they are content-addressed. Memory is bounded: at the entry cap the
-// least recently used entry of either kind is evicted.
+// The cache holds two entry kinds in one map behind one LRU bound:
+// whole-call results keyed by document fingerprint and context set, and
+// per-root relative results keyed by subtree fingerprint (the
+// incremental layer — see Evaluator.Incremental), which survive
+// document churn because they are content-addressed. Memory is bounded:
+// at the entry cap the least recently used entry of either kind is
+// evicted.
 //
 // A MatchCache is safe for concurrent use by any number of evaluators.
 // Entries are value-compatible across programs: a match result depends
@@ -31,8 +35,7 @@ import (
 // never on the program around it.
 type MatchCache struct {
 	mu         sync.Mutex
-	doc        map[sharedMatchKey]*mcEntry
-	sub        map[sharedSubKey]*mcEntry
+	entries    map[matchKey]*mcEntry
 	head, tail *mcEntry // LRU list; head is most recently used
 	capEntries int
 	bytes      int // approximate heap held by live entries (mcEntry.size)
@@ -42,60 +45,43 @@ type MatchCache struct {
 	attached     atomic.Int64
 }
 
-// mcEntry is one cache entry on the intrusive LRU list; exactly one of
-// the two values is live, selected by isSub. key is the map key the
-// entry sits under; a subtree entry stores its sharedSubKey widened
-// (subKey.sub in epdCacheKey.fp) rather than a second key field.
+// matchKey identifies one memoized match: the path signature, the
+// document fingerprint (or, for a subtree entry, the root's subtree
+// hash), a hash of the context roots (zero for a subtree entry) and the
+// two match-mode flags. A subtree entry's matches hold node offsets
+// from its root rather than node ids (see matchIncremental), so it
+// carries no document fingerprint and no node ids: it survives across
+// document versions and even across documents. Hash collisions are as
+// unlikely as fingerprint collisions (~2^-64), the same trade the xpath
+// cache makes.
+type matchKey struct {
+	sig, fp, roots   uint64
+	asChildren, deep bool
+	sub              bool
+}
+
+// mcEntry is one cache entry on the intrusive LRU list, remembering the
+// key it sits under.
 type mcEntry struct {
 	prev, next *mcEntry
-	isSub      bool
-	key        sharedMatchKey
+	key        matchKey
 	matches    []epdMatch
-	rel        []relMatch
-}
-
-// widen and subKeyOf convert between a subtree entry's map key and the
-// form mcEntry.key keeps it in.
-func (k sharedSubKey) widen() sharedMatchKey {
-	return sharedMatchKey{k.sig, epdCacheKey{fp: k.sub, asChildren: k.asChildren, deep: k.deep}}
-}
-
-func (e *mcEntry) subKeyOf() sharedSubKey {
-	return sharedSubKey{e.key.sig, subKey{e.key.fp, e.key.asChildren, e.key.deep}}
 }
 
 // size approximates the heap an entry holds: the entry itself, its map
 // slot, and 16 bytes per cached match (a node id or offset plus the
 // binds pointer; shared binds maps are not counted).
 func (e *mcEntry) size() int {
-	key := unsafe.Sizeof(sharedMatchKey{})
-	if e.isSub {
-		key = unsafe.Sizeof(sharedSubKey{})
-	}
-	return int(unsafe.Sizeof(*e)+key+8) + 16*(len(e.matches)+len(e.rel))
+	return int(unsafe.Sizeof(*e)+unsafe.Sizeof(matchKey{})+8) + 16*len(e.matches)
 }
 
-// sharedMatchKey is a per-program memo key qualified by the path
-// definition's signature, making it meaningful across programs.
-type sharedMatchKey struct {
-	sig uint64
-	epdCacheKey
-}
-
-// sharedSubKey qualifies a subtree-layer key by the path signature,
-// like sharedMatchKey does for whole-call keys.
-type sharedSubKey struct {
-	sig uint64
-	subKey
-}
-
-// DefaultMatchCacheEntries is the entry cap of NewMatchCache. It is
-// larger than the per-program memo bound because one table serves a
-// whole fleet; set-at-a-time rule application writes a handful of
-// entries per evaluation, so it is several times the largest live
-// working set measured (about 6.5 k entries for four 800-row pages at
-// 5 % churn) and is reached — the cache stops growing — within seconds
-// under churn.
+// DefaultMatchCacheEntries is the entry cap of NewMatchCache, and of
+// the memo a compiled program creates for its unattached runs. It is
+// sized for a whole fleet: set-at-a-time rule application writes a
+// handful of entries per evaluation, so it is several times the largest
+// live working set measured (about 6.5 k entries for four 800-row pages
+// at 5 % churn) and is reached — the cache stops growing — within
+// seconds under churn.
 const DefaultMatchCacheEntries = 16384
 
 // NewMatchCache returns an empty shared match cache with the default
@@ -109,16 +95,12 @@ func NewMatchCacheSize(maxEntries int) *MatchCache {
 	if maxEntries <= 0 {
 		maxEntries = DefaultMatchCacheEntries
 	}
-	return &MatchCache{
-		doc:        make(map[sharedMatchKey]*mcEntry),
-		sub:        make(map[sharedSubKey]*mcEntry),
-		capEntries: maxEntries,
-	}
+	return &MatchCache{entries: make(map[matchKey]*mcEntry), capEntries: maxEntries}
 }
 
-// Stats returns the cumulative shared-cache counters: hits are match
-// calls some evaluator answered from another program's (or an earlier
-// run's) work; misses are lookups that fell through to computation.
+// Stats returns the cumulative whole-call counters: hits are match
+// calls some evaluator answered from its own or another program's
+// earlier work; misses are lookups that fell through to computation.
 // Like CompiledProgram.Stats they count rule applications, not parent
 // instances: a wrapper probes about once per rule and document.
 func (mc *MatchCache) Stats() (hits, misses uint64) {
@@ -153,7 +135,7 @@ type BatchStats struct {
 // Report returns the cache's current counters and size.
 func (mc *MatchCache) Report() BatchStats {
 	mc.mu.Lock()
-	entries, bytes := len(mc.doc)+len(mc.sub), mc.bytes
+	entries, bytes := len(mc.entries), mc.bytes
 	mc.mu.Unlock()
 	return BatchStats{
 		Hits:      mc.hits.Load(),
@@ -194,7 +176,7 @@ func (mc *MatchCache) moveFront(e *mcEntry) {
 // evict drops least recently used entries until the cap holds. Caller
 // holds mu.
 func (mc *MatchCache) evict() {
-	for len(mc.doc)+len(mc.sub) > mc.capEntries && mc.tail != nil {
+	for len(mc.entries) > mc.capEntries && mc.tail != nil {
 		e := mc.tail
 		mc.tail = e.prev
 		if mc.tail != nil {
@@ -202,77 +184,46 @@ func (mc *MatchCache) evict() {
 		} else {
 			mc.head = nil
 		}
-		if e.isSub {
-			delete(mc.sub, e.subKeyOf())
-		} else {
-			delete(mc.doc, e.key)
-		}
+		delete(mc.entries, e.key)
 		mc.bytes -= e.size()
 		mc.evictions.Add(1)
 	}
 }
 
-// get looks the key up, counting a hit or miss.
-func (mc *MatchCache) get(k sharedMatchKey) ([]epdMatch, bool) {
+// get looks the key up. A whole-call probe counts a hit or miss; a
+// subtree probe does not — the per-program IncrementalStats count
+// subtree lookups, keeping the two stats blocks independently
+// meaningful.
+func (mc *MatchCache) get(k matchKey) ([]epdMatch, bool) {
 	mc.mu.Lock()
-	e, ok := mc.doc[k]
+	e, ok := mc.entries[k]
 	var m []epdMatch
 	if ok {
 		m = e.matches
 		mc.moveFront(e)
 	}
 	mc.mu.Unlock()
-	if ok {
-		mc.hits.Add(1)
-	} else {
-		mc.misses.Add(1)
+	if !k.sub {
+		if ok {
+			mc.hits.Add(1)
+		} else {
+			mc.misses.Add(1)
+		}
 	}
 	return m, ok
 }
 
 // put stores a computed match result, evicting at the entry cap.
-func (mc *MatchCache) put(k sharedMatchKey, m []epdMatch) {
+func (mc *MatchCache) put(k matchKey, m []epdMatch) {
 	mc.mu.Lock()
-	e, ok := mc.doc[k]
+	e, ok := mc.entries[k]
 	if !ok {
 		e = &mcEntry{key: k}
-		mc.doc[k] = e
+		mc.entries[k] = e
 	} else {
 		mc.bytes -= e.size()
 	}
 	e.matches = m
-	mc.bytes += e.size()
-	mc.moveFront(e)
-	mc.evict()
-	mc.mu.Unlock()
-}
-
-// subGet looks a subtree-layer key up. It does not touch the hit/miss
-// counters — the per-program IncrementalStats count subtree lookups,
-// keeping the two stats blocks independently meaningful.
-func (mc *MatchCache) subGet(k sharedSubKey) ([]relMatch, bool) {
-	mc.mu.Lock()
-	e, ok := mc.sub[k]
-	var m []relMatch
-	if ok {
-		m = e.rel
-		mc.moveFront(e)
-	}
-	mc.mu.Unlock()
-	return m, ok
-}
-
-// subPut stores a per-root relative result, evicting at the entry cap.
-func (mc *MatchCache) subPut(k sharedSubKey, m []relMatch) {
-	mc.mu.Lock()
-	e, ok := mc.sub[k]
-	if !ok {
-		e = &mcEntry{isSub: true, key: k.widen()}
-		mc.sub[k] = e
-	} else {
-		mc.bytes -= e.size()
-	}
-	e.rel = m
 	mc.bytes += e.size()
 	mc.moveFront(e)
 	mc.evict()

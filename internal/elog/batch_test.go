@@ -3,6 +3,7 @@ package elog
 import (
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/htmlparse"
@@ -113,5 +114,38 @@ func TestMatchCacheAttach(t *testing.T) {
 	r := mc.Report()
 	if r.Attached != 1 {
 		t.Fatalf("report attached = %d, want 1", r.Attached)
+	}
+}
+
+// TestOwnMemoFirstUse: unattached evaluations racing on a freshly
+// compiled program all memoize in the one memo the program creates, so
+// its whole-context probes add up to the program's match calls.
+func TestOwnMemoFirstUse(t *testing.T) {
+	fetch := MapFetcher{"fleet": htmlparse.Parse(fleetPage(40))}
+	fetch["fleet"].Warm()
+	cp := MustCompile(fleetProgram("fleet"))
+	dumps := make([]string, 8)
+	var wg sync.WaitGroup
+	for i := range dumps {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			base, err := NewEvaluator(fetch).RunCompiled(cp)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			dumps[i] = base.Dump()
+		}()
+	}
+	wg.Wait()
+	for i := range dumps {
+		if dumps[i] != dumps[0] {
+			t.Fatalf("run %d diverges from run 0:\n%s\n---\n%s", i, dumps[0], dumps[i])
+		}
+	}
+	hits, misses := cp.Stats()
+	if st := cp.own.Load().Report(); st.Hits != hits || st.Misses != misses || hits == 0 {
+		t.Errorf("own memo counted %d hits, %d misses; the program made %d hits, %d misses", st.Hits, st.Misses, hits, misses)
 	}
 }

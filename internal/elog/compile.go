@@ -2,7 +2,6 @@ package elog
 
 import (
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/dom"
@@ -17,7 +16,9 @@ import (
 // (dom.LabelBits via internal/nodeset), with per-node work left only
 // for the attribute/variable conditions. Per-document match results
 // are memoized keyed on the tree's content fingerprint, so re-wrapping
-// an unchanged page costs hash lookups instead of tree walks.
+// an unchanged page costs hash lookups instead of tree walks. The memo
+// is a MatchCache: the evaluator's shared one, or one the program
+// creates for its unattached runs (see memo).
 //
 // A CompiledProgram is safe for concurrent use: multiple evaluators
 // (server ticks, parallel Run calls) may share one, provided the
@@ -43,6 +44,10 @@ type CompiledProgram struct {
 	// instances is the last successful evaluation's instance count: the
 	// size hint of the next one's instance base.
 	instances atomic.Int64
+
+	// own is the match memo of runs without a shared MatchCache, created
+	// by the first of them.
+	own atomic.Pointer[MatchCache]
 }
 
 // Compile stratifies the program and lowers its element path
@@ -91,6 +96,20 @@ func MustCompile(p *Program) *CompiledProgram {
 	return cp
 }
 
+// memo returns the one match memo an evaluation consults: the
+// evaluator's shared cache when it is set, else the program's own,
+// LRU-bounded at DefaultMatchCacheEntries.
+func (cp *CompiledProgram) memo(shared *MatchCache) *MatchCache {
+	if shared != nil {
+		return shared
+	}
+	if mc := cp.own.Load(); mc != nil {
+		return mc
+	}
+	cp.own.CompareAndSwap(nil, NewMatchCache())
+	return cp.own.Load()
+}
+
 // Stats returns the cumulative fingerprint-cache counters across all
 // compiled paths: hits are match calls answered without touching the
 // document tree. A call is one rule application — a subelem rule makes
@@ -124,136 +143,85 @@ func (cp *CompiledProgram) Incremental() IncrementalStats {
 	}
 }
 
-// maxEPDCache bounds each compiled path's memo table. Entries are keyed
-// per (document fingerprint, context node set): an extraction path adds
-// one per document version (its context is the whole parent set), a
-// context condition one per candidate. When the table fills it is reset
-// wholesale, like the xpath compiled-query cache.
-const maxEPDCache = 4096
-
-// epdCacheKey identifies one memoized match: the document content
-// fingerprint, a hash of the context roots, and the two match-mode
-// flags. Hash collisions are as unlikely as fingerprint collisions
-// (~2^-64), the same trade the xpath cache makes.
-type epdCacheKey struct {
-	fp, roots  uint64
-	asChildren bool
-	deep       bool
-}
-
-// subKey identifies one memoized per-root match in the subtree-
-// fingerprint layer: the root's subtree content hash plus the two
-// match-mode flags. Unlike epdCacheKey it carries no document
-// fingerprint and no node ids — the entry is content-addressed, so it
-// survives across document versions and even across documents.
-type subKey struct {
-	sub        uint64
-	asChildren bool
-	deep       bool
-}
-
-// relMatch is a cached match in context-relative position: the offset
-// of the matched node from the context root. On document-ordered trees
-// the subtree of root r occupies exactly the contiguous id range
-// [r, r+size), and equal-content subtrees lay out their nodes at equal
-// offsets, so r+off re-materializes the match in any document carrying
-// an identical subtree at any position. The binds maps are shared with
-// the original computation (read-only by the evaluator convention).
-type relMatch struct {
-	off   dom.NodeID
-	binds map[string]string
-}
-
-// compiledEPD is one lowered element path definition plus its memo
-// tables. The deep variant (implicit leading descent, used by context
-// and internal conditions) shares the tables under the keys' deep
-// flag. cache memoizes whole calls per document fingerprint; subCache
-// memoizes per-root results by subtree fingerprint, feeding the
-// incremental path.
+// compiledEPD is one lowered element path definition: the path, its
+// deep variant (implicit leading descent, used by context and internal
+// conditions) and its signature. It holds no results; those live in the
+// evaluation's match memo.
 type compiledEPD struct {
 	epd  *EPD
 	deep *EPD
 	// sig is a hash of the path's canonical form: the identity under
-	// which structurally equal paths of different programs share match
-	// results through an attached MatchCache.
+	// which structurally equal paths — of one program or of different
+	// programs sharing a MatchCache — share match results.
 	sig uint64
-
-	mu       sync.Mutex
-	cache    map[epdCacheKey][]epdMatch
-	subCache map[subKey][]relMatch
 }
 
 func newCompiledEPD(e *EPD) *compiledEPD {
 	return &compiledEPD{
-		epd:      e,
-		deep:     &EPD{Steps: append([]EPDStep{{Kind: "deep"}}, e.Steps...), Conds: e.Conds},
-		sig:      hashString(e.sigString()),
-		cache:    map[epdCacheKey][]epdMatch{},
-		subCache: map[subKey][]relMatch{},
+		epd:  e,
+		deep: &EPD{Steps: append([]EPDStep{{Kind: "deep"}}, e.Steps...), Conds: e.Conds},
+		sig:  hashString(e.sigString()),
 	}
 }
 
-// match evaluates the path over the bitset kernel, memoized per
-// document fingerprint and context set — first in the program's own
-// table, then (when a fleet-shared MatchCache is attached) in the
-// shared one, qualified by the path's signature. Results computed here
-// are published to both. The returned slice and the binds maps inside
-// it are shared cache entries: callers must treat them as read-only,
-// which every evaluator call site does (bindings are copied into fresh
-// maps before use).
-func (ce *compiledEPD) match(cp *CompiledProgram, shared *MatchCache, t *dom.Tree, roots []dom.NodeID, asChildren, deep, inc bool) []epdMatch {
-	key := epdCacheKey{fp: t.Fingerprint(), roots: hashNodes(roots), asChildren: asChildren, deep: deep}
-	ce.mu.Lock()
-	m, ok := ce.cache[key]
-	ce.mu.Unlock()
-	if ok {
+// path returns the plain or the deep variant.
+func (ce *compiledEPD) path(deep bool) *EPD {
+	if deep {
+		return ce.deep
+	}
+	return ce.epd
+}
+
+// match evaluates the path over the bitset kernel for the evaluation
+// r, memoized in its match memo (CompiledProgram.memo) per path
+// signature, document fingerprint and context set. The returned slice
+// and the binds maps inside it are shared cache entries: callers must
+// treat them as read-only, which every evaluator call site does
+// (bindings are copied into fresh maps before use).
+func (ce *compiledEPD) match(r *runner, t *dom.Tree, roots []dom.NodeID, asChildren, deep bool) []epdMatch {
+	cp, mc := r.cp, r.cp.memo(r.ev.Shared)
+	key := matchKey{sig: ce.sig, fp: t.Fingerprint(), roots: hashNodes(roots), asChildren: asChildren, deep: deep}
+	if m, ok := mc.get(key); ok {
 		cp.hits.Add(1)
 		return m
 	}
-	if shared != nil {
-		if m, ok := shared.get(sharedMatchKey{sig: ce.sig, epdCacheKey: key}); ok {
-			cp.hits.Add(1)
-			ce.store(key, m)
-			return m
-		}
-	}
 	cp.misses.Add(1)
-	if inc {
-		if m, ok := ce.matchIncremental(cp, shared, t, roots, asChildren, deep); ok {
-			ce.store(key, m)
-			if shared != nil {
-				shared.put(sharedMatchKey{sig: ce.sig, epdCacheKey: key}, m)
-			}
-			return m
-		}
+	var m []epdMatch
+	ok := false
+	if r.ev.Incremental {
+		m, ok = ce.matchIncremental(cp, mc, t, roots, asChildren, deep)
 	}
-	e := ce.epd
-	if deep {
-		e = ce.deep
+	if !ok {
+		m = bitsetMatch(ce.path(deep), t, roots, asChildren)
 	}
-	m = bitsetMatch(e, t, roots, asChildren)
-	ce.store(key, m)
-	if shared != nil {
-		shared.put(sharedMatchKey{sig: ce.sig, epdCacheKey: key}, m)
-	}
+	mc.put(key, m)
 	return m
 }
 
 // matchIncremental answers a match miss from the content-addressed
-// subtree layer: each context root whose subtree fingerprint was seen
-// before — in an earlier version of the document, in another document,
-// or via a fleet-shared MatchCache in another wrapper's run —
-// re-materializes its cached per-root result by offset translation,
-// and only the remaining dirty roots run the bitset matcher (in one
-// batched call). Correctness rests on two facts checked here: EPD
-// matches from a root depend only on that root's subtree (navigation
-// only descends, conditions are subtree-local), and on document-
-// ordered trees disjoint subtrees occupy disjoint contiguous id
-// ranges, so the per-root results concatenated in ascending root order
-// equal the batched document-order output exactly. Trees whose ids are
-// not document order, or overlapping context roots, report ok=false
-// and fall back to the plain batched path.
-func (ce *compiledEPD) matchIncremental(cp *CompiledProgram, shared *MatchCache, t *dom.Tree, roots []dom.NodeID, asChildren, deep bool) ([]epdMatch, bool) {
+// subtree entries of mc: each context root whose subtree fingerprint
+// was seen before — in an earlier version of the document, in another
+// document, or in another wrapper's run sharing mc — re-materializes
+// its cached per-root result by offset translation, and only the
+// remaining dirty roots run the bitset matcher (in one batched call).
+//
+// A subtree entry stores each match at its offset from the root. On
+// document-ordered trees the subtree of root r occupies exactly the
+// contiguous id range [r, r+size), and equal-content subtrees lay out
+// their nodes at equal offsets, so r+off re-materializes the match in
+// any document carrying an identical subtree at any position. The binds
+// maps are shared with the original computation (read-only by the
+// evaluator convention).
+//
+// Correctness rests on two facts checked here: EPD matches from a root
+// depend only on that root's subtree (navigation only descends,
+// conditions are subtree-local), and on document-ordered trees disjoint
+// subtrees occupy disjoint contiguous id ranges, so the per-root
+// results concatenated in ascending root order equal the batched
+// document-order output exactly. Trees whose ids are not document
+// order, or overlapping context roots, report ok=false and fall back to
+// the plain batched path.
+func (ce *compiledEPD) matchIncremental(cp *CompiledProgram, mc *MatchCache, t *dom.Tree, roots []dom.NodeID, asChildren, deep bool) ([]epdMatch, bool) {
 	if len(roots) == 0 || !t.DocOrdered() {
 		return nil, false
 	}
@@ -274,18 +242,14 @@ func (ce *compiledEPD) matchIncremental(cp *CompiledProgram, shared *MatchCache,
 			return nil, false
 		}
 	}
-	rels := make([][]relMatch, len(sorted))
+	subKeyOf := func(r dom.NodeID) matchKey {
+		return matchKey{sig: ce.sig, fp: t.SubtreeHash(r), asChildren: asChildren, deep: deep, sub: true}
+	}
+	rels := make([][]epdMatch, len(sorted))
 	var dirty []dom.NodeID
 	var total, reused, dirtied int
 	for i, r := range sorted {
-		k := subKey{sub: t.SubtreeHash(r), asChildren: asChildren, deep: deep}
-		rel, ok := ce.subGet(k)
-		if !ok && shared != nil {
-			if rel, ok = shared.subGet(sharedSubKey{sig: ce.sig, subKey: k}); ok {
-				ce.subStore(k, rel)
-			}
-		}
-		if ok {
+		if rel, ok := mc.get(subKeyOf(r)); ok {
 			rels[i] = rel
 			total += len(rel)
 			reused += t.SubtreeSize(r)
@@ -300,76 +264,37 @@ func (ce *compiledEPD) matchIncremental(cp *CompiledProgram, shared *MatchCache,
 	cp.dirtyNodes.Add(uint64(dirtied))
 	var all []epdMatch
 	if len(dirty) > 0 {
-		e := ce.epd
-		if deep {
-			e = ce.deep
-		}
-		all = bitsetMatch(e, t, dirty, asChildren)
+		all = bitsetMatch(ce.path(deep), t, dirty, asChildren)
 	}
 	// One pass in root order fills the flat document-ordered result: a
 	// clean root translates its cached offsets, a dirty root takes its
 	// id range of the batched match and publishes it for next time.
 	out := make([]epdMatch, 0, total+len(all))
-	fresh := make([]relMatch, len(all))
+	fresh := make([]epdMatch, len(all))
 	j := 0
 	for i, r := range sorted {
 		if len(dirty) == 0 || dirty[0] != r {
 			for _, m := range rels[i] {
-				out = append(out, epdMatch{node: r + m.off, binds: m.binds})
+				out = append(out, epdMatch{node: r + m.node, binds: m.binds})
 			}
 			continue
 		}
 		dirty = dirty[1:]
 		lo, end := j, r+dom.NodeID(t.SubtreeSize(r))
 		for ; j < len(all) && all[j].node < end; j++ {
-			fresh[j] = relMatch{off: all[j].node - r, binds: all[j].binds}
+			fresh[j] = epdMatch{node: all[j].node - r, binds: all[j].binds}
 		}
 		out = append(out, all[lo:j]...)
-		var rel []relMatch
+		var rel []epdMatch
 		if j > lo {
 			rel = fresh[lo:j:j]
 		}
-		k := subKey{sub: t.SubtreeHash(r), asChildren: asChildren, deep: deep}
-		ce.subStore(k, rel)
-		if shared != nil {
-			shared.subPut(sharedSubKey{sig: ce.sig, subKey: k}, rel)
-		}
+		mc.put(subKeyOf(r), rel)
 	}
 	if len(out) == 0 {
 		return nil, true
 	}
 	return out, true
-}
-
-// subGet looks a root's cached relative matches up in the per-program
-// subtree table.
-func (ce *compiledEPD) subGet(k subKey) ([]relMatch, bool) {
-	ce.mu.Lock()
-	m, ok := ce.subCache[k]
-	ce.mu.Unlock()
-	return m, ok
-}
-
-// subStore inserts into the per-program subtree table, resetting
-// wholesale at the size bound like store.
-func (ce *compiledEPD) subStore(k subKey, m []relMatch) {
-	ce.mu.Lock()
-	if len(ce.subCache) >= maxEPDCache {
-		ce.subCache = make(map[subKey][]relMatch, 64)
-	}
-	ce.subCache[k] = m
-	ce.mu.Unlock()
-}
-
-// store inserts into the per-program memo, resetting wholesale at the
-// size bound.
-func (ce *compiledEPD) store(key epdCacheKey, m []epdMatch) {
-	ce.mu.Lock()
-	if len(ce.cache) >= maxEPDCache {
-		ce.cache = make(map[epdCacheKey][]epdMatch, 64)
-	}
-	ce.cache[key] = m
-	ce.mu.Unlock()
 }
 
 // bitsetMatch is the compiled analogue of EPD.Match: each step advances

@@ -68,11 +68,12 @@ type Evaluator struct {
 	// resulting base is bit-identical to a fully serial evaluation at
 	// any concurrency level.
 	MaxConcurrency int
-	// Shared, when set, consults and feeds a fleet-shared match cache
-	// (see MatchCache): compiled pattern matches are then reused across
-	// every program whose evaluator shares the cache, keyed by path
-	// signature and document fingerprint. Output is unchanged — only the
-	// matching work is shared.
+	// Shared, when set, is the match memo compiled evaluation consults
+	// and feeds instead of the program's own (see MatchCache): compiled
+	// pattern matches are then reused across every program whose
+	// evaluator shares the cache, keyed by path signature and document
+	// fingerprint. Output is unchanged — only the matching work is
+	// shared.
 	Shared *MatchCache
 	// Incremental enables subtree-fingerprint match reuse: on a match
 	// miss (a changed document), context roots whose subtree content was
@@ -465,7 +466,7 @@ func (r *runner) fetchDoc(url string) (*pib.Instance, error) {
 func (r *runner) match(e *EPD, t *dom.Tree, roots []dom.NodeID, asChildren bool) []epdMatch {
 	if r.cp != nil {
 		if ce := r.cp.epds[e]; ce != nil {
-			return ce.match(r.cp, r.ev.Shared, t, roots, asChildren, false, r.ev.Incremental)
+			return ce.match(r, t, roots, asChildren, false)
 		}
 	}
 	return e.Match(t, roots, asChildren)
@@ -476,7 +477,7 @@ func (r *runner) match(e *EPD, t *dom.Tree, roots []dom.NodeID, asChildren bool)
 func (r *runner) matchDeep(e *EPD, t *dom.Tree, roots []dom.NodeID, asChildren bool) []epdMatch {
 	if r.cp != nil {
 		if ce := r.cp.epds[e]; ce != nil {
-			return ce.match(r.cp, r.ev.Shared, t, roots, asChildren, true, r.ev.Incremental)
+			return ce.match(r, t, roots, asChildren, true)
 		}
 	}
 	return e.MatchDeep(t, roots, asChildren)
@@ -620,8 +621,8 @@ type candidate struct {
 // Everything else — other extraction kinds, specialization, the
 // interpreter, and parents splitRun refuses — goes one parent at a
 // time through extract. Generation only reads evaluation state (the
-// instance base, the concept base, warmed document trees, memoized
-// match caches), never writes it, so the rules of a wave run
+// instance base, the concept base, warmed document trees, the match
+// memo), never writes it, so the rules of a wave run
 // concurrently — runWave relies on this. Crawl-driving rules are the
 // exception and never reach here: ruleSequential pins them to runSerial
 // because their extraction fetches documents.
@@ -685,7 +686,7 @@ func (r *runner) extractRun(ce *compiledEPD, run []*pib.Instance, out [][]candid
 	for i, s := range run {
 		roots[i] = s.Nodes[0]
 	}
-	ms := ce.match(r.cp, r.ev.Shared, t, roots, false, false, r.ev.Incremental)
+	ms := ce.match(r, t, roots, false, false)
 	cands := make([]candidate, len(ms))
 	nodes := make([]dom.NodeID, len(ms))
 	j := 0

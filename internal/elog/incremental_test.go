@@ -124,9 +124,10 @@ func TestIncrementalCumulativeDrift(t *testing.T) {
 	}
 }
 
-// TestMatchCacheLRUBound pins the satellite memory guarantee: under
-// sustained churn the shared cache never exceeds its entry cap and
-// keeps serving by evicting least recently used entries.
+// TestMatchCacheLRUBound pins the memo's memory guarantee: under
+// sustained churn neither a shared cache nor a program's own memo
+// exceeds its entry cap, and both keep serving by evicting least
+// recently used entries.
 func TestMatchCacheLRUBound(t *testing.T) {
 	const cap = 32
 	shared := NewMatchCacheSize(cap)
@@ -148,15 +149,9 @@ func TestMatchCacheLRUBound(t *testing.T) {
 		// bytes is kept on put and evict: it must equal a recount of the
 		// live entries, each under the key its entry remembers.
 		held := 0
-		for k, e := range shared.doc {
-			if e.isSub || e.key != k {
-				t.Fatalf("round %d: doc entry under %+v remembers %+v", i, k, e.key)
-			}
-			held += e.size()
-		}
-		for k, e := range shared.sub {
-			if !e.isSub || e.subKeyOf() != k {
-				t.Fatalf("round %d: sub entry under %+v remembers %+v", i, k, e.subKeyOf())
+		for k, e := range shared.entries {
+			if e.key != k {
+				t.Fatalf("round %d: entry under %+v remembers %+v", i, k, e.key)
 			}
 			held += e.size()
 		}
@@ -169,6 +164,32 @@ func TestMatchCacheLRUBound(t *testing.T) {
 	}
 	if st := shared.Report(); st.Evictions == 0 {
 		t.Error("no evictions after 150 distinct document versions against a 32-entry cap")
+	}
+
+	// Unattached, a program memoizes in its own cache, bounded the same
+	// way at DefaultMatchCacheEntries: every version rewrites every row,
+	// so each adds a subtree entry per row.
+	unattached := MustCompile(MustParse(`row(S, X) <- document("d", S), subelem(S, ?.tr, X)
+cell(S, X) <- row(_, S), subelem(S, ?.td, X)`))
+	const rows = 200
+	for v := 0; v < 100; v++ {
+		var sb strings.Builder
+		sb.WriteString("<table>")
+		for r := 0; r < rows; r++ {
+			fmt.Fprintf(&sb, "<tr><td>%d.%d</td></tr>", v, r)
+		}
+		sb.WriteString("</table>")
+		ev := NewEvaluator(MapFetcher{"d": htmlparse.Parse(sb.String())})
+		ev.Incremental = true
+		if _, err := ev.RunCompiled(unattached); err != nil {
+			t.Fatal(err)
+		}
+		if st := unattached.own.Load().Report(); st.Entries > DefaultMatchCacheEntries {
+			t.Fatalf("version %d: own memo holds %d entries, cap %d", v, st.Entries, DefaultMatchCacheEntries)
+		}
+	}
+	if st := unattached.own.Load().Report(); st.Evictions == 0 {
+		t.Errorf("own memo: no evictions after %d distinct rows against a %d-entry cap", 100*rows, DefaultMatchCacheEntries)
 	}
 }
 

@@ -30,18 +30,11 @@ func TestSealedBaseBudget(t *testing.T) {
 	}
 	eval() // fills the match caches and the slab hint
 	held := make([]*pib.Base, 64)
-	heap := func() uint64 {
-		runtime.GC()
-		runtime.GC()
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
-	before := heap()
+	before := liveHeap()
 	for i := range held {
 		held[i] = eval()
 	}
-	grown := float64(heap()-before) / float64(len(held))
+	grown := float64(liveHeap()-before) / float64(len(held))
 	n := held[0].Count()
 	per := grown / float64(n)
 	t.Logf("%d instances: %.0f bytes retained per base, %.1f per instance; Bytes() = %d", n, grown, per, held[0].Bytes())
@@ -56,6 +49,60 @@ func TestSealedBaseBudget(t *testing.T) {
 	}
 	runtime.KeepAlive(held)
 	runtime.KeepAlive(fetch)
+}
+
+// liveHeap is the heap in use after two collections.
+func liveHeap() uint64 {
+	runtime.GC()
+	runtime.GC()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
+
+// TestFleetMemoBudget holds a fleet's match results to one copy: 100
+// separately compiled catalogue wrappers evaluate 30 versions of the
+// 60×40 page against one shared MatchCache, and once the cache is
+// dropped each program may retain no more than 2 KB beyond a fresh
+// compile. The figure was ~17 KB per program while every compiled path
+// kept its own memo tables beside the shared cache.
+func TestFleetMemoBudget(t *testing.T) {
+	const fleet, versions = 100, 30
+	cat := newCatalogue(60, 40, 3, false)
+	compile := func() *elog.CompiledProgram { return elog.MustCompile(elog.MustParse(catalogueProgram)) }
+	// One throwaway evaluation first, so nothing initialized on first use
+	// lands in the measurement.
+	if _, err := elog.NewEvaluator(cat.next()).RunCompiled(compile()); err != nil {
+		t.Fatal(err)
+	}
+	cps := make([]*elog.CompiledProgram, fleet)
+	for i := range cps {
+		cps[i] = compile()
+	}
+	before := liveHeap()
+	shared := elog.NewMatchCache()
+	for v := 0; v < versions; v++ {
+		fetch := cat.next()
+		for _, cp := range cps {
+			ev := elog.NewEvaluator(fetch)
+			ev.Incremental, ev.Shared = true, shared
+			if _, err := ev.RunCompiled(cp); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	st := shared.Report()
+	shared = nil
+	per := (float64(liveHeap()) - float64(before)) / fleet
+	t.Logf("%d programs × %d versions: %.0f bytes retained per program; shared cache %d entries, ~%d bytes",
+		fleet, versions, per, st.Entries, st.Bytes)
+	if st.Hits == 0 {
+		t.Error("the fleet never hit the shared cache")
+	}
+	if per > 2048 {
+		t.Errorf("%.0f bytes retained per program beyond a fresh compile, budget 2048", per)
+	}
+	runtime.KeepAlive(cps)
 }
 
 // TestSealEquivalence holds the sealed base Run and RunCompiled return

@@ -10,8 +10,8 @@ import (
 // POST /v1/wrappers: a single-wrapper transform engine (source →
 // collector) driving the scheduled path, plus the SDK wrapper itself
 // for synchronous one-shot extractions. The engine's source polls
-// through that same wrapper, so both paths share one compiled program,
-// its match caches and one output cache.
+// through that same wrapper, so both paths share one compiled program
+// and one output cache.
 type dynPipeline struct {
 	name string
 	w    *lixto.Wrapper

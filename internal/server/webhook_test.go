@@ -360,6 +360,11 @@ func TestWebhookCursorRestart(t *testing.T) {
 		t.Fatalf("create: %d %s", code, body)
 	}
 	sink.waitFor(t, "both versions delivered", func(rs []hookReceipt) bool { return len(rs) >= 2 })
+	// The sink records a delivery before it responds, and the dispatcher
+	// advances the cursor only once it reads the 2xx: wait for the
+	// acknowledgement, or close could persist cursor 1 (at-least-once
+	// delivery would then rightly redeliver version 2).
+	waitInfo(t, ts1.URL+"/v1/wrappers/x/webhooks/h1", "cursor at 2", func(w hookInfo) bool { return w.Cursor == 2 })
 	ts1.Close()
 	// Shutdown persists the final cursors (the drain path does the same
 	// through removePipeLocked).

@@ -230,9 +230,9 @@ func (e *Engine) Run(ctx context.Context, interval time.Duration) {
 // Wrapper".
 //
 // Extraction goes through the SDK wrapper (Wrapper), which owns every
-// piece of reuse state across ticks: the compiled program with its
-// fingerprint-keyed and subtree match caches, and the output cache
-// that splices unchanged XML subtrees from the previous rendering. A
+// piece of reuse state across ticks: the compiled program (whose own
+// match memo serves extractions without a Batch cache), and the output
+// cache that splices unchanged XML subtrees from the previous rendering. A
 // one-shot extraction through the same *lixto.Wrapper shares them.
 //
 // Polls are additionally memoized on page content: every run records
@@ -302,7 +302,7 @@ type WrapperSource struct {
 // PollCacheHits counts whole polls answered from the page-fingerprint
 // cache; MatchCacheHits/Misses count compiled match calls (one per rule
 // and document for extraction paths, see elog.CompiledProgram.Stats)
-// answered from (or inserted into) the per-document match caches.
+// answered from (or inserted into) the evaluation's match memo.
 type ExtractionStats struct {
 	PollCacheHits    uint64 `json:"poll_cache_hits"`
 	MatchCacheHits   uint64 `json:"match_cache_hits"`

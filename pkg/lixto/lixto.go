@@ -11,8 +11,9 @@
 // Every error is a typed *lixto.Error carrying the failed stage
 // (Parse/Stratify/Fetch/Eval) and, for program errors, the source
 // position. A compiled Wrapper is immutable and safe for concurrent
-// use: its bitset-compiled form and fingerprint-keyed match caches are
-// shared across goroutines, so repeated extraction of unchanged pages
+// use: its bitset-compiled form and fingerprint-keyed match memo (its
+// own, or the fleet cache of WithBatching) are shared across
+// goroutines, so repeated extraction of unchanged pages
 // skips the pattern-matching tree walks, and a changed version of a
 // page re-matches only the regions whose subtrees changed (the
 // instance base is identical to a fresh wrapper's either way).
@@ -37,7 +38,8 @@ import (
 )
 
 // Wrapper is a compiled Elog wrapper: the parsed program, its
-// bitset-compiled form, the XML design, and the option defaults it was
+// bitset-compiled form (which owns the match memo of extractions
+// without WithBatching), the XML design, and the option defaults it was
 // compiled with. Compile is the only constructor. A Wrapper is safe for
 // concurrent use.
 type Wrapper struct {
@@ -96,7 +98,7 @@ func (w *Wrapper) OutputStats() pib.OutputStats {
 }
 
 // Rebind returns a wrapper sharing this wrapper's program, compiled
-// form and match caches, with additional default options applied — a
+// form and its match memo, with additional default options applied — a
 // cheap way to hand the same compiled program different fetchers or
 // designs.
 func (w *Wrapper) Rebind(opts ...Option) *Wrapper {

@@ -91,7 +91,9 @@ func WithConcurrency(n int) Option {
 }
 
 // WithCache toggles the compiled execution path and its
-// fingerprint-keyed match caches (default on). With caching off,
+// fingerprint-keyed match memo (default on): one bounded cache, the
+// compiled program's own unless WithBatching attaches a fleet-shared
+// one. With caching off,
 // extraction runs on the seed interpreter: slower, but sharing no
 // mutable state across calls — the reference semantics.
 func WithCache(enabled bool) Option {
