@@ -27,7 +27,9 @@
 // read results from GET /v1/wrappers/{name}/results, and retire with
 // DELETE. See the README's "HTTP API v1" section.
 //
-// -history N bounds each pipeline's retained document ring (default 64).
+// -history N is the number of results kept in memory per pipeline when
+// -data-dir is unset (default 64); with -data-dir the result log is the
+// history.
 //
 // Documents are served as XML, or as JSON when the request's Accept
 // header prefers application/json.
@@ -59,7 +61,8 @@
 // through proxies.
 // With -data-dir every delivery is appended to a per-wrapper result
 // log (a length-prefixed, CRC-checked WAL with segment rotation) before
-// it is acknowledged; on restart the server rehydrates collector rings,
+// it is readable, and every history read (?since=, ?n=, SSE replay,
+// webhook catch-up) reads that log; on restart the server rehydrates
 // published snapshots (ETags included), dynamic wrapper registrations,
 // and webhook cursors from the logs, so reads and subscriptions resume
 // byte-identically after a crash. -wal-fsync picks the durability
@@ -100,7 +103,7 @@ func main() {
 	interval := flag.Duration("interval", 2*time.Second, "tick interval")
 	steps := flag.Int("steps", 0, "run N ticks and exit (0 = serve forever)")
 	pprofFlag := flag.Bool("pprof", false, "expose /debug/pprof endpoints")
-	history := flag.Int("history", 0, "documents retained per pipeline (0 = default 64)")
+	history := flag.Int("history", 0, "results kept in memory per pipeline when -data-dir is unset (0 = default 64)")
 	allowDynamic := flag.Bool("allow-dynamic", false,
 		"accept wrapper registration at runtime via the /v1 API")
 	shards := flag.Int("shards", 0, "scheduler timer shards (0 = default 4)")
@@ -148,7 +151,8 @@ func main() {
 		fatal(err)
 	}
 	if *history > 0 {
-		// Retention is latched on the first delivery; no tick has run yet.
+		// Set before the pipelines register (the server reads Retain
+		// there) and before the first delivery (the collector latches it).
 		for _, p := range []server.Pipeline{np, fl, pc, pw} {
 			p.Output().Retain = *history
 		}
@@ -224,8 +228,8 @@ func main() {
 		}
 	}
 	if store != nil {
-		// Rehydrate collector rings, snapshots, dynamic wrappers, and
-		// webhook cursors from the previous run's result logs.
+		// Rehydrate snapshots, dynamic wrappers, and webhook cursors
+		// from the previous run's result logs.
 		n, err := srv.Restore()
 		if err != nil {
 			fatal(err)

@@ -2,18 +2,22 @@
 // per-wrapper append-only write-ahead log of result snapshots. Every
 // record carries the delivery version, the content fingerprint, and
 // the already-encoded XML bytes published by the server's snapshot
-// plane, so a restarted server rehydrates each wrapper's history ring,
-// latest snapshot, ETag, and delivery version byte-identically — and
-// subscribers that reconnect with a cursor (SSE Last-Event-ID, webhook
-// cursors) replay exactly the snapshots they missed.
+// plane. With a store attached the log is the wrapper's whole history:
+// a restarted server rebuilds the latest snapshot, ETag, and delivery
+// version from it byte-identically, and every history read — ?since=,
+// ?n=, SSE Last-Event-ID replay, webhook catch-up — is a cursor read
+// (Log.Since) over it.
 //
 // Layout: <dir>/<wrapper>/NNNNNNNN.wal segment files plus small JSON
 // sidecars (wrapper spec, webhook registrations) written atomically.
 // Records are length-prefixed and CRC-checked; a torn tail (the crash
 // case) is detected and ignored rather than poisoning the log. The
-// active segment rotates at a size bound and old segments are dropped
-// by count and age, so retention is a pair of knobs rather than a
-// compaction scheme.
+// active segment rotates at a size bound, and old segments go two
+// ways: count and age retention (MaxSegments, MaxAge) drop the oldest,
+// and checkpoint compaction (CompactSegments, Log.Compact) restates
+// the latest snapshot in a fresh segment and drops everything before
+// it. A cursor read that races either deletion resumes on the
+// surviving segments, so its versions jump instead of failing.
 //
 // Appends write() straight through to the OS so a kill -9 loses at
 // most the not-yet-acknowledged delivery; fsync is batched on a
@@ -29,6 +33,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"io/fs"
 	"os"
 	"path/filepath"
 	"sort"
@@ -865,19 +870,44 @@ func (l *Log) Replay(fn func(Record) error) error {
 }
 
 // Since streams the records with Version > after, oldest→newest —
-// the cursor read behind SSE Last-Event-ID replay and webhook
-// catch-up. Segments wholly at or before the cursor are skipped
-// without being read.
+// the cursor read behind every history read. Segments wholly at or
+// before the cursor are skipped without being read. Versions are
+// strictly increasing; they jump where retention or compaction deleted
+// records, including deletions that race the read itself.
 func (l *Log) Since(after uint64, fn func(Record) error) error {
 	return l.replayFrom(after, fn)
 }
 
-func (l *Log) replayFrom(after uint64, fn func(Record) error) error {
+// FirstVersion returns the oldest version the log still holds: the
+// first record of its oldest segment (0 when the log is empty).
+func (l *Log) FirstVersion() uint64 {
 	for _, seg := range l.segments() {
+		if seg.firstVer > 0 {
+			return seg.firstVer
+		}
+	}
+	return 0
+}
+
+func (l *Log) replayFrom(after uint64, fn func(Record) error) error {
+	segs := l.segments()
+	for i := 0; i < len(segs); i++ {
+		seg := segs[i]
 		if seg.lastVer <= after {
 			continue
 		}
 		data, err := os.ReadFile(seg.path)
+		if errors.Is(err, fs.ErrNotExist) {
+			// Compaction or retention deleted the segment after the list
+			// was taken. Deletion only ever takes the oldest segments, so
+			// re-list and resume after the last version yielded: the next
+			// record is the oldest survivor (a checkpoint, after a
+			// compaction).
+			if fresh := l.segments(); len(fresh) > 0 && fresh[0].id > seg.id {
+				segs, i = fresh, -1
+				continue
+			}
+		}
 		if err != nil {
 			return err
 		}
@@ -899,6 +929,7 @@ func (l *Log) replayFrom(after uint64, fn func(Record) error) error {
 			if err := fn(rec); err != nil {
 				return err
 			}
+			after = rec.Version
 		}
 	}
 	return nil

@@ -3,29 +3,32 @@ package server
 import (
 	"bytes"
 	"compress/gzip"
+	"errors"
+	"fmt"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/transform"
+	"repro/internal/resultlog"
 	"repro/internal/xmlenc"
 )
 
 // The delivery plane: every pipeline result is encoded exactly once,
-// published as an immutable snapshot behind an atomic pointer, and
-// served to any number of readers without touching the server-wide
-// mutex. A snapshot carries the pre-encoded XML (eager — the XML bytes
-// double as the change detector), JSON, gzipped and SSE-framed
-// variants (lazy, each built at most once), and per-variant strong
-// ETags, so the read path is: one sync.Map lookup, one atomic load,
-// one header compare, one Write.
+// appended to the pipeline's delivery log, and published as an
+// immutable snapshot behind an atomic pointer, served to any number of
+// readers without touching the server-wide mutex. A snapshot carries
+// the pre-encoded XML (eager — the XML bytes double as the change
+// detector), JSON, gzipped and SSE-framed variants (lazy, each built at
+// most once), and per-variant strong ETags, so the read path is: one
+// sync.Map lookup, one atomic load, one header compare, one Write.
 //
-// Publication happens at tick-commit time (pipeState.tickOnce) and
-// self-heals on read: a handler that observes a collector version
-// ahead of the current snapshot republishes under the pipeline's own
-// publish mutex. No-op ticks are suppressed before fan-out: the
+// Publication happens inside the delivery itself: the collector's
+// Journal callback appends the record, so a result is readable the
+// moment Process returns, and with a result store it is on the log
+// first. No-op deliveries are suppressed before fan-out: the
 // poll-level fingerprint cache re-emits the previous *xmlenc.Node when
 // no source page changed (pointer equality — the dom.Fingerprint delta
 // detection), and a fresh document object with byte-identical encoding
@@ -37,7 +40,7 @@ const gzipMinSize = 256
 
 // snapshot is one immutable published result. The version field is the
 // only mutable slot: the publisher bumps it forward (under pubMu) when
-// the same content is re-delivered, so readers keep fast-pathing.
+// the same content is re-delivered.
 type snapshot struct {
 	doc *xmlenc.Node
 	seq uint64 // publish sequence
@@ -63,35 +66,19 @@ type snapshot struct {
 	sse     [2][]byte
 }
 
+// newSnapshot encodes doc with the stateless encoder.
 func newSnapshot(doc *xmlenc.Node, version, seq uint64) *snapshot {
-	return newSnapshotEnc(nil, doc, version, seq)
+	return snapshotOf(doc, xmlenc.MarshalIndentBytes(doc), version, seq)
 }
 
-// newSnapshotEnc is newSnapshot encoding through the pipeline's splice
-// encoder when one is present (nil falls back to the stateless
-// encoder). The encoder caches encoded byte ranges per frozen subtree,
-// so re-encoding a document that shares most of its subtrees with the
-// previous snapshot splices the unchanged ranges instead of walking
-// them; output — and therefore the ETag — is byte-identical either
-// way. Callers must hold the pipeline's publish mutex when enc is
-// non-nil (the encoder is single-writer state).
-func newSnapshotEnc(enc *xmlenc.Encoder, doc *xmlenc.Node, version, seq uint64) *snapshot {
-	sn := &snapshot{doc: doc, seq: seq, ver: version}
+// snapshotOf wraps encoded content that first appeared at version. The
+// XML hash is taken once here and reused for the ETag and for the
+// result log's record fingerprint.
+func snapshotOf(doc *xmlenc.Node, xml []byte, version, seq uint64) *snapshot {
+	sn := &snapshot{doc: doc, seq: seq, ver: version, xml: xml, xmlSum: fnv64a(xml)}
 	sn.version.Store(version)
-	if enc != nil {
-		sn.setXML(enc.MarshalIndentBytes(doc))
-	} else {
-		sn.setXML(xmlenc.MarshalIndentBytes(doc))
-	}
-	return sn
-}
-
-// setXML installs the encoded XML with its hash, taken once here and
-// reused for the ETag and for the result log's record fingerprint.
-func (sn *snapshot) setXML(xml []byte) {
-	sn.xml = xml
-	sn.xmlSum = fnv64a(xml)
 	sn.xmlTag = etagOf(sn.xmlSum, 'x')
+	return sn
 }
 
 // fnv64a is FNV-1a, 64 bits, as hash/fnv computes it, without the
@@ -224,22 +211,12 @@ func sseFrameFor(payload []byte, ver uint64) []byte {
 
 // ---------------------------------------------------------------------
 
-// histKey distinguishes the cached encodings of the history list: the
-// requested depth, the representation, and which route built it (the
-// legacy /{name}/history root element differs from /v1 .../results).
-type histKey struct {
-	n    int
-	json bool
-	v1   bool
-}
-
-// maxHistCacheEntries bounds the per-pipeline history cache; clients
-// choose n freely, so past the bound requests are built uncached.
-const maxHistCacheEntries = 32
-
-// delivery is the per-pipeline delivery state: the current snapshot,
-// the publish lock (serializing writers only — readers never take it
-// in steady state), the watch hub, and the read-path counters.
+// delivery is the per-pipeline delivery log and its read side: the
+// current snapshot, the publish lock (serializing writers only —
+// readers never take it), the retained records, the watch hub, and the
+// read-path counters. Appending a record is publishing: the pipeline's
+// collector journals every delivery into append, and every history
+// read (?since=, ?n=, SSE replay, webhook catch-up) goes through since.
 type delivery struct {
 	cur   atomic.Pointer[snapshot]
 	pubMu sync.Mutex
@@ -247,13 +224,20 @@ type delivery struct {
 
 	hub watchHub
 
-	// persist, when set, is the pipeline's WAL attachment (persist.go):
-	// publish drains its journal queue so every delivery reaches the
-	// result log, reusing the just-encoded snapshot bytes. hooks, when
-	// set, is the pipeline's outbound webhook set; publish nudges its
-	// dispatchers after the log advances.
-	persist *pipePersist
-	hooks   *hookSet
+	// log, when set, is the pipeline's result log (a result store is
+	// configured): it is the history, and memory holds only cur.
+	// Without it, ring holds the last retain records, oldest first; a
+	// no-op record there shares the XML of the content it repeats.
+	log    *resultlog.Log
+	ringMu sync.Mutex
+	ring   []resultlog.Record
+	retain int
+	// last is the newest appended version; the next append is last+1.
+	// Guarded by pubMu.
+	last uint64
+	// hooks, when set, is the pipeline's outbound webhook set; append
+	// nudges its dispatchers.
+	hooks *hookSet
 
 	suppressed atomic.Uint64 // no-op ticks caught before fan-out
 	etagHits   atomic.Uint64 // conditional GETs answered 304
@@ -262,89 +246,177 @@ type delivery struct {
 	// enc is the pipeline's splice encoder (see xmlenc.Encoder), built
 	// on first publish and used only under pubMu.
 	enc *xmlenc.Encoder
-
-	histMu      sync.Mutex
-	histVersion uint64
-	hist        map[histKey][]byte
 }
 
-// snapshot returns the current snapshot for out, publishing a new one
-// if the collector has delivered since. The steady-state path is
-// lock-free: one atomic pointer load plus one atomic version compare.
-// Pending journal entries force the publish path so a delivery is
-// durably logged before its HTTP acknowledgement is written.
-func (d *delivery) snapshot(out *transform.Collector) *snapshot {
-	if cur := d.cur.Load(); cur != nil && cur.version.Load() == out.Version() &&
-		(d.persist == nil || d.persist.idle()) {
-		return cur
+// snapshot returns the current snapshot, or nil before the first
+// delivery: one atomic load.
+func (d *delivery) snapshot() *snapshot { return d.cur.Load() }
+
+// head returns the newest published version (0 before the first).
+func (d *delivery) head() uint64 {
+	if sn := d.cur.Load(); sn != nil {
+		return sn.version.Load()
 	}
-	return d.publish(out)
+	return 0
 }
 
-// publish encodes and swaps in a new snapshot under the pipeline's
-// publish mutex, then fans it out to the watch hub. Re-deliveries of
-// unchanged content (same document pointer, or byte-identical
-// encoding) bump the current snapshot's version instead: no re-encode,
-// no fan-out, one suppressed no-op tick counted. Either way the WAL
-// journal drains before returning, so the caller's delivery is on disk
-// (as a snapshot or a version-only no-op record) when it is
-// acknowledged.
-func (d *delivery) publish(out *transform.Collector) *snapshot {
+// append publishes one delivered document as the next version; it is
+// the pipeline collector's Journal callback (the collector's own count
+// is ignored: the log numbers versions). In order: the document is
+// splice-encoded; the record is a version-only no-op when the content
+// is unchanged (the same document pointer — the poll memo re-emitting
+// its last result — or byte-identical encoding), else a snapshot; the
+// record reaches the result log when one is attached; only then is
+// the snapshot swapped in, broadcast, and the webhooks nudged. A
+// failed log append publishes nothing (the store counts the error),
+// so no reader ever sees a version the log does not hold.
+func (d *delivery) append(_ uint64, doc *xmlenc.Node) {
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()
-	// Read the version before the document: if a delivery races in
-	// between, the recorded version is behind and the next read
-	// republishes — stale is recoverable, "fresher than recorded" is
-	// not.
-	v := out.Version()
 	cur := d.cur.Load()
 	sn := cur
-	doc := out.Latest()
-	switch {
-	case cur != nil && cur.version.Load() >= v:
-		// Already current; fall through to the journal drain only.
-	case doc == nil, v == 0:
-		// No delivery yet — or a reader raced the very first one and
-		// loaded the version before the collector committed it (a
-		// document existing at all implies version >= 1). Publishing
-		// here would broadcast an SSE frame with id 0; the delivering
-		// tick's own snapshot call follows with the real version.
-	case cur != nil && cur.doc == doc:
-		// The poll-level fingerprint cache re-emitted the previous
-		// document: nothing changed upstream.
-		cur.version.Store(v)
-		d.suppressed.Add(1)
-	default:
+	rec := resultlog.Record{Kind: resultlog.KindNoop, Version: d.last + 1}
+	if cur == nil || cur.doc != doc {
 		if d.enc == nil {
 			d.enc = xmlenc.NewEncoder()
 		}
-		fresh := newSnapshotEnc(d.enc, doc, v, d.seq.Load()+1)
-		if cur != nil && bytes.Equal(fresh.xml, cur.xml) {
-			// Fresh document object, identical content.
-			cur.version.Store(v)
-			d.suppressed.Add(1)
-		} else {
-			d.seq.Add(1)
-			d.cur.Store(fresh)
-			d.hub.broadcast(fresh)
-			sn = fresh
+		xml := d.enc.MarshalIndentBytes(doc)
+		if cur == nil || !bytes.Equal(xml, cur.xml) {
+			sn = snapshotOf(doc, xml, rec.Version, d.seq.Load()+1)
+			rec.Kind, rec.Fingerprint, rec.XML = resultlog.KindSnapshot, sn.xmlSum, xml
 		}
 	}
-	if d.persist != nil && !d.persist.idle() {
-		d.persist.drain(sn)
-		if d.hooks != nil {
-			d.hooks.notify()
+	if d.log != nil {
+		if err := d.log.Append(rec); err != nil {
+			return
 		}
-	} else if d.hooks != nil && sn != cur {
+		if d.log.NeedsCompaction() {
+			// Checkpoint compaction: restate the latest snapshot into a
+			// fresh segment and drop the older ones, so restore cost
+			// tracks the live state rather than the wrapper's lifetime.
+			// A failed compaction leaves the log as it was (the store
+			// counts the error); the next append tries again.
+			d.log.Compact(resultlog.Record{Version: rec.Version, Fingerprint: sn.xmlSum, XML: sn.xml})
+		}
+	} else {
+		rec.XML = sn.xml
+		d.ringMu.Lock()
+		if len(d.ring) >= d.retain {
+			d.ring = append(d.ring[:0], d.ring[len(d.ring)-d.retain+1:]...)
+		}
+		d.ring = append(d.ring, rec)
+		d.ringMu.Unlock()
+	}
+	d.last = rec.Version
+	if sn == cur {
+		cur.version.Store(rec.Version)
+		d.suppressed.Add(1)
+	} else {
+		d.seq.Add(1)
+		d.cur.Store(sn)
+		d.hub.broadcast(sn)
+	}
+	if d.hooks != nil {
 		d.hooks.notify()
 	}
-	return sn
+}
+
+// since returns up to limit records with versions after cursor
+// (limit <= 0: all of them), oldest first and consecutive. A no-op
+// record comes back carrying the XML of the content it repeats. When
+// the first version is past cursor + 1, the records between are a gap:
+// retention or compaction dropped them, or — for no-ops whose content
+// went with them — they can no longer be served.
+func (d *delivery) since(cursor uint64, limit int) ([]resultlog.Record, error) {
+	if d.log == nil {
+		d.ringMu.Lock()
+		defer d.ringMu.Unlock()
+		i := sort.Search(len(d.ring), func(i int) bool { return d.ring[i].Version > cursor })
+		recs := d.ring[i:]
+		if limit > 0 && len(recs) > limit {
+			recs = recs[:limit]
+		}
+		return append([]resultlog.Record(nil), recs...), nil
+	}
+	var recs []resultlog.Record
+	var content []byte // the XML in effect at the last record read
+	err := d.log.Since(cursor, func(rec resultlog.Record) error {
+		switch rec.Kind {
+		case resultlog.KindSnapshot, resultlog.KindCheckpoint:
+			content = rec.XML
+		case resultlog.KindNoop:
+			if content == nil {
+				var err error
+				if content, err = d.contentBefore(rec.Version); err != nil {
+					return err
+				}
+			}
+			if content == nil {
+				return nil
+			}
+			rec.XML = content
+		default:
+			return nil // unknown kind from a future version
+		}
+		if n := len(recs); n > 0 && rec.Version != recs[n-1].Version+1 {
+			recs = recs[:0] // compaction deleted the rest under the read
+		}
+		recs = append(recs, rec)
+		if limit > 0 && len(recs) >= limit {
+			return errStopRead
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errStopRead) {
+		return nil, fmt.Errorf("server: reading the result log: %w", err)
+	}
+	return recs, nil
+}
+
+// errStopRead ends a log read early.
+var errStopRead = errors.New("server: page full")
+
+// contentBefore returns the XML a no-op record at version v repeats:
+// the newest snapshot before v. The current snapshot answers when v
+// falls inside its run; otherwise the log is scanned. Nil when the
+// snapshot is no longer retained.
+func (d *delivery) contentBefore(v uint64) ([]byte, error) {
+	if cur := d.cur.Load(); cur != nil && cur.ver < v && v <= cur.version.Load() {
+		return cur.xml, nil
+	}
+	var content []byte
+	err := d.log.Replay(func(rec resultlog.Record) error {
+		if rec.Version >= v {
+			return errStopRead
+		}
+		if rec.Kind == resultlog.KindSnapshot || rec.Kind == resultlog.KindCheckpoint {
+			content = rec.XML
+		}
+		return nil
+	})
+	if err != nil && !errors.Is(err, errStopRead) {
+		return nil, err
+	}
+	return content, nil
+}
+
+// retained reports how many versions the log can still serve.
+func (d *delivery) retained() int {
+	if d.log == nil {
+		d.ringMu.Lock()
+		defer d.ringMu.Unlock()
+		return len(d.ring)
+	}
+	if first := d.log.FirstVersion(); first > 0 {
+		return int(d.log.LastVersion() - first + 1)
+	}
+	return 0
 }
 
 // splicedBytes reports the cumulative snapshot bytes this pipeline's
 // splice encoder reused from its cache instead of re-encoding (0 when
-// splicing is disabled or nothing has been published). Takes the
-// publish mutex briefly; called from the status path only.
+// nothing has been published). Takes the publish mutex briefly; called
+// from the status path only.
 func (d *delivery) splicedBytes() uint64 {
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()
@@ -352,36 +424,6 @@ func (d *delivery) splicedBytes() uint64 {
 		return 0
 	}
 	return d.enc.SplicedBytes()
-}
-
-// history serves the encoded history list from the per-pipeline cache,
-// rebuilding via build only when the collector has delivered since the
-// cached encoding (or the key is not cached yet).
-func (d *delivery) history(out *transform.Collector, key histKey, build func() ([]byte, error)) ([]byte, error) {
-	v := out.Version()
-	d.histMu.Lock()
-	if d.histVersion != v {
-		d.histVersion = v
-		d.hist = nil
-	}
-	if b, ok := d.hist[key]; ok {
-		d.histMu.Unlock()
-		return b, nil
-	}
-	d.histMu.Unlock()
-	b, err := build()
-	if err != nil {
-		return nil, err
-	}
-	d.histMu.Lock()
-	if d.histVersion == v && len(d.hist) < maxHistCacheEntries {
-		if d.hist == nil {
-			d.hist = map[histKey][]byte{}
-		}
-		d.hist[key] = b
-	}
-	d.histMu.Unlock()
-	return b, nil
 }
 
 // DeliveryStatus aggregates the delivery-plane counters across all

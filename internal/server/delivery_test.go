@@ -248,19 +248,16 @@ func TestEncodeOnceSnapshots(t *testing.T) {
 
 	// Re-delivering the same document pointer (what the poll-level
 	// fingerprint cache does on unchanged pages) is a suppressed no-op.
-	ps := s.readPipe("once")
 	doc := p.out.Latest()
 	if _, err := p.out.Process("", doc); err != nil {
 		t.Fatal(err)
 	}
-	ps.deliver.snapshot(p.out)
 	// So is a fresh document object with byte-identical content.
 	clone := xmlenc.NewElement("doc")
 	clone.SetAttr("n", "1")
 	if _, err := p.out.Process("", clone); err != nil {
 		t.Fatal(err)
 	}
-	ps.deliver.snapshot(p.out)
 	ds := s.DeliveryStatus()
 	if ds.Snapshots != 1 || ds.SuppressedNoopTicks != 2 {
 		t.Fatalf("snapshots=%d suppressed=%d, want 1/2", ds.Snapshots, ds.SuppressedNoopTicks)
@@ -275,57 +272,6 @@ func TestEncodeOnceSnapshots(t *testing.T) {
 	}
 	if ds := s.DeliveryStatus(); ds.Snapshots != 2 {
 		t.Fatalf("snapshots = %d after second delivery", ds.Snapshots)
-	}
-}
-
-// TestHistoryCache pins the satellite: the encoded history list is
-// built once per (n, format) until the next delivery invalidates it.
-func TestHistoryCache(t *testing.T) {
-	p := newFakePipe("hist", 0)
-	p.out.Retain = 8
-	s := New(Config{})
-	if err := s.Register(p, time.Hour); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		if err := p.Tick(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	ts := httptest.NewServer(s.Handler())
-	defer ts.Close()
-
-	_, b1, ct := get(t, ts.URL+"/hist/history?n=3")
-	if ct != "application/xml; charset=utf-8" {
-		t.Fatalf("history Content-Type = %q", ct)
-	}
-	ps := s.readPipe("hist")
-	ps.deliver.histMu.Lock()
-	cached := len(ps.deliver.hist)
-	ps.deliver.histMu.Unlock()
-	if cached != 1 {
-		t.Fatalf("history cache entries = %d", cached)
-	}
-	_, b2, _ := get(t, ts.URL+"/hist/history?n=3")
-	if b1 != b2 {
-		t.Fatal("cached history differs between requests")
-	}
-	// The v1 list has a different root element and must not collide
-	// with the legacy route's cache entry.
-	_, v1b, _ := get(t, ts.URL+"/v1/wrappers/hist/results?n=3")
-	if !strings.Contains(v1b, "<results") || strings.Contains(v1b, "<history") {
-		t.Fatalf("v1 list root: %q", v1b)
-	}
-	if !strings.Contains(b1, "<history") {
-		t.Fatalf("legacy list root: %q", b1)
-	}
-	// A new delivery invalidates every cached encoding.
-	if err := p.Tick(); err != nil {
-		t.Fatal(err)
-	}
-	_, b3, _ := get(t, ts.URL+"/hist/history?n=3")
-	if b3 == b1 || !strings.Contains(b3, `n="5"`) {
-		t.Fatalf("history cache served stale list: %q", b3)
 	}
 }
 

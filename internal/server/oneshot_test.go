@@ -149,8 +149,12 @@ func TestOneShotSharesTickOutputCacheRace(t *testing.T) {
 		}
 	}
 	wg.Wait()
-	for _, doc := range s.readPipe("list").p.Output().History(64) {
-		delivered = append(delivered, xmlenc.MarshalIndent(doc))
+	recs, err := s.readPipe("list").deliver.since(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		delivered = append(delivered, string(rec.XML))
 	}
 	client.CloseIdleConnections()
 	cancel()

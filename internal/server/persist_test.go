@@ -2,7 +2,10 @@ package server
 
 import (
 	"encoding/json"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -66,7 +69,7 @@ func TestRestoreByteIdentity(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("restored %d wrappers, want 1", n)
 	}
-	if got := p2.out.Version(); got != 5 {
+	if got := s2.readPipe("x").deliver.head(); got != 5 {
 		t.Fatalf("restored collector version = %d, want 5", got)
 	}
 	ts2 := httptest.NewServer(s2.Handler())
@@ -95,7 +98,7 @@ func TestRestoreByteIdentity(t *testing.T) {
 
 	// Live deliveries continue the version sequence from the log.
 	deliver(t, s2, p2)
-	if got := p2.out.Version(); got != 6 {
+	if got := s2.readPipe("x").deliver.head(); got != 6 {
 		t.Fatalf("post-restore delivery version = %d, want 6", got)
 	}
 	if _, _, hdr := do(t, "GET", ts2.URL+"/x", nil); hdr.Get("Lixto-Version") != "6" {
@@ -123,7 +126,6 @@ func TestRestoreNoopRuns(t *testing.T) {
 		if _, err := p1.out.Process("", doc); err != nil {
 			t.Fatal(err)
 		}
-		s1.readPipe("x").deliver.snapshot(p1.out)
 	}
 	deliver(t, s1, p1) // version 4: real change
 
@@ -232,8 +234,8 @@ func TestRestoreSkipsUnknownState(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("restored %d, want 1 (the registered-but-empty pipeline)", n)
 	}
-	if p.out.Version() != 0 {
-		t.Fatalf("empty log rehydrated versions: %d", p.out.Version())
+	if v := s.readPipe("fresh").deliver.head(); v != 0 {
+		t.Fatalf("empty log rehydrated versions: %d", v)
 	}
 	if s.pipe("gone") != nil {
 		t.Fatal("unregistered state resurrected a pipeline")
@@ -311,6 +313,105 @@ func TestHistorySinceCursor(t *testing.T) {
 			t.Fatalf("%s?since=abc: %d %s", route, code, body)
 		}
 	}
+
+	// ?n= lists render from the same log: stable across requests, each
+	// route with its own root element, fresh after the next delivery.
+	code, b1, hdr := do(t, "GET", ts.URL+"/x/history?n=3", nil)
+	if code != 200 || hdr.Get("Content-Type") != "application/xml; charset=utf-8" {
+		t.Fatalf("history?n=3: %d Content-Type %q", code, hdr.Get("Content-Type"))
+	}
+	if !strings.Contains(b1, `<history name="x" count="3">`) ||
+		strings.Index(b1, `n="5"`) > strings.Index(b1, `n="4"`) || strings.Contains(b1, `n="2"`) {
+		t.Fatalf("history?n=3 is not the 3 newest, newest first: %s", b1)
+	}
+	if _, b2, _ := do(t, "GET", ts.URL+"/x/history?n=3", nil); b2 != b1 {
+		t.Fatal("history list differs between requests")
+	}
+	_, v1b, _ := do(t, "GET", ts.URL+"/v1/wrappers/x/results?n=3", nil)
+	if !strings.Contains(v1b, "<results") || strings.Contains(v1b, "<history") {
+		t.Fatalf("v1 list root: %q", v1b)
+	}
+	deliver(t, s, p)
+	if _, b3, _ := do(t, "GET", ts.URL+"/x/history?n=3", nil); b3 == b1 || !strings.Contains(b3, `n="6"`) {
+		t.Fatalf("history list stale after a delivery: %q", b3)
+	}
+
+	t.Run("wrapped", historySinceWrapped)
+}
+
+// wrappedFeed registers the dynamic fake pipe "feed" (its registration
+// delivers version 1) and delivers 80 more results, versions 2..81 —
+// far past a Retain-sized ring.
+func wrappedFeed(t *testing.T, cfg Config, retain int) *httptest.Server {
+	t.Helper()
+	s := New(cfg)
+	p := newFakePipe("feed", 0)
+	p.out.Retain = retain
+	if err := s.RegisterDynamic(p, 0, true); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 80; i++ {
+		deliver(t, s, p)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	return ts
+}
+
+// resultVersions returns the version attributes of a ?since= list, in
+// document order.
+func resultVersions(t *testing.T, body string) []uint64 {
+	t.Helper()
+	var out []uint64
+	for _, part := range strings.Split(body, `<result version="`)[1:] {
+		v, err := strconv.ParseUint(part[:strings.IndexByte(part, '"')], 10, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, v)
+	}
+	return out
+}
+
+// historySinceWrapped: with a result store a cursor far behind the
+// in-memory retention reads every version from the log, with no gap
+// signal; without one, a cursor behind the ring gets the Lixto-Gap
+// header carrying the oldest retained version, in XML and JSON.
+func historySinceWrapped(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	defer store.Close()
+	durable := wrappedFeed(t, Config{ResultStore: store}, 4)
+	for _, route := range []string{"/feed/history", "/v1/wrappers/feed/results"} {
+		code, body, hdr := do(t, "GET", durable.URL+route+"?since=1", nil)
+		if code != 200 || hdr.Get("Lixto-Gap") != "" || !strings.Contains(body, `count="80" since="1"`) {
+			t.Fatalf("%s?since=1 with a store: %d Lixto-Gap=%q %.200s", route, code, hdr.Get("Lixto-Gap"), body)
+		}
+		vers := resultVersions(t, body)
+		for i, v := range vers {
+			if v != uint64(i+2) {
+				t.Fatalf("%s?since=1 with a store: versions %v, want 2..81", route, vers)
+			}
+		}
+	}
+
+	ring := wrappedFeed(t, Config{}, 4)
+	for _, route := range []string{"/feed/history", "/v1/wrappers/feed/results"} {
+		code, body, hdr := do(t, "GET", ring.URL+route+"?since=1", nil)
+		if code != 200 || hdr.Get("Lixto-Gap") != "78" {
+			t.Fatalf("%s?since=1 behind the ring: %d Lixto-Gap=%q", route, code, hdr.Get("Lixto-Gap"))
+		}
+		if vers := resultVersions(t, body); len(vers) != 4 || vers[0] != 78 || vers[3] != 81 {
+			t.Fatalf("%s?since=1 behind the ring: versions %v, want 78..81", route, vers)
+		}
+		code, _, hdr = do(t, "GET", ring.URL+route+"?since=1", nil, "Accept", "application/json")
+		if code != 200 || hdr.Get("Lixto-Gap") != "78" {
+			t.Fatalf("%s?since=1 JSON behind the ring: %d Lixto-Gap=%q", route, code, hdr.Get("Lixto-Gap"))
+		}
+		// A cursor inside the ring is no gap.
+		if _, _, hdr = do(t, "GET", ring.URL+route+"?since=77", nil); hdr.Get("Lixto-Gap") != "" {
+			t.Fatalf("%s?since=77: Lixto-Gap=%q inside the ring", route, hdr.Get("Lixto-Gap"))
+		}
+	}
 }
 
 // TestWatchReplaySince pins SSE resume: a subscriber presenting its
@@ -353,10 +454,9 @@ func TestWatchReplaySince(t *testing.T) {
 	// A no-op re-delivery duplicates the ring tail; replay must advance
 	// past it without re-sending the unchanged document.
 	doc := p.out.Latest()
-	if _, err := p.out.Process("", doc); err != nil {
+	if _, err := p.out.Process("", doc); err != nil { // version 6, suppressed
 		t.Fatal(err)
 	}
-	s.readPipe("feed").deliver.snapshot(p.out) // version 6, suppressed
 	c3 := openWatch(t, ts.URL+"/v1/wrappers/feed/watch", "Last-Event-ID", "4")
 	if ev := c3.next(t, 2*time.Second); ev.id != 5 {
 		t.Fatalf("replay over noop: first id=%d, want 5", ev.id)
@@ -371,6 +471,98 @@ func TestWatchReplaySince(t *testing.T) {
 	// A cursor at the head replays nothing and waits silently.
 	c4 := openWatch(t, ts.URL+"/v1/wrappers/feed/watch", "Last-Event-ID", "7")
 	c4.none(t, 100*time.Millisecond)
+
+	t.Run("wrapped", watchReplayWrapped)
+}
+
+// watchReplayWrapped: with a result store, a subscriber resuming far
+// behind the in-memory retention replays every missed version from the
+// log; without one, a cursor behind the ring gets an "event: gap" frame
+// carrying the oldest retained version (and no id) before the replay.
+func watchReplayWrapped(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	defer store.Close()
+	durable := wrappedFeed(t, Config{ResultStore: store}, 4)
+	c := openWatch(t, durable.URL+"/v1/wrappers/feed/watch", "Last-Event-ID", "1")
+	for want := uint64(2); want <= 81; want++ {
+		if ev := c.next(t, 2*time.Second); ev.event != "result" || ev.id != want {
+			t.Fatalf("replay from the log: %q id=%d, want result id=%d", ev.event, ev.id, want)
+		}
+	}
+	c.none(t, 100*time.Millisecond)
+
+	ring := wrappedFeed(t, Config{}, 4)
+	req, err := http.NewRequest("GET", ring.URL+"/v1/wrappers/feed/watch", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Last-Event-ID", "1")
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	want := "event: gap\ndata: 78\n\nevent: result\nid: 78\n"
+	got := make([]byte, len(want))
+	if _, err := io.ReadFull(resp.Body, got); err != nil || string(got) != want {
+		t.Fatalf("replay behind the ring starts %q (%v), want %q", got, err, want)
+	}
+	c2 := openWatch(t, ring.URL+"/v1/wrappers/feed/watch?since=1")
+	if ev := c2.next(t, 2*time.Second); ev.event != "gap" || ev.id != 0 || ev.data != "78" {
+		t.Fatalf("gap event: %+v", ev)
+	}
+	for want := uint64(78); want <= 81; want++ {
+		if ev := c2.next(t, 2*time.Second); ev.event != "result" || ev.id != want {
+			t.Fatalf("replay after the gap: %q id=%d, want result id=%d", ev.event, ev.id, want)
+		}
+	}
+}
+
+// TestSinceNoopContent: a cursor read from the result log renders a
+// no-op version with the content it repeats, whether that snapshot
+// lies inside the read or before the cursor, and whether or not it is
+// still the current one.
+func TestSinceNoopContent(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	defer store.Close()
+	s := New(Config{ResultStore: store})
+	p := newFakePipe("x", 0)
+	if err := s.Register(p, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	noop := func() {
+		if _, err := p.out.Process("", p.out.Latest()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	deliver(t, s, p) // 1: n="1"
+	noop()           // 2
+	deliver(t, s, p) // 3: n="2"
+	noop()           // 4
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	for since, want := range map[string][]string{
+		"0": {`<result version="1">
+    <doc n="1"/>`, `<result version="2">
+    <doc n="1"/>`, `<result version="3">
+    <doc n="2"/>`, `<result version="4">
+    <doc n="2"/>`},
+		"1": {`<result version="2">
+    <doc n="1"/>`, `<result version="4">
+    <doc n="2"/>`},
+		"3": {`<result version="4">
+    <doc n="2"/>`},
+	} {
+		code, body, hdr := do(t, "GET", ts.URL+"/x/history?since="+since, nil)
+		if code != 200 || hdr.Get("Lixto-Gap") != "" {
+			t.Fatalf("?since=%s: %d Lixto-Gap=%q", since, code, hdr.Get("Lixto-Gap"))
+		}
+		for _, w := range want {
+			if !strings.Contains(body, w) {
+				t.Fatalf("?since=%s lacks %q:\n%s", since, w, body)
+			}
+		}
+	}
 }
 
 // TestStatuszPersistenceShape pins the "persistence" stats block: keyed

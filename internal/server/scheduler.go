@@ -40,8 +40,8 @@ type pipeState struct {
 	lastLatency time.Duration
 
 	// deliver is the pipeline's delivery plane (delivery.go): the
-	// published encode-once snapshot, the conditional-GET counters, and
-	// the SSE watch hub. Read handlers reach it through the lock-free
+	// delivery log, the published encode-once snapshot, the
+	// conditional-GET counters, and the SSE watch hub. Read handlers reach it through the lock-free
 	// registry (Server.readPipe), never through s.mu.
 	deliver delivery
 
@@ -64,9 +64,6 @@ func (ps *pipeState) tickOnce() {
 		ps.lastErr = err.Error()
 	}
 	ps.mu.Unlock()
-	// Tick-commit publish: encode the new result once and fan it out to
-	// watchers now, rather than lazily on the first read.
-	ps.deliver.snapshot(ps.p.Output())
 }
 
 // flags returns the mutable registration flags consistently.
@@ -77,7 +74,7 @@ func (ps *pipeState) flags() (dynamic, onDemand bool) {
 }
 
 func (ps *pipeState) status(name string) PipelineStatus {
-	out := ps.p.Output()
+	delivered, retained := ps.deliver.head(), ps.deliver.retained()
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st := PipelineStatus{
@@ -87,8 +84,8 @@ func (ps *pipeState) status(name string) PipelineStatus {
 		Errors:        ps.errs,
 		LastError:     ps.lastErr,
 		LastLatencyMS: float64(ps.lastLatency.Microseconds()) / 1000,
-		Delivered:     out.Len(),
-		Retained:      out.Retained(),
+		Delivered:     int(delivered),
+		Retained:      retained,
 	}
 	if !ps.lastTick.IsZero() {
 		st.LastTick = ps.lastTick.UTC().Format(time.RFC3339Nano)

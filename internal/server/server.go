@@ -28,6 +28,7 @@
 package server
 
 import (
+	"cmp"
 	"context"
 	"encoding/json"
 	"errors"
@@ -132,8 +133,9 @@ type Config struct {
 	// "match_cache". Pair with SharedCache to also share the fetches.
 	MatchCache *elog.MatchCache
 	// ResultStore, when set, is the durable delivery layer
-	// (internal/resultlog): every pipeline's results are journaled to a
-	// per-wrapper append-only log, Restore rehydrates rings, snapshots,
+	// (internal/resultlog): every pipeline's delivery log is a
+	// per-wrapper append-only result log, so every history read reaches
+	// back as far as the log's retention. Restore rehydrates snapshots,
 	// dynamic registrations and webhook cursors after a restart, and
 	// the store's counters appear on /statusz as "persistence".
 	ResultStore *resultlog.Store
@@ -276,12 +278,27 @@ func validName(name string) bool {
 }
 
 // initPipe wires a freshly built pipeState's delivery plane: the
-// webhook registry and, when a result store is configured, the WAL
-// journal. Must run before the pipeline's first tick.
+// webhook registry, the delivery log (the wrapper's result log when a
+// store is configured, else a ring of the collector's Retain records),
+// and the collector's Journal, which makes every delivery an append.
+// Must run before the pipeline's first tick.
 func (s *Server) initPipe(ps *pipeState) error {
 	ps.hooks.init(s, ps)
-	ps.deliver.hooks = &ps.hooks
-	return s.attachPersist(ps)
+	d := &ps.deliver
+	d.hooks = &ps.hooks
+	out := ps.p.Output()
+	if d.retain = out.Retain; d.retain <= 0 {
+		d.retain = transform.DefaultRetain
+	}
+	if store := s.cfg.ResultStore; store != nil {
+		l, err := store.Log(ps.name)
+		if err != nil {
+			return err
+		}
+		d.log, d.last = l, l.LastVersion()
+	}
+	out.Journal = d.append
+	return nil
 }
 
 // Register adds a pipeline ticking at the given interval (0 uses the
@@ -691,7 +708,7 @@ func (s *Server) handleLatest(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	sn := ps.deliver.snapshot(ps.p.Output())
+	sn := ps.deliver.snapshot()
 	if sn == nil {
 		http.Error(w, "no data yet", http.StatusServiceUnavailable)
 		return
@@ -705,98 +722,102 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 		http.NotFound(w, r)
 		return
 	}
-	hasN := r.URL.Query().Get("n") != ""
-	n := 10
-	if hasN {
-		q := r.URL.Query().Get("n")
-		v, err := strconv.Atoi(q)
+	ps.serveHistory(w, r, "history", 10, false)
+}
+
+// serveHistory answers a history read from the delivery log; GET
+// /{name}/history (root "history", plain-text 500s) and GET
+// /v1/wrappers/{name}/results (root "results", JSON error envelopes)
+// share it. With ?since=C it lists the records after C, oldest first,
+// each wrapped in a <result version="N"> element (a JSON object of the
+// same shape under Accept: application/json), ?n= capping the page;
+// otherwise it lists the ?n= (default defaultN) newest documents,
+// newest first — the cursor read since(head−n). When the first version
+// served is past the cursor + 1, the versions between are no longer
+// retained: the Lixto-Gap header carries that first version. Malformed
+// parameters get the 400 envelope on both routes.
+func (ps *pipeState) serveHistory(w http.ResponseWriter, r *http.Request, root string, defaultN int, envelope bool) {
+	fail := func(err error) {
+		if envelope {
+			writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
+		} else {
+			http.Error(w, err.Error(), http.StatusInternalServerError)
+		}
+	}
+	q := r.URL.Query()
+	limit := 0
+	if q.Has("n") {
+		v, err := strconv.Atoi(q.Get("n"))
 		if err != nil || v < 1 {
 			writeError(w, http.StatusBadRequest, "bad_request",
-				fmt.Sprintf("query parameter n must be a positive integer, got %q", q), nil)
+				fmt.Sprintf("query parameter n must be a positive integer, got %q", q.Get("n")), nil)
 			return
 		}
-		n = v
+		limit = v
 	}
-	out := ps.p.Output()
-	asJSON := wantsJSON(r)
-	if since, ok, valid := parseSince(w, r); !valid {
-		return
-	} else if ok {
-		// Cursor mode: the retained results strictly after `since`,
-		// oldest first, each stamped with its delivery version so the
-		// client can advance its cursor. Uncached — the cursor space is
-		// unbounded.
-		if !hasN {
-			n = 0
-		}
-		body, err := sinceBody(out, "history", ps.p.PipeName(), since, n, asJSON)
+	var cursor uint64
+	cursorMode := q.Get("since") != ""
+	if cursorMode {
+		v, err := strconv.ParseUint(q.Get("since"), 10, 64)
 		if err != nil {
-			http.Error(w, err.Error(), http.StatusInternalServerError)
+			writeError(w, http.StatusBadRequest, "bad_request",
+				fmt.Sprintf("query parameter since must be a non-negative integer, got %q", q.Get("since")), nil)
 			return
 		}
-		setReadRouteHeaders(w, asJSON)
-		w.Header().Set("Lixto-Version", strconv.FormatUint(out.Version(), 10))
-		w.Write(body)
+		cursor = v
+	}
+	head := ps.deliver.head()
+	newest := 0
+	if !cursorMode {
+		newest = cmp.Or(limit, defaultN)
+		cursor, limit = head-min(uint64(newest), head), 0
+	}
+	recs, err := ps.deliver.since(cursor, limit)
+	if err != nil {
+		fail(err)
 		return
 	}
-	body, err := ps.deliver.history(out, histKey{n: n, json: asJSON}, func() ([]byte, error) {
-		docs := out.History(n)
-		if asJSON {
-			return xmlenc.MarshalJSONList(docs)
+	if len(recs) > 0 && recs[0].Version > cursor+1 {
+		w.Header().Set("Lixto-Gap", strconv.FormatUint(recs[0].Version, 10))
+	}
+	if newest > 0 && len(recs) > newest {
+		recs = recs[len(recs)-newest:] // deliveries raced the read
+	}
+	items := make([]*xmlenc.Node, len(recs))
+	for i, rec := range recs {
+		doc, err := xmlenc.Unmarshal(string(rec.XML))
+		if err != nil {
+			fail(fmt.Errorf("version %d: %w", rec.Version, err))
+			return
 		}
-		root := xmlenc.NewElement("history")
-		root.SetAttr("name", ps.p.PipeName())
-		root.SetAttr("count", strconv.Itoa(len(docs)))
-		root.Append(docs...)
-		return xmlenc.MarshalIndentBytes(root), nil
-	})
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
+		if cursorMode {
+			item := xmlenc.NewElement("result")
+			item.SetAttr("version", strconv.FormatUint(rec.Version, 10))
+			items[i] = item.Append(doc)
+		} else {
+			items[len(recs)-1-i] = doc
+		}
+	}
+	asJSON := wantsJSON(r)
+	var body []byte
+	if asJSON {
+		if body, err = xmlenc.MarshalJSONList(items); err != nil {
+			fail(err)
+			return
+		}
+	} else {
+		list := xmlenc.NewElement(root)
+		list.SetAttr("name", ps.name)
+		list.SetAttr("count", strconv.Itoa(len(items)))
+		if cursorMode {
+			list.SetAttr("since", strconv.FormatUint(cursor, 10))
+		}
+		list.Append(items...)
+		body = xmlenc.MarshalIndentBytes(list)
 	}
 	setReadRouteHeaders(w, asJSON)
+	w.Header().Set("Lixto-Version", strconv.FormatUint(head, 10))
 	w.Write(body)
-}
-
-// parseSince reads the optional ?since=<version> cursor. The third
-// return is false when the parameter was present but malformed (a 400
-// envelope has been written).
-func parseSince(w http.ResponseWriter, r *http.Request) (uint64, bool, bool) {
-	q := r.URL.Query().Get("since")
-	if q == "" {
-		return 0, false, true
-	}
-	v, err := strconv.ParseUint(q, 10, 64)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("query parameter since must be a non-negative integer, got %q", q), nil)
-		return 0, false, false
-	}
-	return v, true, true
-}
-
-// sinceBody renders the cursor-mode list shared by GET /{name}/history
-// and GET /v1/.../results: each retained result with version > since,
-// oldest first, wrapped in a <result version="N"> element (a JSON
-// object of the same shape under Accept: application/json).
-func sinceBody(out *transform.Collector, rootName, name string, since uint64, n int, asJSON bool) ([]byte, error) {
-	docs, vers := out.HistorySince(since, n)
-	items := make([]*xmlenc.Node, len(docs))
-	for i, doc := range docs {
-		item := xmlenc.NewElement("result")
-		item.SetAttr("version", strconv.FormatUint(vers[i], 10))
-		item.Append(doc)
-		items[i] = item
-	}
-	if asJSON {
-		return xmlenc.MarshalJSONList(items)
-	}
-	root := xmlenc.NewElement(rootName)
-	root.SetAttr("name", name)
-	root.SetAttr("count", strconv.Itoa(len(items)))
-	root.SetAttr("since", strconv.FormatUint(since, 10))
-	root.Append(items...)
-	return xmlenc.MarshalIndentBytes(root), nil
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
@@ -813,8 +834,10 @@ type PipelineStatus struct {
 	LastError     string  `json:"last_error,omitempty"`
 	LastTick      string  `json:"last_tick,omitempty"`
 	LastLatencyMS float64 `json:"last_latency_ms"`
-	Delivered     int     `json:"delivered"`
-	Retained      int     `json:"retained"`
+	// Delivered is the newest delivery version; Retained is how many
+	// versions the delivery log can still serve.
+	Delivered int `json:"delivered"`
+	Retained  int `json:"retained"`
 	// Extraction holds the pipeline's wrapper memoization counters
 	// (poll-level fingerprint cache, compiled match cache) when the
 	// pipeline exposes them.

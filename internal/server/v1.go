@@ -521,16 +521,15 @@ func (s *Server) v1WrapperExtract(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	doc := res.XML()
-	// A one-shot result is a delivery like any other: it lands in the
-	// wrapper's collector, shows up under .../results, fans out to
-	// watch subscribers and webhooks, and — when persistence is on —
-	// reaches the result log before this response acknowledges it.
+	// A one-shot result is a delivery like any other: it is appended to
+	// the wrapper's delivery log — on the result log, when persistence
+	// is on, before this response acknowledges it — shows up under
+	// .../results, and fans out to watch subscribers and webhooks.
 	if _, err := d.out.Process("extract", doc); err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return
 	}
-	ps.deliver.snapshot(d.out)
-	w.Header().Set("Lixto-Version", strconv.FormatUint(d.out.Version(), 10))
+	w.Header().Set("Lixto-Version", strconv.FormatUint(ps.deliver.head(), 10))
 	writeDoc(w, r, doc)
 }
 
@@ -561,42 +560,11 @@ func (s *Server) v1Results(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("no wrapper %q", name), nil)
 		return
 	}
-	vals, listed := r.URL.Query()["n"]
-	since, hasSince, valid := parseSince(w, r)
-	if !valid {
-		return
-	}
-	if hasSince {
-		// Cursor mode: everything retained after `since`, oldest first,
-		// version-stamped. ?n caps the page; the client pages forward by
-		// re-requesting with the last version it saw.
-		n := 0
-		if listed {
-			v, err := strconv.Atoi(vals[0])
-			if err != nil || v < 1 {
-				writeError(w, http.StatusBadRequest, "bad_request",
-					fmt.Sprintf("query parameter n must be a positive integer, got %q", vals[0]), nil)
-				return
-			}
-			n = v
-		}
-		out := ps.p.Output()
-		asJSON := wantsJSON(r)
-		body, err := sinceBody(out, "results", name, since, n, asJSON)
-		if err != nil {
-			writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
-			return
-		}
-		setReadRouteHeaders(w, asJSON)
-		w.Header().Set("Lixto-Version", strconv.FormatUint(out.Version(), 10))
-		w.Write(body)
-		return
-	}
-	if !listed {
-		// Without ?n= the latest result is served raw — byte-identical
-		// to running the same program through cmd/elogc — straight from
-		// the published snapshot.
-		sn := ps.deliver.snapshot(ps.p.Output())
+	if q := r.URL.Query(); !q.Has("n") && q.Get("since") == "" {
+		// Without ?n= or ?since= the latest result is served raw —
+		// byte-identical to running the same program through cmd/elogc —
+		// straight from the published snapshot.
+		sn := ps.deliver.snapshot()
 		if sn == nil {
 			writeError(w, http.StatusServiceUnavailable, "unavailable", "no results yet", nil)
 			return
@@ -604,31 +572,7 @@ func (s *Server) v1Results(w http.ResponseWriter, r *http.Request) {
 		ps.serveSnapshot(w, r, sn, true)
 		return
 	}
-	n, err := strconv.Atoi(vals[0])
-	if err != nil || n < 1 {
-		writeError(w, http.StatusBadRequest, "bad_request",
-			fmt.Sprintf("query parameter n must be a positive integer, got %q", vals[0]), nil)
-		return
-	}
-	out := ps.p.Output()
-	asJSON := wantsJSON(r)
-	body, err := ps.deliver.history(out, histKey{n: n, json: asJSON, v1: true}, func() ([]byte, error) {
-		docs := out.History(n)
-		if asJSON {
-			return xmlenc.MarshalJSONList(docs)
-		}
-		root := xmlenc.NewElement("results")
-		root.SetAttr("name", name)
-		root.SetAttr("count", strconv.Itoa(len(docs)))
-		root.Append(docs...)
-		return xmlenc.MarshalIndentBytes(root), nil
-	})
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
-		return
-	}
-	setReadRouteHeaders(w, asJSON)
-	w.Write(body)
+	ps.serveHistory(w, r, "results", 0, true)
 }
 
 func (s *Server) v1Extract(w http.ResponseWriter, r *http.Request) {

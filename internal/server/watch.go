@@ -7,22 +7,24 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/resultlog"
 	"repro/internal/xmlenc"
 )
 
-// sseEventFor frames one historical document as an "event: result"
-// event during Last-Event-ID replay. Replay is rare, so these frames
-// are built ad hoc rather than cached like live snapshot frames.
-func sseEventFor(doc *xmlenc.Node, ver uint64, asJSON bool) []byte {
-	payload := xmlenc.MarshalIndentBytes(doc)
-	if asJSON {
-		body, err := xmlenc.MarshalJSONIndent(doc)
-		if err != nil {
-			body = []byte(`{"error":"encoding failure"}`)
-		}
-		payload = body
+// replayPayload is a logged record's SSE payload: its XML bytes, or
+// their JSON rendering.
+func replayPayload(xml []byte, asJSON bool) []byte {
+	if !asJSON {
+		return xml
 	}
-	return sseFrameFor(payload, ver)
+	doc, err := xmlenc.Unmarshal(string(xml))
+	if err == nil {
+		var body []byte
+		if body, err = xmlenc.MarshalJSONIndent(doc); err == nil {
+			return body
+		}
+	}
+	return []byte(`{"error":"encoding failure"}`)
 }
 
 // The change feed: GET /v1/wrappers/{name}/watch streams each new
@@ -230,11 +232,19 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	h.Add("Vary", "Accept")
 	w.WriteHeader(http.StatusOK)
 
+	closeEvent := func(reason string) {
+		fmt.Fprintf(w, "event: close\ndata: %s\n\n", reason)
+		fl.Flush()
+	}
+
 	// A reconnecting subscriber presents its last seen delivery version
 	// (the SSE id) via Last-Event-ID — or ?since= for hand-rolled
-	// clients — and missed snapshots replay from the retained history
-	// before live streaming resumes. Repeated ring entries (suppressed
-	// no-op ticks) advance the cursor without re-sending.
+	// clients — and the missed snapshots replay from the delivery log
+	// before live streaming resumes. No-op records advance the cursor
+	// without re-sending. When the log no longer holds the versions
+	// right after the cursor, an "event: gap" frame carrying the first
+	// version replayed precedes it, and that record is sent even if it
+	// is a no-op: the subscriber has not seen its content.
 	var lastVer uint64
 	replaying := false
 	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
@@ -248,16 +258,22 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if replaying {
-		docs, vers := ps.p.Output().HistorySince(lastVer, 0)
-		var prev *xmlenc.Node
-		for i, doc := range docs {
-			if doc != prev {
-				w.Write(sseEventFor(doc, vers[i], asJSON))
-				prev = doc
-			}
-			lastVer = vers[i]
+		recs, err := ps.deliver.since(lastVer, 0)
+		if err != nil {
+			closeEvent(err.Error())
+			return
 		}
-	} else if sn := ps.deliver.snapshot(ps.p.Output()); sn != nil {
+		for _, rec := range recs {
+			gap := rec.Version > lastVer+1
+			if gap {
+				fmt.Fprintf(w, "event: gap\ndata: %d\n\n", rec.Version)
+			}
+			if gap || rec.Kind != resultlog.KindNoop {
+				w.Write(sseFrameFor(replayPayload(rec.XML, asJSON), rec.Version))
+			}
+			lastVer = rec.Version
+		}
+	} else if sn := ps.deliver.snapshot(); sn != nil {
 		// Send the current state immediately so a new subscriber does
 		// not wait for the next change; remember its version to dedupe a
 		// broadcast that raced the subscription.
@@ -268,10 +284,6 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 
 	heartbeat := time.NewTicker(s.cfg.WatchHeartbeat)
 	defer heartbeat.Stop()
-	closeEvent := func(reason string) {
-		fmt.Fprintf(w, "event: close\ndata: %s\n\n", reason)
-		fl.Flush()
-	}
 	for {
 		select {
 		case sn, ok := <-sub.ch:

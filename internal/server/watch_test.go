@@ -126,15 +126,11 @@ func (c *sseClient) none(t *testing.T, window time.Duration) {
 	}
 }
 
-// deliver ticks p and publishes the result the way the scheduler's
-// tick-commit path does.
+// deliver ticks p; the collector's journal publishes the result.
 func deliver(t *testing.T, s *Server, p *fakePipe) {
 	t.Helper()
 	if err := p.Tick(); err != nil {
 		t.Fatal(err)
-	}
-	if ps := s.readPipe(p.name); ps != nil {
-		ps.deliver.snapshot(p.out)
 	}
 }
 
@@ -165,7 +161,6 @@ func TestWatchStreamsChanges(t *testing.T) {
 	if _, err := p.out.Process("", doc); err != nil {
 		t.Fatal(err)
 	}
-	s.readPipe("feed").deliver.snapshot(p.out)
 	c.none(t, 150*time.Millisecond)
 
 	// JSON subscribers get the JSON rendering of the same snapshot.
@@ -402,7 +397,6 @@ func TestWatchLifecycleStress(t *testing.T) {
 			if ps := s.readPipe("churn"); ps != nil {
 				if fp, ok := ps.p.(*fakePipe); ok {
 					fp.Tick()
-					ps.deliver.snapshot(fp.out)
 				}
 			}
 		}

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/resultlog"
-	"repro/internal/xmlenc"
 )
 
 // Outbound webhooks: push delivery for subscribers that cannot hold an
@@ -37,17 +36,14 @@ import (
 //	GET    /v1/wrappers/{name}/webhooks/{id}   one endpoint's status
 //	DELETE /v1/wrappers/{name}/webhooks/{id}   retire an endpoint
 
-// hookBatch bounds how many records one dispatcher pass pulls from the
-// log or the ring.
+// hookBatch bounds how many records one dispatcher pass reads from the
+// delivery log.
 const hookBatch = 16
 
 // hookSaveDebounce coalesces cursor persists: an endpoint delivering a
 // burst writes its sidecar once per window, not once per delivery.
 // This is the redelivery window after a crash.
 const hookSaveDebounce = 200 * time.Millisecond
-
-// errStopFetch aborts a log replay once the batch is full.
-var errStopFetch = errors.New("server: webhook batch full")
 
 // hookMeta is the persisted form of one endpoint (webhooks.json).
 type hookMeta struct {
@@ -308,47 +304,34 @@ func (hs *hookSet) restore() error {
 	return nil
 }
 
-// fetchSince returns up to limit records with versions after cursor:
-// from the result log when persistence is attached (long retention,
-// pre-encoded bytes), else from the in-memory ring (re-encoded on
-// demand; repeated documents — the ring's no-op duplicates — become
-// version-only records so cursors advance without re-sending).
-func (hs *hookSet) fetchSince(cursor uint64, limit int) []resultlog.Record {
-	if pp := hs.ps.deliver.persist; pp != nil {
-		out := make([]resultlog.Record, 0, limit)
-		pp.log.Since(cursor, func(rec resultlog.Record) error {
-			out = append(out, rec)
-			if len(out) >= limit {
-				return errStopFetch
-			}
-			return nil
-		})
-		return out
-	}
-	docs, vers := hs.ps.p.Output().HistorySince(cursor, limit)
-	out := make([]resultlog.Record, 0, len(docs))
-	for i, doc := range docs {
-		rec := resultlog.Record{Version: vers[i]}
-		if i > 0 && doc == docs[i-1] {
-			rec.Kind = resultlog.KindNoop
-		} else {
-			rec.Kind = resultlog.KindSnapshot
-			rec.XML = xmlenc.MarshalIndentBytes(doc)
-		}
-		out = append(out, rec)
-	}
-	return out
-}
-
-// run is the per-endpoint dispatcher goroutine.
+// run is the per-endpoint dispatcher goroutine. It reads the delivery
+// log after its cursor, POSTs each snapshot record, and steps over
+// no-op records. A record past the cursor + 1 follows versions the log
+// no longer holds: it is POSTed even if it is a no-op (the endpoint has
+// not seen its content), carrying that version as Lixto-Gap. A failed
+// log read backs off and retries like a failed POST.
 func (e *hookEndpoint) run() {
 	cfg := &e.hs.s.cfg
 	client := &http.Client{Timeout: cfg.WebhookTimeout}
+	readFailures := 0
 	for {
 		e.mu.Lock()
 		cursor := e.cursor
 		e.mu.Unlock()
-		recs := e.hs.fetchSince(cursor, hookBatch)
+		recs, err := e.hs.ps.deliver.since(cursor, hookBatch)
+		if err != nil {
+			readFailures++
+			e.mu.Lock()
+			e.state, e.lastErr = "retrying", err.Error()
+			e.mu.Unlock()
+			select {
+			case <-time.After(backoffDelay(cfg.WebhookBackoffMin, cfg.WebhookBackoffMax, readFailures)):
+				continue
+			case <-e.done:
+				return
+			}
+		}
+		readFailures = 0
 		if len(recs) == 0 {
 			e.setState("idle")
 			select {
@@ -359,12 +342,16 @@ func (e *hookEndpoint) run() {
 			}
 		}
 		for _, rec := range recs {
-			snap := rec.Kind == resultlog.KindSnapshot || rec.Kind == resultlog.KindCheckpoint
-			if !snap || len(rec.XML) == 0 {
+			var gap uint64
+			if rec.Version > cursor+1 {
+				gap = rec.Version
+			}
+			cursor = rec.Version
+			if gap == 0 && rec.Kind == resultlog.KindNoop {
 				e.advance(rec.Version)
 				continue
 			}
-			if !e.deliverOne(client, rec) {
+			if !e.deliverOne(client, rec, gap) {
 				return // stopped
 			}
 		}
@@ -376,10 +363,10 @@ func (e *hookEndpoint) run() {
 // skips: at-least-once means a dead endpoint blocks its own cursor,
 // not that versions vanish. Returns false when the dispatcher should
 // stop.
-func (e *hookEndpoint) deliverOne(client *http.Client, rec resultlog.Record) bool {
+func (e *hookEndpoint) deliverOne(client *http.Client, rec resultlog.Record, gap uint64) bool {
 	cfg := &e.hs.s.cfg
 	for {
-		err := e.post(client, rec)
+		err := e.post(client, rec, gap)
 		if err == nil {
 			e.mu.Lock()
 			e.deliveries++
@@ -433,9 +420,10 @@ func backoffDelay(min, max time.Duration, attempt int) time.Duration {
 	return d/2 + time.Duration(rand.Int63n(int64(d/2)+1))
 }
 
-// post delivers one record. Any 2xx is acceptance; anything else (or a
-// transport error, or the timeout) is a retryable failure.
-func (e *hookEndpoint) post(client *http.Client, rec resultlog.Record) error {
+// post delivers one record, flagged with Lixto-Gap when gap is nonzero.
+// Any 2xx is acceptance; anything else (or a transport error, or the
+// timeout) is a retryable failure.
+func (e *hookEndpoint) post(client *http.Client, rec resultlog.Record, gap uint64) error {
 	req, err := http.NewRequest(http.MethodPost, e.url, bytes.NewReader(rec.XML))
 	if err != nil {
 		return err
@@ -444,6 +432,9 @@ func (e *hookEndpoint) post(client *http.Client, rec resultlog.Record) error {
 	req.Header.Set("Lixto-Wrapper", e.hs.ps.name)
 	req.Header.Set("Lixto-Version", strconv.FormatUint(rec.Version, 10))
 	req.Header.Set("Lixto-Webhook", e.id)
+	if gap > 0 {
+		req.Header.Set("Lixto-Gap", strconv.FormatUint(gap, 10))
+	}
 	if e.secret != "" {
 		req.Header.Set("Lixto-Signature", SignPayload(e.secret, rec.XML))
 	}
@@ -583,7 +574,7 @@ func (s *Server) v1Webhooks(w http.ResponseWriter, r *http.Request) {
 				fmt.Sprintf("url must be absolute http(s), got %q", spec.URL), nil)
 			return
 		}
-		cursor := ps.p.Output().Version()
+		cursor := ps.deliver.head()
 		if spec.Since != nil {
 			cursor = *spec.Since
 		}

@@ -33,6 +33,7 @@ type hookReceipt struct {
 	version uint64
 	body    string
 	sig     string
+	gap     string
 }
 
 func newHookSink(t *testing.T) *hookSink {
@@ -53,6 +54,7 @@ func newHookSink(t *testing.T) *hookSink {
 			version: v,
 			body:    string(body),
 			sig:     r.Header.Get("Lixto-Signature"),
+			gap:     r.Header.Get("Lixto-Gap"),
 		})
 	}))
 	t.Cleanup(sink.ts.Close)
@@ -179,6 +181,39 @@ func TestWebhookDelivery(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if after := len(sink.snapshot()); after != before {
 		t.Fatalf("retired endpoint still delivered: %d -> %d", before, after)
+	}
+}
+
+// TestWebhookGapAfterWrap: an endpoint registered with since 0 after
+// the in-memory ring has wrapped starts at the oldest retained version,
+// and its first POST says so in the Lixto-Gap header; the POSTs after
+// it carry none.
+func TestWebhookGapAfterWrap(t *testing.T) {
+	sink := newHookSink(t)
+	s := New(Config{})
+	p := newFakePipe("x", 0)
+	p.out.Retain = 4
+	if err := s.Register(p, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 10; i++ { // versions 1..10; the ring keeps 7..10
+		deliver(t, s, p)
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers/x/webhooks",
+		map[string]any{"url": sink.ts.URL, "since": 0}); code != 201 {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	got := sink.waitFor(t, "the retained versions", func(rs []hookReceipt) bool { return len(rs) >= 4 })
+	for i, r := range got {
+		wantGap := ""
+		if i == 0 {
+			wantGap = "7"
+		}
+		if r.version != uint64(7+i) || r.gap != wantGap {
+			t.Fatalf("receipt %d: version %d Lixto-Gap %q, want %d %q", i, r.version, r.gap, 7+i, wantGap)
+		}
 	}
 }
 

@@ -64,19 +64,6 @@ func TestCollectorRingEviction(t *testing.T) {
 	if nth(t, c.Latest()) != 10 {
 		t.Fatalf("Latest = %d, want 10", nth(t, c.Latest()))
 	}
-	hist := c.History(3)
-	wantHist := []int{10, 9, 8}
-	for i, d := range hist {
-		if nth(t, d) != wantHist[i] {
-			t.Fatalf("History newest-first violated: got %d at %d", nth(t, d), i)
-		}
-	}
-	if got := len(c.History(100)); got != 4 {
-		t.Fatalf("History over-cap = %d docs, want 4", got)
-	}
-	if c.History(0) != nil {
-		t.Fatal("History(0) should be empty")
-	}
 }
 
 func TestCollectorDefaultRetain(t *testing.T) {
@@ -95,7 +82,7 @@ func TestCollectorDefaultRetain(t *testing.T) {
 
 func TestCollectorEmpty(t *testing.T) {
 	c := &Collector{CompName: "c"}
-	if c.Latest() != nil || len(c.Docs()) != 0 || c.History(5) != nil || c.Len() != 0 {
+	if c.Latest() != nil || len(c.Docs()) != 0 || c.Len() != 0 {
 		t.Fatal("empty collector not empty")
 	}
 }
@@ -118,73 +105,9 @@ func TestCollectorJournal(t *testing.T) {
 			t.Fatalf("journal versions %v, want 1..6", vers)
 		}
 	}
-}
-
-func TestCollectorPreload(t *testing.T) {
-	docs := make([]*xmlenc.Node, 3)
-	for i := range docs {
-		docs[i] = xmlenc.NewElement("d")
-		docs[i].SetAttr("n", strconv.Itoa(i+8))
-	}
-	c := &Collector{CompName: "c", Retain: 4}
-	c.Preload(docs, 10)
-	if c.Version() != 10 || c.Len() != 10 || c.Retained() != 3 {
-		t.Fatalf("Version=%d Len=%d Retained=%d", c.Version(), c.Len(), c.Retained())
-	}
-	if nth(t, c.Latest()) != 10 {
-		t.Fatalf("Latest = %d", nth(t, c.Latest()))
-	}
-	// Live deliveries continue seamlessly after a preload.
-	doc := xmlenc.NewElement("d")
-	doc.SetAttr("n", "11")
-	if _, err := c.Process("", doc); err != nil {
-		t.Fatal(err)
-	}
-	got := c.Docs()
-	want := []int{8, 9, 10, 11}
-	for i, d := range got {
-		if nth(t, d) != want[i] {
-			t.Fatalf("after preload+process: doc %d at %d, want %d", nth(t, d), i, want[i])
-		}
-	}
-	// Preload more docs than the cap keeps only the newest cap docs.
-	c2 := &Collector{CompName: "c", Retain: 2}
-	c2.Preload(docs, 10)
-	if c2.Retained() != 2 || nth(t, c2.Latest()) != 10 {
-		t.Fatalf("over-cap preload: Retained=%d Latest=%d", c2.Retained(), nth(t, c2.Latest()))
-	}
-}
-
-func TestCollectorHistorySince(t *testing.T) {
-	c := &Collector{CompName: "c", Retain: 4}
-	deliver(t, c, 10) // retained: docs 7..10 with versions 7..10
-	docs, vers := c.HistorySince(0, 0)
-	if len(docs) != 4 || vers[0] != 7 || vers[3] != 10 {
-		t.Fatalf("HistorySince(0) = %d docs, vers %v", len(docs), vers)
-	}
-	for i, d := range docs {
-		if uint64(nth(t, d)) != vers[i] {
-			t.Fatalf("doc %d carries version %d", nth(t, d), vers[i])
-		}
-	}
-	docs, vers = c.HistorySince(8, 0)
-	if len(docs) != 2 || vers[0] != 9 || vers[1] != 10 {
-		t.Fatalf("HistorySince(8) = %v", vers)
-	}
-	if docs, _ := c.HistorySince(10, 0); docs != nil {
-		t.Fatalf("HistorySince(latest) returned %d docs", len(docs))
-	}
-	if docs, _ := c.HistorySince(99, 0); docs != nil {
-		t.Fatal("HistorySince past the end returned docs")
-	}
-	// n caps the page, keeping the oldest qualifying entries.
-	docs, vers = c.HistorySince(6, 2)
-	if len(docs) != 2 || vers[0] != 7 || vers[1] != 8 {
-		t.Fatalf("paged HistorySince = %v", vers)
-	}
-	empty := &Collector{CompName: "c"}
-	if docs, _ := empty.HistorySince(0, 0); docs != nil {
-		t.Fatal("empty collector returned history")
+	// The journal owns the history: the collector keeps only the latest.
+	if c.Len() != 6 || c.Retained() != 1 || nth(t, c.Latest()) != 6 {
+		t.Fatalf("journaled collector: Len=%d Retained=%d Latest=%d", c.Len(), c.Retained(), nth(t, c.Latest()))
 	}
 }
 

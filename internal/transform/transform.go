@@ -26,7 +26,6 @@ import (
 	"runtime"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/dom"
@@ -749,21 +748,23 @@ type Collector struct {
 	CompName string
 	// Retain caps how many recent documents are kept. Zero means
 	// DefaultRetain. The cap is latched on the first delivery; later
-	// changes to Retain have no effect.
+	// changes to Retain have no effect. A server that journals the
+	// collector reads Retain once, at registration, as the length of
+	// its in-memory delivery log (used when no result store is
+	// attached).
 	Retain int
-	// Journal, when set, is called after every delivery with the new
-	// version and the delivered document, outside the collector lock.
-	// The server's persistence layer uses it to queue WAL appends; it
-	// must not block.
+	// Journal, when set, is called after every delivery with the
+	// collector's delivery count and the delivered document, outside
+	// the collector lock. The server sets it at registration: the call
+	// appends the document to the pipeline's delivery log, which owns
+	// the history (and numbers the versions), so a journaled collector
+	// keeps only its latest document.
 	Journal func(version uint64, doc *xmlenc.Node)
 	mu      sync.Mutex
 	ringCap int
 	docs    []*xmlenc.Node // ring storage, oldest at start
 	start   int
 	total   int
-	// version counts deliveries atomically so readers (the server's
-	// delivery plane) can detect staleness without taking mu.
-	version atomic.Uint64
 }
 
 // Name implements Component.
@@ -784,79 +785,22 @@ func (c *Collector) capLocked() int {
 func (c *Collector) Process(_ string, doc *xmlenc.Node) ([]*xmlenc.Node, error) {
 	c.mu.Lock()
 	c.total++
-	if n := c.capLocked(); len(c.docs) < n {
+	switch n := c.capLocked(); {
+	case c.Journal != nil:
+		c.docs, c.start = append(c.docs[:0], doc), 0
+	case len(c.docs) < n:
 		c.docs = append(c.docs, doc)
-	} else {
+	default:
 		c.docs[c.start] = doc
 		c.start = (c.start + 1) % n
 	}
-	v := c.version.Add(1)
+	v := uint64(c.total)
 	c.mu.Unlock()
 	if c.Journal != nil {
 		c.Journal(v, doc)
 	}
 	return nil, nil
 }
-
-// Preload seeds the collector with recovered documents (oldest first)
-// and sets the delivery counter, as if the documents had been delivered
-// live. It is only safe before the collector receives traffic; the
-// server's crash-recovery path calls it while rehydrating a wrapper
-// from its result log.
-func (c *Collector) Preload(docs []*xmlenc.Node, version uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := c.capLocked()
-	if len(docs) > n {
-		docs = docs[len(docs)-n:]
-	}
-	c.docs = append(c.docs[:0], docs...)
-	c.start = 0 // oldest at index 0; Process overwrites from here once full
-	c.total = int(version)
-	c.version.Store(version)
-}
-
-// HistorySince returns up to n retained documents with version numbers
-// strictly greater than since, oldest first, along with each document's
-// delivery version. Versions are derived from the invariant that the
-// collector delivers exactly once per version: the oldest retained
-// document has version total-len+1.
-func (c *Collector) HistorySince(since uint64, n int) ([]*xmlenc.Node, []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.docs) == 0 {
-		return nil, nil
-	}
-	oldest := uint64(c.total - len(c.docs) + 1)
-	from := oldest
-	if since+1 > from {
-		from = since + 1
-	}
-	last := uint64(c.total)
-	if from > last {
-		return nil, nil
-	}
-	count := int(last - from + 1)
-	if n > 0 && count > n {
-		// Keep the oldest qualifying entries: the caller pages forward
-		// by advancing since.
-		count = n
-	}
-	docs := make([]*xmlenc.Node, 0, count)
-	vers := make([]uint64, 0, count)
-	for i := 0; i < count; i++ {
-		v := from + uint64(i)
-		idx := (c.start + int(v-oldest)) % len(c.docs)
-		docs = append(docs, c.docs[idx])
-		vers = append(vers, v)
-	}
-	return docs, vers
-}
-
-// Version returns the delivery counter without locking: it increments
-// on every Process call, so a reader holding an encoded copy of the
-// collector's state can check freshness with one atomic load.
-func (c *Collector) Version() uint64 { return c.version.Load() }
 
 // Docs returns the retained documents in delivery order (oldest
 // first). Once more than the retention cap have been delivered, only
@@ -883,25 +827,6 @@ func (c *Collector) Latest() *xmlenc.Node {
 		last = len(c.docs) - 1
 	}
 	return c.docs[last]
-}
-
-// History returns up to n of the most recent documents, newest first.
-func (c *Collector) History(n int) []*xmlenc.Node {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if n > len(c.docs) {
-		n = len(c.docs)
-	}
-	if n <= 0 {
-		return nil
-	}
-	out := make([]*xmlenc.Node, 0, n)
-	for i := 0; i < n; i++ {
-		idx := c.start - 1 - i
-		idx = ((idx % len(c.docs)) + len(c.docs)) % len(c.docs)
-		out = append(out, c.docs[idx])
-	}
-	return out
 }
 
 // Len returns the total number of deliveries (including documents that
