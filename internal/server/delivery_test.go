@@ -275,6 +275,64 @@ func TestEncodeOnceSnapshots(t *testing.T) {
 	}
 }
 
+// TestHistoryCache pins that ?n= lists render from the delivery log and
+// nothing else: stable across requests, each route with its own root
+// element, fresh after the next delivery.
+func TestHistoryCache(t *testing.T) {
+	p := newFakePipe("hist", 0)
+	p.out.Retain = 8
+	s := New(Config{})
+	if err := s.Register(p, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 4; i++ {
+		if err := p.Tick(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+
+	_, b1, ct := get(t, ts.URL+"/hist/history?n=3")
+	if ct != "application/xml; charset=utf-8" {
+		t.Fatalf("history Content-Type = %q", ct)
+	}
+	// The list is the log's three newest records, newest first.
+	ps := s.readPipe("hist")
+	recs, err := ps.deliver.since(ps.deliver.head()-3, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 3 || recs[0].Version != 2 || recs[2].Version != 4 {
+		t.Fatalf("log tail = %d records from version %d", len(recs), recs[0].Version)
+	}
+	if !strings.Contains(b1, `<history name="hist" count="3">`) ||
+		strings.Index(b1, `n="4"`) > strings.Index(b1, `n="3"`) ||
+		strings.Index(b1, `n="3"`) > strings.Index(b1, `n="2"`) || strings.Contains(b1, `n="1"`) {
+		t.Fatalf("history?n=3 is not the log's 3 newest, newest first: %s", b1)
+	}
+	_, b2, _ := get(t, ts.URL+"/hist/history?n=3")
+	if b1 != b2 {
+		t.Fatal("history list differs between requests")
+	}
+	// The v1 list has a different root element.
+	_, v1b, _ := get(t, ts.URL+"/v1/wrappers/hist/results?n=3")
+	if !strings.Contains(v1b, "<results") || strings.Contains(v1b, "<history") {
+		t.Fatalf("v1 list root: %q", v1b)
+	}
+	if !strings.Contains(b1, "<history") {
+		t.Fatalf("legacy list root: %q", b1)
+	}
+	// A new delivery shows in the next list.
+	if err := p.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	_, b3, _ := get(t, ts.URL+"/hist/history?n=3")
+	if b3 == b1 || !strings.Contains(b3, `n="5"`) {
+		t.Fatalf("history list stale after a delivery: %q", b3)
+	}
+}
+
 // sseFrameForOld is sseFrameFor as it was before it stopped copying the
 // payload to a string and splitting it: the reference the rewrite must
 // match byte for byte.
