@@ -1,6 +1,7 @@
 package elog
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -45,6 +46,14 @@ type CompiledProgram struct {
 	// size hint of the next one's instance base.
 	instances atomic.Int64
 
+	// rules numbers the rules (pib.Instance.Rule) and marks the
+	// parent-local ones, which a maintained evaluation grafts; nonLocal
+	// names the first other rule that is not an entry rule, "" if none.
+	rules    map[*Rule]ruleInfo
+	nonLocal string
+	// Maintenance counters (see IncrementalStats).
+	grafted, fallbacks atomic.Uint64
+
 	// own is the match memo of runs without a shared MatchCache, created
 	// by the first of them.
 	own atomic.Pointer[MatchCache]
@@ -62,7 +71,15 @@ func Compile(p *Program) (*CompiledProgram, error) {
 	for i, rules := range strata {
 		waves[i] = planWaves(rules)
 	}
-	cp := &CompiledProgram{Program: p, strata: strata, waves: waves, epds: map[*EPD]*compiledEPD{}}
+	cp := &CompiledProgram{Program: p, strata: strata, waves: waves, epds: map[*EPD]*compiledEPD{},
+		rules: make(map[*Rule]ruleInfo, len(p.Rules))}
+	for i, r := range p.Rules {
+		why := nonLocal(p, r)
+		cp.rules[r] = ruleInfo{no: uint16(i + 1), local: why == ""}
+		if why != "" && why != entryRule && cp.nonLocal == "" {
+			cp.nonLocal = fmt.Sprintf("rule %d (%s): %s", i+1, r.Head, why)
+		}
+	}
 	add := func(e *EPD) {
 		if e != nil && cp.epds[e] == nil {
 			cp.epds[e] = newCompiledEPD(e)
@@ -85,6 +102,62 @@ func Compile(p *Program) (*CompiledProgram, error) {
 		}
 	}
 	return cp, nil
+}
+
+// ruleInfo is a rule's provenance number and whether it is parent-local.
+type ruleInfo struct {
+	no    uint16
+	local bool
+}
+
+// entryRule is nonLocal's verdict on document(url, S) rules, which run
+// on the freshly fetched document and are no fallback.
+const entryRule = "entry rule"
+
+// nonLocal returns "" when what the rule derives under a parent instance
+// is a function of that instance's subtree alone — monadic datalog over
+// trees derives locally (Gottlob & Koch) — and else the construct that
+// reaches outside it. Local are subelem, subsq, subtext and subatt
+// extraction and specialisation, with EPD-internal, contains, concept,
+// comparison and firstsubtree conditions, and before/after, which match
+// inside the parent at relative distances; not so pattern references,
+// getDocument, self-recursion, before/after in a specialisation (they
+// scope at the parent's parent), and any rule whose head and parent it
+// shares with a non-local rule (their derivations deduplicate against
+// each other).
+func nonLocal(p *Program, r *Rule) string {
+	if why := ownNonLocal(r); why != "" {
+		return why
+	}
+	for i, q := range p.Rules {
+		if q != r && q.Head == r.Head && q.Parent == r.Parent && ownNonLocal(q) != "" {
+			return fmt.Sprintf("shares head and parent with rule %d", i+1)
+		}
+	}
+	return ""
+}
+
+// ownNonLocal is nonLocal without the look at the other rules.
+func ownNonLocal(r *Rule) string {
+	switch {
+	case r.DocURL != "":
+		return entryRule
+	case r.Extract != nil && r.Extract.Kind == GetDocument:
+		return "getDocument"
+	case r.Parent == r.Head:
+		return "self-recursive"
+	}
+	for _, c := range r.Conds {
+		switch cc := c.(type) {
+		case PatternRefCond:
+			return "pattern reference " + cc.String()
+		case BeforeCond:
+			if r.Specialize {
+				return cc.String() + " in a specialisation"
+			}
+		}
+	}
+	return ""
 }
 
 // MustCompile panics on error, for tests and package-level wrappers.
@@ -120,26 +193,34 @@ func (cp *CompiledProgram) Stats() (hits, misses uint64) {
 	return cp.hits.Load(), cp.misses.Load()
 }
 
-// IncrementalStats is a snapshot of the subtree-fingerprint reuse
-// counters: SubtreeHits/SubtreeMisses count per-root cache lookups
+// IncrementalStats is a snapshot of the incremental counters.
+// SubtreeHits/SubtreeMisses count per-root subtree-fingerprint lookups
 // during incremental matching, ReusedNodes/DirtyNodes the document
 // nodes under those roots — reused nodes were resolved from cache
 // without touching the tree, dirty nodes ran the bitset matcher.
+// InstancesGrafted counts the instances maintained evaluations copied
+// from their previous base instead of deriving them, EvalFallbacks the
+// maintained evaluations that derived some of the base on the full path
+// (see RunMaintained).
 type IncrementalStats struct {
-	SubtreeHits   uint64 `json:"subtree_hits"`
-	SubtreeMisses uint64 `json:"subtree_misses"`
-	ReusedNodes   uint64 `json:"reused_nodes"`
-	DirtyNodes    uint64 `json:"dirty_nodes"`
+	SubtreeHits      uint64 `json:"subtree_hits"`
+	SubtreeMisses    uint64 `json:"subtree_misses"`
+	ReusedNodes      uint64 `json:"reused_nodes"`
+	DirtyNodes       uint64 `json:"dirty_nodes"`
+	InstancesGrafted uint64 `json:"instances_grafted"`
+	EvalFallbacks    uint64 `json:"eval_fallbacks"`
 }
 
-// Incremental returns the cumulative incremental-matching counters
-// (all zero unless some evaluator ran with Incremental set).
+// Incremental returns the cumulative incremental counters (all zero
+// unless some evaluator ran with Incremental set or RunMaintained).
 func (cp *CompiledProgram) Incremental() IncrementalStats {
 	return IncrementalStats{
-		SubtreeHits:   cp.subHits.Load(),
-		SubtreeMisses: cp.subMisses.Load(),
-		ReusedNodes:   cp.reusedNodes.Load(),
-		DirtyNodes:    cp.dirtyNodes.Load(),
+		SubtreeHits:      cp.subHits.Load(),
+		SubtreeMisses:    cp.subMisses.Load(),
+		ReusedNodes:      cp.reusedNodes.Load(),
+		DirtyNodes:       cp.dirtyNodes.Load(),
+		InstancesGrafted: cp.grafted.Load(),
+		EvalFallbacks:    cp.fallbacks.Load(),
 	}
 }
 

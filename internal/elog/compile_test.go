@@ -20,6 +20,7 @@ import (
 	"repro/internal/pib"
 	"repro/internal/visual"
 	"repro/internal/web"
+	"repro/internal/xmlenc"
 )
 
 // exampleWrappers mirrors the Elog programs run by the commands under
@@ -192,7 +193,7 @@ func wrapBoth(t *testing.T, prog string, site func() *web.Web) (xmlI, xmlC, sumI
 	if err != nil {
 		t.Fatalf("compiled run: %v", err)
 	}
-	return design.TransformString(baseI), design.TransformString(baseC),
+	return xmlenc.MarshalIndent(design.Transform(baseI)), xmlenc.MarshalIndent(design.Transform(baseC)),
 		baseSummary(baseI), baseSummary(baseC)
 }
 
@@ -218,6 +219,32 @@ func TestCompiledDifferentialExamples(t *testing.T) {
 // TestCompiledDifferentialVisualBuilder runs the visually generated
 // wrapper of examples/visualbuilder through both paths.
 func TestCompiledDifferentialVisualBuilder(t *testing.T) {
+	s := visualBuilderSession(t)
+	heldOut := func() *web.Web {
+		w := web.New()
+		web.NewBookSite(4071, 20).Register(w, "books.example.com")
+		return w
+	}
+	baseI, err := elog.NewEvaluator(heldOut()).Run(s.Program())
+	if err != nil {
+		t.Fatal(err)
+	}
+	baseC, err := elog.NewEvaluator(heldOut()).RunCompiled(elog.MustCompile(s.Program()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := baseSummary(baseC), baseSummary(baseI); got != want {
+		t.Errorf("instance bases differ:\n--- interpreted ---\n%s--- compiled ---\n%s", want, got)
+	}
+	if n := len(baseI.Instances("title")); n != 20 {
+		t.Fatalf("interpreted titles = %d, want 20", n)
+	}
+}
+
+// visualBuilderSession is the examples/visualbuilder session: a title
+// pattern marked on a bestseller page, generalized and constrained.
+func visualBuilderSession(t *testing.T) *visual.Session {
+	t.Helper()
 	sim := web.New()
 	site := web.NewBookSite(2004, 8)
 	site.Register(sim, "books.example.com")
@@ -242,26 +269,7 @@ func TestCompiledDifferentialVisualBuilder(t *testing.T) {
 	if err := s.RequireAttribute("title", "class", "title", "exact"); err != nil {
 		t.Fatal(err)
 	}
-
-	heldOut := func() *web.Web {
-		w := web.New()
-		web.NewBookSite(4071, 20).Register(w, "books.example.com")
-		return w
-	}
-	baseI, err := elog.NewEvaluator(heldOut()).Run(s.Program())
-	if err != nil {
-		t.Fatal(err)
-	}
-	baseC, err := elog.NewEvaluator(heldOut()).RunCompiled(elog.MustCompile(s.Program()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := baseSummary(baseC), baseSummary(baseI); got != want {
-		t.Errorf("instance bases differ:\n--- interpreted ---\n%s--- compiled ---\n%s", want, got)
-	}
-	if n := len(baseI.Instances("title")); n != 20 {
-		t.Fatalf("interpreted titles = %d, want 20", n)
-	}
+	return s
 }
 
 // TestCompiledFingerprintCache re-wraps an unchanged page through one

@@ -7,6 +7,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/htmlparse"
 	"repro/internal/pib"
+	"repro/internal/xmlenc"
 )
 
 // ebayPage builds an eBay-style auction listing page with the structure
@@ -126,7 +127,7 @@ func TestEbayXMLOutput(t *testing.T) {
 		Auxiliary: map[string]bool{"document": true, "tableseq": true},
 		RootName:  "ebay",
 	}
-	xml := design.TransformString(base)
+	xml := xmlenc.MarshalIndent(design.Transform(base))
 	if strings.Count(xml, "<record>") != 3 {
 		t.Errorf("xml records:\n%s", xml)
 	}

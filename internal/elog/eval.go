@@ -1,10 +1,12 @@
 package elog
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -103,14 +105,42 @@ func NewEvaluator(f Fetcher) *Evaluator {
 // A single Elog program "can be used for continuous wrapping of changing
 // pages or to wrap several HTML pages of similar structure"
 // (Section 3.1) — Run is stateless; call it again to re-wrap.
-func (ev *Evaluator) Run(p *Program) (*pib.Base, error) { return ev.run(p, nil) }
+func (ev *Evaluator) Run(p *Program) (*pib.Base, error) { return ev.run(p, nil, nil) }
 
 // RunCompiled evaluates a compiled program: pattern matching runs on
 // the bitset kernel and is memoized per document fingerprint, so
 // re-wrapping unchanged pages skips the tree walks entirely. The
 // instance base is identical to Run's on the same inputs.
 func (ev *Evaluator) RunCompiled(cp *CompiledProgram) (*pib.Base, error) {
-	return ev.run(cp.Program, cp)
+	return ev.run(cp.Program, cp, nil)
+}
+
+// RunMaintained is RunCompiled maintaining the base from prev, a base an
+// earlier RunCompiled or RunMaintained of the same program under the
+// same concept base returned, over earlier versions of the documents
+// (the view maintenance of Gupta, Mumick & Subrahmanian, restricted to
+// dirty regions). A parent-local rule (see nonLocal) re-derives only
+// under parents with no counterpart in prev (pib.Base.Counterpart), the
+// dirty regions; under every other parent it grafts the children the
+// counterpart has from the same rule, its node ids shifted, skipping
+// match and filter. Commits keep (rule, parent) order, so the base is
+// identical to RunCompiled's, Dump and all. prev is only read: any
+// number of evaluations may maintain from it at once.
+//
+// Everything else takes RunCompiled's path: rules that are not
+// parent-local, parents in documents whose ids are not in document
+// order, and every rule when prev was built under another program or
+// concept base. A maintained evaluation that took that path anywhere
+// counts as a fallback (IncrementalStats.EvalFallbacks). A nil prev is
+// RunCompiled.
+func (ev *Evaluator) RunMaintained(cp *CompiledProgram, prev *pib.Base) (*pib.Base, error) {
+	return ev.run(cp.Program, cp, prev)
+}
+
+// origin is what a compiled evaluation records as its base's Origin.
+type origin struct {
+	cp       *CompiledProgram
+	concepts *concepts.Base
 }
 
 // runner is the state of one evaluation: the instance base under
@@ -128,6 +158,15 @@ type runner struct {
 	// jobs is runWave's scratch job list, reused across waves and
 	// fixpoint passes of this evaluation.
 	jobs []waveJob
+	// maintained is set when base is maintained from a previous base;
+	// fellBack when some of it was not, and grafted counts the copies.
+	maintained, fellBack bool
+	grafted              int
+	// done counts, by rule number, the parents a parent-local rule was
+	// applied to, when set: applying it again to one derives nothing new
+	// (and must not graft twice).
+	done []int
+	kids []*pib.Instance // graft's scratch
 }
 
 // waveJob is one rule's candidate-generation unit of a wave: accepted[i]
@@ -138,15 +177,24 @@ type waveJob struct {
 	parents  []*pib.Instance
 	accepted [][]candidate
 	err      error
+	// from[i], when from is set and it is not nil, is the counterpart
+	// parents[i] grafts from instead of generating candidates.
+	from []*pib.Instance
 }
 
-func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
-	hint := 0
-	if cp != nil {
-		hint = int(cp.instances.Load())
+func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base) (*pib.Base, error) {
+	r := &runner{ev: ev, cp: cp, docs: map[string]*pib.Instance{}, announced: map[*pib.Instance]bool{}}
+	switch {
+	case cp == nil:
+		r.base = pib.NewBase()
+	case prev != nil && prev.Origin == any(origin{cp, ev.Concepts}):
+		r.base, r.maintained, r.fellBack = pib.NewBaseFrom(prev), true, cp.nonLocal != ""
+	default:
+		r.base, r.fellBack = pib.NewBaseSize(int(cp.instances.Load())), prev != nil
 	}
-	r := &runner{ev: ev, cp: cp, base: pib.NewBaseSize(hint),
-		docs: map[string]*pib.Instance{}, announced: map[*pib.Instance]bool{}}
+	if cp != nil {
+		r.done = make([]int, len(p.Rules)+1)
+	}
 	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil)
 	defer r.fr.drain()
 
@@ -188,6 +236,11 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram) (*pib.Base, error) {
 	}
 	if cp != nil {
 		cp.instances.Store(int64(r.base.Count()))
+		cp.grafted.Add(uint64(r.grafted))
+		if r.fellBack {
+			cp.fallbacks.Add(1)
+		}
+		r.base.Origin = origin{cp, ev.Concepts}
 	}
 	r.base.Seal()
 	return r.base, nil
@@ -342,8 +395,17 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 	}
 	jobs := r.jobs[:0]
 	for _, rule := range w.rules {
-		if parents := r.base.Instances(rule.Parent); len(parents) > 0 {
-			jobs = append(jobs, waveJob{rule: rule, parents: parents})
+		parents := r.base.Instances(rule.Parent)
+		jb := waveJob{rule: rule}
+		if info := r.info(rule); info.local && r.done != nil {
+			parents = parents[r.done[info.no]:]
+			r.done[info.no] += len(parents)
+			if r.maintained {
+				jb.from = r.counterparts(parents)
+			}
+		}
+		if jb.parents = parents; len(parents) > 0 {
+			jobs = append(jobs, jb)
 		}
 	}
 	r.jobs = jobs
@@ -360,7 +422,7 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 						return
 					}
 					jb := &jobs[j]
-					jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents)
+					jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents, jb.from)
 				}
 			}()
 		}
@@ -368,14 +430,21 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 	} else {
 		for j := range jobs {
 			jb := &jobs[j]
-			jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents)
+			jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents, jb.from)
 		}
 	}
 	changed := false
 	for j := range jobs {
 		jb := &jobs[j]
+		no := r.info(jb.rule).no
 		for i, accepted := range jb.accepted {
-			if r.commit(jb.rule, jb.parents[i], accepted) {
+			var added bool
+			if jb.from != nil && jb.from[i] != nil {
+				added = r.graft(no, jb.parents[i], jb.from[i])
+			} else {
+				added = r.commit(jb.rule, no, jb.parents[i], accepted)
+			}
+			if added {
 				changed = true
 			}
 			if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
@@ -391,6 +460,53 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 		}
 	}
 	return changed, nil
+}
+
+// info returns the rule's number and locality (zero when interpreted).
+func (r *runner) info(rule *Rule) ruleInfo {
+	if r.cp == nil {
+		return ruleInfo{}
+	}
+	return r.cp.rules[rule]
+}
+
+// counterparts pairs a parent-local rule's parents with the previous
+// base, returning from for a waveJob (nil when none pairs). A parent
+// pairs for grafting only where both documents are in document order.
+func (r *runner) counterparts(parents []*pib.Instance) []*pib.Instance {
+	var from []*pib.Instance
+	for i, s := range parents {
+		c := r.base.Counterpart(s)
+		if c == nil {
+			continue
+		}
+		if !s.Doc.DocOrdered() || !c.Doc.DocOrdered() {
+			r.fellBack = true
+			continue
+		}
+		if from == nil {
+			from = make([]*pib.Instance, len(parents))
+		}
+		from[i] = c
+	}
+	return from
+}
+
+// graft commits, under parent s, copies of the children that rule no
+// derived under s's counterpart c, in the order it committed them.
+func (r *runner) graft(no uint16, s, c *pib.Instance) bool {
+	kids := r.kids[:0]
+	for _, k := range c.Children {
+		if k.Rule == no {
+			kids = append(kids, k)
+		}
+	}
+	slices.SortFunc(kids, func(a, b *pib.Instance) int { return cmp.Compare(a.ID, b.ID) })
+	for _, k := range kids {
+		r.base.Graft(s, k)
+	}
+	r.kids, r.grafted = kids, r.grafted+len(kids)
+	return len(kids) > 0
 }
 
 // runSerial is the seed evaluator's interleaved loop for the rules that
@@ -425,12 +541,13 @@ func (r *runner) runSerial(rule *Rule) (bool, error) {
 			}
 		}
 	}
+	no := r.info(rule).no
 	for _, s := range parents {
 		accepted, err := r.parentCandidates(rule, s)
 		if err != nil {
 			return changed, err
 		}
-		if r.commit(rule, s, accepted) {
+		if r.commit(rule, no, s, accepted) {
 			changed = true
 		}
 		if r.base.Count() > r.ev.max(r.ev.MaxInstances, 100000) {
@@ -625,17 +742,28 @@ type candidate struct {
 // memo), never writes it, so the rules of a wave run
 // concurrently — runWave relies on this. Crawl-driving rules are the
 // exception and never reach here: ruleSequential pins them to runSerial
-// because their extraction fetches documents.
-func (r *runner) ruleCandidates(rule *Rule, parents []*pib.Instance) ([][]candidate, error) {
+// because their extraction fetches documents. Parents with a counterpart
+// in from are left out: their commit grafts.
+func (r *runner) ruleCandidates(rule *Rule, parents, from []*pib.Instance) ([][]candidate, error) {
 	var ce *compiledEPD
 	if r.cp != nil && !rule.Specialize && rule.Extract.Kind == Subelem {
 		ce = r.cp.epds[rule.Extract.EPD]
 	}
 	out := make([][]candidate, len(parents))
-	for lo := 0; lo < len(parents); {
+	for lo, end := 0, 0; lo < len(parents); {
+		if lo == end {
+			// Skip the parents that graft (their out stays nil) to the next
+			// run of those that do not, parents[lo:end].
+			for from != nil && lo < len(parents) && from[lo] != nil {
+				lo++
+			}
+			for end = lo; end < len(parents) && (from == nil || from[end] == nil); end++ {
+			}
+			continue
+		}
 		hi := lo + 1
 		if ce != nil {
-			hi = lo + splitRun(parents[lo:])
+			hi = lo + splitRun(parents[lo:end])
 		}
 		if hi-lo > 1 {
 			r.extractRun(ce, parents[lo:hi], out[lo:hi])
@@ -752,12 +880,12 @@ func (r *runner) filter(rule *Rule, s *pib.Instance, cands []candidate) ([]candi
 // commit adds the accepted candidates of one (rule, parent) pair to the
 // instance base. It runs on the evaluation goroutine only, in (rule,
 // parent) order, so instance ids and dedup decisions are deterministic.
-func (r *runner) commit(rule *Rule, s *pib.Instance, accepted []candidate) bool {
+func (r *runner) commit(rule *Rule, no uint16, s *pib.Instance, accepted []candidate) bool {
 	changed := false
 	for _, c := range accepted {
 		in := pib.Instance{
 			Pattern: rule.Head, Kind: c.kind, Doc: c.src.Doc, URL: c.src.URL,
-			Nodes: c.nodes, Text: c.text, Parent: s,
+			Nodes: c.nodes, Text: c.text, Parent: s, Rule: no,
 		}
 		if _, added := r.base.AddCopy(&in); added {
 			changed = true

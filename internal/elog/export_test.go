@@ -40,3 +40,8 @@ func (ev *Evaluator) RunNaive(p *Program, cp *CompiledProgram) (*pib.Base, error
 	}
 	return r.base, nil
 }
+
+// NonLocal is the compiled program's fallback report: the first rule,
+// other than an entry rule, that a maintained evaluation cannot graft,
+// and why ("" when it grafts every one).
+func (cp *CompiledProgram) NonLocal() string { return cp.nonLocal }

@@ -230,10 +230,13 @@ func instanceSet(b *pib.Base) string {
 }
 
 // FuzzIncremental mutates a document between evaluations and checks
-// that neither subtree-level reuse nor set-at-a-time rule application
-// changes the instance base: for every (document, seed) and program the
-// incremental evaluator's base must be bit-identical to a cold
-// evaluation of each version, and hold the interpreter's instances.
+// that neither subtree-level reuse, nor set-at-a-time rule application,
+// nor maintaining the base from the previous version's changes the
+// instance base: for every (document, seed) and program the incremental
+// evaluator's base and the one RunMaintained carries across the
+// versions must be bit-identical to a cold evaluation of each version,
+// and hold the interpreter's instances. Each mutated version is
+// re-parsed, so its ids are in document order and grafting engages.
 func FuzzIncremental(f *testing.F) {
 	f.Add("<body><ul><li>alpha</li><li>beta</li></ul><p>tail</p></body>", int64(1))
 	f.Add(`<table><tr><td><b class="cur">$</b> 5</td><td>x</td></tr></table>`, int64(7))
@@ -250,6 +253,8 @@ func FuzzIncremental(f *testing.F) {
 			cur := htmlparse.Parse(src)
 			cp := MustCompile(prog)
 			shared := NewMatchCache()
+			mnt := NewEvaluator(nil) // one concept base: the bases share an origin
+			var prev *pib.Base
 			for v := 0; v < 3; v++ {
 				fetch := MapFetcher{"d": cur}
 				cold := NewEvaluator(fetch)
@@ -267,6 +272,13 @@ func FuzzIncremental(f *testing.F) {
 				if want, got := wantBase.Dump(), gotBase.Dump(); got != want {
 					t.Fatalf("program %d v%d: incremental base diverges from cold evaluation:\n--- cold ---\n%s--- incremental ---\n%s", pi, v, want, got)
 				}
+				mnt.Fetcher = fetch
+				if prev, err = mnt.RunMaintained(cp, prev); err != nil {
+					t.Fatalf("program %d maintained v%d: %v", pi, v, err)
+				}
+				if want, got := wantBase.Dump(), prev.Dump(); got != want {
+					t.Fatalf("program %d v%d: maintained base diverges from cold evaluation:\n--- cold ---\n%s--- maintained ---\n%s", pi, v, want, got)
+				}
 				refBase, err := NewEvaluator(fetch).Run(prog)
 				if err != nil {
 					t.Fatalf("program %d interpreted v%d: %v", pi, v, err)
@@ -276,7 +288,7 @@ func FuzzIncremental(f *testing.F) {
 				}
 				next := cur.Clone()
 				dom.Mutate(next, rng, 3)
-				cur = next
+				cur = htmlparse.Parse(htmlparse.Render(next))
 			}
 		}
 	})

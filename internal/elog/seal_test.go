@@ -1,12 +1,15 @@
 package elog_test
 
 import (
+	"context"
 	"runtime"
+	"strings"
 	"testing"
 
 	"repro/internal/elog"
 	"repro/internal/pib"
 	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // TestSealedBaseBudget measures what a retained instance base holds on
@@ -113,6 +116,13 @@ func TestFleetMemoBudget(t *testing.T) {
 // reference and TransformIncremental of the sealed base through one
 // output cache byte for byte; and Add on the sealed base deduplicating
 // exactly as on the unsealed one.
+//
+// The same ticks also run through one lixto.Wrapper with incremental
+// output, whose every extraction is maintained from the base it
+// rendered last (RunMaintained): its base must Dump as the reference's
+// and its XML match byte for byte, and on the catalogue pages, where
+// most of each tick is unchanged, it must graft from the second tick on
+// (else the graft path would not be under test at all).
 func TestSealEquivalence(t *testing.T) {
 	var cases []fixpointCase
 	for _, ex := range exampleWrappers {
@@ -134,6 +144,7 @@ func TestSealEquivalence(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			cp := elog.MustCompile(tc.prog)
 			oc := pib.NewOutputCache()
+			w := lixto.MustCompile(tc.prog.String(), lixto.WithIncrementalOutput(true))
 			for tick := 0; tick < 10; tick++ {
 				f := tc.fetcher()
 				want, err := elog.NewEvaluator(f).RunNaive(tc.prog, nil)
@@ -146,15 +157,34 @@ func TestSealEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("tick %d: %v", tick, err)
 				}
-				if got.Dump() != want.Dump() || got.Count() != want.Count() || got.Count() < 2 {
+				ref := want.Dump()
+				if got.Dump() != ref || got.Count() != want.Count() || got.Count() < 2 {
 					t.Fatalf("tick %d: sealed base diverges from the unsealed reference:\n--- reference ---\n%s--- got ---\n%s", tick, want.Dump(), got.Dump())
 				}
+				// The maintained wrapper, before addAll adds to the bases.
+				fresh := xmlenc.MarshalIndent(d.Transform(got))
+				grafted := w.Compiled().Incremental().InstancesGrafted
+				res, err := w.Extract(context.Background(), lixto.Origin(), lixto.WithFetcher(f))
+				if err != nil {
+					t.Fatalf("tick %d maintained: %v", tick, err)
+				}
+				if res.Base.Dump() != ref {
+					t.Fatalf("tick %d: maintained base diverges from the reference:\n--- reference ---\n%s--- maintained ---\n%s", tick, ref, res.Base.Dump())
+				}
+				if inc := xmlenc.MarshalIndent(res.XML()); inc != fresh {
+					t.Fatalf("tick %d: maintained output diverges:\n%s\nvs\n%s", tick, inc, fresh)
+				}
+				if now := w.Compiled().Incremental().InstancesGrafted; strings.HasPrefix(tc.name, "catalogue/") && tick > 0 && now == grafted {
+					t.Fatalf("tick %d: the maintained evaluation grafted nothing", tick)
+				}
+
 				addAll(t, want)
 				addAll(t, got)
 				if got.Dump() != want.Dump() {
 					t.Fatalf("tick %d: bases diverge after Add:\n--- reference ---\n%s--- got ---\n%s", tick, want.Dump(), got.Dump())
 				}
-				if inc, plain := xmlenc.MarshalIndent(d.TransformIncremental(got, oc)), xmlenc.MarshalIndent(d.Transform(want)); inc != plain {
+				plain := xmlenc.MarshalIndent(d.Transform(want))
+				if inc := xmlenc.MarshalIndent(d.TransformIncremental(got, oc)); inc != plain {
 					t.Fatalf("tick %d: incremental transform of the sealed base diverges:\n%s\nvs\n%s", tick, inc, plain)
 				}
 			}

@@ -1,29 +1,13 @@
-// Incremental output: the dirty-subtree half of the end-to-end
-// incremental tick. PR 8 made Elog evaluation cost proportional to the
-// changed region of a document; this file does the same for the
-// instance-base → XML mapping. Instances carry content-addressed
-// identity hashes (built on dom.Tree's merkle subtree fingerprints),
-// Diff computes the added/removed/unchanged delta between two ticks'
-// bases, and Design.TransformIncremental reuses the previous tick's
-// emitted xmlenc subtrees for every instance whose output hash is
-// unchanged — splicing frozen subtrees into the fresh document instead
-// of rebuilding them.
-//
-// Identity is content-addressed, not ID-based: the dedup key of Add
-// (instKey) holds the parent's sequential ID and raw NodeIDs, both of
-// which shift between ticks even for untouched regions, so cross-tick
-// matching hangs off dom.SubtreeHash instead (fnv64; the collision risk is the
-// same one PR 8 accepted for match reuse, and the differential tests
-// and FuzzIncrementalTransform pin byte-identical output).
+// Incremental maintenance and output: a base maintained from the
+// previous tick's pairs its instances with their counterparts there by
+// content (ContentHash, over dom.Tree's merkle subtree fingerprints), and
+// Design.TransformIncremental splices the previous tick's frozen output
+// for every subtree whose output hash is unchanged. (fnv64: the collision
+// risk match reuse accepts; differential tests pin identical output.)
 
 package pib
 
-import (
-	"slices"
-	"strings"
-
-	"repro/internal/xmlenc"
-)
+import "repro/internal/xmlenc"
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -55,11 +39,8 @@ func mix64(h, v uint64) uint64 {
 // ContentHash returns the instance's content-addressed local identity:
 // pattern, kind, and content (the string value for string instances,
 // the merkle subtree fingerprints of its nodes otherwise; the URL for
-// document instances). It deliberately excludes IDs, parent linkage,
-// and raw node numbers, all of which are unstable across ticks, so an
-// untouched region of a re-fetched page hashes identically. Not
-// memoized: it is a few dozen multiplications over memoized subtree
-// fingerprints, and a tick asks once per instance.
+// document instances), never ids, parent links or node numbers, so an
+// untouched region of a re-fetched page hashes identically.
 func (in *Instance) ContentHash() uint64 {
 	h := uint64(fnvOffset64)
 	h = mixString(h, in.Pattern)
@@ -79,101 +60,185 @@ func (in *Instance) ContentHash() uint64 {
 	return h
 }
 
-// outputHash extends ContentHash over the instance's subtree: the
-// ordered children's output hashes are folded in emission order, so
-// two instances with equal output hashes emit byte-identical XML under
-// any fixed Design (element names, text emission, and tree-minor
-// promotion are all functions of the pattern names and child hashes
-// the fold covers). This is the cache key for emitted subtrees. It is
-// memoized by instance id for the length of one TransformIncremental (a
-// parent's fold and the child's own emission both ask); 0 is "not yet".
+// outputHash extends ContentHash over the instance's subtree, folding
+// the ordered children's output hashes, so two instances with equal
+// output hashes emit byte-identical XML under any fixed Design: the key
+// of emitted subtrees. An instance whose children hash as its
+// counterpart's did takes the counterpart's hash, which the fold would
+// give, unhashed. Memoized by id for one transform; 0 is "not yet".
 func (oc *OutputCache) outputHash(in *Instance) uint64 {
 	if h := oc.oHash[in.ID]; h != 0 {
 		return h
 	}
-	h := mix64(oc.cHash[in.ID], uint64(len(in.Children)))
-	for _, c := range in.Children {
-		h = mix64(h, oc.outputHash(c))
+	var src *Instance
+	if int(in.ID) < len(oc.pairs) {
+		src = oc.pairs[in.ID]
+	}
+	same := src != nil && len(src.Children) == len(in.Children) && oc.prevOut[src.ID] != 0
+	for i, c := range in.Children {
+		h := oc.outputHash(c)
+		same = same && h == oc.prevOut[src.Children[i].ID]
+	}
+	var h uint64
+	if same {
+		h = oc.prevOut[src.ID]
+	} else {
+		h = mix64(in.ContentHash(), uint64(len(in.Children)))
+		for _, c := range in.Children {
+			h = mix64(h, oc.oHash[c.ID])
+		}
 	}
 	oc.oHash[in.ID] = h
 	return h
 }
 
-// Delta is the instance-level difference between two ticks' bases.
-// Added and Unchanged hold instances of the current base, Removed
-// instances of the previous one; matching is a multiset pairing on
-// ContentHash, so duplicate identical instances pair off one-to-one.
+// pairing is a maintained base's counterpart index, pairing instances
+// one-to-one with prev's: a grafted copy with the one it copies, any
+// other on first ask with an unpaired one of equal ContentHash.
+type pairing struct {
+	prev *Base
+	of   []*Instance // counterpart by id
+	used []bool      // paired instances of prev, by id
+	// byHash holds prev's unpaired instances of the indexed patterns.
+	byHash  map[uint64][]*Instance
+	indexed map[string]bool
+	n       int // instances paired
+}
+
+// NewBaseFrom returns an empty base maintained from prev, a sealed base
+// of the same program over earlier documents: Graft copies prev's
+// derivations into it, Counterpart pairs its instances with prev's, and
+// a TransformIncremental through the OutputCache whose Base is prev
+// reuses the paired subtrees' output and counts the delta from the pairs.
+func NewBaseFrom(prev *Base) *Base {
+	b := &Base{all: map[instKey]*Instance{}, ids: map[string]uint32{}, byPat: make(map[string][]*Instance, len(prev.byPat)),
+		hint: prev.Count(), pairs: newPairing(prev)}
+	for p, list := range prev.byPat {
+		b.byPat[p] = make([]*Instance, 0, len(list))
+	}
+	return b
+}
+
+func newPairing(prev *Base) *pairing {
+	return &pairing{prev: prev, of: make([]*Instance, prev.Count()), used: make([]bool, prev.Count()),
+		byHash: map[uint64][]*Instance{}, indexed: map[string]bool{}}
+}
+
+// pair records c, an instance of the previous base, as in's counterpart.
+func (p *pairing) pair(in, c *Instance) {
+	if int(in.ID) >= len(p.of) {
+		p.of = append(p.of, make([]*Instance, int(in.ID)+1)...)
+	}
+	p.of[in.ID], p.used[c.ID] = c, true
+	p.n++
+}
+
+// Counterpart returns in's counterpart in the base b is maintained from
+// (nil: none, or b is not maintained): the instance a grafted in copies,
+// else an unpaired one of equal ContentHash, paired with in for good.
+func (b *Base) Counterpart(in *Instance) *Instance {
+	p := b.pairs
+	if p == nil {
+		return nil
+	}
+	if int(in.ID) < len(p.of) && p.of[in.ID] != nil {
+		return p.of[in.ID]
+	}
+	if !p.indexed[in.Pattern] {
+		p.indexed[in.Pattern] = true
+		for _, c := range p.prev.byPat[in.Pattern] {
+			if !p.used[c.ID] {
+				h := c.ContentHash()
+				p.byHash[h] = append(p.byHash[h], c)
+			}
+		}
+	}
+	h := in.ContentHash()
+	list := p.byHash[h]
+	for len(list) > 0 && p.used[list[0].ID] {
+		list = list[1:]
+	}
+	if len(list) == 0 {
+		return nil
+	}
+	p.byHash[h] = list[1:]
+	p.pair(in, list[0])
+	return list[0]
+}
+
+// Graft adds a copy of src, a child of parent's counterpart, under
+// parent, paired with src: its nodes shifted by parent's offset from the
+// counterpart (in document-ordered trees a subtree moves as one block).
+// The caller guarantees what Add would check: no instance equals it.
+func (b *Base) Graft(parent, src *Instance) *Instance {
+	in := b.alloc(&Instance{Pattern: src.Pattern, URL: parent.URL, Text: src.Text, Doc: parent.Doc,
+		Parent: parent, Kind: src.Kind, Rule: src.Rule})
+	in.Nodes = cut(&b.nodes, len(src.Nodes))
+	for _, nd := range src.Nodes {
+		in.Nodes = append(in.Nodes, nd+parent.Nodes[0]-src.Parent.Nodes[0])
+	}
+	if parent.Children == nil {
+		parent.Children = cut(&b.kids, len(src.Parent.Children))
+	}
+	b.link(in)
+	if !b.pairs.used[src.ID] {
+		b.pairs.pair(in, src)
+	}
+	return in
+}
+
+// cut returns an empty slice with room for n, taken from the slab s.
+func cut[T any](s *[]T, n int) []T {
+	if cap(*s)-len(*s) < n {
+		*s = make([]T, 0, max(1024, n))
+	}
+	*s = (*s)[:len(*s)+n]
+	return (*s)[len(*s)-n : len(*s)-n : len(*s)]
+}
+
+// Delta is the instance-level difference between two ticks' bases, the
+// current one's (Added, Unchanged) and the previous one's (Removed).
 type Delta struct {
 	Added, Removed, Unchanged []*Instance
 }
 
-// Diff computes the content-addressed instance delta from prev to cur.
-// Cost is linear in the two bases' sizes.
+// Diff computes the content-addressed instance delta from prev to cur,
+// pairing every instance of cur as Counterpart does.
 func Diff(prev, cur *Base) Delta {
 	var d Delta
-	remain := make(map[uint64]int, prev.Count())
-	prevBy := make(map[uint64][]*Instance, prev.Count())
-	for in := range prev.each {
-		h := in.ContentHash()
-		remain[h]++
-		prevBy[h] = append(prevBy[h], in)
-	}
+	p := &Base{pairs: newPairing(prev)}
 	for in := range cur.each {
-		h := in.ContentHash()
-		if remain[h] > 0 {
-			remain[h]--
+		if p.Counterpart(in) != nil {
 			d.Unchanged = append(d.Unchanged, in)
 		} else {
 			d.Added = append(d.Added, in)
 		}
 	}
-	for h, list := range prevBy {
-		for i := len(list) - remain[h]; i < len(list); i++ {
-			d.Removed = append(d.Removed, list[i])
+	for in := range prev.each {
+		if !p.pairs.used[in.ID] {
+			d.Removed = append(d.Removed, in)
 		}
 	}
 	return d
 }
 
-// commonHashes returns the size of the multiset intersection of two
-// sorted hash lists — len(Diff(prev, cur).Unchanged) without the
-// instance lists: Added and Removed are what is left of either side.
-func commonHashes(prev, cur []uint64) int {
-	n := 0
-	for i, j := 0, 0; i < len(prev) && j < len(cur); {
-		switch {
-		case prev[i] < cur[j]:
-			i++
-		case prev[i] > cur[j]:
-			j++
-		default:
-			n, i, j = n+1, i+1, j+1
-		}
-	}
-	return n
-}
-
-// cachedSub is one reusable emitted subtree: the frozen element and
-// its node count (for the reuse stats, so splicing does not re-walk).
+// cachedSub is a reusable emitted subtree: its frozen element and size.
 type cachedSub struct {
 	el    *xmlenc.Node
 	nodes uint64
 }
 
-// OutputCache carries a wrapper's emitted-subtree cache and the
-// previous tick's base across TransformIncremental calls. Not safe for
-// concurrent use; each wrapper source owns one and transforms one tick
-// at a time.
+// OutputCache carries a wrapper's emitted-subtree cache and previous
+// base across TransformIncremental calls. Not safe for concurrent use.
 type OutputCache struct {
 	prev, next map[uint64][]cachedSub
-	// prevBase is the base last transformed and prevHashes the sorted
-	// ContentHash of its instances, which the next tick's delta is
-	// counted against.
-	prevBase   *Base
-	prevHashes []uint64
-	// cHash and oHash are ContentHash and outputHash by instance id, for
-	// the length of one transform.
-	cHash, oHash []uint64
+	// prevBase is the base last transformed, prevOut its output hashes;
+	// oHash and pairs (counterparts in prevBase) are one transform's, by id.
+	prevBase *Base
+	prevOut  []uint64
+	oHash    []uint64
+	pairs    []*Instance
+	slab     []cachedSub // backs next's lists
 
 	reused, built                uint64
 	added, removed, unchangedCnt uint64
@@ -184,141 +249,69 @@ func NewOutputCache() *OutputCache {
 	return &OutputCache{prev: map[uint64][]cachedSub{}}
 }
 
+// Base returns the base last transformed (nil before the first): the
+// previous base the next evaluation is maintained from.
+func (oc *OutputCache) Base() *Base { return oc.prevBase }
+
 // OutputStats are OutputCache's cumulative counters.
 type OutputStats struct {
 	// ReusedNodes / BuiltNodes count output XML nodes spliced from the
 	// previous tick vs constructed fresh.
 	ReusedNodes, BuiltNodes uint64
 	// InstancesAdded / InstancesRemoved / InstancesUnchanged accumulate
-	// the per-tick base deltas against the retained base: the sizes of
-	// Diff's three lists, counted by a merge of the two bases' sorted
-	// content hashes.
+	// the per-tick deltas against the retained base as the maintained
+	// evaluation paired them (Counterpart): an unchanged instance has a
+	// counterpart, an added one none, a removed one was left unpaired. A
+	// base not maintained from the retained one is all added.
 	InstancesAdded, InstancesRemoved, InstancesUnchanged uint64
-	// BaseInstances / BaseBytes are the size of the retained base: its
-	// Count, and its Bytes (the estimate Seal made) plus the sorted
-	// content hashes kept beside it.
+	// BaseInstances / BaseBytes are the size of the retained base: Count,
+	// and Bytes (Seal's estimate) plus the output hashes kept beside it.
 	BaseInstances, BaseBytes uint64
 }
 
 // Stats returns the cache's cumulative counters.
 func (oc *OutputCache) Stats() OutputStats {
-	var n, bytes int
+	st := OutputStats{ReusedNodes: oc.reused, BuiltNodes: oc.built, InstancesAdded: oc.added, InstancesRemoved: oc.removed, InstancesUnchanged: oc.unchangedCnt}
 	if oc.prevBase != nil {
-		n, bytes = oc.prevBase.Count(), oc.prevBase.Bytes()+8*len(oc.prevHashes)
+		st.BaseInstances, st.BaseBytes = uint64(oc.prevBase.Count()), uint64(oc.prevBase.Bytes()+8*len(oc.prevOut))
 	}
-	return OutputStats{
-		BaseInstances:      uint64(n),
-		BaseBytes:          uint64(bytes),
-		ReusedNodes:        oc.reused,
-		BuiltNodes:         oc.built,
-		InstancesAdded:     oc.added,
-		InstancesRemoved:   oc.removed,
-		InstancesUnchanged: oc.unchangedCnt,
-	}
+	return st
 }
 
-// takePrev pops one cached subtree for the key, so a *Node is spliced
-// into at most one position of the new document (the output stays a
-// tree even when identical siblings repeat).
-func (oc *OutputCache) takePrev(key uint64) (cachedSub, bool) {
-	list := oc.prev[key]
-	if len(list) == 0 {
-		return cachedSub{}, false
-	}
-	sub := list[len(list)-1]
-	if len(list) == 1 {
-		delete(oc.prev, key)
+// put records an emitted subtree for the next tick.
+func (oc *OutputCache) put(key uint64, sub cachedSub) {
+	if list := oc.next[key]; list != nil {
+		oc.next[key] = append(list, sub)
 	} else {
-		oc.prev[key] = list[:len(list)-1]
+		oc.next[key] = append(cut(&oc.slab, 1), sub)
 	}
-	return sub, true
-}
-
-// putNext records an emitted subtree for reuse by the next tick.
-func (oc *OutputCache) putNext(key uint64, sub cachedSub) {
-	oc.next[key] = append(oc.next[key], sub)
 }
 
 // TransformIncremental is Transform with cross-tick output reuse: the
-// root and document-level elements are rebuilt every tick (they are a
-// handful of nodes and carry per-tick attributes), while every
-// non-auxiliary instance subtree whose output hash matches one emitted
-// last tick is spliced in frozen from the cache. Freshly built
-// subtrees are frozen before caching, so a subtree shared with an
-// already-published document can never be mutated through the new one
-// (xmlenc's lixtodebug guard enforces this in debug builds). Output is
-// byte-identical to Transform on the same base.
+// root and document elements are rebuilt, and every non-auxiliary
+// subtree whose output hash matches one emitted last tick is spliced in
+// frozen from the cache (fresh ones are frozen before caching, so no
+// published document is mutated through a later one). A base maintained
+// from the cache's Base inherits its paired subtrees' hashes and counts
+// its delta from the pairs. Output is byte-identical to Transform. The
+// base becomes the cache's Base, letting go of the one it came from.
 func (d *Design) TransformIncremental(b *Base, oc *OutputCache) *xmlenc.Node {
 	b.Seal()
-	n := b.Count()
-	scratch := make([]uint64, 2*n)
-	oc.cHash, oc.oHash = scratch[:n], scratch[n:]
-	for in := range b.each {
-		oc.cHash[in.ID] = in.ContentHash()
+	n, paired := b.Count(), 0
+	if p := b.pairs; p != nil && p.prev == oc.prevBase {
+		oc.pairs, paired = p.of, p.n
 	}
-	hashes := slices.Clone(oc.cHash)
-	slices.Sort(hashes)
+	b.pairs = nil
 	if oc.prevBase != nil {
-		unchanged := commonHashes(oc.prevHashes, hashes)
-		oc.added += uint64(n - unchanged)
-		oc.removed += uint64(len(oc.prevHashes) - unchanged)
-		oc.unchangedCnt += uint64(unchanged)
+		oc.added += uint64(n - paired)
+		oc.removed += uint64(oc.prevBase.Count() - paired)
+		oc.unchangedCnt += uint64(paired)
 	}
-	oc.next = make(map[uint64][]cachedSub, len(oc.prev)+8)
+	oc.oHash = make([]uint64, n)
+	oc.next, oc.slab = make(map[uint64][]cachedSub, len(oc.prev)+8), nil
 
-	rootName := d.RootName
-	if rootName == "" {
-		rootName = "lixto"
-	}
-	root := xmlenc.NewElement(rootName)
-	for _, docInst := range b.Roots {
-		var target *xmlenc.Node
-		if d.Auxiliary[docInst.Pattern] {
-			target = root
-		} else {
-			el := xmlenc.NewElement(d.elementName(docInst.Pattern))
-			if d.EmitURL && docInst.URL != "" {
-				el.SetAttr("url", docInst.URL)
-			}
-			root.Append(el)
-			target = el
-		}
-		d.emitChildrenCached(docInst, target, oc)
-	}
-
-	oc.prev, oc.next, oc.cHash, oc.oHash = oc.next, nil, nil, nil
-	oc.prevBase, oc.prevHashes = b, hashes
+	root := d.render(b, oc)
+	oc.prev, oc.next, oc.pairs = oc.next, nil, nil
+	oc.prevBase, oc.prevOut, oc.oHash = b, oc.oHash, nil
 	return root
-}
-
-// emitChildrenCached mirrors emitChildren with the subtree cache in
-// the path, returning the number of output nodes placed under out.
-func (d *Design) emitChildrenCached(in *Instance, out *xmlenc.Node, oc *OutputCache) uint64 {
-	var total uint64
-	for _, c := range in.Children {
-		if d.Auxiliary[c.Pattern] {
-			// Tree minor: skip the node, promote its children.
-			total += d.emitChildrenCached(c, out, oc)
-			continue
-		}
-		key := oc.outputHash(c)
-		if sub, ok := oc.takePrev(key); ok {
-			out.Append(sub.el)
-			oc.putNext(key, sub)
-			oc.reused += sub.nodes
-			total += sub.nodes
-			continue
-		}
-		el := xmlenc.NewElement(d.elementName(c.Pattern))
-		out.Append(el)
-		nodes := d.emitChildrenCached(c, el, oc) + 1
-		if (len(el.Children) == 0 || d.AlwaysText[c.Pattern]) && !d.SuppressText[c.Pattern] {
-			el.Text = strings.TrimSpace(c.TextContent())
-		}
-		el.Freeze()
-		oc.putNext(key, cachedSub{el: el, nodes: nodes})
-		oc.built++
-		total += nodes
-	}
-	return total
 }

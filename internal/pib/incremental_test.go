@@ -13,7 +13,11 @@ import (
 // buildBaseN is buildBase parameterized: n entries, one of which (idx
 // tagged) carries a version-dependent name, so two calls with different
 // tags produce bases identical everywhere but that entry.
-func buildBaseN(t *testing.T, n int, tag string) *Base {
+func buildBaseN(t *testing.T, n int, tag string) *Base { return buildBaseFrom(t, nil, n, tag) }
+
+// buildBaseFrom is buildBaseN maintained from prev (when not nil), every
+// instance paired with its counterpart there (pairAll).
+func buildBaseFrom(t *testing.T, prev *Base, n int, tag string) *Base {
 	t.Helper()
 	term := "html(body(ul("
 	for i := 0; i < n; i++ {
@@ -30,6 +34,9 @@ func buildBaseN(t *testing.T, n int, tag string) *Base {
 	doc := dom.MustParseTerm(term)
 	doc.Reindex()
 	b := NewBase()
+	if prev != nil {
+		b = NewBaseFrom(prev)
+	}
 	root, _ := b.Add(&Instance{Pattern: "document", Kind: DocumentInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{doc.Root()}})
 	list, _ := b.Add(&Instance{Pattern: "list", Kind: NodeInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{doc.FirstChild(doc.FirstChild(doc.Root()))}, Parent: root})
 	doc.Walk(func(nd dom.NodeID) {
@@ -46,6 +53,15 @@ func buildBaseN(t *testing.T, n int, tag string) *Base {
 			}
 		})
 	})
+	return pairAll(b)
+}
+
+// pairAll asks every instance of b for its counterpart, as a maintained
+// evaluation asks its parents, and returns b.
+func pairAll(b *Base) *Base {
+	for in := range b.each {
+		b.Counterpart(in)
+	}
 	return b
 }
 
@@ -107,7 +123,7 @@ func TestTransformIncrementalByteIdentical(t *testing.T) {
 	for di, d := range designs {
 		oc := NewOutputCache()
 		for tick := 0; tick < 4; tick++ {
-			b := buildBaseN(t, 8, fmt.Sprintf("v%d", tick/2)) // change every other tick
+			b := buildBaseFrom(t, oc.Base(), 8, fmt.Sprintf("v%d", tick/2)) // change every other tick
 			want := xmlenc.MarshalIndent(d.Transform(b))
 			got := xmlenc.MarshalIndent(d.TransformIncremental(b, oc))
 			if got != want {
@@ -119,7 +135,7 @@ func TestTransformIncrementalByteIdentical(t *testing.T) {
 			t.Errorf("design %d: no nodes reused across 4 ticks", di)
 		}
 		if st.InstancesUnchanged == 0 {
-			t.Errorf("design %d: diff saw no unchanged instances", di)
+			t.Errorf("design %d: no unchanged instances counted", di)
 		}
 	}
 }
@@ -198,9 +214,13 @@ func TestTransformIncrementalGrowShrink(t *testing.T) {
 // randomBase builds a base over a fresh list document of n items whose
 // names are drawn from a small pool, so identical instances repeat
 // within a base and recur across bases; n == 0 yields an empty base
-// (no document at all).
-func randomBase(rng *rand.Rand, n int) *Base {
+// (no document at all). It is maintained from prev when that is not
+// nil, every instance paired (pairAll).
+func randomBase(rng *rand.Rand, prev *Base, n int) *Base {
 	b := NewBase()
+	if prev != nil {
+		b = NewBaseFrom(prev)
+	}
 	if n == 0 {
 		return b
 	}
@@ -225,12 +245,13 @@ func randomBase(rng *rand.Rand, n int) *Base {
 			}
 		})
 	})
-	return b
+	return pairAll(b)
 }
 
 // TestDeltaCountsMatchDiff: TransformIncremental counts the per-tick
-// delta by merging the two bases' sorted content hashes instead of
-// calling Diff; the counters must advance by exactly the lengths of
+// delta from the pairs of a base maintained from its previous one
+// instead of calling Diff; once every instance has been asked for its
+// counterpart, the counters must advance by exactly the lengths of
 // Diff's three lists, over random sequences with duplicate instances,
 // growing and shrinking bases, and empty ones.
 func TestDeltaCountsMatchDiff(t *testing.T) {
@@ -245,7 +266,7 @@ func TestDeltaCountsMatchDiff(t *testing.T) {
 			if rng.Intn(4) == 0 {
 				n = 0
 			}
-			cur := randomBase(rng, n)
+			cur := randomBase(rng, prev, n)
 			if prev != nil {
 				delta := Diff(prev, cur)
 				if len(delta.Added)+len(delta.Unchanged) != cur.Count() || len(delta.Removed)+len(delta.Unchanged) != prev.Count() {

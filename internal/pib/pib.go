@@ -15,6 +15,8 @@ package pib
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
+	"slices"
 	"sort"
 	"strings"
 	"unsafe"
@@ -37,9 +39,8 @@ const (
 	DocumentInstance
 )
 
-// Instance is one pattern instance. It carries no memoized state (the
-// incremental transform keeps the hashes it derives in its own scratch),
-// so a retained base costs its instances' fields and nothing more.
+// Instance is one pattern instance. It carries no memoized state, so a
+// retained base costs its instances' fields and nothing more.
 type Instance struct {
 	Pattern string
 	// URL identifies the document (provenance; also the crawl address).
@@ -50,9 +51,7 @@ type Instance struct {
 	// DocumentInstance, one or more consecutive siblings for
 	// SequenceInstance, empty for StringInstance.
 	Nodes []dom.NodeID
-	// Doc is the document tree the instance lives in (nil only for
-	// detached string instances, which keep a pointer anyway for
-	// provenance).
+	// Doc is the document tree the instance lives in.
 	Doc *dom.Tree
 	// Parent is the instance this one was extracted from (nil for
 	// document instances).
@@ -63,6 +62,9 @@ type Instance struct {
 	Children []*Instance
 	ID       int32
 	Kind     Kind
+	// Rule is one plus the index, in its program, of the rule that
+	// derived the instance (0 when unknown): what grafting copies by.
+	Rule uint16
 }
 
 // TextContent returns the instance's text: the stored string for string
@@ -78,15 +80,10 @@ func (in *Instance) TextContent() string {
 	return b.String()
 }
 
-// instKey is the identity of an instance for deduplication: pattern,
-// document URL, parent id, every node and, for string instances, the
-// text. It is exact, not a hash: pattern and URL are the ids the base
-// interned the strings under (Base.intern), and aux holds whatever does
-// not fit the fixed fields. It is a comparable struct so that Add, which
-// runs once per candidate derivation on the evaluator's hottest path,
-// hashes the fields in place instead of building a string; only
-// multi-node (sequence) instances allocate, for the nodes after the
-// first.
+// instKey is the exact identity of an instance for deduplication:
+// pattern and URL (as ids, Base.intern), parent id, every node and, for
+// string instances, the text, in a comparable struct the dedup map
+// hashes in place; only sequence instances allocate, for aux.
 type instKey struct {
 	aux          string // Nodes[1:], four bytes each, then Text (string instances only)
 	pattern, url uint32
@@ -137,19 +134,26 @@ type Base struct {
 	ids   map[string]uint32
 	byPat map[string][]*Instance
 	next  int32
-	// slab backs the instances AddCopy admits; hint sizes its first chunk.
-	slab []Instance
-	hint int
+	// slab backs the instances AddCopy and Graft admit, hint sizing its
+	// first chunk; nodes and kids back Graft's node and child lists.
+	slab  []Instance
+	nodes []dom.NodeID
+	kids  []*Instance
+	hint  int
 	// bytes is the approximate heap footprint, computed by Seal.
 	bytes int
+	// pairs is the counterpart index of a maintained base (NewBaseFrom).
+	pairs *pairing
+	// Origin identifies what derived the base (the evaluator sets it): a
+	// base is maintained only from a previous one of equal Origin.
+	Origin any
 }
 
 // NewBase returns an empty instance base.
 func NewBase() *Base { return NewBaseSize(0) }
 
-// NewBaseSize returns an empty base sized for about hint instances (an
-// earlier evaluation's Count, say): the dedup table does not rehash and
-// AddCopy's slab does not regrow while that many arrive.
+// NewBaseSize returns an empty base whose dedup table and slab hold
+// about hint instances (an earlier evaluation's Count, say) unresized.
 func NewBaseSize(hint int) *Base {
 	return &Base{all: make(map[instKey]*Instance, hint), ids: map[string]uint32{},
 		byPat: map[string][]*Instance{}, hint: hint}
@@ -167,12 +171,10 @@ func (b *Base) each(yield func(*Instance) bool) {
 	}
 }
 
-// Seal declares the base final, which is what an evaluation that ran to
-// completion returns and what the transforms require: the dedup table,
-// which nothing reads once the last instance is in, is dropped (Count
-// and the per-pattern lists remain), and every Children list is put in
-// document order in place. Sealing a sealed base does nothing; Add and
-// AddCopy unseal, rebuilding the table from the instances.
+// Seal declares the base final, as evaluations return it and the
+// transforms require: the dedup table is dropped and every Children list
+// put in document order in place. Sealing a sealed base does nothing;
+// Add and AddCopy unseal, rebuilding the table from the instances.
 func (b *Base) Seal() {
 	if b.all == nil {
 		return
@@ -184,20 +186,16 @@ func (b *Base) Seal() {
 	}
 	for in := range b.each {
 		orderChildren(in)
-		// The instance, its nodes, its child list and, for a string
-		// instance, the value.
 		b.bytes += int(unsafe.Sizeof(*in)) + 4*cap(in.Nodes) + 8*cap(in.Children) + len(in.Text)
 	}
 }
 
 // Bytes returns the approximate heap footprint of a sealed base (0
-// before Seal). The document trees the instances point into are not
-// counted: the fetch layer owns and shares them.
+// before Seal), not counting the fetch layer's document trees.
 func (b *Base) Bytes() int { return b.bytes }
 
-// table returns the dedup table, rebuilding it when the base was sealed.
-// Keys are only comparable with the ids of the table they are in, so
-// callers fetch the table before they build a key.
+// table returns the dedup table, rebuilding it when the base was sealed
+// (fetch it before building a key: keys hold the table's string ids).
 func (b *Base) table() map[instKey]*Instance {
 	if b.all == nil {
 		b.all, b.ids = make(map[instKey]*Instance, b.next), map[string]uint32{}
@@ -211,40 +209,39 @@ func (b *Base) table() map[instKey]*Instance {
 // Add inserts an instance (deduplicating) and returns the canonical
 // instance plus whether it was new. Parent links are fixed at insert;
 // the instance is appended to its parent's children in insertion order.
-func (b *Base) Add(in *Instance) (*Instance, bool) {
+func (b *Base) Add(in *Instance) (*Instance, bool) { return b.add(in, false) }
+
+// AddCopy is Add for a scratch instance the caller keeps: a new
+// instance is copied into the base's slab, a duplicate costs nothing.
+func (b *Base) AddCopy(in *Instance) (*Instance, bool) { return b.add(in, true) }
+
+func (b *Base) add(in *Instance, copy bool) (*Instance, bool) {
 	all := b.table()
 	k := b.key(in)
 	if prev, ok := all[k]; ok {
 		return prev, false
 	}
-	b.link(k, in)
+	if copy {
+		in = b.alloc(in)
+	}
+	all[k] = in
+	b.link(in)
 	return in, true
 }
 
-// AddCopy is Add for a scratch instance the caller keeps: a duplicate
-// costs no allocation at all, and a new instance is copied into the
-// base's own slab rather than into an allocation of its own, so the
-// canonical instance returned is never the caller's.
-func (b *Base) AddCopy(in *Instance) (*Instance, bool) {
-	all := b.table()
-	k := b.key(in)
-	if prev, ok := all[k]; ok {
-		return prev, false
-	}
+// alloc copies an instance into the slab.
+func (b *Base) alloc(in *Instance) *Instance {
 	if len(b.slab) == cap(b.slab) {
 		b.slab = make([]Instance, 0, max(64, b.hint-int(b.next)))
 	}
 	b.slab = append(b.slab, *in)
-	p := &b.slab[len(b.slab)-1]
-	b.link(k, p)
-	return p, true
+	return &b.slab[len(b.slab)-1]
 }
 
-// link admits a new instance under its key.
-func (b *Base) link(k instKey, in *Instance) {
+// link admits a new instance: id, pattern list, parent's children.
+func (b *Base) link(in *Instance) {
 	in.ID = b.next
 	b.next++
-	b.all[k] = in
 	b.byPat[in.Pattern] = append(b.byPat[in.Pattern], in)
 	if in.Parent != nil {
 		in.Parent.Children = append(in.Parent.Children, in)
@@ -257,24 +254,15 @@ func (b *Base) link(k instKey, in *Instance) {
 func (b *Base) Instances(pattern string) []*Instance { return b.byPat[pattern] }
 
 // Patterns returns the pattern names present, sorted.
-func (b *Base) Patterns() []string {
-	out := make([]string, 0, len(b.byPat))
-	for p := range b.byPat {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
+func (b *Base) Patterns() []string { return slices.Sorted(maps.Keys(b.byPat)) }
 
 // Count returns the total number of instances.
 func (b *Base) Count() int { return int(b.next) }
 
-// Dump returns a canonical textual serialization of the whole base: one
-// line per instance, patterns in sorted order, instances in insertion
-// order, including the sequentially assigned ids and parent ids. Two
-// bases serialize identically exactly when every instance — and the
-// order it was committed in — matches, which is what the differential
-// tests for parallel evaluation pin.
+// Dump returns a canonical serialization of the base: one line per
+// instance with its id and parent id, patterns sorted, instances in
+// insertion order, so two bases dump alike exactly when every instance
+// and its commit order match.
 func (b *Base) Dump() string {
 	var sb strings.Builder
 	for _, p := range b.Patterns() {
@@ -304,8 +292,8 @@ type Design struct {
 	Rename map[string]string
 	// RootName is the document element name (default "lixto").
 	RootName string
-	// KeepText controls whether leaf instances emit their text content
-	// (default true). Patterns listed in SuppressText never emit text.
+	// Leaf instances emit their text content unless their pattern is in
+	// SuppressText.
 	SuppressText map[string]bool
 	// AlwaysText patterns emit their text content even when they have
 	// child instances (useful when a pattern carries both a value and
@@ -318,10 +306,8 @@ type Design struct {
 
 // elementName resolves the output element name of a pattern.
 func (d *Design) elementName(pattern string) string {
-	if d.Rename != nil {
-		if n, ok := d.Rename[pattern]; ok {
-			return n
-		}
+	if n, ok := d.Rename[pattern]; ok {
+		return n
 	}
 	return pattern
 }
@@ -332,50 +318,76 @@ func (d *Design) elementName(pattern string) string {
 // siblings. It seals the base.
 func (d *Design) Transform(b *Base) *xmlenc.Node {
 	b.Seal()
+	return d.render(b, nil)
+}
+
+// render builds the root and document-level elements and emits each
+// document's children into them, through oc when it is not nil.
+func (d *Design) render(b *Base, oc *OutputCache) *xmlenc.Node {
 	rootName := d.RootName
 	if rootName == "" {
 		rootName = "lixto"
 	}
 	root := xmlenc.NewElement(rootName)
 	for _, docInst := range b.Roots {
-		var target *xmlenc.Node
-		if d.Auxiliary[docInst.Pattern] {
-			target = root
-		} else {
-			el := xmlenc.NewElement(d.elementName(docInst.Pattern))
+		target := root
+		if !d.Auxiliary[docInst.Pattern] {
+			target = xmlenc.NewElement(d.elementName(docInst.Pattern))
 			if d.EmitURL && docInst.URL != "" {
-				el.SetAttr("url", docInst.URL)
+				target.SetAttr("url", docInst.URL)
 			}
-			root.Append(el)
-			target = el
+			root.Append(target)
 		}
-		d.emitChildren(docInst, target)
+		d.emitChildren(docInst, target, oc)
 	}
 	return root
 }
 
-// emitChildren emits the child instances of in into the XML element out.
-func (d *Design) emitChildren(in *Instance, out *xmlenc.Node) {
+// emitChildren emits the child instances of in into out, returning the
+// number of output nodes placed. Through an output cache, a subtree
+// emitted last tick is spliced and a fresh one frozen and cached.
+func (d *Design) emitChildren(in *Instance, out *xmlenc.Node, oc *OutputCache) uint64 {
+	var total uint64
 	for _, c := range in.Children {
 		if d.Auxiliary[c.Pattern] {
 			// Tree minor: skip the node, promote its children.
-			d.emitChildren(c, out)
+			total += d.emitChildren(c, out, oc)
 			continue
+		}
+		var key uint64
+		if oc != nil {
+			key = oc.outputHash(c)
+			// Pop the cached subtree, so a *Node is spliced into at most one
+			// position even when identical siblings repeat.
+			if list := oc.prev[key]; len(list) > 0 {
+				sub := list[len(list)-1]
+				oc.prev[key] = list[:len(list)-1]
+				out.Append(sub.el)
+				oc.put(key, sub)
+				oc.reused += sub.nodes
+				total += sub.nodes
+				continue
+			}
 		}
 		el := xmlenc.NewElement(d.elementName(c.Pattern))
 		out.Append(el)
-		d.emitChildren(c, el)
+		nodes := d.emitChildren(c, el, oc) + 1
 		if (len(el.Children) == 0 || d.AlwaysText[c.Pattern]) && !d.SuppressText[c.Pattern] {
 			el.Text = strings.TrimSpace(c.TextContent())
 		}
+		if oc != nil {
+			el.Freeze()
+			oc.put(key, cachedSub{el: el, nodes: nodes})
+			oc.built++
+		}
+		total += nodes
 	}
+	return total
 }
 
 // orderChildren sorts the children, in place and stably, by document
-// order of their first node (string instances keep their relative
-// insertion order, anchored at their parent's position). Evaluation
-// commits one rule's children in document order, so a list is checked
-// first and usually left alone.
+// order of their first node (string instances at their parent's), after
+// checking: evaluation commits one rule's children in that order.
 func orderChildren(in *Instance) {
 	pos := func(c *Instance) int {
 		if len(c.Nodes) > 0 && c.Doc != nil {
@@ -395,9 +407,4 @@ func orderChildren(in *Instance) {
 		}
 		prev = p
 	}
-}
-
-// TransformString is Transform followed by indented serialization.
-func (d *Design) TransformString(b *Base) string {
-	return xmlenc.MarshalIndent(d.Transform(b))
 }

@@ -491,20 +491,16 @@ func etagMatch(header, etag string) bool {
 	return false
 }
 
-// acceptsGzip reports whether the request allows a gzip response.
+// acceptsGzip reports whether the request allows a gzip response: gzip
+// is listed in Accept-Encoding with a qvalue above 0.
 func acceptsGzip(r *http.Request) bool {
-	ae := r.Header.Get("Accept-Encoding")
-	for _, part := range strings.Split(ae, ",") {
-		part = strings.TrimSpace(part)
-		if enc, q, ok := strings.Cut(part, ";"); ok {
-			if strings.TrimSpace(enc) == "gzip" {
-				return strings.TrimSpace(q) != "q=0"
-			}
-		} else if part == "gzip" {
-			return true
+	best := 0.0
+	eachQuality(r.Header.Get("Accept-Encoding"), func(token string, q float64) {
+		if token == "gzip" {
+			best = max(best, q)
 		}
-	}
-	return false
+	})
+	return best > 0
 }
 
 // setReadRouteHeaders emits the content-negotiation headers shared by

@@ -687,19 +687,49 @@ func (s *Server) readPipe(name string) *pipeState {
 	return nil
 }
 
-// wantsJSON reports whether the Accept header prefers JSON over XML.
+// wantsJSON reports whether the Accept header prefers JSON over XML:
+// application/json with a higher qvalue than application/xml and
+// text/xml, or an equal one and listed before them. XML is the default.
 func wantsJSON(r *http.Request) bool {
-	accept := r.Header.Get("Accept")
-	ji := strings.Index(accept, "application/json")
-	if ji < 0 {
-		return false
-	}
-	for _, xml := range []string{"application/xml", "text/xml"} {
-		if xi := strings.Index(accept, xml); xi >= 0 && xi < ji {
-			return false
+	jq, xq := -1.0, -1.0 // the best qvalues; -1 for not listed
+	jsonFirst := false
+	eachQuality(r.Header.Get("Accept"), func(token string, q float64) {
+		switch token {
+		case "application/json":
+			jsonFirst = jsonFirst || xq < 0
+			jq = max(jq, q)
+		case "application/xml", "text/xml":
+			xq = max(xq, q)
+		}
+	})
+	return jq > 0 && (jq > xq || jq == xq && jsonFirst)
+}
+
+// eachQuality calls f with each element of an Accept-style header, its
+// token lowercased, and its qvalue (RFC 9110 §12.4.2: the "q" parameter
+// in any case, 1 when absent). An element whose qvalue is not a number
+// in [0, 1] is skipped.
+func eachQuality(header string, f func(token string, q float64)) {
+	for header != "" {
+		var elem, params string
+		elem, header, _ = strings.Cut(header, ",")
+		elem, params, _ = strings.Cut(elem, ";")
+		q := 1.0
+		for params != "" {
+			var param string
+			param, params, _ = strings.Cut(params, ";")
+			if name, val, _ := strings.Cut(param, "="); strings.EqualFold(strings.TrimSpace(name), "q") {
+				v, err := strconv.ParseFloat(strings.TrimSpace(val), 64)
+				if err != nil || v < 0 || v > 1 {
+					v = -1
+				}
+				q = v
+			}
+		}
+		if elem = strings.ToLower(strings.TrimSpace(elem)); elem != "" && q >= 0 {
+			f(elem, q)
 		}
 	}
-	return true
 }
 
 func (s *Server) handleLatest(w http.ResponseWriter, r *http.Request) {

@@ -99,12 +99,14 @@ func TestDeliverySpliceEncoding(t *testing.T) {
 		Wrappers []struct {
 			Name       string `json:"name"`
 			Extraction struct {
-				SplicedBytes   uint64 `json:"encode_spliced_bytes"`
-				OutputReused   uint64 `json:"output_reused_nodes"`
-				InstancesSame  uint64 `json:"instances_unchanged"`
-				InstancesAdded uint64 `json:"instances_added"`
-				BaseInstances  uint64 `json:"base_instances"`
-				BaseBytes      uint64 `json:"base_bytes"`
+				SplicedBytes   uint64  `json:"encode_spliced_bytes"`
+				OutputReused   uint64  `json:"output_reused_nodes"`
+				InstancesSame  uint64  `json:"instances_unchanged"`
+				InstancesAdded uint64  `json:"instances_added"`
+				Grafted        uint64  `json:"instances_grafted"`
+				Fallbacks      *uint64 `json:"eval_fallbacks"`
+				BaseInstances  uint64  `json:"base_instances"`
+				BaseBytes      uint64  `json:"base_bytes"`
 			} `json:"extraction"`
 		} `json:"wrappers"`
 	}
@@ -123,6 +125,12 @@ func TestDeliverySpliceEncoding(t *testing.T) {
 		}
 		if w.Extraction.OutputReused == 0 || w.Extraction.InstancesSame == 0 {
 			t.Errorf("listing output reuse counters empty: %s", body)
+		}
+		// One row changes per round: the others' names are grafted from
+		// the previous tick's base, and nothing falls back.
+		if w.Extraction.Grafted == 0 || w.Extraction.Fallbacks == nil || *w.Extraction.Fallbacks != 0 {
+			t.Errorf("listing maintenance counters: instances_grafted = %d, eval_fallbacks present and 0 = %v: %s",
+				w.Extraction.Grafted, w.Extraction.Fallbacks != nil && *w.Extraction.Fallbacks == 0, body)
 		}
 		// The retained base: a gauge, and never less than the instances.
 		if n, b := w.Extraction.BaseInstances, w.Extraction.BaseBytes; n == 0 || b < 100*n || b > 400*n {

@@ -585,7 +585,7 @@ func TestV1BatchedFleet(t *testing.T) {
 		listing.MatchCache.Entries == 0 || listing.MatchCache.Bytes < 64*listing.MatchCache.Entries {
 		t.Fatalf("listing match_cache = %+v", listing.MatchCache)
 	}
-	for _, field := range []string{`"evictions"`, `"bytes"`, `"subtree_hits"`, `"reused_nodes"`, `"base_instances"`, `"base_bytes"`} {
+	for _, field := range []string{`"evictions"`, `"bytes"`, `"subtree_hits"`, `"reused_nodes"`, `"instances_grafted"`, `"eval_fallbacks"`, `"base_instances"`, `"base_bytes"`} {
 		if !strings.Contains(body, field) {
 			t.Errorf("listing lacks %s:\n%s", field, body)
 		}
@@ -601,7 +601,8 @@ func TestV1BatchedFleet(t *testing.T) {
 
 	// The same counters appear on /statusz.
 	code, body, _ = do(t, "GET", ts.URL+"/statusz", nil)
-	if code != 200 || !strings.Contains(body, `"match_cache"`) || !strings.Contains(body, `"batch_size"`) || !strings.Contains(body, `"base_bytes"`) {
+	if code != 200 || !strings.Contains(body, `"match_cache"`) || !strings.Contains(body, `"batch_size"`) || !strings.Contains(body, `"base_bytes"`) ||
+		!strings.Contains(body, `"instances_grafted"`) || !strings.Contains(body, `"eval_fallbacks"`) {
 		t.Fatalf("statusz lacks match cache or instance base stats: %d\n%s", code, body)
 	}
 

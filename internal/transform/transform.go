@@ -315,11 +315,19 @@ type ExtractionStats struct {
 	SubtreeMisses uint64 `json:"subtree_misses"`
 	DirtyNodes    uint64 `json:"dirty_nodes"`
 	ReusedNodes   uint64 `json:"reused_nodes"`
+	// Maintenance counters (elog.Evaluator.RunMaintained): the instances
+	// ticks grafted from the previous tick's base instead of deriving
+	// them, and the ticks that derived some of the base on the full path
+	// (a rule that is not parent-local, a document not in document
+	// order, or a previous base of another program or concept base).
+	InstancesGrafted uint64 `json:"instances_grafted"`
+	EvalFallbacks    uint64 `json:"eval_fallbacks"`
 	// Incremental-output counters (cross-tick emitted-subtree reuse):
 	// OutputReusedNodes/OutputBuiltNodes count output XML nodes spliced
 	// from the previous tick's document vs constructed fresh, and
-	// InstancesAdded/Removed/Unchanged the content-addressed instance
-	// delta between consecutive ticks' bases.
+	// InstancesAdded/Removed/Unchanged the instance delta between
+	// consecutive ticks' bases as the maintenance paired them
+	// (pib.OutputStats).
 	OutputReusedNodes  uint64 `json:"output_reused_nodes"`
 	OutputBuiltNodes   uint64 `json:"output_built_nodes"`
 	InstancesAdded     uint64 `json:"instances_added"`
@@ -327,8 +335,9 @@ type ExtractionStats struct {
 	InstancesUnchanged uint64 `json:"instances_unchanged"`
 	// BaseInstances/BaseBytes are gauges, not counters: the instance
 	// count and approximate heap bytes (pib.Base.Bytes, computed once
-	// when the base is sealed) of the instance base the source retains
-	// for the next tick's delta; document trees are not included.
+	// when the base is sealed, plus the output hashes kept beside it) of
+	// the instance base the source retains, which the next tick is
+	// maintained from; document trees are not included.
 	BaseInstances uint64 `json:"base_instances"`
 	BaseBytes     uint64 `json:"base_bytes"`
 	// ParseNS is cumulative time (ns) spent in the fetch+parse layer;
@@ -358,6 +367,8 @@ func (s *ExtractionStats) add(o ExtractionStats) {
 	s.SubtreeMisses += o.SubtreeMisses
 	s.DirtyNodes += o.DirtyNodes
 	s.ReusedNodes += o.ReusedNodes
+	s.InstancesGrafted += o.InstancesGrafted
+	s.EvalFallbacks += o.EvalFallbacks
 	s.OutputReusedNodes += o.OutputReusedNodes
 	s.OutputBuiltNodes += o.OutputBuiltNodes
 	s.InstancesAdded += o.InstancesAdded
@@ -400,6 +411,8 @@ func (s *WrapperSource) ExtractionStats() ExtractionStats {
 	out.SubtreeMisses = inc.SubtreeMisses
 	out.DirtyNodes = inc.DirtyNodes
 	out.ReusedNodes = inc.ReusedNodes
+	out.InstancesGrafted = inc.InstancesGrafted
+	out.EvalFallbacks = inc.EvalFallbacks
 	if s.Batch != nil {
 		out.BatchSize = s.Batch.Attached()
 	}

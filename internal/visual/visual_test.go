@@ -7,6 +7,7 @@ import (
 	"repro/internal/elog"
 	"repro/internal/pib"
 	"repro/internal/web"
+	"repro/internal/xmlenc"
 )
 
 // buildBooksWrapper drives a full visual session on a bestseller page —
@@ -212,7 +213,7 @@ func TestXMLFromVisualWrapper(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}, RootName: "books"}
-	xml := d.TransformString(base)
+	xml := xmlenc.MarshalIndent(d.Transform(base))
 	if strings.Count(xml, "<titlecell>") != 4 || strings.Count(xml, "<price>") != 4 {
 		t.Errorf("xml:\n%s", xml)
 	}

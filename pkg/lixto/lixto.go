@@ -32,6 +32,7 @@ import (
 	"strings"
 	"sync"
 
+	"repro/internal/concepts"
 	"repro/internal/elog"
 	"repro/internal/pib"
 	"repro/internal/xmlenc"
@@ -50,10 +51,19 @@ type Wrapper struct {
 	// outMu guards outCache, the cross-extraction emitted-subtree cache
 	// used when WithIncrementalOutput is on. One transform runs at a
 	// time; concurrent Extracts serialize only their (cheap, dirty-
-	// region-proportional) XML rendering, never the evaluation.
+	// region-proportional) XML rendering, never the evaluation. The
+	// cache's Base, the last base rendered, is the one previous base the
+	// wrapper keeps: the next extraction is maintained from it
+	// (elog.Evaluator.RunMaintained), reading it only, so concurrent
+	// extractions may share it.
 	outMu    sync.Mutex
 	outCache *pib.OutputCache
 }
+
+// builtinConcepts is the concept base of extractions without
+// WithConcepts: one value, so that their bases share an origin and each
+// can be maintained from another.
+var builtinConcepts = concepts.NewBase()
 
 // Compile parses, stratifies, and compiles an Elog program. Options
 // become the wrapper's defaults; Extract accepts per-call overrides.
@@ -217,6 +227,7 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 		return nil, AsError(err)
 	}
 	ev := elog.NewEvaluator(&ctxFetcher{ctx: ctx, inner: f})
+	ev.Concepts = builtinConcepts
 	if cfg.concepts != nil {
 		ev.Concepts = cfg.concepts
 	}
@@ -229,9 +240,20 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 	ev.MaxConcurrency = cfg.concurrency
 	ev.Shared = cfg.batch
 	ev.Incremental = true
+	// Per-call design edits copy-on-write cfg.design, so pointer equality
+	// means the render the output cache was built for.
+	cached := cfg.incrementalOutput && cfg.design == w.cfg.design
 	var base *pib.Base
 	if cfg.cache {
-		base, err = ev.RunCompiled(w.compiled)
+		var prev *pib.Base
+		if cached {
+			w.outMu.Lock()
+			if w.outCache != nil {
+				prev = w.outCache.Base()
+			}
+			w.outMu.Unlock()
+		}
+		base, err = ev.RunMaintained(w.compiled, prev)
 	} else {
 		base, err = ev.Run(w.program)
 	}
@@ -239,9 +261,7 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 		return nil, newError(KindEval, err)
 	}
 	res := &Result{Base: base, design: cfg.design}
-	if cfg.incrementalOutput && cfg.design == w.cfg.design {
-		// Per-call design edits copy-on-write cfg.design, so pointer
-		// equality means the render the cache was built for.
+	if cached {
 		res.w = w
 	}
 	return res, nil
