@@ -42,15 +42,14 @@ type CompiledProgram struct {
 	subHits, subMisses      atomic.Uint64
 	reusedNodes, dirtyNodes atomic.Uint64
 
-	// instances is the last successful evaluation's instance count: the
-	// size hint of the next one's instance base.
-	instances atomic.Int64
+	// instances is the last successful evaluation's instance count, fresh
+	// how many of them it derived rather than grafted: the size hints of
+	// the next one's instance base and dedup table.
+	instances, fresh atomic.Int64
 
 	// rules numbers the rules (pib.Instance.Rule) and marks the
-	// parent-local ones, which a maintained evaluation grafts; nonLocal
-	// names the first other rule that is not an entry rule, "" if none.
-	rules    map[*Rule]ruleInfo
-	nonLocal string
+	// parent-local ones, which a maintained evaluation grafts.
+	rules map[*Rule]ruleInfo
 	// Maintenance counters (see IncrementalStats).
 	grafted, fallbacks atomic.Uint64
 
@@ -74,11 +73,7 @@ func Compile(p *Program) (*CompiledProgram, error) {
 	cp := &CompiledProgram{Program: p, strata: strata, waves: waves, epds: map[*EPD]*compiledEPD{},
 		rules: make(map[*Rule]ruleInfo, len(p.Rules))}
 	for i, r := range p.Rules {
-		why := nonLocal(p, r)
-		cp.rules[r] = ruleInfo{no: uint16(i + 1), local: why == ""}
-		if why != "" && why != entryRule && cp.nonLocal == "" {
-			cp.nonLocal = fmt.Sprintf("rule %d (%s): %s", i+1, r.Head, why)
-		}
+		cp.rules[r] = ruleInfo{no: uint16(i + 1), local: nonLocal(p, r) == ""}
 	}
 	add := func(e *EPD) {
 		if e != nil && cp.epds[e] == nil {
@@ -110,10 +105,6 @@ type ruleInfo struct {
 	local bool
 }
 
-// entryRule is nonLocal's verdict on document(url, S) rules, which run
-// on the freshly fetched document and are no fallback.
-const entryRule = "entry rule"
-
 // nonLocal returns "" when what the rule derives under a parent instance
 // is a function of that instance's subtree alone — monadic datalog over
 // trees derives locally (Gottlob & Koch) — and else the construct that
@@ -141,7 +132,7 @@ func nonLocal(p *Program, r *Rule) string {
 func ownNonLocal(r *Rule) string {
 	switch {
 	case r.DocURL != "":
-		return entryRule
+		return "entry rule"
 	case r.Extract != nil && r.Extract.Kind == GetDocument:
 		return "getDocument"
 	case r.Parent == r.Head:

@@ -127,12 +127,12 @@ func (ev *Evaluator) RunCompiled(cp *CompiledProgram) (*pib.Base, error) {
 // identical to RunCompiled's, Dump and all. prev is only read: any
 // number of evaluations may maintain from it at once.
 //
-// Everything else takes RunCompiled's path: rules that are not
-// parent-local, parents in documents whose ids are not in document
-// order, and every rule when prev was built under another program or
-// concept base. A maintained evaluation that took that path anywhere
-// counts as a fallback (IncrementalStats.EvalFallbacks). A nil prev is
-// RunCompiled.
+// Entry rules run on the freshly fetched documents. Everything else
+// takes RunCompiled's path: the other rules that are not parent-local,
+// parents in documents whose ids are not in document order, and every
+// rule when prev was built under another program or concept base. An
+// evaluation handed a prev that took that path anywhere counts as a
+// fallback (IncrementalStats.EvalFallbacks). A nil prev is RunCompiled.
 func (ev *Evaluator) RunMaintained(cp *CompiledProgram, prev *pib.Base) (*pib.Base, error) {
 	return ev.run(cp.Program, cp, prev)
 }
@@ -188,7 +188,7 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base) (*pib.
 	case cp == nil:
 		r.base = pib.NewBase()
 	case prev != nil && prev.Origin == any(origin{cp, ev.Concepts}):
-		r.base, r.maintained, r.fellBack = pib.NewBaseFrom(prev), true, cp.nonLocal != ""
+		r.base, r.maintained = pib.NewBaseFrom(prev, int(cp.fresh.Load())), true
 	default:
 		r.base, r.fellBack = pib.NewBaseSize(int(cp.instances.Load())), prev != nil
 	}
@@ -236,6 +236,7 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base) (*pib.
 	}
 	if cp != nil {
 		cp.instances.Store(int64(r.base.Count()))
+		cp.fresh.Store(int64(r.base.Count() - r.grafted))
 		cp.grafted.Add(uint64(r.grafted))
 		if r.fellBack {
 			cp.fallbacks.Add(1)
@@ -403,6 +404,8 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 			if r.maintained {
 				jb.from = r.counterparts(parents)
 			}
+		} else if len(parents) > 0 && r.maintained {
+			r.fellBack = true
 		}
 		if jb.parents = parents; len(parents) > 0 {
 			jobs = append(jobs, jb)
@@ -523,6 +526,7 @@ func (r *runner) runSerial(rule *Rule) (bool, error) {
 		parents = []*pib.Instance{in}
 	} else {
 		parents = r.base.Instances(rule.Parent)
+		r.fellBack = r.fellBack || r.maintained && len(parents) > 0
 	}
 	if rule.Extract != nil && rule.Extract.Kind == GetDocument {
 		// Open the crawl frontier: every URL this rule is

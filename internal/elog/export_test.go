@@ -1,6 +1,7 @@
 package elog
 
 import (
+	"fmt"
 	"runtime"
 
 	"repro/internal/pib"
@@ -41,7 +42,14 @@ func (ev *Evaluator) RunNaive(p *Program, cp *CompiledProgram) (*pib.Base, error
 	return r.base, nil
 }
 
-// NonLocal is the compiled program's fallback report: the first rule,
-// other than an entry rule, that a maintained evaluation cannot graft,
-// and why ("" when it grafts every one).
-func (cp *CompiledProgram) NonLocal() string { return cp.nonLocal }
+// NonLocal is the program's fallback report: the first rule, other than
+// an entry rule (they run on the fetched page), that a maintained
+// evaluation cannot graft, and why ("" when it grafts every other one).
+func (cp *CompiledProgram) NonLocal() string {
+	for i, r := range cp.Program.Rules {
+		if why := nonLocal(cp.Program, r); why != "" && r.DocURL == "" {
+			return fmt.Sprintf("rule %d (%s): %s", i+1, r.Head, why)
+		}
+	}
+	return ""
+}

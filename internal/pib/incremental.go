@@ -1,9 +1,7 @@
-// Incremental maintenance and output: a base maintained from the
-// previous tick's pairs its instances with their counterparts there by
-// content (ContentHash, over dom.Tree's merkle subtree fingerprints), and
-// Design.TransformIncremental splices the previous tick's frozen output
-// for every subtree whose output hash is unchanged. (fnv64: the collision
-// risk match reuse accepts; differential tests pin identical output.)
+// Incremental maintenance and output: a maintained base pairs instances
+// with the previous tick's by content (ContentHash, fnv64 over dom.Tree's
+// merkle subtree fingerprints), and TransformIncremental splices the
+// previous tick's frozen output for every unchanged subtree.
 
 package pib
 
@@ -106,12 +104,13 @@ type pairing struct {
 }
 
 // NewBaseFrom returns an empty base maintained from prev, a sealed base
-// of the same program over earlier documents: Graft copies prev's
+// of the same program over earlier documents, its dedup table sized for
+// about fresh derived (not grafted) instances: Graft copies prev's
 // derivations into it, Counterpart pairs its instances with prev's, and
 // a TransformIncremental through the OutputCache whose Base is prev
 // reuses the paired subtrees' output and counts the delta from the pairs.
-func NewBaseFrom(prev *Base) *Base {
-	b := &Base{all: map[instKey]*Instance{}, ids: map[string]uint32{}, byPat: make(map[string][]*Instance, len(prev.byPat)),
+func NewBaseFrom(prev *Base, fresh int) *Base {
+	b := &Base{all: make(map[instKey]*Instance, fresh), ids: map[string]uint32{}, byPat: make(map[string][]*Instance, len(prev.byPat)),
 		hint: prev.Count(), pairs: newPairing(prev)}
 	for p, list := range prev.byPat {
 		b.byPat[p] = make([]*Instance, 0, len(list))
@@ -166,10 +165,9 @@ func (b *Base) Counterpart(in *Instance) *Instance {
 	return list[0]
 }
 
-// Graft adds a copy of src, a child of parent's counterpart, under
-// parent, paired with src: its nodes shifted by parent's offset from the
-// counterpart (in document-ordered trees a subtree moves as one block).
-// The caller guarantees what Add would check: no instance equals it.
+// Graft adds under parent a copy of src, a child of parent's counterpart,
+// paired with src, its nodes shifted by parent's offset (in a document-
+// ordered tree a subtree moves as one block). No instance may equal it.
 func (b *Base) Graft(parent, src *Instance) *Instance {
 	in := b.alloc(&Instance{Pattern: src.Pattern, URL: parent.URL, Text: src.Text, Doc: parent.Doc,
 		Parent: parent, Kind: src.Kind, Rule: src.Rule})
@@ -190,7 +188,7 @@ func (b *Base) Graft(parent, src *Instance) *Instance {
 // cut returns an empty slice with room for n, taken from the slab s.
 func cut[T any](s *[]T, n int) []T {
 	if cap(*s)-len(*s) < n {
-		*s = make([]T, 0, max(1024, n))
+		*s = make([]T, 0, max(64, n))
 	}
 	*s = (*s)[:len(*s)+n]
 	return (*s)[len(*s)-n : len(*s)-n : len(*s)]
@@ -222,8 +220,7 @@ func Diff(prev, cur *Base) Delta {
 	return d
 }
 
-// cachedSub is a reusable emitted subtree: its frozen element and size.
-type cachedSub struct {
+type cachedSub struct { // a reusable emitted subtree: its frozen element and size
 	el    *xmlenc.Node
 	nodes uint64
 }
@@ -308,7 +305,7 @@ func (d *Design) TransformIncremental(b *Base, oc *OutputCache) *xmlenc.Node {
 		oc.unchangedCnt += uint64(paired)
 	}
 	oc.oHash = make([]uint64, n)
-	oc.next, oc.slab = make(map[uint64][]cachedSub, len(oc.prev)+8), nil
+	oc.next, oc.slab = make(map[uint64][]cachedSub, len(oc.prev)+8), make([]cachedSub, 0, len(oc.prev)+8)
 
 	root := d.render(b, oc)
 	oc.prev, oc.next, oc.pairs = oc.next, nil, nil

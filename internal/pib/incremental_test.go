@@ -35,7 +35,7 @@ func buildBaseFrom(t *testing.T, prev *Base, n int, tag string) *Base {
 	doc.Reindex()
 	b := NewBase()
 	if prev != nil {
-		b = NewBaseFrom(prev)
+		b = NewBaseFrom(prev, 0)
 	}
 	root, _ := b.Add(&Instance{Pattern: "document", Kind: DocumentInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{doc.Root()}})
 	list, _ := b.Add(&Instance{Pattern: "list", Kind: NodeInstance, Doc: doc, URL: "u", Nodes: []dom.NodeID{doc.FirstChild(doc.FirstChild(doc.Root()))}, Parent: root})
@@ -219,7 +219,7 @@ func TestTransformIncrementalGrowShrink(t *testing.T) {
 func randomBase(rng *rand.Rand, prev *Base, n int) *Base {
 	b := NewBase()
 	if prev != nil {
-		b = NewBaseFrom(prev)
+		b = NewBaseFrom(prev, 0)
 	}
 	if n == 0 {
 		return b

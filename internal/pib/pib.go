@@ -144,8 +144,7 @@ type Base struct {
 	bytes int
 	// pairs is the counterpart index of a maintained base (NewBaseFrom).
 	pairs *pairing
-	// Origin identifies what derived the base (the evaluator sets it): a
-	// base is maintained only from a previous one of equal Origin.
+	// Origin is what derived the base; bases maintain from equal Origins.
 	Origin any
 }
 
@@ -209,24 +208,29 @@ func (b *Base) table() map[instKey]*Instance {
 // Add inserts an instance (deduplicating) and returns the canonical
 // instance plus whether it was new. Parent links are fixed at insert;
 // the instance is appended to its parent's children in insertion order.
-func (b *Base) Add(in *Instance) (*Instance, bool) { return b.add(in, false) }
-
-// AddCopy is Add for a scratch instance the caller keeps: a new
-// instance is copied into the base's slab, a duplicate costs nothing.
-func (b *Base) AddCopy(in *Instance) (*Instance, bool) { return b.add(in, true) }
-
-func (b *Base) add(in *Instance, copy bool) (*Instance, bool) {
+func (b *Base) Add(in *Instance) (*Instance, bool) {
 	all := b.table()
 	k := b.key(in)
 	if prev, ok := all[k]; ok {
 		return prev, false
 	}
-	if copy {
-		in = b.alloc(in)
-	}
 	all[k] = in
 	b.link(in)
 	return in, true
+}
+
+// AddCopy is Add for a scratch instance the caller keeps: a new
+// instance is copied into the base's slab, a duplicate costs nothing.
+func (b *Base) AddCopy(in *Instance) (*Instance, bool) {
+	all := b.table()
+	k := b.key(in)
+	if prev, ok := all[k]; ok {
+		return prev, false
+	}
+	p := b.alloc(in)
+	all[k] = p
+	b.link(p)
+	return p, true
 }
 
 // alloc copies an instance into the slab.
@@ -357,8 +361,7 @@ func (d *Design) emitChildren(in *Instance, out *xmlenc.Node, oc *OutputCache) u
 		var key uint64
 		if oc != nil {
 			key = oc.outputHash(c)
-			// Pop the cached subtree, so a *Node is spliced into at most one
-			// position even when identical siblings repeat.
+			// Pop it: a *Node goes to one position, even among equal siblings.
 			if list := oc.prev[key]; len(list) > 0 {
 				sub := list[len(list)-1]
 				oc.prev[key] = list[:len(list)-1]
