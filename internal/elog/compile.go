@@ -73,7 +73,9 @@ func Compile(p *Program) (*CompiledProgram, error) {
 	cp := &CompiledProgram{Program: p, strata: strata, waves: waves, epds: map[*EPD]*compiledEPD{},
 		rules: make(map[*Rule]ruleInfo, len(p.Rules))}
 	for i, r := range p.Rules {
-		cp.rules[r] = ruleInfo{no: uint16(i + 1), local: nonLocal(p, r) == ""}
+		// Instance.Rule numbers at most 65 535 rules; a larger program
+		// (none is that large) would not graft.
+		cp.rules[r] = ruleInfo{no: uint16(i + 1), local: nonLocal(p, r) == "" && len(p.Rules) < 1<<16}
 	}
 	add := func(e *EPD) {
 		if e != nil && cp.epds[e] == nil {
