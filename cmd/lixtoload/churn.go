@@ -165,7 +165,12 @@ func (c *churner) report() {
 				SubtreeMisses uint64 `json:"subtree_misses"`
 				DirtyNodes    uint64 `json:"dirty_nodes"`
 				ReusedNodes   uint64 `json:"reused_nodes"`
-				EvalNS        uint64 `json:"eval_ns"`
+				// Maintenance counters.
+				InstancesGrafted   uint64 `json:"instances_grafted"`
+				EvalFallbacks      uint64 `json:"eval_fallbacks"`
+				InstancesUnchanged uint64 `json:"instances_unchanged"`
+				InstancesAdded     uint64 `json:"instances_added"`
+				EvalNS             uint64 `json:"eval_ns"`
 			} `json:"extraction"`
 		} `json:"wrappers"`
 		MatchCache *struct {
@@ -188,6 +193,10 @@ func (c *churner) report() {
 			fmt.Printf("server incremental: %.1f%% of context nodes reused across versions\n",
 				100*float64(e.ReusedNodes)/float64(total))
 		}
+		// Unchanged rows are grafted from the previous tick's base, so
+		// they never reach the subtree match cache counted above.
+		fmt.Printf("server maintenance: instances_grafted=%d eval_fallbacks=%d instances_unchanged=%d instances_added=%d\n",
+			e.InstancesGrafted, e.EvalFallbacks, e.InstancesUnchanged, e.InstancesAdded)
 	}
 	if listing.MatchCache != nil {
 		fmt.Printf("server match cache: %d entries, %d evictions\n",
