@@ -1,7 +1,6 @@
 // Incremental maintenance and output: a maintained base pairs instances
-// with the previous tick's by content (ContentHash, fnv64 over dom.Tree's
-// merkle subtree fingerprints), and TransformIncremental splices the
-// previous tick's frozen output for every unchanged subtree.
+// with the previous tick's by content (ContentHash, over dom.Tree's merkle
+// fingerprints); TransformIncremental splices unchanged subtrees' output.
 
 package pib
 
@@ -90,25 +89,22 @@ func (oc *OutputCache) outputHash(in *Instance) uint64 {
 	return h
 }
 
-// pairing is a maintained base's counterpart index, pairing instances
-// one-to-one with prev's: a grafted copy with the one it copies, any
-// other on first ask with an unpaired one of equal ContentHash.
+// pairing pairs a maintained base's instances one-to-one with prev's: a
+// graft with the one it copies, others on ask by equal ContentHash.
 type pairing struct {
 	prev *Base
 	of   []*Instance // counterpart by id
 	used []bool      // paired instances of prev, by id
-	// byHash holds prev's unpaired instances of the indexed patterns.
-	byHash  map[uint64][]*Instance
-	indexed map[string]bool
-	n       int // instances paired
+	// byHash holds, per pattern asked about, prev's unpaired instances.
+	byHash map[string]map[uint64][]*Instance
+	n      int // instances paired
 }
 
 // NewBaseFrom returns an empty base maintained from prev, a sealed base
 // of the same program over earlier documents, its dedup table sized for
-// about fresh derived (not grafted) instances: Graft copies prev's
+// about fresh derived (not grafted) instances. Graft copies prev's
 // derivations into it, Counterpart pairs its instances with prev's, and
-// a TransformIncremental through the OutputCache whose Base is prev
-// reuses the paired subtrees' output and counts the delta from the pairs.
+// TransformIncremental through the cache whose Base is prev uses both.
 func NewBaseFrom(prev *Base, fresh int) *Base {
 	b := &Base{all: make(map[instKey]*Instance, fresh), ids: map[string]uint32{}, byPat: make(map[string][]*Instance, len(prev.byPat)),
 		hint: prev.Count(), pairs: newPairing(prev)}
@@ -120,7 +116,7 @@ func NewBaseFrom(prev *Base, fresh int) *Base {
 
 func newPairing(prev *Base) *pairing {
 	return &pairing{prev: prev, of: make([]*Instance, prev.Count()), used: make([]bool, prev.Count()),
-		byHash: map[uint64][]*Instance{}, indexed: map[string]bool{}}
+		byHash: map[string]map[uint64][]*Instance{}}
 }
 
 // pair records c, an instance of the previous base, as in's counterpart.
@@ -143,24 +139,28 @@ func (b *Base) Counterpart(in *Instance) *Instance {
 	if int(in.ID) < len(p.of) && p.of[in.ID] != nil {
 		return p.of[in.ID]
 	}
-	if !p.indexed[in.Pattern] {
-		p.indexed[in.Pattern] = true
-		for _, c := range p.prev.byPat[in.Pattern] {
-			if !p.used[c.ID] {
-				h := c.ContentHash()
-				p.byHash[h] = append(p.byHash[h], c)
+	idx := p.byHash[in.Pattern]
+	if idx == nil {
+		prev := p.prev.byPat[in.Pattern]
+		idx = make(map[uint64][]*Instance, len(prev))
+		for i, c := range prev {
+			if h := c.ContentHash(); !p.used[c.ID] && idx[h] == nil {
+				idx[h] = prev[i : i+1 : i+1] // no allocation for a hash's first instance
+			} else if !p.used[c.ID] {
+				idx[h] = append(idx[h], c)
 			}
 		}
+		p.byHash[in.Pattern] = idx
 	}
 	h := in.ContentHash()
-	list := p.byHash[h]
+	list := idx[h]
 	for len(list) > 0 && p.used[list[0].ID] {
 		list = list[1:]
 	}
 	if len(list) == 0 {
 		return nil
 	}
-	p.byHash[h] = list[1:]
+	idx[h] = list[1:]
 	p.pair(in, list[0])
 	return list[0]
 }
