@@ -1,24 +1,19 @@
-// Package repro's root benchmark suite: one benchmark per experiment of
-// EXPERIMENTS.md (E1–E17), each regenerating the measurement behind one
-// figure or theorem of the paper. Finer-grained parameter sweeps live
-// next to their packages (internal/*/..._test.go); these root benches
-// are the one-stop `go test -bench=.` entry point.
+// Package repro's root benchmark suite: one benchmark per claim of the
+// PODS 2004 paper (E01–E17; E18, compiled Elog, is BenchmarkE08's three
+// variants), each regenerating the measurement behind one figure or
+// theorem. Where the claim is a scaling law the benchmark sweeps its
+// parameter as sub-benchmarks and reports the per-unit column (ns/node,
+// ns/rule, ns/step, ns/edge, ns/item) beside ns/op, so the shape reads
+// off `go test -bench=. -run='^$' .`. Finer-grained sweeps live next to
+// their packages (internal/*/..._test.go). The service's benchmark is
+// lixtobench (`bash bench/run.sh`, see bench/README.md).
 package repro_test
 
 import (
-	"bufio"
-	"context"
 	"fmt"
 	"math/rand"
-	"net/http"
-	"net/http/httptest"
-	"strconv"
 	"strings"
-	"sync"
-	"sync/atomic"
 	"testing"
-
-	"time"
 
 	"repro/internal/apps"
 	"repro/internal/automata"
@@ -26,19 +21,19 @@ import (
 	"repro/internal/datalog"
 	"repro/internal/dom"
 	"repro/internal/elog"
-	"repro/internal/fetchcache"
 	"repro/internal/htmlparse"
 	"repro/internal/mdatalog"
 	"repro/internal/pib"
-	"repro/internal/resultlog"
-	"repro/internal/server"
-	"repro/internal/transform"
 	"repro/internal/visual"
 	"repro/internal/web"
-	"repro/internal/xmlenc"
 	"repro/internal/xpath"
-	"repro/pkg/lixto"
 )
+
+// reportPer adds a series' per-unit column: the time per op divided by
+// the units (nodes, rules, query steps, ...) one op processes.
+func reportPer(b *testing.B, units int, unit string) {
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(units), "ns/"+unit)
+}
 
 // BenchmarkE01_Figure1_TreeEncoding: unranked tree <-> binary
 // firstchild/nextsibling encoding round trip (Figure 1).
@@ -55,18 +50,31 @@ func BenchmarkE01_Figure1_TreeEncoding(b *testing.B) {
 }
 
 // BenchmarkE02_Theorem24_LinearEvaluation: monadic datalog over trees in
-// O(|P|·|dom|) — one representative point of the sweep in
-// internal/mdatalog.
+// O(|P|·|dom|). The dom-N sweep holds the program and grows the tree
+// (ns/node stays flat); the rules-N sweep holds the tree and grows the
+// program (ns/rule stays flat).
 func BenchmarkE02_Theorem24_LinearEvaluation(b *testing.B) {
+	eval := func(b *testing.B, p *datalog.Program, tr *dom.Tree) {
+		for i := 0; i < b.N; i++ {
+			if _, err := mdatalog.Eval(p, tr); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	p := mdatalog.ItalicProgram()
-	for _, size := range []int{2000, 8000, 32000} {
+	for _, size := range []int{2000, 4000, 8000, 16000, 32000} {
 		tr := dom.RandomTree(rand.New(rand.NewSource(2)), size, []string{"a", "i", "b"}, 6)
 		b.Run(fmt.Sprintf("dom-%d", size), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := mdatalog.Eval(p, tr); err != nil {
-					b.Fatal(err)
-				}
-			}
+			eval(b, p, tr)
+			reportPer(b, tr.Size(), "node")
+		})
+	}
+	tr := dom.RandomTree(rand.New(rand.NewSource(2)), 4000, []string{"a", "b", "c"}, 6)
+	for _, n := range []int{8, 16, 32, 64, 128} {
+		p := mdatalog.RandomProgram(rand.New(rand.NewSource(1)), 4, n, []string{"a", "b", "c"})
+		b.Run(fmt.Sprintf("rules-%d", n), func(b *testing.B) {
+			eval(b, p, tr)
+			reportPer(b, n, "rule")
 		})
 	}
 }
@@ -197,11 +205,12 @@ currency(S, X) <- price(_, S), subtext(S, \var[Y], X), isCurrency(Y)
 // BenchmarkE08_Figure5_EbayWrapper: the complete Figure 5 program on a
 // generated listing — the seed interpreter against the compiled bitset
 // execution (elog.Compile), cold and with a warm fingerprint-keyed
-// match cache (the continuous-wrapping server path).
+// match cache (the continuous-wrapping server path). This is E18.
 func BenchmarkE08_Figure5_EbayWrapper(b *testing.B) {
+	const items = 100
 	sim := web.New()
-	site := web.NewAuctionSite(8, 100)
-	site.PageSize = 100
+	site := web.NewAuctionSite(8, items)
+	site.PageSize = items
 	site.Register(sim, "www.ebay.com")
 	page, err := sim.Fetch("www.ebay.com/")
 	if err != nil {
@@ -214,7 +223,7 @@ func BenchmarkE08_Figure5_EbayWrapper(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(base.Instances("record")) != 100 {
+		if len(base.Instances("record")) != items {
 			b.Fatalf("records = %d", len(base.Instances("record")))
 		}
 	}
@@ -223,12 +232,14 @@ func BenchmarkE08_Figure5_EbayWrapper(b *testing.B) {
 			base, err := elog.NewEvaluator(fetch).Run(prog)
 			checkRun(b, base, err)
 		}
+		reportPer(b, items, "item")
 	})
 	b.Run("compiled-cold", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			base, err := elog.NewEvaluator(fetch).RunCompiled(elog.MustCompile(prog))
 			checkRun(b, base, err)
 		}
+		reportPer(b, items, "item")
 	})
 	b.Run("compiled-cached", func(b *testing.B) {
 		cp := elog.MustCompile(prog)
@@ -239,34 +250,15 @@ func BenchmarkE08_Figure5_EbayWrapper(b *testing.B) {
 			base, err := elog.NewEvaluator(fetch).RunCompiled(cp)
 			checkRun(b, base, err)
 		}
+		reportPer(b, items, "item")
 	})
 }
 
-// BenchmarkE09_CoreXPathLinear: Core XPath combined complexity (one
-// representative point; sweeps in internal/xpath).
-func BenchmarkE09_CoreXPathLinear(b *testing.B) {
+// deepDivs parses depth nested <div><span>x</span>…</div> levels: the
+// document of the Core XPath sweeps.
+func deepDivs(depth int) *dom.Tree {
 	var sb strings.Builder
 	sb.WriteString("<html><body>")
-	for i := 0; i < 300; i++ {
-		sb.WriteString("<div><span>x</span><div><span>y</span></div></div>")
-	}
-	sb.WriteString("</body></html>")
-	tr := htmlparse.Parse(sb.String())
-	q := xpath.MustParse("//div[span and not(b)]//span")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := xpath.EvalCore(q, tr, nil); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkE10_Theorem41_NaiveVsPolynomial: the exponential naive
-// evaluator vs the linear one on the pathological //div chains.
-func BenchmarkE10_Theorem41_NaiveVsPolynomial(b *testing.B) {
-	var sb strings.Builder
-	sb.WriteString("<html><body>")
-	depth := 12
 	for i := 0; i < depth; i++ {
 		sb.WriteString("<div><span>x</span>")
 	}
@@ -274,60 +266,109 @@ func BenchmarkE10_Theorem41_NaiveVsPolynomial(b *testing.B) {
 		sb.WriteString("</div>")
 	}
 	sb.WriteString("</body></html>")
-	tr := htmlparse.Parse(sb.String())
-	q := xpath.MustParse("//div//div//div//div")
-	b.Run("naive-exponential", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xpath.EvalNaive(q, tr, nil); err != nil {
-				b.Fatal(err)
+	return htmlparse.Parse(sb.String())
+}
+
+// BenchmarkE09_CoreXPathLinear: Core XPath in O(|D|·|Q|) combined
+// complexity; over the dom-N sweep ns/node stays flat.
+func BenchmarkE09_CoreXPathLinear(b *testing.B) {
+	q := xpath.MustParse("//div[span and not(b)]//span")
+	for _, depth := range []int{100, 200, 400, 800} {
+		tr := deepDivs(depth)
+		b.Run(fmt.Sprintf("dom-%d", tr.Size()), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := xpath.EvalCore(q, tr, nil); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("linear", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := xpath.EvalCore(q, tr, nil); err != nil {
-				b.Fatal(err)
+			reportPer(b, tr.Size(), "node")
+		})
+	}
+}
+
+// BenchmarkE10_Theorem41_NaiveVsPolynomial: //div//…//div queries of
+// steps-k steps on a 14-deep div chain. The naive evaluator is
+// exponential in |Q|; the linear (set-at-a-time) and full (context-value
+// table) evaluators stay polynomial.
+func BenchmarkE10_Theorem41_NaiveVsPolynomial(b *testing.B) {
+	tr := deepDivs(14)
+	for _, e := range []struct {
+		name string
+		eval func(*xpath.Path, *dom.Tree, []dom.NodeID) ([]dom.NodeID, error)
+	}{
+		{"naive-exponential", xpath.EvalNaive},
+		{"linear", xpath.EvalCore},
+		{"full-cvt", xpath.EvalFull},
+	} {
+		b.Run(e.name, func(b *testing.B) {
+			for _, k := range []int{2, 3, 4, 5} {
+				q := xpath.MustParse("//div" + strings.Repeat("//div", k-1))
+				b.Run(fmt.Sprintf("steps-%d", k), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := e.eval(q, tr, nil); err != nil {
+							b.Fatal(err)
+						}
+					}
+					reportPer(b, k, "step")
+				})
 			}
+		})
+	}
+}
+
+// cqChain is a conjunctive query x0 -a1-> x1 -a2-> … -ak-> xk whose
+// edge axes alternate between Child and alt.
+func cqChain(k int, alt cq.Axis) *cq.Query {
+	q := &cq.Query{NumVars: k + 1}
+	for i := 0; i < k; i++ {
+		ax := cq.Child
+		if i%2 == 1 {
+			ax = alt
 		}
-	})
+		q.Edges = append(q.Edges, cq.EdgeAtom{Axis: ax, X: cq.Var(i), Y: cq.Var(i + 1)})
+	}
+	return q
 }
 
 // BenchmarkE11_CQDichotomy: tractable vs NP-hard axis sets (Section 4,
-// [18]); sweeps in internal/cq.
+// [18]) over edges-k chains. The NP-hard side mixes Child with Child+
+// and, with an unsatisfiable last label, searches every embedding: its
+// time blows up in |Q|. The poly side (Child with NextSibling*) stays
+// polynomial. Sweeps over more axis sets in internal/cq.
 func BenchmarkE11_CQDichotomy(b *testing.B) {
 	tr := dom.RandomTree(rand.New(rand.NewSource(11)), 250, []string{"a"}, 2)
-	hard := &cq.Query{NumVars: 7, Free: -1}
-	for i := 0; i < 6; i++ {
-		ax := cq.Child
-		if i%2 == 1 {
-			ax = cq.ChildPlus
+	hard := func(k int) *cq.Query {
+		q := cqChain(k, cq.ChildPlus)
+		q.Free = -1
+		for i := 0; i < k; i++ {
+			q.Labels = append(q.Labels, cq.LabelAtom{X: cq.Var(i), Label: "a"})
 		}
-		hard.Edges = append(hard.Edges, cq.EdgeAtom{Axis: ax, X: cq.Var(i), Y: cq.Var(i + 1)})
-		hard.Labels = append(hard.Labels, cq.LabelAtom{X: cq.Var(i), Label: "a"})
+		q.Labels = append(q.Labels, cq.LabelAtom{X: cq.Var(k), Label: "zz"}) // unsatisfiable: full search
+		return q
 	}
-	hard.Labels = append(hard.Labels, cq.LabelAtom{X: 6, Label: "zz"}) // unsatisfiable: full search
-	easy := &cq.Query{NumVars: 7, Free: 0}
-	for i := 0; i < 6; i++ {
-		ax := cq.Child
-		if i%2 == 1 {
-			ax = cq.NextSiblingStar
-		}
-		easy.Edges = append(easy.Edges, cq.EdgeAtom{Axis: ax, X: cq.Var(i), Y: cq.Var(i + 1)})
+	easy := func(k int) *cq.Query { return cqChain(k, cq.NextSiblingStar) }
+	for _, side := range []struct {
+		name  string
+		query func(int) *cq.Query
+		eval  func(*cq.Query, *dom.Tree) ([]dom.NodeID, error)
+	}{
+		{"nphard-side", hard, cq.EvalGeneric},
+		{"poly-side", easy, cq.EvalAcyclic},
+	} {
+		b.Run(side.name, func(b *testing.B) {
+			for _, k := range []int{2, 4, 6, 8} {
+				q := side.query(k)
+				b.Run(fmt.Sprintf("edges-%d", k), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, err := side.eval(q, tr); err != nil {
+							b.Fatal(err)
+						}
+					}
+					reportPer(b, k, "edge")
+				})
+			}
+		})
 	}
-	b.Run("nphard-side", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cq.EvalGeneric(hard, tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("poly-side", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := cq.EvalAcyclic(easy, tr); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 }
 
 // BenchmarkE12_Theorem46_XPathToTMNF: translate Core XPath to TMNF and
@@ -422,132 +463,6 @@ func BenchmarkE17_PowerTrading(b *testing.B) {
 	}
 }
 
-// BenchmarkE20_SharedFetchLayer: a fleet of 1000 wrapper sources
-// monitoring 50 shared pages, polled one full round per iteration —
-// per-wrapper fetching (every source fetches and parses its page
-// privately, the pre-PR-5 behaviour) vs the shared fetch/document
-// layer (one fetch+parse per page per freshness window, all sources
-// sharing the parsed tree).
-func BenchmarkE20_SharedFetchLayer(b *testing.B) {
-	const nWrappers, nPages = 1000, 50
-	newSim := func() *web.Web {
-		sim := web.New()
-		for p := 0; p < nPages; p++ {
-			sim.SetStatic(fmt.Sprintf("fleet.example.com/p%d", p),
-				fmt.Sprintf(`<html><body><table><tr><td class="t">item %d</td></tr><tr><td class="t">more %d</td></tr></table></body></html>`, p, p))
-		}
-		return sim
-	}
-	run := func(b *testing.B, cache *fetchcache.Cache) {
-		sim := newSim()
-		design := &pib.Design{Auxiliary: map[string]bool{"document": true}}
-		srcs := make([]*transform.WrapperSource, nWrappers)
-		for i := range srcs {
-			srcs[i] = &transform.WrapperSource{
-				CompName: fmt.Sprintf("w%d", i),
-				Fetcher:  sim,
-				Wrapper: lixto.MustCompile(fmt.Sprintf(
-					`it(S, X) <- document("fleet.example.com/p%d", S), subelem(S, (?.td, [(class, t, exact)]), X)`, i%nPages), lixto.WithDesign(design)),
-				Shared: cache,
-			}
-		}
-		// Warm round: populate the caches.
-		for _, s := range srcs {
-			if _, err := s.Poll(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for _, s := range srcs {
-				if _, err := s.Poll(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-	}
-	b.Run("private", func(b *testing.B) { run(b, nil) })
-	b.Run("shared", func(b *testing.B) { run(b, fetchcache.New(nPages*2, time.Hour)) })
-}
-
-// BenchmarkE21_BatchedFleetExtraction: 100 wrappers stamped from one
-// template, all monitoring the same page, whose content churns every
-// round (so no fingerprint cache can short-circuit whole polls). The
-// per-wrapper configuration fetches, parses and pattern-matches
-// privately — 100 parses and 100 match computations per round. The
-// batched configuration shares one fetch/document cache and one
-// fleet-shared match cache, so a round costs about one parse plus one
-// warmed match cache, with the other 99 wrappers answering their
-// matches from the shared table.
-func BenchmarkE21_BatchedFleetExtraction(b *testing.B) {
-	const nWrappers = 100
-	const url = "fleet.example.com/board"
-	page := func(round int) string {
-		var sb strings.Builder
-		sb.WriteString("<html><body><table>")
-		for r := 0; r < 400; r++ {
-			tag := ""
-			if r%50 == 0 {
-				tag = "DEAL "
-			}
-			fmt.Fprintf(&sb, `<tr class="row"><td class="name">%sitem %d (round %d)</td><td class="price">$ %d</td></tr>`, tag, r, round, r*3+round)
-		}
-		sb.WriteString("</table></body></html>")
-		return sb.String()
-	}
-	// Match-heavy, output-light: the regexp condition scans the text of
-	// every row, but only a handful of rows are extracted — the shape of
-	// a monitoring wrapper, and the work the shared match cache elides.
-	prog := fmt.Sprintf(`
-page(S, X) <- document(%q, S), subelem(S, .body, X)
-row(S, X) <- page(_, S), subelem(S, (?.tr, [(elementtext, .*DEAL.*, regexp)]), X)
-name(S, X) <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
-price(S, X) <- row(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
-`, url)
-	design := &pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}}
-	run := func(b *testing.B, batched bool) {
-		round := 0
-		sim := web.New()
-		sim.SetPage(url, func() string { return page(round) })
-		var mc *elog.MatchCache
-		var cache *fetchcache.Cache
-		if batched {
-			mc = elog.NewMatchCache()
-			cache = fetchcache.New(4, time.Hour)
-		}
-		srcs := make([]*transform.WrapperSource, nWrappers)
-		for i := range srcs {
-			srcs[i] = &transform.WrapperSource{
-				CompName: fmt.Sprintf("w%d", i),
-				Fetcher:  sim,
-				Wrapper:  lixto.MustCompile(prog, lixto.WithDesign(design)),
-				Shared:   cache,
-				Batch:    mc,
-			}
-		}
-		pollRound := func() {
-			// One freshness window per round: the batched fleet shares
-			// one fetch+parse of the churned page.
-			if cache != nil {
-				cache.Flush()
-			}
-			for _, s := range srcs {
-				if _, err := s.Poll(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}
-		pollRound() // warm round: populate the match caches
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			round++
-			pollRound()
-		}
-	}
-	b.Run("per-wrapper", func(b *testing.B) { run(b, false) })
-	b.Run("batched", func(b *testing.B) { run(b, true) })
-}
-
 // BenchmarkWrapperToXML measures the full extract+transform path used by
 // every application, on a large page.
 func BenchmarkWrapperToXML(b *testing.B) {
@@ -614,254 +529,37 @@ func TestRootCrossEngineSanity(t *testing.T) {
 	}
 }
 
-// BenchmarkE22_WatchFanout: the encode-once delivery plane under a
-// subscriber fleet. A wrapper whose document changes every tick is
-// watched by 100 SSE subscribers; each iteration is one changed tick
-// delivered end to end — encode once, fan the shared bytes out, and
-// every subscriber holds the event. Compare with "poll": the same tick
-// consumed by 100 conditional-GET pollers, i.e. 100 independent reads
-// against the same snapshot.
-func BenchmarkE22_WatchFanout(b *testing.B) {
-	const nReaders = 100
-	tick := 0
-	out := &transform.Collector{CompName: "hot"}
-	pipe := &churnBenchPipe{name: "hot", out: out, tick: &tick}
-	deliver := func(h http.Handler) {
-		tick++
-		doc := xmlenc.NewElement("doc")
-		doc.SetAttr("n", strconv.Itoa(tick))
-		for i := 0; i < 50; i++ {
-			doc.AppendTextElement("row", fmt.Sprintf("item %d of tick %d", i, tick))
+// TestFigure5NoisyListing pins the Figure 5 wrapper on listings with
+// navigation clutter and ads between the records: every record, item
+// description, price and bid count is extracted, nothing more, and each
+// description is its own item's. It runs the compiled program (the
+// seed interpreter, which the differential tests pin it to, takes
+// seconds on the 200-item page).
+func TestFigure5NoisyListing(t *testing.T) {
+	prog := elog.MustCompile(elog.MustParse(ebayFigure5))
+	for _, n := range []int{50, 200} {
+		site := web.NewAuctionSite(8, n)
+		site.PageSize = n
+		site.Noise = true
+		sim := web.New()
+		site.Register(sim, "www.ebay.com")
+		base, err := elog.NewEvaluator(sim).RunCompiled(prog)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if _, err := out.Process("", doc); err != nil {
-			b.Fatal(err)
+		for _, pat := range []string{"record", "itemdes", "price", "bids"} {
+			if got := len(base.Instances(pat)); got != n {
+				t.Errorf("%d items: %d %s instances, want %d", n, got, pat, n)
+			}
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/hot", nil))
-		if rec.Code != 200 {
-			b.Fatalf("GET /hot = %d", rec.Code)
+		correct := 0
+		for i, in := range base.Instances("itemdes") {
+			if i < len(site.Items) && strings.TrimSpace(in.TextContent()) == site.Items[i].Description {
+				correct++
+			}
+		}
+		if correct != n {
+			t.Errorf("%d items: %d descriptions match their item, want %d", n, correct, n)
 		}
 	}
-
-	b.Run("watch", func(b *testing.B) {
-		s := server.New(server.Config{WatchQueue: 16})
-		if err := s.Register(pipe, time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		h := s.Handler()
-		deliver(h)
-		ts := httptest.NewServer(h)
-		defer ts.Close()
-
-		ctx, cancel := context.WithCancel(context.Background())
-		defer cancel()
-		var received atomic.Int64
-		var wg, ready sync.WaitGroup
-		client := &http.Client{Transport: &http.Transport{MaxIdleConnsPerHost: nReaders}}
-		for i := 0; i < nReaders; i++ {
-			ready.Add(1)
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				first := true
-				done := func() {
-					if first {
-						first = false
-						ready.Done()
-					}
-				}
-				defer done()
-				req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/wrappers/hot/watch", nil)
-				resp, err := client.Do(req)
-				if err != nil {
-					return
-				}
-				defer resp.Body.Close()
-				br := bufio.NewReader(resp.Body)
-				for {
-					line, err := br.ReadString('\n')
-					if err != nil {
-						return
-					}
-					if strings.HasPrefix(line, "event: result") {
-						if first {
-							done()
-							continue
-						}
-						received.Add(1)
-					}
-				}
-			}()
-		}
-		ready.Wait()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			base := received.Load()
-			deliver(h)
-			for received.Load() < base+nReaders {
-				time.Sleep(100 * time.Microsecond)
-			}
-		}
-		b.StopTimer()
-		cancel()
-		wg.Wait()
-	})
-
-	b.Run("poll", func(b *testing.B) {
-		s := server.New(server.Config{})
-		if err := s.Register(pipe, time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		h := s.Handler()
-		deliver(h)
-		for i := 0; i < b.N; i++ {
-			deliver(h)
-			var wg sync.WaitGroup
-			for r := 0; r < nReaders; r++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, httptest.NewRequest("GET", "/hot", nil))
-					if rec.Code != 200 {
-						b.Error(rec.Code)
-					}
-				}()
-			}
-			wg.Wait()
-		}
-	})
-}
-
-// churnBenchPipe adapts the shared churning collector to the server's
-// Pipeline interface for E22.
-type churnBenchPipe struct {
-	name string
-	out  *transform.Collector
-	tick *int
-}
-
-func (p *churnBenchPipe) PipeName() string             { return p.name }
-func (p *churnBenchPipe) Output() *transform.Collector { return p.out }
-func (p *churnBenchPipe) Tick() error                  { return nil }
-
-// BenchmarkE24_ChurnIncremental: incremental extraction across document
-// versions. A catalogue page churns a contiguous ~5% window of its
-// sections per round while the rest stays byte-identical; one compiled
-// wrapper is held across rounds. "full" re-matches every pattern from
-// scratch each round, "incremental" reuses the content-addressed
-// subtree matches of the clean sections and runs the matcher only over
-// the dirty window. Both produce bit-identical instance bases (pinned
-// by the differential tests); only the evaluation cost differs.
-func BenchmarkE24_ChurnIncremental(b *testing.B) {
-	const sections, rowsPer, window = 40, 20, 2
-	const url = "churn.example.com/catalogue"
-	progText := fmt.Sprintf(`
-page(S, X)    <- document(%q, S), subelem(S, .body, X)
-section(S, X) <- page(_, S), subelem(S, (.div, [(class, section, exact)]), X)
-row(S, X)     <- section(_, S), subelem(S, (?.tr, [(elementtext, .*SALE.*, regexp)]), X)
-name(S, X)    <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
-`, url)
-	run := func(b *testing.B, incremental bool) {
-		version := make([]int, sections)
-		round := 0
-		page := func() string {
-			var sb strings.Builder
-			sb.WriteString("<html><body>")
-			for s := 0; s < sections; s++ {
-				v := version[s]
-				sb.WriteString(`<div class="section"><table>`)
-				for r := 0; r < rowsPer; r++ {
-					tag := ""
-					if r == v%rowsPer {
-						tag = "SALE "
-					}
-					fmt.Fprintf(&sb, `<tr><td class="name">%sitem %d.%d v%d</td></tr>`, tag, s, r, v)
-				}
-				sb.WriteString("</table></div>")
-			}
-			sb.WriteString("</body></html>")
-			return sb.String()
-		}
-		bump := func() {
-			start := (round * window) % sections
-			for i := 0; i < window; i++ {
-				version[(start+i)%sections]++
-			}
-			round++
-		}
-		// A fresh compiled program per mode: the two modes must not share
-		// fingerprint-keyed caches, or the second would answer its early
-		// rounds (byte-identical to the first mode's) from the cache.
-		prog := elog.MustCompile(elog.MustParse(progText))
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			bump()
-			tr := htmlparse.Parse(page())
-			tr.Warm()
-			fetch := elog.MapFetcher{url: tr}
-			b.StartTimer()
-			ev := elog.NewEvaluator(fetch)
-			ev.Incremental = incremental
-			if _, err := ev.RunCompiled(prog); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	b.Run("full", func(b *testing.B) { run(b, false) })
-	b.Run("incremental", func(b *testing.B) { run(b, true) })
-}
-
-// BenchmarkE25_DurableDelivery: the durable publish path. Each
-// iteration is one changed tick plus the read that publishes it; with a
-// result log attached the snapshot is not served until the delivery is
-// appended to the WAL (durable before acknowledged). "mem" is the
-// in-memory delivery plane, "wal-batch" appends with the background
-// fsync batcher (the default), "wal-always" fsyncs inside every append.
-func BenchmarkE25_DurableDelivery(b *testing.B) {
-	run := func(b *testing.B, durable bool, mode resultlog.FsyncMode) {
-		tick := 0
-		out := &transform.Collector{CompName: "hot25"}
-		pipe := &churnBenchPipe{name: "hot25", out: out, tick: &tick}
-		cfg := server.Config{}
-		if durable {
-			store, err := resultlog.Open(b.TempDir(), resultlog.Options{Fsync: mode})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer store.Close()
-			cfg.ResultStore = store
-		}
-		s := server.New(cfg)
-		if err := s.Register(pipe, time.Hour); err != nil {
-			b.Fatal(err)
-		}
-		h := s.Handler()
-		deliver := func() {
-			tick++
-			doc := xmlenc.NewElement("doc")
-			doc.SetAttr("n", strconv.Itoa(tick))
-			for i := 0; i < 50; i++ {
-				doc.AppendTextElement("row", fmt.Sprintf("item %d of tick %d", i, tick))
-			}
-			if _, err := out.Process("", doc); err != nil {
-				b.Fatal(err)
-			}
-			rec := httptest.NewRecorder()
-			h.ServeHTTP(rec, httptest.NewRequest("GET", "/hot25", nil))
-			if rec.Code != 200 {
-				b.Fatalf("GET /hot25 = %d", rec.Code)
-			}
-		}
-		deliver() // warm
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			deliver()
-		}
-	}
-	b.Run("mem", func(b *testing.B) { run(b, false, 0) })
-	b.Run("wal-batch", func(b *testing.B) { run(b, true, resultlog.FsyncBatch) })
-	b.Run("wal-always", func(b *testing.B) { run(b, true, resultlog.FsyncAlways) })
 }

@@ -10,6 +10,7 @@ import (
 	"repro/internal/dom"
 	"repro/internal/elog"
 	"repro/internal/htmlparse"
+	"repro/internal/web"
 	"repro/internal/xmlenc"
 	"repro/pkg/lixto"
 )
@@ -139,5 +140,44 @@ func TestPollMemoHitIsHashOnly(t *testing.T) {
 		if now := src.ExtractionStats().ParseNS; now <= prev {
 			t.Errorf("parse_ns did not grow across a memo hit: %d -> %d", prev, now)
 		}
+	}
+}
+
+// TestPollMemoAfterFailedFetch: a crawled page whose fetch fails is
+// skipped as a dangling link, so that run's output rests on a fetch the
+// memo cannot re-check. The next poll must run the wrapper again even
+// though the entry page is unchanged, and extract what a fresh wrapper
+// extracts once the page is served.
+func TestPollMemoAfterFailedFetch(t *testing.T) {
+	const prog = `index(S, X) <- document("site.example.com/index.html", S), subelem(S, .body, X)
+link(S, X) <- index(_, S), subelem(S, ?.a, X)
+url(S, X) <- link(_, S), subatt(S, href, X)
+page(S, X) <- url(_, S), getDocument(S, X)
+title(S, X) <- page(_, S), subelem(S, ?.title, X)`
+	sim := web.New()
+	sim.SetStatic("site.example.com/index.html", `<html><body><a href="p.html">p</a></body></html>`)
+	poll := func(s *WrapperSource) string {
+		t.Helper()
+		docs, err := s.Poll()
+		if err != nil || len(docs) != 1 {
+			t.Fatalf("poll: %d docs, err %v", len(docs), err)
+		}
+		return xmlenc.MarshalIndent(docs[0])
+	}
+	newSource := func() *WrapperSource {
+		return &WrapperSource{CompName: "w", Fetcher: sim, Wrapper: lixto.MustCompile(prog)}
+	}
+	src := newSource()
+	poll(src) // p.html is a 404: the crawl skips it
+	sim.SetStatic("site.example.com/p.html", `<html><head><title>hello</title></head></html>`)
+	got := poll(src)
+	if want := poll(newSource()); got != want {
+		t.Fatalf("poll after the failed fetch:\n%s\nwant (fresh wrapper):\n%s", got, want)
+	}
+	if !strings.Contains(got, "hello") {
+		t.Fatalf("the served page was not extracted:\n%s", got)
+	}
+	if src.CacheHits != 0 {
+		t.Fatalf("%d memo hits after a run with a failed fetch, want 0", src.CacheHits)
 	}
 }

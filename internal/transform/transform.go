@@ -276,8 +276,8 @@ type WrapperSource struct {
 	// Batch's fleet size.
 	batchAttached bool
 
-	// Last successful run: the URLs fetched (in order), their tree
-	// fingerprints, and the emitted document.
+	// Last run whose fetches all succeeded: the URLs fetched (in
+	// order), their tree fingerprints, and the emitted document.
 	lastURLs []string
 	lastFPs  []uint64
 	lastDoc  *xmlenc.Node
@@ -451,12 +451,16 @@ func (e *Engine) ExtractionStats() ExtractionStats {
 // fetches from multiple goroutines, so the recording is locked; the
 // recorded order is whatever the frontier completes first, which is
 // fine — the cache recheck treats the list as a url→fingerprint set.
+// A failed fetch is not recorded but sets failed: the evaluator skips
+// a crawl link it cannot fetch, so the run's output rests on a page the
+// recheck could not see come back.
 type recordingFetcher struct {
 	inner      elog.Fetcher
 	prefetched map[string]*dom.Tree
 	mu         sync.Mutex
 	urls       []string
 	fps        []uint64
+	failed     bool
 	fetchNS    int64
 }
 
@@ -467,6 +471,9 @@ func (r *recordingFetcher) Fetch(url string) (*dom.Tree, error) {
 		var err error
 		t, err = r.inner.Fetch(url)
 		if err != nil {
+			r.mu.Lock()
+			r.failed = true
+			r.mu.Unlock()
 			return nil, err
 		}
 	}
@@ -627,7 +634,12 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 	if !s.NoSourceAttr {
 		doc.SetAttr("source", s.CompName)
 	}
-	s.lastURLs, s.lastFPs, s.lastDoc = rec.urls, rec.fps, doc
+	if rec.failed {
+		// No memo: the next poll retries the failed fetch.
+		s.lastURLs, s.lastFPs, s.lastDoc = nil, nil, nil
+	} else {
+		s.lastURLs, s.lastFPs, s.lastDoc = rec.urls, rec.fps, doc
+	}
 	return []*xmlenc.Node{doc}, nil
 }
 
