@@ -544,7 +544,6 @@ type Log struct {
 	active     *os.File
 	activeInfo segInfo
 	lastVer    uint64
-	buf        []byte // append frame scratch, reused
 	closed     bool
 
 	dirty atomic.Bool // appended since the last fsync
@@ -661,24 +660,16 @@ func (l *Log) Append(rec Record) error {
 	if rec.Time == 0 {
 		rec.Time = time.Now().UnixNano()
 	}
-	l.buf = AppendRecord(l.buf[:0], rec)
-	if _, err := l.active.Write(l.buf); err != nil {
-		l.store.noteErr(err)
+	n, err := l.writeLocked(rec)
+	if err != nil {
 		return err
 	}
-	if l.activeInfo.firstVer == 0 {
-		l.activeInfo.firstVer = rec.Version
-	}
-	l.activeInfo.lastVer = rec.Version
-	l.activeInfo.lastTime = rec.Time
-	l.activeInfo.size += int64(len(l.buf))
-	l.lastVer = rec.Version
 	if rec.Kind == KindNoop {
 		l.store.noops.Add(1)
 	} else {
 		l.store.appends.Add(1)
 	}
-	l.store.bytes.Add(uint64(len(l.buf)))
+	l.store.bytes.Add(uint64(n))
 	switch l.store.opts.Fsync {
 	case FsyncAlways:
 		if err := l.active.Sync(); err != nil {
@@ -696,6 +687,34 @@ func (l *Log) Append(rec Record) error {
 		}
 	}
 	return nil
+}
+
+// frameScratch recycles the buffers records are framed in, shared by
+// every log: a log keeps no frame between appends, so the published
+// XML a record carries is not held a second time per wrapper.
+var frameScratch = sync.Pool{New: func() any { return new([]byte) }}
+
+// writeLocked frames rec into pooled scratch, writes it to the active
+// segment in one write, and advances the segment's bounds. It returns
+// the frame's length.
+func (l *Log) writeLocked(rec Record) (int, error) {
+	p := frameScratch.Get().(*[]byte)
+	frame := AppendRecord((*p)[:0], rec)
+	_, err := l.active.Write(frame)
+	*p = frame
+	frameScratch.Put(p)
+	if err != nil {
+		l.store.noteErr(err)
+		return 0, err
+	}
+	if l.activeInfo.firstVer == 0 {
+		l.activeInfo.firstVer = rec.Version
+	}
+	l.activeInfo.lastVer = rec.Version
+	l.activeInfo.lastTime = rec.Time
+	l.activeInfo.size += int64(len(frame))
+	l.lastVer = rec.Version
+	return len(frame), nil
 }
 
 // rotateLocked closes the active segment, opens the next one, and
@@ -789,20 +808,12 @@ func (l *Log) Compact(rec Record) error {
 			return err
 		}
 	}
-	l.buf = AppendRecord(l.buf[:0], rec)
-	if _, err := l.active.Write(l.buf); err != nil {
-		l.store.noteErr(err)
+	n, err := l.writeLocked(rec)
+	if err != nil {
 		return err
 	}
-	if l.activeInfo.firstVer == 0 {
-		l.activeInfo.firstVer = rec.Version
-	}
-	l.activeInfo.lastVer = rec.Version
-	l.activeInfo.lastTime = rec.Time
-	l.activeInfo.size += int64(len(l.buf))
-	l.lastVer = rec.Version
 	l.store.appends.Add(1)
-	l.store.bytes.Add(uint64(len(l.buf)))
+	l.store.bytes.Add(uint64(n))
 	if l.store.opts.Fsync != FsyncOff {
 		if err := l.active.Sync(); err != nil {
 			l.store.noteErr(err)

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -326,4 +327,37 @@ func TestNameValidation(t *testing.T) {
 			t.Fatalf("SaveMeta(%q) accepted", bad)
 		}
 	}
+}
+
+// A log keeps no frame between appends: the record's XML is the
+// published snapshot, already resident once, and a per-log scratch
+// copy of it would double that for every wrapper. Appending and then
+// compacting a 1 MiB snapshot in each of 16 logs leaves the heap where
+// it was once the collector has run.
+func TestLogHoldsNoFrameBetweenAppends(t *testing.T) {
+	s := open(t, t.TempDir(), Options{Fsync: FsyncOff})
+	xml := bytes.Repeat([]byte("<row>payload</row>\n"), (1<<20)/19)
+	logs := make([]*Log, 16)
+	for i := range logs {
+		logs[i] = mustLog(t, s, fmt.Sprintf("w%d", i))
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for _, l := range logs {
+		if err := l.Append(Record{Kind: KindSnapshot, Version: 1, XML: xml}); err != nil {
+			t.Fatal(err)
+		}
+		if err := l.Compact(Record{Version: 1, XML: xml}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Pooled scratch survives one collection in the victim cache.
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if grew := int64(after.HeapAlloc) - int64(before.HeapAlloc); grew > 2<<20 {
+		t.Errorf("16 logs hold %d KiB after appending a %d KiB record each", grew>>10, len(xml)>>10)
+	}
+	runtime.KeepAlive(logs)
 }

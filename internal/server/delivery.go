@@ -21,9 +21,18 @@ import (
 // immutable snapshot behind an atomic pointer, served to any number of
 // readers without touching the server-wide mutex. A snapshot carries
 // the pre-encoded XML (eager — the XML bytes double as the change
-// detector), JSON, gzipped and SSE-framed variants (lazy, each built at
-// most once), and per-variant strong ETags, so the read path is: one
+// detector), the JSON and gzipped variants (lazy, each built at most
+// once), and per-variant strong ETags, so the read path is: one
 // sync.Map lookup, one atomic load, one header compare, one Write.
+//
+// Each delivered document is resident once. The XML is the splice
+// encoder's previous output, which its table addresses by range (see
+// xmlenc.Encoder), and the record the log appends carries the same
+// bytes. SSE frames are not cached on the snapshot: the watch hub's
+// dispatcher frames each broadcast per representation and queues the
+// frame with the event (see watch.go), and the result log frames a
+// record in pooled scratch. The snapshot_bytes gauge reports what a
+// pipeline's snapshot holds.
 //
 // Publication happens inside the delivery itself: the collector's
 // Journal callback appends the record, so a result is readable the
@@ -62,8 +71,9 @@ type snapshot struct {
 	gzOnce [2]sync.Once // [xml, json]
 	gz     [2][]byte
 
-	sseOnce [2]sync.Once // [xml, json]
-	sse     [2][]byte
+	// variantBytes is the size of the JSON and gzip variants built so
+	// far (the snapshot_bytes gauge reads it without their Onces).
+	variantBytes atomic.Uint64
 }
 
 // newSnapshot encodes doc with the stateless encoder.
@@ -117,25 +127,31 @@ func (sn *snapshot) variantJSON() ([]byte, string, error) {
 		}
 		sn.json = data
 		sn.jsonTag = etagOf(fnv64a(data), 'j')
+		sn.variantBytes.Add(uint64(len(data)))
 	})
 	return sn.json, sn.jsonTag, sn.jsonErr
 }
 
-// gzipWriters recycles compressors across snapshots: a fresh BestSpeed
-// writer allocates ~1.2 MB of flate state, Reset reuses it and produces
-// the same bytes.
-var gzipWriters = sync.Pool{New: func() any {
-	zw, _ := gzip.NewWriterLevel(nil, gzip.BestSpeed) // the level is valid
-	return zw
+// gzippers recycles compressors and their output buffers across
+// snapshots: a fresh BestSpeed writer allocates ~1.2 MB of flate state,
+// Reset reuses it and produces the same bytes. The variant is copied
+// out at its exact size, so a snapshot holds no growth slack.
+var gzippers = sync.Pool{New: func() any {
+	g := new(gzipper)
+	g.zw, _ = gzip.NewWriterLevel(&g.buf, gzip.BestSpeed) // the level is valid
+	return g
 }}
+
+// gzipper is one pooled compressor writing into its own buffer.
+type gzipper struct {
+	zw  *gzip.Writer
+	buf bytes.Buffer
+}
 
 // gzipped returns the precompressed variant, or nil when compression
 // does not pay (small or incompressible bodies are served identity).
 func (sn *snapshot) gzipped(asJSON bool) []byte {
-	i := 0
-	if asJSON {
-		i = 1
-	}
+	i := b2i(asJSON)
 	sn.gzOnce[i].Do(func() {
 		var body []byte
 		if asJSON {
@@ -146,50 +162,45 @@ func (sn *snapshot) gzipped(asJSON bool) []byte {
 		if len(body) < gzipMinSize {
 			return
 		}
-		var buf bytes.Buffer
-		zw := gzipWriters.Get().(*gzip.Writer)
-		defer gzipWriters.Put(zw)
-		zw.Reset(&buf)
-		if _, err := zw.Write(body); err != nil {
+		g := gzippers.Get().(*gzipper)
+		defer gzippers.Put(g)
+		g.buf.Reset()
+		g.zw.Reset(&g.buf)
+		if _, err := g.zw.Write(body); err != nil {
 			return
 		}
-		if err := zw.Close(); err != nil {
+		if err := g.zw.Close(); err != nil {
 			return
 		}
-		if buf.Len() < len(body) {
-			sn.gz[i] = buf.Bytes()
+		if g.buf.Len() < len(body) {
+			sn.gz[i] = append(make([]byte, 0, g.buf.Len()), g.buf.Bytes()...)
+			sn.variantBytes.Add(uint64(g.buf.Len()))
 		}
 	})
 	return sn.gz[i]
 }
 
-// sseFrame returns the complete SSE event bytes for this snapshot —
-// "event: result", the delivery version as the event id (the cursor a
+// sseFrame frames this snapshot as an SSE event in one representation
+// — "event: result", the delivery version as the event id (the cursor a
 // reconnecting subscriber hands back via Last-Event-ID), and the
-// encoded document as data lines. Built once per representation and
-// written verbatim to every subscriber.
+// encoded document as data lines. Built per use and never cached: the
+// hub's dispatcher builds one per broadcast and representation, and a
+// new subscriber's first frame is built on subscribe.
 func (sn *snapshot) sseFrame(asJSON bool) []byte {
-	i := 0
+	payload := sn.xml
 	if asJSON {
-		i = 1
-	}
-	sn.sseOnce[i].Do(func() {
-		payload := sn.xml
-		if asJSON {
-			body, _, err := sn.variantJSON()
-			if err != nil {
-				body = []byte(`{"error":"encoding failure"}`)
-			}
-			payload = body
+		body, _, err := sn.variantJSON()
+		if err != nil {
+			body = []byte(`{"error":"encoding failure"}`)
 		}
-		sn.sse[i] = sseFrameFor(payload, sn.ver)
-	})
-	return sn.sse[i]
+		payload = body
+	}
+	return sseFrameFor(payload, sn.ver)
 }
 
 // sseFrameFor frames one payload as a complete "event: result" SSE event
-// with the delivery version as the id. Shared by the cached snapshot
-// frames and the ad-hoc frames built during Last-Event-ID replay.
+// with the delivery version as the id. Shared by the snapshot frames
+// and the frames built during Last-Event-ID replay.
 func sseFrameFor(payload []byte, ver uint64) []byte {
 	payload = bytes.TrimRight(payload, "\n")
 	b := make([]byte, 0, len(payload)+6*(bytes.Count(payload, []byte{'\n'})+1)+48)
@@ -284,6 +295,10 @@ func (d *delivery) append(_ uint64, doc *xmlenc.Node) {
 		if cur == nil || !bytes.Equal(xml, cur.xml) {
 			sn = snapshotOf(doc, xml, rec.Version, d.seq.Load()+1)
 			rec.Kind, rec.Fingerprint, rec.XML = resultlog.KindSnapshot, sn.xmlSum, xml
+		} else {
+			// Byte-identical: the published copy stays, so the encoder
+			// must address it rather than pin the fresh one.
+			d.enc.Rebase(cur.xml)
 		}
 	}
 	if d.log != nil {
@@ -424,6 +439,23 @@ func (d *delivery) splicedBytes() uint64 {
 		return 0
 	}
 	return d.enc.SplicedBytes()
+}
+
+// snapshotBytes is the snapshot_bytes gauge: the current snapshot's
+// XML, its JSON and gzip variants built so far, and the splice
+// encoder's table (whose ranges address that XML). Takes the publish
+// mutex briefly; called from the status path only.
+func (d *delivery) snapshotBytes() uint64 {
+	d.pubMu.Lock()
+	defer d.pubMu.Unlock()
+	var n uint64
+	if sn := d.cur.Load(); sn != nil {
+		n = uint64(len(sn.xml)) + sn.variantBytes.Load()
+	}
+	if d.enc != nil {
+		n += uint64(d.enc.TableBytes())
+	}
+	return n
 }
 
 // DeliveryStatus aggregates the delivery-plane counters across all

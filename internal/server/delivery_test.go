@@ -437,3 +437,86 @@ func TestETagFormat(t *testing.T) {
 		}
 	}
 }
+
+// statusOf returns one pipeline's /statusz entry.
+func statusOf(t *testing.T, s *Server, name string) PipelineStatus {
+	t.Helper()
+	for _, st := range s.Status() {
+		if st.Name == name {
+			return st
+		}
+	}
+	t.Fatalf("no status for %q", name)
+	return PipelineStatus{}
+}
+
+// TestSnapshotBytesGauge pins what snapshot_bytes counts for a known
+// document: the XML and the splice table before any read, plus exactly
+// the JSON and gzip variants once a read built them, and nothing for an
+// SSE subscriber or a WAL append (frames live in the hub's queues and
+// the log frames in pooled scratch).
+func TestSnapshotBytesGauge(t *testing.T) {
+	store := openStore(t, t.TempDir())
+	defer store.Close()
+	s := New(Config{ResultStore: store})
+	rows := make([]*xmlenc.Node, 40)
+	for i := range rows {
+		rows[i] = xmlenc.NewElement("row").SetAttr("i", strconv.Itoa(i)).
+			AppendTextElement("text", fmt.Sprintf("row %d with enough text to compress", i)).Freeze()
+	}
+	doc := func(n int) *xmlenc.Node {
+		return xmlenc.NewElement("doc").SetAttr("n", strconv.Itoa(n)).Append(rows...)
+	}
+	p := &docPipe{fakePipe: newFakePipe("g", 0), doc: doc(1)}
+	if err := s.Register(p, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	p.doc = doc(2)
+	if err := p.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	ps := s.readPipe("g")
+	sn := ps.deliver.snapshot()
+	table := ps.deliver.enc.TableBytes()
+	if table == 0 {
+		t.Fatal("the splice table is empty for a document of frozen rows")
+	}
+	before := statusOf(t, s, "g").SnapshotBytes
+	if want := uint64(len(sn.xml) + table); before != want {
+		t.Fatalf("snapshot_bytes before any read = %d, want len(xml) %d + table %d", before, len(sn.xml), table)
+	}
+
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, _, hdr := do(t, "GET", ts.URL+"/g", nil, "Accept", "application/json", "Accept-Encoding", "gzip"); code != 200 || hdr.Get("Content-Encoding") != "gzip" {
+		t.Fatalf("JSON+gzip read: %d, Content-Encoding %q", code, hdr.Get("Content-Encoding"))
+	}
+	json, _, _ := sn.variantJSON()
+	gz := sn.gzipped(true)
+	after := statusOf(t, s, "g").SnapshotBytes
+	if after-before != uint64(len(json)+len(gz)) {
+		t.Fatalf("snapshot_bytes grew by %d after a JSON+gzip read, want the variants' %d + %d", after-before, len(json), len(gz))
+	}
+	if cap(json) > len(json)+64 || cap(gz) > len(gz)+64 {
+		t.Errorf("variants hold growth slack: JSON %d of %d, gzip %d of %d", len(json), cap(json), len(gz), cap(gz))
+	}
+
+	c := openWatch(t, ts.URL+"/v1/wrappers/g/watch")
+	if ev := c.next(t, 5*time.Second); ev.event != "result" {
+		t.Fatalf("first watch event %q", ev.event)
+	}
+	if got := statusOf(t, s, "g").SnapshotBytes; got != after {
+		t.Fatalf("snapshot_bytes moved from %d to %d when a subscriber attached", after, got)
+	}
+	noops := store.Stats().NoopAppends
+	if err := p.Tick(); err != nil { // the same document: a no-op record
+		t.Fatal(err)
+	}
+	if store.Stats().NoopAppends != noops+1 {
+		t.Fatal("the re-delivery did not append to the WAL")
+	}
+	if got := statusOf(t, s, "g").SnapshotBytes; got != after {
+		t.Fatalf("snapshot_bytes moved from %d to %d on a WAL append", after, got)
+	}
+	c.close()
+}

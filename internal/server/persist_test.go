@@ -1,6 +1,8 @@
 package server
 
 import (
+	"bufio"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -11,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/resultlog"
+	"repro/internal/xmlenc"
 )
 
 // openStore opens a result store rooted at dir with test-friendly
@@ -585,5 +588,152 @@ func TestStatuszPersistenceShape(t *testing.T) {
 	defer tsBare.Close()
 	if _, body, _ := do(t, "GET", tsBare.URL+"/statusz", nil); strings.Contains(body, `"persistence"`) {
 		t.Fatalf("statusz reports persistence without a store:\n%s", body)
+	}
+}
+
+// docPipe delivers whatever document doc holds at the next Tick:
+// tests swap it to publish changes, or leave it to re-deliver the same
+// document (a suppressed no-op).
+type docPipe struct {
+	*fakePipe
+	doc *xmlenc.Node
+}
+
+func (p *docPipe) Tick() error {
+	_, err := p.out.Process("", p.doc)
+	return err
+}
+
+// crDoc holds carriage returns in text and in an attribute value.
+func crDoc(n int) *xmlenc.Node {
+	doc := xmlenc.NewElement("doc").SetAttr("n", strconv.Itoa(n)).SetAttr("a", "p\rq")
+	doc.AppendTextElement("t", "x\ry\r\nz")
+	doc.AppendTextElement("u", "line one\rline two\r")
+	return doc
+}
+
+// eventSourceData reads one SSE stream by the EventSource rules — a
+// line ends at CRLF, LF or a lone CR; "data:" lines join with LF; a
+// blank line dispatches — and returns the data of the next event of
+// the given type.
+func eventSourceData(t *testing.T, br *bufio.Reader, event string) string {
+	t.Helper()
+	var typ string
+	var data []string
+	for {
+		var line []byte
+		for {
+			c, err := br.ReadByte()
+			if err != nil {
+				t.Fatalf("SSE stream ended: %v", err)
+			}
+			if c == '\n' {
+				break
+			}
+			if c == '\r' {
+				if next, err := br.Peek(1); err == nil && next[0] == '\n' {
+					br.ReadByte()
+				}
+				break
+			}
+			line = append(line, c)
+		}
+		field, value, _ := strings.Cut(string(line), ":")
+		value = strings.TrimPrefix(value, " ")
+		switch {
+		case len(line) == 0:
+			if typ == event {
+				return strings.Join(data, "\n")
+			}
+			typ, data = "", nil
+		case field == "event":
+			typ = value
+		case field == "data":
+			data = append(data, value)
+		}
+	}
+}
+
+// openStream starts a watch request and returns its body reader and
+// the function that ends it.
+func openStream(t *testing.T, url string, header ...string) (*bufio.Reader, func()) {
+	t.Helper()
+	ctx, cancel := context.WithCancel(context.Background())
+	req, err := http.NewRequestWithContext(ctx, "GET", url, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i+1 < len(header); i += 2 {
+		req.Header.Set(header[i], header[i+1])
+	}
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stop := func() {
+		cancel()
+		resp.Body.Close()
+	}
+	t.Cleanup(stop)
+	if resp.StatusCode != 200 {
+		t.Fatalf("watch: %d", resp.StatusCode)
+	}
+	return bufio.NewReader(resp.Body), stop
+}
+
+// A carriage return in delivered content survives both a restart and
+// SSE framing: the restored snapshot's JSON (and so its ETag) is the
+// one served before the restart, JSON replay frames carry the live
+// JSON, and an XML frame read by EventSource rules is the GET body.
+func TestCarriageReturnRestartAndSSE(t *testing.T) {
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	s1 := New(Config{ResultStore: store})
+	p1 := &docPipe{fakePipe: newFakePipe("cr", 0), doc: crDoc(1)}
+	if err := s1.Register(p1, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	ts1 := httptest.NewServer(s1.Handler())
+	deliver(t, s1, p1.fakePipe)
+	if err := p1.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	watch, stop := openStream(t, ts1.URL+"/v1/wrappers/cr/watch")
+	_, xml1, _ := do(t, "GET", ts1.URL+"/cr", nil)
+	if got := eventSourceData(t, watch, "result") + "\n"; got != xml1 {
+		t.Errorf("first XML frame by EventSource rules:\n got %q\nwant %q", got, xml1)
+	}
+	p1.doc = crDoc(2)
+	if err := p1.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	_, xml2, _ := do(t, "GET", ts1.URL+"/cr", nil)
+	if got := eventSourceData(t, watch, "result") + "\n"; got != xml2 {
+		t.Errorf("broadcast XML frame by EventSource rules:\n got %q\nwant %q", got, xml2)
+	}
+	_, json1, hdr1 := do(t, "GET", ts1.URL+"/cr", nil, "Accept", "application/json")
+	stop()
+	ts1.Close()
+	store.Close()
+
+	store2 := openStore(t, dir)
+	defer store2.Close()
+	s2 := New(Config{ResultStore: store2})
+	if err := s2.Register(&docPipe{fakePipe: newFakePipe("cr", 0), doc: crDoc(3)}, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s2.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(s2.Handler())
+	defer ts2.Close()
+	_, json2, hdr2 := do(t, "GET", ts2.URL+"/cr", nil, "Accept", "application/json")
+	if hdr2.Get("ETag") != hdr1.Get("ETag") || json2 != json1 {
+		t.Errorf("JSON changed across restart: ETag %s -> %s\n%s\n%s", hdr1.Get("ETag"), hdr2.Get("ETag"), json1, json2)
+	}
+	replay, stop := openStream(t, ts2.URL+"/v1/wrappers/cr/watch?since=2", "Accept", "application/json")
+	defer stop()
+	if got := eventSourceData(t, replay, "result"); got != strings.TrimRight(json1, "\n") {
+		t.Fatalf("JSON replay frame differs from the live JSON:\n got %q\nwant %q", got, json1)
 	}
 }

@@ -74,7 +74,7 @@ func (ps *pipeState) flags() (dynamic, onDemand bool) {
 }
 
 func (ps *pipeState) status(name string) PipelineStatus {
-	delivered, retained := ps.deliver.head(), ps.deliver.retained()
+	delivered, retained, resident := ps.deliver.head(), ps.deliver.retained(), ps.deliver.snapshotBytes()
 	ps.mu.Lock()
 	defer ps.mu.Unlock()
 	st := PipelineStatus{
@@ -86,6 +86,7 @@ func (ps *pipeState) status(name string) PipelineStatus {
 		LastLatencyMS: float64(ps.lastLatency.Microseconds()) / 1000,
 		Delivered:     int(delivered),
 		Retained:      retained,
+		SnapshotBytes: resident,
 	}
 	if !ps.lastTick.IsZero() {
 		st.LastTick = ps.lastTick.UTC().Format(time.RFC3339Nano)

@@ -868,6 +868,12 @@ type PipelineStatus struct {
 	// versions the delivery log can still serve.
 	Delivered int `json:"delivered"`
 	Retained  int `json:"retained"`
+	// SnapshotBytes is the delivery plane's resident gauge, the
+	// counterpart of the extraction block's base_bytes: the current
+	// snapshot's XML, the JSON and gzip variants built so far, and the
+	// splice encoder's table. Every pipeline has one, so it sits here
+	// rather than in the extraction block.
+	SnapshotBytes uint64 `json:"snapshot_bytes"`
 	// Extraction holds the pipeline's wrapper memoization counters
 	// (poll-level fingerprint cache, compiled match cache) when the
 	// pipeline exposes them.

@@ -28,16 +28,28 @@ func replayPayload(xml []byte, asJSON bool) []byte {
 }
 
 // The change feed: GET /v1/wrappers/{name}/watch streams each new
-// result snapshot to every subscriber as a Server-Sent Event. The hub
-// fans out the already-encoded snapshot — subscribers share the bytes,
-// nothing is re-marshaled per client — and never blocks the tick path:
-// a subscriber whose bounded queue is full loses its oldest pending
-// event (counted in dropped_slow) so it coalesces onto the newest
-// state instead of stalling delivery.
+// result snapshot to every subscriber as a Server-Sent Event. The hub's
+// dispatcher frames each broadcast snapshot once per representation its
+// subscribers asked for and queues that frame with the event —
+// subscribers share the bytes, nothing is re-marshaled per client, and
+// the snapshot itself keeps no frame: one becomes garbage once every
+// subscriber has written (or dropped) it. Fan-out never blocks the tick
+// path: a subscriber whose bounded queue is full loses its oldest
+// pending event (counted in dropped_slow) so it coalesces onto the
+// newest state instead of stalling delivery.
 
-// watchSub is one SSE subscriber's bounded event queue.
+// watchSub is one SSE subscriber's bounded event queue and the
+// representation its frames are built in.
 type watchSub struct {
-	ch chan *snapshot
+	ch     chan watchEvent
+	asJSON bool
+}
+
+// watchEvent is one queued broadcast: the snapshot and its frame in the
+// subscriber's representation.
+type watchEvent struct {
+	*snapshot
+	frame []byte
 }
 
 // watchHub is the per-pipeline broadcast registry. All channel sends
@@ -45,8 +57,9 @@ type watchSub struct {
 //
 // The tick path never pays for fan-out: broadcast appends the snapshot
 // to an ordered backlog and signals the hub's dispatcher goroutine,
-// which performs the per-subscriber enqueues. A tick therefore costs
-// O(1) in the scheduler no matter how many watchers are attached.
+// which builds the frames and performs the per-subscriber enqueues. A
+// tick therefore costs O(1) in the scheduler no matter how many
+// watchers are attached.
 type watchHub struct {
 	mu         sync.Mutex
 	subs       map[*watchSub]struct{}
@@ -59,9 +72,10 @@ type watchHub struct {
 	running    bool          // dispatcher goroutine is live
 }
 
-// subscribe registers a new subscriber with the given queue depth. It
-// returns nil when the hub is already closed (pipeline deregistered).
-func (h *watchHub) subscribe(queue int) *watchSub {
+// subscribe registers a new subscriber with the given queue depth,
+// receiving frames of the XML or the JSON representation. It returns
+// nil when the hub is already closed (pipeline deregistered).
+func (h *watchHub) subscribe(queue int, asJSON bool) *watchSub {
 	if queue < 1 {
 		queue = 1
 	}
@@ -70,7 +84,7 @@ func (h *watchHub) subscribe(queue int) *watchSub {
 	if h.closed {
 		return nil
 	}
-	sub := &watchSub{ch: make(chan *snapshot, queue)}
+	sub := &watchSub{ch: make(chan watchEvent, queue), asJSON: asJSON}
 	if h.subs == nil {
 		h.subs = map[*watchSub]struct{}{}
 	}
@@ -112,34 +126,67 @@ func (h *watchHub) broadcast(sn *snapshot) {
 	}
 }
 
-// dispatch drains the backlog in order, fanning each snapshot out to
-// every subscriber. It exits when the hub closes.
+// dispatch drains the backlog in order, framing each snapshot in the
+// representations its subscribers need and fanning it out. Frames are
+// built outside the lock, so a broadcast never waits on one; a
+// subscriber that joins meanwhile gets no frame for that snapshot,
+// which is safe: it starts from the current snapshot (or the log), at
+// or past it. The dispatcher exits when the hub closes.
 func (h *watchHub) dispatch() {
 	for {
 		h.mu.Lock()
-		for len(h.pending) > 0 && !h.closed {
-			sn := h.pending[0]
-			h.pending = h.pending[1:]
-			h.fanoutLocked(sn)
-		}
-		h.pending = nil
-		closed := h.closed
-		h.mu.Unlock()
-		if closed {
+		if h.closed {
+			h.pending = nil
+			h.mu.Unlock()
 			return
 		}
-		<-h.wake
+		if len(h.pending) == 0 {
+			h.pending = nil
+			h.mu.Unlock()
+			<-h.wake
+			continue
+		}
+		sn := h.pending[0]
+		h.pending[0] = nil
+		h.pending = h.pending[1:]
+		var need [2]bool // [xml, json]
+		for sub := range h.subs {
+			need[b2i(sub.asJSON)] = true
+		}
+		h.mu.Unlock()
+		var frames [2][]byte
+		for i, ok := range need {
+			if ok {
+				frames[i] = sn.sseFrame(i == 1)
+			}
+		}
+		h.mu.Lock()
+		h.fanoutLocked(sn, frames)
+		h.mu.Unlock()
 	}
 }
 
-// fanoutLocked offers sn to every subscriber without blocking: when a
-// queue is full the oldest pending snapshot is dropped (counted) so
-// the subscriber coalesces onto the newest state. Called with h.mu
-// held by the dispatcher.
-func (h *watchHub) fanoutLocked(sn *snapshot) {
+// b2i indexes the [xml, json] representation pairs.
+func b2i(asJSON bool) int {
+	if asJSON {
+		return 1
+	}
+	return 0
+}
+
+// fanoutLocked offers sn with its frame to every subscriber without
+// blocking: when a queue is full the oldest pending event is dropped
+// (counted) so the subscriber coalesces onto the newest state.
+// Subscribers whose representation has no frame joined after the
+// frames were chosen and are skipped. Called with h.mu held.
+func (h *watchHub) fanoutLocked(sn *snapshot, frames [2][]byte) {
 	for sub := range h.subs {
+		ev := watchEvent{sn, frames[b2i(sub.asJSON)]}
+		if ev.frame == nil {
+			continue
+		}
 		select {
-		case sub.ch <- sn:
+		case sub.ch <- ev:
 			continue
 		default:
 		}
@@ -149,7 +196,7 @@ func (h *watchHub) fanoutLocked(sn *snapshot) {
 		default:
 		}
 		select {
-		case sub.ch <- sn:
+		case sub.ch <- ev:
 		default:
 			h.dropped++
 		}
@@ -214,7 +261,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	asJSON := wantsJSON(r)
 
-	sub := ps.deliver.hub.subscribe(s.cfg.WatchQueue)
+	sub := ps.deliver.hub.subscribe(s.cfg.WatchQueue, asJSON)
 	if sub == nil {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("wrapper %q is deregistered", name), nil)
 		return
@@ -286,17 +333,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	defer heartbeat.Stop()
 	for {
 		select {
-		case sn, ok := <-sub.ch:
+		case ev, ok := <-sub.ch:
 			if !ok {
 				// Hub closed: wrapper deleted or registration torn down.
 				closeEvent("deregistered")
 				return
 			}
-			if sn.ver <= lastVer {
+			if ev.ver <= lastVer {
 				continue
 			}
-			lastVer = sn.ver
-			w.Write(sn.sseFrame(asJSON))
+			lastVer = ev.ver
+			w.Write(ev.frame)
 			fl.Flush()
 		case <-r.Context().Done():
 			return

@@ -2,16 +2,21 @@ package server
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
+	"weak"
+
+	"repro/internal/xmlenc"
 )
 
 // sseEvent is one parsed Server-Sent Event.
@@ -233,7 +238,7 @@ func TestWatchSlowClientDrops(t *testing.T) {
 		t.Fatal(err)
 	}
 	ps := s.readPipe("burst")
-	sub := ps.deliver.hub.subscribe(s.cfg.WatchQueue)
+	sub := ps.deliver.hub.subscribe(s.cfg.WatchQueue, false)
 	if sub == nil {
 		t.Fatal("subscribe failed")
 	}
@@ -562,4 +567,61 @@ func TestWatchStatuszShape(t *testing.T) {
 			t.Errorf("%s does not report the live subscriber", url)
 		}
 	}
+}
+
+// collected reports whether the object behind w is garbage once the
+// collector has run a few times.
+func collected[T any](w weak.Pointer[T]) bool {
+	for i := 0; i < 5 && w.Value() != nil; i++ {
+		runtime.GC()
+	}
+	return w.Value() == nil
+}
+
+// TestWatchFramesInFlightOnly pins frame ownership: the dispatcher
+// frames a broadcast for the subscriber's representation, the snapshot
+// keeps no copy, and the frame is garbage once the subscriber has
+// written it — or once a full queue dropped it.
+func TestWatchFramesInFlightOnly(t *testing.T) {
+	var h watchHub
+	defer h.close()
+	sub := h.subscribe(1, false)
+	doc := xmlenc.NewElement("doc")
+	doc.AppendTextElement("row", "a frame's worth of text, well past the tiny-allocation size")
+	sn := newSnapshot(doc, 1, 1)
+	h.broadcast(sn)
+	var ev watchEvent
+	select {
+	case ev = <-sub.ch:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no event from the dispatcher")
+	}
+	if ev.snapshot != sn || !bytes.Equal(ev.frame, sseFrameFor(sn.xml, sn.ver)) {
+		t.Fatalf("queued event is not the snapshot's XML frame: %q", ev.frame)
+	}
+	frame := weak.Make(&ev.frame[0])
+	ev = watchEvent{} // written
+	if !collected(frame) {
+		t.Error("the frame outlived its only subscriber's write")
+	}
+
+	// A full queue drops its oldest event, and that event's frame.
+	sn2, sn3 := newSnapshot(doc, 2, 2), newSnapshot(doc, 3, 3)
+	f2, f3 := sseFrameFor(sn2.xml, 2), sseFrameFor(sn3.xml, 3)
+	dropped := weak.Make(&f2[0])
+	h.mu.Lock()
+	h.fanoutLocked(sn2, [2][]byte{f2, nil})
+	h.fanoutLocked(sn3, [2][]byte{f3, nil})
+	h.mu.Unlock()
+	f2 = nil
+	if h.dropped != 1 {
+		t.Fatalf("dropped = %d, want 1", h.dropped)
+	}
+	if !collected(dropped) {
+		t.Error("a dropped event's frame stayed resident")
+	}
+	if ev = <-sub.ch; ev.ver != 3 || !bytes.Equal(ev.frame, f3) {
+		t.Fatalf("queue holds version %d, want the newest (3)", ev.ver)
+	}
+	runtime.KeepAlive(sn)
 }

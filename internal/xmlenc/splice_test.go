@@ -1,9 +1,12 @@
 package xmlenc
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
+	"weak"
 )
 
 // catalogDoc builds an indented-output-sized document: a root with n
@@ -171,4 +174,88 @@ func TestFreezeAndMutable(t *testing.T) {
 	if m.Mutable() != m {
 		t.Error("Mutable of an unfrozen node should be the node itself")
 	}
+}
+
+// The table addresses the previous output instead of copying subtrees:
+// re-encoding a frozen document with k of its n rows replaced
+// allocates the output buffer and the k new entries, nothing per
+// spliced row, and the output stays byte-identical to the stateless
+// encoder.
+func TestSpliceEncoderHoldsNoCopies(t *testing.T) {
+	const n, k, runs = 200, 5, 40
+	// Each row's children encode below minCacheBytes, so a changed row
+	// is one new entry.
+	row := func(i, v int) *Node {
+		r := NewElement("row").SetAttr("id", fmt.Sprint(i))
+		r.AppendTextElement("v", fmt.Sprint(v)).AppendTextElement("w", "unchanged")
+		return r.Freeze()
+	}
+	rows := make([]*Node, n)
+	docs := make([]*Node, runs+2)
+	for v := range docs {
+		for j := 0; j < k || v == 0 && j < n; j++ {
+			i := (v*k + j) % n
+			rows[i] = row(i, v)
+		}
+		docs[v] = NewElement("catalog").Append(rows...)
+	}
+	e := NewEncoder()
+	outs := make([][]byte, 0, len(docs))
+	outs = append(outs, e.MarshalIndentBytes(docs[0]))
+	allocs := testing.AllocsPerRun(runs, func() {
+		outs = append(outs, e.MarshalIndentBytes(docs[len(outs)]))
+	})
+	if allocs > 1+k {
+		t.Errorf("re-encoding with %d of %d rows changed: %.1f allocs, want at most %d (the output and the new entries)", k, n, allocs, 1+k)
+	}
+	for v, out := range outs {
+		if !bytes.Equal(out, MarshalIndentBytes(docs[v])) {
+			t.Fatalf("version %d: spliced encode diverges from MarshalIndentBytes", v)
+		}
+	}
+	if e.CachedSubtrees() != n {
+		t.Errorf("table holds %d entries, want one per row (%d)", e.CachedSubtrees(), n)
+	}
+	if spliced := e.SplicedBytes(); spliced == 0 {
+		t.Error("nothing spliced")
+	}
+}
+
+// Rebase: a caller that keeps a byte-identical earlier copy instead of
+// the latest output hands it over, and the encoder stops pinning the
+// discarded output while its splices keep working; a copy that differs
+// drops the table.
+func TestEncoderRebase(t *testing.T) {
+	e := NewEncoder()
+	doc := catalogDoc(20, "v1")
+	for _, c := range doc.Children {
+		c.Freeze()
+	}
+	published := e.MarshalIndentBytes(doc)
+	again := e.MarshalIndentBytes(NewElement("catalog").Append(doc.Children...))
+	discarded := weak.Make(&again[0])
+	e.Rebase(published)
+	again = nil
+	for i := 0; i < 5 && discarded.Value() != nil; i++ {
+		runtime.GC()
+	}
+	if discarded.Value() != nil {
+		t.Error("the encoder still pins the output its caller discarded")
+	}
+	next := NewElement("catalog").Append(doc.Children[1:]...)
+	before := e.SplicedBytes()
+	if got := e.MarshalIndentBytes(next); !bytes.Equal(got, MarshalIndentBytes(next)) {
+		t.Fatal("encode after Rebase diverges from MarshalIndentBytes")
+	}
+	if e.SplicedBytes() == before {
+		t.Error("nothing spliced from the rebased copy")
+	}
+	e.Rebase([]byte("<other/>\n"))
+	if e.CachedSubtrees() != 0 {
+		t.Errorf("a differing copy left %d entries", e.CachedSubtrees())
+	}
+	if got := e.MarshalIndentBytes(doc); !bytes.Equal(got, MarshalIndentBytes(doc)) {
+		t.Fatal("encode after a dropped table diverges")
+	}
+	runtime.KeepAlive(published)
 }

@@ -9,7 +9,6 @@
 package xmlenc
 
 import (
-	"bytes"
 	"encoding/xml"
 	"fmt"
 	"io"
@@ -146,9 +145,7 @@ func (n *Node) TextContent() string {
 
 // Marshal serializes the document without extra whitespace.
 func Marshal(n *Node) string {
-	var b bytes.Buffer
-	(*Encoder)(nil).writeNode(&b, n, -1)
-	return b.String()
+	return string((*Encoder)(nil).writeNode(nil, n, -1))
 }
 
 // MarshalIndent serializes the document with two-space indentation.
@@ -159,10 +156,40 @@ func MarshalIndent(n *Node) string { return string(MarshalIndentBytes(n)) }
 // plane encodes every published snapshot exactly once and serves the
 // bytes to every reader, so the copy would be pure overhead.
 func MarshalIndentBytes(n *Node) []byte {
-	var b bytes.Buffer
-	(*Encoder)(nil).writeNode(&b, n, 0)
-	b.WriteByte('\n')
-	return b.Bytes()
+	return append((*Encoder)(nil).writeNode(nil, n, 0), '\n')
+}
+
+// appendEscaped appends s with & < > (and " in attribute values)
+// replaced by their entities, and U+000D written as &#13;: a literal
+// carriage return would not survive XML end-of-line normalization
+// (a parser reads "\r\n" and a lone "\r" as "\n"), and an SSE data
+// line would end at it.
+func appendEscaped(b []byte, s string, attr bool) []byte {
+	last := 0
+	for i := 0; i < len(s); i++ {
+		var ent string
+		switch s[i] {
+		case '&':
+			ent = "&amp;"
+		case '<':
+			ent = "&lt;"
+		case '>':
+			ent = "&gt;"
+		case '"':
+			if !attr {
+				continue
+			}
+			ent = "&quot;"
+		case '\r':
+			ent = "&#13;"
+		default:
+			continue
+		}
+		b = append(b, s[last:i]...)
+		b = append(b, ent...)
+		last = i + 1
+	}
+	return append(b, s[last:]...)
 }
 
 // Unmarshal parses an XML document produced by this package (or any

@@ -167,3 +167,29 @@ func TestMarshalIndentBytesEquivalence(t *testing.T) {
 		t.Errorf("MarshalIndentBytes diverges from MarshalIndent:\n%q\nvs\n%q", got, want)
 	}
 }
+
+// A carriage return in text or in an attribute value must come back
+// from Unmarshal as itself: written literally, XML end-of-line
+// normalization would turn "\r\n" and a lone "\r" into "\n". The JSON
+// rendering of the round-tripped tree is then the original's.
+func TestCarriageReturnRoundTrip(t *testing.T) {
+	doc := NewElement("doc").SetAttr("a", "p\rq")
+	doc.AppendTextElement("t", "x\ry\r\nz")
+	doc.AppendElement("e").SetAttr("b", "\r\n\r").AppendTextElement("f", "lone\r")
+	for name, src := range map[string]string{"Marshal": Marshal(doc), "MarshalIndent": MarshalIndent(doc)} {
+		if strings.Contains(src, "\r") {
+			t.Errorf("%s writes a literal carriage return: %q", name, src)
+		}
+		back, err := Unmarshal(src)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := Marshal(back); got != Marshal(doc) {
+			t.Errorf("%s round trip lost a carriage return:\n got %q\nwant %q", name, got, Marshal(doc))
+		}
+		want, _ := MarshalJSONIndent(doc)
+		if got, _ := MarshalJSONIndent(back); string(got) != string(want) {
+			t.Errorf("%s round trip changes the JSON:\n got %s\nwant %s", name, got, want)
+		}
+	}
+}
