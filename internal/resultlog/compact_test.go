@@ -9,19 +9,24 @@ import (
 	"testing"
 )
 
-// appendN writes n snapshot records of ~size bytes starting at version
-// from, returning the last version written.
-func appendN(t *testing.T, l *Log, from uint64, n, size int) uint64 {
+// appendDoc writes one snapshot record carrying xml at version v.
+func appendDoc(t *testing.T, l *Log, v uint64, xml []byte) {
 	t.Helper()
-	v := from
-	for i := 0; i < n; i++ {
-		xml := []byte("<doc v=\"" + fmt.Sprint(v) + "\">" + strings.Repeat("x", size) + "</doc>\n")
-		if err := l.Append(Record{Kind: KindSnapshot, Version: v, Fingerprint: v, XML: xml}); err != nil {
-			t.Fatalf("append %d: %v", v, err)
-		}
-		v++
+	if err := l.Append(Record{Kind: KindSnapshot, Version: v, Fingerprint: v, XML: xml}); err != nil {
+		t.Fatalf("append %d: %v", v, err)
 	}
-	return v - 1
+}
+
+// appendNoops writes n no-op records after version from, returning the
+// last version written.
+func appendNoops(t *testing.T, l *Log, from uint64, n int) uint64 {
+	t.Helper()
+	for i := 1; i <= n; i++ {
+		if err := l.Append(Record{Kind: KindNoop, Version: from + uint64(i)}); err != nil {
+			t.Fatalf("noop %d: %v", from+uint64(i), err)
+		}
+	}
+	return from + uint64(n)
 }
 
 func segFiles(t *testing.T, dir, name string) []string {
@@ -39,133 +44,146 @@ func segFiles(t *testing.T, dir, name string) []string {
 	return out
 }
 
-func TestCompactTruncatesHistory(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{SegmentBytes: 2048, MaxSegments: 64, Fsync: FsyncOff, CompactSegments: 3})
-	l := mustLog(t, s, "w")
-	last := appendN(t, l, 1, 40, 128) // forces several rotations
-	if !l.NeedsCompaction() {
-		t.Fatalf("expected NeedsCompaction after %d segment files", len(segFiles(t, dir, "w")))
+// lastDoc returns the newest snapshot or checkpoint record a replay
+// yields: the document a restore would serve.
+func lastDoc(t *testing.T, l *Log) Record {
+	t.Helper()
+	var doc Record
+	for _, rec := range collect(t, l) {
+		if rec.Kind != KindNoop {
+			doc = rec
+		}
 	}
-	checkpoint := []byte("<doc v=\"" + fmt.Sprint(last) + "\">latest</doc>\n")
-	if err := l.Compact(Record{Version: last, Fingerprint: last, XML: checkpoint}); err != nil {
-		t.Fatal(err)
-	}
-	if l.NeedsCompaction() {
-		t.Error("still NeedsCompaction immediately after Compact")
-	}
-	if got := segFiles(t, dir, "w"); len(got) != 1 {
-		t.Fatalf("segments after compact = %v, want exactly one", got)
-	}
-	recs := collect(t, l)
-	if len(recs) != 1 {
-		t.Fatalf("replay after compact = %d records, want 1", len(recs))
-	}
-	if recs[0].Kind != KindCheckpoint || recs[0].Version != last || !bytes.Equal(recs[0].XML, checkpoint) {
-		t.Fatalf("checkpoint replayed wrong: %+v", recs[0])
-	}
-	if l.LastVersion() != last {
-		t.Errorf("LastVersion = %d, want %d", l.LastVersion(), last)
-	}
-	if st := s.Stats(); st.Compactions != 1 {
-		t.Errorf("Compactions = %d, want 1", st.Compactions)
-	}
+	return doc
+}
 
-	// The log keeps appending after the checkpoint, and a cursor at the
-	// checkpoint version sees only the newer records.
-	appendN(t, l, last+1, 3, 16)
-	var since []uint64
-	l.Since(last, func(r Record) error { since = append(since, r.Version); return nil })
-	if len(since) != 3 || since[0] != last+1 {
-		t.Errorf("Since(checkpoint) = %v", since)
+// TestRetentionKeepsCurrentDocument: one snapshot followed by a long
+// run of no-ops fills more segments than count retention keeps. The
+// snapshot's segment goes, but the document survives a close and
+// reopen as a checkpoint.
+func TestRetentionKeepsCurrentDocument(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 128, MaxSegments: 2, Fsync: FsyncOff}
+	s := open(t, dir, opts)
+	l := mustLog(t, s, "w")
+	xml := []byte("<doc>" + strings.Repeat("x", 100) + "</doc>\n")
+	appendDoc(t, l, 1, xml)
+	last := appendNoops(t, l, 1, 39)
+	if s.Stats().TruncatedSegments == 0 {
+		t.Fatal("retention never ran")
+	}
+	s.Close()
+
+	l2 := mustLog(t, open(t, dir, opts), "w")
+	if l2.LastVersion() != last {
+		t.Fatalf("LastVersion after reopen = %d, want %d", l2.LastVersion(), last)
+	}
+	doc := lastDoc(t, l2)
+	if !bytes.Equal(doc.XML, xml) || doc.Fingerprint != 1 {
+		t.Fatalf("document lost to retention: newest record %+v", doc)
 	}
 }
 
-// A reopened store must restore from the checkpoint exactly as it would
-// from the full history's tail.
-func TestCompactSurvivesReopen(t *testing.T) {
+// TestCompactTruncatesHistory: when count retention reaches the
+// segment holding the newest snapshot, the log collapses onto a
+// checkpoint restating that snapshot at the current version, in the
+// active segment, and keeps appending after it.
+func TestCompactTruncatesHistory(t *testing.T) {
 	dir := t.TempDir()
-	opts := Options{SegmentBytes: 1024, MaxSegments: 64, Fsync: FsyncOff, CompactSegments: 2}
-	s := open(t, dir, opts)
+	s := open(t, dir, Options{SegmentBytes: 256, MaxSegments: 3, Fsync: FsyncOff})
 	l := mustLog(t, s, "w")
-	last := appendN(t, l, 1, 20, 100)
-	checkpoint := []byte("<state/>\n")
-	if err := l.Compact(Record{Version: last, Fingerprint: 9, XML: checkpoint}); err != nil {
+	xml := []byte("<doc>" + strings.Repeat("x", 200) + "</doc>\n")
+	appendDoc(t, l, 1, xml)
+	// Eight 33-byte no-ops fill a segment. The third rotation, at the
+	// 17th no-op, drops the snapshot's segment.
+	last := appendNoops(t, l, 1, 20)
+	if st := s.Stats(); st.Compactions != 1 {
+		t.Fatalf("Compactions = %d, want 1: %+v", st.Compactions, st)
+	}
+	if got := segFiles(t, dir, "w"); len(got) > 3 {
+		t.Fatalf("segments after the checkpoint = %v, cap 3", got)
+	}
+	recs := collect(t, l)
+	if recs[0].Kind != KindCheckpoint || !bytes.Equal(recs[0].XML, xml) || recs[0].Fingerprint != 1 {
+		t.Fatalf("log does not start with the checkpoint: %+v", recs[0])
+	}
+	for i := 1; i < len(recs); i++ {
+		if recs[i].Kind != KindNoop || recs[i].Version != recs[i-1].Version+1 {
+			t.Fatalf("record %d after the checkpoint: %+v", i, recs[i])
+		}
+	}
+	if recs[len(recs)-1].Version != last || l.LastVersion() != last {
+		t.Errorf("tail %d, LastVersion %d, want %d", recs[len(recs)-1].Version, l.LastVersion(), last)
+	}
+
+	// A cursor at the checkpoint's version sees only the newer records.
+	ck := recs[0].Version
+	var since []uint64
+	if err := l.Since(ck, func(r Record) error { since = append(since, r.Version); return nil }); err != nil {
 		t.Fatal(err)
 	}
-	appendN(t, l, last+1, 2, 16)
+	if uint64(len(since)) != last-ck || (len(since) > 0 && since[0] != ck+1) {
+		t.Errorf("Since(%d) = %v", ck, since)
+	}
+}
+
+// A reopened store restores from the checkpoint exactly as it would
+// from the full history's tail, and appends continue after it.
+func TestCompactSurvivesReopen(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{SegmentBytes: 256, MaxSegments: 2, Fsync: FsyncOff}
+	s := open(t, dir, opts)
+	l := mustLog(t, s, "w")
+	xml := []byte("<state>" + strings.Repeat("s", 200) + "</state>\n")
+	appendDoc(t, l, 1, xml)
+	last := appendNoops(t, l, 1, 12)
+	if s.Stats().Compactions == 0 {
+		t.Fatal("no checkpoint written")
+	}
 	s.Close()
 
 	s2 := open(t, dir, opts)
 	l2 := mustLog(t, s2, "w")
-	if l2.LastVersion() != last+2 {
-		t.Fatalf("LastVersion after reopen = %d, want %d", l2.LastVersion(), last+2)
+	if l2.LastVersion() != last {
+		t.Fatalf("LastVersion after reopen = %d, want %d", l2.LastVersion(), last)
 	}
 	recs := collect(t, l2)
-	if len(recs) != 3 {
-		t.Fatalf("replay after reopen = %d records, want 3 (checkpoint + 2)", len(recs))
-	}
-	if recs[0].Kind != KindCheckpoint || !bytes.Equal(recs[0].XML, checkpoint) {
+	if recs[0].Kind != KindCheckpoint || !bytes.Equal(recs[0].XML, xml) {
 		t.Fatalf("first replayed record not the checkpoint: %+v", recs[0])
 	}
-	// Appends continue past the restored tail.
-	if err := l2.Append(Record{Kind: KindSnapshot, Version: last + 3, XML: []byte("<n/>")}); err != nil {
-		t.Fatal(err)
+	if recs[len(recs)-1].Version != last {
+		t.Fatalf("replay ends at %d, want %d", recs[len(recs)-1].Version, last)
+	}
+	appendDoc(t, l2, last+1, []byte("<n/>"))
+	if got := lastDoc(t, l2); got.Version != last+1 {
+		t.Fatalf("append after reopen: newest document at %d", got.Version)
 	}
 }
 
-func TestCompactVersionRules(t *testing.T) {
+// TestSinceDuringRetention: cursor reads racing appends, rotation and
+// retention checkpoints never fail on a segment deleted under them and
+// never yield a version twice or out of order; a read that loses its
+// segments resumes at the oldest survivor. The log ends holding the
+// newest document.
+func TestSinceDuringRetention(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{Fsync: FsyncOff, CompactSegments: 1})
-	l := mustLog(t, s, "w")
-	appendN(t, l, 1, 3, 16)
-	// Behind the log's last version: rejected (Append would also refuse
-	// an equal version; Compact uniquely allows restating it).
-	if err := l.Compact(Record{Version: 2, XML: []byte("<x/>")}); err == nil {
-		t.Error("Compact accepted a stale version")
-	}
-	if err := l.Compact(Record{Version: 3, XML: []byte("<x/>")}); err != nil {
-		t.Errorf("Compact rejected the current version: %v", err)
-	}
-	if l.LastVersion() != 3 {
-		t.Errorf("LastVersion = %d", l.LastVersion())
-	}
-}
-
-func TestNeedsCompactionOffByDefault(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{SegmentBytes: 512, Fsync: FsyncOff})
-	l := mustLog(t, s, "w")
-	appendN(t, l, 1, 30, 100)
-	if l.NeedsCompaction() {
-		t.Error("NeedsCompaction true with CompactSegments unset")
-	}
-}
-
-// TestSinceDuringCompaction: cursor reads racing appends, rotation,
-// and checkpoint compaction never fail on a segment deleted under them
-// and never yield a version twice or out of order; a read that loses
-// its segments resumes at the oldest survivor.
-func TestSinceDuringCompaction(t *testing.T) {
-	dir := t.TempDir()
-	s := open(t, dir, Options{SegmentBytes: 4096, Fsync: FsyncOff, CompactSegments: 2})
+	s := open(t, dir, Options{SegmentBytes: 512, MaxSegments: 2, Fsync: FsyncOff})
 	l := mustLog(t, s, "w")
 	const appends = 3000
 	done := make(chan struct{})
 	errs := make(chan error, 1)
+	var newest []byte
 	go func() {
 		defer close(done)
 		for v := uint64(1); v <= appends; v++ {
-			xml := []byte(fmt.Sprintf("<doc v=\"%d\">%s</doc>\n", v, strings.Repeat("x", 200)))
-			if err := l.Append(Record{Kind: KindSnapshot, Version: v, Fingerprint: v, XML: xml}); err != nil {
+			rec := Record{Kind: KindNoop, Version: v}
+			if v%50 == 1 {
+				newest = []byte(fmt.Sprintf("<doc v=\"%d\">%s</doc>\n", v, strings.Repeat("x", 200)))
+				rec = Record{Kind: KindSnapshot, Version: v, Fingerprint: v, XML: newest}
+			}
+			if err := l.Append(rec); err != nil {
 				errs <- err
 				return
-			}
-			if l.NeedsCompaction() {
-				if err := l.Compact(Record{Version: v, Fingerprint: v, XML: xml}); err != nil {
-					errs <- err
-					return
-				}
 			}
 		}
 	}()
@@ -193,8 +211,8 @@ func TestSinceDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	default:
 	}
-	if st := s.Stats(); st.Compactions == 0 {
-		t.Fatalf("no compaction raced the reads: %+v", st)
+	if st := s.Stats(); st.Compactions == 0 || st.TruncatedSegments == 0 {
+		t.Fatalf("no retention checkpoint raced the reads: %+v", st)
 	}
 	first := l.FirstVersion()
 	var got []uint64
@@ -202,6 +220,9 @@ func TestSinceDuringCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if len(got) == 0 || got[0] != first || got[len(got)-1] != appends {
-		t.Fatalf("FirstVersion %d, log holds %d..%d", first, got[0], got[len(got)-1])
+		t.Fatalf("FirstVersion %d, log holds %v", first, got)
+	}
+	if doc := lastDoc(t, l); !bytes.Equal(doc.XML, newest) {
+		t.Fatalf("newest document not retained: %+v", doc)
 	}
 }

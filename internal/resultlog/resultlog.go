@@ -12,18 +12,20 @@
 // sidecars (wrapper spec, webhook registrations) written atomically.
 // Records are length-prefixed and CRC-checked; a torn tail (the crash
 // case) is detected and ignored rather than poisoning the log. The
-// active segment rotates at a size bound, and old segments go two
-// ways: count and age retention (MaxSegments, MaxAge) drop the oldest,
-// and checkpoint compaction (CompactSegments, Log.Compact) restates
-// the latest snapshot in a fresh segment and drops everything before
-// it. A cursor read that races either deletion resumes on the
-// surviving segments, so its versions jump instead of failing.
+// active segment rotates at 4 MiB, and one retention rule keeps the
+// newest 8 segments. It never drops the current document: before it
+// deletes the segment holding the newest snapshot, it restates that
+// snapshot as a checkpoint record in the fresh active segment, and the
+// closed segments after it, which hold only no-ops repeating it, go
+// too. A cursor read that races a deletion resumes on the surviving
+// segments, so its versions jump instead of failing.
 //
 // Appends write() straight through to the OS so a kill -9 loses at
 // most the not-yet-acknowledged delivery; fsync is batched on a
-// background syncer (FsyncBatch, the default) so the publish path
-// never waits on the disk. FsyncAlways trades publish latency for
-// power-loss durability; FsyncOff leaves flushing to the OS entirely.
+// background syncer every 50 ms (FsyncBatch, the default) so the
+// publish path never waits on the disk. FsyncAlways trades publish
+// latency for power-loss durability; FsyncOff leaves flushing to the
+// OS entirely.
 package resultlog
 
 import (
@@ -53,11 +55,12 @@ const (
 	// but the bytes did not, so only the version is logged and replay
 	// re-appends the previous document.
 	KindNoop byte = 2
-	// KindCheckpoint is the latest snapshot re-written by compaction
-	// (Log.Compact) so segments holding older history can be deleted.
-	// It carries the same payload as KindSnapshot and replays the same
-	// way; uniquely, its version may equal the log's last version, since
-	// it restates rather than advances the delivery state.
+	// KindCheckpoint is the newest snapshot restated by retention, at
+	// the log's last version, so the segment holding the original can
+	// be deleted. It carries the same payload as KindSnapshot and
+	// replays the same way; uniquely, its version equals the last
+	// version logged before it, since it restates rather than advances
+	// the delivery state.
 	KindCheckpoint byte = 3
 )
 
@@ -147,8 +150,8 @@ type FsyncMode int
 
 const (
 	// FsyncBatch (default) fsyncs dirty logs from a background syncer
-	// every Options.FsyncInterval: the publish path never waits on the
-	// disk, and a power loss costs at most one interval of appends.
+	// every fsyncInterval: the publish path never waits on the disk,
+	// and a power loss costs at most one interval of appends.
 	FsyncBatch FsyncMode = iota
 	// FsyncAlways fsyncs inside every Append.
 	FsyncAlways
@@ -169,29 +172,19 @@ func ParseFsyncMode(s string) (FsyncMode, error) {
 	return 0, fmt.Errorf("resultlog: unknown fsync mode %q (want batch, always, or off)", s)
 }
 
+// fsyncInterval is the FsyncBatch syncer's period.
+const fsyncInterval = 50 * time.Millisecond
+
 // Options tunes a Store.
 type Options struct {
-	// SegmentBytes rotates the active segment once it exceeds this size
-	// (default 4 MiB).
-	SegmentBytes int64
-	// MaxSegments caps how many segments a wrapper's log keeps; the
-	// oldest are deleted at rotation (default 8, minimum 2 so the
-	// active segment never stands alone against retention).
-	MaxSegments int
-	// MaxAge drops closed segments whose newest record is older than
-	// this (0 = no age-based truncation).
-	MaxAge time.Duration
-	// CompactSegments triggers checkpoint compaction once a log holds at
-	// least this many closed segments (Log.NeedsCompaction): the caller
-	// writes the latest snapshot as a KindCheckpoint record into a fresh
-	// segment and every older closed segment is deleted, so restore cost
-	// stops growing with wrapper lifetime. 0 disables compaction and
-	// leaves retention to MaxSegments/MaxAge alone.
-	CompactSegments int
 	// Fsync selects the durability mode (default FsyncBatch).
 	Fsync FsyncMode
-	// FsyncInterval is the batch syncer period (default 50ms).
-	FsyncInterval time.Duration
+	// SegmentBytes and MaxSegments shrink the segment rotation size
+	// (default 4 MiB) and the count retention (default 8 segments,
+	// active included; at least 2) so tests reach rotation and
+	// retention in a few appends. Nothing else sets them.
+	SegmentBytes int64
+	MaxSegments  int
 }
 
 func (o Options) withDefaults() Options {
@@ -201,12 +194,7 @@ func (o Options) withDefaults() Options {
 	if o.MaxSegments <= 0 {
 		o.MaxSegments = 8
 	}
-	if o.MaxSegments < 2 {
-		o.MaxSegments = 2
-	}
-	if o.FsyncInterval <= 0 {
-		o.FsyncInterval = 50 * time.Millisecond
-	}
+	o.MaxSegments = max(o.MaxSegments, 2)
 	return o
 }
 
@@ -228,8 +216,8 @@ type Stats struct {
 	Fsyncs       uint64 `json:"fsyncs"`
 	BatchedSyncs uint64 `json:"batched_syncs"`
 	// Rotations counts segment rollovers; TruncatedSegments counts
-	// segments deleted by size/age retention or compaction;
-	// Compactions counts checkpoint compactions (Log.Compact).
+	// segments deleted by retention; Compactions counts the times
+	// retention restated the newest snapshot as a checkpoint.
 	Rotations         uint64 `json:"rotations"`
 	TruncatedSegments uint64 `json:"truncated_segments"`
 	Compactions       uint64 `json:"compactions"`
@@ -447,11 +435,11 @@ func (s *Store) Close() error {
 	return first
 }
 
-// syncLoop is the batch syncer: every FsyncInterval it fsyncs the logs
+// syncLoop is the batch syncer: every fsyncInterval it fsyncs the logs
 // that appended since the last pass.
 func (s *Store) syncLoop() {
 	defer close(s.syncDone)
-	t := time.NewTicker(s.opts.FsyncInterval)
+	t := time.NewTicker(fsyncInterval)
 	defer t.Stop()
 	for {
 		select {
@@ -530,7 +518,7 @@ type segInfo struct {
 	size     int64
 	firstVer uint64 // 0 when the segment holds no decodable records
 	lastVer  uint64
-	lastTime int64
+	doc      bool // holds a snapshot or checkpoint record
 }
 
 // Log is one wrapper's append-only record sequence, split across
@@ -630,7 +618,7 @@ func (l *Log) indexSegment(seg *segInfo) error {
 			seg.firstVer = rec.Version
 		}
 		seg.lastVer = rec.Version
-		seg.lastTime = rec.Time
+		seg.doc = seg.doc || rec.Kind != KindNoop
 		off += n
 	}
 	seg.size = int64(off)
@@ -711,14 +699,14 @@ func (l *Log) writeLocked(rec Record) (int, error) {
 		l.activeInfo.firstVer = rec.Version
 	}
 	l.activeInfo.lastVer = rec.Version
-	l.activeInfo.lastTime = rec.Time
+	l.activeInfo.doc = l.activeInfo.doc || rec.Kind != KindNoop
 	l.activeInfo.size += int64(len(frame))
 	l.lastVer = rec.Version
 	return len(frame), nil
 }
 
 // rotateLocked closes the active segment, opens the next one, and
-// applies count/age retention to the closed set.
+// applies retention to the closed set.
 func (l *Log) rotateLocked() error {
 	if l.store.opts.Fsync != FsyncOff {
 		if err := l.active.Sync(); err != nil {
@@ -744,73 +732,66 @@ func (l *Log) rotateLocked() error {
 }
 
 // truncateLocked deletes the oldest closed segments beyond the count
-// cap, and any whose newest record is past the age bound.
+// cap. When the newest snapshot is in one of them, it is first restated
+// as a checkpoint in the (fresh) active segment, and every closed
+// segment goes: those after it hold only no-ops repeating it. A failed
+// checkpoint deletes nothing; the next rotation tries again.
 func (l *Log) truncateLocked() {
-	opts := l.store.opts
-	drop := 0
-	for drop < len(l.closedSegs) {
-		seg := l.closedSegs[drop]
-		over := len(l.closedSegs)-drop+1 > opts.MaxSegments
-		old := opts.MaxAge > 0 && seg.lastTime > 0 &&
-			time.Since(time.Unix(0, seg.lastTime)) > opts.MaxAge
-		if !over && !old {
-			break
+	drop := len(l.closedSegs) + 1 - l.store.opts.MaxSegments
+	if drop <= 0 {
+		return
+	}
+	for i := len(l.closedSegs) - 1; i >= 0; i-- {
+		if !l.closedSegs[i].doc {
+			continue
 		}
+		if i < drop {
+			if err := l.checkpointLocked(l.closedSegs[i]); err != nil {
+				return
+			}
+			drop = len(l.closedSegs)
+		}
+		break
+	}
+	for _, seg := range l.closedSegs[:drop] {
 		os.Remove(seg.path)
 		l.store.truncated.Add(1)
-		drop++
 	}
-	if drop > 0 {
-		l.closedSegs = append([]segInfo(nil), l.closedSegs[drop:]...)
-	}
+	l.closedSegs = append([]segInfo(nil), l.closedSegs[drop:]...)
 }
 
-// NeedsCompaction reports whether the log has accumulated at least
-// Options.CompactSegments closed segments (always false when the
-// policy is off). The caller responds by invoking Compact with the
-// latest snapshot; polling this per tick is a pair of cheap loads.
-func (l *Log) NeedsCompaction() bool {
-	n := l.store.opts.CompactSegments
-	if n <= 0 {
-		return false
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.closedSegs) >= n
-}
-
-// Compact collapses the log's history into one checkpoint: the given
-// record — the latest published snapshot, restated — is written as a
-// KindCheckpoint into a fresh segment, and every older closed segment
-// is deleted. Replay afterwards starts at the checkpoint, so restore
-// cost is bounded by the live state instead of the wrapper's lifetime.
-// rec.Version must be the log's last version (the checkpoint restates
-// it) or newer; rec.XML and rec.Fingerprint carry the snapshot. The
-// checkpoint is fsynced before any segment is deleted (unless the
-// store runs FsyncOff), so a crash mid-compaction never loses the only
-// copy of the state.
-func (l *Log) Compact(rec Record) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return errors.New("resultlog: log closed")
-	}
-	if rec.Version < l.lastVer {
-		return fmt.Errorf("resultlog: checkpoint version %d behind %d", rec.Version, l.lastVer)
-	}
-	rec.Kind = KindCheckpoint
-	if rec.Time == 0 {
-		rec.Time = time.Now().UnixNano()
-	}
-	if l.activeInfo.size > 0 {
-		if err := l.rotateLocked(); err != nil {
-			l.store.noteErr(err)
-			return err
-		}
-	}
-	n, err := l.writeLocked(rec)
+// checkpointLocked re-reads the newest snapshot or checkpoint record in
+// seg (the log keeps no copy between appends) and restates it as a
+// KindCheckpoint at the log's last version in the active segment,
+// fsynced unless the store runs FsyncOff, so the caller can delete seg.
+// A failure is counted in the store's stats.
+func (l *Log) checkpointLocked(seg segInfo) error {
+	data, err := os.ReadFile(seg.path)
 	if err != nil {
+		l.store.noteErr(err)
 		return err
+	}
+	data = data[:min(int64(len(data)), seg.size)]
+	var doc Record
+	for off := 0; off < len(data); {
+		rec, n, err := DecodeRecord(data[off:])
+		if err != nil {
+			break
+		}
+		if rec.Kind != KindNoop {
+			doc = rec
+		}
+		off += n
+	}
+	if doc.Kind == 0 {
+		err := fmt.Errorf("resultlog: no snapshot left in %s", seg.path)
+		l.store.noteErr(err)
+		return err
+	}
+	n, err := l.writeLocked(Record{Kind: KindCheckpoint, Version: l.lastVer,
+		Time: time.Now().UnixNano(), Fingerprint: doc.Fingerprint, XML: doc.XML})
+	if err != nil {
+		return err // counted by writeLocked
 	}
 	l.store.appends.Add(1)
 	l.store.bytes.Add(uint64(n))
@@ -821,11 +802,6 @@ func (l *Log) Compact(rec Record) error {
 		}
 		l.store.fsyncs.Add(1)
 	}
-	for _, seg := range l.closedSegs {
-		os.Remove(seg.path)
-		l.store.truncated.Add(1)
-	}
-	l.closedSegs = nil
 	l.store.compactions.Add(1)
 	return nil
 }
@@ -883,8 +859,8 @@ func (l *Log) Replay(fn func(Record) error) error {
 // Since streams the records with Version > after, oldest→newest —
 // the cursor read behind every history read. Segments wholly at or
 // before the cursor are skipped without being read. Versions are
-// strictly increasing; they jump where retention or compaction deleted
-// records, including deletions that race the read itself.
+// strictly increasing; they jump where retention deleted records,
+// including deletions that race the read itself.
 func (l *Log) Since(after uint64, fn func(Record) error) error {
 	return l.replayFrom(after, fn)
 }
@@ -909,11 +885,10 @@ func (l *Log) replayFrom(after uint64, fn func(Record) error) error {
 		}
 		data, err := os.ReadFile(seg.path)
 		if errors.Is(err, fs.ErrNotExist) {
-			// Compaction or retention deleted the segment after the list
-			// was taken. Deletion only ever takes the oldest segments, so
-			// re-list and resume after the last version yielded: the next
-			// record is the oldest survivor (a checkpoint, after a
-			// compaction).
+			// Retention deleted the segment after the list was taken.
+			// Deletion only ever takes the oldest segments, so re-list and
+			// resume after the last version yielded: the next record is
+			// the oldest survivor (perhaps a checkpoint).
 			if fresh := l.segments(); len(fresh) > 0 && fresh[0].id > seg.id {
 				segs, i = fresh, -1
 				continue

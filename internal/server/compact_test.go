@@ -1,75 +1,139 @@
 package server
 
 import (
+	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/resultlog"
+	"repro/internal/xmlenc"
 )
 
-// TestDrainCompaction pins the end-to-end compaction path: a store with
-// a tight segment bound and a compaction threshold accumulates enough
-// deliveries that the drain path rewrites the log to a checkpoint — and
-// a server restored from the compacted log serves the latest snapshot
-// byte-identically, ETag included, with the next delivery continuing
-// the version sequence.
-func TestDrainCompaction(t *testing.T) {
-	dir := t.TempDir()
-	store, err := resultlog.Open(dir, resultlog.Options{
-		SegmentBytes:    64, // a delivery or two per segment
-		MaxSegments:     64,
-		Fsync:           resultlog.FsyncOff,
-		CompactSegments: 2,
-	})
+// smallStore opens a store whose segments hold a few records each and
+// whose count retention keeps two, so retention runs within a few
+// dozen deliveries.
+func smallStore(t *testing.T, dir string) *resultlog.Store {
+	t.Helper()
+	store, err := resultlog.Open(dir, resultlog.Options{SegmentBytes: 128, MaxSegments: 2, Fsync: resultlog.FsyncOff})
 	if err != nil {
 		t.Fatal(err)
 	}
+	return store
+}
 
+// served is one GET of a pipeline's latest document.
+type served struct {
+	code          int
+	body          string
+	etag, version string
+}
+
+func getLatest(t *testing.T, s *Server, name string) served {
+	t.Helper()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, body, hdr := do(t, "GET", ts.URL+"/"+name, nil)
+	return served{code, body, hdr.Get("ETag"), hdr.Get("Lixto-Version")}
+}
+
+// restart closes store and restores a fresh server with a fresh,
+// never-ticked pipeline from its directory, opened with the default
+// options.
+func restart(t *testing.T, store *resultlog.Store, dir, name string) (*Server, *fakePipe) {
+	t.Helper()
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+	store2 := openStore(t, dir)
+	t.Cleanup(func() { store2.Close() })
+	s := New(Config{ResultStore: store2})
+	p := newFakePipe(name, 0)
+	if err := s.Register(p, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Restore(); err != nil {
+		t.Fatal(err)
+	}
+	return s, p
+}
+
+// noop re-delivers p's latest document: a suppressed no-op version.
+func noop(t *testing.T, p *fakePipe) {
+	t.Helper()
+	if _, err := p.out.Process("", p.out.Latest()); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestRetentionKeepsServedDocument: a pipeline delivers one document
+// and then 39 unchanged ones, so count retention reaches the segment
+// holding the snapshot. After a restart the server still serves that
+// document, with its ETag and the last version, instead of a 503.
+func TestRetentionKeepsServedDocument(t *testing.T) {
+	dir := t.TempDir()
+	store := smallStore(t, dir)
+	s1 := New(Config{ResultStore: store})
+	p1 := newFakePipe("s", 0)
+	if err := s1.Register(p1, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	deliver(t, s1, p1)
+	for i := 0; i < 39; i++ {
+		noop(t, p1)
+	}
+	before := getLatest(t, s1, "s")
+	if before.code != http.StatusOK || before.version != "40" {
+		t.Fatalf("before restart: %+v", before)
+	}
+	s2, _ := restart(t, store, dir, "s")
+	if after := getLatest(t, s2, "s"); after != before {
+		t.Fatalf("restored after retention:\n got %+v\nwant %+v", after, before)
+	}
+}
+
+// TestDrainCompaction pins the end-to-end retention path: deliveries
+// with long no-op runs over tight segments make retention restate the
+// newest snapshot as a checkpoint and drop the rest. A server restored
+// from that log serves the latest snapshot byte-identically, ETag and
+// version included, and its next delivery continues the version
+// sequence.
+func TestDrainCompaction(t *testing.T) {
+	dir := t.TempDir()
+	store := smallStore(t, dir)
 	s1 := New(Config{ResultStore: store})
 	p1 := newFakePipe("x", 0)
 	if err := s1.Register(p1, time.Hour); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 3; i++ {
 		deliver(t, s1, p1)
+		for j := 0; j < 10; j++ {
+			noop(t, p1)
+		}
 	}
 	st := store.Stats()
 	if st.Compactions == 0 {
-		t.Fatalf("no compactions after 12 deliveries over 256-byte segments: %+v", st)
+		t.Fatalf("no checkpoints after 33 deliveries over 128-byte segments: %+v", st)
 	}
-	if st.Segments > 3+1 {
-		t.Errorf("segment count %d not held down by compaction", st.Segments)
+	if st.Segments > 2 {
+		t.Errorf("segment count %d not held down by retention", st.Segments)
 	}
-	ts1 := httptest.NewServer(s1.Handler())
-	_, latest1, hdr1 := do(t, "GET", ts1.URL+"/x", nil)
-	ts1.Close()
-	if hdr1.Get("Lixto-Version") != "12" {
-		t.Fatalf("version before restart: %q", hdr1.Get("Lixto-Version"))
-	}
-	if err := store.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	store2, err := resultlog.Open(dir, resultlog.Options{Fsync: resultlog.FsyncOff})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer store2.Close()
-	s2 := New(Config{ResultStore: store2})
-	p2 := newFakePipe("x", 0)
-	if err := s2.Register(p2, time.Hour); err != nil {
-		t.Fatal(err)
+	before := getLatest(t, s1, "x")
+	if before.version != "33" {
+		t.Fatalf("version before restart: %+v", before)
 	}
 	// Appended and checkpoint records alike carry the FNV-1a of their
 	// XML, which the publish path takes once and shares with the ETag.
-	var lastSum uint64
-	log2, err := store2.Log("x")
+	log1, err := store.Log("x")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := log2.Replay(func(rec resultlog.Record) error {
-		if rec.Kind == resultlog.KindSnapshot || rec.Kind == resultlog.KindCheckpoint {
+	var lastSum uint64
+	if err := log1.Replay(func(rec resultlog.Record) error {
+		if rec.Kind != resultlog.KindNoop {
 			if want := fnv64a(rec.XML); rec.Fingerprint != want {
 				t.Errorf("record v%d kind %d: fingerprint %#x, want FNV-1a of its XML %#x", rec.Version, rec.Kind, rec.Fingerprint, want)
 			}
@@ -79,26 +143,54 @@ func TestDrainCompaction(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if want := etagOf(lastSum, 'x'); hdr1.Get("ETag") != want {
-		t.Errorf("ETag %q is not the last logged fingerprint %q", hdr1.Get("ETag"), want)
+	if want := etagOf(lastSum, 'x'); before.etag != want {
+		t.Errorf("ETag %q is not the last logged fingerprint %q", before.etag, want)
 	}
-	if _, err := s2.Restore(); err != nil {
+
+	s2, p2 := restart(t, store, dir, "x")
+	if after := getLatest(t, s2, "x"); after != before {
+		t.Errorf("restored after retention:\n got %+v\nwant %+v", after, before)
+	}
+	deliver(t, s2, p2)
+	if v := getLatest(t, s2, "x").version; v != "34" {
+		t.Errorf("post-restore version = %q, want 34", v)
+	}
+}
+
+// TestRestoreCompactedLog: a data directory whose log starts with a
+// checkpoint record, as checkpoint compaction used to write it (the
+// newest snapshot restated at the last version in a fresh segment,
+// every older segment deleted), restores that document, its ETag and
+// the version after it, and keeps appending.
+func TestRestoreCompactedLog(t *testing.T) {
+	dir := t.TempDir()
+	xml := xmlenc.MarshalIndentBytes(xmlenc.NewElement("doc").SetAttr("n", "7"))
+	var seg []byte
+	seg = resultlog.AppendRecord(seg, resultlog.Record{Kind: resultlog.KindCheckpoint, Version: 12,
+		Time: 1, Fingerprint: fnv64a(xml), XML: xml})
+	seg = resultlog.AppendRecord(seg, resultlog.Record{Kind: resultlog.KindNoop, Version: 13, Time: 2})
+	if err := os.MkdirAll(filepath.Join(dir, "x"), 0o755); err != nil {
 		t.Fatal(err)
 	}
-	ts2 := httptest.NewServer(s2.Handler())
-	defer ts2.Close()
-	_, latest2, hdr2 := do(t, "GET", ts2.URL+"/x", nil)
-	if latest2 != latest1 {
-		t.Errorf("restored snapshot differs:\n--- before ---\n%s--- after ---\n%s", latest1, latest2)
+	if err := os.WriteFile(filepath.Join(dir, "x", "00000005.wal"), seg, 0o644); err != nil {
+		t.Fatal(err)
 	}
-	if hdr2.Get("ETag") != hdr1.Get("ETag") || hdr2.Get("Lixto-Version") != "12" {
-		t.Errorf("restored headers: ETag %q vs %q, version %q",
-			hdr2.Get("ETag"), hdr1.Get("ETag"), hdr2.Get("Lixto-Version"))
+
+	s, p := restart(t, openStore(t, dir), dir, "x")
+	got := getLatest(t, s, "x")
+	want := served{http.StatusOK, string(xml), etagOf(fnv64a(xml), 'x'), "13"}
+	if got != want {
+		t.Fatalf("restored from a compacted log:\n got %+v\nwant %+v", got, want)
 	}
-	// The log continues past the checkpoint.
-	deliver(t, s2, p2)
-	_, _, hdr3 := do(t, "GET", ts2.URL+"/x", nil)
-	if hdr3.Get("Lixto-Version") != "13" {
-		t.Errorf("post-restore version = %q, want 13", hdr3.Get("Lixto-Version"))
+	recs, err := s.pipe("x").deliver.since(0, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(recs) != 2 || recs[0].Version != 12 || string(recs[1].XML) != string(xml) {
+		t.Fatalf("history of a compacted log: %+v", recs)
+	}
+	deliver(t, s, p)
+	if v := getLatest(t, s, "x").version; v != "14" {
+		t.Errorf("post-restore version = %q, want 14", v)
 	}
 }

@@ -305,14 +305,6 @@ func (d *delivery) append(_ uint64, doc *xmlenc.Node) {
 		if err := d.log.Append(rec); err != nil {
 			return
 		}
-		if d.log.NeedsCompaction() {
-			// Checkpoint compaction: restate the latest snapshot into a
-			// fresh segment and drop the older ones, so restore cost
-			// tracks the live state rather than the wrapper's lifetime.
-			// A failed compaction leaves the log as it was (the store
-			// counts the error); the next append tries again.
-			d.log.Compact(resultlog.Record{Version: rec.Version, Fingerprint: sn.xmlSum, XML: sn.xml})
-		}
 	} else {
 		rec.XML = sn.xml
 		d.ringMu.Lock()
@@ -340,8 +332,8 @@ func (d *delivery) append(_ uint64, doc *xmlenc.Node) {
 // (limit <= 0: all of them), oldest first and consecutive. A no-op
 // record comes back carrying the XML of the content it repeats. When
 // the first version is past cursor + 1, the records between are a gap:
-// retention or compaction dropped them, or — for no-ops whose content
-// went with them — they can no longer be served.
+// retention dropped them, or — for no-ops whose content went with them
+// — they can no longer be served.
 func (d *delivery) since(cursor uint64, limit int) ([]resultlog.Record, error) {
 	if d.log == nil {
 		d.ringMu.Lock()
@@ -374,7 +366,7 @@ func (d *delivery) since(cursor uint64, limit int) ([]resultlog.Record, error) {
 			return nil // unknown kind from a future version
 		}
 		if n := len(recs); n > 0 && rec.Version != recs[n-1].Version+1 {
-			recs = recs[:0] // compaction deleted the rest under the read
+			recs = recs[:0] // retention deleted the rest under the read
 		}
 		recs = append(recs, rec)
 		if limit > 0 && len(recs) >= limit {

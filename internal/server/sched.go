@@ -2,6 +2,7 @@ package server
 
 import (
 	"container/heap"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,7 +24,6 @@ import (
 // on the same shard).
 type sched struct {
 	workers  int
-	jitter   float64
 	queue    chan *schedEntry
 	shards   []*shard
 	stopping chan struct{}
@@ -65,19 +65,26 @@ type shard struct {
 	cond *sync.Cond // broadcast when an entry returns to entryIdle
 	heap entryHeap
 	wake chan struct{}
-	rng  uint64 // xorshift state for jitter
+}
+
+// schedShape is the scheduler's fixed shape: 4 timer shards, a worker
+// per CPU (at least 4), and a dispatch queue of 16 slots per worker (at
+// least 256). A full queue counts dropped ticks on /statusz.
+func schedShape() (shards, workers, queue int) {
+	workers = max(4, runtime.GOMAXPROCS(0))
+	return 4, workers, max(256, 16*workers)
 }
 
 // newSched starts the shard and worker goroutines immediately.
-func newSched(shards, workers, queueCap int, jitter float64) *sched {
+func newSched() *sched {
+	shards, workers, queue := schedShape()
 	s := &sched{
 		workers:  workers,
-		jitter:   jitter,
-		queue:    make(chan *schedEntry, queueCap),
+		queue:    make(chan *schedEntry, queue),
 		stopping: make(chan struct{}),
 	}
 	for i := 0; i < shards; i++ {
-		sh := &shard{s: s, wake: make(chan struct{}, 1), rng: uint64(i)*0x9e3779b97f4a7c15 + 1}
+		sh := &shard{s: s, wake: make(chan struct{}, 1)}
 		sh.cond = sync.NewCond(&sh.mu)
 		s.shards = append(s.shards, sh)
 		s.shardWg.Add(1)
@@ -91,17 +98,11 @@ func newSched(shards, workers, queueCap int, jitter float64) *sched {
 }
 
 // schedule adds a pipeline firing first at the given time, sharded by
-// name so reschedules and removals find a stable owner. With
-// jitterFirst the first deadline is spread by the configured jitter
-// too, so a fleet registered in one burst does not fire its first
-// round in lockstep.
-func (s *sched) schedule(ps *pipeState, name string, interval time.Duration, first time.Time, jitterFirst bool) *schedEntry {
+// name so reschedules and removals find a stable owner.
+func (s *sched) schedule(ps *pipeState, name string, interval time.Duration, first time.Time) *schedEntry {
 	sh := s.shards[fnv32(name)%uint32(len(s.shards))]
 	e := &schedEntry{ps: ps, sh: sh, interval: interval, when: first, idx: -1}
 	sh.mu.Lock()
-	if jitterFirst {
-		e.when = first.Add(sh.jitterDelta(interval))
-	}
 	heap.Push(&sh.heap, e)
 	sh.mu.Unlock()
 	sh.kick()
@@ -240,14 +241,14 @@ func (sh *shard) loop() {
 				// Overlap protection: the previous tick is still queued
 				// or running, so this deadline is skipped.
 				sh.s.late.Add(1)
-				e.when = now.Add(sh.jittered(e.interval))
+				e.when = now.Add(e.interval)
 				heap.Fix(&sh.heap, 0)
 				continue
 			}
 			select {
 			case sh.s.queue <- e:
 				e.state = entryQueued
-				e.when = now.Add(sh.jittered(e.interval))
+				e.when = now.Add(e.interval)
 			default:
 				// Queue full: record the drop and retry soon rather than
 				// blocking the whole shard behind the worker pool.
@@ -291,25 +292,6 @@ func retryDelay(interval time.Duration) time.Duration {
 		d = time.Second
 	}
 	return d
-}
-
-// jittered spreads a deadline by ±jitter·interval, decorrelating
-// pipelines registered at the same instant. Called under sh.mu.
-func (sh *shard) jittered(d time.Duration) time.Duration {
-	return d + sh.jitterDelta(d)
-}
-
-// jitterDelta draws the ±jitter·d offset alone. Called under sh.mu.
-func (sh *shard) jitterDelta(d time.Duration) time.Duration {
-	j := sh.s.jitter
-	if j <= 0 || d <= 0 {
-		return 0
-	}
-	sh.rng ^= sh.rng << 13
-	sh.rng ^= sh.rng >> 7
-	sh.rng ^= sh.rng << 17
-	f := float64(sh.rng%(1<<20))/(1<<19) - 1 // [-1, 1)
-	return time.Duration(f * j * float64(d))
 }
 
 // fnv32 hashes a pipeline name onto its shard.

@@ -227,7 +227,7 @@ func TestSetIntervalDuringRegistration(t *testing.T) {
 // shared-cache block appears when a cache is configured.
 func TestStatuszSchedulerAndCacheShape(t *testing.T) {
 	cache := fetchcache.New(64, time.Second)
-	s := New(Config{SharedCache: cache, SchedulerShards: 3, SchedulerWorkers: 5, SchedulerQueue: 17})
+	s := New(Config{SharedCache: cache})
 	if err := s.Register(newFakePipe("x", 0), time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,8 @@ func TestStatuszSchedulerAndCacheShape(t *testing.T) {
 	if report.Scheduler == nil || report.Cache == nil || report.Delivery == nil || len(report.Pipelines) != 1 {
 		t.Fatalf("statusz missing blocks:\n%s", body)
 	}
-	if report.Scheduler.Shards != 3 || report.Scheduler.Workers != 5 || report.Scheduler.QueueCapacity != 17 {
+	shards, workers, queue := schedShape()
+	if report.Scheduler.Shards != shards || report.Scheduler.Workers != workers || report.Scheduler.QueueCapacity != queue {
 		t.Errorf("scheduler shape not surfaced: %+v", report.Scheduler)
 	}
 	if report.Cache.MaxEntries != 64 || report.Cache.MaxAgeMS != 1000 {
@@ -344,7 +345,7 @@ func TestSchedulerStress(t *testing.T) {
 			`it(S, X) <- document("stress.example.com/p%d", S), subelem(S, (?.tr, [(class, it, exact)]), X)`, i))
 	}
 
-	s := New(Config{Addr: "127.0.0.1:0", SchedulerJitter: 0.2})
+	s := New(Config{Addr: "127.0.0.1:0"})
 	stop := runServer(t, s)
 
 	guards := make([]*guardPipe, nWrappers)

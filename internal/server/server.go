@@ -36,7 +36,6 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
@@ -71,14 +70,6 @@ type Config struct {
 	// DefaultInterval is the tick interval for pipelines registered
 	// with interval 0 (default 2s).
 	DefaultInterval time.Duration
-	// ShutdownGrace bounds how long Run waits for open HTTP
-	// connections on shutdown (default 5s).
-	ShutdownGrace time.Duration
-	// ReadTimeout, WriteTimeout and IdleTimeout are applied to the
-	// http.Server (defaults 5s / 10s / 60s).
-	ReadTimeout  time.Duration
-	WriteTimeout time.Duration
-	IdleTimeout  time.Duration
 	// EnablePprof mounts net/http/pprof under /debug/pprof/ for live
 	// profiling of a running server.
 	EnablePprof bool
@@ -90,41 +81,15 @@ type Config struct {
 	// wrappers that do not carry an inline page, and for url-based
 	// one-shot extractions. Nil means such requests are rejected.
 	DynamicFetcher elog.Fetcher
-	// MaxProgramBytes bounds the request body of the /v1 compile and
-	// extract endpoints (default 256 KiB).
-	MaxProgramBytes int
 	// MaxCompilesPerMinute rate-limits program compilation across the
 	// /v1 endpoints (token bucket; default 60, negative = unlimited).
 	MaxCompilesPerMinute int
-	// SchedulerShards is the number of timer-shard goroutines owning
-	// the pipeline deadline heaps (default 4).
-	SchedulerShards int
-	// SchedulerWorkers bounds how many pipeline ticks run concurrently
-	// (default GOMAXPROCS, at least 4).
-	SchedulerWorkers int
-	// SchedulerQueue is the dispatch queue capacity between the timer
-	// shards and the worker pool (default 16× workers, at least 256).
-	// A full queue counts dropped ticks on /statusz.
-	SchedulerQueue int
-	// SchedulerJitter spreads every deadline by ±jitter·interval
-	// (0..0.5), decorrelating pipelines registered at the same instant
-	// so a fleet does not fire in lockstep. Default 0.
-	SchedulerJitter float64
 	// SharedCache, when set, is the shared fetch/document layer:
 	// dynamically registered wrappers without an inline page resolve
 	// their fetches through it (deduplicating fetch+parse across
 	// wrappers monitoring the same URLs), and its counters appear on
 	// /statusz and GET /v1/wrappers.
 	SharedCache *fetchcache.Cache
-	// WatchQueue is the per-subscriber event queue depth on the SSE
-	// watch routes (default 8). A subscriber that falls further behind
-	// than this loses its oldest pending events (counted in the
-	// delivery stats as dropped_slow) and coalesces onto newer state.
-	WatchQueue int
-	// WatchHeartbeat is the interval between SSE comment heartbeats on
-	// idle watch streams (default 15s), keeping intermediaries from
-	// closing quiet connections.
-	WatchHeartbeat time.Duration
 	// MatchCache, when set, is the fleet-shared pattern-match layer
 	// (elog.MatchCache): dynamically registered wrappers attach their
 	// evaluators to it, so wrappers containing identical extraction
@@ -139,24 +104,41 @@ type Config struct {
 	// dynamic registrations and webhook cursors after a restart, and
 	// the store's counters appear on /statusz as "persistence".
 	ResultStore *resultlog.Store
-	// WebhookTimeout bounds one outbound webhook POST (default 5s).
-	WebhookTimeout time.Duration
-	// WebhookMaxAttempts is how many consecutive failures one delivery
-	// may burn before the endpoint's circuit breaker opens (default 6).
-	WebhookMaxAttempts int
-	// WebhookBackoffMin/Max bound the exponential retry backoff
-	// (defaults 100ms / 30s).
-	WebhookBackoffMin time.Duration
-	WebhookBackoffMax time.Duration
-	// WebhookCooldown is how long an open breaker waits before its
-	// half-open probe (default 30s).
-	WebhookCooldown time.Duration
-	// MaxWebhooksPerWrapper caps endpoint registrations per wrapper
-	// (default 16).
-	MaxWebhooksPerWrapper int
 	// Logf, when set, receives server lifecycle messages.
 	Logf func(format string, args ...any)
+
+	// The watch and webhook timings have no operator knob: New sets
+	// them to the constants below unless an in-package test shrank
+	// them first.
+	watchQueue     int
+	watchHeartbeat time.Duration
+	hooks          hookTiming
 }
+
+// The server's fixed mechanisms. The scheduler's shape is schedShape.
+const (
+	// shutdownGrace bounds how long Run waits for open HTTP
+	// connections on shutdown.
+	shutdownGrace = 5 * time.Second
+	// readTimeout, writeTimeout and idleTimeout are the http.Server's.
+	readTimeout  = 5 * time.Second
+	writeTimeout = 10 * time.Second
+	idleTimeout  = 60 * time.Second
+	// maxProgramBytes bounds the request body of the /v1 compile and
+	// extract endpoints.
+	maxProgramBytes = 256 << 10
+	// defaultWatchQueue is the per-subscriber event queue depth on the
+	// SSE watch routes. A subscriber that falls further behind loses
+	// its oldest pending events (counted as dropped_slow) and coalesces
+	// onto newer state.
+	defaultWatchQueue = 8
+	// defaultWatchHeartbeat is the interval between SSE comment
+	// heartbeats on idle watch streams, keeping intermediaries from
+	// closing quiet connections.
+	defaultWatchHeartbeat = 15 * time.Second
+	// maxHooksPerWrapper caps webhook registrations per wrapper.
+	maxHooksPerWrapper = 16
+)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -166,64 +148,17 @@ func (c *Config) withDefaults() Config {
 	if out.DefaultInterval <= 0 {
 		out.DefaultInterval = 2 * time.Second
 	}
-	if out.ShutdownGrace <= 0 {
-		out.ShutdownGrace = 5 * time.Second
-	}
-	if out.ReadTimeout <= 0 {
-		out.ReadTimeout = 5 * time.Second
-	}
-	if out.WriteTimeout <= 0 {
-		out.WriteTimeout = 10 * time.Second
-	}
-	if out.IdleTimeout <= 0 {
-		out.IdleTimeout = 60 * time.Second
-	}
-	if out.MaxProgramBytes == 0 {
-		out.MaxProgramBytes = 256 << 10
-	}
 	if out.MaxCompilesPerMinute == 0 {
 		out.MaxCompilesPerMinute = 60
 	}
-	if out.SchedulerShards <= 0 {
-		out.SchedulerShards = 4
+	if out.watchQueue <= 0 {
+		out.watchQueue = defaultWatchQueue
 	}
-	if out.SchedulerWorkers <= 0 {
-		out.SchedulerWorkers = max(4, runtime.GOMAXPROCS(0))
+	if out.watchHeartbeat <= 0 {
+		out.watchHeartbeat = defaultWatchHeartbeat
 	}
-	if out.SchedulerQueue <= 0 {
-		out.SchedulerQueue = max(256, 16*out.SchedulerWorkers)
-	}
-	if out.SchedulerJitter < 0 {
-		out.SchedulerJitter = 0
-	}
-	if out.WatchQueue <= 0 {
-		out.WatchQueue = 8
-	}
-	if out.WatchHeartbeat <= 0 {
-		out.WatchHeartbeat = 15 * time.Second
-	}
-	if out.WebhookTimeout <= 0 {
-		out.WebhookTimeout = 5 * time.Second
-	}
-	if out.WebhookMaxAttempts <= 0 {
-		out.WebhookMaxAttempts = 6
-	}
-	if out.WebhookBackoffMin <= 0 {
-		out.WebhookBackoffMin = 100 * time.Millisecond
-	}
-	if out.WebhookBackoffMax <= 0 {
-		out.WebhookBackoffMax = 30 * time.Second
-	}
-	if out.WebhookCooldown <= 0 {
-		out.WebhookCooldown = 30 * time.Second
-	}
-	if out.MaxWebhooksPerWrapper <= 0 {
-		out.MaxWebhooksPerWrapper = 16
-	}
-	if out.SchedulerJitter > 0.5 {
-		// Above 0.5 the jittered deadline could approach zero delay,
-		// degenerating into continuous ticking.
-		out.SchedulerJitter = 0.5
+	if out.hooks == (hookTiming{}) {
+		out.hooks = defaultHookTiming
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -543,11 +478,10 @@ func (s *Server) startLocked(ps *pipeState) {
 	}
 	first := time.Now()
 	if ps.skipFirst {
-		// The registration path already ticked synchronously; jitter
-		// the first scheduled fire so burst-registered fleets spread.
+		// The registration path already ticked synchronously.
 		first = first.Add(interval)
 	}
-	ps.entry = s.sched.schedule(ps, ps.name, interval, first, ps.skipFirst)
+	ps.entry = s.sched.schedule(ps, ps.name, interval, first)
 }
 
 // Addr returns the bound listen address once Run has started, or "".
@@ -569,13 +503,13 @@ func (s *Server) Ready() <-chan struct{} { return s.ready }
 // nil on a clean shutdown. A client connection that was opened but never
 // carried a request (a racing speculative dial leaves one) counts as idle
 // for net/http only once it is 5 s old, so it can hold the drain that
-// long, bounded by Config.ShutdownGrace.
+// long, bounded by shutdownGrace.
 func (s *Server) Run(ctx context.Context) error {
 	ln, err := net.Listen("tcp", s.cfg.Addr)
 	if err != nil {
 		return err
 	}
-	sc := newSched(s.cfg.SchedulerShards, s.cfg.SchedulerWorkers, s.cfg.SchedulerQueue, s.cfg.SchedulerJitter)
+	sc := newSched()
 	defer sc.stopAndDrain()
 
 	s.mu.Lock()
@@ -590,10 +524,10 @@ func (s *Server) Run(ctx context.Context) error {
 
 	hs := &http.Server{
 		Handler:           s.Handler(),
-		ReadTimeout:       s.cfg.ReadTimeout,
-		ReadHeaderTimeout: s.cfg.ReadTimeout,
-		WriteTimeout:      s.cfg.WriteTimeout,
-		IdleTimeout:       s.cfg.IdleTimeout,
+		ReadTimeout:       readTimeout,
+		ReadHeaderTimeout: readTimeout,
+		WriteTimeout:      writeTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 	close(s.ready)
 	s.cfg.Logf("server: listening on %s (%d pipelines)", s.addr, n)
@@ -627,7 +561,7 @@ func (s *Server) Run(ctx context.Context) error {
 	case <-ctx.Done():
 		s.cfg.Logf("server: shutting down")
 		drain()
-		sctx, cancel := context.WithTimeout(context.Background(), s.cfg.ShutdownGrace)
+		sctx, cancel := context.WithTimeout(context.Background(), shutdownGrace)
 		defer cancel()
 		err := hs.Shutdown(sctx)
 		<-serveErr // Serve has returned (ErrServerClosed)
@@ -906,18 +840,14 @@ func (s *Server) Status() []PipelineStatus {
 }
 
 // SchedulerStatus returns the scheduler's pool shape and backpressure
-// counters. Before Run it reports the configured shape with zero
-// counters.
+// counters. Before Run it reports the shape with zero counters.
 func (s *Server) SchedulerStatus() SchedulerStatus {
 	s.mu.Lock()
 	sc := s.sched
 	s.mu.Unlock()
 	if sc == nil {
-		return SchedulerStatus{
-			Shards:        s.cfg.SchedulerShards,
-			Workers:       s.cfg.SchedulerWorkers,
-			QueueCapacity: s.cfg.SchedulerQueue,
-		}
+		shards, workers, queue := schedShape()
+		return SchedulerStatus{Shards: shards, Workers: workers, QueueCapacity: queue}
 	}
 	return sc.status()
 }

@@ -34,7 +34,7 @@ import (
 //	POST   /v1/extract                  anonymous one-shot (compile + extract, register nothing)
 //
 // Bad methods on /v1 routes get 405 with an Allow header; program
-// submission is size-limited (Config.MaxProgramBytes) and rate-limited
+// submission is size-limited (maxProgramBytes) and rate-limited
 // (Config.MaxCompilesPerMinute).
 
 // apiError is the JSON error envelope payload.
@@ -87,15 +87,12 @@ func methodNotAllowed(w http.ResponseWriter, allow string) {
 // decodeJSON reads a size-limited JSON body into dst, writing the
 // envelope (413 or 400) on failure.
 func (s *Server) decodeJSON(w http.ResponseWriter, r *http.Request, dst any) bool {
-	limit := s.cfg.MaxProgramBytes
-	if limit > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, int64(limit))
-	}
+	r.Body = http.MaxBytesReader(w, r.Body, maxProgramBytes)
 	if err := json.NewDecoder(r.Body).Decode(dst); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
 			writeError(w, http.StatusRequestEntityTooLarge, "too_large",
-				fmt.Sprintf("request body exceeds %d bytes", limit), nil)
+				fmt.Sprintf("request body exceeds %d bytes", maxProgramBytes), nil)
 		} else {
 			writeError(w, http.StatusBadRequest, "bad_request", "invalid JSON body: "+err.Error(), nil)
 		}

@@ -274,8 +274,8 @@ func TestV1ErrorEnvelope(t *testing.T) {
 }
 
 func TestV1SizeLimit(t *testing.T) {
-	_, ts := newDynamicServer(t, Config{MaxProgramBytes: 512})
-	big := strings.Repeat("x", 2048)
+	_, ts := newDynamicServer(t, Config{})
+	big := strings.Repeat("x", maxProgramBytes)
 	code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers",
 		map[string]any{"name": "big", "program": v1Wrapper, "html": big})
 	if code != 413 || envelope(t, body).Kind != "too_large" {

@@ -261,7 +261,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	asJSON := wantsJSON(r)
 
-	sub := ps.deliver.hub.subscribe(s.cfg.WatchQueue, asJSON)
+	sub := ps.deliver.hub.subscribe(s.cfg.watchQueue, asJSON)
 	if sub == nil {
 		writeError(w, http.StatusNotFound, "not_found", fmt.Sprintf("wrapper %q is deregistered", name), nil)
 		return
@@ -329,7 +329,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	heartbeat := time.NewTicker(s.cfg.WatchHeartbeat)
+	heartbeat := time.NewTicker(s.cfg.watchHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {

@@ -232,13 +232,13 @@ func TestWatchDeleteAndPatch(t *testing.T) {
 // the tick path never blocks, and the subscriber coalesces onto recent
 // state once it resumes.
 func TestWatchSlowClientDrops(t *testing.T) {
-	s := New(Config{WatchQueue: 2})
+	s := New(Config{watchQueue: 2})
 	p := newFakePipe("burst", 0)
 	if err := s.RegisterDynamic(p, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	ps := s.readPipe("burst")
-	sub := ps.deliver.hub.subscribe(s.cfg.WatchQueue, false)
+	sub := ps.deliver.hub.subscribe(s.cfg.watchQueue, false)
 	if sub == nil {
 		t.Fatal("subscribe failed")
 	}
@@ -302,7 +302,7 @@ func TestWatchSlowClientDrops(t *testing.T) {
 // of hanging Shutdown until the grace timeout.
 func TestWatchShutdownDrain(t *testing.T) {
 	p := newFakePipe("drainfeed", 0)
-	s := New(Config{Addr: "127.0.0.1:0", ShutdownGrace: 5 * time.Second})
+	s := New(Config{Addr: "127.0.0.1:0"})
 	if err := s.Register(p, time.Hour); err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestWatchShutdownDrain(t *testing.T) {
 func TestWatchLifecycleStress(t *testing.T) {
 	// The short heartbeat keeps idle subscriber reads from stalling the
 	// test, and exercises the keepalive path under churn.
-	s := New(Config{WatchQueue: 4, WatchHeartbeat: 50 * time.Millisecond})
+	s := New(Config{watchQueue: 4, watchHeartbeat: 50 * time.Millisecond})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close) // after the SSE clients close (cleanups run LIFO)
 

@@ -36,6 +36,24 @@ import (
 //	GET    /v1/wrappers/{name}/webhooks/{id}   one endpoint's status
 //	DELETE /v1/wrappers/{name}/webhooks/{id}   retire an endpoint
 
+// hookTiming is a webhook dispatcher's schedule: the timeout of one
+// POST, the exponential retry backoff's bounds, how many consecutive
+// failures open the circuit breaker, and how long an open breaker cools
+// down before its half-open probe.
+type hookTiming struct {
+	timeout, backoffMin, backoffMax, cooldown time.Duration
+	maxAttempts                               int
+}
+
+// defaultHookTiming is every server's webhook schedule.
+var defaultHookTiming = hookTiming{
+	timeout:     5 * time.Second,
+	backoffMin:  100 * time.Millisecond,
+	backoffMax:  30 * time.Second,
+	cooldown:    30 * time.Second,
+	maxAttempts: 6,
+}
+
 // hookBatch bounds how many records one dispatcher pass reads from the
 // delivery log.
 const hookBatch = 16
@@ -146,9 +164,8 @@ func (hs *hookSet) add(id, rawurl string, cursor uint64, secret string) (*hookEn
 	if hs.closed {
 		return nil, errShuttingDown
 	}
-	maxHooks := hs.s.cfg.MaxWebhooksPerWrapper
-	if len(hs.endpoints) >= maxHooks {
-		return nil, fmt.Errorf("webhook limit of %d per wrapper reached", maxHooks)
+	if len(hs.endpoints) >= maxHooksPerWrapper {
+		return nil, fmt.Errorf("webhook limit of %d per wrapper reached", maxHooksPerWrapper)
 	}
 	if id == "" {
 		hs.nextID++
@@ -311,8 +328,8 @@ func (hs *hookSet) restore() error {
 // not seen its content), carrying that version as Lixto-Gap. A failed
 // log read backs off and retries like a failed POST.
 func (e *hookEndpoint) run() {
-	cfg := &e.hs.s.cfg
-	client := &http.Client{Timeout: cfg.WebhookTimeout}
+	timing := &e.hs.s.cfg.hooks
+	client := &http.Client{Timeout: timing.timeout}
 	readFailures := 0
 	for {
 		e.mu.Lock()
@@ -325,7 +342,7 @@ func (e *hookEndpoint) run() {
 			e.state, e.lastErr = "retrying", err.Error()
 			e.mu.Unlock()
 			select {
-			case <-time.After(backoffDelay(cfg.WebhookBackoffMin, cfg.WebhookBackoffMax, readFailures)):
+			case <-time.After(backoffDelay(timing.backoffMin, timing.backoffMax, readFailures)):
 				continue
 			case <-e.done:
 				return
@@ -364,7 +381,7 @@ func (e *hookEndpoint) run() {
 // not that versions vanish. Returns false when the dispatcher should
 // stop.
 func (e *hookEndpoint) deliverOne(client *http.Client, rec resultlog.Record, gap uint64) bool {
-	cfg := &e.hs.s.cfg
+	timing := &e.hs.s.cfg.hooks
 	for {
 		err := e.post(client, rec, gap)
 		if err == nil {
@@ -385,21 +402,21 @@ func (e *hookEndpoint) deliverOne(client *http.Client, rec resultlog.Record, gap
 		e.lastErr = err.Error()
 		e.mu.Unlock()
 		var wait time.Duration
-		if attempts >= cfg.WebhookMaxAttempts {
+		if attempts >= timing.maxAttempts {
 			// Breaker opens: cool down, then the loop's next pass is the
 			// half-open probe. The cursor stays put.
 			e.mu.Lock()
 			e.state = "open"
 			e.opens++
-			e.attempts = cfg.WebhookMaxAttempts - 1
+			e.attempts = timing.maxAttempts - 1
 			e.mu.Unlock()
-			wait = cfg.WebhookCooldown
+			wait = timing.cooldown
 		} else {
 			e.setState("retrying")
 			e.mu.Lock()
 			e.retries++
 			e.mu.Unlock()
-			wait = backoffDelay(cfg.WebhookBackoffMin, cfg.WebhookBackoffMax, attempts)
+			wait = backoffDelay(timing.backoffMin, timing.backoffMax, attempts)
 		}
 		select {
 		case <-time.After(wait):

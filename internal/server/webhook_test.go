@@ -91,12 +91,13 @@ func (h *hookSink) waitFor(t *testing.T, what string, ok func([]hookReceipt) boo
 
 // fastHookConfig keeps retry timing test-scale.
 func fastHookConfig() Config {
-	return Config{
-		WebhookBackoffMin:  time.Millisecond,
-		WebhookBackoffMax:  5 * time.Millisecond,
-		WebhookCooldown:    20 * time.Millisecond,
-		WebhookMaxAttempts: 3,
-	}
+	return Config{hooks: hookTiming{
+		timeout:     5 * time.Second,
+		backoffMin:  time.Millisecond,
+		backoffMax:  5 * time.Millisecond,
+		cooldown:    20 * time.Millisecond,
+		maxAttempts: 3,
+	}}
 }
 
 // TestWebhookDelivery pins the happy path: registering an endpoint
@@ -248,7 +249,7 @@ func TestWebhookSinceAbsent(t *testing.T) {
 
 // TestWebhookValidation pins the route's error envelopes.
 func TestWebhookValidation(t *testing.T) {
-	s := New(Config{MaxWebhooksPerWrapper: 1})
+	s := New(Config{})
 	p := newFakePipe("x", 0)
 	if err := s.Register(p, time.Hour); err != nil {
 		t.Fatal(err)
@@ -275,8 +276,10 @@ func TestWebhookValidation(t *testing.T) {
 		t.Fatalf("405 item: %d Allow=%q", code, hdr.Get("Allow"))
 	}
 	// The per-wrapper cap.
-	if code, _, _ = do(t, "POST", ts.URL+"/v1/wrappers/x/webhooks", map[string]any{"url": "http://h/x"}); code != 201 {
-		t.Fatalf("first webhook: %d", code)
+	for i := 0; i < maxHooksPerWrapper; i++ {
+		if code, _, _ = do(t, "POST", ts.URL+"/v1/wrappers/x/webhooks", map[string]any{"url": "http://h/" + strconv.Itoa(i)}); code != 201 {
+			t.Fatalf("webhook %d: %d", i+1, code)
+		}
 	}
 	code, body, _ = do(t, "POST", ts.URL+"/v1/wrappers/x/webhooks", map[string]any{"url": "http://h/y"})
 	if code != 422 || !strings.Contains(body, "limit") {
