@@ -103,7 +103,8 @@ func TestOneShotSharesTickOutputCacheRace(t *testing.T) {
 	sim := web.New()
 	sim.SetStatic(url, oneShotPage(40))
 	churn := &web.ChurnFetcher{Inner: sim, Seed: seed}
-	s := New(Config{Addr: "127.0.0.1:0", AllowDynamic: true, DynamicFetcher: churn, MaxCompilesPerMinute: -1})
+	clk := newFakeClock()
+	s := New(Config{Addr: "127.0.0.1:0", AllowDynamic: true, DynamicFetcher: churn, MaxCompilesPerMinute: -1, clock: clk})
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
 	go func() { runErr <- s.Run(ctx) }()
@@ -144,8 +145,11 @@ func TestOneShotSharesTickOutputCacheRace(t *testing.T) {
 			mu.Unlock()
 		}()
 		if i%4 == 3 && churn.Step() < steps {
+			// The page changes, then a scheduled tick fires amid the
+			// extractions.
 			churn.Advance()
-			time.Sleep(2 * time.Millisecond)
+			clk.waitDue(t, 5*time.Millisecond)
+			clk.Advance(5 * time.Millisecond)
 		}
 	}
 	wg.Wait()

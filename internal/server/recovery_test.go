@@ -1,14 +1,16 @@
 package server
 
 import (
+	"bufio"
 	"context"
 	"encoding/json"
 	"fmt"
-	"net/http"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,14 +18,19 @@ import (
 )
 
 // The crash-recovery differential test: a child server process (this
-// test binary re-executed) is SIGKILLed mid-fleet — no flush, no
-// shutdown hook — restarted over the same data directory, and must
-// serve the latest result, ETag, and history byte-identically, resume
-// webhook cursors, and continue the version sequence with no lost
-// deliveries.
+// test binary re-executed) is SIGKILLed three times — no flush, no
+// shutdown hook — and restarted over the same data directory each
+// time. It must serve the latest result, ETag, and history
+// byte-identically, resume webhook cursors, continue the version
+// sequence, and deliver every version to its webhook at least once,
+// even when a kill lands with a delivery in flight.
 
 // recoveryChildEnv points the re-executed child at its data directory.
 const recoveryChildEnv = "LIXTO_RECOVERY_DIR"
+
+// recoveryAddrPrefix starts the line on which a child announces its
+// address.
+const recoveryAddrPrefix = "lixto-recovery-addr "
 
 // TestRecoveryChild is the child half: it only runs when re-executed
 // by TestCrashRecoveryDifferential with the environment set. It serves
@@ -53,63 +60,77 @@ func TestRecoveryChild(t *testing.T) {
 	case <-time.After(10 * time.Second):
 		t.Fatal("child never became ready")
 	}
-	// Publish the address atomically; the parent polls for this file.
-	tmp := filepath.Join(dir, ".addr.tmp")
-	if err := os.WriteFile(tmp, []byte(s.Addr()), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, "addr.txt")); err != nil {
-		t.Fatal(err)
-	}
+	fmt.Println(recoveryAddrPrefix + s.Addr())
 	select {} // run until SIGKILLed by the parent
 }
 
 // recoveryChild manages one child server process.
 type recoveryChild struct {
-	cmd  *exec.Cmd
-	base string
-	out  strings.Builder
+	cmd    *exec.Cmd
+	base   string
+	exited chan struct{} // closed once the process has been waited for
+	mu     sync.Mutex
+	out    strings.Builder
 }
 
+func (c *recoveryChild) output() string {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.out.String()
+}
+
+// startRecoveryChild starts a child over dir and waits for the address
+// it prints once it serves.
 func startRecoveryChild(t *testing.T, dir string) *recoveryChild {
 	t.Helper()
 	exe, err := os.Executable()
 	if err != nil {
 		t.Fatal(err)
 	}
-	os.Remove(filepath.Join(dir, "addr.txt"))
-	c := &recoveryChild{}
+	c := &recoveryChild{exited: make(chan struct{})}
 	c.cmd = exec.Command(exe, "-test.run=TestRecoveryChild$")
 	c.cmd.Env = append(os.Environ(), recoveryChildEnv+"="+dir)
-	c.cmd.Stdout = &c.out
-	c.cmd.Stderr = &c.out
+	pr, pw := io.Pipe()
+	c.cmd.Stdout, c.cmd.Stderr = pw, pw
 	if err := c.cmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(func() { c.kill() })
-
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		if addr, err := os.ReadFile(filepath.Join(dir, "addr.txt")); err == nil {
-			c.base = "http://" + string(addr)
-			if resp, err := http.Get(c.base + "/healthz"); err == nil {
-				resp.Body.Close()
-				return c
+	go func() {
+		c.cmd.Wait()
+		pw.Close()
+		close(c.exited)
+	}()
+	t.Cleanup(c.kill)
+	addr := make(chan string, 1)
+	go func() {
+		defer close(addr)
+		sc := bufio.NewScanner(pr)
+		for sc.Scan() {
+			line := sc.Text()
+			if a, ok := strings.CutPrefix(line, recoveryAddrPrefix); ok {
+				addr <- a
 			}
+			c.mu.Lock()
+			c.out.WriteString(line + "\n")
+			c.mu.Unlock()
 		}
-		if c.cmd.ProcessState != nil || time.Now().After(deadline) {
-			t.Fatalf("child server never came up; output:\n%s", c.out.String())
+	}()
+	select {
+	case a, ok := <-addr:
+		if ok {
+			c.base = "http://" + a
+			return c
 		}
-		time.Sleep(10 * time.Millisecond)
+	case <-time.After(15 * time.Second):
 	}
+	t.Fatalf("child server never came up; output:\n%s", c.output())
+	return nil
 }
 
 // kill SIGKILLs the child — no signal handler, no flush, no shutdown.
 func (c *recoveryChild) kill() {
-	if c.cmd.Process != nil && c.cmd.ProcessState == nil {
-		c.cmd.Process.Kill()
-		c.cmd.Wait()
-	}
+	c.cmd.Process.Kill()
+	<-c.exited
 }
 
 func TestCrashRecoveryDifferential(t *testing.T) {
@@ -118,14 +139,31 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	}
 	dir := t.TempDir()
 	sink := newHookSink(t)
+	restart := func(c *recoveryChild) *recoveryChild {
+		c.kill()
+		return startRecoveryChild(t, dir)
+	}
+	// extract delivers a new page to a wrapper and checks the version
+	// it was acknowledged at.
+	extract := func(base, name string, version int) {
+		t.Helper()
+		page := strings.ReplaceAll(v1Page, "Foundations of Databases", fmt.Sprintf("Edition %d", version))
+		code, body, hdr := do(t, "POST", base+"/v1/wrappers/"+name+"/extract", map[string]any{"html": page})
+		if code != 200 {
+			t.Fatalf("extract %s #%d: %d %s", name, version, code, body)
+		}
+		if got := hdr.Get("Lixto-Version"); got != fmt.Sprint(version) {
+			t.Fatalf("extract %s: Lixto-Version %q, want %d", name, got, version)
+		}
+	}
 
-	// --- Before the crash: a small fleet with live traffic. ---
+	// --- Process 1: a small fleet with live traffic. ---
 	child := startRecoveryChild(t, dir)
 	for _, name := range []string{"crash", "fleet2"} {
 		code, body, _ := do(t, "POST", child.base+"/v1/wrappers",
 			map[string]any{"name": name, "program": v1Wrapper, "html": v1Page, "auxiliary": []string{"page"}})
 		if code != 201 {
-			t.Fatalf("create %s: %d %s\nchild output:\n%s", name, code, body, child.out.String())
+			t.Fatalf("create %s: %d %s\nchild output:\n%s", name, code, body, child.output())
 		}
 	}
 	if code, body, _ := do(t, "POST", child.base+"/v1/wrappers/crash/webhooks",
@@ -135,16 +173,8 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	// Three more extractions per wrapper: versions 2..4 (registration
 	// delivered version 1). Every acknowledged response is durable.
 	for i := 2; i <= 4; i++ {
-		page := strings.ReplaceAll(v1Page, "Foundations of Databases", fmt.Sprintf("Edition %d", i))
 		for _, name := range []string{"crash", "fleet2"} {
-			code, body, hdr := do(t, "POST", child.base+"/v1/wrappers/"+name+"/extract",
-				map[string]any{"html": page})
-			if code != 200 {
-				t.Fatalf("extract %s #%d: %d %s", name, i, code, body)
-			}
-			if got := hdr.Get("Lixto-Version"); got != fmt.Sprint(i) {
-				t.Fatalf("extract %s #%d: Lixto-Version %q", name, i, got)
-			}
+			extract(child.base, name, i)
 		}
 	}
 	// Capture the observable read state. These reads also guarantee the
@@ -165,17 +195,16 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 	}
 	before := capture(child.base)
 	// All four versions must reach the sink, and the durable cursor must
-	// record them, before the crash (the acknowledged-state boundary).
+	// record them, before the first crash (the acknowledged-state
+	// boundary).
 	sink.waitFor(t, "pre-crash deliveries", func(rs []hookReceipt) bool { return len(rs) >= 4 })
 	hooksPath := filepath.Join(dir, "crash", "webhooks.json")
 	waitCursorFile(t, hooksPath, 4)
 
-	// --- The crash. ---
-	child.kill()
-
-	// --- After restart: byte-identical reads, resumed cursors. ---
-	child2 := startRecoveryChild(t, dir)
-	after := capture(child2.base)
+	// --- Kill 1, at the acknowledged boundary: byte-identical reads,
+	// resumed cursors. ---
+	child = restart(child)
+	after := capture(child.base)
 	for _, name := range []string{"crash", "fleet2"} {
 		b, a := before[name], after[name]
 		if a.latest != b.latest {
@@ -191,46 +220,75 @@ func TestCrashRecoveryDifferential(t *testing.T) {
 			t.Errorf("%s results diverged:\n--- before ---\n%s\n--- after ---\n%s", name, b.results, a.results)
 		}
 		// The pre-crash ETag still answers 304 on the restarted server.
-		if code, _, _ := do(t, "GET", child2.base+"/"+name, nil, "If-None-Match", b.etag); code != 304 {
+		if code, _, _ := do(t, "GET", child.base+"/"+name, nil, "If-None-Match", b.etag); code != 304 {
 			t.Errorf("%s conditional GET with pre-crash ETag = %d, want 304", name, code)
 		}
 	}
-	w := waitInfo(t, child2.base+"/v1/wrappers/crash/webhooks/h1", "restored webhook", func(w hookInfo) bool {
-		return w.Cursor >= 4
-	})
-	if w.URL != sink.ts.URL {
-		t.Fatalf("restored webhook url: %+v", w)
+	if w := hookInfoOf(t, child.base+"/v1/wrappers/crash/webhooks/h1"); w.URL != sink.ts.URL || w.Cursor < 4 {
+		t.Fatalf("restored webhook: %+v", w)
 	}
 
-	// New work continues the version sequence and flows to the endpoint:
-	// at-least-once, monotonic cursor, no version ever skipped.
-	code, _, hdr := do(t, "POST", child2.base+"/v1/wrappers/crash/extract",
-		map[string]any{"html": strings.ReplaceAll(v1Page, "Foundations of Databases", "Edition 5")})
-	if code != 200 || hdr.Get("Lixto-Version") != "5" {
-		t.Fatalf("post-restart extract: %d Lixto-Version=%q", code, hdr.Get("Lixto-Version"))
+	// --- Kill 2, with a delivery in flight: the sink holds the POST of
+	// version 5 open, so the cursor file cannot reach the head. ---
+	sink.setStalled(true)
+	extract(child.base, "crash", 5)
+	extract(child.base, "crash", 6)
+	sink.waitStalled(t)
+	if c := cursorFile(t, hooksPath); c >= 6 {
+		t.Fatalf("cursor file at %d before the in-flight kill, want < 6", c)
 	}
-	got := sink.waitFor(t, "post-restart delivery", func(rs []hookReceipt) bool {
-		return len(rs) > 0 && rs[len(rs)-1].version == 5
+	child.kill()
+	sink.setStalled(false)
+	child = startRecoveryChild(t, dir)
+
+	// --- Kill 3, wherever the catch-up from the durable cursor has got
+	// to. ---
+	extract(child.base, "crash", 7)
+	child = restart(child)
+
+	// --- Process 4: the sequence continues and every version arrives. ---
+	extract(child.base, "crash", 8)
+	const last = 8
+	got := sink.waitFor(t, "every version delivered", func(rs []hookReceipt) bool {
+		seen := map[uint64]bool{}
+		for _, r := range rs {
+			seen[r.version] = true
+		}
+		return len(seen) == last
 	})
-	seen := map[uint64]bool{}
-	var last uint64
+	// At least once, and in order on each connection: a process posts
+	// over connections of its own, so a regression on one is a
+	// regression within one process.
+	lastOf := map[string]uint64{}
 	for _, r := range got {
-		if r.version < last {
-			t.Fatalf("webhook versions regressed: %d after %d (%+v)", r.version, last, got)
+		if r.version < 1 || r.version > last {
+			t.Fatalf("delivered version %d outside 1..%d: %+v", r.version, last, got)
 		}
-		last = r.version
-		seen[r.version] = true
-	}
-	for v := uint64(1); v <= 5; v++ {
-		if !seen[v] {
-			t.Fatalf("version %d never delivered (lost delivery): %+v", v, got)
+		if r.version < lastOf[r.remote] {
+			t.Fatalf("connection %s delivered version %d after %d: %+v", r.remote, r.version, lastOf[r.remote], got)
 		}
+		lastOf[r.remote] = r.version
 	}
-	child2.kill()
+}
+
+// cursorFile reads the webhook sidecar's one cursor.
+func cursorFile(t *testing.T, path string) uint64 {
+	t.Helper()
+	var metas []hookMeta
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &metas)
+	}
+	if err != nil || len(metas) != 1 {
+		t.Fatalf("webhook sidecar %s: %v %+v", path, err, metas)
+	}
+	return metas[0].Cursor
 }
 
 // waitCursorFile polls the webhook sidecar until its cursor reaches
-// want — the durable at-least-once boundary the crash test cuts at.
+// want — the durable at-least-once boundary the first kill cuts at. It
+// polls because the file is written by another process, on that
+// process's debounce.
 func waitCursorFile(t *testing.T, path string, want uint64) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)

@@ -23,6 +23,7 @@ import (
 // blocking the shard (backpressure never stalls unrelated pipelines
 // on the same shard).
 type sched struct {
+	clk      clock
 	workers  int
 	queue    chan *schedEntry
 	shards   []*shard
@@ -58,13 +59,15 @@ type schedEntry struct {
 	removed  bool
 }
 
-// shard owns one deadline heap and the goroutine draining it.
+// shard owns one deadline heap and the goroutine draining it. Its
+// timer is armed for the heap's earliest deadline, and stopped while
+// the heap is empty, under mu by whoever changed the heap.
 type shard struct {
-	s    *sched
-	mu   sync.Mutex
-	cond *sync.Cond // broadcast when an entry returns to entryIdle
-	heap entryHeap
-	wake chan struct{}
+	s     *sched
+	mu    sync.Mutex
+	cond  *sync.Cond // broadcast when an entry returns to entryIdle
+	heap  entryHeap
+	timer timer
 }
 
 // schedShape is the scheduler's fixed shape: 4 timer shards, a worker
@@ -76,15 +79,17 @@ func schedShape() (shards, workers, queue int) {
 }
 
 // newSched starts the shard and worker goroutines immediately.
-func newSched() *sched {
+func newSched(clk clock) *sched {
 	shards, workers, queue := schedShape()
 	s := &sched{
+		clk:      clk,
 		workers:  workers,
 		queue:    make(chan *schedEntry, queue),
 		stopping: make(chan struct{}),
 	}
 	for i := 0; i < shards; i++ {
-		sh := &shard{s: s, wake: make(chan struct{}, 1)}
+		sh := &shard{s: s, timer: clk.NewTimer(time.Hour)}
+		sh.timer.Stop()
 		sh.cond = sync.NewCond(&sh.mu)
 		s.shards = append(s.shards, sh)
 		s.shardWg.Add(1)
@@ -104,8 +109,8 @@ func (s *sched) schedule(ps *pipeState, name string, interval time.Duration, fir
 	e := &schedEntry{ps: ps, sh: sh, interval: interval, when: first, idx: -1}
 	sh.mu.Lock()
 	heap.Push(&sh.heap, e)
+	sh.armLocked()
 	sh.mu.Unlock()
-	sh.kick()
 	return e
 }
 
@@ -116,15 +121,15 @@ func (s *sched) reschedule(e *schedEntry, interval time.Duration) {
 	sh.mu.Lock()
 	e.interval = interval
 	if !e.removed {
-		e.when = time.Now().Add(interval)
+		e.when = s.clk.Now().Add(interval)
 		if e.idx >= 0 {
 			heap.Fix(&sh.heap, e.idx)
 		} else {
 			heap.Push(&sh.heap, e)
 		}
+		sh.armLocked()
 	}
 	sh.mu.Unlock()
-	sh.kick()
 }
 
 // remove unschedules an entry and blocks until any queued or in-flight
@@ -136,6 +141,7 @@ func (s *sched) remove(e *schedEntry) {
 	e.removed = true
 	if e.idx >= 0 {
 		heap.Remove(&sh.heap, e.idx)
+		sh.armLocked()
 	}
 	for e.state != entryIdle {
 		sh.cond.Wait()
@@ -207,7 +213,7 @@ func (s *sched) worker() {
 		sh.mu.Unlock()
 
 		s.busy.Add(1)
-		e.ps.tickOnce()
+		e.ps.tickOnce(s.clk)
 		s.busy.Add(-1)
 		s.dispatched.Add(1)
 
@@ -218,23 +224,19 @@ func (s *sched) worker() {
 	}
 }
 
-// kick wakes the shard goroutine to re-examine its heap (non-blocking;
-// one pending wake is enough).
-func (sh *shard) kick() {
-	select {
-	case sh.wake <- struct{}{}:
-	default:
-	}
-}
-
-// loop drains the shard's deadline heap until the scheduler stops.
+// loop dispatches the shard's due entries each time its timer fires,
+// until the scheduler stops.
 func (sh *shard) loop() {
 	defer sh.s.shardWg.Done()
-	timer := time.NewTimer(time.Hour)
-	defer timer.Stop()
+	defer sh.timer.Stop()
 	for {
+		select {
+		case <-sh.s.stopping:
+			return
+		case <-sh.timer.C():
+		}
 		sh.mu.Lock()
-		now := time.Now()
+		now := sh.s.clk.Now()
 		for len(sh.heap) > 0 && !sh.heap[0].when.After(now) {
 			e := sh.heap[0]
 			if e.state != entryIdle {
@@ -257,28 +259,19 @@ func (sh *shard) loop() {
 			}
 			heap.Fix(&sh.heap, 0)
 		}
-		wait := time.Hour
-		if len(sh.heap) > 0 {
-			if wait = time.Until(sh.heap[0].when); wait < 0 {
-				wait = 0
-			}
-		}
+		sh.armLocked()
 		sh.mu.Unlock()
-
-		if !timer.Stop() {
-			select {
-			case <-timer.C:
-			default:
-			}
-		}
-		timer.Reset(wait)
-		select {
-		case <-sh.s.stopping:
-			return
-		case <-sh.wake:
-		case <-timer.C:
-		}
 	}
+}
+
+// armLocked points the shard's timer at its earliest deadline, or
+// stops it when the heap is empty. Callers hold sh.mu.
+func (sh *shard) armLocked() {
+	if len(sh.heap) == 0 {
+		sh.timer.Stop()
+		return
+	}
+	sh.timer.Reset(max(0, sh.heap[0].when.Sub(sh.s.clk.Now())))
 }
 
 // retryDelay is the backoff before re-attempting a dispatch that found

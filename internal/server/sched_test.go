@@ -48,10 +48,11 @@ func runServer(t *testing.T, s *Server) (stop func()) {
 // pipelines are registered. A 1000-pipeline server may use no more
 // goroutines than a 10-pipeline one (plus a small slack for runtime
 // noise) — under the old one-ticker-goroutine-per-pipeline design the
-// difference was ~990.
+// difference was ~990. A tick starts no goroutine, so the count is
+// taken as soon as the server is ready.
 func TestSchedulerGoroutineCountIsFlat(t *testing.T) {
 	measure := func(n int) int {
-		s := New(Config{Addr: "127.0.0.1:0"})
+		s := New(Config{Addr: "127.0.0.1:0", clock: newFakeClock()})
 		for i := 0; i < n; i++ {
 			if err := s.Register(newFakePipe(fmt.Sprintf("p%d", i), 0), time.Hour); err != nil {
 				t.Fatal(err)
@@ -59,7 +60,6 @@ func TestSchedulerGoroutineCountIsFlat(t *testing.T) {
 		}
 		stop := runServer(t, s)
 		defer stop()
-		time.Sleep(50 * time.Millisecond) // let first ticks drain
 		return runtime.NumGoroutine()
 	}
 	small := measure(10)
@@ -69,46 +69,64 @@ func TestSchedulerGoroutineCountIsFlat(t *testing.T) {
 	}
 }
 
-// overlapPipe fails the test if two of its ticks ever run
-// concurrently.
-type overlapPipe struct {
+// gatedPipe fails the test if two of its ticks ever run concurrently,
+// and holds its first tick at a gate: entered closes when that tick
+// arrives, and it proceeds once the test closes gate.
+type gatedPipe struct {
 	*fakePipe
-	inFlight atomic.Int32
-	overlaps atomic.Int32
+	inFlight, overlaps atomic.Int32
+	gate, entered      chan struct{}
+	once               sync.Once
 }
 
-func (p *overlapPipe) Tick() error {
+func newGatedPipe(name string) *gatedPipe {
+	return &gatedPipe{fakePipe: newFakePipe(name, 0), gate: make(chan struct{}), entered: make(chan struct{})}
+}
+
+func (p *gatedPipe) Tick() error {
 	if p.inFlight.Add(1) > 1 {
 		p.overlaps.Add(1)
 	}
 	defer p.inFlight.Add(-1)
+	p.once.Do(func() {
+		close(p.entered)
+		<-p.gate
+	})
 	return p.fakePipe.Tick()
 }
 
-// TestSchedulerOverlapProtection runs a pipeline whose tick takes much
-// longer than its interval: deadlines that fire mid-tick must be
-// counted late and skipped, never dispatched concurrently.
+// TestSchedulerOverlapProtection holds a pipeline's tick in flight
+// across several of its deadlines: each deadline that fires mid-tick
+// must be counted late and skipped, never dispatched concurrently.
 func TestSchedulerOverlapProtection(t *testing.T) {
-	p := &overlapPipe{fakePipe: newFakePipe("slow", 30*time.Millisecond)}
-	s := New(Config{Addr: "127.0.0.1:0"})
+	clk := newFakeClock()
+	p := newGatedPipe("slow")
+	s := New(Config{Addr: "127.0.0.1:0", clock: clk})
 	if err := s.Register(p, 5*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	stop := runServer(t, s)
-	time.Sleep(200 * time.Millisecond)
+	<-p.entered // the first tick fires at once and is held
+	const missed = 3
+	for i := 0; i < missed; i++ {
+		clk.waitDue(t, 5*time.Millisecond)
+		clk.Advance(5 * time.Millisecond)
+	}
+	clk.waitDue(t, 5*time.Millisecond) // the last miss is counted
+	close(p.gate)
+	waitTicks(t, s, "slow", 1)
+	clk.Advance(5 * time.Millisecond)
+	waitTicks(t, s, "slow", 2)
 	stop()
 	if n := p.overlaps.Load(); n != 0 {
 		t.Fatalf("%d overlapping ticks", n)
 	}
-	if p.ticks.Load() == 0 {
-		t.Fatal("pipeline never ticked")
-	}
 	st := s.SchedulerStatus()
-	if st.LateTicks == 0 {
-		t.Errorf("expected late ticks with a 30ms tick on a 5ms interval: %+v", st)
+	if st.LateTicks != missed {
+		t.Errorf("late ticks = %d, want %d (one per deadline of the held tick): %+v", st.LateTicks, missed, st)
 	}
-	if st.Dispatched == 0 {
-		t.Errorf("no dispatches counted: %+v", st)
+	if st.Dispatched != 2 {
+		t.Errorf("dispatched = %d, want 2: %+v", st.Dispatched, st)
 	}
 }
 
@@ -116,8 +134,9 @@ func TestSchedulerOverlapProtection(t *testing.T) {
 // Server level: speeding up a slow wrapper takes effect in the live
 // deadline heap, and interval 0 converts it to on-demand.
 func TestSetIntervalReschedulesLiveHeap(t *testing.T) {
+	clk := newFakeClock()
 	p := newFakePipe("dyn", 0)
-	s := New(Config{Addr: "127.0.0.1:0"})
+	s := New(Config{Addr: "127.0.0.1:0", clock: clk})
 	stop := runServer(t, s)
 	defer stop()
 	if err := s.RegisterDynamic(p, time.Hour, false); err != nil {
@@ -130,19 +149,19 @@ func TestSetIntervalReschedulesLiveHeap(t *testing.T) {
 	if err := s.SetInterval("dyn", 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for p.ticks.Load() < 5 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
+	// Each 3 ms of clock is one tick.
+	for n := uint64(2); n <= 5; n++ {
+		clk.waitDue(t, 3*time.Millisecond)
+		clk.Advance(3 * time.Millisecond)
+		waitTicks(t, s, "dyn", n)
 	}
-	if got := p.ticks.Load(); got < 5 {
-		t.Fatalf("rescheduled wrapper barely ticked: %d", got)
-	}
-	// Back to on-demand: ticking stops.
+	// Back to on-demand: ticking stops, however far the clock moves.
 	if err := s.SetInterval("dyn", 0); err != nil {
 		t.Fatal(err)
 	}
 	base := p.ticks.Load()
-	time.Sleep(50 * time.Millisecond)
+	clk.waitTimers(t, 0) // no shard has anything left to fire
+	clk.Advance(time.Hour)
 	if got := p.ticks.Load(); got != base {
 		t.Fatalf("on-demand wrapper kept ticking (%d -> %d)", base, got)
 	}
@@ -154,54 +173,27 @@ func TestSetIntervalReschedulesLiveHeap(t *testing.T) {
 	}
 }
 
-// gatedPipe blocks its first tick on a channel, so a test can hold the
-// synchronous registration tick in flight while racing other calls.
-type gatedPipe struct {
-	*overlapPipe
-	gate  chan struct{}
-	gated atomic.Bool
-}
-
-func (p *gatedPipe) Tick() error {
-	if p.inFlight.Add(1) > 1 {
-		p.overlaps.Add(1)
-	}
-	defer p.inFlight.Add(-1)
-	if p.gated.CompareAndSwap(false, true) {
-		<-p.gate
-	}
-	return p.fakePipe.Tick()
-}
-
 // TestSetIntervalDuringRegistration races PATCH against the
 // synchronous registration tick: the reschedule must not start the
 // schedule while the first tick is still in flight (no overlapping
 // ticks), but must take effect once registration completes.
 func TestSetIntervalDuringRegistration(t *testing.T) {
-	p := &gatedPipe{
-		overlapPipe: &overlapPipe{fakePipe: newFakePipe("racer", 0)},
-		gate:        make(chan struct{}),
-	}
-	s := New(Config{Addr: "127.0.0.1:0"})
+	clk := newFakeClock()
+	p := newGatedPipe("racer")
+	s := New(Config{Addr: "127.0.0.1:0", clock: clk})
 	stop := runServer(t, s)
 	defer stop()
 
 	regDone := make(chan error, 1)
 	go func() { regDone <- s.RegisterDynamic(p, time.Hour, false) }()
-	// Wait for the registration tick to block at the gate, then PATCH.
-	deadline := time.Now().Add(5 * time.Second)
-	for !p.gated.Load() && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !p.gated.Load() {
-		t.Fatal("registration tick never started")
-	}
+	<-p.entered // the registration tick is held at the gate
 	if err := s.SetInterval("racer", 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// The reschedule is deferred; nothing may tick concurrently with
 	// the registration tick still held at the gate.
-	time.Sleep(30 * time.Millisecond)
+	clk.waitTimers(t, 0)
+	clk.Advance(time.Hour)
 	if got := p.ticks.Load(); got != 0 {
 		t.Fatalf("%d ticks ran while the registration tick was in flight", got)
 	}
@@ -210,12 +202,10 @@ func TestSetIntervalDuringRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The deferred reschedule kicks in after registration.
-	deadline = time.Now().Add(5 * time.Second)
-	for p.ticks.Load() < 3 && time.Now().Before(deadline) {
-		time.Sleep(5 * time.Millisecond)
-	}
-	if got := p.ticks.Load(); got < 3 {
-		t.Fatalf("deferred reschedule never took effect: %d ticks", got)
+	for n := uint64(2); n <= 3; n++ {
+		clk.waitDue(t, 3*time.Millisecond)
+		clk.Advance(3 * time.Millisecond)
+		waitTicks(t, s, "racer", n)
 	}
 	if n := p.overlaps.Load(); n != 0 {
 		t.Fatalf("%d ticks overlapped the registration tick", n)
@@ -345,7 +335,8 @@ func TestSchedulerStress(t *testing.T) {
 			`it(S, X) <- document("stress.example.com/p%d", S), subelem(S, (?.tr, [(class, it, exact)]), X)`, i))
 	}
 
-	s := New(Config{Addr: "127.0.0.1:0"})
+	clk := newFakeClock()
+	s := New(Config{Addr: "127.0.0.1:0", clock: clk})
 	stop := runServer(t, s)
 
 	guards := make([]*guardPipe, nWrappers)
@@ -357,7 +348,7 @@ func TestSchedulerStress(t *testing.T) {
 			defer wg.Done()
 			for i := g; i < nWrappers; i += 8 {
 				name := fmt.Sprintf("w%d", i)
-				eng, out, err := transform.NewWrapperEngineCached(name, wrappers[i%nPages], fetcher, cache)
+				eng, out, err := transform.NewWrapperEngineBatched(name, wrappers[i%nPages], fetcher, cache, nil)
 				if err != nil {
 					t.Error(err)
 					return
@@ -373,19 +364,29 @@ func TestSchedulerStress(t *testing.T) {
 	}
 	wg.Wait()
 
-	// Let the fleet tick, deleting a slice of it concurrently.
-	var delWg sync.WaitGroup
-	delWg.Add(1)
+	// Let the fleet tick through at least 30 ms of clock, deleting a
+	// slice of it concurrently.
+	deleted := make(chan struct{})
 	go func() {
-		defer delWg.Done()
+		defer close(deleted)
 		for i := 0; i < nWrappers; i += 5 {
 			if err := s.Deregister(fmt.Sprintf("w%d", i)); err == nil {
 				guards[i] = nil // retired; its collector stops growing
 			}
 		}
 	}()
-	time.Sleep(300 * time.Millisecond)
-	delWg.Wait()
+	done := func() bool {
+		select {
+		case <-deleted:
+			return true
+		default:
+			return false
+		}
+	}
+	for ms := 0; ms < 30 || !done(); ms++ {
+		clk.Advance(time.Millisecond)
+		clk.waitTimers(t, 4) // every shard dispatched its due deadlines
+	}
 	stop()
 
 	if n := registerFailures.Load(); n > 0 {
@@ -433,7 +434,7 @@ func TestSchedulerStress(t *testing.T) {
 	}
 	// Clean drain: nothing ticks after Run returned.
 	before := snapshotTicks()
-	time.Sleep(50 * time.Millisecond)
+	clk.Advance(time.Hour)
 	if after := snapshotTicks(); after != before {
 		t.Fatalf("ticks after shutdown: %d -> %d", before, after)
 	}

@@ -51,13 +51,15 @@ type pipeState struct {
 	hooks hookSet
 }
 
-func (ps *pipeState) tickOnce() {
+// tickOnce runs one tick and records it, stamped on clk. The latency
+// measures work, so it is taken on real time.
+func (ps *pipeState) tickOnce(clk clock) {
 	start := time.Now()
 	err := ps.p.Tick()
 	elapsed := time.Since(start)
 	ps.mu.Lock()
 	ps.ticks++
-	ps.lastTick = time.Now()
+	ps.lastTick = clk.Now()
 	ps.lastLatency = elapsed
 	if err != nil {
 		ps.errs++

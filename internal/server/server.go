@@ -25,6 +25,14 @@
 // Dynamically registered pipelines participate: each is drained on
 // DELETE and on shutdown, and PATCH /v1/wrappers/{name} reschedules a
 // wrapper in the live deadline heap without a restart.
+//
+// Time comes from one unexported clock (clock.go): the scheduler's
+// deadlines and shard timers, webhook backoff, breaker cooldown and
+// cursor-save debounce, the SSE heartbeat, the compile rate limiter and
+// the status timestamps all read it. A server runs on real time; the
+// package's tests set Config.clock to a fake they advance by hand.
+// Durations that measure work, such as a tick's latency, stay on real
+// time.
 package server
 
 import (
@@ -107,12 +115,12 @@ type Config struct {
 	// Logf, when set, receives server lifecycle messages.
 	Logf func(format string, args ...any)
 
-	// The watch and webhook timings have no operator knob: New sets
-	// them to the constants below unless an in-package test shrank
-	// them first.
-	watchQueue     int
-	watchHeartbeat time.Duration
-	hooks          hookTiming
+	// watchQueue is the per-subscriber SSE queue depth; New sets it to
+	// defaultWatchQueue unless an in-package test shrank it first.
+	watchQueue int
+	// clock is the server's time (see clock.go); nil is real time. Only
+	// in-package tests set it.
+	clock clock
 }
 
 // The server's fixed mechanisms. The scheduler's shape is schedShape.
@@ -132,10 +140,10 @@ const (
 	// its oldest pending events (counted as dropped_slow) and coalesces
 	// onto newer state.
 	defaultWatchQueue = 8
-	// defaultWatchHeartbeat is the interval between SSE comment
-	// heartbeats on idle watch streams, keeping intermediaries from
-	// closing quiet connections.
-	defaultWatchHeartbeat = 15 * time.Second
+	// watchHeartbeat is the interval between SSE comment heartbeats on
+	// watch streams, keeping intermediaries from closing quiet
+	// connections.
+	watchHeartbeat = 15 * time.Second
 	// maxHooksPerWrapper caps webhook registrations per wrapper.
 	maxHooksPerWrapper = 16
 )
@@ -154,11 +162,8 @@ func (c *Config) withDefaults() Config {
 	if out.watchQueue <= 0 {
 		out.watchQueue = defaultWatchQueue
 	}
-	if out.watchHeartbeat <= 0 {
-		out.watchHeartbeat = defaultWatchHeartbeat
-	}
-	if out.hooks == (hookTiming{}) {
-		out.hooks = defaultHookTiming
+	if out.clock == nil {
+		out.clock = realClock{}
 	}
 	if out.Logf == nil {
 		out.Logf = func(string, ...any) {}
@@ -196,7 +201,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		pipes:   map[string]*pipeState{},
-		limiter: newRateLimiter(cfg.MaxCompilesPerMinute),
+		limiter: newRateLimiter(cfg.MaxCompilesPerMinute, cfg.clock),
 		ready:   make(chan struct{}),
 		drainCh: make(chan struct{}),
 	}
@@ -312,7 +317,7 @@ func (s *Server) RegisterDynamic(p Pipeline, interval time.Duration, onDemand bo
 
 	// First tick outside the lock: compilation already happened, but
 	// the first extraction may fetch pages.
-	ps.tickOnce()
+	ps.tickOnce(s.cfg.clock)
 	if msg := func() string {
 		ps.mu.Lock()
 		defer ps.mu.Unlock()
@@ -413,6 +418,7 @@ func (s *Server) SetInterval(name string, interval time.Duration) error {
 	ps.interval = interval
 	ps.onDemand = onDemand
 	ps.mu.Unlock()
+	s.persistInterval(name, interval)
 	entry, sched := ps.entry, s.sched
 	switch {
 	case onDemand && entry != nil:
@@ -435,6 +441,24 @@ func (s *Server) SetInterval(name string, interval time.Duration) error {
 	}
 	s.cfg.Logf("server: rescheduled pipeline %q (interval %s)", name, interval)
 	return nil
+}
+
+// persistInterval rewrites a persisted wrapper spec's cadence, so a
+// restart restores the wrapper as rescheduled. Callers hold s.mu, which
+// keeps a racing Deregister from removing the store directory first.
+func (s *Server) persistInterval(name string, interval time.Duration) {
+	store := s.cfg.ResultStore
+	if store == nil {
+		return
+	}
+	var spec wrapperSpec
+	if err := store.LoadMeta(name, specFile, &spec); err != nil {
+		return // not registered over /v1: nothing is restored
+	}
+	spec.IntervalMS = max(interval, 0).Milliseconds()
+	if err := store.SaveMeta(name, specFile, spec); err != nil {
+		s.cfg.Logf("server: persist spec for %q: %v", name, err)
+	}
 }
 
 // removePipeIf removes the registration only if it still belongs to
@@ -476,7 +500,7 @@ func (s *Server) startLocked(ps *pipeState) {
 	if onDemand || ps.entry != nil || s.sched == nil {
 		return
 	}
-	first := time.Now()
+	first := s.cfg.clock.Now()
 	if ps.skipFirst {
 		// The registration path already ticked synchronously.
 		first = first.Add(interval)
@@ -509,7 +533,7 @@ func (s *Server) Run(ctx context.Context) error {
 	if err != nil {
 		return err
 	}
-	sc := newSched()
+	sc := newSched(s.cfg.clock)
 	defer sc.stopAndDrain()
 
 	s.mu.Lock()
@@ -698,7 +722,8 @@ func (s *Server) handleHistory(w http.ResponseWriter, r *http.Request) {
 // otherwise it lists the ?n= (default defaultN) newest documents,
 // newest first — the cursor read since(head−n). When the first version
 // served is past the cursor + 1, the versions between are no longer
-// retained: the Lixto-Gap header carries that first version. Malformed
+// retained: the Lixto-Gap header carries that first version. A cursor
+// past the head is a gap back to the current version. Malformed
 // parameters get the 400 envelope on both routes.
 func (ps *pipeState) serveHistory(w http.ResponseWriter, r *http.Request, root string, defaultN int, envelope bool) {
 	fail := func(err error) {
@@ -736,12 +761,18 @@ func (ps *pipeState) serveHistory(w http.ResponseWriter, r *http.Request, root s
 		newest = cmp.Or(limit, defaultN)
 		cursor, limit = head-min(uint64(newest), head), 0
 	}
-	recs, err := ps.deliver.since(cursor, limit)
+	from := cursor
+	if cursor > head {
+		// A cursor past the head (one issued before a restart without
+		// a store) is a gap: the current version is served, flagged.
+		from = max(head, 1) - 1
+	}
+	recs, err := ps.deliver.since(from, limit)
 	if err != nil {
 		fail(err)
 		return
 	}
-	if len(recs) > 0 && recs[0].Version > cursor+1 {
+	if len(recs) > 0 && (recs[0].Version > from+1 || from < cursor) {
 		w.Header().Set("Lixto-Gap", strconv.FormatUint(recs[0].Version, 10))
 	}
 	if newest > 0 && len(recs) > newest {

@@ -174,17 +174,22 @@ func TestNoDataYet(t *testing.T) {
 }
 
 func TestTickErrorRecorded(t *testing.T) {
-	s := New(Config{})
+	clk := newFakeClock()
+	s := New(Config{clock: clk})
 	p := newFakePipe("x", 0)
 	p.err = fmt.Errorf("source down")
 	if err := s.Register(p, time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	ps := s.pipe("x")
-	ps.tickOnce()
+	ps.tickOnce(s.cfg.clock)
 	st := ps.status("x")
 	if st.Ticks != 1 || st.Errors != 1 || st.LastError != "source down" {
 		t.Fatalf("status after failing tick: %+v", st)
+	}
+	// The last-tick stamp reads the server's clock.
+	if want := clk.Now().UTC().Format(time.RFC3339Nano); st.LastTick != want {
+		t.Fatalf("last_tick = %q, want %q", st.LastTick, want)
 	}
 }
 
@@ -298,12 +303,13 @@ func TestConcurrentPipelinesUnderLoad(t *testing.T) {
 }
 
 // TestGracefulShutdownDrainsInFlightTick cancels the server while a
-// slow tick is guaranteed to be in flight and asserts that the tick
-// completed: every started tick delivered its document and was counted
-// in the status, and nothing ticks after Run returns.
+// tick is held in flight and asserts that the tick completed: Run does
+// not return before it, every started tick delivered its document and
+// was counted in the status, and nothing ticks after Run returns.
 func TestGracefulShutdownDrainsInFlightTick(t *testing.T) {
-	p := newFakePipe("slow", 30*time.Millisecond)
-	s := New(Config{Addr: "127.0.0.1:0"})
+	clk := newFakeClock()
+	p := newGatedPipe("slow")
+	s := New(Config{Addr: "127.0.0.1:0", clock: clk})
 	if err := s.Register(p, 20*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
@@ -315,10 +321,16 @@ func TestGracefulShutdownDrainsInFlightTick(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("server never became ready")
 	}
-	// With a 20ms interval and 30ms ticks, a tick is in flight more
-	// often than not; cancel mid-stream.
-	time.Sleep(75 * time.Millisecond)
+	// The first tick fires at once and is held at the gate; cancel
+	// while it is in flight.
+	<-p.entered
 	cancel()
+	select {
+	case err := <-done:
+		t.Fatalf("Run returned (%v) with a tick in flight", err)
+	default:
+	}
+	close(p.gate)
 	select {
 	case err := <-done:
 		if err != nil {
@@ -338,8 +350,8 @@ func TestGracefulShutdownDrainsInFlightTick(t *testing.T) {
 		t.Fatalf("dropped tick: started=%d delivered=%d counted=%d",
 			started, delivered, counted)
 	}
-	// Nothing may tick after shutdown.
-	time.Sleep(60 * time.Millisecond)
+	// Nothing may tick after shutdown, however far time moves.
+	clk.Advance(time.Hour)
 	if p.ticks.Load() != started {
 		t.Fatalf("pipeline ticked after shutdown (%d -> %d)", started, p.ticks.Load())
 	}

@@ -123,6 +123,7 @@ func writeDoc(w http.ResponseWriter, r *http.Request, doc *xmlenc.Node) {
 // rateLimiter is a token bucket: perMinute tokens refill continuously,
 // with a burst of the same size. A nil limiter never limits.
 type rateLimiter struct {
+	clk    clock
 	mu     sync.Mutex
 	tokens float64
 	last   time.Time
@@ -130,11 +131,11 @@ type rateLimiter struct {
 	burst  float64
 }
 
-func newRateLimiter(perMinute int) *rateLimiter {
+func newRateLimiter(perMinute int, clk clock) *rateLimiter {
 	if perMinute < 0 {
 		return nil
 	}
-	return &rateLimiter{rate: float64(perMinute) / 60, burst: float64(perMinute)}
+	return &rateLimiter{clk: clk, rate: float64(perMinute) / 60, burst: float64(perMinute)}
 }
 
 func (rl *rateLimiter) allow() bool {
@@ -143,7 +144,7 @@ func (rl *rateLimiter) allow() bool {
 	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	now := time.Now()
+	now := rl.clk.Now()
 	if rl.last.IsZero() {
 		rl.tokens = rl.burst
 	} else {

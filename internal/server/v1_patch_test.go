@@ -20,9 +20,10 @@ func TestV1PatchReschedulesWrapper(t *testing.T) {
 	sim := web.New()
 	web.NewBookSite(7, 5).Register(sim, "books.example.com")
 	cache := fetchcache.New(64, time.Second)
+	clk := newFakeClock()
 	s := New(Config{
 		Addr: "127.0.0.1:0", AllowDynamic: true, DynamicFetcher: sim,
-		SharedCache: cache, MaxCompilesPerMinute: -1,
+		SharedCache: cache, MaxCompilesPerMinute: -1, clock: clk,
 	})
 	static := newFakePipe("static", 0)
 	if err := s.Register(static, time.Hour); err != nil {
@@ -58,19 +59,18 @@ title(S, X) <- page(_, S), subelem(S, (?.td, [(class, title, exact)]), X)`
 	if info.IntervalMS != 5 || info.OnDemand {
 		t.Fatalf("patched info: %s", body)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, body, _ = do(t, "GET", base+"/v1/wrappers/patchme", nil)
-		if err := json.Unmarshal([]byte(body), &info); err != nil {
-			t.Fatal(err)
-		}
-		if info.Ticks >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("patched wrapper never started ticking: %s", body)
-		}
-		time.Sleep(5 * time.Millisecond)
+	// Each 5 ms of clock is one tick (the first was registration's).
+	for n := uint64(2); n <= 3; n++ {
+		clk.waitDue(t, 5*time.Millisecond)
+		clk.Advance(5 * time.Millisecond)
+		waitTicks(t, s, "patchme", n)
+	}
+	_, body, _ = do(t, "GET", base+"/v1/wrappers/patchme", nil)
+	if err := json.Unmarshal([]byte(body), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Ticks != 3 {
+		t.Fatalf("patched wrapper info after 3 ticks: %s", body)
 	}
 
 	// Back to on-demand: ticking stops.
@@ -85,7 +85,7 @@ title(S, X) <- page(_, S), subelem(S, (?.td, [(class, title, exact)]), X)`
 		t.Fatalf("wrapper still scheduled after PATCH 0: %s", body)
 	}
 	ticksAfter := info.Ticks
-	time.Sleep(50 * time.Millisecond)
+	clk.Advance(time.Hour) // fires the static pipe's tick, and nothing of patchme's
 	_, body, _ = do(t, "GET", base+"/v1/wrappers/patchme", nil)
 	if err := json.Unmarshal([]byte(body), &info); err != nil {
 		t.Fatal(err)
@@ -147,5 +147,39 @@ title(S, X) <- page(_, S), subelem(S, (?.td, [(class, title, exact)]), X)`
 	cancel()
 	if err := <-runErr; err != nil {
 		t.Fatalf("run: %v", err)
+	}
+}
+
+// TestV1PatchSurvivesRestart: with a store, a restart restores a
+// wrapper at the cadence PATCH gave it, not the one it was registered
+// with.
+func TestV1PatchSurvivesRestart(t *testing.T) {
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	_, ts := newDynamicServer(t, Config{ResultStore: store})
+	if code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers", map[string]any{
+		"name": "p", "program": v1Wrapper, "html": v1Page, "auxiliary": []string{"page"},
+	}); code != 201 {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	if code, body, _ := do(t, "PATCH", ts.URL+"/v1/wrappers/p", map[string]any{"interval_ms": 250}); code != 200 {
+		t.Fatalf("patch: %d %s", code, body)
+	}
+	ts.Close()
+	store.Close()
+
+	store2 := openStore(t, dir)
+	defer store2.Close()
+	s2, ts2 := newDynamicServer(t, Config{ResultStore: store2})
+	if n, err := s2.Restore(); n != 1 || err != nil {
+		t.Fatalf("restore: %d %v", n, err)
+	}
+	_, body, _ := do(t, "GET", ts2.URL+"/v1/wrappers/p", nil)
+	var info struct {
+		IntervalMS int64 `json:"interval_ms"`
+		OnDemand   bool  `json:"on_demand"`
+	}
+	if err := json.Unmarshal([]byte(body), &info); err != nil || info.IntervalMS != 250 || info.OnDemand {
+		t.Fatalf("restored wrapper: %s", body)
 	}
 }

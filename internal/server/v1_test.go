@@ -284,25 +284,27 @@ func TestV1SizeLimit(t *testing.T) {
 }
 
 func TestV1RateLimit(t *testing.T) {
-	_, ts := newDynamicServer(t, Config{MaxCompilesPerMinute: 3})
-	var limited bool
-	for i := 0; i < 5; i++ {
+	clk := newFakeClock()
+	_, ts := newDynamicServer(t, Config{MaxCompilesPerMinute: 3, clock: clk})
+	compile := func(want int) {
+		t.Helper()
 		code, body, _ := do(t, "POST", ts.URL+"/v1/extract",
 			map[string]any{"program": v1Wrapper, "html": v1Page})
-		switch code {
-		case 200:
-		case 429:
-			limited = true
-			if envelope(t, body).Kind != "rate_limited" {
-				t.Fatalf("429 envelope: %s", body)
-			}
-		default:
-			t.Fatalf("unexpected status %d: %s", code, body)
+		if code != want || code == 429 && envelope(t, body).Kind != "rate_limited" {
+			t.Fatalf("compile: %d %s, want %d", code, body, want)
 		}
 	}
-	if !limited {
-		t.Fatal("rate limit never tripped after 5 compiles at 3/min")
+	// The burst is the per-minute rate; then one token per 20 s of
+	// clock.
+	for i := 0; i < 3; i++ {
+		compile(200)
 	}
+	compile(429)
+	clk.Advance(19 * time.Second)
+	compile(429)
+	clk.Advance(2 * time.Second)
+	compile(200)
+	compile(429)
 }
 
 func TestV1StaticPipelineProtected(t *testing.T) {
@@ -383,7 +385,8 @@ func TestV1LegacyHistoryBadParam(t *testing.T) {
 func TestV1ScheduledWrapperTicks(t *testing.T) {
 	sim := web.New()
 	web.NewBookSite(7, 5).Register(sim, "books.example.com")
-	s := New(Config{Addr: "127.0.0.1:0", AllowDynamic: true, DynamicFetcher: sim, Logf: t.Logf})
+	clk := newFakeClock()
+	s := New(Config{Addr: "127.0.0.1:0", AllowDynamic: true, DynamicFetcher: sim, Logf: t.Logf, clock: clk})
 	ctx, cancel := context.WithCancel(context.Background())
 	runErr := make(chan error, 1)
 	go func() { runErr <- s.Run(ctx) }()
@@ -397,26 +400,25 @@ title(S, X) <- page(_, S), subelem(S, (?.td, [(class, title, exact)]), X)`
 	if code != 201 {
 		t.Fatalf("create scheduled: %d %s", code, body)
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		code, body, _ = do(t, "GET", base+"/v1/wrappers/live", nil)
-		if code != 200 {
-			t.Fatalf("status: %d %s", code, body)
-		}
-		var info struct {
-			Ticks     uint64 `json:"ticks"`
-			Delivered int    `json:"delivered"`
-		}
-		if err := json.Unmarshal([]byte(body), &info); err != nil {
-			t.Fatal(err)
-		}
-		if info.Ticks >= 3 && info.Delivered >= 3 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("scheduled wrapper never ticked: %s", body)
-		}
-		time.Sleep(10 * time.Millisecond)
+	// Registration ticked once; every 20 ms of clock ticks again.
+	for n := uint64(2); n <= 3; n++ {
+		clk.waitDue(t, 20*time.Millisecond)
+		clk.Advance(20 * time.Millisecond)
+		waitTicks(t, s, "live", n)
+	}
+	code, body, _ = do(t, "GET", base+"/v1/wrappers/live", nil)
+	if code != 200 {
+		t.Fatalf("status: %d %s", code, body)
+	}
+	var info struct {
+		Ticks     uint64 `json:"ticks"`
+		Delivered int    `json:"delivered"`
+	}
+	if err := json.Unmarshal([]byte(body), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Ticks != 3 || info.Delivered != 3 {
+		t.Fatalf("scheduled wrapper after 3 ticks: %s", body)
 	}
 	// Parked keep-alive connections would otherwise hold Shutdown until
 	// the server's read timeout.

@@ -291,9 +291,11 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	// without re-sending. When the log no longer holds the versions
 	// right after the cursor, an "event: gap" frame carrying the first
 	// version replayed precedes it, and that record is sent even if it
-	// is a no-op: the subscriber has not seen its content.
+	// is a no-op: the subscriber has not seen its content. A cursor past
+	// the head (one issued before a restart without a store) is a gap
+	// too: the current version follows the gap frame, then live events.
 	var lastVer uint64
-	replaying := false
+	replaying, gapNext := false, false
 	if lei := r.Header.Get("Last-Event-ID"); lei != "" {
 		if v, err := strconv.ParseUint(lei, 10, 64); err == nil {
 			lastVer, replaying = v, true
@@ -305,13 +307,17 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	if replaying {
+		if head := ps.deliver.head(); lastVer > head {
+			lastVer, gapNext = max(head, 1)-1, true
+		}
 		recs, err := ps.deliver.since(lastVer, 0)
 		if err != nil {
 			closeEvent(err.Error())
 			return
 		}
 		for _, rec := range recs {
-			gap := rec.Version > lastVer+1
+			gap := gapNext || rec.Version > lastVer+1
+			gapNext = false
 			if gap {
 				fmt.Fprintf(w, "event: gap\ndata: %d\n\n", rec.Version)
 			}
@@ -329,7 +335,7 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 	}
 	fl.Flush()
 
-	heartbeat := time.NewTicker(s.cfg.watchHeartbeat)
+	heartbeat := s.cfg.clock.NewTimer(watchHeartbeat)
 	defer heartbeat.Stop()
 	for {
 		select {
@@ -342,6 +348,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 			if ev.ver <= lastVer {
 				continue
 			}
+			if gapNext {
+				fmt.Fprintf(w, "event: gap\ndata: %d\n\n", ev.ver)
+				gapNext = false
+			}
 			lastVer = ev.ver
 			w.Write(ev.frame)
 			fl.Flush()
@@ -350,9 +360,10 @@ func (s *Server) handleWatch(w http.ResponseWriter, r *http.Request) {
 		case <-s.drainCh:
 			closeEvent("shutting down")
 			return
-		case <-heartbeat.C:
+		case <-heartbeat.C():
 			fmt.Fprintf(w, ": ping\n\n")
 			fl.Flush()
+			heartbeat.Reset(watchHeartbeat)
 		}
 	}
 }

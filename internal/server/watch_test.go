@@ -244,6 +244,11 @@ func TestWatchSlowClientDrops(t *testing.T) {
 	}
 	defer ps.deliver.hub.unsubscribe(sub)
 
+	// A probe subscriber with room for every event: once it holds the
+	// last one, the dispatcher has offered all of them to sub too.
+	probe := ps.deliver.hub.subscribe(32, false)
+	defer ps.deliver.hub.unsubscribe(probe)
+
 	// Publish far more changes than the queue holds without reading.
 	done := make(chan struct{})
 	go func() {
@@ -259,15 +264,16 @@ func TestWatchSlowClientDrops(t *testing.T) {
 	}
 	// broadcast only enqueues; wait for the dispatcher to fan the
 	// backlog out before inspecting the subscriber queue.
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		ps.deliver.hub.mu.Lock()
-		n := len(ps.deliver.hub.pending)
-		ps.deliver.hub.mu.Unlock()
-		if n == 0 || time.Now().After(deadline) {
-			break
+	for latest := ps.deliver.seq.Load(); ; {
+		select {
+		case ev := <-probe.ch:
+			if ev.seq < latest {
+				continue
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatal("the dispatcher never fanned out the last event")
 		}
-		time.Sleep(time.Millisecond)
+		break
 	}
 	ds := s.DeliveryStatus()
 	if ds.DroppedSlow == 0 {
@@ -359,9 +365,10 @@ func TestWatchShutdownDrain(t *testing.T) {
 // no writes to closed subscribers, no stuck streams, and every
 // subscriber observes strictly increasing event ids.
 func TestWatchLifecycleStress(t *testing.T) {
-	// The short heartbeat keeps idle subscriber reads from stalling the
-	// test, and exercises the keepalive path under churn.
-	s := New(Config{watchQueue: 4, watchHeartbeat: 50 * time.Millisecond})
+	// Each subscriber moves the clock a heartbeat on, exercising the
+	// keepalive path under churn; stopping cancels its open reads.
+	clk := newFakeClock()
+	s := New(Config{watchQueue: 4, clock: clk})
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close) // after the SSE clients close (cleanups run LIFO)
 
@@ -370,8 +377,9 @@ func TestWatchLifecycleStress(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	stop := make(chan struct{})
-	time.AfterFunc(600*time.Millisecond, func() { close(stop) })
+	ctx, cancel := context.WithTimeout(context.Background(), 600*time.Millisecond)
+	defer cancel()
+	stop := ctx.Done()
 	var wg sync.WaitGroup
 
 	// Lifecycle churn: delete, re-register, reschedule.
@@ -418,7 +426,8 @@ func TestWatchLifecycleStress(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Get(ts.URL + "/v1/wrappers/churn/watch")
+				req, _ := http.NewRequestWithContext(ctx, "GET", ts.URL+"/v1/wrappers/churn/watch", nil)
+				resp, err := http.DefaultClient.Do(req)
 				if err != nil {
 					continue
 				}
@@ -426,6 +435,7 @@ func TestWatchLifecycleStress(t *testing.T) {
 					resp.Body.Close()
 					continue
 				}
+				clk.Advance(watchHeartbeat)
 				br := bufio.NewReader(resp.Body)
 				var last uint64
 				for ev := 0; ev < 8; ev++ {
@@ -481,12 +491,14 @@ func TestWatchCloseEventWireFormat(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
+	// The stream is subscribed once its initial frame has arrived.
 	done := make(chan string, 1)
+	br := bufio.NewReader(resp.Body)
+	eventSourceData(t, br, "result")
 	go func() {
-		raw, _ := io.ReadAll(resp.Body)
+		raw, _ := io.ReadAll(br)
 		done <- string(raw)
 	}()
-	time.Sleep(50 * time.Millisecond) // let the initial frame flush
 	if err := s.Deregister("pin"); err != nil {
 		t.Fatal(err)
 	}
@@ -518,11 +530,12 @@ func TestWatchCloseEventWireFormat(t *testing.T) {
 	}
 	defer resp2.Body.Close()
 	done2 := make(chan string, 1)
+	br2 := bufio.NewReader(resp2.Body)
+	eventSourceData(t, br2, "result")
 	go func() {
-		raw, _ := io.ReadAll(resp2.Body)
+		raw, _ := io.ReadAll(br2)
 		done2 <- string(raw)
 	}()
-	time.Sleep(50 * time.Millisecond)
 	cancel()
 	select {
 	case raw := <-done2:
@@ -624,4 +637,75 @@ func TestWatchFramesInFlightOnly(t *testing.T) {
 		t.Fatalf("queue holds version %d, want the newest (3)", ev.ver)
 	}
 	runtime.KeepAlive(sn)
+}
+
+// TestWatchCursorAheadOfHead: a resume cursor past the wrapper's head —
+// what a browser EventSource sends after a server restarted without a
+// store — is a gap. The stream sends "event: gap" with the current
+// version, then the current snapshot, then live events; ?since= and
+// the results route follow the same rule.
+func TestWatchCursorAheadOfHead(t *testing.T) {
+	s := New(Config{})
+	p := newFakePipe("feed", 0)
+	if err := s.RegisterDynamic(p, 0, true); err != nil { // version 1
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close) // after the SSE clients close (cleanups run LIFO)
+
+	byHeader := openWatch(t, ts.URL+"/v1/wrappers/feed/watch", "Last-Event-ID", "50")
+	byQuery := openWatch(t, ts.URL+"/v1/wrappers/feed/watch?since=50")
+	for _, c := range []*sseClient{byHeader, byQuery} {
+		if ev := c.next(t, 2*time.Second); ev.event != "gap" || ev.data != "1" {
+			t.Fatalf("first event: %q %q, want the gap to version 1", ev.event, ev.data)
+		}
+		if ev := c.next(t, 2*time.Second); ev.event != "result" || ev.id != 1 || !strings.Contains(ev.data, `n="1"`) {
+			t.Fatalf("after the gap: %q id=%d %q, want the current snapshot", ev.event, ev.id, ev.data)
+		}
+	}
+	deliver(t, s, p) // version 2, new content
+	for _, c := range []*sseClient{byHeader, byQuery} {
+		if ev := c.next(t, 2*time.Second); ev.event != "result" || ev.id != 2 {
+			t.Fatalf("live event after the gap: %q id=%d", ev.event, ev.id)
+		}
+	}
+
+	req, _ := http.NewRequest("GET", ts.URL+"/v1/wrappers/feed/results?since=50", nil)
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if gap := resp.Header.Get("Lixto-Gap"); resp.StatusCode != 200 || gap != "2" ||
+		!strings.Contains(string(body), `version="2"`) || strings.Contains(string(body), `version="1"`) {
+		t.Fatalf("results?since=50 at head 2: %d Lixto-Gap=%q\n%s", resp.StatusCode, gap, body)
+	}
+}
+
+// TestWatchHeartbeat: an open stream sends a comment heartbeat each
+// time watchHeartbeat passes on the server's clock, and not before.
+func TestWatchHeartbeat(t *testing.T) {
+	clk := newFakeClock()
+	s := New(Config{clock: clk})
+	if err := s.RegisterDynamic(newFakePipe("beat", 0), 0, true); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(ts.Close)
+	br, stop := openStream(t, ts.URL+"/v1/wrappers/beat/watch")
+	defer stop()
+	eventSourceData(t, br, "result") // the current state
+	for i := 0; i < 2; i++ {
+		clk.waitTimers(t, 1) // the stream's heartbeat, armed
+		clk.Advance(watchHeartbeat - time.Millisecond)
+		if br.Buffered() > 0 {
+			t.Fatal("heartbeat before its interval")
+		}
+		clk.Advance(time.Millisecond)
+		if line, err := br.ReadString('\n'); err != nil || line != ": ping\n" {
+			t.Fatalf("heartbeat %d: %q %v", i+1, line, err)
+		}
+		br.ReadString('\n') // the blank line ending the comment
+	}
 }

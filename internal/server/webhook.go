@@ -36,23 +36,17 @@ import (
 //	GET    /v1/wrappers/{name}/webhooks/{id}   one endpoint's status
 //	DELETE /v1/wrappers/{name}/webhooks/{id}   retire an endpoint
 
-// hookTiming is a webhook dispatcher's schedule: the timeout of one
-// POST, the exponential retry backoff's bounds, how many consecutive
-// failures open the circuit breaker, and how long an open breaker cools
-// down before its half-open probe.
-type hookTiming struct {
-	timeout, backoffMin, backoffMax, cooldown time.Duration
-	maxAttempts                               int
-}
-
-// defaultHookTiming is every server's webhook schedule.
-var defaultHookTiming = hookTiming{
-	timeout:     5 * time.Second,
-	backoffMin:  100 * time.Millisecond,
-	backoffMax:  30 * time.Second,
-	cooldown:    30 * time.Second,
-	maxAttempts: 6,
-}
+// A webhook dispatcher's schedule: the timeout of one POST, the
+// exponential retry backoff's bounds, how many consecutive failures
+// open the circuit breaker, and how long an open breaker cools down
+// before its half-open probe.
+const (
+	hookTimeout     = 5 * time.Second
+	hookBackoffMin  = 100 * time.Millisecond
+	hookBackoffMax  = 30 * time.Second
+	hookCooldown    = 30 * time.Second
+	hookMaxAttempts = 6
+)
 
 // hookBatch bounds how many records one dispatcher pass reads from the
 // delivery log.
@@ -133,7 +127,7 @@ type hookSet struct {
 	endpoints map[string]*hookEndpoint
 	nextID    int
 	closed    bool
-	saveTimer *time.Timer // debounced cursor persist
+	saveTimer timer // debounced cursor persist
 }
 
 func (hs *hookSet) init(s *Server, ps *pipeState) {
@@ -261,7 +255,7 @@ func (hs *hookSet) scheduleSave() {
 	if hs.closed || hs.saveTimer != nil {
 		return
 	}
-	hs.saveTimer = time.AfterFunc(hookSaveDebounce, func() {
+	hs.saveTimer = hs.s.cfg.clock.AfterFunc(hookSaveDebounce, func() {
 		hs.mu.Lock()
 		hs.saveTimer = nil
 		hs.mu.Unlock()
@@ -328,8 +322,7 @@ func (hs *hookSet) restore() error {
 // not seen its content), carrying that version as Lixto-Gap. A failed
 // log read backs off and retries like a failed POST.
 func (e *hookEndpoint) run() {
-	timing := &e.hs.s.cfg.hooks
-	client := &http.Client{Timeout: timing.timeout}
+	client := &http.Client{Timeout: hookTimeout}
 	readFailures := 0
 	for {
 		e.mu.Lock()
@@ -341,12 +334,10 @@ func (e *hookEndpoint) run() {
 			e.mu.Lock()
 			e.state, e.lastErr = "retrying", err.Error()
 			e.mu.Unlock()
-			select {
-			case <-time.After(backoffDelay(timing.backoffMin, timing.backoffMax, readFailures)):
-				continue
-			case <-e.done:
+			if !sleep(e.hs.s.cfg.clock, backoffDelay(hookBackoffMin, hookBackoffMax, readFailures), e.done) {
 				return
 			}
+			continue
 		}
 		readFailures = 0
 		if len(recs) == 0 {
@@ -379,10 +370,15 @@ func (e *hookEndpoint) run() {
 // failure and opening the breaker past the attempt cap. It never
 // skips: at-least-once means a dead endpoint blocks its own cursor,
 // not that versions vanish. Returns false when the dispatcher should
-// stop.
+// stop; a retired endpoint starts no POST once its removal returned.
 func (e *hookEndpoint) deliverOne(client *http.Client, rec resultlog.Record, gap uint64) bool {
-	timing := &e.hs.s.cfg.hooks
+	clk := e.hs.s.cfg.clock
 	for {
+		select {
+		case <-e.done:
+			return false
+		default:
+		}
 		err := e.post(client, rec, gap)
 		if err == nil {
 			e.mu.Lock()
@@ -390,7 +386,7 @@ func (e *hookEndpoint) deliverOne(client *http.Client, rec resultlog.Record, gap
 			e.attempts = 0
 			e.state = "delivering"
 			e.lastErr = ""
-			e.lastDelivery = time.Now()
+			e.lastDelivery = clk.Now()
 			e.mu.Unlock()
 			e.advance(rec.Version)
 			return true
@@ -402,25 +398,23 @@ func (e *hookEndpoint) deliverOne(client *http.Client, rec resultlog.Record, gap
 		e.lastErr = err.Error()
 		e.mu.Unlock()
 		var wait time.Duration
-		if attempts >= timing.maxAttempts {
+		if attempts >= hookMaxAttempts {
 			// Breaker opens: cool down, then the loop's next pass is the
 			// half-open probe. The cursor stays put.
 			e.mu.Lock()
 			e.state = "open"
 			e.opens++
-			e.attempts = timing.maxAttempts - 1
+			e.attempts = hookMaxAttempts - 1
 			e.mu.Unlock()
-			wait = timing.cooldown
+			wait = hookCooldown
 		} else {
 			e.setState("retrying")
 			e.mu.Lock()
 			e.retries++
 			e.mu.Unlock()
-			wait = backoffDelay(timing.backoffMin, timing.backoffMax, attempts)
+			wait = backoffDelay(hookBackoffMin, hookBackoffMax, attempts)
 		}
-		select {
-		case <-time.After(wait):
-		case <-e.done:
+		if !sleep(clk, wait, e.done) {
 			return false
 		}
 	}
@@ -556,8 +550,9 @@ type webhookSpec struct {
 	// URL receives each new snapshot as an XML POST.
 	URL string `json:"url"`
 	// Since, when set, starts delivery after this version (0 replays
-	// everything still retained). Absent means "from now": only results
-	// newer than the current version are delivered.
+	// everything still retained); it may not exceed the current
+	// version. Absent means "from now": only results newer than the
+	// current version are delivered.
 	Since *uint64 `json:"since,omitempty"`
 	// Secret, when set, signs every delivery: the endpoint receives a
 	// Lixto-Signature header of "sha256=" + hex(HMAC-SHA256(secret,
@@ -593,6 +588,13 @@ func (s *Server) v1Webhooks(w http.ResponseWriter, r *http.Request) {
 		}
 		cursor := ps.deliver.head()
 		if spec.Since != nil {
+			if *spec.Since > cursor {
+				// A cursor past the head would wait for versions that
+				// may never come, skipping every one until then.
+				writeError(w, http.StatusBadRequest, "bad_request",
+					fmt.Sprintf("since %d is ahead of the current version %d", *spec.Since, cursor), nil)
+				return
+			}
 			cursor = *spec.Since
 		}
 		e, err := ps.hooks.add("", spec.URL, cursor, spec.Secret)

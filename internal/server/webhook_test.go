@@ -18,47 +18,75 @@ func jsonUnmarshal(s string, v any) error { return json.Unmarshal([]byte(s), v) 
 
 // hookSink is an in-test webhook receiver: it records every POST (or
 // rejects it, while failing is set) so tests can assert ordering,
-// headers, and at-least-once coverage.
+// headers, and at-least-once coverage. While stalled, a POST is held
+// open until the stall ends or its client goes away, then rejected
+// unrecorded.
 type hookSink struct {
 	mu       sync.Mutex
 	failing  bool
 	failCode int
+	stall    chan struct{} // non-nil while stalled; closed to end it
+	stalls   int           // POSTs held by a stall
 	receipts []hookReceipt
+	changed  chan struct{} // closed and replaced on every receipt or stall
 	ts       *httptest.Server
 }
 
 type hookReceipt struct {
+	path    string
 	wrapper string
 	webhook string
 	version uint64
 	body    string
 	sig     string
 	gap     string
+	remote  string // the sending connection's address
 }
 
 func newHookSink(t *testing.T) *hookSink {
 	t.Helper()
-	sink := &hookSink{failCode: http.StatusServiceUnavailable}
+	sink := &hookSink{failCode: http.StatusServiceUnavailable, changed: make(chan struct{})}
 	sink.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		body, _ := io.ReadAll(r.Body)
 		v, _ := strconv.ParseUint(r.Header.Get("Lixto-Version"), 10, 64)
 		sink.mu.Lock()
 		defer sink.mu.Unlock()
+		if stall := sink.stall; stall != nil {
+			sink.stalls++
+			sink.signalLocked()
+			sink.mu.Unlock()
+			select {
+			case <-stall:
+			case <-r.Context().Done():
+			}
+			sink.mu.Lock()
+			w.WriteHeader(sink.failCode)
+			return
+		}
 		if sink.failing {
 			w.WriteHeader(sink.failCode)
 			return
 		}
 		sink.receipts = append(sink.receipts, hookReceipt{
+			path:    r.URL.Path,
 			wrapper: r.Header.Get("Lixto-Wrapper"),
 			webhook: r.Header.Get("Lixto-Webhook"),
 			version: v,
 			body:    string(body),
 			sig:     r.Header.Get("Lixto-Signature"),
 			gap:     r.Header.Get("Lixto-Gap"),
+			remote:  r.RemoteAddr,
 		})
+		sink.signalLocked()
 	}))
 	t.Cleanup(sink.ts.Close)
+	t.Cleanup(func() { sink.setStalled(false) }) // before the server closes
 	return sink
+}
+
+func (h *hookSink) signalLocked() {
+	close(h.changed)
+	h.changed = make(chan struct{})
 }
 
 func (h *hookSink) setFailing(on bool) {
@@ -67,37 +95,61 @@ func (h *hookSink) setFailing(on bool) {
 	h.mu.Unlock()
 }
 
+func (h *hookSink) setStalled(on bool) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	switch {
+	case on && h.stall == nil:
+		h.stall = make(chan struct{})
+	case !on && h.stall != nil:
+		close(h.stall)
+		h.stall = nil
+	}
+}
+
 func (h *hookSink) snapshot() []hookReceipt {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return append([]hookReceipt(nil), h.receipts...)
 }
 
-// waitFor polls until the sink's receipts satisfy ok.
+// waitFor waits until the sink's receipts satisfy ok.
 func (h *hookSink) waitFor(t *testing.T, what string, ok func([]hookReceipt) bool) []hookReceipt {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got := h.snapshot()
-		if ok(got) {
-			return got
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("sink never satisfied %q: %+v", what, got)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	var got []hookReceipt
+	h.wait(t, what, func() bool {
+		got = append(got[:0], h.receipts...)
+		return ok(got)
+	})
+	return got
 }
 
-// fastHookConfig keeps retry timing test-scale.
-func fastHookConfig() Config {
-	return Config{hooks: hookTiming{
-		timeout:     5 * time.Second,
-		backoffMin:  time.Millisecond,
-		backoffMax:  5 * time.Millisecond,
-		cooldown:    20 * time.Millisecond,
-		maxAttempts: 3,
-	}}
+// waitStalled waits until a stall holds a POST.
+func (h *hookSink) waitStalled(t *testing.T) {
+	t.Helper()
+	h.wait(t, "a stalled POST", func() bool { return h.stalls > 0 })
+}
+
+// wait waits until ok, called under h.mu, holds.
+func (h *hookSink) wait(t *testing.T, what string, ok func() bool) {
+	t.Helper()
+	deadline := time.NewTimer(5 * time.Second)
+	defer deadline.Stop()
+	for {
+		h.mu.Lock()
+		done, changed := ok(), h.changed
+		h.mu.Unlock()
+		if done {
+			return
+		}
+		select {
+		case <-changed:
+		case <-deadline.C:
+			h.mu.Lock()
+			defer h.mu.Unlock()
+			t.Fatalf("sink never satisfied %q: %+v", what, h.receipts)
+		}
+	}
 }
 
 // TestWebhookDelivery pins the happy path: registering an endpoint
@@ -147,25 +199,19 @@ func TestWebhookDelivery(t *testing.T) {
 	})
 
 	// The listing reports the advanced cursor and the delivery count.
+	waitInfo(t, ts.URL+"/v1/wrappers/x/webhooks/h1", "cursor at 4", func(w hookInfo) bool { return w.Cursor == 4 })
 	var listing struct {
 		Name     string     `json:"name"`
 		Webhooks []hookInfo `json:"webhooks"`
 	}
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		_, body, _ = do(t, "GET", ts.URL+"/v1/wrappers/x/webhooks", nil)
-		if err := jsonUnmarshal(body, &listing); err != nil {
-			t.Fatal(err)
-		}
-		if len(listing.Webhooks) == 1 && listing.Webhooks[0].Cursor == 4 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("cursor never advanced to 4: %s", body)
-		}
-		time.Sleep(5 * time.Millisecond)
+	_, body, _ = do(t, "GET", ts.URL+"/v1/wrappers/x/webhooks", nil)
+	if err := jsonUnmarshal(body, &listing); err != nil {
+		t.Fatal(err)
 	}
-	if w := listing.Webhooks[0]; w.Deliveries != 4 || w.Failures != 0 {
+	if len(listing.Webhooks) != 1 {
+		t.Fatalf("listing: %s", body)
+	}
+	if w := listing.Webhooks[0]; w.Cursor != 4 || w.Deliveries != 4 || w.Failures != 0 {
 		t.Fatalf("webhook stats: %+v", w)
 	}
 
@@ -177,11 +223,20 @@ func TestWebhookDelivery(t *testing.T) {
 	if code, _, _ := do(t, "GET", ts.URL+"/v1/wrappers/x/webhooks/h1", nil); code != 404 {
 		t.Fatalf("deleted webhook still listed: %d", code)
 	}
-	before := len(sink.snapshot())
+	// A second endpoint from version 4 on sees version 5; the retired
+	// one never does.
+	if code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers/x/webhooks",
+		map[string]any{"url": sink.ts.URL, "since": 4}); code != 201 {
+		t.Fatalf("create second webhook: %d %s", code, body)
+	}
 	deliver(t, s, p)
-	time.Sleep(50 * time.Millisecond)
-	if after := len(sink.snapshot()); after != before {
-		t.Fatalf("retired endpoint still delivered: %d -> %d", before, after)
+	got = sink.waitFor(t, "version 5 at the second endpoint", func(rs []hookReceipt) bool {
+		return len(rs) > 0 && rs[len(rs)-1].webhook == "h2" && rs[len(rs)-1].version == 5
+	})
+	for _, r := range got[4:] {
+		if r.webhook != "h2" {
+			t.Fatalf("retired endpoint still delivered: %+v", r)
+		}
 	}
 }
 
@@ -236,14 +291,39 @@ func TestWebhookSinceAbsent(t *testing.T) {
 		map[string]any{"url": sink.ts.URL}); code != 201 {
 		t.Fatalf("create: %d %s", code, body)
 	}
-	time.Sleep(50 * time.Millisecond)
-	if rs := sink.snapshot(); len(rs) != 0 {
-		t.Fatalf("history replayed without since: %+v", rs)
-	}
+	// The dispatcher delivers in order: had it replayed history, its
+	// first POST would carry version 1.
 	deliver(t, s, p)
 	got := sink.waitFor(t, "only the new version", func(rs []hookReceipt) bool { return len(rs) >= 1 })
 	if got[0].version != 3 {
-		t.Fatalf("first delivery version = %d, want 3", got[0].version)
+		t.Fatalf("first delivery version = %d, want 3 (history replayed without since)", got[0].version)
+	}
+}
+
+// TestWebhookSinceAheadRejected: a since past the current version is
+// refused with the 400 envelope naming the head; registered anyway it
+// would skip every version up to it.
+func TestWebhookSinceAheadRejected(t *testing.T) {
+	s := New(Config{})
+	p := newFakePipe("x", 0)
+	if err := s.Register(p, time.Hour); err != nil {
+		t.Fatal(err)
+	}
+	deliver(t, s, p)
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers/x/webhooks",
+		map[string]any{"url": "http://h/x", "since": 50})
+	if e := envelope(t, body); code != 400 || e.Kind != "bad_request" || !strings.Contains(e.Message, "current version 1") {
+		t.Fatalf("since ahead of the head: %d %s", code, body)
+	}
+	if n := s.readPipe("x").hooks.count(); n != 0 {
+		t.Fatalf("%d endpoints registered by a refused request", n)
+	}
+	// since equal to the head is the "from now" cursor.
+	if code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers/x/webhooks",
+		map[string]any{"url": "http://h/x", "since": 1}); code != 201 {
+		t.Fatalf("since at the head: %d %s", code, body)
 	}
 }
 
@@ -289,11 +369,13 @@ func TestWebhookValidation(t *testing.T) {
 
 // TestWebhookRetryBackoff: a failing endpoint is retried with backoff
 // until it accepts; the cursor never advances past an unacknowledged
-// version, and the failure/retry counters record the attempts.
+// version, and the failure/retry counters record the attempts. Each
+// retry waits on the server's clock.
 func TestWebhookRetryBackoff(t *testing.T) {
 	sink := newHookSink(t)
 	sink.setFailing(true)
-	s := New(fastHookConfig())
+	clk := newFakeClock()
+	s := New(Config{clock: clk})
 	p := newFakePipe("x", 0)
 	if err := s.Register(p, time.Hour); err != nil {
 		t.Fatal(err)
@@ -307,34 +389,41 @@ func TestWebhookRetryBackoff(t *testing.T) {
 	if code != 201 {
 		t.Fatalf("create: %d %s", code, body)
 	}
-	// Give it a few failed attempts, then recover the sink.
-	waitInfo(t, ts.URL+"/v1/wrappers/x/webhooks/h1", "failures recorded", func(w hookInfo) bool {
-		return w.Failures >= 2 && w.Cursor == 0
-	})
+	// Two failed attempts, each followed by a backoff timer; nothing
+	// retries until the clock passes it.
+	clk.waitTimers(t, 1)
+	clk.Advance(hookBackoffMax)
+	clk.waitTimers(t, 1)
+	w := hookInfoOf(t, ts.URL+"/v1/wrappers/x/webhooks/h1")
+	if w.Failures != 2 || w.Retries != 2 || w.Cursor != 0 || w.State != "retrying" {
+		t.Fatalf("after two failures: %+v", w)
+	}
 	sink.setFailing(false)
+	clk.Advance(hookBackoffMax)
 	got := sink.waitFor(t, "eventual delivery", func(rs []hookReceipt) bool { return len(rs) >= 1 })
 	if got[0].version != 1 {
 		t.Fatalf("delivered version = %d, want 1", got[0].version)
 	}
-	w := waitInfo(t, ts.URL+"/v1/wrappers/x/webhooks/h1", "cursor advanced", func(w hookInfo) bool {
+	w = waitInfo(t, ts.URL+"/v1/wrappers/x/webhooks/h1", "cursor advanced", func(w hookInfo) bool {
 		return w.Cursor == 1
 	})
-	if w.Deliveries != 1 || w.Failures < 2 || w.Retries < 1 {
+	if w.Deliveries != 1 || w.Failures != 2 || w.Retries != 2 {
 		t.Fatalf("counters after recovery: %+v", w)
 	}
-	if w.LastError != "" && !strings.Contains(w.LastError, "503") {
-		t.Fatalf("last error: %q", w.LastError)
+	if w.LastError != "" {
+		t.Fatalf("last error after recovery: %q", w.LastError)
 	}
 }
 
 // TestWebhookBreaker: a run of failures past the attempt cap opens the
 // circuit breaker (visible in the endpoint state and the aggregate
-// stats); after the cooldown the half-open probe redelivers and the
-// breaker closes. No version is ever skipped.
+// stats); the breaker holds for its whole cooldown, then the half-open
+// probe redelivers and the breaker closes. No version is ever skipped.
 func TestWebhookBreaker(t *testing.T) {
 	sink := newHookSink(t)
 	sink.setFailing(true)
-	s := New(fastHookConfig())
+	clk := newFakeClock()
+	s := New(Config{clock: clk})
 	p := newFakePipe("x", 0)
 	if err := s.Register(p, time.Hour); err != nil {
 		t.Fatal(err)
@@ -348,9 +437,19 @@ func TestWebhookBreaker(t *testing.T) {
 		map[string]any{"url": sink.ts.URL, "since": 0}); code != 201 {
 		t.Fatalf("create: %d %s", code, body)
 	}
-	waitInfo(t, ts.URL+"/v1/wrappers/x/webhooks/h1", "breaker open", func(w hookInfo) bool {
-		return w.State == "open" && w.BreakerOpens >= 1
-	})
+	// Attempts 1..5 each back off at most hookBackoffMax; the sixth
+	// failure opens the breaker.
+	for attempt := 1; attempt < hookMaxAttempts; attempt++ {
+		clk.waitTimers(t, 1)
+		if w := hookInfoOf(t, ts.URL+"/v1/wrappers/x/webhooks/h1"); w.State != "retrying" {
+			t.Fatalf("after attempt %d: %+v", attempt, w)
+		}
+		clk.Advance(hookBackoffMax)
+	}
+	clk.waitTimers(t, 1) // the cooldown
+	if w := hookInfoOf(t, ts.URL+"/v1/wrappers/x/webhooks/h1"); w.State != "open" || w.BreakerOpens != 1 || w.Failures != hookMaxAttempts {
+		t.Fatalf("breaker not open after %d failures: %+v", hookMaxAttempts, w)
+	}
 	// The aggregate block counts the open breaker.
 	var status struct {
 		Webhooks WebhookStatus `json:"webhooks"`
@@ -359,13 +458,19 @@ func TestWebhookBreaker(t *testing.T) {
 	if err := jsonUnmarshal(body, &status); err != nil {
 		t.Fatal(err)
 	}
-	if status.Webhooks.Endpoints != 1 || status.Webhooks.BreakerOpen != 1 || status.Webhooks.BreakerOpens < 1 {
+	if status.Webhooks.Endpoints != 1 || status.Webhooks.BreakerOpen != 1 || status.Webhooks.BreakerOpens != 1 {
 		t.Fatalf("aggregate webhook stats: %+v", status.Webhooks)
+	}
+	// The breaker holds for its whole cooldown.
+	clk.Advance(hookCooldown - time.Millisecond)
+	if w := hookInfoOf(t, ts.URL+"/v1/wrappers/x/webhooks/h1"); w.State != "open" || w.Failures != hookMaxAttempts {
+		t.Fatalf("probed before the cooldown ended: %+v", w)
 	}
 
 	// Recovery: the half-open probe goes through and the backlog drains
 	// in order — both versions, nothing skipped.
 	sink.setFailing(false)
+	clk.Advance(time.Millisecond)
 	got := sink.waitFor(t, "backlog drained", func(rs []hookReceipt) bool { return len(rs) >= 2 })
 	if got[0].version != 1 || got[1].version != 2 {
 		t.Fatalf("post-breaker order: %+v", got)
@@ -383,9 +488,7 @@ func TestWebhookCursorRestart(t *testing.T) {
 	sink := newHookSink(t)
 	dir := t.TempDir()
 	store := openStore(t, dir)
-	cfg := fastHookConfig()
-	cfg.ResultStore = store
-	s1 := New(cfg)
+	s1 := New(Config{ResultStore: store})
 	p1 := newFakePipe("x", 0)
 	if err := s1.Register(p1, time.Hour); err != nil {
 		t.Fatal(err)
@@ -411,9 +514,7 @@ func TestWebhookCursorRestart(t *testing.T) {
 
 	store2 := openStore(t, dir)
 	defer store2.Close()
-	cfg2 := fastHookConfig()
-	cfg2.ResultStore = store2
-	s2 := New(cfg2)
+	s2 := New(Config{ResultStore: store2})
 	p2 := newFakePipe("x", 0)
 	if err := s2.Register(p2, time.Hour); err != nil {
 		t.Fatal(err)
@@ -510,7 +611,21 @@ func TestBackoffDelayBounds(t *testing.T) {
 	}
 }
 
+// hookInfoOf reads one webhook's status.
+func hookInfoOf(t *testing.T, url string) hookInfo {
+	t.Helper()
+	code, body, _ := do(t, "GET", url, nil)
+	var w hookInfo
+	if err := jsonUnmarshal(body, &w); code != 200 || err != nil {
+		t.Fatalf("GET %s: %d %s", url, code, body)
+	}
+	return w
+}
+
 // waitInfo polls one webhook's status endpoint until ok is satisfied.
+// It polls because the cursor advances only once the dispatcher has
+// read the endpoint's 2xx, after the sink recorded the delivery, and
+// nothing signals that step.
 func waitInfo(t *testing.T, url, what string, ok func(hookInfo) bool) hookInfo {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
