@@ -25,15 +25,27 @@
 // pointers for the collector to trace. Strings that are not source bytes
 // (decoded entities, anything added through the string API) live in a
 // side table that a sentinel span addresses.
+//
+// A tree made by NewDeferred (every htmlparse.Parse result) holds only
+// its source until it is first used: the first accessor, Warm call or
+// mutator builds it, exactly once, under the tree's warmMu, and
+// publishes the build through an atomic flag, so any number of
+// goroutines may make that first call at once. A change check that
+// needs no more than ContentKey never builds the tree at all. What the
+// build leaves lazy — the pre/post index, the label and kind bitsets
+// and the subtree hashes — is still filled unsynchronized on first
+// read: a tree shared between goroutines is Warmed first.
 package dom
 
 import (
 	"fmt"
+	"hash/maphash"
 	"maps"
 	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node within a single Tree. The zero Tree has no
@@ -130,10 +142,18 @@ type Tree struct {
 	fp           uint64
 	subHashValid bool
 
-	// warmMu serializes Warm, so concurrent warmers (crawl-frontier
-	// workers handed the same tree under different URLs) do not race on
-	// the lazy caches above.
+	// warmMu serializes Warm and the deferred build, so concurrent
+	// warmers (crawl-frontier workers handed the same tree under
+	// different URLs) do not race on the lazy caches above.
 	warmMu sync.Mutex
+	// pending is set while a deferred tree is unbuilt: build has not
+	// yet run on src. Its store after the build publishes the built
+	// slices to every goroutine that then loads it.
+	pending atomic.Bool
+	build   func(src string) *Tree
+	// srcKey is the ContentKey of a deferred tree while it is
+	// unmutated, a hash of src; 0 otherwise.
+	srcKey uint64
 }
 
 // span is n bytes of character data at src[off:]; with n == sideLen it
@@ -161,6 +181,72 @@ func NewFromSource(src string, nodes, attrs int) *Tree {
 	t.src = src
 	t.attrTab = make([]attrEntry, 0, attrs)
 	return t
+}
+
+// srcSeed keys the source hashes of ContentKey, which are compared only
+// within one process.
+var srcSeed = maphash.MakeSeed()
+
+// NewDeferred returns the tree build(src) makes, without making it: the
+// first accessor, Warm call or mutator runs build once, and concurrent
+// first users wait for that one run. build must be a function of src
+// alone — equal sources, equal trees — because the hash of src taken
+// here stands as the tree's ContentKey until it is mutated; it returns
+// a tree over src from NewFromSource, which the deferred tree takes
+// over.
+func NewDeferred(src string, build func(src string) *Tree) *Tree {
+	t := &Tree{src: src, build: build, srcKey: maphash.String(srcSeed, src)}
+	t.pending.Store(true)
+	return t
+}
+
+// ready builds a deferred tree on first use. Every exported method that
+// reads or writes the tree's nodes calls it first, directly or through
+// the slow path of ensureIndex, ensureBits or ensureSubHash.
+func (t *Tree) ready() {
+	if t.pending.Load() {
+		t.force()
+	}
+}
+
+func (t *Tree) force() {
+	t.warmMu.Lock()
+	defer t.warmMu.Unlock()
+	t.buildLocked()
+}
+
+// buildLocked runs a pending build and takes over its result's nodes;
+// the caller holds warmMu.
+func (t *Tree) buildLocked() {
+	if !t.pending.Load() {
+		return
+	}
+	b := t.build(t.src)
+	t.src, t.kind, t.labelID, t.payload = b.src, b.kind, b.labelID, b.payload
+	t.parent, t.firstChild, t.lastChild = b.parent, b.firstChild, b.lastChild
+	t.nextSibling, t.prevSibling = b.nextSibling, b.prevSibling
+	t.attrTab, t.side, t.labelNames, t.labelIndex = b.attrTab, b.side, b.labelNames, b.labelIndex
+	t.build = nil
+	t.pending.Store(false)
+}
+
+// ContentKey returns a key that changes whenever the tree's content
+// does, for change checks that must not pay for a build. For a tree
+// from NewDeferred that has not been mutated it is the hash of the
+// source taken when the tree was made, so equal keys mean equal
+// sources and therefore equal trees, and the tree stays unbuilt. For
+// any other tree it is the Fingerprint. A parsed page and a
+// string-built twin of it get different keys: a change check reads that
+// as a change, never the reverse (up to ~2^-64 collisions).
+func (t *Tree) ContentKey() uint64 {
+	if k := t.srcKey; k != 0 {
+		return k
+	}
+	t.warmMu.Lock()
+	defer t.warmMu.Unlock()
+	t.buildLocked()
+	t.ensureSubHash()
+	return t.fp
 }
 
 // grow pre-allocates every parallel slice for n nodes, so a builder
@@ -193,11 +279,15 @@ func (t *Tree) grow(n int) {
 }
 
 // Size returns the number of nodes in the tree, |dom|.
-func (t *Tree) Size() int { return len(t.kind) }
+func (t *Tree) Size() int {
+	t.ready()
+	return len(t.kind)
+}
 
 // Root returns the root node, or Nil if the tree is empty. The paper's
 // unary relation root(x) holds exactly for this node.
 func (t *Tree) Root() NodeID {
+	t.ready()
 	if len(t.kind) == 0 {
 		return Nil
 	}
@@ -206,6 +296,7 @@ func (t *Tree) Root() NodeID {
 
 // AddRoot creates the root element node. It must be the first node added.
 func (t *Tree) AddRoot(label string) NodeID {
+	t.ready()
 	if len(t.kind) != 0 {
 		panic("dom: AddRoot on non-empty tree")
 	}
@@ -215,17 +306,20 @@ func (t *Tree) AddRoot(label string) NodeID {
 // AppendChild adds a new element node labeled label as the rightmost
 // child of parent and returns its id.
 func (t *Tree) AppendChild(parent NodeID, label string) NodeID {
+	t.ready()
 	return t.addNode(Element, t.Intern(label), span{}, parent)
 }
 
 // AppendText adds a new text node holding data as the rightmost child of
 // parent and returns its id.
 func (t *Tree) AppendText(parent NodeID, data string) NodeID {
+	t.ready()
 	return t.addNode(Text, t.Intern(TextLabel), t.spanOf(data, -1), parent)
 }
 
 // AppendComment adds a new comment node as the rightmost child of parent.
 func (t *Tree) AppendComment(parent NodeID, data string) NodeID {
+	t.ready()
 	return t.addNode(Comment, t.Intern(CommentLabel), t.spanOf(data, -1), parent)
 }
 
@@ -233,6 +327,7 @@ func (t *Tree) AppendComment(parent NodeID, data string) NodeID {
 // src[off:end] and a label the caller has interned. The caller keeps
 // kind and label consistent: Text with #text, Comment with #comment.
 func (t *Tree) AppendSourceLeaf(parent NodeID, k Kind, label LabelID, off, end int) NodeID {
+	t.ready()
 	return t.addNode(k, label, t.spanOf(t.src[off:end], off), parent)
 }
 
@@ -250,6 +345,7 @@ type SourceAttr struct {
 // later occurrences overwrite its value. attrs is not retained, so
 // builders reuse one scratch slice across calls.
 func (t *Tree) AppendSourceElement(parent NodeID, label LabelID, attrs []SourceAttr) NodeID {
+	t.ready()
 	n := t.addNode(Element, label, span{off: uint32(len(t.attrTab))}, parent)
 	for _, a := range attrs {
 		t.setAttr(n, a.Name, a.NameOff, t.spanOf(a.Value, a.ValOff))
@@ -271,6 +367,7 @@ func (t *Tree) addNode(k Kind, label LabelID, payload span, parent NodeID) NodeI
 	t.indexed = false
 	t.bitsValid = false
 	t.subHashValid = false
+	t.srcKey = 0
 	if parent != Nil {
 		last := t.lastChild[parent]
 		if last == Nil {
@@ -310,6 +407,7 @@ func (t *Tree) str(p span) string {
 // on first occurrence. Builders that see the same few labels thousands
 // of times (the HTML parser) intern each once and append by symbol.
 func (t *Tree) Intern(label string) LabelID {
+	t.ready()
 	if id, ok := t.labelIndex[label]; ok {
 		return id
 	}
@@ -326,14 +424,21 @@ func (t *Tree) Intern(label string) LabelID {
 }
 
 // NumLabels returns the number of distinct labels interned so far.
-func (t *Tree) NumLabels() int { return len(t.labelNames) }
+func (t *Tree) NumLabels() int {
+	t.ready()
+	return len(t.labelNames)
+}
 
 // LabelID returns the interned symbol of node n's label.
-func (t *Tree) LabelID(n NodeID) LabelID { return t.labelID[n] }
+func (t *Tree) LabelID(n NodeID) LabelID {
+	t.ready()
+	return t.labelID[n]
+}
 
 // LabelIDFor returns the symbol of a label string, or NoLabel if no node
 // of the tree carries that label.
 func (t *Tree) LabelIDFor(label string) LabelID {
+	t.ready()
 	if id, ok := t.labelIndex[label]; ok {
 		return id
 	}
@@ -341,15 +446,27 @@ func (t *Tree) LabelIDFor(label string) LabelID {
 }
 
 // LabelName returns the label string of symbol id.
-func (t *Tree) LabelName(id LabelID) string { return t.labelNames[id] }
+func (t *Tree) LabelName(id LabelID) string {
+	t.ready()
+	return t.labelNames[id]
+}
 
 // wordsFor returns the number of 64-bit words covering the tree's nodes.
 func (t *Tree) wordsFor() int { return (len(t.kind) + 63) / 64 }
 
+// ensureBits, ensureSubHash and ensureIndex fill a lazy cache on its
+// first read. A deferred tree has none of the three valid until it is
+// built, so their slow paths are where a read that starts with one of
+// them builds the tree: the fast path costs the one flag test it
+// always did.
 func (t *Tree) ensureBits() {
-	if t.bitsValid {
-		return
+	if !t.bitsValid {
+		t.buildBits()
 	}
+}
+
+func (t *Tree) buildBits() {
+	t.ready()
 	w := t.wordsFor()
 	// One backing array for every characteristic bitset (labels first,
 	// then the three kinds), capped sub-slices so accidental appends
@@ -407,9 +524,13 @@ func (t *Tree) Fingerprint() uint64 {
 // than its children's ids and one reverse-id sweep visits children
 // before parents.
 func (t *Tree) ensureSubHash() {
-	if t.subHashValid {
-		return
+	if !t.subHashValid {
+		t.buildSubHash()
 	}
+}
+
+func (t *Tree) buildSubHash() {
+	t.ready()
 	n := len(t.kind)
 	if cap(t.subHash) < n {
 		t.subHash = make([]uint64, n)
@@ -488,41 +609,35 @@ func (t *Tree) SubtreeHash(n NodeID) uint64 {
 	return t.subHash[n]
 }
 
-// Warm eagerly builds every lazily-cached structure of the tree — the
-// pre/post index, the label and kind bitsets, the content fingerprint,
-// and the per-node subtree fingerprints. A warmed tree is effectively read-only as long as it is
+// Warm eagerly builds every lazily-cached structure of the tree — a
+// deferred build first, then the pre/post index, the label and kind
+// bitsets, the content fingerprint, and the per-node subtree
+// fingerprints. A warmed tree is effectively read-only as long as it is
 // not mutated, so multiple goroutines may evaluate queries over it
 // concurrently; the parallel crawl frontier warms every fetched
 // document on its worker before publishing it. Warm itself is safe to
 // call from multiple goroutines (callers serialize on an internal
 // lock), which covers fetchers that hand the same tree out under
-// several URLs; the read accessors stay lock-free and must not run
-// concurrently with the first Warm of a tree.
+// several URLs; the read accessors that fill a lazy cache (Pre,
+// LabelBits, Fingerprint, …) must not run concurrently with the first
+// Warm of a tree.
 func (t *Tree) Warm() {
 	t.warmMu.Lock()
 	defer t.warmMu.Unlock()
+	t.buildLocked()
 	t.ensureIndex()
 	t.ensureBits()
 	t.ensureSubHash()
 }
 
-// WarmIndex builds only the pre/post index, under the same lock as
-// Warm — the part interpreted evaluation reads. Use it when the label
-// bitsets and fingerprint would be dead weight.
+// WarmIndex builds only the pre/post index (after a deferred build),
+// under the same lock as Warm — the part interpreted evaluation reads.
+// Use it when the label bitsets and fingerprint would be dead weight.
 func (t *Tree) WarmIndex() {
 	t.warmMu.Lock()
 	defer t.warmMu.Unlock()
+	t.buildLocked()
 	t.ensureIndex()
-}
-
-// WarmFingerprint builds only the subtree hashes, under the same lock
-// as Warm, and returns the Fingerprint — all a change check needs. The
-// index and the bitsets are left to whoever goes on to evaluate.
-func (t *Tree) WarmFingerprint() uint64 {
-	t.warmMu.Lock()
-	defer t.warmMu.Unlock()
-	t.ensureSubHash()
-	return t.fp
 }
 
 // attrRun returns the attribute entries of node n (none for text and
@@ -542,6 +657,7 @@ func (t *Tree) setAttr(n NodeID, name string, nameOff int, val span) {
 		panic("dom: attribute set on a text or comment node")
 	}
 	t.subHashValid = false
+	t.srcKey = 0
 	p := t.payload[n]
 	run := t.attrTab[p.off : p.off+p.n]
 	for i := range run {
@@ -562,6 +678,7 @@ func (t *Tree) setAttr(n NodeID, name string, nameOff int, val span) {
 // SetAttr sets attribute name to value on element node n, replacing any
 // existing attribute of the same name.
 func (t *Tree) SetAttr(n NodeID, name, value string) {
+	t.ready()
 	t.setAttr(n, name, -1, t.spanOf(value, -1))
 }
 
@@ -570,9 +687,11 @@ func (t *Tree) SetAttr(n NodeID, name, value string) {
 // its position, later occurrences overwrite its value. The input slice
 // is not retained.
 func (t *Tree) SetAttrs(n NodeID, attrs []Attr) {
+	t.ready()
 	if t.kind[n] == Element { // a text node's payload is its data
 		t.payload[n].n = 0
 		t.subHashValid = false
+		t.srcKey = 0
 	}
 	for _, a := range attrs {
 		t.SetAttr(n, a.Name, a.Value)
@@ -581,6 +700,7 @@ func (t *Tree) SetAttrs(n NodeID, attrs []Attr) {
 
 // Attr returns the value of attribute name on node n and whether it is set.
 func (t *Tree) Attr(n NodeID, name string) (string, bool) {
+	t.ready()
 	for _, e := range t.attrRun(n) {
 		if t.str(e.name) == name {
 			return t.str(e.val), true
@@ -592,6 +712,7 @@ func (t *Tree) Attr(n NodeID, name string) (string, bool) {
 // Attrs returns the attribute list of node n as a fresh slice (nil when
 // n has none): the tree stores no []Attr. Hot paths use Attr.
 func (t *Tree) Attrs(n NodeID) (out []Attr) {
+	t.ready()
 	for _, e := range t.attrRun(n) {
 		out = append(out, Attr{Name: t.str(e.name), Value: t.str(e.val)})
 	}
@@ -599,15 +720,22 @@ func (t *Tree) Attrs(n NodeID) (out []Attr) {
 }
 
 // Kind returns the node kind of n.
-func (t *Tree) Kind(n NodeID) Kind { return t.kind[n] }
+func (t *Tree) Kind(n NodeID) Kind {
+	t.ready()
+	return t.kind[n]
+}
 
 // Label returns the label of node n: the tag symbol for elements,
 // "#text" for text nodes and "#comment" for comments. This realizes the
 // paper's unary relations label_a(x).
-func (t *Tree) Label(n NodeID) string { return t.labelNames[t.labelID[n]] }
+func (t *Tree) Label(n NodeID) string {
+	t.ready()
+	return t.labelNames[t.labelID[n]]
+}
 
 // HasLabel reports label_a(n), i.e. whether node n carries label a.
 func (t *Tree) HasLabel(n NodeID, a string) bool {
+	t.ready()
 	id, ok := t.labelIndex[a]
 	return ok && t.labelID[n] == id
 }
@@ -615,6 +743,7 @@ func (t *Tree) HasLabel(n NodeID, a string) bool {
 // Text returns the character data of a text or comment node ("" for
 // element nodes).
 func (t *Tree) Text(n NodeID) string {
+	t.ready()
 	if t.kind[n] == Element {
 		return ""
 	}
@@ -623,40 +752,61 @@ func (t *Tree) Text(n NodeID) string {
 
 // SetText replaces the character data of a text or comment node.
 func (t *Tree) SetText(n NodeID, data string) {
+	t.ready()
 	if t.kind[n] == Element {
 		panic("dom: SetText on an element node")
 	}
 	t.payload[n] = t.spanOf(data, -1)
 	t.subHashValid = false
+	t.srcKey = 0
 }
 
 // Parent returns the parent of n, or Nil for the root.
-func (t *Tree) Parent(n NodeID) NodeID { return t.parent[n] }
+func (t *Tree) Parent(n NodeID) NodeID {
+	t.ready()
+	return t.parent[n]
+}
 
 // FirstChild returns the leftmost child of n, or Nil. This is the binary
 // relation firstchild(n, ·) of τ_ur: each node has at most one first
 // child and is the first child of at most one node (the bidirectional
 // functional dependency Theorem 2.4 relies on).
-func (t *Tree) FirstChild(n NodeID) NodeID { return t.firstChild[n] }
+func (t *Tree) FirstChild(n NodeID) NodeID {
+	t.ready()
+	return t.firstChild[n]
+}
 
 // LastChild returns the rightmost child of n, or Nil.
-func (t *Tree) LastChild(n NodeID) NodeID { return t.lastChild[n] }
+func (t *Tree) LastChild(n NodeID) NodeID {
+	t.ready()
+	return t.lastChild[n]
+}
 
 // NextSibling returns the sibling immediately to the right of n, or Nil.
 // This is the binary relation nextsibling(n, ·) of τ_ur.
-func (t *Tree) NextSibling(n NodeID) NodeID { return t.nextSibling[n] }
+func (t *Tree) NextSibling(n NodeID) NodeID {
+	t.ready()
+	return t.nextSibling[n]
+}
 
 // PrevSibling returns the sibling immediately to the left of n, or Nil
 // (the inverse relation nextsibling(·, n)).
-func (t *Tree) PrevSibling(n NodeID) NodeID { return t.prevSibling[n] }
+func (t *Tree) PrevSibling(n NodeID) NodeID {
+	t.ready()
+	return t.prevSibling[n]
+}
 
 // IsLeaf reports the unary relation leaf(n): n has no children.
-func (t *Tree) IsLeaf(n NodeID) bool { return t.firstChild[n] == Nil }
+func (t *Tree) IsLeaf(n NodeID) bool {
+	t.ready()
+	return t.firstChild[n] == Nil
+}
 
 // IsLastSibling reports the unary relation lastsibling(n): n is the
 // rightmost child of its parent. As in the paper, the root is not a last
 // sibling (it has no parent).
 func (t *Tree) IsLastSibling(n NodeID) bool {
+	t.ready()
 	return t.parent[n] != Nil && t.nextSibling[n] == Nil
 }
 
@@ -664,14 +814,19 @@ func (t *Tree) IsLastSibling(n NodeID) bool {
 // (the unary predicate Firstsibling of Section 4, used to express
 // Firstchild(x,y) ⇔ Child(x,y) ∧ Firstsibling(y)).
 func (t *Tree) IsFirstSibling(n NodeID) bool {
+	t.ready()
 	return t.parent[n] != Nil && t.prevSibling[n] == Nil
 }
 
 // IsRoot reports the unary relation root(n).
-func (t *Tree) IsRoot(n NodeID) bool { return t.parent[n] == Nil }
+func (t *Tree) IsRoot(n NodeID) bool {
+	t.ready()
+	return t.parent[n] == Nil
+}
 
 // Children returns the child ids of n in sibling (document) order.
 func (t *Tree) Children(n NodeID) []NodeID {
+	t.ready()
 	var out []NodeID
 	for c := t.firstChild[n]; c != Nil; c = t.nextSibling[c] {
 		out = append(out, c)
@@ -681,6 +836,7 @@ func (t *Tree) Children(n NodeID) []NodeID {
 
 // ChildCount returns the number of children of n.
 func (t *Tree) ChildCount(n NodeID) int {
+	t.ready()
 	k := 0
 	for c := t.firstChild[n]; c != Nil; c = t.nextSibling[c] {
 		k++
@@ -691,6 +847,7 @@ func (t *Tree) ChildCount(n NodeID) int {
 // ChildIndex returns the position of n among its siblings, counting from
 // 1 (XPath convention), or 0 for the root.
 func (t *Tree) ChildIndex(n NodeID) int {
+	t.ready()
 	if t.parent[n] == Nil {
 		return 0
 	}
@@ -705,6 +862,7 @@ func (t *Tree) ChildIndex(n NodeID) int {
 // the order-dependent predicates; explicit calls are only useful for
 // benchmarking.
 func (t *Tree) Reindex() {
+	t.ready()
 	n := len(t.kind)
 	if cap(t.pre) < n {
 		idx := make([]int32, 3*n)
@@ -813,7 +971,10 @@ func (t *Tree) IsAncestorOrSelf(x, y NodeID) bool {
 
 // IsChild reports Child(x, y): y is a child of x. (Note the direction:
 // the paper writes Child(x,y) for "y is a child of x".)
-func (t *Tree) IsChild(x, y NodeID) bool { return t.parent[y] == x }
+func (t *Tree) IsChild(x, y NodeID) bool {
+	t.ready()
+	return t.parent[y] == x
+}
 
 // Following reports the Following axis of Section 4:
 //
@@ -827,6 +988,7 @@ func (t *Tree) Following(x, y NodeID) bool {
 
 // FollowingSibling reports Nextsibling+(x, y).
 func (t *Tree) FollowingSibling(x, y NodeID) bool {
+	t.ready()
 	if t.parent[x] == Nil || t.parent[x] != t.parent[y] {
 		return false
 	}
@@ -878,6 +1040,14 @@ func (t *Tree) Descendants(n NodeID) []NodeID {
 // matchers call this on every candidate node of the hot evaluation
 // loops.
 func (t *Tree) WalkSubtree(n NodeID, visit func(NodeID)) {
+	t.ready()
+	t.walkSubtree(n, visit)
+}
+
+// walkSubtree is WalkSubtree on a built tree. It is small enough to
+// inline, and with it the visitor, into the loops of ElementText and
+// AppendElementText.
+func (t *Tree) walkSubtree(n NodeID, visit func(NodeID)) {
 	m := n
 	for {
 		visit(m)
@@ -908,8 +1078,9 @@ func (t *Tree) Walk(visit func(NodeID)) {
 // is the "elementtext" notion used by Elog attribute conditions
 // (Figure 5).
 func (t *Tree) ElementText(n NodeID) string {
+	t.ready()
 	var b strings.Builder
-	t.WalkSubtree(n, func(m NodeID) {
+	t.walkSubtree(n, func(m NodeID) {
 		if t.kind[m] == Text {
 			b.WriteString(t.str(t.payload[m]))
 		}
@@ -917,8 +1088,22 @@ func (t *Tree) ElementText(n NodeID) string {
 	return b.String()
 }
 
+// AppendElementText appends ElementText(n) to buf and returns the
+// extended slice: the form for callers that reuse one buffer across
+// candidate nodes, as Elog's elementtext conditions do.
+func (t *Tree) AppendElementText(buf []byte, n NodeID) []byte {
+	t.ready()
+	t.walkSubtree(n, func(m NodeID) {
+		if t.kind[m] == Text {
+			buf = append(buf, t.str(t.payload[m])...)
+		}
+	})
+	return buf
+}
+
 // Depth returns the number of edges from the root to n.
 func (t *Tree) Depth(n NodeID) int {
+	t.ready()
 	d := 0
 	for p := t.parent[n]; p != Nil; p = t.parent[p] {
 		d++
@@ -959,6 +1144,7 @@ func (t *Tree) PathLabels(x, y NodeID) ([]string, bool) {
 // Clone returns a deep copy of the tree; the two share the (immutable)
 // source string.
 func (t *Tree) Clone() *Tree {
+	t.ready()
 	return &Tree{
 		src:         t.src,
 		kind:        slices.Clone(t.kind),
@@ -979,6 +1165,8 @@ func (t *Tree) Clone() *Tree {
 // Equal reports whether two trees are isomorphic including labels, text,
 // attributes, and sibling order.
 func Equal(a, b *Tree) bool {
+	a.ready()
+	b.ready()
 	if a.Size() != b.Size() {
 		return false
 	}
@@ -1015,6 +1203,7 @@ func Equal(a, b *Tree) bool {
 // String renders the tree in the nested-term notation accepted by
 // ParseTerm, e.g. "a(b,c(d))". Text nodes render as quoted strings.
 func (t *Tree) String() string {
+	t.ready()
 	if t.Size() == 0 {
 		return "<empty>"
 	}

@@ -492,11 +492,11 @@ func TestFingerprint(t *testing.T) {
 		t.Fatal("empty-tree fingerprint is not a constant of its own")
 	}
 	cold := build()
-	if got := cold.WarmFingerprint(); got != fp {
-		t.Fatalf("WarmFingerprint on an un-warmed tree = %#x, want %#x", got, fp)
+	if got := cold.ContentKey(); got != fp {
+		t.Fatalf("ContentKey on an un-warmed string-built tree = %#x, want its fingerprint %#x", got, fp)
 	}
 	cold.Warm()
-	if cold.Fingerprint() != fp || cold.WarmFingerprint() != fp {
+	if cold.Fingerprint() != fp || cold.ContentKey() != fp {
 		t.Fatal("Warm changed the fingerprint")
 	}
 }

@@ -437,13 +437,7 @@ func (c *AttrCond) compile() error {
 func (c *AttrCond) match(t *dom.Tree, n dom.NodeID, buf *[]byte) (map[string]string, bool) {
 	var val []byte
 	if c.Attr == "elementtext" {
-		// dom.Tree.ElementText, without the string.
-		text := (*buf)[:0]
-		t.WalkSubtree(n, func(m dom.NodeID) {
-			if t.Kind(m) == dom.Text {
-				text = append(text, t.Text(m)...)
-			}
-		})
+		text := t.AppendElementText((*buf)[:0], n)
 		*buf, val = text, bytes.TrimSpace(text)
 	} else {
 		v, ok := t.Attr(n, c.Attr)

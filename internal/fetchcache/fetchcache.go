@@ -10,16 +10,18 @@
 //	fetcher := cache.Wrap(sim) // sim is any elog.Fetcher
 //
 // Every Fetch through the wrapped fetcher first consults the cache.
-// Entries are keyed by URL and indexed with the parsed tree's content
-// fingerprint (dom.Tree.Fingerprint): when a stale entry is
-// revalidated and the refetched page's fingerprint is unchanged, the
-// cache keeps serving the original *dom.Tree object, so downstream
-// fingerprint-keyed caches (the wrapper poll cache, the compiled match
-// caches) stay hot across the refresh. Concurrent fetches of the same
-// URL coalesce into one upstream retrieval (singleflight); the
-// followers block and share the leader's result. Trees are warmed
-// (dom.Tree.Warm) before publication, so they are read-only and safe
-// to share across concurrently evaluating wrappers.
+// Entries are keyed by URL and indexed with the tree's content key
+// (dom.Tree.ContentKey, for a parsed page a hash of its source bytes):
+// when a stale entry is revalidated and the refetched page's key is
+// unchanged, the cache keeps serving the original *dom.Tree object and
+// drops the new one unbuilt, so an unchanged refresh costs a fetch and
+// a hash, and downstream caches keyed on the tree (the wrapper poll
+// memo, the compiled match caches) stay hot across the refresh.
+// Concurrent fetches of the same URL coalesce into one upstream
+// retrieval (singleflight); the followers block and share the leader's
+// result. A new or changed tree is built and warmed (dom.Tree.Warm)
+// before publication, so it is read-only and safe to share across
+// concurrently evaluating wrappers.
 //
 // Freshness is bounded by the maxAge window: an entry older than
 // maxAge is refetched on next use (maxAge <= 0 disables expiry — pure
@@ -64,7 +66,7 @@ type entry struct {
 	done       chan struct{}
 	tree       *dom.Tree
 	err        error
-	fp         uint64
+	contentKey uint64
 	fetched    time.Time
 }
 
@@ -209,16 +211,17 @@ func (c *Cache) fetch(key, url string, inner elog.Fetcher) (*dom.Tree, error) {
 
 	t, err := inner.Fetch(url)
 	if err == nil {
-		// Warm on the fetching goroutine so the published tree is
-		// read-only for every sharer.
-		t.Warm()
-		fp := t.Fingerprint()
-		if prev != nil && prev.err == nil && prev.fp == fp {
+		ck := t.ContentKey()
+		if prev != nil && prev.err == nil && prev.contentKey == ck {
 			// Unchanged content: keep the original tree object so
-			// downstream fingerprint/pointer caches survive the refresh.
+			// downstream key/pointer caches survive the refresh.
 			t = prev.tree
+		} else {
+			// Build and warm on the fetching goroutine so the published
+			// tree is read-only for every sharer.
+			t.Warm()
 		}
-		e.tree, e.fp = t, fp
+		e.tree, e.contentKey = t, ck
 	}
 	e.err = err
 	c.mu.Lock()

@@ -228,7 +228,16 @@ type builder struct {
 // Parse never fails; arbitrarily broken input yields a best-effort tree,
 // identical to the one the test oracle builds token by token. The tree
 // refers to src instead of copying out of it, and so keeps it alive.
-func Parse(src string) *dom.Tree {
+//
+// The build is deferred (dom.NewDeferred): Parse itself only hashes src
+// for the tree's ContentKey, and the tree is built on its first use —
+// any accessor, Warm call or mutator — exactly once, even when several
+// goroutines make that first call at once. A poll that finds the key
+// unchanged never builds the tree.
+func Parse(src string) *dom.Tree { return dom.NewDeferred(src, build) }
+
+// build is Parse's deferred build: one pass of the fused builder.
+func build(src string) *dom.Tree {
 	b := builder{
 		t:    dom.NewFromSource(src, nodeHint(src), strings.Count(src, "=")), // an attribute with a value per '=', at most
 		root: dom.Nil, head: dom.Nil, body: dom.Nil,

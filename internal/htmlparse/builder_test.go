@@ -284,12 +284,24 @@ func TestParseAllocBudget(t *testing.T) {
 	var tree *dom.Tree
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(10, func() { tree = Parse(src) })
+	// Parse defers the build; Size forces it, inside the measured run.
+	allocs := testing.AllocsPerRun(10, func() { tree = Parse(src); tree.Size() })
 	runtime.ReadMemStats(&after)
 	bytes := (after.TotalAlloc - before.TotalAlloc) / 11 // AllocsPerRun warms up with one extra run
 	t.Logf("%d nodes from %d source bytes: %.0f allocations, %d bytes", tree.Size(), len(src), allocs, bytes)
 	if allocs > 16 || bytes > 560<<10 {
 		t.Errorf("Parse of the catalogue page: %.0f allocations, %d bytes; budget 16 allocations, %d bytes", allocs, bytes, 560<<10)
+	}
+	// Unbuilt, a parsed page is its source and a key: a steady poll
+	// pays this much and no more.
+	if n := testing.AllocsPerRun(10, func() { tree = Parse(src) }); n > 2 {
+		t.Errorf("Parse without a build: %.0f allocations, want at most 2", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { tree.ContentKey() }); n != 0 {
+		t.Errorf("ContentKey: %.0f allocations, want 0", n)
+	}
+	if tree.ContentKey() != Parse(src).ContentKey() {
+		t.Error("equal sources give different content keys")
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"testing"
@@ -377,6 +378,9 @@ func TestSSEFrameBytes(t *testing.T) {
 			}
 		}
 	}
+	// AllocsPerRun counts the whole process's mallocs: collect first, so
+	// finalizers of earlier tests' objects do not run inside the count.
+	runtime.GC()
 	if n := testing.AllocsPerRun(20, func() { sseFrameFor(bigXML, 12345) }); n != 1 {
 		t.Errorf("sseFrameFor: %.0f allocs for a 65 KB payload, want 1 (the frame)", n)
 	}

@@ -18,7 +18,9 @@ type pipeState struct {
 	// schedule (extraction is driven by POST .../extract only).
 	dynamic bool
 	// skipFirst suppresses the immediate first tick when the pipeline
-	// is scheduled (the registration path already ticked synchronously).
+	// is scheduled: the registration path already ticked synchronously,
+	// or SetInterval is putting an on-demand pipeline on a schedule.
+	// Guarded by the server mutex.
 	skipFirst bool
 	// registering is true while RegisterDynamic's synchronous first
 	// tick is in flight; SetInterval must not schedule the pipeline

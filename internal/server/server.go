@@ -429,8 +429,10 @@ func (s *Server) SetInterval(name string, interval time.Duration) error {
 		s.mu.Unlock()
 		sched.reschedule(entry, interval)
 	case !onDemand && entry == nil && s.started && !s.draining && !ps.registering:
-		// Was on-demand: start ticking (skipFirst holds for dynamic
-		// pipelines, so the first fire is one interval from now).
+		// Was on-demand: start ticking one interval from now. A
+		// restored pipeline is not skipFirst (it ticks when the
+		// server starts), so it is set here for every pipeline.
+		ps.skipFirst = true
 		s.startLocked(ps)
 		s.mu.Unlock()
 	default:

@@ -82,12 +82,11 @@ type sim struct {
 
 // simWrapper is the model of one registered wrapper.
 type simWrapper struct {
-	interval  time.Duration // 0: on demand
-	skipFirst bool          // registered by this process: no tick when scheduled
-	next      time.Time     // next scheduled tick
-	ticks     uint64        // the server's tick count for it
-	revs      []int         // page revision delivered at each version, revs[v-1]
-	hooks     map[string]*simHook
+	interval time.Duration // 0: on demand
+	next     time.Time     // next scheduled tick
+	ticks    uint64        // the server's tick count for it
+	revs     []int         // page revision delivered at each version, revs[v-1]
+	hooks    map[string]*simHook
 }
 
 type simHook struct {
@@ -240,7 +239,7 @@ func (m *sim) opRegister() {
 		m.t.Fatalf("register %s: %d %s", name, code, body)
 	}
 	m.t.Logf("register %s every %v", name, iv)
-	w := &simWrapper{interval: iv, skipFirst: true, hooks: map[string]*simHook{}}
+	w := &simWrapper{interval: iv, hooks: map[string]*simHook{}}
 	m.tick(name, w) // the synchronous registration tick
 	w.next = m.clk.Now().Add(iv)
 	m.wrappers[name] = w
@@ -258,13 +257,9 @@ func (m *sim) opPatch() {
 		m.t.Fatalf("PATCH %s: %d %s", name, code, body)
 	}
 	m.t.Logf("patch %s to %v", name, iv)
-	was := w.interval
+	// Put on a schedule or moved to a new one, the wrapper next ticks
+	// one interval from now.
 	w.interval, w.next = iv, m.clk.Now().Add(iv)
-	if iv > 0 && was == 0 && !w.skipFirst {
-		// A restored wrapper put back on a schedule ticks at once.
-		m.tick(name, w)
-		waitTicks(m.t, m.s, name, w.ticks)
-	}
 }
 
 func (m *sim) opDelete() {
@@ -344,7 +339,7 @@ func (m *sim) opRestart() {
 	}
 	lastRev := map[string]int{}
 	for name, w := range m.wrappers {
-		w.ticks, w.skipFirst = 0, false
+		w.ticks = 0
 		lastRev[name] = w.revs[len(w.revs)-1]
 	}
 	m.start()

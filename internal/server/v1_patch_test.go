@@ -183,3 +183,75 @@ func TestV1PatchSurvivesRestart(t *testing.T) {
 		t.Fatalf("restored wrapper: %s", body)
 	}
 }
+
+// TestRestoredWrapperPatchedOntoSchedule: a restored wrapper PATCHed
+// onto a schedule first ticks one interval later, as one registered in
+// the running process does — whether it was restored on demand, or
+// restored on a schedule and taken off it before the PATCH.
+func TestRestoredWrapperPatchedOntoSchedule(t *testing.T) {
+	const iv = time.Minute
+	dir := t.TempDir()
+	start := func() (*Server, *fakeClock, func()) {
+		store := openStore(t, dir)
+		clk := newFakeClock()
+		s := New(Config{Addr: "127.0.0.1:0", AllowDynamic: true, MaxCompilesPerMinute: -1,
+			ResultStore: store, clock: clk})
+		if _, err := s.Restore(); err != nil {
+			t.Fatal(err)
+		}
+		stop := runServer(t, s)
+		return s, clk, func() {
+			http.DefaultClient.CloseIdleConnections()
+			stop()
+			store.Close()
+		}
+	}
+	s, clk, stop := start()
+	for name, ms := range map[string]int64{"ondemand": 0, "scheduled": iv.Milliseconds()} {
+		if code, body, _ := do(t, "POST", "http://"+s.Addr()+"/v1/wrappers", map[string]any{
+			"name": name, "program": v1Wrapper, "html": v1Page, "auxiliary": []string{"page"}, "interval_ms": ms,
+		}); code != 201 {
+			t.Fatalf("create %s: %d %s", name, code, body)
+		}
+	}
+	stop()
+
+	s, clk, stop = start()
+	defer stop()
+	base := "http://" + s.Addr()
+	patch := func(name string, d time.Duration) {
+		t.Helper()
+		if code, body, _ := do(t, "PATCH", base+"/v1/wrappers/"+name, map[string]any{"interval_ms": d.Milliseconds()}); code != 200 {
+			t.Fatalf("PATCH %s to %v: %d %s", name, d, code, body)
+		}
+	}
+	waitTicks(t, s, "scheduled", 1) // restored on a schedule: ticks when the server starts
+	patch("scheduled", 0)
+	patch("scheduled", iv)
+	patch("ondemand", iv)
+	// The next deadline and the tick count, read together once no tick
+	// is queued or running.
+	due := func(name string) (time.Time, uint64) {
+		s.mu.Lock()
+		ps := s.pipes[name]
+		e := ps.entry
+		s.mu.Unlock()
+		e.sh.mu.Lock()
+		defer e.sh.mu.Unlock()
+		for e.state != entryIdle {
+			e.sh.cond.Wait()
+		}
+		ps.mu.Lock()
+		defer ps.mu.Unlock()
+		return e.when, ps.ticks
+	}
+	for name, ticks := range map[string]uint64{"ondemand": 0, "scheduled": 1} {
+		if when, n := due(name); n != ticks || !when.Equal(clk.Now().Add(iv)) {
+			t.Errorf("%s after the PATCH: %d ticks, next due %v from now; want %d ticks, next due %v from now",
+				name, n, when.Sub(clk.Now()), ticks, iv)
+		}
+	}
+	clk.Advance(iv)
+	waitTicks(t, s, "ondemand", 1)
+	waitTicks(t, s, "scheduled", 2)
+}

@@ -2,6 +2,7 @@ package transform
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -41,10 +42,10 @@ func memoSource(f elog.Fetcher) *WrapperSource {
 	return &WrapperSource{CompName: "w", Fetcher: f, Wrapper: lixto.MustCompile(memoProg)}
 }
 
-// TestPollMemoSharedUnwarmedTree hands one un-warmed tree to many
+// TestPollMemoSharedUnwarmedTree hands one unbuilt tree to many
 // wrapper sources polling at once, as a shared fetch layer does: the
-// memo check hashes it under the tree's warm lock while sources that
-// miss go on to warm and evaluate it. Run under -race.
+// memo check reads its content key while sources that miss go on to
+// build, warm and evaluate it. Run under -race.
 func TestPollMemoSharedUnwarmedTree(t *testing.T) {
 	const n = 8
 	f := &freshFetcher{}
@@ -81,7 +82,7 @@ func TestPollMemoSharedUnwarmedTree(t *testing.T) {
 		return out[0]
 	}
 	first := round(memoPage(50, ""), 0)    // cold: every source warms and evaluates the one tree
-	same := round(memoPage(50, ""), 1)     // a fresh, equal tree: every source only hashes it
+	same := round(memoPage(50, ""), 1)     // a fresh, equal tree: every source only reads its key
 	changed := round(memoPage(50, "!"), 1) // a fresh, changed tree: hash, miss, warm, evaluate
 	if same != first || changed == first {
 		t.Fatalf("memo served the wrong document: same==first %v, changed==first %v", same == first, changed == first)
@@ -89,9 +90,10 @@ func TestPollMemoSharedUnwarmedTree(t *testing.T) {
 }
 
 // TestPollMemoHitIsHashOnly bounds what a steady-state poll allocates
-// on a tree nobody has warmed: the subtree-hash table and the poll's
-// own bookkeeping, but no pre/post/size index and no label bitsets —
-// those belong to the miss path. It also pins parse_ns: the fetch of a
+// on a cloned tree nobody has warmed, whose content key is its
+// fingerprint: the subtree-hash table and the poll's own bookkeeping,
+// but no pre/post/size index and no label bitsets — those belong to
+// the miss path. It also pins parse_ns: the fetch of a
 // memo hit is timed like any other.
 func TestPollMemoHitIsHashOnly(t *testing.T) {
 	const runs = 20
@@ -140,6 +142,39 @@ func TestPollMemoHitIsHashOnly(t *testing.T) {
 		if now := src.ExtractionStats().ParseNS; now <= prev {
 			t.Errorf("parse_ns did not grow across a memo hit: %d -> %d", prev, now)
 		}
+	}
+}
+
+// TestSteadyPollBuildsNoTree bounds the bytes a steady poll allocates
+// when every fetch parses fresh, identical bytes, as a site fetcher
+// does: the poll hashes the source, finds the key unchanged and
+// re-emits the last document, so the tree is never built. The page
+// costs its 33 KB of source per poll (the generator copies it); a build
+// would add about three times that, and a subtree-hash pass more.
+func TestSteadyPollBuildsNoTree(t *testing.T) {
+	const runs = 10
+	page := memoPage(500, "")
+	sim := web.New()
+	sim.SetPage(memoURL, func() string { return strings.Clone(page) })
+	src := memoSource(sim)
+	if _, err := src.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if docs, err := src.Poll(); err != nil || len(docs) != 1 {
+			t.Fatalf("poll: %d docs, err %v", len(docs), err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if src.CacheHits != runs {
+		t.Fatalf("%d memo hits in %d steady polls", src.CacheHits, runs)
+	}
+	perPoll := (after.TotalAlloc - before.TotalAlloc) / runs
+	t.Logf("steady poll over a %d-byte page: %d bytes allocated", len(page), perPoll)
+	if perPoll >= 64<<10 {
+		t.Errorf("a steady poll allocates %d bytes, want < %d: it built the tree", perPoll, 64<<10)
 	}
 }
 

@@ -235,11 +235,13 @@ func (e *Engine) Run(ctx context.Context, interval time.Duration) {
 // one-shot extraction through the same *lixto.Wrapper shares them.
 //
 // Polls are additionally memoized on page content: every run records
-// the fetched pages' fingerprints (dom.Tree.Fingerprint), and the next
-// poll first re-fetches only those pages. If every fingerprint is
-// unchanged, the wrapper evaluation is deterministic on the same
-// inputs, so the previous output document is re-emitted without
-// re-running the Elog program or the XML transformation.
+// the fetched pages' content keys (dom.Tree.ContentKey), and the next
+// poll first re-fetches only those pages. If every key is unchanged,
+// the wrapper evaluation is deterministic on the same inputs, so the
+// previous output document is re-emitted without re-running the Elog
+// program or the XML transformation. A parsed page's key is a hash of
+// its source bytes, so on such a steady poll the re-fetched page is
+// never built into a tree: the poll is a fetch, a hash and a re-emit.
 type WrapperSource struct {
 	CompName string
 	Fetcher  elog.Fetcher
@@ -277,9 +279,9 @@ type WrapperSource struct {
 	batchAttached bool
 
 	// Last run whose fetches all succeeded: the URLs fetched (in
-	// order), their tree fingerprints, and the emitted document.
+	// order), their trees' content keys, and the emitted document.
 	lastURLs []string
-	lastFPs  []uint64
+	lastKeys []uint64
 	lastDoc  *xmlenc.Node
 	// Cumulative extraction timings (nanoseconds), written under
 	// statsMu: parseNS is time spent in the fetch+parse layer (the
@@ -290,7 +292,7 @@ type WrapperSource struct {
 	parseNS     int64
 	evalNS      int64
 	transformNS int64
-	// CacheHits counts polls answered from the fingerprint cache. It is
+	// CacheHits counts polls answered from the content-key memo. It is
 	// written under statsMu so that ExtractionStats can be read
 	// concurrently (the server's status page polls it over HTTP).
 	CacheHits int
@@ -298,7 +300,7 @@ type WrapperSource struct {
 }
 
 // ExtractionStats aggregates a wrapper's memoization counters:
-// PollCacheHits counts whole polls answered from the page-fingerprint
+// PollCacheHits counts whole polls answered from the page content-key
 // cache; MatchCacheHits/Misses count compiled match calls (one per rule
 // and document for extraction paths, see elog.CompiledProgram.Stats)
 // answered from (or inserted into) the evaluation's match memo.
@@ -445,12 +447,12 @@ func (e *Engine) ExtractionStats() ExtractionStats {
 }
 
 // recordingFetcher wraps a Fetcher, recording each fetched URL and the
-// fingerprint of the returned tree. Pages already fetched by the
+// content key of the returned tree. Pages already fetched by the
 // cache recheck are served from prefetched, so a cache miss never
 // fetches a page twice in one poll. The evaluator's crawl frontier
 // fetches from multiple goroutines, so the recording is locked; the
 // recorded order is whatever the frontier completes first, which is
-// fine — the cache recheck treats the list as a url→fingerprint set.
+// fine — the cache recheck treats the list as a url→key set.
 // A failed fetch is not recorded but sets failed: the evaluator skips
 // a crawl link it cannot fetch, so the run's output rests on a page the
 // recheck could not see come back.
@@ -459,7 +461,7 @@ type recordingFetcher struct {
 	prefetched map[string]*dom.Tree
 	mu         sync.Mutex
 	urls       []string
-	fps        []uint64
+	keys       []uint64
 	failed     bool
 	fetchNS    int64
 }
@@ -477,28 +479,28 @@ func (r *recordingFetcher) Fetch(url string) (*dom.Tree, error) {
 			return nil, err
 		}
 	}
-	// Warm before fingerprinting: Warm serializes concurrent callers,
-	// so two frontier workers handed the same tree under different
-	// URLs do not race on the lazy fingerprint.
+	// The evaluation reads the whole tree: build and warm it here, on
+	// the frontier's worker. Warm serializes concurrent callers, so two
+	// workers handed the same tree under different URLs do not race.
 	t.Warm()
-	fp := t.Fingerprint()
+	key := t.ContentKey()
 	r.mu.Lock()
 	r.urls = append(r.urls, url)
-	r.fps = append(r.fps, fp)
+	r.keys = append(r.keys, key)
 	r.fetchNS += time.Since(start).Nanoseconds()
 	r.mu.Unlock()
 	return t, nil
 }
 
 // unchanged reports whether re-fetching every page of the last run
-// yields the same fingerprints. The fetched trees are retained in
+// yields the same content keys. The fetched trees are retained in
 // prefetched either way, so on a miss the evaluator reuses them. The
 // re-fetch is the steady-state server tick, so the pages are retrieved
 // in parallel, mirroring the evaluator's crawl frontier; a fetch error
-// counts as changed (the evaluator will surface it). Only the content
-// hash of each tree is built here (WarmFingerprint, which serializes
-// with other pollers handed the same tree): the index and the bitsets
-// are read on the miss path alone, whose fetcher warms the tree fully.
+// counts as changed (the evaluator will surface it). Only each tree's
+// ContentKey is read here, which for a parsed page is the hash of its
+// source and builds nothing: the tree is built and warmed on the miss
+// path alone, by its recordingFetcher.
 func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
 	if s.lastDoc == nil {
 		return false
@@ -541,7 +543,7 @@ func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
 				defer func() { <-sem }()
 				t, err := fetcher.Fetch(url)
 				if err == nil {
-					t.WarmFingerprint() // hashed here, in parallel with the other pages
+					t.ContentKey() // a fingerprint, for a tree not parsed from bytes: hashed in parallel
 				}
 				results <- fetched{url, t, err}
 			}(url)
@@ -561,7 +563,7 @@ func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
 	}
 	same := true
 	for i, url := range s.lastURLs {
-		if prefetched[url].WarmFingerprint() != s.lastFPs[i] {
+		if prefetched[url].ContentKey() != s.lastKeys[i] {
 			same = false
 		}
 	}
@@ -636,9 +638,9 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 	}
 	if rec.failed {
 		// No memo: the next poll retries the failed fetch.
-		s.lastURLs, s.lastFPs, s.lastDoc = nil, nil, nil
+		s.lastURLs, s.lastKeys, s.lastDoc = nil, nil, nil
 	} else {
-		s.lastURLs, s.lastFPs, s.lastDoc = rec.urls, rec.fps, doc
+		s.lastURLs, s.lastKeys, s.lastDoc = rec.urls, rec.keys, doc
 	}
 	return []*xmlenc.Node{doc}, nil
 }

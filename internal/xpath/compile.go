@@ -71,12 +71,13 @@ func (c *Compiled) Eval(t *dom.Tree, context []dom.NodeID) ([]dom.NodeID, error)
 // slice.
 //
 // Concurrent EvalCached calls on the same Compiled are serialized by
-// its lock (fingerprinting and evaluation both run under it). Note
-// that dom.Tree's lazy indexes (Reindex, Fingerprint, label bitsets)
-// are themselves unsynchronized, so evaluating *different* Compiled
-// queries over the same tree from multiple goroutines requires either
-// external synchronization or warming the tree first (one prior
-// single-threaded evaluation, or Reindex+Fingerprint).
+// its lock (fingerprinting and evaluation both run under it). A parsed
+// tree's deferred build is safe under concurrent first use, but the
+// lazy indexes filled after it (the pre/post index, Fingerprint, the
+// label bitsets) are unsynchronized, so evaluating *different*
+// Compiled queries over the same tree from multiple goroutines requires
+// either external synchronization or warming the tree first
+// (dom.Tree.Warm).
 func (c *Compiled) EvalCached(t *dom.Tree) ([]dom.NodeID, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
