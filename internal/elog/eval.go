@@ -127,8 +127,10 @@ func (ev *Evaluator) RunCompiled(cp *CompiledProgram) (*pib.Base, error) {
 // identical to RunCompiled's, Dump and all. prev is only read: any
 // number of evaluations may maintain from it at once.
 //
-// Entry rules run on the freshly fetched documents. Everything else
-// takes RunCompiled's path: the other rules that are not parent-local,
+// Every page the run fetches is built from prev's tree of its URL
+// (dom.Tree.WarmFrom), so a changed page re-parses only the bytes that
+// changed. Entry rules run on the freshly fetched documents. Everything
+// else takes RunCompiled's path: the other rules that are not parent-local,
 // parents in documents whose ids are not in document order, and every
 // rule when prev was built under another program or concept base. An
 // evaluation handed a prev that took that path anywhere counts as a
@@ -195,7 +197,7 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base) (*pib.
 	if cp != nil {
 		r.done = make([]int, len(p.Rules)+1)
 	}
-	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil)
+	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil, prev)
 	defer r.fr.drain()
 
 	// Elog supports stratified negation (Section 3.3): rules with

@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/dom"
+	"repro/internal/pib"
 )
 
 // fetchResult is one page's in-flight (or finished) retrieval.
@@ -34,6 +35,9 @@ type frontier struct {
 	// compiled matcher reads bitsets and fingerprints, the interpreter
 	// only the pre/post index.
 	warmFull bool
+	// prev is the base the run is maintained from, or nil: a fully
+	// warmed page is built from prev's tree of the same URL.
+	prev *pib.Base
 
 	mu    sync.Mutex
 	pages map[string]*fetchResult
@@ -42,12 +46,26 @@ type frontier struct {
 // newFrontier returns a frontier fetching at most conc pages at once
 // (conc <= 0 means GOMAXPROCS) and speculatively scheduling at most
 // budget distinct URLs.
-func newFrontier(f Fetcher, conc, budget int, warmFull bool) *frontier {
+func newFrontier(f Fetcher, conc, budget int, warmFull bool, prev *pib.Base) *frontier {
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)
 	}
 	return &frontier{fetch: f, sem: make(chan struct{}, conc), budget: budget,
-		warmFull: warmFull, pages: map[string]*fetchResult{}}
+		warmFull: warmFull, prev: prev, pages: map[string]*fetchResult{}}
+}
+
+// last returns prev's tree of url, the earlier version of the page, or
+// nil.
+func (fr *frontier) last(url string) *dom.Tree {
+	if fr.prev == nil {
+		return nil
+	}
+	for _, in := range fr.prev.Instances("document") {
+		if in.URL == url {
+			return in.Doc
+		}
+	}
+	return nil
 }
 
 // prefetch speculatively schedules url for retrieval, within the
@@ -90,9 +108,13 @@ func (fr *frontier) schedule(url string, force bool) *fetchResult {
 		if err == nil {
 			// Build the lazy structures on the worker, off the
 			// evaluation goroutine's critical path; the published tree
-			// is then read-only for the rest of the run.
+			// is then read-only for the rest of the run. A changed page
+			// re-parses only the bytes in which it differs from its
+			// last version (dom.Tree.WarmFrom, which only reads that
+			// tree and serializes workers handed one tree under two
+			// URLs).
 			if fr.warmFull {
-				t.Warm()
+				t.WarmFrom(fr.last(url))
 			} else {
 				t.WarmIndex()
 			}

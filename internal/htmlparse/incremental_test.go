@@ -1,6 +1,7 @@
 package htmlparse_test
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"math/rand"
@@ -10,6 +11,8 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/htmlparse"
+	"repro/internal/xmlenc"
+	"repro/pkg/lixto"
 )
 
 // sameWarmTree fails unless got, a tree warmed from a previous version,
@@ -155,6 +158,48 @@ func TestIncrementalChain(t *testing.T) {
 	// warmed(next) above tokenizes every version in full once.
 	if n := htmlparse.TokenizedBytes() - tokens - int64(total); n > int64(total)/5 {
 		t.Errorf("the chain tokenized %d of %d bytes incrementally, want at most a fifth", n, total)
+	}
+}
+
+// catalogueWrapper is the benchmark's catalogue program: page →
+// section → SALE row → name, price.
+const catalogueWrapper = `page(S, X)    <- document("bench.example.com/catalogue", S), subelem(S, .body, X)
+section(S, X) <- page(_, S), subelem(S, (.div, [(class, section, exact)]), X)
+row(S, X)     <- section(_, S), subelem(S, (?.tr, [(elementtext, .*SALE.*, regexp)]), X)
+name(S, X)    <- row(_, S), subelem(S, (?.td, [(class, name, exact)]), X)
+price(S, X)   <- row(_, S), subelem(S, (?.td, [(class, price, exact)]), X)`
+
+// TestExtractParsesOnlyWhatChanged extracts a catalogue page and then a
+// version with 3 of its 60 sections changed through a bare SDK wrapper,
+// as one-shot extractions do: the evaluation builds the new version
+// from the page the wrapper's retained base holds, tokenizing at most
+// twice the changed sections' bytes, and extracts what a fresh wrapper
+// does.
+func TestExtractParsesOnlyWhatChanged(t *testing.T) {
+	ctx := context.Background()
+	page := htmlparse.CataloguePage(60, 40, false)
+	next := restamp(page, []int{30, 31, 32}, 7)
+	opts := []lixto.Option{lixto.WithAuxiliary("page", "section"), lixto.WithIncrementalOutput(true)}
+	w := lixto.MustCompile(catalogueWrapper, opts...)
+	extract := func(w *lixto.Wrapper, page string) string {
+		t.Helper()
+		res, err := w.Extract(ctx, lixto.HTML(page))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return xmlenc.MarshalIndent(res.XML())
+	}
+	extract(w, page)
+	before := htmlparse.TokenizedBytes()
+	got := extract(w, next)
+	n := htmlparse.TokenizedBytes() - before
+	sectionBytes := len(page) / 60
+	t.Logf("3 of 60 sections changed: %d of %d bytes tokenized", n, len(next))
+	if n > int64(2*3*sectionBytes) {
+		t.Errorf("tokenized %d bytes for 3 changed sections of about %d bytes, want at most twice theirs", n, sectionBytes)
+	}
+	if want := extract(lixto.MustCompile(catalogueWrapper, opts...), next); got != want {
+		t.Fatalf("extraction of the changed page:\n%s\nwant (fresh wrapper):\n%s", got, want)
 	}
 }
 

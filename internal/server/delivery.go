@@ -37,11 +37,13 @@ import (
 // Publication happens inside the delivery itself: the collector's
 // Journal callback appends the record, so a result is readable the
 // moment Process returns, and with a result store it is on the log
-// first. No-op deliveries are suppressed before fan-out: the
-// poll-level fingerprint cache re-emits the previous *xmlenc.Node when
-// no source page changed (pointer equality — the dom.Fingerprint delta
-// detection), and a fresh document object with byte-identical encoding
-// is caught by comparing the encoded XML.
+// first. No-op deliveries are suppressed before fan-out: when no
+// source page's content key changed, the wrapper's memo
+// (lixto.Wrapper.Extract) answers a tick or a one-shot extraction with
+// its last rendered result, so the previous *xmlenc.Node arrives again
+// (pointer equality, checked without encoding), and a fresh document
+// object with byte-identical encoding is caught by comparing the
+// encoded XML.
 
 // gzipMinSize is the smallest body worth compressing; below it the
 // gzip header overhead usually wins.
@@ -275,12 +277,12 @@ func (d *delivery) head() uint64 {
 // the pipeline collector's Journal callback (the collector's own count
 // is ignored: the log numbers versions). In order: the document is
 // splice-encoded; the record is a version-only no-op when the content
-// is unchanged (the same document pointer — the poll memo re-emitting
-// its last result — or byte-identical encoding), else a snapshot; the
-// record reaches the result log when one is attached; only then is
-// the snapshot swapped in, broadcast, and the webhooks nudged. A
-// failed log append publishes nothing (the store counts the error),
-// so no reader ever sees a version the log does not hold.
+// is unchanged (the same document pointer — the wrapper's memo
+// answering with its last result — or byte-identical encoding), else
+// a snapshot; the record reaches the result log when one is attached;
+// only then is the snapshot swapped in, broadcast, and the webhooks
+// nudged. A failed log append publishes nothing (the store counts the
+// error), so no reader ever sees a version the log does not hold.
 func (d *delivery) append(_ uint64, doc *xmlenc.Node) {
 	d.pubMu.Lock()
 	defer d.pubMu.Unlock()

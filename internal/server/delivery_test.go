@@ -247,8 +247,8 @@ func TestEncodeOnceSnapshots(t *testing.T) {
 		t.Fatalf("snapshots = %d after 50 reads of one delivery", ds.Snapshots)
 	}
 
-	// Re-delivering the same document pointer (what the poll-level
-	// fingerprint cache does on unchanged pages) is a suppressed no-op.
+	// Re-delivering the same document pointer (what the wrapper's memo
+	// does on unchanged pages) is a suppressed no-op.
 	doc := p.out.Latest()
 	if _, err := p.out.Process("", doc); err != nil {
 		t.Fatal(err)

@@ -32,9 +32,9 @@ func oneShotPage(rows int) string {
 	return sb.String()
 }
 
-// outputCounters reads the output-cache counters of one wrapper from
-// GET /v1/wrappers/{name}.
-func outputCounters(t *testing.T, base, name string) (built, reused uint64) {
+// outputCounters reads the output-cache counters and the memo hits of
+// one wrapper from GET /v1/wrappers/{name}.
+func outputCounters(t *testing.T, base, name string) (built, reused, hits uint64) {
 	t.Helper()
 	code, body, _ := do(t, "GET", base+"/v1/wrappers/"+name, nil)
 	if code != 200 {
@@ -44,12 +44,13 @@ func outputCounters(t *testing.T, base, name string) (built, reused uint64) {
 		Extraction struct {
 			Built  uint64 `json:"output_built_nodes"`
 			Reused uint64 `json:"output_reused_nodes"`
+			Hits   uint64 `json:"poll_cache_hits"`
 		} `json:"extraction"`
 	}
 	if err := jsonUnmarshal(body, &info); err != nil {
 		t.Fatal(err)
 	}
-	return info.Extraction.Built, info.Extraction.Reused
+	return info.Extraction.Built, info.Extraction.Reused, info.Extraction.Hits
 }
 
 // countElements counts the element nodes of an output document.
@@ -62,9 +63,11 @@ func countElements(n *xmlenc.Node) uint64 {
 }
 
 // TestOneShotSharesTickOutputCache pins that a one-shot extraction
-// (POST .../extract) renders through the output cache the scheduled
-// ticks fill: re-extracting the unchanged page builds no output node
-// and reuses every instance subtree of the document.
+// (POST .../extract) shares the wrapper state the scheduled ticks fill:
+// re-extracting the unchanged page is answered from the wrapper's memo
+// of the tick's result, building and splicing nothing, and a changed
+// page renders through the ticks' output cache, reusing every instance
+// subtree of the tick's document.
 func TestOneShotSharesTickOutputCache(t *testing.T) {
 	s := New(Config{AllowDynamic: true, MaxCompilesPerMinute: -1})
 	ts := httptest.NewServer(s.Handler())
@@ -75,21 +78,33 @@ func TestOneShotSharesTickOutputCache(t *testing.T) {
 	if code != 201 {
 		t.Fatalf("create: %d %s", code, body)
 	}
-	built0, reused0 := outputCounters(t, ts.URL, "list")
+	built0, reused0, hits0 := outputCounters(t, ts.URL, "list")
 	if built0 == 0 {
 		t.Fatal("registration tick built no output nodes")
 	}
+	tick := s.readPipe("list").p.Output().Latest()
 	if code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers/list/extract", map[string]any{}); code != 200 {
 		t.Fatalf("extract: %d %s", code, body)
 	}
-	built, reused := outputCounters(t, ts.URL, "list")
-	if built != built0 {
-		t.Errorf("one-shot extract of the unchanged page built %d output nodes", built-built0)
+	built, reused, hits := outputCounters(t, ts.URL, "list")
+	if built != built0 || reused != reused0 || hits != hits0+1 {
+		t.Errorf("one-shot extract of the unchanged page: built %d, reused %d output nodes, %d memo hits; want 0, 0, 1",
+			built-built0, reused-reused0, hits-hits0)
 	}
-	// Everything below the freshly built root is spliced from the cache.
-	want := countElements(s.readPipe("list").p.Output().Latest()) - 1
-	if reused-reused0 != want {
-		t.Errorf("one-shot extract reused %d output nodes, want the whole document's %d", reused-reused0, want)
+	if s.readPipe("list").p.Output().Latest() != tick {
+		t.Error("the memo's answer is not the tick's document")
+	}
+	// A changed page (one more row): everything below the tick's root is
+	// spliced from the cache, and only the new row is built.
+	if code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers/list/extract", map[string]any{"html": oneShotPage(13)}); code != 200 {
+		t.Fatalf("extract: %d %s", code, body)
+	}
+	built2, reused2, _ := outputCounters(t, ts.URL, "list")
+	if want := countElements(tick) - 1; reused2-reused != want {
+		t.Errorf("one-shot extract of the changed page reused %d output nodes, want the tick document's %d", reused2-reused, want)
+	}
+	if n := countElements(s.readPipe("list").p.Output().Latest()); built2-built >= n {
+		t.Errorf("one-shot extract of the changed page built %d of its %d output nodes", built2-built, n)
 	}
 }
 

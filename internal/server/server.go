@@ -842,8 +842,8 @@ type PipelineStatus struct {
 	// rather than in the extraction block.
 	SnapshotBytes uint64 `json:"snapshot_bytes"`
 	// Extraction holds the pipeline's wrapper memoization counters
-	// (poll-level fingerprint cache, compiled match cache) when the
-	// pipeline exposes them.
+	// (the wrapper's unchanged-page memo, the compiled match cache)
+	// when the pipeline exposes them.
 	Extraction *transform.ExtractionStats `json:"extraction,omitempty"`
 }
 

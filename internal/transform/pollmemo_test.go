@@ -53,7 +53,7 @@ func TestPollMemoSharedUnwarmedTree(t *testing.T) {
 	for i := range srcs {
 		srcs[i] = memoSource(f)
 	}
-	round := func(page string, wantHits int) string {
+	round := func(page string, wantHits uint64) string {
 		t.Helper()
 		f.tree.Store(htmlparse.Parse(page))
 		out := make([]string, n)
@@ -75,8 +75,8 @@ func TestPollMemoSharedUnwarmedTree(t *testing.T) {
 			if out[i] != out[0] {
 				t.Fatalf("source %d extracted a different document:\n%s\nvs\n%s", i, out[i], out[0])
 			}
-			if s.CacheHits != wantHits {
-				t.Fatalf("source %d: %d memo hits, want %d", i, s.CacheHits, wantHits)
+			if s.ExtractionStats().PollCacheHits != wantHits {
+				t.Fatalf("source %d: %d memo hits, want %d", i, s.ExtractionStats().PollCacheHits, wantHits)
 			}
 		}
 		return out[0]
@@ -119,12 +119,12 @@ func TestPollMemoHitIsHashOnly(t *testing.T) {
 			t.Fatalf("poll: %d docs, err %v", len(docs), err)
 		}
 	})
-	if src.CacheHits != runs+1 {
-		t.Fatalf("%d memo hits in %d steady-state polls", src.CacheHits, runs+1)
+	if src.ExtractionStats().PollCacheHits != runs+1 {
+		t.Fatalf("%d memo hits in %d steady-state polls", src.ExtractionStats().PollCacheHits, runs+1)
 	}
-	// The hash table, the prefetched map with its one entry, and the
-	// emitted one-document slice. A full Warm adds three more (index,
-	// bitset backing, bitset headers).
+	// The hash table, the extraction's option set and its fetcher, and
+	// the emitted one-document slice. A full Warm adds three more
+	// (index, bitset backing, bitset headers).
 	t.Logf("steady-state poll: %.0f allocs", allocs)
 	if allocs > 4 {
 		t.Errorf("steady-state poll allocates %.0f objects, want <= 4 (hash only)", allocs)
@@ -168,8 +168,8 @@ func TestSteadyPollBuildsNoTree(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&after)
-	if src.CacheHits != runs {
-		t.Fatalf("%d memo hits in %d steady polls", src.CacheHits, runs)
+	if src.ExtractionStats().PollCacheHits != runs {
+		t.Fatalf("%d memo hits in %d steady polls", src.ExtractionStats().PollCacheHits, runs)
 	}
 	perPoll := (after.TotalAlloc - before.TotalAlloc) / runs
 	t.Logf("steady poll over a %d-byte page: %d bytes allocated", len(page), perPoll)
@@ -212,7 +212,7 @@ title(S, X) <- page(_, S), subelem(S, ?.title, X)`
 	if !strings.Contains(got, "hello") {
 		t.Fatalf("the served page was not extracted:\n%s", got)
 	}
-	if src.CacheHits != 0 {
-		t.Fatalf("%d memo hits after a run with a failed fetch, want 0", src.CacheHits)
+	if src.ExtractionStats().PollCacheHits != 0 {
+		t.Fatalf("%d memo hits after a run with a failed fetch, want 0", src.ExtractionStats().PollCacheHits)
 	}
 }

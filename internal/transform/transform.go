@@ -23,12 +23,10 @@ import (
 	"fmt"
 	"net/http"
 	"os"
-	"runtime"
 	"strings"
 	"sync"
 	"time"
 
-	"repro/internal/dom"
 	"repro/internal/elog"
 	"repro/internal/fetchcache"
 	"repro/internal/xmlenc"
@@ -230,22 +228,13 @@ func (e *Engine) Run(ctx context.Context, interval time.Duration) {
 //
 // Extraction goes through the SDK wrapper (Wrapper), which owns every
 // piece of reuse state across ticks: the compiled program (whose own
-// match memo serves extractions without a Batch cache), and the output
-// cache that splices unchanged XML subtrees from the previous rendering. A
-// one-shot extraction through the same *lixto.Wrapper shares them.
-//
-// Polls are additionally memoized on page content: every run records
-// the fetched pages' content keys (dom.Tree.ContentKey), and the next
-// poll first re-fetches only those pages. If every key is unchanged,
-// the wrapper evaluation is deterministic on the same inputs, so the
-// previous output document is re-emitted without re-running the Elog
-// program or the XML transformation. A parsed page's key is a hash of
-// its source bytes, so on such a steady poll the re-fetched page is
-// never built into a tree: the poll is a fetch, a hash and a re-emit.
-// A page that did change is built from the last run's tree of its URL,
-// which the wrapper's retained instance base already holds
-// (lixto.Wrapper.LastDocument, dom.Tree.WarmFrom): only the elements
-// around its changed bytes are parsed again.
+// match memo serves extractions without a Batch cache), the output
+// cache that splices unchanged XML subtrees from the previous rendering,
+// and the last rendered Result. A poll whose pages all come back with
+// their last content keys is answered with that Result, the same
+// document re-emitted without evaluating (see pkg/lixto); a changed
+// page is re-parsed only around its changed bytes. A one-shot
+// extraction through the same *lixto.Wrapper shares all of it.
 type WrapperSource struct {
 	CompName string
 	Fetcher  elog.Fetcher
@@ -261,12 +250,12 @@ type WrapperSource struct {
 	// program through the SDK or cmd/elogc (the /v1 dynamic wrappers
 	// rely on this).
 	NoSourceAttr bool
-	// Shared, when set, routes every fetch (the cache recheck and the
-	// evaluator's crawl frontier alike) through the shared
-	// fetch/document layer, so concurrent wrappers monitoring the same
-	// URLs share one fetch+parse per page per freshness window. All
-	// sources sharing one cache must resolve URLs identically; the
-	// extracted output is unchanged (only the fetch work is shared).
+	// Shared, when set, routes every fetch through the shared
+	// fetch/document layer (lixto.WithSharedCache), so concurrent
+	// wrappers monitoring the same URLs share one fetch+parse per page
+	// per freshness window. All sources sharing one cache must resolve
+	// URLs identically; the extracted output is unchanged (only the
+	// fetch work is shared).
 	Shared *fetchcache.Cache
 	// Batch, when set, attaches the source's evaluator to a fleet-shared
 	// match cache (elog.MatchCache): every wrapper sharing the cache
@@ -276,38 +265,29 @@ type WrapperSource struct {
 	// Output is unchanged; pair with Shared to also share the fetches.
 	Batch *elog.MatchCache
 	tick  int
-	// shared is the cache-wrapped form of Fetcher, built on first use.
-	shared elog.Fetcher
+	// opts are the extraction options of every poll, built on the first.
+	opts []lixto.Option
 	// batchAttached records that this source has counted itself into
 	// Batch's fleet size.
 	batchAttached bool
 
-	// Last run whose fetches all succeeded: the URLs fetched (in
-	// order), their trees' content keys, and the emitted document.
-	lastURLs []string
-	lastKeys []uint64
-	lastDoc  *xmlenc.Node
-	// Cumulative extraction timings (nanoseconds), written under
-	// statsMu: parseNS is time spent in the fetch+parse layer (the
-	// poll-memo recheck and the evaluator's fetcher calls, including
-	// tree hashing and warming), evalNS the wall time of
-	// whole wrapper evaluations, transformNS the wall time of the
-	// instance-base → XML transform.
-	parseNS     int64
+	// Cumulative poll timings (nanoseconds), written under statsMu:
+	// evalNS is the wall time of the polls' extractions (the memo's
+	// re-fetch included), transformNS that of the instance-base → XML
+	// transform.
 	evalNS      int64
 	transformNS int64
-	// CacheHits counts polls answered from the content-key memo. It is
-	// written under statsMu so that ExtractionStats can be read
-	// concurrently (the server's status page polls it over HTTP).
-	CacheHits int
-	statsMu   sync.Mutex
+	statsMu     sync.Mutex
 }
 
 // ExtractionStats aggregates a wrapper's memoization counters:
-// PollCacheHits counts whole polls answered from the page content-key
-// cache; MatchCacheHits/Misses count compiled match calls (one per rule
-// and document for extraction paths, see elog.CompiledProgram.Stats)
-// answered from (or inserted into) the evaluation's match memo.
+// PollCacheHits counts extractions answered from the wrapper's memo of
+// its last rendered Result because no page changed — scheduled polls
+// and one-shot extractions through the same *lixto.Wrapper alike
+// (lixto.Wrapper.FetchStats); MatchCacheHits/Misses count compiled
+// match calls (one per rule and document for extraction paths, see
+// elog.CompiledProgram.Stats) answered from (or inserted into) the
+// evaluation's match memo.
 type ExtractionStats struct {
 	PollCacheHits    uint64 `json:"poll_cache_hits"`
 	MatchCacheHits   uint64 `json:"match_cache_hits"`
@@ -346,10 +326,13 @@ type ExtractionStats struct {
 	// maintained from; document trees are not included.
 	BaseInstances uint64 `json:"base_instances"`
 	BaseBytes     uint64 `json:"base_bytes"`
-	// ParseNS is cumulative time (ns) spent in the fetch+parse layer;
-	// EvalNS cumulative wall time (ns) of wrapper evaluations (which
-	// includes the fetches its crawl frontier issues); TransformNS
-	// cumulative wall time of the instance-base → XML transform.
+	// ParseNS is cumulative time (ns) the wrapper's extractions spent in
+	// their fetcher (fetch and source hash; a changed page's build runs
+	// on the crawl frontier, inside EvalNS), one-shot extractions
+	// included; EvalNS cumulative wall time (ns) of the polls'
+	// extractions (which includes the fetches they issue);
+	// TransformNS cumulative wall time of the instance-base → XML
+	// transform.
 	ParseNS     uint64 `json:"parse_ns"`
 	EvalNS      uint64 `json:"eval_ns"`
 	TransformNS uint64 `json:"transform_ns"`
@@ -395,13 +378,9 @@ func (s *ExtractionStats) add(o ExtractionStats) {
 // call concurrently with polling.
 func (s *WrapperSource) ExtractionStats() ExtractionStats {
 	s.statsMu.Lock()
-	out := ExtractionStats{
-		PollCacheHits: uint64(s.CacheHits),
-		ParseNS:       uint64(s.parseNS),
-		EvalNS:        uint64(s.evalNS),
-		TransformNS:   uint64(s.transformNS),
-	}
+	out := ExtractionStats{EvalNS: uint64(s.evalNS), TransformNS: uint64(s.transformNS)}
 	s.statsMu.Unlock()
+	out.PollCacheHits, out.ParseNS = s.Wrapper.FetchStats()
 	o := s.Wrapper.OutputStats()
 	out.OutputReusedNodes = o.ReusedNodes
 	out.OutputBuiltNodes = o.BuiltNodes
@@ -450,150 +429,6 @@ func (e *Engine) ExtractionStats() ExtractionStats {
 	return out
 }
 
-// recordingFetcher wraps a Fetcher, recording each fetched URL and the
-// content key of the returned tree. Pages already fetched by the
-// cache recheck are served from prefetched, so a cache miss never
-// fetches a page twice in one poll. The evaluator's crawl frontier
-// fetches from multiple goroutines, so the recording is locked; the
-// recorded order is whatever the frontier completes first, which is
-// fine — the cache recheck treats the list as a url→key set.
-// A failed fetch is not recorded but sets failed: the evaluator skips
-// a crawl link it cannot fetch, so the run's output rests on a page the
-// recheck could not see come back.
-type recordingFetcher struct {
-	inner      elog.Fetcher
-	prefetched map[string]*dom.Tree
-	mu         sync.Mutex
-	urls       []string
-	keys       []uint64
-	failed     bool
-	fetchNS    int64
-
-	// last returns the tree the wrapper's retained base holds for a URL
-	// (lixto.Wrapper.LastDocument): the previous version a changed page
-	// is warmed from.
-	last func(url string) *dom.Tree
-}
-
-func (r *recordingFetcher) Fetch(url string) (*dom.Tree, error) {
-	start := time.Now()
-	t, ok := r.prefetched[url]
-	if !ok {
-		var err error
-		t, err = r.inner.Fetch(url)
-		if err != nil {
-			r.mu.Lock()
-			r.failed = true
-			r.mu.Unlock()
-			return nil, err
-		}
-	}
-	// The evaluation reads the whole tree: build and warm it here, on
-	// the frontier's worker, from the last run's tree of the URL, so a
-	// changed page re-parses only what changed. WarmFrom serializes
-	// concurrent callers, so two workers handed the same tree under
-	// different URLs do not race, and only reads the last tree.
-	t.WarmFrom(r.last(url))
-	key := t.ContentKey()
-	r.mu.Lock()
-	r.urls = append(r.urls, url)
-	r.keys = append(r.keys, key)
-	r.fetchNS += time.Since(start).Nanoseconds()
-	r.mu.Unlock()
-	return t, nil
-}
-
-// unchanged reports whether re-fetching every page of the last run
-// yields the same content keys. The fetched trees are retained in
-// prefetched either way, so on a miss the evaluator reuses them. The
-// re-fetch is the steady-state server tick, so the pages are retrieved
-// in parallel, mirroring the evaluator's crawl frontier; a fetch error
-// counts as changed (the evaluator will surface it). Only each tree's
-// ContentKey is read here, which for a parsed page is the hash of its
-// source and builds nothing: the tree is built and warmed on the miss
-// path alone, by its recordingFetcher.
-func (s *WrapperSource) unchanged(prefetched map[string]*dom.Tree) bool {
-	if s.lastDoc == nil {
-		return false
-	}
-	var missing []string
-	if len(s.lastURLs) == 1 {
-		if _, ok := prefetched[s.lastURLs[0]]; !ok {
-			missing = s.lastURLs
-		}
-	} else {
-		seen := map[string]bool{}
-		for _, url := range s.lastURLs {
-			if _, ok := prefetched[url]; !ok && !seen[url] {
-				seen[url] = true
-				missing = append(missing, url)
-			}
-		}
-	}
-	fetcher := s.fetchClient()
-	if len(missing) == 1 {
-		// The common single-page wrapper: fetch inline, skipping the
-		// fan-out machinery (a measurable share of steady-state poll
-		// allocations).
-		t, err := fetcher.Fetch(missing[0])
-		if err != nil {
-			return false
-		}
-		prefetched[missing[0]] = t
-	} else if len(missing) > 1 {
-		type fetched struct {
-			url string
-			t   *dom.Tree
-			err error
-		}
-		results := make(chan fetched, len(missing))
-		sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-		for _, url := range missing {
-			go func(url string) {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				t, err := fetcher.Fetch(url)
-				if err == nil {
-					t.ContentKey() // a fingerprint, for a tree not parsed from bytes: hashed in parallel
-				}
-				results <- fetched{url, t, err}
-			}(url)
-		}
-		ok := true
-		for range missing {
-			r := <-results
-			if r.err != nil {
-				ok = false
-				continue
-			}
-			prefetched[r.url] = r.t
-		}
-		if !ok {
-			return false
-		}
-	}
-	same := true
-	for i, url := range s.lastURLs {
-		if prefetched[url].ContentKey() != s.lastKeys[i] {
-			same = false
-		}
-	}
-	return same
-}
-
-// fetchClient returns the fetcher polls go through: the raw Fetcher,
-// or its cache-wrapped form when a shared fetch layer is configured.
-// Called only from the polling goroutine (Poll and its helpers).
-func (s *WrapperSource) fetchClient() elog.Fetcher {
-	if s.Shared == nil {
-		return s.Fetcher
-	}
-	if s.shared == nil {
-		s.shared = s.Shared.Wrap(s.Fetcher)
-	}
-	return s.shared
-}
-
 // Name implements Component.
 func (s *WrapperSource) Name() string { return s.CompName }
 
@@ -612,46 +447,31 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 	if (s.tick-1)%every != 0 {
 		return nil, nil
 	}
-	prefetched := map[string]*dom.Tree{}
-	// The recheck is nothing but fetch, parse and hash, and on a hit it
-	// is all of the poll: it counts as parse time either way.
-	start := time.Now()
-	hit := s.unchanged(prefetched)
-	s.statsMu.Lock()
-	s.parseNS += time.Since(start).Nanoseconds()
-	if hit {
-		s.CacheHits++
+	if s.opts == nil {
+		s.opts = []lixto.Option{lixto.WithFetcher(s.Fetcher), lixto.WithSharedCache(s.Shared),
+			lixto.WithBatching(s.Batch), lixto.WithIncrementalOutput(true)}
 	}
+	s.statsMu.Lock()
 	if s.Batch != nil && !s.batchAttached {
 		s.batchAttached = true
 		s.Batch.Attach()
 	}
 	s.statsMu.Unlock()
-	if hit {
-		return []*xmlenc.Node{s.lastDoc}, nil
-	}
-	rec := &recordingFetcher{inner: s.fetchClient(), prefetched: prefetched, last: s.Wrapper.LastDocument}
-	start = time.Now()
-	res, err := s.Wrapper.Extract(context.Background(), lixto.Origin(), lixto.WithFetcher(rec),
-		lixto.WithIncrementalOutput(true), lixto.WithBatching(s.Batch))
+	start := time.Now()
+	res, err := s.Wrapper.Extract(context.Background(), lixto.Origin(), s.opts...)
 	if err != nil {
 		return nil, err
 	}
 	tstart := time.Now()
 	doc := res.XML()
 	s.statsMu.Lock()
-	s.parseNS += rec.fetchNS
 	s.evalNS += tstart.Sub(start).Nanoseconds()
 	s.transformNS += time.Since(tstart).Nanoseconds()
 	s.statsMu.Unlock()
-	if !s.NoSourceAttr {
+	// A document the wrapper answered from its memo was stamped by the
+	// poll that rendered it, and is published: it is only read.
+	if v, _ := doc.Attr("source"); !s.NoSourceAttr && v != s.CompName {
 		doc.SetAttr("source", s.CompName)
-	}
-	if rec.failed {
-		// No memo: the next poll retries the failed fetch.
-		s.lastURLs, s.lastKeys, s.lastDoc = nil, nil, nil
-	} else {
-		s.lastURLs, s.lastKeys, s.lastDoc = rec.urls, rec.keys, doc
 	}
 	return []*xmlenc.Node{doc}, nil
 }

@@ -344,22 +344,22 @@ page(S, X) <- document("site/page.html", S), subelem(S, .body, X)
 	}
 	d1 := poll()
 	d2 := poll()
-	if d2 != d1 || src.CacheHits != 1 {
-		t.Fatalf("unchanged page: got new document (hits=%d), want cache hit", src.CacheHits)
+	if d2 != d1 || src.ExtractionStats().PollCacheHits != 1 {
+		t.Fatalf("unchanged page: got new document (hits=%d), want cache hit", src.ExtractionStats().PollCacheHits)
 	}
 	// Mutate the page: the fingerprint changes and the wrapper re-runs.
 	page.AppendText(page.Root(), "extra")
 	d3 := poll()
-	if d3 == d1 || src.CacheHits != 1 {
-		t.Fatalf("changed page: poll reused stale document (hits=%d)", src.CacheHits)
+	if d3 == d1 || src.ExtractionStats().PollCacheHits != 1 {
+		t.Fatalf("changed page: poll reused stale document (hits=%d)", src.ExtractionStats().PollCacheHits)
 	}
-	if d4 := poll(); d4 != d3 || src.CacheHits != 2 {
-		t.Fatalf("re-poll after change should hit cache again (hits=%d)", src.CacheHits)
+	if d4 := poll(); d4 != d3 || src.ExtractionStats().PollCacheHits != 2 {
+		t.Fatalf("re-poll after change should hit cache again (hits=%d)", src.ExtractionStats().PollCacheHits)
 	}
 	// Every further change misses again.
 	page.AppendText(page.Root(), "more")
-	if d5 := poll(); d5 == d3 || src.CacheHits != 2 {
-		t.Fatalf("second change: poll reused stale document (hits=%d)", src.CacheHits)
+	if d5 := poll(); d5 == d3 || src.ExtractionStats().PollCacheHits != 2 {
+		t.Fatalf("second change: poll reused stale document (hits=%d)", src.ExtractionStats().PollCacheHits)
 	}
 }
 
@@ -427,9 +427,8 @@ para(S, X) <- page(_, S), subelem(S, (?.p, [(class, x, exact)]), X)
 }
 
 // TestWrapperSourceAliasedTree polls a wrapper whose fetcher serves the
-// same tree under two URLs: the frontier's workers then hand the shared
-// tree to the recording fetcher concurrently, which must be race-free
-// (run with -race; CI does).
+// same tree under two URLs: the frontier's workers then warm the shared
+// tree concurrently, which must be race-free (run with -race; CI does).
 func TestWrapperSourceAliasedTree(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		page := htmlparse.Parse(`<html><body><p class="x">one</p></body></html>`)

@@ -18,6 +18,20 @@
 // page re-matches only the regions whose subtrees changed (the
 // instance base is identical to a fresh wrapper's either way).
 //
+// Under WithIncrementalOutput the wrapper also retains the last Result
+// it rendered, and that Result is the wrapper's whole memory of the
+// previous run: its base's document instances are the pages the output
+// rests on. An extraction first re-fetches those pages; when every one
+// comes back with the content key it had (dom.Tree.ContentKey, for a
+// parsed page a hash of its source bytes, so nothing is built) and the
+// call's design, concept base and limits are the retained run's, it
+// returns the retained Result itself, XML document included, without
+// evaluating. Otherwise the evaluation reads the re-fetched trees (no
+// page is fetched twice in one extraction), is maintained from the
+// retained base, and builds each changed page from the retained tree
+// of its URL, re-parsing only the bytes that changed. FetchStats
+// counts the memo's answers.
+//
 // The HTTP face of the same lifecycle is the /v1 API of
 // internal/server, and the transformation server's wrapper sources
 // poll through a Wrapper too, so scheduled ticks and one-shot
@@ -31,6 +45,7 @@ import (
 	"runtime"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/concepts"
 	"repro/internal/dom"
@@ -50,15 +65,22 @@ type Wrapper struct {
 	cfg      config
 
 	// outMu guards outCache, the cross-extraction emitted-subtree cache
-	// used when WithIncrementalOutput is on. One transform runs at a
-	// time; concurrent Extracts serialize only their (cheap, dirty-
-	// region-proportional) XML rendering, never the evaluation. The
-	// cache's Base, the last base rendered, is the one previous base the
-	// wrapper keeps: the next extraction is maintained from it
+	// used when WithIncrementalOutput is on, and last, the Result it
+	// rendered last. One transform runs at a time; concurrent Extracts
+	// serialize only their (cheap, dirty-region-proportional) XML
+	// rendering, never the evaluation. last is the one previous run the
+	// wrapper keeps: the next extraction is answered from it when its
+	// pages are unchanged, else maintained from its base
 	// (elog.Evaluator.RunMaintained), reading it only, so concurrent
 	// extractions may share it.
 	outMu    sync.Mutex
 	outCache *pib.OutputCache
+	last     *Result
+
+	// memoHits counts extractions answered with last; fetchNS is the
+	// time every extraction spent in its fetcher.
+	memoHits atomic.Uint64
+	fetchNS  atomic.Int64
 }
 
 // builtinConcepts is the concept base of extractions without
@@ -108,23 +130,13 @@ func (w *Wrapper) OutputStats() pib.OutputStats {
 	return w.outCache.Stats()
 }
 
-// LastDocument returns the tree of url in the instance base the wrapper
-// retains — the page as the last extraction rendered through the
-// incremental output cache read it — or nil. A fetcher warms the next
-// version of the page from it (dom.Tree.WarmFrom), so that tree is not
-// held a second time. Safe to call concurrently with Extract.
-func (w *Wrapper) LastDocument(url string) *dom.Tree {
-	w.outMu.Lock()
-	defer w.outMu.Unlock()
-	if w.outCache == nil || w.outCache.Base() == nil {
-		return nil
-	}
-	for _, in := range w.outCache.Base().Instances("document") {
-		if in.URL == url {
-			return in.Doc
-		}
-	}
-	return nil
+// FetchStats reports memoHits, the extractions answered with the
+// retained Result because none of its pages changed (see the package
+// doc), and fetchNS, the cumulative time (ns) extractions spent in
+// their fetcher, the memo's re-fetches included. Safe to call
+// concurrently with Extract.
+func (w *Wrapper) FetchStats() (memoHits, fetchNS uint64) {
+	return w.memoHits.Load(), uint64(w.fetchNS.Load())
 }
 
 // Rebind returns a wrapper sharing this wrapper's program, compiled
@@ -197,6 +209,23 @@ type Result struct {
 	w    *Wrapper
 	once sync.Once
 	doc  *xmlenc.Node
+
+	// What the memo compares once the wrapper retains this result: the
+	// output-shaping options of the run, the content keys its document
+	// instances had when it ran (a tree may be mutated afterwards), and
+	// whether a fetch failed (a skipped crawl link the memo cannot see).
+	key    runKey
+	keys   []uint64
+	failed bool
+}
+
+// runKey is what of a call's options shapes its output besides the
+// design and the pages: the memo answers a call only with a result of
+// an equal key.
+type runKey struct {
+	concepts                   *concepts.Base
+	maxDocuments, maxInstances int
+	compiled                   bool
 }
 
 // XML returns the instance base transformed to XML (computed once).
@@ -213,6 +242,7 @@ func (r *Result) XML() *xmlenc.Node {
 			r.w.outCache = pib.NewOutputCache()
 		}
 		r.doc = r.design.TransformIncremental(r.Base, r.w.outCache)
+		r.w.last = r
 		r.w.outMu.Unlock()
 	})
 	return r.doc
@@ -225,6 +255,8 @@ func (r *Result) Instances(pattern string) []*pib.Instance { return r.Base.Insta
 // at every fetch boundary: cancellation aborts the crawl and surfaces
 // as a KindFetch error with errors.Is(err, context.Canceled) true.
 // Per-call options override the wrapper's defaults for this call only.
+// Under WithIncrementalOutput, a call whose pages are unchanged since
+// the last rendered Result returns that Result (see the package doc).
 func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Result, error) {
 	cfg := w.cfg.clone()
 	for _, o := range opts {
@@ -246,45 +278,131 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 	if err != nil {
 		return nil, AsError(err)
 	}
-	ev := elog.NewEvaluator(&ctxFetcher{ctx: ctx, inner: f})
-	ev.Concepts = builtinConcepts
+	key := runKey{builtinConcepts, cfg.maxDocuments, cfg.maxInstances, cfg.cache}
 	if cfg.concepts != nil {
-		ev.Concepts = cfg.concepts
+		key.concepts = cfg.concepts
 	}
-	if cfg.maxDocuments > 0 {
-		ev.MaxDocuments = cfg.maxDocuments
-	}
-	if cfg.maxInstances > 0 {
-		ev.MaxInstances = cfg.maxInstances
-	}
-	ev.MaxConcurrency = cfg.concurrency
-	ev.Shared = cfg.batch
-	ev.Incremental = true
+	cf := &ctxFetcher{ctx: ctx, inner: f, ns: &w.fetchNS}
 	// Per-call design edits copy-on-write cfg.design, so pointer equality
-	// means the render the output cache was built for.
+	// means the render the output cache was built for. Only compiled
+	// runs are maintained from, or answered with, the retained result.
 	cached := cfg.incrementalOutput && cfg.design == w.cfg.design
-	var base *pib.Base
-	if cfg.cache {
-		var prev *pib.Base
-		if cached {
-			w.outMu.Lock()
-			if w.outCache != nil {
-				prev = w.outCache.Base()
-			}
-			w.outMu.Unlock()
+	var prev *Result
+	if cached && cfg.cache {
+		w.outMu.Lock()
+		prev = w.last
+		w.outMu.Unlock()
+	}
+	if prev != nil && prev.key == key && !prev.failed {
+		pages, same := recheck(cf, prev, cfg.concurrency)
+		if same {
+			w.memoHits.Add(1)
+			return prev, nil
 		}
-		base, err = ev.RunMaintained(w.compiled, prev)
-	} else {
+		// The evaluation reads the trees the recheck fetched.
+		cf.inner = &overlayFetcher{pages: pages, next: f}
+		cf.failed.Store(false)
+	}
+	ev := &elog.Evaluator{Fetcher: cf, Concepts: key.concepts, MaxDocuments: cfg.maxDocuments,
+		MaxInstances: cfg.maxInstances, MaxConcurrency: cfg.concurrency, Shared: cfg.batch, Incremental: true}
+	var base *pib.Base
+	switch {
+	case !cfg.cache:
 		base, err = ev.Run(w.program)
+	case prev != nil:
+		base, err = ev.RunMaintained(w.compiled, prev.Base)
+	default:
+		base, err = ev.RunMaintained(w.compiled, nil)
 	}
 	if err != nil {
 		return nil, newError(KindEval, err)
 	}
-	res := &Result{Base: base, design: cfg.design}
+	res := &Result{Base: base, design: cfg.design, key: key, failed: cf.failed.Load()}
 	if cached {
 		res.w = w
 	}
+	if cached && cfg.cache {
+		docs := base.Instances("document")
+		res.keys = make([]uint64, len(docs))
+		for i, d := range docs {
+			res.keys[i] = d.Doc.ContentKey()
+		}
+	}
 	return res, nil
+}
+
+// recheck re-fetches through f the pages prev's output rests on, its
+// base's document instances, and reports whether each came back with
+// the content key prev recorded; a failed fetch counts as a change. The
+// trees it fetched are returned for the evaluation to read, keyed by
+// URL. One page is fetched inline, several on at most workers
+// goroutines.
+func recheck(f elog.Fetcher, prev *Result, workers int) (map[string]*dom.Tree, bool) {
+	docs := prev.Base.Instances("document")
+	if len(docs) == 1 {
+		// The common single-page wrapper: no fan-out, and nothing
+		// allocated when the page is unchanged.
+		t, err := f.Fetch(docs[0].URL)
+		if err != nil {
+			return nil, false
+		}
+		if t.ContentKey() == prev.keys[0] {
+			return nil, true
+		}
+		return map[string]*dom.Tree{docs[0].URL: t}, false
+	}
+	trees := make([]*dom.Tree, len(docs))
+	each(len(docs), workers, func(i int) {
+		if t, err := f.Fetch(docs[i].URL); err == nil {
+			t.ContentKey() // for a tree not parsed from bytes, hashed in parallel
+			trees[i] = t
+		}
+	})
+	pages := make(map[string]*dom.Tree, len(docs))
+	same := true
+	for i, t := range trees {
+		if t == nil {
+			same = false
+			continue
+		}
+		pages[docs[i].URL] = t
+		same = same && t.ContentKey() == prev.keys[i]
+	}
+	return pages, same
+}
+
+// each calls fn(i) for every i in [0, n) on at most workers goroutines
+// (workers <= 0 means GOMAXPROCS), inline when one is enough, and
+// returns when every call has.
+func each(n, workers int, fn func(i int)) {
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if workers > n {
+		workers = n
+	}
+	if workers <= 1 {
+		for i := 0; i < n; i++ {
+			fn(i)
+		}
+		return
+	}
+	next := make(chan int)
+	var wg sync.WaitGroup
+	for range workers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range next {
+				fn(i)
+			}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		next <- i
+	}
+	close(next)
+	wg.Wait()
 }
 
 // ExtractAll extracts every source concurrently, fanning out over at
@@ -297,30 +415,10 @@ func (w *Wrapper) ExtractAll(ctx context.Context, srcs []Source, opts ...Option)
 	for _, o := range opts {
 		o(&cfg)
 	}
-	workers := cfg.concurrency
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(srcs) {
-		workers = len(srcs)
-	}
 	results := make([]*Result, len(srcs))
 	errs := make([]error, len(srcs))
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				results[i], errs[i] = w.Extract(ctx, srcs[i], opts...)
-			}
-		}()
-	}
-	for i := range srcs {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
+	each(len(srcs), cfg.concurrency, func(i int) {
+		results[i], errs[i] = w.Extract(ctx, srcs[i], opts...)
+	})
 	return results, errors.Join(errs...)
 }

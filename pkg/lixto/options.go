@@ -101,14 +101,15 @@ func WithCache(enabled bool) Option {
 }
 
 // WithIncrementalOutput toggles cross-extraction output reuse (default
-// off). With it on, the wrapper retains the previous extraction's
-// instance base and emitted XML subtrees: Result.XML splices frozen,
-// already-built subtrees for every instance whose content-addressed
-// output hash is unchanged and rebuilds only the dirty ones — the
-// output-side counterpart of the compiled program's subtree match
-// reuse, and the same cache the transformation server's ticks render
-// through. The rendered document is
-// byte-identical to a full rebuild, but its subtrees are shared across
+// off). With it on, the wrapper retains the last Result it rendered: an
+// extraction over unchanged pages returns it (see the package doc), and
+// a changed one is maintained from its instance base and emitted XML
+// subtrees: Result.XML splices frozen, already-built subtrees for every
+// instance whose content-addressed output hash is unchanged and
+// rebuilds only the dirty ones — the output-side counterpart of the
+// compiled program's subtree match reuse, and the same cache the
+// transformation server's ticks render through. The rendered document
+// is byte-identical to a full rebuild, but its subtrees are shared across
 // successive Results and MUST be treated as read-only (amend via
 // xmlenc's Mutable copy-on-write if needed). Extractions whose per-call
 // options replace or edit the XML design fall back to a full rebuild;

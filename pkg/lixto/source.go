@@ -4,6 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
+	"time"
 
 	"repro/internal/dom"
 	"repro/internal/elog"
@@ -138,18 +140,27 @@ func (f fetchError) Unwrap() error { return f.err }
 // ctxFetcher makes extraction context-aware at fetch boundaries: every
 // fetch first observes cancellation, and fetch failures are tagged as
 // fetchError so they classify as KindFetch after the evaluator wraps
-// them.
+// them. It also records that a fetch failed (the evaluator skips a crawl
+// link it cannot fetch, so the output rests on a page the memo cannot
+// re-check) and adds the time spent fetching to ns. The crawl frontier
+// fetches from several goroutines at once.
 type ctxFetcher struct {
-	ctx   context.Context
-	inner elog.Fetcher
+	ctx    context.Context
+	inner  elog.Fetcher
+	ns     *atomic.Int64
+	failed atomic.Bool
 }
 
 func (f *ctxFetcher) Fetch(url string) (*dom.Tree, error) {
 	if err := f.ctx.Err(); err != nil {
+		f.failed.Store(true)
 		return nil, fetchError{err: err}
 	}
+	start := time.Now()
 	t, err := f.inner.Fetch(url)
+	f.ns.Add(time.Since(start).Nanoseconds())
 	if err != nil {
+		f.failed.Store(true)
 		var fe fetchError
 		if errors.As(err, &fe) {
 			return nil, err
