@@ -31,8 +31,7 @@
 // All wrapped fetchers of one Cache share one URL namespace and must
 // therefore resolve URLs identically (e.g. all wrap the same simulated
 // web or the same HTTP client). Fetchers with private page overlays
-// (inline-HTML wrappers) must not be wrapped — or use WrapScoped to
-// give them an isolated key namespace.
+// (inline-HTML wrappers) must not be wrapped.
 package fetchcache
 
 import (
@@ -61,7 +60,7 @@ type Cache struct {
 // entry is one cached page: a singleflight slot while the fetch is in
 // flight, the parsed tree once done is closed.
 type entry struct {
-	key, url   string
+	url        string
 	prev, next *entry
 	done       chan struct{}
 	tree       *dom.Tree
@@ -118,40 +117,31 @@ func (c *Cache) Stats() Stats {
 // Wrap returns a fetcher that serves url fetches through the cache,
 // going to inner on a miss. All fetchers wrapped by one cache share
 // one URL key space (see the package comment). Wrapping an
-// already-wrapped fetcher of the same cache and scope is a no-op, so
-// layered call sites cannot stack the cache onto itself (which would
-// deadlock a miss on its own in-flight entry).
-func (c *Cache) Wrap(inner elog.Fetcher) elog.Fetcher { return c.WrapScoped("", inner) }
-
-// WrapScoped is Wrap under an isolated key namespace: entries of
-// different scopes never mix, for wrapping fetchers that resolve the
-// same URLs to different content.
-func (c *Cache) WrapScoped(scope string, inner elog.Fetcher) elog.Fetcher {
-	if cf, ok := inner.(*cachedFetcher); ok && cf.c == c && cf.scope == scope {
+// already-wrapped fetcher of the same cache is a no-op, so layered call
+// sites cannot stack the cache onto itself (which would deadlock a miss
+// on its own in-flight entry).
+func (c *Cache) Wrap(inner elog.Fetcher) elog.Fetcher {
+	if cf, ok := inner.(*cachedFetcher); ok && cf.c == c {
 		return inner
 	}
-	return &cachedFetcher{c: c, scope: scope, inner: inner}
+	return &cachedFetcher{c: c, inner: inner}
 }
 
-// cachedFetcher is the Wrap result: an elog.Fetcher front end of one
-// cache scope.
+// cachedFetcher is the Wrap result: an elog.Fetcher front end of the
+// cache.
 type cachedFetcher struct {
 	c     *Cache
-	scope string
 	inner elog.Fetcher
 }
 
 // Fetch implements elog.Fetcher.
-func (f *cachedFetcher) Fetch(url string) (*dom.Tree, error) {
-	return f.c.fetch(f.scope+"\x00"+url, url, f.inner)
-}
+func (f *cachedFetcher) Fetch(url string) (*dom.Tree, error) { return f.c.fetch(url, f.inner) }
 
-// Invalidate drops the default-scope entry for url, forcing the next
-// fetch upstream.
+// Invalidate drops the entry for url, forcing the next fetch upstream.
 func (c *Cache) Invalidate(url string) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e := c.entries["\x00"+url]; e != nil && completed(e) {
+	if e := c.entries[url]; e != nil && completed(e) {
 		c.removeLocked(e)
 	}
 }
@@ -174,10 +164,10 @@ func (c *Cache) Len() int {
 	return len(c.entries)
 }
 
-func (c *Cache) fetch(key, url string, inner elog.Fetcher) (*dom.Tree, error) {
+func (c *Cache) fetch(url string, inner elog.Fetcher) (*dom.Tree, error) {
 	c.mu.Lock()
 	var prev *entry
-	if e := c.entries[key]; e != nil {
+	if e := c.entries[url]; e != nil {
 		select {
 		case <-e.done:
 			if e.err == nil && !c.staleLocked(e) {
@@ -200,11 +190,11 @@ func (c *Cache) fetch(key, url string, inner elog.Fetcher) (*dom.Tree, error) {
 		}
 	}
 	c.misses++
-	e := &entry{key: key, url: url, done: make(chan struct{})}
+	e := &entry{url: url, done: make(chan struct{})}
 	if prev != nil {
 		c.removeLocked(prev)
 	}
-	c.entries[key] = e
+	c.entries[url] = e
 	c.pushFrontLocked(e)
 	c.evictLocked()
 	c.mu.Unlock()
@@ -232,7 +222,7 @@ func (c *Cache) fetch(key, url string, inner elog.Fetcher) (*dom.Tree, error) {
 	e.err = err
 	c.mu.Lock()
 	e.fetched = c.now()
-	if err != nil && c.entries[key] == e {
+	if err != nil && c.entries[url] == e {
 		// Failures are not cached: the next fetch retries.
 		c.removeLocked(e)
 	}
@@ -287,8 +277,8 @@ func (c *Cache) pushFrontLocked(e *entry) {
 }
 
 func (c *Cache) removeLocked(e *entry) {
-	if c.entries[e.key] == e {
-		delete(c.entries, e.key)
+	if c.entries[e.url] == e {
+		delete(c.entries, e.url)
 	}
 	if e.prev != nil {
 		e.prev.next = e.next

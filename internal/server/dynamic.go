@@ -1,7 +1,8 @@
 package server
 
 import (
-	"repro/internal/elog"
+	"time"
+
 	"repro/internal/transform"
 	"repro/pkg/lixto"
 )
@@ -13,27 +14,56 @@ import (
 // through that same wrapper, so both paths share one compiled program
 // and one output cache.
 type dynPipeline struct {
-	name string
+	// spec is the registration it was built from; the server persists
+	// it, with the live cadence, for Restore.
+	spec wrapperSpec
 	w    *lixto.Wrapper
 	eng  *transform.Engine
 	out  *transform.Collector
 }
 
-// newDynPipeline compiles nothing: it wires an already-compiled SDK
-// wrapper into a schedulable pipeline, optionally attached to the
-// server's fleet-shared match cache (nil batch disables batching).
-// Scheduling (interval vs on-demand) lives in the server's pipeState
-// and may change over the pipeline's lifetime via PATCH.
-func newDynPipeline(name string, w *lixto.Wrapper, f elog.Fetcher, batch *elog.MatchCache) (*dynPipeline, error) {
-	eng, out, err := transform.NewWrapperEngineBatched(name, w, f, nil, batch)
+// newDynamic builds a dynamic wrapper's pipeline from its spec, for
+// the /v1 POST and for Restore alike: it compiles the program, resolves
+// its fetcher — the inline page when given, else the server's dynamic
+// fetcher (behind the shared cache when configured) — and wires the
+// engine, attached to the server's fleet-shared match cache when one is
+// configured. The returned error is a typed SDK error. Scheduling
+// (interval vs on-demand) lives in the pipeState and may change over the
+// pipeline's lifetime via PATCH.
+//
+// The wrapper is compiled with incremental output on, so one-shot
+// extractions (POST .../extract) render through the same output cache
+// as the scheduled ticks, reusing frozen output subtrees across page
+// versions — safe here because the delivery plane never mutates
+// delivered documents.
+func (s *Server) newDynamic(spec wrapperSpec) (*pipeState, error) {
+	lw, err := lixto.Compile(spec.Program, append(specOptions(spec.Root, spec.Auxiliary), lixto.WithIncrementalOutput(true))...)
 	if err != nil {
 		return nil, err
 	}
-	return &dynPipeline{name: name, w: w, eng: eng, out: out}, nil
+	fetcher := s.dynamicFetcher()
+	if spec.HTML != "" {
+		// The inline page overlays the entry URLs; crawled links still
+		// fall through to the dynamic fetcher when one is configured.
+		if fetcher, err = lw.InlineFetcher(spec.HTML, fetcher); err != nil {
+			return nil, err
+		}
+	} else if fetcher == nil {
+		return nil, &lixto.Error{Kind: lixto.KindEval,
+			Msg: "no dynamic fetcher configured; submit an inline html page"}
+	}
+	lw = lw.Rebind(lixto.WithFetcher(fetcher))
+	eng, out, err := transform.NewWrapperEngineBatched(spec.Name, lw, fetcher, nil, s.cfg.MatchCache)
+	if err != nil {
+		return nil, err
+	}
+	return &pipeState{p: &dynPipeline{spec: spec, w: lw, eng: eng, out: out}, name: spec.Name,
+		interval: time.Duration(spec.IntervalMS) * time.Millisecond, dynamic: true,
+		onDemand: spec.IntervalMS <= 0}, nil
 }
 
 // PipeName implements Pipeline.
-func (d *dynPipeline) PipeName() string { return d.name }
+func (d *dynPipeline) PipeName() string { return d.spec.Name }
 
 // Tick implements Pipeline: one engine activation round, reporting any
 // error newly logged during the round.

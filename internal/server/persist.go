@@ -3,7 +3,6 @@ package server
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"repro/internal/resultlog"
 	"repro/internal/xmlenc"
@@ -61,12 +60,14 @@ func (d *delivery) restore() error {
 
 // Restore rehydrates the server from Config.ResultStore: every
 // registered pipeline with logged history gets its snapshot and
-// delivery version back (its history is the log itself); wrappers that were registered dynamically are
-// recompiled from their persisted specs and re-registered (without the
-// synchronous validation tick — their last good result is already
-// restored); webhook registrations resume from their durable cursors.
-// Call after registering static pipelines and before Run. It returns
-// the number of wrappers restored from disk.
+// delivery version back (its history is the log itself); wrappers that
+// were registered dynamically are rebuilt from their persisted specs and
+// re-registered without the synchronous validation tick (they proved
+// themselves before the restart, and their last good result is restored
+// here); webhook registrations resume from their durable cursors. Call
+// after registering static pipelines and before Run, so restored
+// wrappers start ticking when the scheduler does. It returns the number
+// of wrappers restored from disk.
 func (s *Server) Restore() (int, error) {
 	store := s.cfg.ResultStore
 	if store == nil {
@@ -87,12 +88,11 @@ func (s *Server) Restore() (int, error) {
 				}
 				return restored, err
 			}
-			if err := s.restoreDynamic(spec); err != nil {
-				s.cfg.Logf("server: restore: wrapper %q: %v", name, err)
-				continue
+			if ps, err = s.newDynamic(spec); err == nil {
+				err = s.insert(ps, false)
 			}
-			ps = s.pipe(name)
-			if ps == nil {
+			if err != nil {
+				s.cfg.Logf("server: restore: wrapper %q: %v", name, err)
 				continue
 			}
 		}
@@ -106,58 +106,4 @@ func (s *Server) Restore() (int, error) {
 		restored++
 	}
 	return restored, nil
-}
-
-// restoreDynamic recompiles and re-registers one dynamic wrapper from
-// its persisted spec, skipping the synchronous validation tick (the
-// wrapper proved itself before the restart; its results are about to
-// be rehydrated). Restore runs before Run, so the pipeline starts
-// ticking when the scheduler does.
-func (s *Server) restoreDynamic(spec wrapperSpec) error {
-	if !validName(spec.Name) {
-		return fmt.Errorf("invalid persisted wrapper name %q", spec.Name)
-	}
-	lw, fetcher, err := s.compileSpec(spec.Program, spec.Root, spec.Auxiliary, spec.HTML)
-	if err != nil {
-		return err
-	}
-	d, err := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache)
-	if err != nil {
-		return err
-	}
-	interval := time.Duration(spec.IntervalMS) * time.Millisecond
-	onDemand := spec.IntervalMS <= 0
-	if interval <= 0 {
-		interval = s.cfg.DefaultInterval
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		return fmt.Errorf("server: %w", errShuttingDown)
-	}
-	if _, dup := s.pipes[spec.Name]; dup {
-		return fmt.Errorf("server: %w %q", errDuplicatePipeline, spec.Name)
-	}
-	ps := &pipeState{p: d, name: spec.Name, interval: interval, dynamic: true, onDemand: onDemand}
-	if err := s.initPipe(ps); err != nil {
-		return err
-	}
-	s.pipes[spec.Name] = ps
-	s.order = append(s.order, spec.Name)
-	s.readPipes.Store(spec.Name, ps)
-	if s.started {
-		s.startLocked(ps)
-	}
-	s.cfg.Logf("server: restored dynamic pipeline %q (interval %s, on-demand %v)", spec.Name, interval, onDemand)
-	return nil
-}
-
-// PersistenceStatus returns the result store's counters, or a zero
-// value when persistence is not configured. Appears as the
-// "persistence" block on /statusz and GET /v1/wrappers.
-func (s *Server) PersistenceStatus() resultlog.Stats {
-	if s.cfg.ResultStore == nil {
-		return resultlog.Stats{}
-	}
-	return s.cfg.ResultStore.Stats()
 }

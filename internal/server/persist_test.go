@@ -328,7 +328,7 @@ func wrappedFeed(t *testing.T, cfg Config, retain int) *httptest.Server {
 	s := New(cfg)
 	p := newFakePipe("feed", 0)
 	p.out.Retain = retain
-	if err := s.RegisterDynamic(p, 0, true); err != nil {
+	if err := registerDynamic(s, p, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 80; i++ {
@@ -403,7 +403,7 @@ func historySinceWrapped(t *testing.T) {
 func TestWatchReplaySince(t *testing.T) {
 	s := New(Config{})
 	p := newFakePipe("feed", 0)
-	if err := s.RegisterDynamic(p, 0, true); err != nil {
+	if err := registerDynamic(s, p, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // versions 2..4 (registration delivered 1)

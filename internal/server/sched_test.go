@@ -139,14 +139,14 @@ func TestSetIntervalReschedulesLiveHeap(t *testing.T) {
 	s := New(Config{Addr: "127.0.0.1:0", clock: clk})
 	stop := runServer(t, s)
 	defer stop()
-	if err := s.RegisterDynamic(p, time.Hour, false); err != nil {
+	if err := registerDynamic(s, p, time.Hour, false); err != nil {
 		t.Fatal(err)
 	}
 	// Only the synchronous registration tick for the next hour.
 	if got := p.ticks.Load(); got != 1 {
 		t.Fatalf("ticks after registration = %d, want 1", got)
 	}
-	if err := s.SetInterval("dyn", 3*time.Millisecond); err != nil {
+	if err := s.setInterval("dyn", 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// Each 3 ms of clock is one tick.
@@ -156,7 +156,7 @@ func TestSetIntervalReschedulesLiveHeap(t *testing.T) {
 		waitTicks(t, s, "dyn", n)
 	}
 	// Back to on-demand: ticking stops, however far the clock moves.
-	if err := s.SetInterval("dyn", 0); err != nil {
+	if err := s.setInterval("dyn", 0); err != nil {
 		t.Fatal(err)
 	}
 	base := p.ticks.Load()
@@ -165,8 +165,8 @@ func TestSetIntervalReschedulesLiveHeap(t *testing.T) {
 	if got := p.ticks.Load(); got != base {
 		t.Fatalf("on-demand wrapper kept ticking (%d -> %d)", base, got)
 	}
-	if err := s.SetInterval("nosuch", time.Second); err != errUnknownPipeline {
-		t.Errorf("SetInterval(nosuch) = %v", err)
+	if err := s.setInterval("nosuch", time.Second); err != errUnknownPipeline {
+		t.Errorf("setInterval(nosuch) = %v", err)
 	}
 	if err := s.Register(newFakePipe("static", 0), time.Hour); err == nil {
 		t.Fatal("static registration after Run must fail")
@@ -185,9 +185,9 @@ func TestSetIntervalDuringRegistration(t *testing.T) {
 	defer stop()
 
 	regDone := make(chan error, 1)
-	go func() { regDone <- s.RegisterDynamic(p, time.Hour, false) }()
+	go func() { regDone <- registerDynamic(s, p, time.Hour, false) }()
 	<-p.entered // the registration tick is held at the gate
-	if err := s.SetInterval("racer", 3*time.Millisecond); err != nil {
+	if err := s.setInterval("racer", 3*time.Millisecond); err != nil {
 		t.Fatal(err)
 	}
 	// The reschedule is deferred; nothing may tick concurrently with
@@ -354,7 +354,7 @@ func TestSchedulerStress(t *testing.T) {
 					return
 				}
 				p := &guardPipe{name: name, eng: eng, out: out}
-				if err := s.RegisterDynamic(p, time.Duration(2+i%8)*time.Millisecond, false); err != nil {
+				if err := registerDynamic(s, p, time.Duration(2+i%8)*time.Millisecond, false); err != nil {
 					registerFailures.Add(1)
 					continue
 				}
@@ -370,7 +370,7 @@ func TestSchedulerStress(t *testing.T) {
 	go func() {
 		defer close(deleted)
 		for i := 0; i < nWrappers; i += 5 {
-			if err := s.Deregister(fmt.Sprintf("w%d", i)); err == nil {
+			if err := s.deregister(fmt.Sprintf("w%d", i)); err == nil {
 				guards[i] = nil // retired; its collector stops growing
 			}
 		}

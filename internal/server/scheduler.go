@@ -17,16 +17,6 @@ type pipeState struct {
 	// and may be deregistered again; onDemand ones never tick on a
 	// schedule (extraction is driven by POST .../extract only).
 	dynamic bool
-	// skipFirst suppresses the immediate first tick when the pipeline
-	// is scheduled: the registration path already ticked synchronously,
-	// or SetInterval is putting an on-demand pipeline on a schedule.
-	// Guarded by the server mutex.
-	skipFirst bool
-	// registering is true while RegisterDynamic's synchronous first
-	// tick is in flight; SetInterval must not schedule the pipeline
-	// until it completes (a scheduled tick would run concurrently with
-	// the registration tick). Guarded by the server mutex.
-	registering bool
 	// entry is the pipeline's slot in the scheduler's deadline heap
 	// (nil before Run and for on-demand pipelines); guarded by the
 	// server mutex.

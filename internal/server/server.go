@@ -175,9 +175,14 @@ func (c *Config) withDefaults() Config {
 type Server struct {
 	cfg Config
 
-	mu       sync.Mutex
-	pipes    map[string]*pipeState
-	order    []string
+	mu    sync.Mutex
+	pipes map[string]*pipeState
+	// busy holds the names in transition, with a channel each that closes
+	// when the transition ends: a runtime registration whose validation
+	// tick is in flight (its pipeline is in pipes), or a retired pipeline
+	// whose ticks are draining and whose store state is being removed (it
+	// is not). A busy name is not free.
+	busy     map[string]chan struct{}
 	addr     string
 	started  bool
 	draining bool
@@ -201,6 +206,7 @@ func New(cfg Config) *Server {
 	return &Server{
 		cfg:     cfg,
 		pipes:   map[string]*pipeState{},
+		busy:    map[string]chan struct{}{},
 		limiter: newRateLimiter(cfg.MaxCompilesPerMinute, cfg.clock),
 		ready:   make(chan struct{}),
 		drainCh: make(chan struct{}),
@@ -241,33 +247,12 @@ func (s *Server) initPipe(ps *pipeState) error {
 	return nil
 }
 
-// Register adds a pipeline ticking at the given interval (0 uses the
-// configured default). It fails on duplicate or reserved names. For
-// registration while the server is running, see RegisterDynamic.
+// Register adds a static pipeline ticking at the given interval (0 uses
+// the configured default). It must be called before Run, and fails on
+// duplicate or reserved names. Wrappers registered at runtime come in
+// through POST /v1/wrappers.
 func (s *Server) Register(p Pipeline, interval time.Duration) error {
-	name := p.PipeName()
-	if !validName(name) {
-		return fmt.Errorf("server: invalid pipeline name %q", name)
-	}
-	if interval <= 0 {
-		interval = s.cfg.DefaultInterval
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.started {
-		return fmt.Errorf("server: cannot register %q after Run has started", name)
-	}
-	if _, dup := s.pipes[name]; dup {
-		return fmt.Errorf("server: duplicate pipeline %q", name)
-	}
-	ps := &pipeState{p: p, name: name, interval: interval}
-	if err := s.initPipe(ps); err != nil {
-		return err
-	}
-	s.pipes[name] = ps
-	s.order = append(s.order, name)
-	s.readPipes.Store(name, ps)
-	return nil
+	return s.insert(&pipeState{p: p, name: p.PipeName(), interval: interval}, false)
 }
 
 // errors distinguishing the registration failure modes for the HTTP
@@ -280,129 +265,157 @@ var (
 	errFirstTick         = errors.New("first extraction failed")
 )
 
-// RegisterDynamic adds a pipeline at runtime: it reserves the name,
-// runs one synchronous tick (so the wrapper serves results the moment
-// registration returns — and a broken wrapper is rejected instead of
-// failing silently on its schedule), then starts the scheduler
-// goroutine unless the pipeline is on-demand. It is safe to call while
-// Run is serving; before Run, the pipeline starts ticking when Run
-// does.
-func (s *Server) RegisterDynamic(p Pipeline, interval time.Duration, onDemand bool) error {
-	name := p.PipeName()
+// insert is the one way a pipeline enters the registry: Register, POST
+// /v1/wrappers and Restore all call it. It checks that the name is
+// routable and free, defaults the interval, refuses while draining (and
+// refuses a static pipeline once Run has started), wires the delivery
+// plane and inserts the pipeline, which is scheduled at once when the
+// server runs, else when Run starts.
+//
+// With validate (a runtime registration) the pipeline first ticks once
+// synchronously while its name stays busy, so it serves results the
+// moment insert returns and a broken wrapper is rejected instead of
+// failing silently on its schedule: a failed tick retires it again.
+// After a good tick its spec is persisted and it is scheduled one
+// interval from now, both under s.mu, so a DELETE that follows finds the
+// whole registration.
+func (s *Server) insert(ps *pipeState, validate bool) error {
+	name := ps.name
 	if !validName(name) {
 		return fmt.Errorf("server: invalid pipeline name %q", name)
 	}
-	if interval <= 0 {
-		interval = s.cfg.DefaultInterval
+	if ps.interval <= 0 {
+		ps.interval = s.cfg.DefaultInterval
 	}
-	ps := &pipeState{p: p, name: name, interval: interval, dynamic: true, onDemand: onDemand,
-		skipFirst: true, registering: true}
-	if err := s.initPipe(ps); err != nil {
+	s.mu.Lock()
+	var err error
+	switch _, busy := s.busy[name]; {
+	case s.draining:
+		err = fmt.Errorf("server: %w", errShuttingDown)
+	case s.started && !ps.dynamic:
+		err = fmt.Errorf("server: cannot register %q after Run has started", name)
+	case s.pipes[name] != nil || busy:
+		err = fmt.Errorf("server: %w %q", errDuplicatePipeline, name)
+	default:
+		err = s.initPipe(ps)
+	}
+	if err != nil {
+		s.mu.Unlock()
 		return err
 	}
-
-	s.mu.Lock()
-	if s.draining {
-		s.mu.Unlock()
-		return fmt.Errorf("server: %w", errShuttingDown)
-	}
-	if _, dup := s.pipes[name]; dup {
-		s.mu.Unlock()
-		return fmt.Errorf("server: %w %q", errDuplicatePipeline, name)
-	}
 	s.pipes[name] = ps
-	s.order = append(s.order, name)
 	s.readPipes.Store(name, ps)
-	s.mu.Unlock()
-
-	// First tick outside the lock: compilation already happened, but
-	// the first extraction may fetch pages.
-	ps.tickOnce(s.cfg.clock)
-	if msg := func() string {
+	first := s.cfg.clock.Now()
+	if validate {
+		done := make(chan struct{})
+		s.busy[name] = done
+		s.mu.Unlock()
+		// Outside the lock: the first extraction may fetch pages.
+		ps.tickOnce(s.cfg.clock)
+		s.mu.Lock()
+		delete(s.busy, name)
+		close(done)
 		ps.mu.Lock()
-		defer ps.mu.Unlock()
-		return ps.lastErr
-	}(); msg != "" {
-		s.removePipeIf(name, ps)
-		closePipe(ps.p)
-		if s.cfg.ResultStore != nil {
-			// The rejected wrapper's validation tick may have journaled;
-			// its log must not survive a registration that failed.
-			s.cfg.ResultStore.Remove(name)
+		msg := ps.lastErr
+		ps.mu.Unlock()
+		switch {
+		case s.draining:
+			err = fmt.Errorf("server: %w", errShuttingDown)
+		case msg != "":
+			err = fmt.Errorf("server: wrapper %q: %w: %s", name, errFirstTick, msg)
 		}
-		return fmt.Errorf("server: wrapper %q: %w: %s", name, errFirstTick, msg)
+		if err != nil {
+			// The validation tick may have journaled; the rejected
+			// wrapper's log goes with it.
+			s.retireLocked(ps)
+			return err
+		}
+		s.persistSpec(ps)
+		// The interval is the live one: a PATCH may have raced the tick.
+		first = s.cfg.clock.Now().Add(ps.interval)
 	}
-
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.draining {
-		// Shutdown raced registration: drop the pipe again.
-		s.removePipeLocked(name)
-		closePipe(ps.p)
-		return fmt.Errorf("server: %w", errShuttingDown)
+	s.startLocked(ps, first)
+	interval := ps.interval
+	s.mu.Unlock()
+	if ps.dynamic {
+		s.cfg.Logf("server: registered dynamic pipeline %q (interval %s)", name, interval)
 	}
-	if s.pipes[name] != ps {
-		// A concurrent DELETE raced the first tick; stay deregistered.
-		return fmt.Errorf("server: pipeline %q deregistered during registration", name)
-	}
-	// startLocked reads the live interval/onDemand flags, so a PATCH
-	// that raced the first tick (deferred while registering) takes
-	// effect here.
-	ps.registering = false
-	if s.started {
-		s.startLocked(ps)
-	}
-	s.cfg.Logf("server: registered dynamic pipeline %q (interval %s, on-demand %v)", name, interval, onDemand)
 	return nil
 }
 
-// Deregister retires a dynamically registered pipeline: it is removed
-// from the registry, unscheduled from its timer shard, and the call
-// blocks until any queued or in-flight tick has drained.
-func (s *Server) Deregister(name string) error {
+// deregister retires a dynamically registered pipeline (DELETE
+// /v1/wrappers/{name}). A registration still in its validation tick is
+// waited for first. It returns once the pipeline's ticks have drained
+// and its store state is gone.
+func (s *Server) deregister(name string) error {
 	s.mu.Lock()
-	ps := s.pipes[name]
-	if ps == nil {
+	for {
+		ps := s.pipes[name]
+		switch {
+		case ps == nil:
+			s.mu.Unlock()
+			return errUnknownPipeline
+		case !ps.dynamic:
+			s.mu.Unlock()
+			return errStaticPipeline
+		}
+		done, registering := s.busy[name]
+		if !registering {
+			s.retireLocked(ps)
+			s.cfg.Logf("server: deregistered pipeline %q", name)
+			return nil
+		}
 		s.mu.Unlock()
-		return errUnknownPipeline
+		<-done
+		s.mu.Lock()
 	}
-	if !ps.dynamic {
-		s.mu.Unlock()
-		return errStaticPipeline
-	}
-	s.removePipeLocked(name)
+}
+
+// retireLocked takes ps out of the registry, then, outside s.mu,
+// unschedules it and waits for any queued or in-flight tick, closes it
+// (a dynamic wrapper detaches from the fleet-shared match cache) and
+// removes its store state. The name stays busy until that is done, so a
+// registration racing the retirement gets a duplicate error instead of
+// the retired wrapper's log. Called with s.mu held; returns with it
+// released.
+func (s *Server) retireLocked(ps *pipeState) {
+	done := make(chan struct{})
+	s.busy[ps.name] = done
+	delete(s.pipes, ps.name)
+	s.readPipes.Delete(ps.name)
+	// Watch subscribers observe the hub close and end their streams with
+	// an "event: close" frame; webhook dispatchers stop and persist their
+	// final cursors.
+	ps.deliver.hub.close()
+	ps.hooks.close()
 	entry, sched := ps.entry, s.sched
 	ps.entry = nil
 	s.mu.Unlock()
-	if entry != nil && sched != nil {
+	if entry != nil {
 		sched.remove(entry)
 	}
-	closePipe(ps.p)
-	if s.cfg.ResultStore != nil {
-		// A retired wrapper's history and webhook cursors do not outlive
-		// its registration (the hook set was closed by removePipeLocked,
-		// so no dispatcher recreates the directory).
-		s.cfg.ResultStore.Remove(name)
-	}
-	s.cfg.Logf("server: deregistered pipeline %q", name)
-	return nil
-}
-
-// closePipe releases a retired pipeline's external attachments (e.g. a
-// dynamic wrapper detaching from the fleet-shared match cache). Called
-// only after the pipeline can no longer tick.
-func closePipe(p Pipeline) {
-	if c, ok := p.(interface{ Close() }); ok {
+	if c, ok := ps.p.(interface{ Close() }); ok {
 		c.Close()
 	}
+	if s.cfg.ResultStore != nil {
+		// A retired wrapper's history and webhook cursors do not outlive
+		// its registration (the hook set is closed, so no dispatcher
+		// recreates the directory).
+		s.cfg.ResultStore.Remove(ps.name)
+	}
+	s.mu.Lock()
+	delete(s.busy, ps.name)
+	s.mu.Unlock()
+	close(done)
 }
 
-// SetInterval reschedules a dynamically registered wrapper in the live
-// deadline heap: interval > 0 sets a new cadence (the next tick fires
-// one new interval from now; an on-demand wrapper starts ticking),
-// interval 0 converts the wrapper to on-demand, unscheduling it. The
-// call blocks until a tick of a newly on-demand wrapper has drained.
-func (s *Server) SetInterval(name string, interval time.Duration) error {
+// setInterval reschedules a dynamically registered wrapper in the live
+// deadline heap (PATCH /v1/wrappers/{name}): interval > 0 sets a new
+// cadence (the next tick fires one new interval from now; an on-demand
+// wrapper starts ticking), interval 0 converts the wrapper to on-demand,
+// unscheduling it. The call blocks until a tick of a newly on-demand
+// wrapper has drained.
+func (s *Server) setInterval(name string, interval time.Duration) error {
 	s.mu.Lock()
 	ps := s.pipes[name]
 	if ps == nil {
@@ -418,94 +431,61 @@ func (s *Server) SetInterval(name string, interval time.Duration) error {
 	ps.interval = interval
 	ps.onDemand = onDemand
 	ps.mu.Unlock()
-	s.persistInterval(name, interval)
+	if _, registering := s.busy[name]; !registering {
+		s.persistSpec(ps) // else the registration persists the live cadence
+	}
 	entry, sched := ps.entry, s.sched
 	switch {
 	case onDemand && entry != nil:
 		ps.entry = nil
 		s.mu.Unlock()
 		sched.remove(entry)
-	case !onDemand && entry != nil:
+	case entry != nil:
 		s.mu.Unlock()
 		sched.reschedule(entry, interval)
-	case !onDemand && entry == nil && s.started && !s.draining && !ps.registering:
-		// Was on-demand: start ticking one interval from now. A
-		// restored pipeline is not skipFirst (it ticks when the
-		// server starts), so it is set here for every pipeline.
-		ps.skipFirst = true
-		s.startLocked(ps)
-		s.mu.Unlock()
 	default:
+		// On-demand until now: start ticking one interval from now.
 		// Before Run, while draining, or while the registration tick is
-		// still in flight: the new interval is picked up when the
-		// scheduler (or the registration path) schedules the pipeline.
+		// still in flight, startLocked leaves that to Run or the
+		// registration, which read the live interval.
+		s.startLocked(ps, s.cfg.clock.Now().Add(interval))
 		s.mu.Unlock()
 	}
 	s.cfg.Logf("server: rescheduled pipeline %q (interval %s)", name, interval)
 	return nil
 }
 
-// persistInterval rewrites a persisted wrapper spec's cadence, so a
-// restart restores the wrapper as rescheduled. Callers hold s.mu, which
-// keeps a racing Deregister from removing the store directory first.
-func (s *Server) persistInterval(name string, interval time.Duration) {
-	store := s.cfg.ResultStore
-	if store == nil {
+// persistSpec saves a /v1 wrapper's spec with its live cadence, so a
+// restart restores the wrapper as it runs now. Callers hold s.mu, which
+// keeps a racing DELETE from removing the store directory first.
+func (s *Server) persistSpec(ps *pipeState) {
+	d, ok := ps.p.(*dynPipeline)
+	if !ok || s.cfg.ResultStore == nil {
 		return
 	}
-	var spec wrapperSpec
-	if err := store.LoadMeta(name, specFile, &spec); err != nil {
-		return // not registered over /v1: nothing is restored
+	spec := d.spec
+	ps.mu.Lock()
+	spec.IntervalMS = 0
+	if !ps.onDemand {
+		spec.IntervalMS = ps.interval.Milliseconds()
 	}
-	spec.IntervalMS = max(interval, 0).Milliseconds()
-	if err := store.SaveMeta(name, specFile, spec); err != nil {
-		s.cfg.Logf("server: persist spec for %q: %v", name, err)
-	}
-}
-
-// removePipeIf removes the registration only if it still belongs to
-// ps: a concurrent DELETE + re-register of the same name must not lose
-// the newer pipeline.
-func (s *Server) removePipeIf(name string, ps *pipeState) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.pipes[name] == ps {
-		s.removePipeLocked(name)
+	ps.mu.Unlock()
+	if err := s.cfg.ResultStore.SaveMeta(ps.name, specFile, spec); err != nil {
+		s.cfg.Logf("server: persist spec for %q: %v", ps.name, err)
 	}
 }
 
-func (s *Server) removePipeLocked(name string) {
-	ps := s.pipes[name]
-	delete(s.pipes, name)
-	s.readPipes.Delete(name)
-	for i, n := range s.order {
-		if n == name {
-			s.order = append(s.order[:i], s.order[i+1:]...)
-			break
-		}
-	}
-	if ps != nil {
-		// Watch subscribers observe the hub close and end their streams
-		// with an "event: close" frame; webhook dispatchers stop and
-		// persist their final cursors.
-		ps.deliver.hub.close()
-		ps.hooks.close()
-	}
-}
-
-// startLocked schedules ps on the sharded scheduler. Callers hold
-// s.mu; the server must have started and must not be draining.
-func (s *Server) startLocked(ps *pipeState) {
+// startLocked schedules ps on the sharded scheduler, first firing at
+// first. It does nothing for an on-demand or already scheduled pipeline,
+// before Run, while draining, and while the pipeline's registration
+// tick is in flight. Callers hold s.mu.
+func (s *Server) startLocked(ps *pipeState, first time.Time) {
 	ps.mu.Lock()
 	onDemand, interval := ps.onDemand, ps.interval
 	ps.mu.Unlock()
-	if onDemand || ps.entry != nil || s.sched == nil {
+	_, registering := s.busy[ps.name]
+	if onDemand || ps.entry != nil || s.sched == nil || s.draining || registering {
 		return
-	}
-	first := s.cfg.clock.Now()
-	if ps.skipFirst {
-		// The registration path already ticked synchronously.
-		first = first.Add(interval)
 	}
 	ps.entry = s.sched.schedule(ps, ps.name, interval, first)
 }
@@ -542,9 +522,9 @@ func (s *Server) Run(ctx context.Context) error {
 	s.started = true
 	s.addr = ln.Addr().String()
 	s.sched = sc
-	n := len(s.order)
-	for _, name := range s.order {
-		s.startLocked(s.pipes[name])
+	n, now := len(s.pipes), s.cfg.clock.Now()
+	for _, ps := range s.pipes {
+		s.startLocked(ps, now)
 	}
 	s.mu.Unlock()
 
@@ -857,18 +837,23 @@ type ExtractionStatser interface {
 // Status returns a snapshot of every pipeline's counters, sorted by
 // name.
 func (s *Server) Status() []PipelineStatus {
-	s.mu.Lock()
-	names := append([]string{}, s.order...)
-	s.mu.Unlock()
-	sort.Strings(names)
-	out := make([]PipelineStatus, 0, len(names))
-	for _, name := range names {
-		ps := s.pipe(name)
-		if ps == nil {
-			continue
-		}
-		out = append(out, ps.status(name))
+	pipes := s.pipesByName()
+	out := make([]PipelineStatus, len(pipes))
+	for i, ps := range pipes {
+		out[i] = ps.status(ps.name)
 	}
+	return out
+}
+
+// pipesByName returns the registered pipelines sorted by name.
+func (s *Server) pipesByName() []*pipeState {
+	s.mu.Lock()
+	out := make([]*pipeState, 0, len(s.pipes))
+	for _, ps := range s.pipes {
+		out = append(out, ps)
+	}
+	s.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }
 
@@ -885,11 +870,12 @@ func (s *Server) SchedulerStatus() SchedulerStatus {
 	return sc.status()
 }
 
-// statusReport is the full /statusz payload; shared-cache stats appear
-// only when a shared fetch cache is configured.
+// statusReport holds the server-wide blocks of /statusz and GET
+// /v1/wrappers, which each add their pipeline list; the shared-cache,
+// match-cache and persistence blocks appear only when that layer is
+// configured.
 func (s *Server) statusReport() map[string]any {
 	report := map[string]any{
-		"pipelines": s.Status(),
 		"scheduler": s.SchedulerStatus(),
 		"delivery":  s.DeliveryStatus(),
 		"webhooks":  s.WebhookStatus(),
@@ -907,7 +893,9 @@ func (s *Server) statusReport() map[string]any {
 }
 
 func (s *Server) handleStatusz(w http.ResponseWriter, _ *http.Request) {
-	data, err := json.MarshalIndent(s.statusReport(), "", "  ")
+	report := s.statusReport()
+	report["pipelines"] = s.Status()
+	data, err := json.MarshalIndent(report, "", "  ")
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return

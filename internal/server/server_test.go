@@ -50,6 +50,12 @@ func (f *fakePipe) Tick() error {
 
 func (f *fakePipe) Output() *transform.Collector { return f.out }
 
+// registerDynamic registers p the way POST /v1/wrappers does: one
+// synchronous validation tick, then scheduled unless onDemand.
+func registerDynamic(s *Server, p Pipeline, interval time.Duration, onDemand bool) error {
+	return s.insert(&pipeState{p: p, name: p.PipeName(), interval: interval, dynamic: true, onDemand: onDemand}, true)
+}
+
 func get(t *testing.T, url string, header ...string) (int, string, string) {
 	t.Helper()
 	req, err := http.NewRequest("GET", url, nil)

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/web"
 	"repro/internal/xmlenc"
-	"repro/pkg/lixto"
 )
 
 const spliceProg = `
@@ -39,16 +38,12 @@ func newSplicePipe(t *testing.T, name string, version *int) *dynPipeline {
 		sb.WriteString("</table></body></html>")
 		return sb.String()
 	})
-	w, err := lixto.Compile(spliceProg, lixto.WithAuxiliary("page"), lixto.WithFetcher(sim),
-		lixto.WithIncrementalOutput(true))
+	ps, err := New(Config{DynamicFetcher: sim}).newDynamic(
+		wrapperSpec{Name: name, Program: spliceProg, Auxiliary: []string{"page"}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	d, err := newDynPipeline(name, w, sim, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return d
+	return ps.p.(*dynPipeline)
 }
 
 // TestDeliverySpliceEncoding pins the splice path end to end through
@@ -61,7 +56,7 @@ func TestDeliverySpliceEncoding(t *testing.T) {
 	sInc := New(Config{})
 	version := 0
 	pInc := newSplicePipe(t, "cat", &version)
-	if err := sInc.RegisterDynamic(pInc, 0, true); err != nil {
+	if err := registerDynamic(sInc, pInc, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	tsInc := httptest.NewServer(sInc.Handler())

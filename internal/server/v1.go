@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"sort"
 	"strconv"
 	"sync"
 	"time"
@@ -246,27 +245,13 @@ func (s *Server) v1Wrappers(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) v1ListWrappers(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	names := append([]string{}, s.order...)
-	s.mu.Unlock()
-	sort.Strings(names)
-	infos := make([]wrapperInfo, 0, len(names))
-	for _, name := range names {
-		if ps := s.pipe(name); ps != nil {
-			infos = append(infos, s.wrapperInfo(name, ps))
-		}
+	pipes := s.pipesByName()
+	infos := make([]wrapperInfo, len(pipes))
+	for i, ps := range pipes {
+		infos[i] = s.wrapperInfo(ps.name, ps)
 	}
-	body := map[string]any{"wrappers": infos, "scheduler": s.SchedulerStatus(),
-		"delivery": s.DeliveryStatus(), "webhooks": s.WebhookStatus()}
-	if s.cfg.SharedCache != nil {
-		body["shared_cache"] = s.cfg.SharedCache.Stats()
-	}
-	if s.cfg.MatchCache != nil {
-		body["match_cache"] = s.cfg.MatchCache.Report()
-	}
-	if s.cfg.ResultStore != nil {
-		body["persistence"] = s.cfg.ResultStore.Stats()
-	}
+	body := s.statusReport()
+	body["wrappers"] = infos
 	writeJSON(w, http.StatusOK, body)
 }
 
@@ -317,18 +302,15 @@ func (s *Server) v1CreateWrapper(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("compile rate limit of %d/min exceeded", s.cfg.MaxCompilesPerMinute), nil)
 		return
 	}
-	lw, fetcher, err := s.compileSpec(spec.Program, spec.Root, spec.Auxiliary, spec.HTML)
+	ps, err := s.newDynamic(spec)
 	if err != nil {
 		writeSDKError(w, err)
 		return
 	}
-	onDemand := spec.IntervalMS <= 0
-	d, err := newDynPipeline(spec.Name, lw, fetcher, s.cfg.MatchCache)
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
-		return
-	}
-	if err := s.RegisterDynamic(d, time.Duration(spec.IntervalMS)*time.Millisecond, onDemand); err != nil {
+	// A DELETE racing this registration either finds it whole, spec
+	// persisted, or waits for it; a registration racing a DELETE of the
+	// same name gets 409 until that DELETE has removed the old state.
+	if err := s.insert(ps, true); err != nil {
 		switch {
 		case errors.Is(err, errDuplicatePipeline):
 			writeError(w, http.StatusConflict, "conflict", err.Error(), nil)
@@ -341,17 +323,11 @@ func (s *Server) v1CreateWrapper(w http.ResponseWriter, r *http.Request) {
 		}
 		return
 	}
-	if store := s.cfg.ResultStore; store != nil {
-		// Persist the spec so a restart recompiles and re-registers the
-		// wrapper (Server.Restore) with its history intact.
-		if err := store.SaveMeta(spec.Name, specFile, spec); err != nil {
-			s.cfg.Logf("server: persist spec for %q: %v", spec.Name, err)
-		}
-	}
+	d := ps.p.(*dynPipeline)
 	writeJSON(w, http.StatusCreated, map[string]any{
 		"name":        spec.Name,
-		"patterns":    lw.Patterns(),
-		"on_demand":   onDemand,
+		"patterns":    d.w.Patterns(),
+		"on_demand":   spec.IntervalMS <= 0,
 		"interval_ms": spec.IntervalMS,
 		"delivered":   d.out.Len(),
 	})
@@ -385,36 +361,6 @@ func (s *Server) dynamicFetcher() elog.Fetcher {
 	return s.cfg.DynamicFetcher
 }
 
-// compileSpec compiles a submitted program and resolves its fetcher:
-// the inline page when given, else the server's dynamic fetcher
-// (behind the shared cache when configured). The returned error is a
-// typed SDK error. The wrapper is compiled with incremental output on,
-// so one-shot extractions (POST .../extract) render through the same
-// output cache as the scheduled ticks, reusing frozen output subtrees
-// across page versions — safe here because the delivery plane never
-// mutates delivered documents.
-func (s *Server) compileSpec(program, root string, aux []string, inlineHTML string) (*lixto.Wrapper, elog.Fetcher, error) {
-	lw, err := lixto.Compile(program, append(specOptions(root, aux), lixto.WithIncrementalOutput(true))...)
-	if err != nil {
-		return nil, nil, err
-	}
-	var fetcher elog.Fetcher
-	if inlineHTML != "" {
-		// The inline page overlays the entry URLs; crawled links still
-		// fall through to the dynamic fetcher when one is configured.
-		fetcher, err = lw.InlineFetcher(inlineHTML, s.dynamicFetcher())
-		if err != nil {
-			return nil, nil, err
-		}
-	} else if f := s.dynamicFetcher(); f != nil {
-		fetcher = f
-	} else {
-		return nil, nil, &lixto.Error{Kind: lixto.KindEval,
-			Msg: "no dynamic fetcher configured; submit an inline html page"}
-	}
-	return lw.Rebind(lixto.WithFetcher(fetcher)), fetcher, nil
-}
-
 func (s *Server) v1Wrapper(w http.ResponseWriter, r *http.Request) {
 	name := r.PathValue("name")
 	switch r.Method {
@@ -428,7 +374,7 @@ func (s *Server) v1Wrapper(w http.ResponseWriter, r *http.Request) {
 	case http.MethodPatch:
 		s.v1PatchWrapper(w, r, name)
 	case http.MethodDelete:
-		switch err := s.Deregister(name); {
+		switch err := s.deregister(name); {
 		case err == nil:
 			w.WriteHeader(http.StatusNoContent)
 		case errors.Is(err, errUnknownPipeline):
@@ -464,7 +410,7 @@ func (s *Server) v1PatchWrapper(w http.ResponseWriter, r *http.Request, name str
 			fmt.Sprintf("interval_ms must be between 0 and %d", maxIntervalMS), nil)
 		return
 	}
-	switch err := s.SetInterval(name, time.Duration(*spec.IntervalMS)*time.Millisecond); {
+	switch err := s.setInterval(name, time.Duration(*spec.IntervalMS)*time.Millisecond); {
 	case err == nil:
 		ps := s.pipe(name)
 		if ps == nil { // deleted while rescheduling

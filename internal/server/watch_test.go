@@ -142,7 +142,7 @@ func deliver(t *testing.T, s *Server, p *fakePipe) {
 func TestWatchStreamsChanges(t *testing.T) {
 	s := New(Config{})
 	p := newFakePipe("feed", 0)
-	if err := s.RegisterDynamic(p, 0, true); err != nil {
+	if err := registerDynamic(s, p, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -184,7 +184,7 @@ func TestWatchStreamsChanges(t *testing.T) {
 func TestWatchDeleteAndPatch(t *testing.T) {
 	s := New(Config{})
 	p := newFakePipe("live", 0)
-	if err := s.RegisterDynamic(p, 0, true); err != nil {
+	if err := registerDynamic(s, p, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -194,7 +194,7 @@ func TestWatchDeleteAndPatch(t *testing.T) {
 	c.next(t, 2*time.Second) // initial state
 
 	// A live reschedule must not disturb the subscription.
-	if err := s.SetInterval("live", time.Hour); err != nil {
+	if err := s.setInterval("live", time.Hour); err != nil {
 		t.Fatal(err)
 	}
 	deliver(t, s, p)
@@ -203,7 +203,7 @@ func TestWatchDeleteAndPatch(t *testing.T) {
 	}
 
 	// DELETE closes the stream with an explicit close event.
-	if err := s.Deregister("live"); err != nil {
+	if err := s.deregister("live"); err != nil {
 		t.Fatal(err)
 	}
 	if ev := c.next(t, 2*time.Second); ev.event != "close" || ev.data != "deregistered" {
@@ -234,7 +234,7 @@ func TestWatchDeleteAndPatch(t *testing.T) {
 func TestWatchSlowClientDrops(t *testing.T) {
 	s := New(Config{watchQueue: 2})
 	p := newFakePipe("burst", 0)
-	if err := s.RegisterDynamic(p, 0, true); err != nil {
+	if err := registerDynamic(s, p, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	ps := s.readPipe("burst")
@@ -372,7 +372,7 @@ func TestWatchLifecycleStress(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	t.Cleanup(ts.Close) // after the SSE clients close (cleanups run LIFO)
 
-	reg := func() error { return s.RegisterDynamic(newFakePipe("churn", 0), 0, true) }
+	reg := func() error { return registerDynamic(s, newFakePipe("churn", 0), 0, true) }
 	if err := reg(); err != nil {
 		t.Fatal(err)
 	}
@@ -392,9 +392,9 @@ func TestWatchLifecycleStress(t *testing.T) {
 				return
 			default:
 			}
-			s.Deregister("churn")
+			s.deregister("churn")
 			reg()
-			s.SetInterval("churn", time.Duration(1+time.Now().UnixNano()%5)*time.Hour)
+			s.setInterval("churn", time.Duration(1+time.Now().UnixNano()%5)*time.Hour)
 		}
 	}()
 	// Publisher: keep delivering on whatever pipeline is current.
@@ -461,7 +461,7 @@ func TestWatchLifecycleStress(t *testing.T) {
 	wg.Wait()
 
 	// After the churn settles the server still works end to end.
-	s.Deregister("churn")
+	s.deregister("churn")
 	if err := reg(); err != nil {
 		t.Fatal(err)
 	}
@@ -480,7 +480,7 @@ func TestWatchLifecycleStress(t *testing.T) {
 func TestWatchCloseEventWireFormat(t *testing.T) {
 	s := New(Config{})
 	p := newFakePipe("pin", 0)
-	if err := s.RegisterDynamic(p, 0, true); err != nil {
+	if err := registerDynamic(s, p, 0, true); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -499,7 +499,7 @@ func TestWatchCloseEventWireFormat(t *testing.T) {
 		raw, _ := io.ReadAll(br)
 		done <- string(raw)
 	}()
-	if err := s.Deregister("pin"); err != nil {
+	if err := s.deregister("pin"); err != nil {
 		t.Fatal(err)
 	}
 	select {
@@ -647,7 +647,7 @@ func TestWatchFramesInFlightOnly(t *testing.T) {
 func TestWatchCursorAheadOfHead(t *testing.T) {
 	s := New(Config{})
 	p := newFakePipe("feed", 0)
-	if err := s.RegisterDynamic(p, 0, true); err != nil { // version 1
+	if err := registerDynamic(s, p, 0, true); err != nil { // version 1
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())
@@ -688,7 +688,7 @@ func TestWatchCursorAheadOfHead(t *testing.T) {
 func TestWatchHeartbeat(t *testing.T) {
 	clk := newFakeClock()
 	s := New(Config{clock: clk})
-	if err := s.RegisterDynamic(newFakePipe("beat", 0), 0, true); err != nil {
+	if err := registerDynamic(s, newFakePipe("beat", 0), 0, true); err != nil {
 		t.Fatal(err)
 	}
 	ts := httptest.NewServer(s.Handler())

@@ -507,8 +507,8 @@ func TestWebhookCursorRestart(t *testing.T) {
 	// delivery would then rightly redeliver version 2).
 	waitInfo(t, ts1.URL+"/v1/wrappers/x/webhooks/h1", "cursor at 2", func(w hookInfo) bool { return w.Cursor == 2 })
 	ts1.Close()
-	// Shutdown persists the final cursors (the drain path does the same
-	// through removePipeLocked).
+	// Shutdown persists the final cursors (a DELETE does the same through
+	// retireLocked).
 	s1.pipe("x").hooks.close()
 	store.Close()
 

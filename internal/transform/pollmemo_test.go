@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/dom"
 	"repro/internal/elog"
+	"repro/internal/fetchcache"
 	"repro/internal/htmlparse"
 	"repro/internal/web"
 	"repro/internal/xmlenc"
@@ -142,6 +143,37 @@ func TestPollMemoHitIsHashOnly(t *testing.T) {
 		if now := src.ExtractionStats().ParseNS; now <= prev {
 			t.Errorf("parse_ns did not grow across a memo hit: %d -> %d", prev, now)
 		}
+	}
+}
+
+// TestPollMemoHitThroughSharedCache bounds a steady poll of the server's
+// engine shape: NewWrapperEngineBatched wraps the fetcher with the
+// shared fetch cache once, so a poll the cache answers from its entry
+// and the memo from its key allocates no more than a memo hit on a
+// private fetcher (TestPollMemoHitIsHashOnly's bound).
+func TestPollMemoHitThroughSharedCache(t *testing.T) {
+	const runs = 20
+	f := &freshFetcher{}
+	f.tree.Store(htmlparse.Parse(memoPage(400, "")))
+	eng, _, err := NewWrapperEngineBatched("w", lixto.MustCompile(memoProg), f, fetchcache.New(16, 0), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := eng.Components()[0].(*WrapperSource)
+	if _, err := src.Poll(); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(runs, func() {
+		if docs, err := src.Poll(); err != nil || len(docs) != 1 {
+			t.Fatalf("poll: %d docs, err %v", len(docs), err)
+		}
+	})
+	if hits := src.ExtractionStats().PollCacheHits; hits != runs+1 {
+		t.Fatalf("%d memo hits in %d steady-state polls", hits, runs+1)
+	}
+	t.Logf("steady-state poll through the shared cache: %.0f allocs", allocs)
+	if allocs > 4 {
+		t.Errorf("steady-state poll through the shared cache allocates %.0f objects, want <= 4", allocs)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/elog"
 	"repro/internal/fetchcache"
 	"repro/internal/pib"
 	"repro/internal/web"
@@ -21,11 +22,14 @@ const sharedProg = `page(S, X)  <- document("shop.example.com/books", S), subele
 title(S, X) <- page(_, S), subelem(S, (?.td, [(class, title, exact)]), X)`
 
 func newSharedSource(name string, sim *web.Web, cache *fetchcache.Cache) *WrapperSource {
+	var f elog.Fetcher = sim
+	if cache != nil {
+		f = cache.Wrap(sim)
+	}
 	return &WrapperSource{
 		CompName: name,
-		Fetcher:  sim,
+		Fetcher:  f,
 		Wrapper:  lixto.MustCompile(sharedProg, lixto.WithDesign(&pib.Design{Auxiliary: map[string]bool{"document": true, "page": true}})),
-		Shared:   cache,
 	}
 }
 

@@ -12,23 +12,19 @@
 // self-activate according to a schedule and trigger processing on behalf
 // of the user.
 //
-// The engine supports two execution modes: Tick() runs one synchronous
-// activation round (deterministic; used by tests and benchmarks), and
-// Run(ctx, interval) drives Ticks from a wall-clock ticker, giving the
-// continuous monitoring behaviour of the deployed system.
+// Tick() runs one synchronous activation round (deterministic); the
+// continuous monitoring behaviour of the deployed system is the
+// server's scheduler (internal/server) ticking each engine on its own
+// interval.
 package transform
 
 import (
 	"context"
 	"fmt"
-	"net/http"
-	"os"
-	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/elog"
-	"repro/internal/fetchcache"
 	"repro/internal/xmlenc"
 	"repro/pkg/lixto"
 )
@@ -203,21 +199,6 @@ func (e *Engine) LastError() error {
 	return e.lastErr
 }
 
-// Run ticks the engine at the given interval until the context is
-// cancelled — the continuous-service mode.
-func (e *Engine) Run(ctx context.Context, interval time.Duration) {
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return
-		case <-t.C:
-			e.Tick()
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // Wrapper source.
 
@@ -250,19 +231,13 @@ type WrapperSource struct {
 	// program through the SDK or cmd/elogc (the /v1 dynamic wrappers
 	// rely on this).
 	NoSourceAttr bool
-	// Shared, when set, routes every fetch through the shared
-	// fetch/document layer (lixto.WithSharedCache), so concurrent
-	// wrappers monitoring the same URLs share one fetch+parse per page
-	// per freshness window. All sources sharing one cache must resolve
-	// URLs identically; the extracted output is unchanged (only the
-	// fetch work is shared).
-	Shared *fetchcache.Cache
 	// Batch, when set, attaches the source's evaluator to a fleet-shared
 	// match cache (elog.MatchCache): every wrapper sharing the cache
 	// reuses the others' compiled pattern matches on identical paths and
 	// unchanged pages, so a fleet of N template-stamped wrappers over
 	// one shared page costs about one parse plus one warmed match cache.
-	// Output is unchanged; pair with Shared to also share the fetches.
+	// Output is unchanged; pair with a Fetcher wrapped by a shared fetch
+	// cache (fetchcache.Cache.Wrap) to also share the fetches.
 	Batch *elog.MatchCache
 	tick  int
 	// opts are the extraction options of every poll, built on the first.
@@ -448,8 +423,8 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 		return nil, nil
 	}
 	if s.opts == nil {
-		s.opts = []lixto.Option{lixto.WithFetcher(s.Fetcher), lixto.WithSharedCache(s.Shared),
-			lixto.WithBatching(s.Batch), lixto.WithIncrementalOutput(true)}
+		s.opts = []lixto.Option{lixto.WithFetcher(s.Fetcher), lixto.WithBatching(s.Batch),
+			lixto.WithIncrementalOutput(true)}
 	}
 	s.statsMu.Lock()
 	if s.Batch != nil && !s.batchAttached {
@@ -700,55 +675,4 @@ func (c *Collector) Retained() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.docs)
-}
-
-// FileDeliverer appends each document to a file (one document per
-// write), for offline consumption.
-type FileDeliverer struct {
-	CompName string
-	Path     string
-}
-
-// Name implements Component.
-func (f *FileDeliverer) Name() string { return f.CompName }
-
-// Process implements Component.
-func (f *FileDeliverer) Process(_ string, doc *xmlenc.Node) ([]*xmlenc.Node, error) {
-	fh, err := os.OpenFile(f.Path, os.O_APPEND|os.O_CREATE|os.O_WRONLY, 0o644)
-	if err != nil {
-		return nil, err
-	}
-	defer fh.Close()
-	if _, err := fh.WriteString(xmlenc.MarshalIndent(doc) + "\n"); err != nil {
-		return nil, err
-	}
-	return nil, nil
-}
-
-// HTTPDeliverer POSTs each document to an endpoint (the paper's
-// HTTP-controlled services).
-type HTTPDeliverer struct {
-	CompName string
-	URL      string
-	Client   *http.Client
-}
-
-// Name implements Component.
-func (h *HTTPDeliverer) Name() string { return h.CompName }
-
-// Process implements Component.
-func (h *HTTPDeliverer) Process(_ string, doc *xmlenc.Node) ([]*xmlenc.Node, error) {
-	client := h.Client
-	if client == nil {
-		client = http.DefaultClient
-	}
-	resp, err := client.Post(h.URL, "application/xml", strings.NewReader(xmlenc.Marshal(doc)))
-	if err != nil {
-		return nil, err
-	}
-	resp.Body.Close()
-	if resp.StatusCode >= 300 {
-		return nil, fmt.Errorf("transform: delivery to %s failed: %s", h.URL, resp.Status)
-	}
-	return nil, nil
 }

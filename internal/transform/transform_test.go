@@ -1,17 +1,9 @@
 package transform
 
 import (
-	"context"
 	"fmt"
-	"io"
-	"net/http"
-	"net/http/httptest"
-	"os"
-	"path/filepath"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"repro/internal/elog"
 	"repro/internal/htmlparse"
@@ -218,48 +210,6 @@ func TestWrapperSourcePollInterval(t *testing.T) {
 	}
 }
 
-func TestFileDeliverer(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "out.xml")
-	f := &FileDeliverer{CompName: "f", Path: path}
-	doc := xmlenc.NewElement("d")
-	doc.AppendTextElement("v", "1")
-	if _, err := f.Process("", doc); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Process("", doc); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if strings.Count(string(data), "<d>") != 2 {
-		t.Errorf("file content:\n%s", data)
-	}
-}
-
-func TestHTTPDeliverer(t *testing.T) {
-	var mu sync.Mutex
-	var got []string
-	srv := httptest.NewServer(http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
-		body, _ := io.ReadAll(r.Body)
-		mu.Lock()
-		got = append(got, string(body))
-		mu.Unlock()
-	}))
-	defer srv.Close()
-	h := &HTTPDeliverer{CompName: "h", URL: srv.URL}
-	doc := xmlenc.NewElement("ping")
-	if _, err := h.Process("", doc); err != nil {
-		t.Fatal(err)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if len(got) != 1 || !strings.Contains(got[0], "<ping/>") {
-		t.Errorf("delivered: %v", got)
-	}
-}
-
 func BenchmarkE13_PipelineThroughput(b *testing.B) {
 	w := web.New()
 	web.NewBookSite(1, 50).Register(w, "shop-a.example.com")
@@ -288,34 +238,6 @@ price(S, X) <- book(_, S), subelem(S, (?.td, [(class, price, exact)]), X)
 	}
 	if sink.Len() == 0 {
 		b.Fatal("no deliveries")
-	}
-}
-
-func TestRunWallClock(t *testing.T) {
-	// The continuous mode: ticks driven by a real ticker until the
-	// context is cancelled.
-	eng, _, _, sink := bookPipeline(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	done := make(chan struct{})
-	go func() {
-		eng.Run(ctx, time.Millisecond)
-		close(done)
-	}()
-	deadline := time.After(2 * time.Second)
-	for sink.Len() == 0 {
-		select {
-		case <-deadline:
-			cancel()
-			t.Fatal("no delivery within 2s of wall-clock running")
-		default:
-			time.Sleep(time.Millisecond)
-		}
-	}
-	cancel()
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Run did not stop on context cancel")
 	}
 }
 

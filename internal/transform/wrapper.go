@@ -10,9 +10,7 @@ import (
 
 // NewWrapperSource builds a wrapper source polling a compiled SDK
 // wrapper: ticks and any other extraction through w share its match
-// caches and its output cache. An optional shared fetch cache (see
-// WrapperSource.Shared) can be set on the returned source before its
-// first poll.
+// caches and its output cache.
 func NewWrapperSource(name string, w *lixto.Wrapper, f elog.Fetcher) *WrapperSource {
 	return &WrapperSource{CompName: name, Fetcher: f, Wrapper: w}
 }
@@ -22,18 +20,20 @@ func NewWrapperSource(name string, w *lixto.Wrapper, f elog.Fetcher) *WrapperSou
 // wrapper; this is the engine behind the server's dynamically
 // registered /v1 wrappers. The emitted documents carry no source
 // attribute, so each delivery is byte-identical to running the same
-// program through the SDK. The source polls through cache, a shared
-// fetch/document cache, when it is not nil: thousands of wrappers
-// monitoring the same pages share one fetch+parse per page. It attaches
-// to batch, a fleet-shared match cache, when that is not nil: wrappers
-// sharing one reuse each other's compiled pattern matches on identical
-// paths and unchanged pages — the match-side counterpart of the shared
-// fetch layer.
+// program through the SDK. When cache, a shared fetch/document cache,
+// is not nil, f is wrapped by it once here, so thousands of wrappers
+// monitoring the same pages share one fetch+parse per page. The source
+// attaches to batch, a fleet-shared match cache, when that is not nil:
+// wrappers sharing one reuse each other's compiled pattern matches on
+// identical paths and unchanged pages — the match-side counterpart of
+// the shared fetch layer.
 func NewWrapperEngineBatched(name string, w *lixto.Wrapper, f elog.Fetcher, cache *fetchcache.Cache, batch *elog.MatchCache) (*Engine, *Collector, error) {
+	if cache != nil && f != nil {
+		f = cache.Wrap(f)
+	}
 	e := NewEngine()
 	src := NewWrapperSource(name, w, f)
 	src.NoSourceAttr = true
-	src.Shared = cache
 	src.Batch = batch
 	out := &Collector{CompName: name + ".out"}
 	if err := e.Add(src); err != nil {

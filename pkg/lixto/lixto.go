@@ -268,13 +268,7 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 	if err := ctx.Err(); err != nil {
 		return nil, &Error{Kind: KindFetch, Msg: err.Error(), Err: err}
 	}
-	fetch := cfg.fetcher
-	if cfg.shared != nil && fetch != nil {
-		// The shared fetch layer caches only the configured fetcher;
-		// inline source overlays built below stay extraction-private.
-		fetch = cfg.shared.Wrap(fetch)
-	}
-	f, err := src.fetcher(ctx, w.program, fetch)
+	f, err := src.fetcher(ctx, w.program, cfg.fetcher)
 	if err != nil {
 		return nil, AsError(err)
 	}

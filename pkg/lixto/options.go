@@ -3,7 +3,6 @@ package lixto
 import (
 	"repro/internal/concepts"
 	"repro/internal/elog"
-	"repro/internal/fetchcache"
 	"repro/internal/pib"
 )
 
@@ -17,7 +16,6 @@ type config struct {
 	maxDocuments      int
 	maxInstances      int
 	fetcher           elog.Fetcher
-	shared            *fetchcache.Cache
 	batch             *elog.MatchCache
 	concepts          *concepts.Base
 	design            *pib.Design
@@ -132,22 +130,12 @@ func WithMaxInstances(n int) Option {
 
 // WithFetcher sets the fetcher resolving document URLs: the source of
 // Origin() and URL(...) extractions, and the continuation fetcher for
-// crawling beyond an inline page.
+// crawling beyond an inline page. To share fetch+parse across wrappers,
+// pass a fetcher wrapped once by a shared fetch cache
+// (fetchcache.Cache.Wrap); inline HTML/Tree sources overlay it and stay
+// private to their extraction.
 func WithFetcher(f elog.Fetcher) Option {
 	return func(c *config) { c.fetcher = f }
-}
-
-// WithSharedCache routes the wrapper's fetcher through a shared
-// fetch/document cache (fetchcache.New): concurrent extractions — of
-// this wrapper and of every other wrapper sharing the cache — that
-// resolve the same URL share one fetch+parse, deduplicated in flight
-// and retained in a size-bounded LRU for the cache's freshness window.
-// Only the configured fetcher (WithFetcher) is cached; inline
-// HTML/Tree source overlays stay private to their extraction. All
-// wrappers sharing one cache must resolve URLs identically. Nil
-// removes a previously set cache.
-func WithSharedCache(c *fetchcache.Cache) Option {
-	return func(cfg *config) { cfg.shared = c }
 }
 
 // WithBatching attaches extractions to a fleet-shared match cache
@@ -156,8 +144,9 @@ func WithSharedCache(c *fetchcache.Cache) Option {
 // extraction paths and unchanged pages, so a fleet of wrappers stamped
 // from one template costs about one parse plus one warmed match cache
 // per shared page. The extracted output is unchanged — only the
-// matching work is shared. Pair with WithSharedCache to also share the
-// fetches. Nil removes a previously set cache; WithCache(false)
+// matching work is shared. Pair with a fetcher wrapped by a shared
+// fetch cache (WithFetcher(cache.Wrap(f)), see internal/fetchcache) to
+// also share the fetches. Nil removes a previously set cache; WithCache(false)
 // disables the compiled path and with it the batching.
 func WithBatching(mc *elog.MatchCache) Option {
 	return func(cfg *config) { cfg.batch = mc }

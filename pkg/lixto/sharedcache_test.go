@@ -15,9 +15,11 @@ import (
 const cacheProg = `page(S, X)  <- document("books.example.com/bestsellers.html", S), subelem(S, .body, X)
 title(S, X) <- page(_, S), subelem(S, (?.td, [(class, title, exact)]), X)`
 
-// TestWithSharedCache checks the SDK option end to end: concurrent
-// Origin extractions of two wrappers sharing one cache fetch+parse the
-// page once, and the result is byte-identical to uncached extraction.
+// TestWithSharedCache checks a shared fetch cache end to end through the
+// SDK, reached the one way it is: a fetcher wrapped by the cache
+// (WithFetcher(cache.Wrap(f))). Concurrent Origin extractions of two
+// wrappers sharing it fetch+parse the page once, and the result is
+// byte-identical to uncached extraction.
 func TestWithSharedCache(t *testing.T) {
 	newSim := func() *web.Web {
 		sim := web.New()
@@ -35,8 +37,8 @@ func TestWithSharedCache(t *testing.T) {
 
 	cachedSim := newSim()
 	cache := fetchcache.New(64, time.Hour)
-	w1 := lixto.MustCompile(cacheProg, lixto.WithFetcher(cachedSim),
-		lixto.WithSharedCache(cache), lixto.WithAuxiliary("page"))
+	w1 := lixto.MustCompile(cacheProg, lixto.WithFetcher(cache.Wrap(cachedSim)),
+		lixto.WithAuxiliary("page"))
 	w2 := w1.Rebind() // second wrapper, same fetcher and cache
 
 	var wg sync.WaitGroup
@@ -60,7 +62,7 @@ func TestWithSharedCache(t *testing.T) {
 	wg.Wait()
 	for i, got := range outs {
 		if got != want {
-			t.Fatalf("extraction %d differs under WithSharedCache:\n%s\nwant:\n%s", i, got, want)
+			t.Fatalf("extraction %d differs behind the shared cache:\n%s\nwant:\n%s", i, got, want)
 		}
 	}
 	if got := cachedSim.FetchCount("books.example.com/bestsellers.html"); got != 1 {
