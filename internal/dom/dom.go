@@ -46,6 +46,20 @@
 // warmed, and its nodes are read lock-free after, so a tree any number
 // of goroutines are reading may be the previous tree of any number of
 // builds at once — as long as nobody mutates it.
+//
+// A tree has an owner only when Adopt made it: a private, unbuilt copy
+// of an unbuilt deferred tree, which an extraction takes for every page
+// it fetches so that no other holder of the fetched tree (a shared
+// fetch cache, a caller's input) ever sees it built or recycled. When
+// the owner knows that no goroutine reads the tree any more — the next
+// version has been built from it and has superseded it — Recycle gives
+// its node columns, index, subtree hashes and attribute table to a
+// size-classed pool, and NewFromSource, Splice, Reindex and the
+// subtree-hash pass draw from that pool before they allocate. A
+// recycled tree is empty: reading one of its nodes panics instead of
+// reading the page that took its arrays. Trees nobody adopted are
+// never recycled, and the collector empties the pool, so a process
+// that stops building keeps no arrays for it.
 package dom
 
 import (
@@ -170,6 +184,14 @@ type Tree struct {
 	// srcKey is the ContentKey of a deferred tree while it is
 	// unmutated, a hash of src; 0 otherwise.
 	srcKey uint64
+
+	// ids and idx are the whole blocks the five id slices and the
+	// pre/post/size index were cut from, kept for recycling (pool.go):
+	// ids only for a tree alloc sized from minPooled nodes on. owned is
+	// set on a tree from Adopt until it is recycled.
+	ids   []NodeID
+	idx   []int32
+	owned bool
 }
 
 // span is n bytes of character data at src[off:]; with n == sideLen it
@@ -184,7 +206,7 @@ type attrEntry struct{ name, val span }
 // New returns an empty tree with capacity hint n.
 func New(n int) *Tree {
 	t := &Tree{}
-	t.grow(n)
+	t.alloc(n, 0)
 	return t
 }
 
@@ -193,9 +215,8 @@ func New(n int) *Tree {
 // AppendSourceElement), which it keeps alive; nodes and attrs are
 // capacity hints.
 func NewFromSource(src string, nodes, attrs int) *Tree {
-	t := New(nodes)
-	t.src = src
-	t.attrTab = make([]attrEntry, 0, attrs)
+	t := &Tree{src: src}
+	t.alloc(nodes, attrs)
 	return t
 }
 
@@ -248,6 +269,7 @@ func (t *Tree) buildLocked(prev *Tree) {
 	t.marks = b.marks
 	t.pre, t.post, t.size, t.indexed, t.docOrdered = b.pre, b.post, b.size, b.indexed, b.docOrdered
 	t.subHash, t.fp, t.subHashValid = b.subHash, b.fp, b.subHashValid
+	t.ids, t.idx = b.ids, b.idx
 	t.build = nil
 	t.pending.Store(false)
 }
@@ -271,33 +293,39 @@ func (t *Tree) ContentKey() uint64 {
 	return t.fp
 }
 
-// grow pre-allocates every parallel slice for n nodes, so a builder
-// that sized its hint correctly performs zero growth reallocations
-// while appending — the arena property the streaming HTML parser
-// relies on. Growth past the hint falls back to append's amortized
-// doubling.
-func (t *Tree) grow(n int) {
-	if n <= 0 || cap(t.kind) >= n {
+// alloc pre-allocates every parallel slice of an empty tree for n
+// nodes and attrs attribute entries, so a builder that sized its hints
+// correctly performs zero growth reallocations while appending — the
+// arena property the streaming HTML parser relies on. Growth past the
+// hint falls back to append's amortized doubling. From minPooled nodes
+// on, the slices come from a recycled tree when the pool has one of the
+// size class (pool.go), else they are made at the class's size.
+func (t *Tree) alloc(n, attrs int) {
+	pooled := n >= minPooled
+	if pooled && t.drawColumns(n) {
+		if cap(t.attrTab) < attrs {
+			t.attrTab = make([]attrEntry, 0, attrs)
+		}
 		return
 	}
-	t.kind = append(make([]Kind, 0, n), t.kind...)
-	t.labelID = append(make([]LabelID, 0, n), t.labelID...)
-	t.payload = append(make([]span, 0, n), t.payload...)
-	// The five structural id slices share one backing allocation,
-	// partitioned with full slice expressions so growth past the hint
-	// reallocates the overflowing slice privately instead of clobbering
-	// its neighbour.
-	ids := make([]NodeID, 5*n)
-	growIDs := func(s []NodeID, i int) []NodeID {
-		out := ids[i*n : i*n+len(s) : (i+1)*n]
-		copy(out, s)
-		return out
+	if attrs > 0 {
+		t.attrTab = make([]attrEntry, 0, attrs)
 	}
-	t.parent = growIDs(t.parent, 0)
-	t.firstChild = growIDs(t.firstChild, 1)
-	t.lastChild = growIDs(t.lastChild, 2)
-	t.nextSibling = growIDs(t.nextSibling, 3)
-	t.prevSibling = growIDs(t.prevSibling, 4)
+	if n <= 0 {
+		return
+	}
+	if pooled {
+		n, _ = sizeClass(n)
+	}
+	t.kind = make([]Kind, 0, n)
+	t.labelID = make([]LabelID, 0, n)
+	t.payload = make([]span, 0, n)
+	// The five structural id slices share one backing allocation.
+	ids := make([]NodeID, 5*n)
+	t.setIDs(ids)
+	if pooled {
+		t.ids = ids // kept for recycling
+	}
 }
 
 // Size returns the number of nodes in the tree, |dom|.
@@ -554,11 +582,7 @@ func (t *Tree) ensureSubHash() {
 func (t *Tree) buildSubHash() {
 	t.ready()
 	n := len(t.kind)
-	if cap(t.subHash) < n {
-		t.subHash = make([]uint64, n)
-	} else {
-		t.subHash = t.subHash[:n]
-	}
+	t.sizeSubHash(n)
 	// Labels are hashed once per symbol, not once per node.
 	var buf [32]uint64
 	labelHash := t.labelHashes(buf[:0])
@@ -568,6 +592,25 @@ func (t *Tree) buildSubHash() {
 		t.subHash[i] = t.hashNode(NodeID(i), labelHash)
 	}
 	t.setFingerprint(shape)
+}
+
+// sizeSubHash gives subHash length n, in its own capacity when that
+// suffices: a pooled column holds another tree's hashes, which the
+// caller overwrites. A new one is as long as the id columns' block
+// (columnRows), so that the tree recycles it with them.
+func (t *Tree) sizeSubHash(n int) {
+	if cap(t.subHash) < n {
+		t.subHash = make([]uint64, t.columnRows(n))[:n]
+	} else {
+		t.subHash = t.subHash[:n]
+	}
+}
+
+// columnRows is how many rows a new index or hash column of a tree of
+// n nodes gets: those of its id block when the tree recycles its
+// columns and the block holds n, else n.
+func (t *Tree) columnRows(n int) int {
+	return max(n, len(t.ids)/5)
 }
 
 // labelHashes appends the hash of every label symbol to buf.
@@ -918,16 +961,7 @@ func (t *Tree) ChildIndex(n NodeID) int {
 func (t *Tree) Reindex() {
 	t.ready()
 	n := len(t.kind)
-	if cap(t.pre) < n {
-		idx := make([]int32, 3*n)
-		t.pre = idx[0:n:n]
-		t.post = idx[n : 2*n : 2*n]
-		t.size = idx[2*n : 3*n : 3*n]
-	} else {
-		t.pre = t.pre[:n]
-		t.post = t.post[:n]
-		t.size = t.size[:n]
-	}
+	t.sizeIndex(n)
 	if n == 0 {
 		t.indexed = true
 		t.docOrdered = true
@@ -968,6 +1002,17 @@ func (t *Tree) Reindex() {
 			break
 		}
 	}
+}
+
+// sizeIndex gives pre, post and size length n, in their own capacity
+// when that suffices (the three share one allocation, of equal
+// capacities); the caller overwrites what they held.
+func (t *Tree) sizeIndex(n int) {
+	if cap(t.pre) < n {
+		t.setIndex(make([]int32, 3*t.columnRows(n)), n)
+		return
+	}
+	t.pre, t.post, t.size = t.pre[:n], t.post[:n], t.size[:n]
 }
 
 // DocOrdered reports whether NodeIDs coincide with document order

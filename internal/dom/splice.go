@@ -133,20 +133,31 @@ func Splice(src string, prev *Tree, head, tail SourceMark, nodes, attrs int, win
 		t.marks = append(t.marks, mk)
 	}
 
-	if !window(t) {
+	if !t.spliceWindow(prev, tail, k, e, path, names, window) {
+		t.giveBack() // nobody holds the half-built tree: its columns serve the full build
 		return nil
+	}
+	return t
+}
+
+// spliceWindow is Splice from the window on: it runs window, checks
+// that its nodes descend from e, appends prev's tail and fills the
+// index, or reports that it could not.
+func (t *Tree) spliceWindow(prev *Tree, tail SourceMark, k int, e NodeID, path []NodeID, names []string, window func(t *Tree) bool) bool {
+	if !window(t) {
+		return false
 	}
 	base := len(t.kind)
 	for i := k; i < base; i++ {
 		if p := t.parent[i]; p != e && int(p) < k {
-			return nil
+			return false
 		}
 	}
 	if !t.spliceTail(prev, tail, k, path, names) {
-		return nil
+		return false
 	}
-	t.spliceIndex(prev, k, kq, base, path)
-	return t
+	t.spliceIndex(prev, k, int(tail.Nodes), base, path)
+	return true
 }
 
 // detach returns copies of names that share one allocation.
@@ -296,8 +307,8 @@ func (t *Tree) spliceTail(prev *Tree, tail SourceMark, k int, path []NodeID, nam
 func (t *Tree) spliceIndex(prev *Tree, k, kq, base int, path []NodeID) {
 	n := len(t.kind)
 	d := int32(base - kq)
-	idx := make([]int32, 3*n)
-	pre, post, size := idx[0:n:n], idx[n:2*n:2*n], idx[2*n:3*n:3*n]
+	t.sizeIndex(n)
+	pre, post, size := t.pre, t.post, t.size
 	for i := range pre {
 		pre[i] = int32(i)
 	}
@@ -329,10 +340,9 @@ func (t *Tree) spliceIndex(prev *Tree, k, kq, base int, path []NodeID) {
 		size[a] += d
 		post[a] += d
 	}
-	t.pre, t.post, t.size = pre, post, size
 	t.indexed, t.docOrdered = true, true
 
-	t.subHash = make([]uint64, n)
+	t.sizeSubHash(n)
 	copy(t.subHash, prev.subHash[:k])
 	copy(t.subHash[base:], prev.subHash[kq:])
 	var buf [32]uint64

@@ -105,14 +105,14 @@ func NewEvaluator(f Fetcher) *Evaluator {
 // A single Elog program "can be used for continuous wrapping of changing
 // pages or to wrap several HTML pages of similar structure"
 // (Section 3.1) — Run is stateless; call it again to re-wrap.
-func (ev *Evaluator) Run(p *Program) (*pib.Base, error) { return ev.run(p, nil, nil) }
+func (ev *Evaluator) Run(p *Program) (*pib.Base, error) { return ev.run(p, nil, nil, false) }
 
 // RunCompiled evaluates a compiled program: pattern matching runs on
 // the bitset kernel and is memoized per document fingerprint, so
 // re-wrapping unchanged pages skips the tree walks entirely. The
 // instance base is identical to Run's on the same inputs.
 func (ev *Evaluator) RunCompiled(cp *CompiledProgram) (*pib.Base, error) {
-	return ev.run(cp.Program, cp, nil)
+	return ev.run(cp.Program, cp, nil, false)
 }
 
 // RunMaintained is RunCompiled maintaining the base from prev, a base an
@@ -129,14 +129,17 @@ func (ev *Evaluator) RunCompiled(cp *CompiledProgram) (*pib.Base, error) {
 //
 // Every page the run fetches is built from prev's tree of its URL
 // (dom.Tree.WarmFrom), so a changed page re-parses only the bytes that
-// changed. Entry rules run on the freshly fetched documents. Everything
-// else takes RunCompiled's path: the other rules that are not parent-local,
+// changed. A page the fetcher returns unbuilt is adopted first
+// (dom.Adopt): the base's document is a private tree that the caller
+// owns and may Recycle once nothing reads the base, while the fetcher's
+// tree stays unbuilt and untouched. Entry rules run on the freshly
+// fetched documents. Everything else takes RunCompiled's path: the other rules that are not parent-local,
 // parents in documents whose ids are not in document order, and every
 // rule when prev was built under another program or concept base. An
 // evaluation handed a prev that took that path anywhere counts as a
 // fallback (IncrementalStats.EvalFallbacks). A nil prev is RunCompiled.
 func (ev *Evaluator) RunMaintained(cp *CompiledProgram, prev *pib.Base) (*pib.Base, error) {
-	return ev.run(cp.Program, cp, prev)
+	return ev.run(cp.Program, cp, prev, true)
 }
 
 // origin is what a compiled evaluation records as its base's Origin.
@@ -184,7 +187,7 @@ type waveJob struct {
 	from []*pib.Instance
 }
 
-func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base) (*pib.Base, error) {
+func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base, own bool) (*pib.Base, error) {
 	r := &runner{ev: ev, cp: cp, docs: map[string]*pib.Instance{}, announced: map[*pib.Instance]bool{}}
 	switch {
 	case cp == nil:
@@ -197,7 +200,7 @@ func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base) (*pib.
 	if cp != nil {
 		r.done = make([]int, len(p.Rules)+1)
 	}
-	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil, prev)
+	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil, prev, own)
 	defer r.fr.drain()
 
 	// Elog supports stratified negation (Section 3.3): rules with

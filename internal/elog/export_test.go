@@ -16,7 +16,7 @@ import (
 func (ev *Evaluator) RunNaive(p *Program, cp *CompiledProgram) (*pib.Base, error) {
 	r := &runner{ev: ev, cp: cp, base: pib.NewBase(),
 		docs: map[string]*pib.Instance{}, announced: map[*pib.Instance]bool{}}
-	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil, nil)
+	r.fr = newFrontier(ev.Fetcher, ev.MaxConcurrency, ev.max(ev.MaxDocuments, 64), cp != nil, nil, false)
 	defer r.fr.drain()
 	st, err := Stratify(p)
 	if err != nil {

@@ -38,6 +38,9 @@ type frontier struct {
 	// prev is the base the run is maintained from, or nil: a fully
 	// warmed page is built from prev's tree of the same URL.
 	prev *pib.Base
+	// own is set when the run's caller owns the pages: an unbuilt page
+	// is adopted (dom.Adopt) before it is built.
+	own bool
 
 	mu    sync.Mutex
 	pages map[string]*fetchResult
@@ -46,12 +49,12 @@ type frontier struct {
 // newFrontier returns a frontier fetching at most conc pages at once
 // (conc <= 0 means GOMAXPROCS) and speculatively scheduling at most
 // budget distinct URLs.
-func newFrontier(f Fetcher, conc, budget int, warmFull bool, prev *pib.Base) *frontier {
+func newFrontier(f Fetcher, conc, budget int, warmFull bool, prev *pib.Base, own bool) *frontier {
 	if conc <= 0 {
 		conc = runtime.GOMAXPROCS(0)
 	}
 	return &frontier{fetch: f, sem: make(chan struct{}, conc), budget: budget,
-		warmFull: warmFull, prev: prev, pages: map[string]*fetchResult{}}
+		warmFull: warmFull, prev: prev, own: own, pages: map[string]*fetchResult{}}
 }
 
 // last returns prev's tree of url, the earlier version of the page, or
@@ -106,6 +109,15 @@ func (fr *frontier) schedule(url string, force bool) *fetchResult {
 		defer func() { <-fr.sem }()
 		t, err := fr.fetch.Fetch(url)
 		if err == nil {
+			if fr.own {
+				// The fetcher's tree may be shared (a fetch cache, a
+				// caller's input): the run builds, and its owner later
+				// recycles, a private tree over the same source. A
+				// built tree is someone else's and is read as it is.
+				if o := dom.Adopt(t); o != nil {
+					t = o
+				}
+			}
 			// Build the lazy structures on the worker, off the
 			// evaluation goroutine's critical path; the published tree
 			// is then read-only for the rest of the run. A changed page

@@ -345,7 +345,10 @@ var fuzzPages = func() []string {
 
 // FuzzIncrementalParse applies a random edit script to a page, and a
 // second to the result: each version warmed from the one before must be
-// the tree a full parse of it gives.
+// the tree a full parse of it gives. It runs the two steps twice: with
+// shared trees, and with owned ones (dom.Adopt), where each version is
+// recycled once the next is built from it, so that the next build
+// draws the arrays of the one before it from the pool.
 func FuzzIncrementalParse(f *testing.F) {
 	for page := range fuzzPages {
 		for _, script := range [][]byte{
@@ -358,16 +361,31 @@ func FuzzIncrementalParse(f *testing.F) {
 		}
 	}
 	f.Fuzz(func(t *testing.T, page uint8, script []byte) {
-		src := fuzzPages[int(page)%len(fuzzPages)]
-		prev := warmed(src)
+		first := fuzzPages[int(page)%len(fuzzPages)]
 		mid := len(script) / 8 * 4
-		for i, s := range [][]byte{script[:mid], script[mid:]} {
-			next := applyEdits(src, s)
-			got := warmedFrom(next, prev)
-			sameWarmTree(t, fmt.Sprintf("version %d", i+1), got, warmed(next))
-			src, prev = next, got
+		for _, owned := range []bool{false, true} {
+			src := first
+			prev := parsed(src, owned)
+			prev.Warm()
+			for i, s := range [][]byte{script[:mid], script[mid:]} {
+				next := applyEdits(src, s)
+				got := parsed(next, owned)
+				got.WarmFrom(prev)
+				sameWarmTree(t, fmt.Sprintf("version %d (owned %v)", i+1, owned), got, warmed(next))
+				prev.Recycle() // a no-op on a tree nobody adopted
+				src, prev = next, got
+			}
 		}
 	})
+}
+
+// parsed parses src; owned, into a private tree its caller recycles.
+func parsed(src string, owned bool) *dom.Tree {
+	t := htmlparse.Parse(src)
+	if owned {
+		return dom.Adopt(t)
+	}
+	return t
 }
 
 // TestIncrementalParseEquivalence runs FuzzIncrementalParse's check

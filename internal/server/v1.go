@@ -469,7 +469,11 @@ func (s *Server) v1WrapperExtract(w http.ResponseWriter, r *http.Request) {
 	// the wrapper's delivery log — on the result log, when persistence
 	// is on, before this response acknowledges it — shows up under
 	// .../results, and fans out to watch subscribers and webhooks.
-	if _, err := d.out.Process("extract", doc); err != nil {
+	_, err = d.out.Process("extract", doc)
+	// Delivered (or refused): the document holds no tree, so the
+	// wrapper may recycle this run's pages once it has moved on.
+	res.Release()
+	if err != nil {
 		writeError(w, http.StatusInternalServerError, "internal", err.Error(), nil)
 		return
 	}
@@ -562,5 +566,7 @@ func (s *Server) v1Extract(w http.ResponseWriter, r *http.Request) {
 		writeSDKError(w, err)
 		return
 	}
-	writeDoc(w, r, res.XML())
+	doc := res.XML()
+	res.Release()
+	writeDoc(w, r, doc)
 }

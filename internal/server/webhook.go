@@ -204,7 +204,9 @@ func (hs *hookSet) remove(id string) bool {
 
 // close stops every dispatcher and persists final cursors. Signal-only
 // (it does not join the goroutines): it is called with server locks
-// held on deregistration and drain.
+// held on deregistration and drain. A set without endpoints writes
+// nothing: remove saved the empty list when the last one went, and
+// restore reads a missing file as none.
 func (hs *hookSet) close() {
 	hs.mu.Lock()
 	if hs.closed {
@@ -224,7 +226,9 @@ func (hs *hookSet) close() {
 	for _, e := range endpoints {
 		close(e.done)
 	}
-	hs.persistNow(false)
+	if len(endpoints) > 0 {
+		hs.persistNow(false)
+	}
 }
 
 // list returns the endpoints sorted by id.

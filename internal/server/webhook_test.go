@@ -6,6 +6,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"sync"
@@ -540,6 +542,37 @@ func TestWebhookCursorRestart(t *testing.T) {
 	}
 	if len(got) != before+1 {
 		t.Fatalf("restart redelivered acknowledged versions: %+v", got)
+	}
+}
+
+// TestShutdownWritesNoEmptyHooks: shutdown persists the cursors of a
+// wrapper with endpoints, and writes nothing for one that never had an
+// endpoint, so its store directory holds no webhooks.json.
+func TestShutdownWritesNoEmptyHooks(t *testing.T) {
+	sink := newHookSink(t)
+	dir := t.TempDir()
+	store := openStore(t, dir)
+	defer store.Close()
+	s := New(Config{ResultStore: store})
+	for _, name := range []string{"bare", "hooked"} {
+		if err := s.Register(newFakePipe(name, 0), time.Hour); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop := runServer(t, s)
+	ts := httptest.NewServer(s.Handler())
+	if code, body, _ := do(t, "POST", ts.URL+"/v1/wrappers/hooked/webhooks",
+		map[string]any{"url": sink.ts.URL, "since": 0}); code != 201 {
+		t.Fatalf("create: %d %s", code, body)
+	}
+	ts.Close()
+	stop()
+	if _, err := os.Stat(filepath.Join(dir, "bare", hooksFile)); !os.IsNotExist(err) {
+		t.Fatalf("hookless wrapper's %s after shutdown: %v", hooksFile, err)
+	}
+	var metas []hookMeta
+	if err := store.LoadMeta("hooked", hooksFile, &metas); err != nil || len(metas) != 1 {
+		t.Fatalf("hooked wrapper's %s after shutdown: %v, %+v", hooksFile, err, metas)
 	}
 }
 

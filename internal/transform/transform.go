@@ -439,6 +439,9 @@ func (s *WrapperSource) Poll() ([]*xmlenc.Node, error) {
 	}
 	tstart := time.Now()
 	doc := res.XML()
+	// The document holds no tree: the wrapper may recycle this run's
+	// pages once it has moved on to the next.
+	res.Release()
 	s.statsMu.Lock()
 	s.evalNS += tstart.Sub(start).Nanoseconds()
 	s.transformNS += time.Since(tstart).Nanoseconds()

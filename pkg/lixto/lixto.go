@@ -32,6 +32,16 @@
 // of its URL, re-parsing only the bytes that changed. FetchStats
 // counts the memo's answers.
 //
+// The page trees an extraction builds are its own: a page its fetcher
+// returns unbuilt is built as a private copy (dom.Adopt), so a shared
+// fetch cache's trees and a caller's input are never touched. A caller
+// that is done with a Result says so with Release; once the wrapper
+// has also moved on to a newer Result, the pages' arrays go to the
+// next extraction's builds instead of to the collector, which for a
+// polled page is most of what a changed version would allocate.
+// Release is optional: a Result that is never released stays readable
+// for good.
+//
 // The HTTP face of the same lifecycle is the /v1 API of
 // internal/server, and the transformation server's wrapper sources
 // poll through a Wrapper too, so scheduled ticks and one-shot
@@ -217,6 +227,14 @@ type Result struct {
 	key    runKey
 	keys   []uint64
 	failed bool
+
+	// refs counts the holders of the page trees the evaluation adopted
+	// (elog.Evaluator.RunMaintained): the caller until it calls
+	// Release, the wrapper while it retains the result, and each
+	// extraction maintained from it while that runs. At zero the trees
+	// are recycled. released marks the caller's hold as dropped.
+	refs     atomic.Int64
+	released atomic.Bool
 }
 
 // runKey is what of a call's options shapes its output besides the
@@ -242,10 +260,44 @@ func (r *Result) XML() *xmlenc.Node {
 			r.w.outCache = pib.NewOutputCache()
 		}
 		r.doc = r.design.TransformIncremental(r.Base, r.w.outCache)
+		old := r.w.last
 		r.w.last = r
+		r.refs.Add(1) // the wrapper's hold
 		r.w.outMu.Unlock()
+		if old != nil {
+			old.drop()
+		}
 	})
 	return r.doc
+}
+
+// Release tells the wrapper that the caller is done with the result:
+// it calls none of its methods and reads none of its Base, instances or
+// trees again. A document XML returned before stays readable, since it
+// holds no tree. Once every holder has let go, the page trees the
+// extraction built go to the next extraction's builds instead of to the
+// collector; a holder is the caller, the wrapper while the result is
+// the one it retains (see the package doc), and an extraction that is
+// maintained from it while it runs. Calling Release is optional: a
+// result that is never released stays readable and is left to the
+// collector, as is one that Extract returned more than once (a memo
+// hit). Calls after the first on one *Result do nothing.
+func (r *Result) Release() {
+	if r.released.CompareAndSwap(false, true) {
+		r.drop()
+	}
+}
+
+// drop lets go of one hold on r and recycles the page trees the
+// evaluation adopted when it was the last. Trees it did not adopt (a
+// shared fetch cache's, a caller's input) are left as they are.
+func (r *Result) drop() {
+	if r.refs.Add(-1) != 0 {
+		return
+	}
+	for _, d := range r.Base.Instances("document") {
+		d.Doc.Recycle()
+	}
 }
 
 // Instances returns the instances of one pattern, in extraction order.
@@ -285,17 +337,23 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 	if cached && cfg.cache {
 		w.outMu.Lock()
 		prev = w.last
+		if prev != nil {
+			prev.refs.Add(1) // held until the evaluation maintained from it returns
+		}
 		w.outMu.Unlock()
 	}
 	if prev != nil && prev.key == key && !prev.failed {
 		pages, same := recheck(cf, prev, cfg.concurrency)
 		if same {
 			w.memoHits.Add(1)
-			return prev, nil
+			return prev, nil // the hold is the caller's now
 		}
 		// The evaluation reads the trees the recheck fetched.
 		cf.inner = &overlayFetcher{pages: pages, next: f}
 		cf.failed.Store(false)
+	}
+	if prev != nil {
+		defer prev.drop()
 	}
 	ev := &elog.Evaluator{Fetcher: cf, Concepts: key.concepts, MaxDocuments: cfg.maxDocuments,
 		MaxInstances: cfg.maxInstances, MaxConcurrency: cfg.concurrency, Shared: cfg.batch, Incremental: true}
@@ -312,6 +370,7 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 		return nil, newError(KindEval, err)
 	}
 	res := &Result{Base: base, design: cfg.design, key: key, failed: cf.failed.Load()}
+	res.refs.Store(1)
 	if cached {
 		res.w = w
 	}
