@@ -71,6 +71,8 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/pool"
 )
 
 // NodeID identifies a node within a single Tree. The zero Tree has no
@@ -315,7 +317,7 @@ func (t *Tree) alloc(n, attrs int) {
 		return
 	}
 	if pooled {
-		n, _ = sizeClass(n)
+		n, _ = pool.SizeClass(n)
 	}
 	t.kind = make([]Kind, 0, n)
 	t.labelID = make([]LabelID, 0, n)

@@ -1,5 +1,7 @@
 package dom
 
+import "repro/internal/pool"
+
 // PoolDraws returns how many column sets builds have taken from the
 // pool, over the whole process.
 func PoolDraws() int64 { return poolDraws.Load() }
@@ -11,9 +13,9 @@ func PoolDraws() int64 { return poolDraws.Load() }
 // draws one and reads what it did not write reads garbage instead of
 // the zeros a fresh allocation holds.
 func PoisonPool(nodes, attrs, k int) {
-	_, first := sizeClass(nodes)
+	_, first := pool.SizeClass(nodes)
 	for class := first; class <= first+2; class++ {
-		size := (8 + class%8) << (class / 8)
+		size := pool.ClassSize(class)
 		for range k {
 			c := &columns{
 				kind:    make([]Kind, size),
@@ -39,7 +41,7 @@ func PoisonPool(nodes, attrs, k int) {
 			for i := range c.attrTab {
 				c.attrTab[i] = attrEntry{span{^uint32(0), ^uint32(0)}, span{^uint32(0), ^uint32(0)}}
 			}
-			put(class, c)
+			pools.Put(class, c)
 		}
 	}
 }

@@ -1,9 +1,9 @@
 package dom
 
 import (
-	"math/bits"
-	"sync"
 	"sync/atomic"
+
+	"repro/internal/pool"
 )
 
 // Recycling. A tree of a polled page lives one tick: the next version is
@@ -37,48 +37,17 @@ type columns struct {
 	attrTab []attrEntry
 }
 
-// pools holds released column sets by size class (sizeClass).
-var pools [8 * 32]sync.Pool
-
-// held is a placeholder. A sync.Pool keeps the first value a P puts
-// into it in a slot that only a Get on the same P looks at, and the
-// next version of a page is often built on another P. put therefore
-// puts held first: when the slot is free, held takes it and the
-// released set goes to the P's shared queue, which a Get on any P
-// searches. get skips held.
-var held = new(columns)
-
-func put(class int, c *columns) {
-	pools[class].Put(held)
-	pools[class].Put(c)
-}
-
-func get(class int) *columns {
-	for {
-		if c, _ := pools[class].Get().(*columns); c != held {
-			return c
-		}
-	}
-}
+// pools holds released column sets by size class (pool.SizeClass).
+var pools pool.Classes[columns]
 
 // poolDraws counts the column sets builds took from the pools.
 var poolDraws atomic.Int64
 
-// sizeClass returns the size of the class that holds a tree of n
-// nodes — the smallest m·2^s at least n, with 8 <= m <= 16, so a class
-// wastes at most an eighth of its size — and the class's index.
-// Sizes grow with the index.
-func sizeClass(n int) (size, class int) {
-	s := max(bits.Len(uint(n-1))-4, 0)
-	m := (n-1)>>s + 1
-	return m << s, 8*s + m - 8
-}
-
 // drawColumns builds t, an empty tree, into a released column set with
 // room for n nodes, and reports whether the pool had one.
 func (t *Tree) drawColumns(n int) bool {
-	_, class := sizeClass(n)
-	c := get(class)
+	_, class := pool.SizeClass(n)
+	c := pools.Get(class)
 	if c == nil {
 		return false
 	}
@@ -166,16 +135,12 @@ func (t *Tree) giveBack() {
 		ids: t.ids, idx: t.idx, subHash: t.subHash[:cap(t.subHash)], attrTab: t.attrTab[:cap(t.attrTab)]}
 	t.ids, t.idx = nil, nil
 	n := min(len(c.kind), len(c.labelID), len(c.payload), len(c.ids)/5)
-	size, class := sizeClass(n)
-	if size > n {
-		class--
-		size = (8 + class%8) << (class / 8)
-	}
+	size, class := pool.Floor(n)
 	if len(c.idx)/3 < size {
 		c.idx = nil
 	}
 	if len(c.subHash) < size {
 		c.subHash = nil
 	}
-	put(class, c)
+	pools.Put(class, c)
 }

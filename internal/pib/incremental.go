@@ -4,7 +4,10 @@
 
 package pib
 
-import "repro/internal/xmlenc"
+import (
+	"repro/internal/pool"
+	"repro/internal/xmlenc"
+)
 
 const (
 	fnvOffset64 = 14695981039346656037
@@ -64,33 +67,35 @@ func (in *Instance) ContentHash() uint64 {
 // counterpart's did takes the counterpart's hash, which the fold would
 // give, unhashed. Memoized by id for one transform; 0 is "not yet".
 func (oc *OutputCache) outputHash(in *Instance) uint64 {
-	if h := oc.oHash[in.ID]; h != 0 {
+	out, prevOut := oc.cur.out, oc.last.out
+	if h := out[in.ID]; h != 0 {
 		return h
 	}
 	var src *Instance
 	if int(in.ID) < len(oc.pairs) {
 		src = oc.pairs[in.ID]
 	}
-	same := src != nil && len(src.Children) == len(in.Children) && oc.prevOut[src.ID] != 0
+	same := src != nil && len(src.Children) == len(in.Children) && prevOut[src.ID] != 0
 	for i, c := range in.Children {
 		h := oc.outputHash(c)
-		same = same && h == oc.prevOut[src.Children[i].ID]
+		same = same && h == prevOut[src.Children[i].ID]
 	}
 	var h uint64
 	if same {
-		h = oc.prevOut[src.ID]
+		h = prevOut[src.ID]
 	} else {
 		h = mix64(in.ContentHash(), uint64(len(in.Children)))
 		for _, c := range in.Children {
-			h = mix64(h, oc.oHash[c.ID])
+			h = mix64(h, out[c.ID])
 		}
 	}
-	oc.oHash[in.ID] = h
+	out[in.ID] = h
 	return h
 }
 
 // pairing pairs a maintained base's instances one-to-one with prev's: a
 // graft with the one it copies, others on ask by equal ContentHash.
+// Pairings are pooled by the size class of prev (newPairing, release).
 type pairing struct {
 	prev *Base
 	of   []*Instance // counterpart by id
@@ -100,23 +105,50 @@ type pairing struct {
 	n      int // instances paired
 }
 
+var pairings pool.Classes[pairing]
+
 // NewBaseFrom returns an empty base maintained from prev, a sealed base
 // of the same program over earlier documents, its dedup table sized for
 // about fresh derived (not grafted) instances. Graft copies prev's
 // derivations into it, Counterpart pairs its instances with prev's, and
 // TransformIncremental through the cache whose Base is prev uses both.
+// The base reads prev until it is transformed or recycled: prev must
+// not be recycled before.
 func NewBaseFrom(prev *Base, fresh int) *Base {
-	b := &Base{all: make(map[instKey]*Instance, fresh), ids: map[string]uint32{}, byPat: make(map[string][]*Instance, len(prev.byPat)),
-		hint: prev.Count(), pairs: newPairing(prev)}
+	b := &Base{hint: prev.Count(), pairs: newPairing(prev)}
+	b.drawTable(fresh)
+	b.drawStore(prev.Count())
+	b.drawLists(prev.Count())
 	for p, list := range prev.byPat {
-		b.byPat[p] = make([]*Instance, 0, len(list))
+		b.byPat[p] = cut(&b.ptrs, len(list))
 	}
 	return b
 }
 
+// newPairing returns an empty pairing with prev, drawn from the pool
+// of prev's size class when it has one.
 func newPairing(prev *Base) *pairing {
-	return &pairing{prev: prev, of: make([]*Instance, prev.Count()), used: make([]bool, prev.Count()),
-		byHash: map[string]map[uint64][]*Instance{}}
+	size, class := pool.SizeClass(prev.Count())
+	p := pairings.Get(class)
+	if p == nil {
+		p = &pairing{of: make([]*Instance, size), used: make([]bool, size), byHash: map[string]map[uint64][]*Instance{}}
+	} else {
+		p.of, p.used = p.of[:cap(p.of)], p.used[:cap(p.used)]
+		clear(p.of)
+		clear(p.used)
+		clear(p.byHash)
+		p.n = 0
+	}
+	p.prev = prev
+	return p
+}
+
+// release gives p to the pool.
+func (p *pairing) release() {
+	clear(p.byHash)
+	p.prev = nil
+	_, class := pool.Floor(min(cap(p.of), cap(p.used)))
+	pairings.Put(class, p)
 }
 
 // pair records c, an instance of the previous base, as in's counterpart.
@@ -141,12 +173,22 @@ func (b *Base) Counterpart(in *Instance) *Instance {
 	}
 	idx := p.byHash[in.Pattern]
 	if idx == nil {
-		prev := p.prev.byPat[in.Pattern]
-		idx = make(map[uint64][]*Instance, len(prev))
+		// Only unpaired instances are indexed: under grafting, most of
+		// a pattern's previous instances are paired before it is asked.
+		prev, free := p.prev.byPat[in.Pattern], 0
+		for _, c := range prev {
+			if !p.used[c.ID] {
+				free++
+			}
+		}
+		idx = make(map[uint64][]*Instance, free)
 		for i, c := range prev {
-			if h := c.ContentHash(); !p.used[c.ID] && idx[h] == nil {
+			if p.used[c.ID] {
+				continue
+			}
+			if h := c.ContentHash(); idx[h] == nil {
 				idx[h] = prev[i : i+1 : i+1] // no allocation for a hash's first instance
-			} else if !p.used[c.ID] {
+			} else {
 				idx[h] = append(idx[h], c)
 			}
 		}
@@ -176,7 +218,7 @@ func (b *Base) Graft(parent, src *Instance) *Instance {
 		in.Nodes = append(in.Nodes, nd+parent.Nodes[0]-src.Parent.Nodes[0])
 	}
 	if parent.Children == nil {
-		parent.Children = cut(&b.kids, len(src.Parent.Children))
+		parent.Children = cut(&b.ptrs, len(src.Parent.Children))
 	}
 	b.link(in)
 	if !b.pairs.used[src.ID] {
@@ -217,6 +259,7 @@ func Diff(prev, cur *Base) Delta {
 			d.Removed = append(d.Removed, in)
 		}
 	}
+	p.pairs.release()
 	return d
 }
 
@@ -225,17 +268,65 @@ type cachedSub struct { // a reusable emitted subtree: its frozen element and si
 	nodes uint64
 }
 
+// generation is what one transform through an OutputCache writes and
+// the next one reads: the base's output hashes by instance id, and its
+// emitted subtrees by output hash, their lists cut from slab. room is
+// the most entries subs was made for or has held. Generations are
+// pooled by the size of out, made to measure.
+type generation struct {
+	out  []uint64
+	subs map[uint64][]cachedSub
+	slab []cachedSub
+	room int
+}
+
+var generations pool.Classes[generation]
+
+// drawGeneration returns an empty generation for a base of n instances
+// that emits about k subtrees, a released one of about n if there is.
+// Its map and slab are remade when they are far from k: a map keeps
+// the room it grew to, and a cold render emits many more subtrees than
+// the maintained ones after it.
+func drawGeneration(n, k int) *generation {
+	g := generations.Near(n)
+	if g == nil {
+		g = &generation{out: make([]uint64, 0, max(n, 8))}
+	}
+	if cap(g.out) < n {
+		g.out = make([]uint64, n)
+	}
+	if g.subs == nil || g.room > k+k/4 {
+		g.subs, g.room = make(map[uint64][]cachedSub, k), k
+	}
+	if cap(g.slab) < k || cap(g.slab) > k+k/4 {
+		g.slab = make([]cachedSub, 0, k)
+	}
+	g.out, g.slab = g.out[:n], g.slab[:0]
+	clear(g.out)
+	clear(g.subs)
+	return g
+}
+
+// release empties g and gives it to the pool.
+func (g *generation) release() {
+	g.room = max(g.room, len(g.subs))
+	clear(g.subs)
+	clear(g.slab[:cap(g.slab)])
+	if cap(g.out) >= 8 {
+		_, class := pool.Floor(cap(g.out))
+		generations.Put(class, g)
+	}
+}
+
 // OutputCache carries a wrapper's emitted-subtree cache and previous
 // base across TransformIncremental calls. Not safe for concurrent use.
 type OutputCache struct {
-	prev, next map[uint64][]cachedSub
-	// prevBase is the base last transformed, prevOut its output hashes;
-	// oHash and pairs (counterparts in prevBase) are one transform's, by id.
-	prevBase *Base
-	prevOut  []uint64
-	oHash    []uint64
-	pairs    []*Instance
-	slab     []cachedSub // backs next's lists
+	// prevBase is the base last transformed and last the generation its
+	// transform wrote; cur is the one a transform writes, and pairs
+	// (counterparts in prevBase, by id) the one it reads them by.
+	prevBase  *Base
+	last, cur *generation
+	pairs     []*Instance
 
 	reused, built                uint64
 	added, removed, unchangedCnt uint64
@@ -243,7 +334,7 @@ type OutputCache struct {
 
 // NewOutputCache returns an empty cache.
 func NewOutputCache() *OutputCache {
-	return &OutputCache{prev: map[uint64][]cachedSub{}}
+	return &OutputCache{last: &generation{}}
 }
 
 // Base returns the base last transformed (nil before the first): the
@@ -270,17 +361,18 @@ type OutputStats struct {
 func (oc *OutputCache) Stats() OutputStats {
 	st := OutputStats{ReusedNodes: oc.reused, BuiltNodes: oc.built, InstancesAdded: oc.added, InstancesRemoved: oc.removed, InstancesUnchanged: oc.unchangedCnt}
 	if oc.prevBase != nil {
-		st.BaseInstances, st.BaseBytes = uint64(oc.prevBase.Count()), uint64(oc.prevBase.Bytes()+8*len(oc.prevOut))
+		st.BaseInstances, st.BaseBytes = uint64(oc.prevBase.Count()), uint64(oc.prevBase.Bytes()+8*len(oc.last.out))
 	}
 	return st
 }
 
 // put records an emitted subtree for the next tick.
 func (oc *OutputCache) put(key uint64, sub cachedSub) {
-	if list := oc.next[key]; list != nil {
-		oc.next[key] = append(list, sub)
+	g := oc.cur
+	if list := g.subs[key]; list != nil {
+		g.subs[key] = append(list, sub)
 	} else {
-		oc.next[key] = append(cut(&oc.slab, 1), sub)
+		g.subs[key] = append(cut(&g.slab, 1), sub)
 	}
 }
 
@@ -291,24 +383,30 @@ func (oc *OutputCache) put(key uint64, sub cachedSub) {
 // published document is mutated through a later one). A base maintained
 // from the cache's Base inherits its paired subtrees' hashes and counts
 // its delta from the pairs. Output is byte-identical to Transform. The
-// base becomes the cache's Base, letting go of the one it came from.
+// base becomes the cache's Base, letting go of the one it came from and
+// of its own pairing with it; the generation the previous transform
+// wrote goes to the pool the next transform draws from.
 func (d *Design) TransformIncremental(b *Base, oc *OutputCache) *xmlenc.Node {
 	b.Seal()
 	n, paired := b.Count(), 0
-	if p := b.pairs; p != nil && p.prev == oc.prevBase {
+	p := b.pairs
+	b.pairs = nil
+	if p != nil && p.prev == oc.prevBase {
 		oc.pairs, paired = p.of, p.n
 	}
-	b.pairs = nil
 	if oc.prevBase != nil {
 		oc.added += uint64(n - paired)
 		oc.removed += uint64(oc.prevBase.Count() - paired)
 		oc.unchangedCnt += uint64(paired)
 	}
-	oc.oHash = make([]uint64, n)
-	oc.next, oc.slab = make(map[uint64][]cachedSub, len(oc.prev)+8), make([]cachedSub, 0, len(oc.prev)+8)
+	oc.cur = drawGeneration(n, len(oc.last.subs)+8)
 
 	root := d.render(b, oc)
-	oc.prev, oc.next, oc.pairs = oc.next, nil, nil
-	oc.prevBase, oc.prevOut, oc.oHash = b, oc.oHash, nil
+	if p != nil {
+		p.release()
+	}
+	oc.last.release()
+	oc.last, oc.cur, oc.pairs = oc.cur, nil, nil
+	oc.prevBase = b
 	return root
 }

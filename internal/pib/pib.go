@@ -129,17 +129,23 @@ type Base struct {
 	// Roots are the document instances, in wrapping order.
 	Roots []*Instance
 	// all is the dedup table and ids the string ids its keys use; both
-	// exist only while the base is being built (nil once sealed).
+	// exist only while the base is being built (nil once sealed), and
+	// tab is the pooled pair they came from, if they did.
 	all   map[instKey]*Instance
 	ids   map[string]uint32
+	tab   *table
 	byPat map[string][]*Instance
 	next  int32
 	// slab backs the instances AddCopy and Graft admit, hint sizing its
-	// first chunk; nodes and kids back Graft's node and child lists.
+	// chunks; ptrs backs a maintained base's pattern lists and Graft's
+	// child lists, nodes Graft's node lists. st and ls are the pooled
+	// storage they were first cut from.
 	slab  []Instance
+	ptrs  []*Instance
 	nodes []dom.NodeID
-	kids  []*Instance
 	hint  int
+	st    *store
+	ls    *lists
 	// bytes is the approximate heap footprint, computed by Seal.
 	bytes int
 	// pairs is the counterpart index of a maintained base (NewBaseFrom).
@@ -154,8 +160,10 @@ func NewBase() *Base { return NewBaseSize(0) }
 // NewBaseSize returns an empty base whose dedup table and slab hold
 // about hint instances (an earlier evaluation's Count, say) unresized.
 func NewBaseSize(hint int) *Base {
-	return &Base{all: make(map[instKey]*Instance, hint), ids: map[string]uint32{},
-		byPat: map[string][]*Instance{}, hint: hint}
+	b := &Base{hint: hint}
+	b.drawTable(hint)
+	b.drawStore(hint)
+	return b
 }
 
 // each ranges over every instance, pattern by pattern (in no particular
@@ -178,8 +186,11 @@ func (b *Base) Seal() {
 	if b.all == nil {
 		return
 	}
-	b.all, b.ids = nil, nil
-	b.bytes = int(unsafe.Sizeof(*b))
+	b.releaseTable()
+	// The base, and the room left in the slabs it cuts instances and
+	// lists from (what is cut is counted below).
+	b.bytes = int(unsafe.Sizeof(*b)) + int(unsafe.Sizeof(Instance{}))*(cap(b.slab)-len(b.slab)) +
+		8*(cap(b.ptrs)-len(b.ptrs)) + 4*(cap(b.nodes)-len(b.nodes))
 	for _, list := range b.byPat {
 		b.bytes += 48 + 8*cap(list) // a map slot and the list
 	}
@@ -233,7 +244,8 @@ func (b *Base) AddCopy(in *Instance) (*Instance, bool) {
 	return p, true
 }
 
-// alloc copies an instance into the slab.
+// alloc copies an instance into the slab, past its pooled chunk into
+// chunks made to measure.
 func (b *Base) alloc(in *Instance) *Instance {
 	if len(b.slab) == cap(b.slab) {
 		b.slab = make([]Instance, 0, max(64, b.hint-int(b.next)))
@@ -362,9 +374,9 @@ func (d *Design) emitChildren(in *Instance, out *xmlenc.Node, oc *OutputCache) u
 		if oc != nil {
 			key = oc.outputHash(c)
 			// Pop it: a *Node goes to one position, even among equal siblings.
-			if list := oc.prev[key]; len(list) > 0 {
+			if list := oc.last.subs[key]; len(list) > 0 {
 				sub := list[len(list)-1]
-				oc.prev[key] = list[:len(list)-1]
+				oc.last.subs[key] = list[:len(list)-1]
 				out.Append(sub.el)
 				oc.put(key, sub)
 				oc.reused += sub.nodes

@@ -37,8 +37,10 @@
 // fetch cache's trees and a caller's input are never touched. A caller
 // that is done with a Result says so with Release; once the wrapper
 // has also moved on to a newer Result, the pages' arrays go to the
-// next extraction's builds instead of to the collector, which for a
-// polled page is most of what a changed version would allocate.
+// next extraction's builds, and the instance base's storage to the
+// next extraction's base (pib.Base.Recycle), instead of to the
+// collector, which for a polled page is most of what a changed version
+// would allocate.
 // Release is optional: a Result that is never released stays readable
 // for good.
 //
@@ -228,13 +230,18 @@ type Result struct {
 	keys   []uint64
 	failed bool
 
-	// refs counts the holders of the page trees the evaluation adopted
-	// (elog.Evaluator.RunMaintained): the caller until it calls
-	// Release, the wrapper while it retains the result, and each
-	// extraction maintained from it while that runs. At zero the trees
-	// are recycled. released marks the caller's hold as dropped.
+	// refs counts the holders of the base and of the page trees the
+	// evaluation adopted (elog.Evaluator.RunMaintained): the caller
+	// until it calls Release, the wrapper while it retains the result,
+	// and each extraction maintained from it until that result is
+	// rendered or recycled. At zero the trees and the base are
+	// recycled. released marks the caller's hold as dropped.
 	refs     atomic.Int64
 	released atomic.Bool
+	// from is the result this one's base was maintained from, held
+	// while the base's pairing with it (pib.NewBaseFrom) may be read:
+	// until XML renders this result, or this result is recycled.
+	from atomic.Pointer[Result]
 }
 
 // runKey is what of a call's options shapes its output besides the
@@ -251,6 +258,7 @@ type runKey struct {
 // previous extractions' documents and must be treated as read-only.
 func (r *Result) XML() *xmlenc.Node {
 	r.once.Do(func() {
+		defer r.dropFrom()
 		if r.w == nil {
 			r.doc = r.design.Transform(r.Base)
 			return
@@ -274,29 +282,41 @@ func (r *Result) XML() *xmlenc.Node {
 // Release tells the wrapper that the caller is done with the result:
 // it calls none of its methods and reads none of its Base, instances or
 // trees again. A document XML returned before stays readable, since it
-// holds no tree. Once every holder has let go, the page trees the
-// extraction built go to the next extraction's builds instead of to the
-// collector; a holder is the caller, the wrapper while the result is
-// the one it retains (see the package doc), and an extraction that is
-// maintained from it while it runs. Calling Release is optional: a
-// result that is never released stays readable and is left to the
-// collector, as is one that Extract returned more than once (a memo
-// hit). Calls after the first on one *Result do nothing.
+// holds no tree or instance. Once every holder has let go, the page
+// trees the extraction built and the storage of its instance base go to
+// the next extractions instead of to the collector; a holder is the
+// caller, the wrapper while the result is the one it retains (see the
+// package doc), and an extraction that is maintained from it until
+// that extraction's result is rendered or recycled. Calling Release is
+// optional: a result that is never released stays readable and is left
+// to the collector, as is one that Extract returned more than once (a
+// memo hit). Calls after the first on one *Result do nothing.
 func (r *Result) Release() {
 	if r.released.CompareAndSwap(false, true) {
 		r.drop()
 	}
 }
 
-// drop lets go of one hold on r and recycles the page trees the
-// evaluation adopted when it was the last. Trees it did not adopt (a
-// shared fetch cache's, a caller's input) are left as they are.
+// drop lets go of one hold on r and, when it was the last, recycles
+// the page trees the evaluation adopted and then the base. Trees it did
+// not adopt (a shared fetch cache's, a caller's input) are left as they
+// are.
 func (r *Result) drop() {
 	if r.refs.Add(-1) != 0 {
 		return
 	}
 	for _, d := range r.Base.Instances("document") {
 		d.Doc.Recycle()
+	}
+	r.Base.Recycle()
+	r.dropFrom()
+}
+
+// dropFrom lets go of the hold on the result r was maintained from,
+// once: r's base no longer reads it.
+func (r *Result) dropFrom() {
+	if f := r.from.Swap(nil); f != nil {
+		f.drop()
 	}
 }
 
@@ -352,9 +372,6 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 		cf.inner = &overlayFetcher{pages: pages, next: f}
 		cf.failed.Store(false)
 	}
-	if prev != nil {
-		defer prev.drop()
-	}
 	ev := &elog.Evaluator{Fetcher: cf, Concepts: key.concepts, MaxDocuments: cfg.maxDocuments,
 		MaxInstances: cfg.maxInstances, MaxConcurrency: cfg.concurrency, Shared: cfg.batch, Incremental: true}
 	var base *pib.Base
@@ -367,10 +384,16 @@ func (w *Wrapper) Extract(ctx context.Context, src Source, opts ...Option) (*Res
 		base, err = ev.RunMaintained(w.compiled, nil)
 	}
 	if err != nil {
+		if prev != nil {
+			prev.drop()
+		}
 		return nil, newError(KindEval, err)
 	}
 	res := &Result{Base: base, design: cfg.design, key: key, failed: cf.failed.Load()}
 	res.refs.Store(1)
+	if prev != nil {
+		res.from.Store(prev) // the hold passes to res
+	}
 	if cached {
 		res.w = w
 	}

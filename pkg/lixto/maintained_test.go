@@ -54,8 +54,9 @@ func catalogueFetcher(page string) elog.MapFetcher {
 
 // BenchmarkCatalogueTick is one wrapper-source tick without fetch and
 // encode: Extract over the next version of the 20×40 catalogue page,
-// maintained from the last, and its XML through the wrapper's
-// incremental output cache.
+// maintained from the last, its XML through the wrapper's incremental
+// output cache, and Release, as transform.WrapperSource.Poll does, so
+// that the superseded base is recycled into the next.
 func BenchmarkCatalogueTick(b *testing.B) {
 	next := cataloguePages(20, 40)
 	w := MustCompile(catalogueTickProgram, WithRoot("catalogue"), WithAuxiliary("page", "section"), WithIncrementalOutput(true))
@@ -70,6 +71,7 @@ func BenchmarkCatalogueTick(b *testing.B) {
 			b.Fatal(err)
 		}
 		res.XML()
+		res.Release()
 	}
 }
 

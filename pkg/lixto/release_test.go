@@ -95,6 +95,60 @@ func TestReleaseRacingOneShot(t *testing.T) {
 	wg.Wait()
 }
 
+// TestReleaseRacingOwnDesign: a one-shot caller whose extractions carry
+// a design of their own renders through the plain Transform path, not
+// the wrapper's output cache, and releases each result, while polls on
+// the same wrapper release theirs: the caller's bases are recycled as
+// soon as it lets go, the polls' once superseded, and every result read
+// before its Release is still its page's cold result. Run under -race.
+func TestReleaseRacingOwnDesign(t *testing.T) {
+	w := releaseWrapper()
+	const n = 30
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		next := cataloguePages(12, 6)
+		for i := 0; i < n; i++ {
+			page := next()
+			res, err := w.Extract(context.Background(), Origin(), WithFetcher(parsingFetcher(page)))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			intact(t, "poll", w, res, page)
+			res.Release()
+		}
+	}()
+	go func() {
+		defer wg.Done()
+		next := cataloguePages(10, 5)
+		for i := 0; i < n; i++ {
+			html := next()
+			res, err := w.Extract(context.Background(), HTML(html), WithRoot("offers"))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			want, err := elog.NewEvaluator(catalogueFetcher(html)).RunCompiled(elog.MustCompile(w.Program()))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if got := res.Base.Dump(); got != want.Dump() {
+				t.Errorf("one-shot %d: base diverges from a cold evaluation:\n--- want ---\n%s--- got ---\n%s", i, want.Dump(), got)
+			}
+			design := *w.Design()
+			design.RootName = "offers"
+			if got, plain := xmlenc.MarshalIndent(res.XML()), xmlenc.MarshalIndent(design.Transform(want)); got != plain {
+				t.Errorf("one-shot %d: output diverges:\n%s\nvs\n%s", i, got, plain)
+			}
+			res.Release()
+		}
+	}()
+	wg.Wait()
+}
+
 // TestUnreleasedResultStaysReadable: a result its caller never releases
 // is never recycled, however many extractions supersede it.
 func TestUnreleasedResultStaysReadable(t *testing.T) {
