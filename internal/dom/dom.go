@@ -40,8 +40,14 @@
 // build receives prev, the warmed tree of the version before, and
 // htmlparse re-parses only the bytes between two of prev's resume
 // points (SourceMark) around the edit; Splice takes every other node
-// from prev with its pre/post entry and subtree hash, shifted past the
-// edit. The result is the tree a full build gives. prev is only read:
+// from prev with its pre/post entry, subtree hash and label and kind
+// bits, shifted past the edit, so that past the window a changed page
+// costs a copy of prev's columns and a shift of those whose delta is
+// not 0. The result is the tree a full build gives, down to its
+// Fingerprint, which for a tree in document order is the root's
+// subtree hash mixed with the node count (its ids are the preorder
+// numbers that hash fixes), and for any other tree also folds in the
+// parent ids. prev is only read:
 // its lock is taken once, to check that it is built, unmutated and
 // warmed, and its nodes are read lock-free after, so a tree any number
 // of goroutines are reading may be the previous tree of any number of
@@ -270,6 +276,7 @@ func (t *Tree) buildLocked(prev *Tree) {
 	t.attrTab, t.side, t.labelNames, t.labelIndex = b.attrTab, b.side, b.labelNames, b.labelIndex
 	t.marks = b.marks
 	t.pre, t.post, t.size, t.indexed, t.docOrdered = b.pre, b.post, b.size, b.indexed, b.docOrdered
+	t.labelBits, t.kindBits, t.bitsValid = b.labelBits, b.kindBits, b.bitsValid
 	t.subHash, t.fp, t.subHashValid = b.subHash, b.fp, b.subHashValid
 	t.ids, t.idx = b.ids, b.idx
 	t.build = nil
@@ -519,11 +526,21 @@ func (t *Tree) ensureBits() {
 
 func (t *Tree) buildBits() {
 	t.ready()
-	w := t.wordsFor()
-	// One backing array for every characteristic bitset (labels first,
-	// then the three kinds), capped sub-slices so accidental appends
-	// cannot cross into a neighbour.
-	L := len(t.labelNames)
+	t.allocBits()
+	for n, id := range t.labelID {
+		t.labelBits[id][n>>6] |= 1 << (uint(n) & 63)
+		t.kindBits[t.kind[n]][n>>6] |= 1 << (uint(n) & 63)
+	}
+	bitsSet.Add(2 * int64(len(t.labelID)))
+	t.bitsValid = true
+}
+
+// allocBits gives t empty label and kind bitsets: one backing array for
+// every characteristic bitset (labels first, then the three kinds),
+// capped sub-slices so accidental appends cannot cross into a
+// neighbour.
+func (t *Tree) allocBits() {
+	w, L := t.wordsFor(), len(t.labelNames)
 	backing := make([]uint64, (L+len(t.kindBits))*w)
 	t.labelBits = make([][]uint64, L)
 	for i := range t.labelBits {
@@ -533,11 +550,6 @@ func (t *Tree) buildBits() {
 		o := (L + k) * w
 		t.kindBits[k] = backing[o : o+w : o+w]
 	}
-	for n, id := range t.labelID {
-		t.labelBits[id][n>>6] |= 1 << (uint(n) & 63)
-		t.kindBits[t.kind[n]][n>>6] |= 1 << (uint(n) & 63)
-	}
-	t.bitsValid = true
 }
 
 // LabelBits returns the characteristic bitset of label_id (bit n set iff
@@ -556,21 +568,27 @@ func (t *Tree) KindBits(k Kind) []uint64 {
 }
 
 // Fingerprint returns a content hash of the whole tree covering
-// structure, kinds, labels, text, and attributes. It is not a second
-// walk over the content: it mixes the root's SubtreeHash (content and
-// shape) with the node count and a fold of the parent ids (which node
-// id sits where — evaluation caches keyed on it hold NodeIDs), all
-// produced by the one pass that fills the subtree-hash table. It is
-// cached with that table and invalidated on mutation, so unchanged
-// trees fingerprint in O(1). Equal trees built in the same order
-// always agree; distinct trees collide with probability ~2^-64.
+// structure, kinds, labels, text, and attributes, and which node id
+// sits where (evaluation caches keyed on it hold NodeIDs). It is not a
+// second walk over the content: it mixes the root's SubtreeHash
+// (content and shape) with the node count, produced by the pass that
+// fills the subtree-hash table. On a tree in document order that is
+// all: its ids are its preorder numbers, which the root's hash already
+// fixes. On any other tree a fold of the parent ids, last node first,
+// is mixed in as well. Whether a tree is in document order is read
+// from its links when it is not indexed, so the Fingerprint is a
+// function of the tree alone, the same whether or not it was indexed,
+// spliced or built in full. It is cached with the subtree-hash table
+// and invalidated on mutation, so unchanged trees fingerprint in O(1).
+// Equal trees built in the same order always agree; distinct trees
+// collide with probability ~2^-64.
 func (t *Tree) Fingerprint() uint64 {
 	t.ensureSubHash()
 	return t.fp
 }
 
 // ensureSubHash fills subHash with the merkle-style subtree
-// fingerprints, and fp with the Fingerprint folded from them, in a
+// fingerprints, and fp with the Fingerprint mixed from them, in a
 // single bottom-up pass. Nodes are only ever created by addNode, which
 // requires the parent to exist first, so every parent id is smaller
 // than its children's ids and one reverse-id sweep visits children
@@ -588,12 +606,41 @@ func (t *Tree) buildSubHash() {
 	// Labels are hashed once per symbol, not once per node.
 	var buf [32]uint64
 	labelHash := t.labelHashes(buf[:0])
-	shape := hashMix(hashSeed, uint64(n)) // fold of (node count, parent ids)
 	for i := n - 1; i >= 0; i-- {
-		shape = hashMix(shape, uint64(uint32(t.parent[i])))
-		t.subHash[i] = t.hashNode(NodeID(i), labelHash)
+		t.subHash[i], _ = t.hashNode(NodeID(i), labelHash)
 	}
-	t.setFingerprint(shape)
+	t.setFingerprint(t.inDocOrder())
+}
+
+// inDocOrder reports whether t's NodeIDs are its preorder numbers: the
+// index's verdict when t is indexed, else the links'. Node i > 0 must
+// follow node i-1 in document order: i-1 is i's parent when i has no
+// previous sibling, and otherwise lies on the path of last children
+// down from that sibling (were it not the path's end, its first child
+// would fail the test as a first child whose parent does not precede
+// it). The walks up from i-1 climb as far as document order descends
+// from i-1 to i, so they take O(|dom|) steps in all, and the check
+// allocates nothing.
+func (t *Tree) inDocOrder() bool {
+	if t.indexed {
+		return t.docOrdered
+	}
+	for i := 1; i < len(t.kind); i++ {
+		ps, a := t.prevSibling[i], NodeID(i-1)
+		if ps == Nil {
+			if t.parent[i] != a {
+				return false
+			}
+			continue
+		}
+		for a != ps {
+			if a < ps || t.nextSibling[a] != Nil {
+				return false
+			}
+			a = t.parent[a]
+		}
+	}
+	return true
 }
 
 // sizeSubHash gives subHash length n, in its own capacity when that
@@ -624,32 +671,45 @@ func (t *Tree) labelHashes(buf []uint64) []uint64 {
 }
 
 // hashNode computes node i's subtree hash from its own content and its
-// children's entries of subHash, which must be final.
-func (t *Tree) hashNode(i NodeID, labelHash []uint64) uint64 {
-	h := hashMix(labelHash[t.labelID[i]], uint64(t.kind[i]))
+// children's entries of subHash, which must be final, and counts the
+// hashMix calls it made.
+func (t *Tree) hashNode(i NodeID, labelHash []uint64) (h uint64, mixes int) {
+	h = hashMix(labelHash[t.labelID[i]], uint64(t.kind[i]))
 	if p := t.payload[i]; t.kind[i] != Element {
-		h = hashString(h, t.str(p))
+		s := t.str(p)
+		h, mixes = hashString(h, s), 1+stringMixes(s)
 	} else {
-		h = hashMix(h, uint64(p.n))
+		h, mixes = hashMix(h, uint64(p.n)), 2
 		for _, a := range t.attrTab[p.off : p.off+p.n] {
-			h = hashString(hashString(h, t.str(a.name)), t.str(a.val))
+			name, val := t.str(a.name), t.str(a.val)
+			h, mixes = hashString(hashString(h, name), val), mixes+stringMixes(name)+stringMixes(val)
 		}
 	}
 	for c := t.firstChild[i]; c != Nil; c = t.nextSibling[c] {
-		h = hashMix(h, t.subHash[c])
+		h, mixes = hashMix(h, t.subHash[c]), mixes+1
 	}
-	return h
+	return h, mixes
 }
 
 // setFingerprint completes the subtree-hash table: the Fingerprint is
-// the root's subtree hash mixed with shape, the fold of (node count,
-// parent ids) from the last node to the first.
-func (t *Tree) setFingerprint(shape uint64) {
+// the root's subtree hash mixed with the node count and, unless the
+// tree is ordered (in document order), with the fold of its parent ids
+// from the last node to the first. It returns the hashMix calls made.
+func (t *Tree) setFingerprint(ordered bool) int {
+	n := len(t.kind)
+	shape, mixes := hashMix(hashSeed, uint64(n)), 1
+	if !ordered {
+		for i := n - 1; i >= 0; i-- {
+			shape = hashMix(shape, uint64(uint32(t.parent[i])))
+		}
+		mixes += n
+	}
 	t.fp = shape
-	if len(t.kind) > 0 {
-		t.fp = hashMix(shape, t.subHash[0])
+	if n > 0 {
+		t.fp, mixes = hashMix(shape, t.subHash[0]), mixes+1
 	}
 	t.subHashValid = true
+	return mixes
 }
 
 const hashSeed, hashPrime = 14695981039346656037, 1099511628211 // FNV-1a's
@@ -661,6 +721,9 @@ func hashMix(h, w uint64) uint64 {
 	h = (h ^ w) * hashPrime
 	return h ^ h>>32
 }
+
+// stringMixes is the number of hashMix calls hashString makes for s.
+func stringMixes(s string) int { return 1 + (len(s)+7)/8 }
 
 // hashString folds s into h: its length, then its bytes as
 // little-endian 8-byte words, the last one zero-padded.

@@ -501,6 +501,44 @@ func TestFingerprint(t *testing.T) {
 	}
 }
 
+// TestFingerprintIgnoresIndex: the Fingerprint is a function of the
+// tree alone. Whether a tree is in document order, which decides if the
+// parent ids are folded in, is read from its links when it has no
+// index and from the index when it has one, and both give one value:
+// for random trees (mostly out of document order), preorder-built
+// copies of them, and copies grown out of order after their build.
+func TestFingerprintIgnoresIndex(t *testing.T) {
+	for seed := int64(1); seed <= 40; seed++ {
+		trees := func() []*Tree {
+			rng := rand.New(rand.NewSource(seed))
+			random := RandomTree(rng, 1+rng.Intn(300), []string{"a", "b", "c"}, 1+rng.Intn(6))
+			ordered := New(random.Size())
+			id := make([]NodeID, random.Size())
+			random.Walk(func(n NodeID) {
+				if p := random.Parent(n); p == Nil {
+					id[n] = ordered.AddRoot(random.Label(n))
+				} else {
+					id[n] = ordered.AppendChild(id[p], random.Label(n))
+				}
+			})
+			grown := ordered.Clone()
+			Mutate(grown, rng, 4)
+			return []*Tree{random, ordered, grown, Chain(1+int(seed), "a"), FullBinary(int(seed%5), "a")}
+		}
+		plain, indexed := trees(), trees()
+		for i := range plain {
+			indexed[i].Reindex()
+			if plain[i].Fingerprint() != indexed[i].Fingerprint() {
+				t.Fatalf("seed %d, tree %d (document order %v): the fingerprint depends on whether the tree was indexed first",
+					seed, i, indexed[i].DocOrdered())
+			}
+		}
+		if !indexed[1].DocOrdered() {
+			t.Fatalf("seed %d: a tree built in preorder is not in document order", seed)
+		}
+	}
+}
+
 func TestDocOrdered(t *testing.T) {
 	if !Chain(50, "a").DocOrdered() {
 		t.Error("chain should be doc ordered")

@@ -45,3 +45,7 @@ func PoisonPool(nodes, attrs, k int) {
 		}
 	}
 }
+
+// SpliceWork returns the bits set node by node into label and kind
+// bitsets and the hashMix calls splices made, over the whole process.
+func SpliceWork() (bits, mixes int64) { return bitsSet.Load(), spliceMixes.Load() }

@@ -4,7 +4,15 @@ import (
 	"math"
 	"slices"
 	"strings"
+	"sync/atomic"
 )
+
+// The work a changed page costs the tree layer, over the whole process:
+// bitsSet counts the bits set node by node into label and kind bitsets
+// (two per node by buildBits, two per window node by a splice), and
+// spliceMixes the hashMix calls splices made for subtree hashes and
+// Fingerprints.
+var bitsSet, spliceMixes atomic.Int64
 
 // SourceMark is a resume point of a source-backed build: a position
 // between two tokens at which everything the builder carries on to the
@@ -18,7 +26,8 @@ type SourceMark struct {
 	Nodes, Attrs, Side int32
 	// Open is the innermost open element. A builder records a mark only
 	// where the elements it has open are exactly Open and its ancestors,
-	// and where no node but those can gain children before Open closes.
+	// and where no node made before the mark but those gains children
+	// later in the build.
 	Open NodeID
 }
 
@@ -62,12 +71,21 @@ func (t *Tree) SpliceBase() (src string, marks []SourceMark, ok bool) {
 // between head.Pos and tail's position in src, and reports whether it
 // ended in tail's state; Splice then takes prev's nodes after tail with
 // their ids, source offsets and attribute and side-string positions
-// shifted. The pre/post index, the subtree hashes and the Fingerprint
-// come with the nodes: copied for the kept ones, computed for the
-// window's and for E and its ancestors. The label symbols are the ones
-// the build would have interned, in the same order. nodes and attrs size
-// the window. Splice returns nil when window returns false or when a
-// node of either window does not descend from E.
+// shifted. The pre/post index, the subtree hashes, the label and kind
+// bitsets and the Fingerprint come with the nodes: copied for the kept
+// ones (the bitsets word by word, shifted by the node delta past the
+// window), computed for the window's and, but for the bitsets, for E
+// and its ancestors. The label symbols are the ones the build would
+// have interned, in the same order; where the window changes that
+// order for the nodes after it, the bitsets are left to be built from
+// the whole tree on first use. nodes and attrs size the window. Splice
+// returns nil when window returns false or when a node of either window
+// does not descend from E.
+//
+// Past the window, the work is a copy of prev's columns and a shift of
+// the columns whose delta is not 0: source offsets, attribute and side
+// positions, node ids. Everything else costs the window, E's children
+// and the depth of E.
 //
 // prev is only read, and must be a tree SpliceBase accepted.
 func Splice(src string, prev *Tree, head, tail SourceMark, nodes, attrs int, window func(t *Tree) bool) *Tree {
@@ -142,7 +160,7 @@ func Splice(src string, prev *Tree, head, tail SourceMark, nodes, attrs int, win
 
 // spliceWindow is Splice from the window on: it runs window, checks
 // that its nodes descend from e, appends prev's tail and fills the
-// index, or reports that it could not.
+// index and bitsets, or reports that it could not.
 func (t *Tree) spliceWindow(prev *Tree, tail SourceMark, k int, e NodeID, path []NodeID, names []string, window func(t *Tree) bool) bool {
 	if !window(t) {
 		return false
@@ -153,10 +171,14 @@ func (t *Tree) spliceWindow(prev *Tree, tail SourceMark, k int, e NodeID, path [
 			return false
 		}
 	}
-	if !t.spliceTail(prev, tail, k, path, names) {
+	remapped, ok := t.spliceTail(prev, tail, k, path, names)
+	if !ok {
 		return false
 	}
 	t.spliceIndex(prev, k, int(tail.Nodes), base, path)
+	if !remapped {
+		t.spliceBits(prev, k, int(tail.Nodes), base)
+	}
 	return true
 }
 
@@ -190,23 +212,38 @@ func anyBelow(bits []uint64, n int) bool {
 // spliceTail appends prev's nodes from tail on, which is Splice's last
 // step before the index: ids past the window move by the node delta,
 // source offsets by the byte delta, attribute runs and side strings by
-// theirs. The first of them under each element of path is linked after
-// the window's last child of it. names are prev's label names, detached
-// from its source. It fails on a node whose parent is neither kept
-// after the window nor on path.
-func (t *Tree) spliceTail(prev *Tree, tail SourceMark, k int, path []NodeID, names []string) bool {
+// theirs, each column in one pass that is skipped when its delta is 0.
+// The tail's first child of each element of path is linked after the
+// window's last child of it. names are prev's label names, detached
+// from its source. It reports whether the window interned the labels
+// in another order than prev, so that the tail's symbols were
+// remapped, and fails when the tail's first node is not a child of an
+// element of path.
+func (t *Tree) spliceTail(prev *Tree, tail SourceMark, k int, path []NodeID, names []string) (remapped, ok bool) {
 	kq, n0, base := int(tail.Nodes), len(prev.kind), len(t.kind)
 	d := NodeID(base - kq)
 	ad := len(t.attrTab) - int(tail.Attrs)
 	sd := len(t.side) - int(tail.Side)
 	bd := len(t.src) - len(prev.src)
 	n := base + n0 - kq
+	// Where the tail hangs: by the marks' contract, a node after tail
+	// whose parent precedes it is a child of an element open at tail,
+	// one of path. The first such is the tail's first node, a child of
+	// at; the elements of path above at continue with their child on
+	// path's next sibling.
+	at := -1
+	if kq < n0 {
+		if at = slices.Index(path, prev.parent[kq]); at < 0 {
+			return false, false
+		}
+	}
 
 	t.kind = append(t.kind, prev.kind[kq:]...)
 	t.labelID = append(t.labelID, prev.labelID[kq:]...)
 	if len(t.labelNames) < len(names) || !slices.Equal(t.labelNames[:len(names)], names) {
 		// The window interned a symbol prev's tail had first, or dropped
 		// one: intern the tail's labels in order of first occurrence.
+		remapped = true
 		remap := make([]LabelID, len(names))
 		for i := range remap {
 			remap[i] = NoLabel
@@ -229,58 +266,56 @@ func (t *Tree) spliceTail(prev *Tree, tail SourceMark, k int, path []NodeID, nam
 		return p
 	}
 	t.payload = append(t.payload, prev.payload[kq:]...)
-	for j := base; j < n; j++ {
-		if t.kind[j] == Element {
-			t.payload[j].off = uint32(int(t.payload[j].off) + ad)
-		} else {
-			t.payload[j] = shift(t.payload[j])
+	if ad != 0 || bd != 0 || sd != 0 {
+		for j := base; j < n; j++ {
+			if t.kind[j] == Element {
+				t.payload[j].off = uint32(int(t.payload[j].off) + ad)
+			} else {
+				t.payload[j] = shift(t.payload[j])
+			}
 		}
 	}
-	at := len(t.attrTab)
+	attrs := len(t.attrTab)
 	t.attrTab = append(t.attrTab, prev.attrTab[tail.Attrs:]...)
-	for i := at; i < len(t.attrTab); i++ {
-		t.attrTab[i] = attrEntry{shift(t.attrTab[i].name), shift(t.attrTab[i].val)}
+	if bd != 0 || sd != 0 {
+		for i := attrs; i < len(t.attrTab); i++ {
+			t.attrTab[i] = attrEntry{shift(t.attrTab[i].name), shift(t.attrTab[i].val)}
+		}
 	}
 	t.side = append(t.side, prev.side[tail.Side:]...)
 
-	t.parent = append(t.parent, prev.parent[kq:]...)
-	t.firstChild = append(t.firstChild, prev.firstChild[kq:]...)
-	t.lastChild = append(t.lastChild, prev.lastChild[kq:]...)
-	t.nextSibling = append(t.nextSibling, prev.nextSibling[kq:]...)
-	t.prevSibling = append(t.prevSibling, prev.prevSibling[kq:]...)
+	// Every id a tail node holds that is past the window moves by d; the
+	// others are path elements, and Nil.
 	nq := NodeID(kq)
-	for j := NodeID(base); j < NodeID(n); j++ {
-		// A node's children and later siblings come after it.
-		if c := t.firstChild[j]; c != Nil {
-			t.firstChild[j], t.lastChild[j] = c+d, t.lastChild[j]+d
+	for _, c := range [...]struct {
+		col *[]NodeID
+		src []NodeID
+	}{{&t.parent, prev.parent}, {&t.firstChild, prev.firstChild}, {&t.lastChild, prev.lastChild},
+		{&t.nextSibling, prev.nextSibling}, {&t.prevSibling, prev.prevSibling}} {
+		*c.col = append(*c.col, c.src[kq:]...)
+		if d != 0 {
+			shiftIDs((*c.col)[base:], nq, d)
 		}
-		if s := t.nextSibling[j]; s != Nil {
-			t.nextSibling[j] = s + d
+	}
+	for i := at; i >= 0 && i < len(path); i++ {
+		a, first := path[i], nq
+		if i > at {
+			first = prev.nextSibling[path[i-1]]
 		}
-		p, ps := t.parent[j], t.prevSibling[j]
-		if p >= nq {
-			t.parent[j] = p + d
-			if ps != Nil {
-				t.prevSibling[j] = ps + d
-			}
+		if first == Nil {
 			continue
 		}
-		// A child of a node open at tail.
-		if ps >= nq {
-			t.prevSibling[j] = ps + d
-		} else {
-			if !slices.Contains(path, p) {
-				return false
-			}
-			last := t.lastChild[p]
-			t.prevSibling[j] = last
-			if last == Nil {
-				t.firstChild[p] = j
-			} else {
-				t.nextSibling[last] = j
-			}
+		if first < nq {
+			return remapped, false
 		}
-		t.lastChild[p] = j
+		j, last := first+d, t.lastChild[a]
+		t.prevSibling[j] = last
+		if last == Nil {
+			t.firstChild[a] = j
+		} else {
+			t.nextSibling[last] = j
+		}
+		t.lastChild[a] = prev.lastChild[a] + d
 	}
 
 	for _, mk := range prev.marks {
@@ -295,32 +330,44 @@ func (t *Tree) spliceTail(prev *Tree, tail SourceMark, k int, path []NodeID, nam
 		}
 		t.marks = append(t.marks, SourceMark{mk.Pos + int32(bd), mk.Nodes + int32(d), mk.Attrs + int32(ad), mk.Side + int32(sd), open})
 	}
-	return true
+	return remapped, true
+}
+
+// shiftIDs adds d to every id of col at or past nq.
+func shiftIDs(col []NodeID, nq, d NodeID) {
+	for i, v := range col {
+		if v >= nq {
+			col[i] = v + d
+		}
+	}
 }
 
 // spliceIndex fills the pre/post index and the subtree hashes of a
 // spliced tree, which is in document order like prev: the kept nodes
-// take prev's entries (post shifted by the node delta past the window),
-// the window's are computed, and so are those of path, whose subtrees
-// hold the window. In a tree in document order, post(x) is
+// take prev's entries (pre and post shifted by the node delta past the
+// window), the window's are computed, and so are those of path, whose
+// subtrees hold the window. In a tree in document order, post(x) is
 // x + size(x) - depth(x) - 1.
 func (t *Tree) spliceIndex(prev *Tree, k, kq, base int, path []NodeID) {
 	n := len(t.kind)
 	d := int32(base - kq)
 	t.sizeIndex(n)
 	pre, post, size := t.pre, t.post, t.size
-	for i := range pre {
-		pre[i] = int32(i)
-	}
+	copy(pre, prev.pre[:k])
 	copy(post, prev.post[:k])
 	copy(size, prev.size[:k])
+	copy(pre[base:], prev.pre[kq:])
 	copy(post[base:], prev.post[kq:])
 	copy(size[base:], prev.size[kq:])
-	for j := base; j < n; j++ {
-		post[j] += d
+	if d != 0 {
+		for j := base; j < n; j++ {
+			pre[j] += d
+			post[j] += d
+		}
 	}
 	// The window: depth first (kept in post), then sizes bottom-up.
 	for x := k; x < base; x++ {
+		pre[x] = int32(x)
 		if p := t.parent[x]; int(p) >= k {
 			post[x] = post[p] + 1
 		} else {
@@ -347,15 +394,80 @@ func (t *Tree) spliceIndex(prev *Tree, k, kq, base int, path []NodeID) {
 	copy(t.subHash[base:], prev.subHash[kq:])
 	var buf [32]uint64
 	labelHash := t.labelHashes(buf[:0])
+	mixes := 0
 	for x := base - 1; x >= k; x-- {
-		t.subHash[x] = t.hashNode(NodeID(x), labelHash)
+		h, m := t.hashNode(NodeID(x), labelHash)
+		t.subHash[x], mixes = h, mixes+m
 	}
 	for _, a := range path {
-		t.subHash[a] = t.hashNode(a, labelHash)
+		h, m := t.hashNode(a, labelHash)
+		t.subHash[a], mixes = h, mixes+m
 	}
-	shape := hashMix(hashSeed, uint64(n))
-	for i := n - 1; i >= 0; i-- {
-		shape = hashMix(shape, uint64(uint32(t.parent[i])))
+	mixes += t.setFingerprint(true)
+	spliceMixes.Add(int64(mixes))
+}
+
+// spliceBits fills the label and kind bitsets of a spliced tree whose
+// tail kept prev's label symbols: each is prev's, its words before the
+// window copied and those after it shifted by the node delta, with the
+// window's nodes set one by one. Symbols the window interned first are
+// the window's alone.
+func (t *Tree) spliceBits(prev *Tree, k, kq, base int) {
+	t.allocBits()
+	carry := func(dst, src []uint64) {
+		orShifted(dst, src, 0, k, 0)
+		orShifted(dst, src, kq, len(prev.kind), base-kq)
 	}
-	t.setFingerprint(shape)
+	for id, src := range prev.labelBits {
+		carry(t.labelBits[id], src)
+	}
+	for kd, src := range prev.kindBits {
+		carry(t.kindBits[kd], src)
+	}
+	for x := k; x < base; x++ {
+		t.labelBits[t.labelID[x]][x>>6] |= 1 << (uint(x) & 63)
+		t.kindBits[t.kind[x]][x>>6] |= 1 << (uint(x) & 63)
+	}
+	bitsSet.Add(2 * int64(base-k))
+	t.bitsValid = true
+}
+
+// orShifted ORs the bits [from, to) of src into dst, each moved by d
+// places (from+d >= 0), a word of dst at a time.
+func orShifted(dst, src []uint64, from, to, d int) {
+	if from >= to {
+		return
+	}
+	lo, hi := from+d, to+d
+	first, last := lo>>6, (hi-1)>>6
+	for j := first; j <= last; j++ {
+		word := bitsAt(src, j<<6-d)
+		if j == first {
+			word &= ^uint64(0) << (uint(lo) & 63)
+		}
+		if j == last {
+			word &= ^uint64(0) >> (63 - (uint(hi-1) & 63))
+		}
+		dst[j] |= word
+	}
+}
+
+// bitsAt returns the 64 bits of src from bit off on, which may be
+// negative; bits outside src read 0.
+func bitsAt(src []uint64, off int) uint64 {
+	if off < 0 {
+		if off <= -64 {
+			return 0
+		}
+		return src[0] << uint(-off)
+	}
+	i, sh := off>>6, uint(off)&63
+	var word uint64
+	if i < len(src) {
+		word = src[i] >> sh
+	}
+	if sh != 0 && i+1 < len(src) {
+		word |= src[i+1] << (64 - sh)
+	}
+	return word
 }

@@ -172,19 +172,34 @@ type runner struct {
 	// (and must not graft twice).
 	done []int
 	kids []*pib.Instance // graft's scratch
+	// plans are the graftPlans of the wave runWave is at, their derive
+	// lists cut from the slab derive; both are reused across waves.
+	plans  []*graftPlan
+	derive []int32
 }
 
-// waveJob is one rule's candidate-generation unit of a wave: accepted[i]
-// holds the candidates of parents[i]. When generation fails, accepted
-// covers exactly the parents before the failing one.
+// waveJob is one rule's candidate-generation unit of a wave: accepted[j]
+// holds the candidates of the j-th parent that derives — parents[j]
+// when plan is nil, parents[plan.derive[j]] otherwise. When generation
+// fails, accepted covers exactly the deriving parents before the
+// failing one.
 type waveJob struct {
 	rule     *Rule
 	parents  []*pib.Instance
 	accepted [][]candidate
 	err      error
-	// from[i], when from is set and it is not nil, is the counterpart
-	// parents[i] grafts from instead of generating candidates.
-	from []*pib.Instance
+	plan     *graftPlan
+}
+
+// graftPlan splits a maintained wave's parents of one pattern: derive
+// lists, ascending, the indices of those that generate candidates; the
+// others graft from their counterpart, which the base remembers
+// (pib.Base.Counterpart). The rules of a wave that share a parent
+// pattern share its plan.
+type graftPlan struct {
+	pattern string
+	start   int // where parents begin among the pattern's instances
+	derive  []int32
 }
 
 func (ev *Evaluator) run(p *Program, cp *CompiledProgram, prev *pib.Base, own bool) (*pib.Base, error) {
@@ -400,14 +415,16 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 		return r.runSerial(w.rules[0])
 	}
 	jobs := r.jobs[:0]
+	r.plans, r.derive = r.plans[:0], r.derive[:0]
 	for _, rule := range w.rules {
 		parents := r.base.Instances(rule.Parent)
 		jb := waveJob{rule: rule}
 		if info := r.info(rule); info.local && r.done != nil {
-			parents = parents[r.done[info.no]:]
+			start := r.done[info.no]
+			parents = parents[start:]
 			r.done[info.no] += len(parents)
 			if r.maintained {
-				jb.from = r.counterparts(parents)
+				jb.plan = r.counterparts(rule.Parent, start, parents)
 			}
 		} else if len(parents) > 0 && r.maintained {
 			r.fellBack = true
@@ -430,7 +447,7 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 						return
 					}
 					jb := &jobs[j]
-					jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents, jb.from)
+					jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents, jb.plan)
 				}
 			}()
 		}
@@ -438,19 +455,23 @@ func (r *runner) runWave(w wave, conc int) (bool, error) {
 	} else {
 		for j := range jobs {
 			jb := &jobs[j]
-			jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents, jb.from)
+			jb.accepted, jb.err = r.ruleCandidates(jb.rule, jb.parents, jb.plan)
 		}
 	}
 	changed := false
 	for j := range jobs {
 		jb := &jobs[j]
 		no := r.info(jb.rule).no
-		for i, accepted := range jb.accepted {
+		d := 0 // jb.accepted's next entry
+		for i, s := range jb.parents {
 			var added bool
-			if jb.from != nil && jb.from[i] != nil {
-				added = r.graft(no, jb.parents[i], jb.from[i])
+			if p := jb.plan; p != nil && (d == len(p.derive) || int(p.derive[d]) != i) {
+				added = r.graft(no, s, r.base.Counterpart(s))
+			} else if d < len(jb.accepted) {
+				added = r.commit(jb.rule, no, s, jb.accepted[d])
+				d++
 			} else {
-				added = r.commit(jb.rule, no, jb.parents[i], accepted)
+				break // generation failed at s
 			}
 			if added {
 				changed = true
@@ -478,26 +499,41 @@ func (r *runner) info(rule *Rule) ruleInfo {
 	return r.cp.rules[rule]
 }
 
-// counterparts pairs a parent-local rule's parents with the previous
-// base, returning from for a waveJob (nil when none pairs). A parent
-// pairs for grafting only where both documents are in document order.
-func (r *runner) counterparts(parents []*pib.Instance) []*pib.Instance {
-	var from []*pib.Instance
+// counterparts pairs a parent-local rule's parents, parents from start
+// on among pattern's instances, with the previous base and returns the
+// graftPlan of a waveJob: nil when none pairs. A parent pairs for
+// grafting only where both documents are in document order. A rule
+// whose parents another rule of the wave has planned for shares that
+// plan, so the parents are paired once.
+func (r *runner) counterparts(pattern string, start int, parents []*pib.Instance) *graftPlan {
+	for _, p := range r.plans {
+		if p.pattern == pattern && p.start == start {
+			if len(p.derive) == len(parents) {
+				return nil // none grafts
+			}
+			return p
+		}
+	}
+	if r.derive == nil {
+		r.derive = make([]int32, 0, 64)
+	}
+	from := len(r.derive)
 	for i, s := range parents {
 		c := r.base.Counterpart(s)
-		if c == nil {
-			continue
-		}
-		if !s.Doc.DocOrdered() || !c.Doc.DocOrdered() {
+		if c != nil && (!s.Doc.DocOrdered() || !c.Doc.DocOrdered()) {
 			r.fellBack = true
-			continue
+			c = nil
 		}
-		if from == nil {
-			from = make([]*pib.Instance, len(parents))
+		if c == nil {
+			r.derive = append(r.derive, int32(i))
 		}
-		from[i] = c
 	}
-	return from
+	p := &graftPlan{pattern: pattern, start: start, derive: r.derive[from:len(r.derive):len(r.derive)]}
+	r.plans = append(r.plans, p)
+	if len(p.derive) == len(parents) {
+		return nil
+	}
+	return p
 }
 
 // graft commits, under parent s, copies of the children that rule no
@@ -741,55 +777,62 @@ type candidate struct {
 }
 
 // ruleCandidates is the generation phase of one rule over the whole set
-// of its parents; out[i] holds the accepted candidates of parents[i]. A
-// compiled subelem rule is applied set-at-a-time: each run of parents
-// splitRun accepts costs one match over all of its roots (extractRun).
-// Everything else — other extraction kinds, specialization, the
-// interpreter, and parents splitRun refuses — goes one parent at a
-// time through extract. Generation only reads evaluation state (the
-// instance base, the concept base, warmed document trees, the match
-// memo), never writes it, so the rules of a wave run
-// concurrently — runWave relies on this. Crawl-driving rules are the
-// exception and never reach here: ruleSequential pins them to runSerial
-// because their extraction fetches documents. Parents with a counterpart
-// in from are left out: their commit grafts.
-func (r *runner) ruleCandidates(rule *Rule, parents, from []*pib.Instance) ([][]candidate, error) {
+// of its parents; out[j] holds the accepted candidates of the j-th
+// parent that derives (see waveJob): every parent when plan is nil,
+// else those plan.derive lists, the others grafting at commit. A
+// compiled subelem rule is applied set-at-a-time: each run of deriving
+// parents splitRun accepts costs one match over all of its roots
+// (extractRun). Everything else — other extraction kinds,
+// specialization, the interpreter, and parents splitRun refuses — goes
+// one parent at a time through extract. Generation only reads
+// evaluation state (the instance base, the concept base, warmed
+// document trees, the match memo), never writes it, so the rules of a
+// wave run concurrently — runWave relies on this. Crawl-driving rules
+// are the exception and never reach here: ruleSequential pins them to
+// runSerial because their extraction fetches documents.
+func (r *runner) ruleCandidates(rule *Rule, parents []*pib.Instance, plan *graftPlan) ([][]candidate, error) {
 	var ce *compiledEPD
 	if r.cp != nil && !rule.Specialize && rule.Extract.Kind == Subelem {
 		ce = r.cp.epds[rule.Extract.EPD]
 	}
-	out := make([][]candidate, len(parents))
-	for lo, end := 0, 0; lo < len(parents); {
-		if lo == end {
-			// Skip the parents that graft (their out stays nil) to the next
-			// run of those that do not, parents[lo:end].
-			for from != nil && lo < len(parents) && from[lo] != nil {
-				lo++
+	n := len(parents)
+	if plan != nil {
+		n = len(plan.derive)
+	}
+	out := make([][]candidate, n)
+	for j := 0; j < n; {
+		// run is the deriving parents j.. that are consecutive parents,
+		// out[j:end] their entries.
+		end, run := n, parents
+		if plan != nil {
+			for end = j + 1; end < n && plan.derive[end] == plan.derive[end-1]+1; end++ {
 			}
-			for end = lo; end < len(parents) && (from == nil || from[end] == nil); end++ {
+			run = parents[plan.derive[j] : int(plan.derive[j])+end-j]
+		}
+		o := out[j:end]
+		for lo := 0; lo < len(run); {
+			hi := lo + 1
+			if ce != nil {
+				hi = lo + splitRun(run[lo:])
 			}
-			continue
-		}
-		hi := lo + 1
-		if ce != nil {
-			hi = lo + splitRun(parents[lo:end])
-		}
-		if hi-lo > 1 {
-			r.extractRun(ce, parents[lo:hi], out[lo:hi])
-		} else {
-			cands, err := r.extract(rule, parents[lo])
-			if err != nil {
-				return out[:lo], err
+			if hi-lo > 1 {
+				r.extractRun(ce, run[lo:hi], o[lo:hi])
+			} else {
+				cands, err := r.extract(rule, run[lo])
+				if err != nil {
+					return out[:j+lo], err
+				}
+				o[lo] = cands
 			}
-			out[lo] = cands
-		}
-		for ; lo < hi; lo++ {
-			accepted, err := r.filter(rule, parents[lo], out[lo])
-			if err != nil {
-				return out[:lo], err
+			for ; lo < hi; lo++ {
+				accepted, err := r.filter(rule, run[lo], o[lo])
+				if err != nil {
+					return out[:j+lo], err
+				}
+				o[lo] = accepted
 			}
-			out[lo] = accepted
 		}
+		j = end
 	}
 	return out, nil
 }

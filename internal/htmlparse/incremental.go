@@ -26,7 +26,8 @@ import (
 //     the path to E, and its head and body those of the previous tree
 //     that exist there, and tokenizes up to the second;
 //   - dom.Splice keeps the nodes before the window and shifts those
-//     after it, with their index entries and subtree hashes.
+//     after it, with their index entries, subtree hashes and bitset
+//     words.
 //
 // A mark sits just past an end tag's '>', and no token reads behind
 // itself, so the prefix up to a mark builds the same in both versions.

@@ -1,9 +1,9 @@
 // Package nodeset provides linear-time set-level operations over tree
 // axes: given the characteristic vector of a node set S, each function
-// computes {y : ∃x∈S axis(x,y)} (or the converse) in a single O(|dom|)
-// sweep. These are the primitives behind both the linear-time Core XPath
-// evaluator (Theorems 4.1/4.2: O(|D|·|Q|) combined complexity) and the
-// acyclic conjunctive-query evaluator.
+// computes {y : ∃x∈S axis(x,y)} (or the converse) in at most one
+// O(|dom|) sweep. These are the primitives behind both the linear-time
+// Core XPath evaluator (Theorems 4.1/4.2: O(|D|·|Q|) combined
+// complexity) and the acyclic conjunctive-query evaluator.
 //
 // Sets are packed bitsets: 64 nodes per machine word, so the boolean
 // operations (And, Or, Not, AndNot) process 64 nodes per instruction
@@ -12,14 +12,32 @@
 // siblings always carry smaller NodeIDs than their children/right
 // siblings (trees are built by appending), so the transitive sweeps are
 // plain ascending/descending id loops, and Following/Preceding reduce
-// to prefix-min/suffix-max scans over preorder numbers.
+// to prefix-min/suffix-max scans over preorder numbers. On a tree in
+// document order the descendant axes read a node's subtree as its id
+// window [x, x+SubtreeSize(x)), as Grust's XPath Accelerator reads it
+// from pre/size numbers (SIGMOD 2002): they visit the nodes of the
+// context's subtrees and no others, so matching under a few dirty
+// sections of a page costs those sections plus |dom|/64 words.
 package nodeset
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/dom"
 )
+
+// visited counts the nodes the axes a matcher descends by (Children,
+// Descendants, DescendantsOrSelf) have visited, over the whole process:
+// a sweep every node of the tree, a window its nodes, Children the
+// context and their children.
+var visited atomic.Int64
+
+// Visited returns how many nodes Children, Descendants and
+// DescendantsOrSelf have visited so far, over every call of the
+// process: the work measure of a tick's matching, which tests compare
+// across page sizes.
+func Visited() int64 { return visited.Load() }
 
 // Set is the characteristic bitset of a node set, indexed by NodeID
 // (bit i of word i/64). The zero value is an empty set over an empty
@@ -246,11 +264,15 @@ func Equal(a, b Set) bool {
 // Children returns {y : parent(y) ∈ s}.
 func Children(t *dom.Tree, s Set) Set {
 	out := New(t)
+	n := 0
 	s.ForEach(func(x dom.NodeID) {
+		n++
 		for c := t.FirstChild(x); c != dom.Nil; c = t.NextSibling(c) {
 			out.Add(c)
+			n++
 		}
 	})
+	visited.Add(int64(n))
 	return out
 }
 
@@ -265,10 +287,14 @@ func Parents(t *dom.Tree, s Set) Set {
 	return out
 }
 
-// Descendants returns {y : some proper ancestor of y ∈ s}. Parents
-// always precede children in NodeID order, so one ascending sweep
-// propagates membership down the tree.
+// Descendants returns {y : some proper ancestor of y ∈ s}. On a tree
+// in document order it fills each member's window (descendantWindows);
+// on any other, one ascending sweep propagates membership down the
+// tree, parents always preceding children in NodeID order.
 func Descendants(t *dom.Tree, s Set) Set {
+	if t.DocOrdered() {
+		return descendantWindows(t, s, 1)
+	}
 	out := New(t)
 	for i := 0; i < s.n; i++ {
 		y := dom.NodeID(i)
@@ -276,11 +302,71 @@ func Descendants(t *dom.Tree, s Set) Set {
 			out.Add(y)
 		}
 	}
+	visited.Add(int64(s.n))
 	return out
 }
 
 // DescendantsOrSelf returns Descendants(s) ∪ s.
-func DescendantsOrSelf(t *dom.Tree, s Set) Set { return Descendants(t, s).Or(s) }
+func DescendantsOrSelf(t *dom.Tree, s Set) Set {
+	if t.DocOrdered() {
+		return descendantWindows(t, s, 0)
+	}
+	return Descendants(t, s).Or(s)
+}
+
+// descendantWindows is the descendant axis of a tree in document order,
+// where x's subtree is the id window [x, x+SubtreeSize(x)): it fills
+// [x+skip, end) for each member x in ascending order and resumes the
+// search for members at end, so a member inside a window already
+// filled, whose own window nests in it, is never looked at. skip is 1
+// for Descendants and 0 for DescendantsOrSelf.
+func descendantWindows(t *dom.Tree, s Set, skip int) Set {
+	out := New(t)
+	n := 0
+	for x := s.next(0); x >= 0; {
+		end := x + t.SubtreeSize(dom.NodeID(x))
+		out.fill(x+skip, end)
+		n += end - x
+		x = s.next(end)
+	}
+	visited.Add(int64(n))
+	return out
+}
+
+// next returns the least member at or after i, or -1 when there is
+// none.
+func (s Set) next(i int) int {
+	wi := i >> 6
+	if wi >= len(s.words) {
+		return -1
+	}
+	w := s.words[wi] &^ (1<<(uint(i)&63) - 1)
+	for w == 0 {
+		if wi++; wi == len(s.words) {
+			return -1
+		}
+		w = s.words[wi]
+	}
+	return wi<<6 + bits.TrailingZeros64(w)
+}
+
+// fill adds every node of [lo, hi) a word at a time.
+func (s Set) fill(lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	first, last := lo>>6, (hi-1)>>6
+	head, tail := ^uint64(0)<<(uint(lo)&63), ^uint64(0)>>(63-(uint(hi-1)&63))
+	if first == last {
+		s.words[first] |= head & tail
+		return
+	}
+	s.words[first] |= head
+	for i := first + 1; i < last; i++ {
+		s.words[i] = ^uint64(0)
+	}
+	s.words[last] |= tail
+}
 
 // Ancestors returns {x : some proper descendant of x ∈ s}; the converse
 // descending sweep.

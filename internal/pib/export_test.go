@@ -6,8 +6,8 @@ import (
 	"repro/internal/xmlenc"
 )
 
-// StoreDraws returns how many stores bases have taken from the pool,
-// over the whole process.
+// StoreDraws returns how many bases have taken storage for their
+// instances from the pool, over the whole process.
 func StoreDraws() int64 { return storeDraws.Load() }
 
 // PoisonPools puts a value into every pool of this package for each

@@ -136,16 +136,17 @@ type Base struct {
 	tab   *table
 	byPat map[string][]*Instance
 	next  int32
-	// slab backs the instances AddCopy and Graft admit, hint sizing its
-	// chunks; ptrs backs a maintained base's pattern lists and Graft's
-	// child lists, nodes Graft's node lists. st and ls are the pooled
-	// storage they were first cut from.
-	slab  []Instance
-	ptrs  []*Instance
-	nodes []dom.NodeID
-	hint  int
-	st    *store
-	ls    *lists
+	// slab backs the instances AddCopy and Graft admit, in the last of
+	// chunks, hint sizing them; ptrs backs a maintained base's pattern
+	// lists and Graft's child lists, nodes Graft's node lists, first cut
+	// from the pooled storage ls.
+	slab   []Instance
+	ptrs   []*Instance
+	nodes  []dom.NodeID
+	hint   int
+	chunks []*store
+	drew   bool // a chunk came from the pool
+	ls     *lists
 	// bytes is the approximate heap footprint, computed by Seal.
 	bytes int
 	// pairs is the counterpart index of a maintained base (NewBaseFrom).
@@ -244,11 +245,11 @@ func (b *Base) AddCopy(in *Instance) (*Instance, bool) {
 	return p, true
 }
 
-// alloc copies an instance into the slab, past its pooled chunk into
-// chunks made to measure.
+// alloc copies an instance into the slab, continuing it in a new chunk
+// when it is full.
 func (b *Base) alloc(in *Instance) *Instance {
 	if len(b.slab) == cap(b.slab) {
-		b.slab = make([]Instance, 0, max(64, b.hint-int(b.next)))
+		b.growSlab()
 	}
 	b.slab = append(b.slab, *in)
 	return &b.slab[len(b.slab)-1]

@@ -20,9 +20,14 @@ import (
 // classes of internal/pool, so a collection empties the pools and
 // nothing is retained beside the live bases.
 
-// store is the storage a base is built into and Recycle gives back: an
-// instance slab and the pattern map. Slabs are made to measure, and
-// the next base of about as many instances draws them (pool.Near).
+// store is a chunk of the storage a base is built into and Recycle
+// gives back: an instance slab and, in a base's first chunk, the
+// pattern map. A base takes its first chunk for as many instances as
+// it expects, and a slab that falls short continues in chunks for what
+// it still expects, else for as many as its chunks hold, so the chunks
+// of a base with nothing to size it (a fresh wrapper's first) double. Each chunk is the largest the pool has of at most its
+// size and at least half of it (pool.Largest), else one made to
+// measure.
 type store struct {
 	slab  []Instance
 	byPat map[string][]*Instance
@@ -49,22 +54,49 @@ var (
 	stores    pool.Classes[store]
 	listSlabs pool.Classes[lists]
 	tables    pool.Classes[table]
-	// storeDraws counts the stores bases took from the pool.
+	// storeDraws counts the bases that took a chunk from the pool.
 	storeDraws atomic.Int64
 )
 
-// drawStore gives b, a new base, storage for about n instances: a
-// released store of about that size, else one made to measure. A slab
-// that falls short continues in chunks made to measure (alloc).
+// drawStore gives b, a new base, its first chunk, for about n
+// instances.
 func (b *Base) drawStore(n int) {
-	st := stores.Near(n)
-	if st == nil {
-		st = &store{slab: make([]Instance, 0, max(n, 64)), byPat: make(map[string][]*Instance)}
+	st := b.drawChunk(n)
+	if st.byPat == nil {
+		st.byPat = make(map[string][]*Instance)
 	} else {
-		storeDraws.Add(1)
 		clear(st.byPat)
 	}
-	b.st, b.slab, b.byPat = st, st.slab[:0], st.byPat
+	b.chunks = append(b.chunks[:0], st)
+	b.slab, b.byPat = st.slab[:0], st.byPat
+}
+
+// growSlab continues b's full instance slab in a new chunk.
+func (b *Base) growSlab() {
+	n := b.hint - int(b.next)
+	if n <= 0 {
+		n = 0
+		for _, st := range b.chunks {
+			n += cap(st.slab)
+		}
+	}
+	st := b.drawChunk(n)
+	b.chunks = append(b.chunks, st)
+	b.slab = st.slab[:0]
+}
+
+// drawChunk returns a chunk for about n instances (at least 64), and
+// counts b in storeDraws at the first that came from the pool.
+func (b *Base) drawChunk(n int) *store {
+	n = max(n, 64)
+	if st := stores.Largest(n); st != nil {
+		if !b.drew {
+			b.drew = true
+			storeDraws.Add(1)
+		}
+		return st
+	}
+	return &store{slab: make([]Instance, 0, n)}
 }
 
 // drawLists gives b, a new base maintained from one of n instances,
@@ -116,9 +148,13 @@ func (b *Base) Recycle() {
 		p.release()
 	}
 	b.releaseTable()
-	if st := b.st; st != nil {
-		// Only the slab's first next instances can have been written.
-		clear(st.slab[:min(int(b.next), cap(st.slab))])
+	for i, st := range b.chunks {
+		// Every chunk but the last is full.
+		if i == len(b.chunks)-1 {
+			clear(st.slab[:len(b.slab)])
+		} else {
+			clear(st.slab[:cap(st.slab)])
+		}
 		clear(st.byPat)
 		_, class := pool.Floor(cap(st.slab))
 		stores.Put(class, st)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"strings"
 	"testing"
 
@@ -67,8 +68,9 @@ func cold(t *testing.T, page string) *pib.Base {
 // 20×40 catalogue, one section rewritten per poll. Poll v's base is
 // built into the storage of poll v-2's, which poll v-1 superseded, so
 // of the 20 polls after two warm-up ones at least 19 draw their store
-// from the pool: only poll 2 cannot, poll 0's base being a fresh
-// wrapper's, built in chunks with no earlier count to size it. From
+// from the pool — poll 2 too, though poll 0's base is a fresh
+// wrapper's, built in geometrically growing chunks with no earlier
+// count to size it. From
 // poll 4 on, once the output cache's generations are sized for
 // maintained renders, each poll allocates under a fixed bound: about
 // 160 KB, up to 250 KB when a collection empties the pools in between,
@@ -124,6 +126,48 @@ func TestExtractRecyclesSupersededBase(t *testing.T) {
 	}
 	if most >= bound {
 		t.Errorf("a changed poll allocated %d bytes, want under %d", most, bound)
+	}
+}
+
+// TestFreshWrapperDrawsItsStore extracts the 20×40 catalogue with two
+// fresh wrappers one after the other, three versions each, one section
+// rewritten per version, each result released once rendered — the
+// oneshot workload's register, extract, delete. Every base but the
+// first two of the process draws storage from the pool: the first
+// wrapper's second changed extraction takes chunks its cold base was
+// built in, and the second wrapper's cold base and its first changed
+// extraction take what the first wrapper left. The collector, which
+// empties the pools, is off meanwhile. Not asserted under -race, whose
+// sync.Pool drops a quarter of what is put into it.
+func TestFreshWrapperDrawsItsStore(t *testing.T) {
+	runtime.GC() // twice: the pool's victim cache goes with the second
+	runtime.GC()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	var drew []bool
+	for range 2 {
+		w := lixto.MustCompile(catalogueProgram, append(catalogueOptions, lixto.WithIncrementalOutput(true))...)
+		for v := range 3 {
+			page := cataloguePage(20, 40, v)
+			draws := pib.StoreDraws()
+			res, err := w.Extract(context.Background(), lixto.Origin(), lixto.WithFetcher(elog.FetcherFunc(func(string) (*dom.Tree, error) {
+				return htmlparse.Parse(page), nil
+			})))
+			if err != nil {
+				t.Fatal(err)
+			}
+			res.XML()
+			res.Release()
+			drew = append(drew, pib.StoreDraws() > draws)
+		}
+	}
+	t.Logf("extractions that drew their store from the pool: %v", drew)
+	if raceBuild {
+		return
+	}
+	for i, d := range drew[2:] {
+		if !d {
+			t.Errorf("wrapper %d, version %d: the base drew no store from the pool", (i+2)/3+1, (i+2)%3)
+		}
 	}
 }
 

@@ -68,6 +68,22 @@ func (c *Classes[T]) Near(n int) *T {
 	return c.Get(class - 1)
 }
 
+// Largest returns a value released for at most about n items and at
+// least half as many: one from the pool of n's class, else from the
+// largest class below it down to that of n/2 that has one; or nil.
+// Storage that may continue in more storage (a slab of chunks) takes
+// what is there before it makes any.
+func (c *Classes[T]) Largest(n int) *T {
+	_, class := SizeClass(n)
+	_, least := SizeClass(n / 2)
+	for ; class >= least; class-- {
+		if v := c.Get(class); v != nil {
+			return v
+		}
+	}
+	return nil
+}
+
 // Get returns a value released into the pool of class, or nil.
 func (c *Classes[T]) Get(class int) *T {
 	for {

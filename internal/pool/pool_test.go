@@ -53,3 +53,34 @@ func TestNear(t *testing.T) {
 		c.Get(class)
 	}
 }
+
+// TestLargest: Largest takes the largest storage of at most about n
+// items and at least half as many, and none smaller.
+func TestLargest(t *testing.T) {
+	var c Classes[[]int]
+	put := func(n int) *[]int {
+		v := make([]int, n)
+		_, class := Floor(n)
+		c.Put(class, &v)
+		return &v
+	}
+	found := false
+	for range 32 { // a race build's sync.Pool drops a quarter of puts
+		small, big := put(1024), put(2048)
+		if got := c.Largest(4200); got != nil {
+			t.Fatalf("Largest(4200) took storage for %d items", len(*got))
+		}
+		got := c.Largest(2420)
+		if got == small {
+			t.Fatal("Largest(2420) took the 1024 before the 2048")
+		}
+		c.Largest(1100)
+		if got == big {
+			found = true
+			break
+		}
+	}
+	if !found {
+		t.Fatal("Largest(2420) did not find the 2048")
+	}
+}
